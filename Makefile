@@ -20,7 +20,7 @@ FUZZ_TARGETS = \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-stress integration fuzz bench bench-json bench-compare lint repolint vuln cover
+.PHONY: all build vet test race race-stress integration fuzz bench bench-json bench-compare bench-e2e bench-e2e-compare lint repolint vuln cover
 
 all: vet build test
 
@@ -37,9 +37,9 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # concurrency stress tests (TestStress*, skipped under -short): sharded
-# scheduler with mid-flight revocation, concurrent MDC fan-out, batched
-# TLR-MVM, and the mddserve load tests at the repo root — run repeatedly
-# under the race detector
+# scheduler with mid-flight revocation, concurrent MDC fan-out, the six
+# TLR-MVM entry points on one shared matrix, and the mddserve load tests
+# at the repo root — run repeatedly under the race detector
 race-stress:
 	$(GO) test -race -count=2 -run '^TestStress' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/
 
@@ -69,6 +69,22 @@ bench-json:
 
 bench-compare: bench-json
 	$(GO) run ./cmd/benchreport compare BENCH_baseline.json $(BENCH_OUT)
+
+# ---- end-to-end memory-wall benchmark (BENCHMARK.json, bench/README.md) ----
+# bench-e2e runs one workload the way the benchmark driver does.
+# bench-e2e-compare checks two result sets (A = before, B = after; files
+# of runs collected with `bash bench/run.sh … --out file`) against the
+# BENCHMARK.json bounds.
+
+W ?= solve-dram
+SEED ?= 1
+TRACE ?= 0
+
+bench-e2e:
+	bash bench/run.sh --workload $(W) --seed $(SEED) --seconds 16 --trace $(TRACE)
+
+bench-e2e-compare:
+	$(GO) run ./bench -repeat $(A) $(B)
 
 # ---- static analysis / vulnerability scan (mirrors CI lint/vuln jobs) ----
 # staticcheck and govulncheck are fetched by CI; locally they are used

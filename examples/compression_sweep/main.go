@@ -61,7 +61,7 @@ func main() {
 	tDense := time.Since(t0)
 	t0 = time.Now()
 	for i := 0; i < reps; i++ {
-		tm.MulVecParallel(x, yt, 0)
+		tm.MulVec(x, yt)
 	}
 	tTLR := time.Since(t0)
 	var num, den float64

@@ -20,7 +20,7 @@ type HotPathSeed struct {
 
 // HotPathSeeds is the registry of TLR-MVM kernel loops that must stay
 // allocation-free: the three-phase product and its adjoint, the batched
-// formulation, the batch engine's per-member executors, the MDC
+// formulation, the batch engine's per-member executor, the MDC
 // per-frequency kernels, and the CS-2 PE simulator's chunk program.
 // New kernels register here AND in internal/testkit's runtime registry;
 // a cross-check test fails if the two diverge.
@@ -30,17 +30,13 @@ var HotPathSeeds = []HotPathSeed{
 	{Pkg: "internal/tlr", Func: "Matrix.adjointURow", Kernel: "tlr.mulvec_adjoint"},
 	{Pkg: "internal/tlr", Func: "Matrix.adjointVCol", Kernel: "tlr.mulvec_adjoint"},
 	{Pkg: "internal/tlr", Func: "Matrix.MulVecBatched", Kernel: "tlr.mulvec_batched"},
-	{Pkg: "internal/tlr", Func: "Matrix.MulVecBatchedAoS", Kernel: "tlr.mulvec_batched_aos"},
-	{Pkg: "internal/tlr", Func: "Matrix.forwardVColSoA", Kernel: "tlr.mulvec_soa"},
-	{Pkg: "internal/tlr", Func: "Matrix.forwardURowSoA", Kernel: "tlr.mulvec_soa"},
-	{Pkg: "internal/tlr", Func: "Matrix.shuffleColToRow", Kernel: "tlr.mulvec_soa"},
-	{Pkg: "internal/tlr", Func: "Matrix.adjointURowSoA", Kernel: "tlr.mulvec_soa_adjoint"},
-	{Pkg: "internal/tlr", Func: "Matrix.adjointVColSoA", Kernel: "tlr.mulvec_soa_adjoint"},
-	{Pkg: "internal/tlr", Func: "Matrix.shuffleRowToCol", Kernel: "tlr.mulvec_soa_adjoint"},
-	{Pkg: "internal/tlr", Func: "Matrix.normalURowSoA", Kernel: "tlr.mulvec_normal"},
-	{Pkg: "internal/batch", Func: "execute", Kernel: "batch.run"},
-	{Pkg: "internal/batch", Func: "runFourReal", Kernel: "batch.run_fourreal"},
-	{Pkg: "internal/batch", Func: "runSoA", Kernel: "batch.run_soa"},
+	// the two SoA panel sweeps and the shuffle are shared by every SoA
+	// product; each is listed under one of the kernels that drive it
+	{Pkg: "internal/tlr", Func: "panels.project", Kernel: "tlr.mulvec_soa"},
+	{Pkg: "internal/tlr", Func: "panels.expand", Kernel: "tlr.mulvec_soa_adjoint"},
+	{Pkg: "internal/tlr", Func: "shuffle", Kernel: "tlr.mulvec_soa"},
+	{Pkg: "internal/tlr", Func: "panels.normal", Kernel: "tlr.mulvec_normal"},
+	{Pkg: "internal/batch", Func: "execute", Kernel: "batch.run_soa"},
 	{Pkg: "internal/mdc", Func: "DenseKernel.Apply", Kernel: "mdc.kernel_dense"},
 	{Pkg: "internal/mdc", Func: "TLRKernel.Apply", Kernel: "mdc.kernel_tlr"},
 	{Pkg: "internal/mdc", Func: "TLRKernel.ApplyNormal", Kernel: "mdc.kernel_tlr_normal"},

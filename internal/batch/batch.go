@@ -5,8 +5,11 @@
 // and variable ranks", §4). A batch collects many independent complex
 // MVMs of heterogeneous shapes; the engine groups them into size classes,
 // schedules the classes over a worker pool largest-first (LPT scheduling,
-// which bounds load imbalance), and executes each MVM either natively in
-// complex arithmetic or as four real MVMs (the §6.6 decomposition).
+// which bounds load imbalance), and executes each MVM as four real MVMs
+// on split real/imaginary planes, as the CS-2 kernel must (the §6.6
+// decomposition). Members carry their matrix presplit — the one member
+// kind — so only the vector endpoints are split per product; the
+// identity itself is pinned by cfloat's ComplexMVMViaFourReal tests.
 package batch
 
 import (
@@ -37,28 +40,18 @@ const (
 	OpC
 )
 
-// MVM is one batch member: y ← alpha·op(A)·x + beta·y with A m×n
-// column-major at stride lda.
+// MVM is one batch member: y ← op(A)·x with A m×n column-major at
+// stride lda, carried as presplit float32 real and imaginary planes (the
+// SoA layout of internal/cfloat/soa.go), so the member executes on the
+// split planes directly with no per-member matrix split.
 type MVM struct {
-	Oper  Op
-	M, N  int
-	Alpha complex64
-	A     []complex64
-	// AR/AI optionally carry the matrix as presplit float32 real and
-	// imaginary planes (the SoA layout of internal/cfloat/soa.go). When
-	// both are set, A may be nil and the member executes on the split
-	// planes directly — no per-member SplitReIm the way FourReal must.
-	// SoA members require Alpha == 1 and Beta == 0; both OpN and OpC are
-	// supported.
+	Oper   Op
+	M, N   int
 	AR, AI []float32
 	LDA    int
 	X      []complex64
-	Beta   complex64
 	Y      []complex64
 }
-
-// soa reports whether the member carries presplit matrix planes.
-func (t MVM) soa() bool { return t.AR != nil && t.AI != nil }
 
 // work returns the fmac count, the scheduling weight.
 func (t MVM) work() int64 { return int64(t.M) * int64(t.N) }
@@ -70,16 +63,8 @@ func (t MVM) validate(i int) error {
 	if t.LDA < t.M {
 		return fmt.Errorf("batch: MVM %d has lda %d < m %d", i, t.LDA, t.M)
 	}
-	need := t.LDA*(t.N-1) + t.M
-	if t.soa() {
-		if len(t.AR) < need || len(t.AI) < need {
-			return fmt.Errorf("batch: MVM %d split matrix planes too short", i)
-		}
-		if t.Alpha != 1 || t.Beta != 0 {
-			return fmt.Errorf("batch: MVM %d SoA member requires alpha=1 beta=0", i)
-		}
-	} else if len(t.A) < need {
-		return fmt.Errorf("batch: MVM %d matrix buffer too short", i)
+	if need := t.LDA*(t.N-1) + t.M; len(t.AR) < need || len(t.AI) < need {
+		return fmt.Errorf("batch: MVM %d split matrix planes too short", i)
 	}
 	xin, yout := t.N, t.M
 	if t.Oper == OpC {
@@ -98,17 +83,15 @@ func (t MVM) validate(i int) error {
 type Options struct {
 	// Workers bounds the parallelism (0 = GOMAXPROCS).
 	Workers int
-	// FourReal executes each complex MVM as four real MVMs on split
-	// real/imaginary planes, as the CS-2 kernel must (§6.6). Only OpN
-	// members support it; the engine falls back to native complex for OpC.
-	FourReal bool
-	// MinParallelWork is the fmac count below which the whole batch runs
-	// on the caller's goroutine (default 4096).
-	MinParallelWork int64
 }
 
+// minParallelWork is the fmac count below which the whole batch runs on
+// the caller's goroutine: under it the dispatch channel and goroutine
+// wake-ups cost more than the members themselves.
+const minParallelWork = 4096
+
 // Run executes every MVM of the batch. Members must write to disjoint Y
-// slices (the usual TLR-MVM batches do: one output segment per tile).
+// slices (the usual TLR-MVM batches do: one output segment per panel).
 //
 //lint:alloc-ok the dispatch channel and worker goroutines are the engine's per-Run overhead, amortized across the whole batch; per-member work is allocation-free
 func Run(tasks []MVM, opts Options) error {
@@ -127,13 +110,9 @@ func Run(tasks []MVM, opts Options) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	minWork := opts.MinParallelWork
-	if minWork == 0 {
-		minWork = 4096
-	}
-	if workers == 1 || total < minWork || len(tasks) == 1 {
+	if workers == 1 || total < minParallelWork || len(tasks) == 1 {
 		for i := range tasks {
-			execute(&tasks[i], opts.FourReal)
+			execute(&tasks[i])
 		}
 		return nil
 	}
@@ -158,7 +137,7 @@ func Run(tasks []MVM, opts Options) error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				execute(&tasks[i], opts.FourReal)
+				execute(&tasks[i])
 			}
 		}()
 	}
@@ -166,34 +145,12 @@ func Run(tasks []MVM, opts Options) error {
 	return nil
 }
 
-// execute dispatches one batch member to the four-real decomposition or
-// the native complex Gemv. Registered hot path: it runs once per member
-// per Run and must stay allocation-free.
-//
-//lint:hotpath
-func execute(t *MVM, fourReal bool) {
-	if t.AR != nil {
-		runSoA(t)
-		return
-	}
-	if fourReal && t.Oper == OpN && t.Beta == 0 && t.Alpha == 1 && t.LDA == t.M {
-		runFourReal(t)
-		return
-	}
-	var tr cfloat.Trans
-	if t.Oper == OpC {
-		tr = cfloat.ConjTrans
-	}
-	cfloat.Gemv(tr, t.M, t.N, t.Alpha, t.A, t.LDA, t.X, t.Beta, t.Y)
-}
-
-// frScratch holds the split real/imaginary planes of one four-real MVM.
-// The buffers grow monotonically to the largest member seen, so a
-// steady-state workload stops allocating after warm-up.
-type frScratch struct {
-	ar, ai []float32 // matrix planes, m·n
-	xr, xi []float32 // input planes, n
-	yr, yi []float32 // output planes, m
+// vecScratch holds the split real/imaginary planes of one member's
+// vector endpoints. The buffers grow monotonically to the largest member
+// seen, so a steady-state workload stops allocating after warm-up.
+type vecScratch struct {
+	xr, xi []float32 // input planes
+	yr, yi []float32 // output planes
 }
 
 // grow ensures capacity; it lives outside the hot-path marker because
@@ -201,73 +158,42 @@ type frScratch struct {
 // workload's steady-state shape.
 //
 //lint:alloc-ok buffers ratchet monotonically; a steady-state workload stops allocating after warm-up
-func (s *frScratch) grow(mn, m, n int) {
-	if cap(s.ar) < mn {
-		s.ar = make([]float32, mn)
-		s.ai = make([]float32, mn)
-	}
+func (s *vecScratch) grow(n int) {
 	if cap(s.xr) < n {
 		s.xr = make([]float32, n)
 		s.xi = make([]float32, n)
-	}
-	if cap(s.yr) < m {
-		s.yr = make([]float32, m)
-		s.yi = make([]float32, m)
+		s.yr = make([]float32, n)
+		s.yi = make([]float32, n)
 	}
 }
 
-// frFree recycles four-real scratch across Run calls and workers. A
+// scratchFree recycles vector scratch across Run calls and workers. A
 // channel free list rather than sync.Pool: the pool may drop entries at
 // any GC, which would make the AllocsPerRun gate nondeterministic.
-var frFree = make(chan *frScratch, 16)
+var scratchFree = make(chan *vecScratch, 16)
 
-// runFourReal splits the operands and performs the §6.6 four-real-MVM
-// decomposition. Registered hot path: the split-plane buffers come from
-// the package free list, so the steady state performs no allocations.
+// execute runs one member: the matrix planes come with the member, so
+// only the vector endpoints are split, into free-list scratch.
+// Registered hot path: it runs once per member per Run, and the steady
+// state performs no allocations.
 //
 //lint:hotpath
-func runFourReal(t *MVM) {
-	var s *frScratch
+func execute(t *MVM) {
+	var s *vecScratch
 	select {
-	case s = <-frFree:
+	case s = <-scratchFree:
 	default:
 		//lint:alloc-ok one-time checkout when the free list is empty; steady state recycles
-		s = new(frScratch)
+		s = new(vecScratch)
 	}
-	mn := t.M * t.N
-	s.grow(mn, t.M, t.N)
-	cfloat.SplitReIm(t.A[:mn], s.ar[:mn], s.ai[:mn])
-	cfloat.ComplexMVMViaFourRealBuf(t.M, t.N, s.ar[:mn], s.ai[:mn], t.M, t.X, t.Y,
-		s.xr[:t.N], s.xi[:t.N], s.yr[:t.M], s.yi[:t.M])
-	select {
-	case frFree <- s:
-	default:
-	}
-}
-
-// runSoA executes one presplit member: the matrix planes come with the
-// member, so only the vector endpoints are split, into free-list
-// scratch. Registered hot path: the steady state performs no
-// allocations.
-//
-//lint:hotpath
-func runSoA(t *MVM) {
-	var s *frScratch
-	select {
-	case s = <-frFree:
-	default:
-		//lint:alloc-ok one-time checkout when the free list is empty; steady state recycles
-		s = new(frScratch)
-	}
-	k := max(t.M, t.N)
-	s.grow(0, k, k)
+	s.grow(max(t.M, t.N))
 	if t.Oper == OpC {
 		cfloat.GemvConjSoA(t.M, t.N, t.AR, t.AI, t.LDA, t.X, t.Y, s.xr, s.xi, s.yr, s.yi)
 	} else {
 		cfloat.GemvSoA(t.M, t.N, t.AR, t.AI, t.LDA, t.X, t.Y, s.xr, s.xi, s.yr, s.yi)
 	}
 	select {
-	case frFree <- s:
+	case scratchFree <- s:
 	default:
 	}
 }

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,31 +9,52 @@ import (
 	"repro/internal/dense"
 )
 
-// buildBatch makes n independent MVMs with variable shapes, returning the
-// tasks plus reference outputs computed directly.
-func buildBatch(rng *rand.Rand, n int, op Op) ([]MVM, [][]complex64) {
+// splitMember builds one member from an interleaved column-major m×n
+// matrix, carrying it as the presplit planes the engine executes on.
+func splitMember(op Op, m, n int, a, x []complex64) MVM {
+	ar, ai := make([]float32, len(a)), make([]float32, len(a))
+	cfloat.SplitReIm(a, ar, ai)
+	yout := m
+	if op == OpC {
+		yout = n
+	}
+	return MVM{Oper: op, M: m, N: n, AR: ar, AI: ai, LDA: m, X: x, Y: make([]complex64, yout)}
+}
+
+// buildBatch makes n independent MVMs with variable shapes up to
+// maxDim×maxDim, returning the tasks plus reference outputs computed
+// directly in complex arithmetic.
+func buildBatch(rng *rand.Rand, n, maxDim int, op Op) ([]MVM, [][]complex64) {
 	tasks := make([]MVM, n)
 	refs := make([][]complex64, n)
 	for i := range tasks {
-		m := 1 + rng.Intn(40)
-		nn := 1 + rng.Intn(40)
+		m := 1 + rng.Intn(maxDim)
+		nn := 1 + rng.Intn(maxDim)
 		a := dense.Random(rng, m, nn)
-		xin, yout := nn, m
+		xin := nn
 		if op == OpC {
-			xin, yout = m, nn
+			xin = m
 		}
 		x := dense.Random(rng, xin, 1).Data
-		tasks[i] = MVM{
-			Oper: op, M: m, N: nn, Alpha: 1,
-			A: a.Data, LDA: m, X: x, Y: make([]complex64, yout),
-		}
-		ref := make([]complex64, yout)
+		tasks[i] = splitMember(op, m, nn, a.Data, x)
+		ref := make([]complex64, len(tasks[i].Y))
 		if op == OpC {
 			a.MulVecConjTrans(x, ref)
 		} else {
 			a.MulVec(x, ref)
 		}
 		refs[i] = ref
+	}
+	return tasks, refs
+}
+
+// buildParallelBatch is buildBatch grown until the batch is past the
+// serial-fallback threshold, so Workers > 1 really takes the LPT path.
+func buildParallelBatch(rng *rand.Rand, n int, op Op) ([]MVM, [][]complex64) {
+	tasks, refs := buildBatch(rng, n, 40, op)
+	for TotalWork(tasks) < minParallelWork {
+		t2, r2 := buildBatch(rng, n, 40, op)
+		tasks, refs = append(tasks, t2...), append(refs, r2...)
 	}
 	return tasks, refs
 }
@@ -54,7 +74,7 @@ func checkAgainst(t *testing.T, tasks []MVM, refs [][]complex64, tol float64) {
 
 func TestRunMatchesDirectGemv(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tasks, refs := buildBatch(rng, 50, OpN)
+	tasks, refs := buildParallelBatch(rng, 50, OpN)
 	if err := Run(tasks, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -63,61 +83,34 @@ func TestRunMatchesDirectGemv(t *testing.T) {
 
 func TestRunAdjointBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	tasks, refs := buildBatch(rng, 30, OpC)
+	tasks, refs := buildParallelBatch(rng, 30, OpC)
 	if err := Run(tasks, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	checkAgainst(t, tasks, refs, 1e-5)
 }
 
-func TestFourRealDecompositionMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tasks, refs := buildBatch(rng, 40, OpN)
-	if err := Run(tasks, Options{Workers: 4, FourReal: true}); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainst(t, tasks, refs, 1e-4)
-}
-
 func TestSerialFallbackSmallBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tasks, refs := buildBatch(rng, 3, OpN)
-	// force the serial path with a huge MinParallelWork
-	if err := Run(tasks, Options{Workers: 8, MinParallelWork: 1 << 40}); err != nil {
+	tasks, refs := buildBatch(rng, 3, 10, OpN)
+	if TotalWork(tasks) >= minParallelWork {
+		t.Fatal("batch too large to exercise the serial fallback")
+	}
+	// below minParallelWork the batch runs on the caller's goroutine
+	// whatever the worker count
+	if err := Run(tasks, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	checkAgainst(t, tasks, refs, 1e-5)
 }
 
-func TestAlphaBeta(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m, n := 6, 4
-	a := dense.Random(rng, m, n)
-	x := dense.Random(rng, n, 1).Data
-	y0 := dense.Random(rng, m, 1).Data
-	y := append([]complex64(nil), y0...)
-	task := MVM{Oper: OpN, M: m, N: n, Alpha: 2i, A: a.Data, LDA: m, X: x, Beta: 0.5, Y: y}
-	if err := Run([]MVM{task}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	ref := make([]complex64, m)
-	a.MulVec(x, ref)
-	for i := range ref {
-		want := 2i*ref[i] + 0.5*y0[i]
-		d := y[i] - want
-		if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-4*(1+math.Hypot(float64(real(want)), float64(imag(want)))) {
-			t.Fatalf("alpha/beta at %d: %v vs %v", i, y[i], want)
-		}
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
-	good := MVM{Oper: OpN, M: 2, N: 2, Alpha: 1, A: make([]complex64, 4), LDA: 2,
-		X: make([]complex64, 2), Y: make([]complex64, 2)}
+	good := splitMember(OpN, 2, 2, make([]complex64, 4), make([]complex64, 2))
 	cases := []func(MVM) MVM{
 		func(m MVM) MVM { m.M = 0; return m },
 		func(m MVM) MVM { m.LDA = 1; return m },
-		func(m MVM) MVM { m.A = m.A[:2]; return m },
+		func(m MVM) MVM { m.AR = m.AR[:2]; return m },
+		func(m MVM) MVM { m.AI = nil; return m },
 		func(m MVM) MVM { m.X = m.X[:1]; return m },
 		func(m MVM) MVM { m.Y = nil; return m },
 	}
@@ -144,10 +137,9 @@ func TestSizeClassesAndWork(t *testing.T) {
 func TestPropertyParallelEqualsSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(25)
-		tasks, _ := buildBatch(rng, n, OpN)
+		tasks, _ := buildParallelBatch(rng, 1+rng.Intn(25), OpN)
 		// clone the batch sharing A/X but with fresh outputs
-		tasksS := make([]MVM, n)
+		tasksS := make([]MVM, len(tasks))
 		copy(tasksS, tasks)
 		for i := range tasksS {
 			tasksS[i].Y = make([]complex64, len(tasks[i].Y))
@@ -155,7 +147,7 @@ func TestPropertyParallelEqualsSerial(t *testing.T) {
 		if err := Run(tasksS, Options{Workers: 1}); err != nil {
 			return false
 		}
-		if err := Run(tasks, Options{Workers: 8, MinParallelWork: 1}); err != nil {
+		if err := Run(tasks, Options{Workers: 8}); err != nil {
 			return false
 		}
 		for i := range tasks {
@@ -179,10 +171,7 @@ func BenchmarkBatch256VariableRank(b *testing.B) {
 	for i := 0; i < 256; i++ {
 		k := 1 + rng.Intn(16)
 		a := dense.Random(rng, 48, k)
-		tasks = append(tasks, MVM{
-			Oper: OpN, M: 48, N: k, Alpha: 1, A: a.Data, LDA: 48,
-			X: dense.Random(rng, k, 1).Data, Y: make([]complex64, 48),
-		})
+		tasks = append(tasks, splitMember(OpN, 48, k, a.Data, dense.Random(rng, k, 1).Data))
 	}
 	b.SetBytes(8 * TotalWork(tasks))
 	b.ResetTimer()
@@ -199,10 +188,7 @@ func BenchmarkBatch256Serial(b *testing.B) {
 	for i := 0; i < 256; i++ {
 		k := 1 + rng.Intn(16)
 		a := dense.Random(rng, 48, k)
-		tasks = append(tasks, MVM{
-			Oper: OpN, M: 48, N: k, Alpha: 1, A: a.Data, LDA: 48,
-			X: dense.Random(rng, k, 1).Data, Y: make([]complex64, 48),
-		})
+		tasks = append(tasks, splitMember(OpN, 48, k, a.Data, dense.Random(rng, k, 1).Data))
 	}
 	b.SetBytes(8 * TotalWork(tasks))
 	b.ResetTimer()

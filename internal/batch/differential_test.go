@@ -1,6 +1,7 @@
-// Differential tests for the batched-MVM engine: every scheduling and
-// execution mode (serial, parallel LPT, four-real decomposition) must
-// produce the same numbers as direct per-member Gemv calls.
+// Differential tests for the batched-MVM engine: every scheduling mode
+// (serial, parallel LPT) must produce the same bits as direct per-member
+// split-plane kernel calls, and the same numbers as the complex Gemv up
+// to float32 rounding.
 // External test package: testkit depends on batch transitively via tlr.
 package batch_test
 
@@ -15,110 +16,63 @@ import (
 
 // heterogeneousBatch builds nTasks MVMs with variable shapes — the
 // variable-rank irregularity (§4) the engine exists for — half forward,
-// half adjoint, writing to disjoint outputs.
+// half adjoint, writing to disjoint outputs. It returns the members and
+// each member's interleaved matrix for the complex reference.
 func heterogeneousBatch(rng *rand.Rand, nTasks int) ([]batch.MVM, [][]complex64) {
 	tasks := make([]batch.MVM, 0, nTasks)
-	outs := make([][]complex64, 0, nTasks)
+	mats := make([][]complex64, 0, nTasks)
 	for i := 0; i < nTasks; i++ {
 		m := 1 + rng.Intn(24)
 		n := 1 + rng.Intn(24)
 		op := batch.OpN
+		xin, yout := n, m
 		if i%2 == 1 {
 			op = batch.OpC
-		}
-		a := testkit.Vec(rng, m*n)
-		xin := n
-		yout := m
-		if op == batch.OpC {
 			xin, yout = m, n
 		}
-		x := testkit.Vec(rng, xin)
-		y := make([]complex64, yout)
-		outs = append(outs, y)
+		a := testkit.Vec(rng, m*n)
+		ar, ai := make([]float32, m*n), make([]float32, m*n)
+		cfloat.SplitReIm(a, ar, ai)
+		mats = append(mats, a)
 		tasks = append(tasks, batch.MVM{
-			Oper: op, M: m, N: n, Alpha: 1, A: a, LDA: m, X: x, Y: y,
+			Oper: op, M: m, N: n, AR: ar, AI: ai, LDA: m,
+			X: testkit.Vec(rng, xin), Y: make([]complex64, yout),
 		})
 	}
-	return tasks, outs
-}
-
-// reference computes each member directly with cfloat.Gemv.
-func reference(tasks []batch.MVM) [][]complex64 {
-	outs := make([][]complex64, len(tasks))
-	for i, tk := range tasks {
-		tr := cfloat.NoTrans
-		yout := tk.M
-		if tk.Oper == batch.OpC {
-			tr = cfloat.ConjTrans
-			yout = tk.N
-		}
-		y := make([]complex64, yout)
-		cfloat.Gemv(tr, tk.M, tk.N, tk.Alpha, tk.A, tk.LDA, tk.X, 0, y)
-		outs[i] = y
-	}
-	return outs
+	return tasks, mats
 }
 
 func TestDifferentialSchedulingModes(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		tasks, outs := heterogeneousBatch(testkit.NewRNG(31), 40)
-		want := reference(tasks)
-		if err := batch.Run(tasks, batch.Options{Workers: workers, MinParallelWork: 1}); err != nil {
+		tasks, mats := heterogeneousBatch(testkit.NewRNG(31), 60)
+		if batch.TotalWork(tasks) < 4096 {
+			t.Fatal("batch below the engine's serial-fallback threshold; the parallel schedule would go untested")
+		}
+		if err := batch.Run(tasks, batch.Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
-		for i := range outs {
-			// identical arithmetic, only the schedule differs: bitwise equal
-			if d := testkit.MaxULPDist(outs[i], want[i]); d != 0 {
-				t.Fatalf("workers=%d member %d: %d ULPs from direct Gemv", workers, i, d)
+		for i, tk := range tasks {
+			// the engine adds only a schedule around the split-plane
+			// kernels: bitwise equal to calling them directly
+			k := max(tk.M, tk.N)
+			direct := make([]complex64, len(tk.Y))
+			xr, xi, yr, yi := make([]float32, k), make([]float32, k), make([]float32, k), make([]float32, k)
+			// §6.6: four real sweeps reorder the complex arithmetic, so
+			// against the complex Gemv they agree to float32 rounding
+			native := make([]complex64, len(tk.Y))
+			if tk.Oper == batch.OpC {
+				cfloat.GemvConjSoA(tk.M, tk.N, tk.AR, tk.AI, tk.LDA, tk.X, direct, xr, xi, yr, yi)
+				cfloat.Gemv(cfloat.ConjTrans, tk.M, tk.N, 1, mats[i], tk.LDA, tk.X, 0, native)
+			} else {
+				cfloat.GemvSoA(tk.M, tk.N, tk.AR, tk.AI, tk.LDA, tk.X, direct, xr, xi, yr, yi)
+				cfloat.Gemv(cfloat.NoTrans, tk.M, tk.N, 1, mats[i], tk.LDA, tk.X, 0, native)
+			}
+			if d := testkit.MaxULPDist(tk.Y, direct); d != 0 {
+				t.Fatalf("workers=%d member %d: %d ULPs from the direct split-plane kernel", workers, i, d)
+			}
+			if e := testkit.RelErr(tk.Y, native); e > testkit.ExecTolerance(max(tk.M, tk.N)) {
+				t.Fatalf("workers=%d member %d (%dx%d): relErr %g from the complex Gemv", workers, i, tk.M, tk.N, e)
 			}
 		}
-	}
-}
-
-func TestDifferentialFourRealDecomposition(t *testing.T) {
-	// FourReal reorders the complex arithmetic into four real sweeps
-	// (§6.6): equal up to float32 rounding, not bitwise.
-	rng := testkit.NewRNG(32)
-	tasks := make([]batch.MVM, 0, 20)
-	outs := make([][]complex64, 0, 20)
-	for i := 0; i < 20; i++ {
-		m := 1 + rng.Intn(30)
-		n := 1 + rng.Intn(30)
-		y := make([]complex64, m)
-		outs = append(outs, y)
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: m, N: n, Alpha: 1,
-			A: testkit.Vec(rng, m*n), LDA: m, X: testkit.Vec(rng, n), Y: y,
-		})
-	}
-	want := reference(tasks)
-	if err := batch.Run(tasks, batch.Options{Workers: 4, FourReal: true, MinParallelWork: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range outs {
-		if e := testkit.RelErr(outs[i], want[i]); e > testkit.ExecTolerance(tasks[i].N) {
-			t.Fatalf("member %d (%dx%d): four-real relErr %g", i, tasks[i].M, tasks[i].N, e)
-		}
-	}
-}
-
-func TestDifferentialAlphaBetaAccumulation(t *testing.T) {
-	rng := testkit.NewRNG(33)
-	m, n := 17, 11
-	a := testkit.Vec(rng, m*n)
-	x := testkit.Vec(rng, n)
-	y0 := testkit.Vec(rng, m)
-	alpha, beta := complex64(2-1i), complex64(0.25i)
-	got := append([]complex64(nil), y0...)
-	err := batch.Run([]batch.MVM{{
-		Oper: batch.OpN, M: m, N: n, Alpha: alpha, A: a, LDA: m, X: x, Beta: beta, Y: got,
-	}}, batch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]complex64(nil), y0...)
-	cfloat.Gemv(cfloat.NoTrans, m, n, alpha, a, m, x, beta, want)
-	if d := testkit.MaxULPDist(got, want); d != 0 {
-		t.Fatalf("alpha/beta path %d ULPs from Gemv", d)
 	}
 }

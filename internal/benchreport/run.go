@@ -147,16 +147,12 @@ func Run(label string, p Profile) (*Report, error) {
 	}
 	y := make([]complex64, tm.M)
 
-	// --- TLR-MVM: sequential, parallel, batched ---
+	// --- TLR-MVM: sequential AoS reference and the batched parallel path ---
 	flops, bytes := float64(tm.FlopCount()), float64(tm.ByteCount())
 	seqNs := timeOp(p.MVMReps, func() { tm.MulVec(x, y) })
 	add("tlr.mvm.seq.ns_op", seqNs, "ns/op", Lower, false)
 	add("tlr.mvm.seq.gflops", flops/seqNs, "GFlop/s", Higher, false)
 	add("tlr.mvm.seq.gbps", bytes/seqNs, "GB/s", Higher, false)
-
-	parNs := timeOp(p.MVMReps, func() { tm.MulVecParallel(x, y, 0) })
-	add("tlr.mvm.par.ns_op", parNs, "ns/op", Lower, false)
-	add("tlr.mvm.par.gflops", flops/parNs, "GFlop/s", Higher, false)
 
 	var batchErr error
 	batNs := timeOp(p.MVMReps, func() {

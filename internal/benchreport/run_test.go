@@ -9,11 +9,11 @@ import (
 )
 
 // requiredMetrics are the acceptance-criteria coverage set: TLR-MVM in
-// all three execution styles, MDC apply, the LSQR solve, and the wsesim
+// its sequential, SoA and batched execution styles, MDC apply, the LSQR solve, and the wsesim
 // cycle counts.
 var requiredMetrics = []string{
 	"tlr.mvm.seq.ns_op",
-	"tlr.mvm.par.ns_op",
+	"tlr.mvm.soa.ns_op",
 	"tlr.mvm.batched.ns_op",
 	"mdc.apply.ns_op",
 	"mdd.solve.ns_op",

@@ -2,13 +2,13 @@ package cfloat
 
 // Structure-of-arrays (SoA) GEMV kernels. The complex matrix is stored as
 // two float32 planes (real and imaginary, column-major with a shared
-// leading dimension), split once at layout-conversion time instead of on
-// every product the way runFourReal must. The inner loops are contiguous
-// stride-1 float32 FMA chains over four columns at a time: the four-way
-// unroll amortizes the y (or x) traffic over four columns, which is what
-// moves a short-fat GEMV from call-overhead-bound toward the bandwidth
-// roofline. These are the primitives behind the SoA TLR-MVM paths
-// (internal/tlr/soa.go) and the presplit batch members (batch.MVM.AR/AI).
+// leading dimension), split once at layout-conversion time rather than
+// once per product. The inner loops are contiguous stride-1 float32 FMA
+// chains over four columns at a time: the four-way unroll amortizes the
+// y (or x) traffic over four columns, which is what moves a short-fat
+// GEMV from call-overhead-bound toward the bandwidth roofline. These are
+// the primitives behind the SoA TLR-MVM paths (internal/tlr/soa.go) and
+// the batch engine's members (batch.MVM.AR/AI).
 
 // GemvSoAAcc accumulates y += A x over split planes: A is m×n column-major
 // in (ar, ai) with leading dimension lda, x is (xr, xi) of length n, and y

@@ -11,7 +11,9 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/cfloat"
 	"repro/internal/dense"
 	"repro/internal/fft"
 	"repro/internal/obs"
@@ -20,15 +22,19 @@ import (
 
 // MDC operator metrics: forward/adjoint timers for the frequency-domain
 // operator of MDD and stage timers for the time-domain Eqn. (2) pipeline
-// (S, K, Sᴴ).
+// (S, K, Sᴴ), each indexed by product direction.
 var (
-	obsFreqApply   = obs.NewTimer("mdc.freq.apply")
-	obsFreqAdjoint = obs.NewTimer("mdc.freq.adjoint")
-	obsFreqNormal  = obs.NewTimer("mdc.freq.normal")
-	obsTimeApply   = obs.NewTimer("mdc.time.apply")
-	obsTimeAdjoint = obs.NewTimer("mdc.time.adjoint")
-	obsCompressK   = obs.NewTimer("mdc.compress_kernel")
-	obsFreqCount   = obs.NewCounter("mdc.freq.mvms")
+	obsFreq = [...]*obs.Timer{
+		forward: obs.NewTimer("mdc.freq.apply"),
+		adjoint: obs.NewTimer("mdc.freq.adjoint"),
+		normal:  obs.NewTimer("mdc.freq.normal"),
+	}
+	obsTime = [...]*obs.Timer{
+		forward: obs.NewTimer("mdc.time.apply"),
+		adjoint: obs.NewTimer("mdc.time.adjoint"),
+	}
+	obsCompressK = obs.NewTimer("mdc.compress_kernel")
+	obsFreqCount = obs.NewCounter("mdc.freq.mvms")
 )
 
 // Kernel is the per-frequency matrix stack K of Eqn. (2): NumFreqs
@@ -249,7 +255,7 @@ func (op *FreqOperator) Cols() int { return op.K.NumFreqs() * op.K.Cols() }
 // that need error propagation (the fault-tolerant stack) use
 // ApplyChecked instead.
 func (op *FreqOperator) Apply(x, y []complex64) {
-	if err := op.run(x, y, false); err != nil {
+	if err := op.run(x, y, forward); err != nil {
 		panic(err)
 	}
 }
@@ -257,7 +263,7 @@ func (op *FreqOperator) Apply(x, y []complex64) {
 // ApplyAdjoint implements lsqr.Operator. It panics on invalid vectors;
 // the fallible variant is ApplyAdjointChecked.
 func (op *FreqOperator) ApplyAdjoint(x, y []complex64) {
-	if err := op.run(x, y, true); err != nil {
+	if err := op.run(x, y, adjoint); err != nil {
 		panic(err)
 	}
 }
@@ -266,12 +272,12 @@ func (op *FreqOperator) ApplyAdjoint(x, y []complex64) {
 // per-frequency kernel faults as errors instead of panicking — the
 // entry point the fault-tolerant execution stack calls.
 func (op *FreqOperator) ApplyChecked(x, y []complex64) error {
-	return op.run(x, y, false)
+	return op.run(x, y, forward)
 }
 
 // ApplyAdjointChecked computes y = Kᴴ x with error propagation.
 func (op *FreqOperator) ApplyAdjointChecked(x, y []complex64) error {
-	return op.run(x, y, true)
+	return op.run(x, y, adjoint)
 }
 
 // ApplyNormal implements lsqr.NormalOperator. The operator is
@@ -279,122 +285,155 @@ func (op *FreqOperator) ApplyAdjointChecked(x, y []complex64) error {
 // y_f = Scale² K_fᴴ K_f x_f, computed by the kernel's fused pass when it
 // implements NormalKernel (the TLR kernel does) and by the two-pass
 // adjoint∘forward composition otherwise. Both vectors live on the model
-// grid (length Cols).
+// grid (length Cols). It panics on invalid vectors.
 func (op *FreqOperator) ApplyNormal(x, y []complex64) {
-	defer obsFreqNormal.Start().End()
-	nf := op.K.NumFreqs()
-	if nf == 0 {
-		return // zero-dimensional operator: nothing to apply
+	if err := op.run(x, y, normal); err != nil {
+		panic(err)
 	}
-	obsFreqCount.Add(int64(nf))
-	n, m := op.K.Cols(), op.K.Rows()
-	if len(x) < nf*n {
-		panic(fmt.Sprintf("mdc: FreqOperator normal input has %d elements, want %d", len(x), nf*n))
-	}
-	if len(y) < nf*n {
-		panic(fmt.Sprintf("mdc: FreqOperator normal output has %d elements, want %d", len(y), nf*n))
-	}
-	scale := complex(op.Scale*op.Scale, 0)
-	if op.Scale == 0 {
-		scale = 1
-	}
-	workers := op.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nk, fused := op.K.(NormalKernel)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for f := 0; f < nf; f++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			xf := x[f*n : (f+1)*n]
-			yf := y[f*n : (f+1)*n]
-			if fused {
-				nk.ApplyNormal(f, xf, yf)
-			} else {
-				q := make([]complex64, m)
-				op.K.Apply(f, xf, q)
-				op.K.ApplyAdjoint(f, q, yf)
-			}
-			if scale != 1 {
-				for i := range yf {
-					yf[i] *= scale
-				}
-			}
-		}(f)
-	}
-	wg.Wait()
 }
 
-func (op *FreqOperator) run(x, y []complex64, adjoint bool) error {
-	if adjoint {
-		defer obsFreqAdjoint.Start().End()
-	} else {
-		defer obsFreqApply.Start().End()
-	}
-	nf := op.K.NumFreqs()
-	if nf == 0 {
+func (op *FreqOperator) run(x, y []complex64, dir product) error {
+	defer obsFreq[dir].Start().End()
+	b := shapeFor(op.K, dir, op.Scale)
+	if b.nf == 0 {
 		return nil // zero-dimensional operator: nothing to apply
 	}
-	obsFreqCount.Add(int64(nf))
-	nin, nout := op.K.Cols(), op.K.Rows()
-	if adjoint {
-		nin, nout = nout, nin
+	obsFreqCount.Add(int64(b.nf))
+	if err := b.check("FreqOperator", x, y); err != nil {
+		return err
 	}
-	if len(x) < nf*nin {
-		return fmt.Errorf("mdc: FreqOperator input has %d elements, want %d", len(x), nf*nin)
-	}
-	if len(y) < nf*nout {
-		return fmt.Errorf("mdc: FreqOperator output has %d elements, want %d", len(y), nf*nout)
-	}
-	scale := complex(op.Scale, 0)
-	if op.Scale == 0 {
-		scale = 1
-	}
-	workers := op.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := poolSize(b.nf, op.Workers)
 	ck, checked := op.K.(CheckedKernel)
-	errs := make([]error, nf)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for f := 0; f < nf; f++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			xf := x[f*nin : (f+1)*nin]
-			yf := y[f*nout : (f+1)*nout]
-			switch {
-			case checked && adjoint:
-				errs[f] = ck.ApplyAdjointChecked(f, xf, yf)
-			case checked:
-				errs[f] = ck.ApplyChecked(f, xf, yf)
-			case adjoint:
-				op.K.ApplyAdjoint(f, xf, yf)
-			default:
-				op.K.Apply(f, xf, yf)
-			}
-			if errs[f] == nil && scale != 1 {
-				for i := range yf {
-					yf[i] *= scale
-				}
-			}
-		}(f)
+	nk, fused := op.K.(NormalKernel)
+	// the unfused normal map needs K_f x_f between its two passes: one
+	// data-grid vector per worker, not per frequency
+	m := op.K.Rows()
+	var mid []complex64
+	if dir == normal && !fused {
+		mid = make([]complex64, workers*m)
 	}
-	wg.Wait()
+	errs := make([]error, b.nf)
+	fanOut(b.nf, workers, func(w, f int) {
+		xf, yf := b.in(x, f), b.out(y, f)
+		switch {
+		case dir == normal && fused:
+			nk.ApplyNormal(f, xf, yf)
+		case dir == normal:
+			q := mid[w*m : (w+1)*m]
+			op.K.Apply(f, xf, q)
+			op.K.ApplyAdjoint(f, q, yf)
+		case checked && dir == adjoint:
+			errs[f] = ck.ApplyAdjointChecked(f, xf, yf)
+		case checked:
+			errs[f] = ck.ApplyChecked(f, xf, yf)
+		case dir == adjoint:
+			op.K.ApplyAdjoint(f, xf, yf)
+		default:
+			op.K.Apply(f, xf, yf)
+		}
+		if errs[f] == nil {
+			b.rescale(yf)
+		}
+	})
 	for f, err := range errs {
 		if err != nil {
 			return fmt.Errorf("mdc: frequency %d: %w", f, err)
 		}
 	}
 	return nil
+}
+
+// product is the direction of one per-frequency sweep over a kernel
+// stack.
+type product int
+
+const (
+	forward product = iota // y_f = K_f x_f
+	adjoint                // y_f = K_fᴴ x_f
+	normal                 // y_f = K_fᴴ K_f x_f
+)
+
+// freqBlocks is the frequency-major shape of one product over a kernel
+// stack — nf blocks of nin inputs and nout outputs — plus the factor
+// every output block is multiplied by. The one place the operators
+// (FreqOperator, TimeOperator, ShardedFreqOperator) resolve scale,
+// check bounds, and slice per frequency.
+type freqBlocks struct {
+	nf, nin, nout int
+	scale         complex64
+}
+
+// shapeFor resolves the block shape of k in direction dir. A zero
+// scale means unscaled; the normal map applies the scale twice.
+func shapeFor(k Kernel, dir product, scale float32) freqBlocks {
+	b := freqBlocks{nf: k.NumFreqs(), nin: k.Cols(), nout: k.Rows(), scale: 1}
+	switch dir {
+	case adjoint:
+		b.nin, b.nout = b.nout, b.nin
+	case normal:
+		b.nout = b.nin
+		scale *= scale
+	}
+	if scale != 0 {
+		b.scale = complex(scale, 0)
+	}
+	return b
+}
+
+// check validates the frequency-major vectors of one product.
+func (b freqBlocks) check(who string, x, y []complex64) error {
+	if len(x) < b.nf*b.nin {
+		return fmt.Errorf("mdc: %s input has %d elements, want %d", who, len(x), b.nf*b.nin)
+	}
+	if len(y) < b.nf*b.nout {
+		return fmt.Errorf("mdc: %s output has %d elements, want %d", who, len(y), b.nf*b.nout)
+	}
+	return nil
+}
+
+func (b freqBlocks) in(x []complex64, f int) []complex64  { return x[f*b.nin : (f+1)*b.nin] }
+func (b freqBlocks) out(y []complex64, f int) []complex64 { return y[f*b.nout : (f+1)*b.nout] }
+
+// rescale applies the output factor to one computed block.
+func (b freqBlocks) rescale(yf []complex64) {
+	if b.scale != 1 {
+		cfloat.Scal(b.scale, yf)
+	}
+}
+
+// poolSize resolves a Workers field (0 = GOMAXPROCS) against nf
+// independent frequencies.
+func poolSize(nf, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, nf)
+}
+
+// fanOut runs body(w, f) once for every frequency f in [0, nf) on
+// poolSize(nf, workers) workers pulling from a shared index; w is the
+// worker's index, for per-worker scratch. A pool of one runs inline on
+// the caller's goroutine, so a Workers: 1 operator spawns nothing.
+func fanOut(nf, workers int, body func(w, f int)) {
+	workers = poolSize(nf, workers)
+	if workers <= 1 {
+		for f := 0; f < nf; f++ {
+			body(0, f)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for f := int(next.Add(1)) - 1; f < nf; f = int(next.Add(1)) - 1 {
+				body(w, f)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TimeOperator is the literal Eqn. (2) composition A = Sᴴ K S over complex
@@ -434,14 +473,14 @@ func (op *TimeOperator) getPlan() *fft.Plan {
 // round-trip and adjoint tests.
 //
 //lint:oracle-exempt time-domain wrapper over the registered FreqOperator
-func (op *TimeOperator) Apply(x, y []complex64) { op.run(x, y, false) }
+func (op *TimeOperator) Apply(x, y []complex64) { op.run(x, y, forward) }
 
 // ApplyAdjoint implements lsqr.Operator. Its vector space (channels ×
 // Nt) does not match the oracle matrix, and it is covered by this
 // package's round-trip and adjoint tests.
 //
 //lint:oracle-exempt time-domain wrapper over the registered FreqOperator
-func (op *TimeOperator) ApplyAdjoint(x, y []complex64) { op.run(x, y, true) }
+func (op *TimeOperator) ApplyAdjoint(x, y []complex64) { op.run(x, y, adjoint) }
 
 // AnalyzeTime applies the S stage standalone: channel-major time traces
 // in x (nchan × Nt) are transformed to frequency-major in-band panels in
@@ -498,84 +537,29 @@ func (op *TimeOperator) SynthesizeTime(x, out []complex64, nchan int) {
 	}
 }
 
-func (op *TimeOperator) run(x, y []complex64, adjoint bool) {
-	if adjoint {
-		defer obsTimeAdjoint.Start().End()
-	} else {
-		defer obsTimeApply.Start().End()
-	}
+func (op *TimeOperator) run(x, y []complex64, dir product) {
+	defer obsTime[dir].Start().End()
 	if len(op.FreqIdx) != op.K.NumFreqs() {
 		panic("mdc: TimeOperator FreqIdx length mismatch")
 	}
-	nf := op.K.NumFreqs()
-	ncin, ncout := op.K.Cols(), op.K.Rows()
-	if adjoint {
-		ncin, ncout = ncout, ncin
-	}
-	if len(x) < ncin*op.Nt || len(y) < ncout*op.Nt {
+	b := shapeFor(op.K, dir, op.Scale)
+	if len(x) < b.nin*op.Nt || len(y) < b.nout*op.Nt {
 		panic("mdc: TimeOperator vector too short")
 	}
-	plan := op.getPlan()
-	root := 1 / math.Sqrt(float64(op.Nt))
 	// S: per input channel, unitary forward FFT, keep in-band bins
-	xf := make([]complex64, nf*ncin) // frequency-major panels
-	buf := make([]complex128, op.Nt)
-	for c := 0; c < ncin; c++ {
-		for t := 0; t < op.Nt; t++ {
-			buf[t] = complex128(x[c*op.Nt+t])
-		}
-		plan.Forward(buf)
-		for f, bin := range op.FreqIdx {
-			v := buf[bin]
-			xf[f*ncin+c] = complex64(complex(real(v)*root, imag(v)*root))
-		}
-	}
+	xf := make([]complex64, b.nf*b.nin) // frequency-major panels
+	op.AnalyzeTime(x, xf, b.nin)
 	// K (or Kᴴ) per frequency
-	yf := make([]complex64, nf*ncout)
-	scale := complex(op.Scale, 0)
-	if op.Scale == 0 {
-		scale = 1
-	}
-	workers := op.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for f := 0; f < nf; f++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			in := xf[f*ncin : (f+1)*ncin]
-			out := yf[f*ncout : (f+1)*ncout]
-			if adjoint {
-				op.K.ApplyAdjoint(f, in, out)
-			} else {
-				op.K.Apply(f, in, out)
-			}
-			if scale != 1 {
-				for i := range out {
-					out[i] *= scale
-				}
-			}
-		}(f)
-	}
-	wg.Wait()
+	yf := make([]complex64, b.nf*b.nout)
+	fanOut(b.nf, op.Workers, func(_, f int) {
+		in, out := b.in(xf, f), b.out(yf, f)
+		if dir == adjoint {
+			op.K.ApplyAdjoint(f, in, out)
+		} else {
+			op.K.Apply(f, in, out)
+		}
+		b.rescale(out)
+	})
 	// Sᴴ: zero-pad the band back onto the DFT grid, unitary inverse FFT
-	rootInv := math.Sqrt(float64(op.Nt))
-	for c := 0; c < ncout; c++ {
-		for t := range buf {
-			buf[t] = 0
-		}
-		for f, bin := range op.FreqIdx {
-			buf[bin] = complex128(yf[f*ncout+c])
-		}
-		plan.Inverse(buf)
-		for t := 0; t < op.Nt; t++ {
-			v := buf[t]
-			y[c*op.Nt+t] = complex64(complex(real(v)*rootInv, imag(v)*rootInv))
-		}
-	}
+	op.SynthesizeTime(yf, y, b.nout)
 }

@@ -142,6 +142,41 @@ func TestTimeOperatorAdjointProperty(t *testing.T) {
 	}
 }
 
+// TestTimeOperatorIsItsStages pins the operator to its own standalone
+// stages: Apply is SynthesizeTime(K · AnalyzeTime(x)) and ApplyAdjoint
+// the same with Kᴴ, bit for bit, scale and worker count included.
+func TestTimeOperatorIsItsStages(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nf, rows, cols, nt := 3, 5, 4, 32
+	k := randKernel(rng, nf, rows, cols)
+	for _, workers := range []int{1, 4} {
+		op := &TimeOperator{K: k, Nt: nt, FreqIdx: []int{3, 5, 9}, Scale: 0.5, Workers: workers}
+		for _, adj := range []bool{false, true} {
+			nin, nout := cols, rows
+			apply := op.Apply
+			freq := (&FreqOperator{K: k, Scale: op.Scale, Workers: 1}).Apply
+			if adj {
+				nin, nout = rows, cols
+				apply = op.ApplyAdjoint
+				freq = (&FreqOperator{K: k, Scale: op.Scale, Workers: 1}).ApplyAdjoint
+			}
+			x := dense.Random(rng, nin*nt, 1).Data
+			got := make([]complex64, nout*nt)
+			apply(x, got)
+			xf, yf := make([]complex64, nf*nin), make([]complex64, nf*nout)
+			op.AnalyzeTime(x, xf, nin)
+			freq(xf, yf)
+			want := make([]complex64, nout*nt)
+			op.SynthesizeTime(yf, want, nout)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d adjoint=%v: sample %d: %v vs staged %v", workers, adj, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestTimeOperatorBandLimiting(t *testing.T) {
 	// input with energy only out of band must map to (near) zero
 	rng := rand.New(rand.NewSource(7))

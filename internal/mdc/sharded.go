@@ -8,18 +8,16 @@
 package mdc
 
 import (
-	"fmt"
-
 	"repro/internal/batch"
 	"repro/internal/obs"
 )
 
 // Sharded-operator timers, distinct from the in-process FreqOperator
 // timers so degraded-capacity throughput is visible per execution path.
-var (
-	obsShardedApply   = obs.NewTimer("mdc.sharded.apply")
-	obsShardedAdjoint = obs.NewTimer("mdc.sharded.adjoint")
-)
+var obsSharded = [...]*obs.Timer{
+	forward: obs.NewTimer("mdc.sharded.apply"),
+	adjoint: obs.NewTimer("mdc.sharded.adjoint"),
+}
 
 // ShardedFreqOperator is the fault-tolerant sibling of FreqOperator:
 // identical math (one scaled kernel MVM per in-band frequency,
@@ -57,50 +55,31 @@ func (op *ShardedFreqOperator) Cols() int { return op.K.NumFreqs() * op.K.Cols()
 // Apply computes y = K x across the shard set, retrying and failing
 // over per the runner's policy; an unrecoverable fault is returned.
 func (op *ShardedFreqOperator) Apply(x, y []complex64) error {
-	return op.run(x, y, false)
+	return op.run(x, y, forward)
 }
 
 // ApplyAdjoint computes y = Kᴴ x likewise.
 func (op *ShardedFreqOperator) ApplyAdjoint(x, y []complex64) error {
-	return op.run(x, y, true)
+	return op.run(x, y, adjoint)
 }
 
-func (op *ShardedFreqOperator) run(x, y []complex64, adjoint bool) error {
-	if adjoint {
-		defer obsShardedAdjoint.Start().End()
-	} else {
-		defer obsShardedApply.Start().End()
-	}
-	nf := op.K.NumFreqs()
-	if nf == 0 {
+func (op *ShardedFreqOperator) run(x, y []complex64, dir product) error {
+	defer obsSharded[dir].Start().End()
+	b := shapeFor(op.K, dir, op.Scale)
+	if b.nf == 0 {
 		return nil // zero-dimensional operator: nothing to apply
 	}
-	obsFreqCount.Add(int64(nf))
-	nin, nout := op.K.Cols(), op.K.Rows()
-	if adjoint {
-		nin, nout = nout, nin
+	obsFreqCount.Add(int64(b.nf))
+	if err := b.check("sharded", x, y); err != nil {
+		return err
 	}
-	if len(x) < nf*nin {
-		return fmt.Errorf("mdc: sharded input has %d elements, want %d", len(x), nf*nin)
-	}
-	if len(y) < nf*nout {
-		return fmt.Errorf("mdc: sharded output has %d elements, want %d", len(y), nf*nout)
-	}
-	scale := complex(op.Scale, 0)
-	if op.Scale == 0 {
-		scale = 1
-	}
-	tasks := make([]batch.ShardTask, nf)
-	for f := 0; f < nf; f++ {
-		tasks[f] = batch.ShardTask{
-			ID: f,
-			X:  x[f*nin : (f+1)*nin],
-			Y:  y[f*nout : (f+1)*nout],
-		}
+	tasks := make([]batch.ShardTask, b.nf)
+	for f := range tasks {
+		tasks[f] = batch.ShardTask{ID: f, X: b.in(x, f), Y: b.out(y, f)}
 	}
 	exec := func(shard int, t batch.ShardTask) error {
 		var err error
-		if adjoint {
+		if dir == adjoint {
 			err = op.K.ApplyAdjointChecked(t.ID, t.X, t.Y)
 		} else {
 			err = op.K.ApplyChecked(t.ID, t.X, t.Y)
@@ -108,11 +87,7 @@ func (op *ShardedFreqOperator) run(x, y []complex64, adjoint bool) error {
 		if err != nil {
 			return err
 		}
-		if scale != 1 {
-			for i := range t.Y {
-				t.Y[i] *= scale
-			}
-		}
+		b.rescale(t.Y)
 		return nil
 	}
 	if op.Intercept != nil {

@@ -123,9 +123,14 @@ func (c *Cache) Tile(g int) (*tlr.Tile, error) {
 // Pin returns tile g and holds it resident until the matching Unpin:
 // eviction skips pinned tiles, so a caller walking a tile's panels
 // across multiple kernel invocations cannot have it reclaimed
-// underneath. Pins stack.
+// underneath. Pins stack. The pin is taken under mu, which eviction
+// holds from its scan to the drop: a pin lands either before the scan
+// (and is skipped) or after the drop (and Tile reloads the tile, pinned
+// from then on) — never between the two.
 func (c *Cache) Pin(g int) (*tlr.Tile, error) {
+	c.mu.Lock()
 	c.entries[g].pins.Add(1)
+	c.mu.Unlock()
 	t, err := c.Tile(g)
 	if err != nil {
 		c.entries[g].pins.Add(-1)

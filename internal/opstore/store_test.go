@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/obs"
 	"repro/internal/precision"
 	"repro/internal/tlr"
 	"repro/internal/tlrio"
@@ -143,6 +144,43 @@ func TestStoreBackedMatchesInMemory(t *testing.T) {
 	}
 	if stats.ResidentBytes > stats.Budget {
 		t.Fatalf("resident %d over budget %d", stats.ResidentBytes, stats.Budget)
+	}
+}
+
+// TestMeteringIssuesNoStoreTraffic pins the obs meters off the store's
+// miss path: they size every product from the rank map, so N products
+// move the hit/miss/eviction counters identically whether collection is
+// on or off. (A meter that walked the tiles pulled the whole operator
+// through the cache once per product and evicted the working set.)
+func TestMeteringIssuesNoStoreTraffic(t *testing.T) {
+	if obs.Enabled() {
+		t.Fatal("obs must be disabled at test start")
+	}
+	run := func(collect bool) CacheStats {
+		st, k := testStore(t, 6<<10, nil) // half of one frequency's tiles
+		if collect {
+			obs.Enable()
+			defer obs.Disable()
+		}
+		rng := rand.New(rand.NewSource(6))
+		ooc, err := st.Matrix(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, xa := randVec(rng, k.Mats[0].N), randVec(rng, k.Mats[0].M)
+		y, ya := make([]complex64, k.Mats[0].M), make([]complex64, k.Mats[0].N)
+		for i := 0; i < 4; i++ {
+			ooc.MulVec(x, y)
+			ooc.MulVecConjTrans(xa, ya)
+		}
+		return st.Stats()
+	}
+	off, on := run(false), run(true)
+	if off.Misses == 0 || off.Evictions == 0 {
+		t.Fatalf("budget forced no store traffic: %+v", off)
+	}
+	if on != off {
+		t.Fatalf("store traffic depends on obs collection:\n  off %+v\n  on  %+v", off, on)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/batch"
+	"repro/internal/cfloat"
 	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/mdc"
@@ -106,43 +107,8 @@ func HotPaths() []HotPath {
 			x[0], x[hotN-1] = 1, 2i
 			return func() { t.MulVecNormal(x, y) }, nil
 		}},
-		{Name: "tlr.mulvec_batched_aos", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotM)
-			x[0], x[hotN-1] = 1, 2i
-			return func() {
-				if err := t.MulVecBatchedAoS(x, y, 1); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "batch.run", Setup: func() (func(), error) {
-			tasks, err := hotPathBatch()
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if err := batch.Run(tasks, batch.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "batch.run_fourreal", Setup: func() (func(), error) {
-			tasks, err := hotPathBatch()
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if err := batch.Run(tasks, batch.Options{Workers: 1, FourReal: true}); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
 		{Name: "batch.run_soa", Setup: func() (func(), error) {
-			tasks, err := hotPathBatchSoA()
+			tasks, err := hotPathBatch()
 			if err != nil {
 				return nil, err
 			}
@@ -254,35 +220,11 @@ func hotPathStore() (*opstore.Store, int, error) {
 	return st, t.MT * t.NT, nil
 }
 
-// hotPathBatch builds the deterministic variable-size batch: one OpN
-// member per tile U base, the phase-3 shape of the batched TLR-MVM.
-// The tight-stride U factors satisfy the four-real fast-path
-// preconditions (OpN, Beta 0, Alpha 1, LDA == M), so the same batch
-// exercises both the native path and the §6.6 decomposition.
+// hotPathBatch builds the deterministic variable-size batch: per tile
+// U base one OpN member (the phase-3 shape of the batched TLR-MVM) and
+// one OpC member, the matrix carried as presplit float32 planes, so both
+// split-plane executors stay under the gate.
 func hotPathBatch() ([]batch.MVM, error) {
-	t, err := hotPathMatrix()
-	if err != nil {
-		return nil, err
-	}
-	var tasks []batch.MVM
-	x := make([]complex64, hotM)
-	for i := range x {
-		x[i] = complex(float32(i%5)-2, float32(i%3))
-	}
-	for _, tile := range t.Tiles {
-		u := tile.U
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: u.Rows, N: u.Cols, Alpha: 1,
-			A: u.Data, LDA: u.Stride, X: x[:u.Cols], Y: make([]complex64, u.Rows),
-		})
-	}
-	return tasks, nil
-}
-
-// hotPathBatchSoA builds the same deterministic batch with each member's
-// matrix carried as presplit float32 planes (batch.MVM.AR/AI), plus one
-// OpC member per tile so both split-plane executors stay under the gate.
-func hotPathBatchSoA() ([]batch.MVM, error) {
 	t, err := hotPathMatrix()
 	if err != nil {
 		return nil, err
@@ -299,15 +241,13 @@ func hotPathBatchSoA() ([]batch.MVM, error) {
 		}
 		ne := u.Stride*(u.Cols-1) + u.Rows
 		ar, ai := make([]float32, ne), make([]float32, ne)
-		for k := 0; k < ne; k++ {
-			ar[k], ai[k] = real(u.Data[k]), imag(u.Data[k])
-		}
+		cfloat.SplitReIm(u.Data[:ne], ar, ai)
 		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: u.Rows, N: u.Cols, Alpha: 1,
+			Oper: batch.OpN, M: u.Rows, N: u.Cols,
 			AR: ar, AI: ai, LDA: u.Stride, X: x[:u.Cols], Y: make([]complex64, u.Rows),
 		})
 		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpC, M: u.Rows, N: u.Cols, Alpha: 1,
+			Oper: batch.OpC, M: u.Rows, N: u.Cols,
 			AR: ar, AI: ai, LDA: u.Stride, X: x[:u.Rows], Y: make([]complex64, u.Cols),
 		})
 	}

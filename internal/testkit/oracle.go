@@ -44,7 +44,7 @@ type Config struct {
 // Oracle runs one (matrix, tolerance, precision) case through every
 // implementation of the TLR-MVM stack and asserts agreement plus
 // hardware-model invariants. Implementations covered: dense MVM (the
-// reference), sequential/parallel/batched TLR-MVM, the MDC frequency
+// reference), sequential AoS/SoA/batched TLR-MVM, the MDC frequency
 // operator over both dense and TLR kernels, the wsesim functional PE
 // simulation, and (optionally) the reduced-precision quantized operator.
 type Oracle struct {
@@ -96,16 +96,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		Tol:     compTol,
 	})
 	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-parallel",
-		Apply: func(x, y []complex64) error {
-			t.MulVecParallel(x, y, workers)
-			return nil
-		},
-		Adjoint: func(x, y []complex64) { t.MulVecConjTransParallel(x, y, workers) },
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	o.Impls = append(o.Impls, Impl{
 		Name: "tlr-batched",
 		Apply: func(x, y []complex64) error {
 			return t.MulVecBatched(x, y, workers)
@@ -123,26 +113,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 			return nil
 		},
 		Adjoint: t.MulVecConjTransSoA,
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-soa-parallel",
-		Apply: func(x, y []complex64) error {
-			t.MulVecSoAParallel(x, y, workers)
-			return nil
-		},
-		Adjoint: func(x, y []complex64) { t.MulVecConjTransSoAParallel(x, y, workers) },
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	// The AoS batched formulation kept as the oracle reference for the
-	// stacked SoA MulVecBatched.
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-batched-aos",
-		Apply: func(x, y []complex64) error {
-			return t.MulVecBatchedAoS(x, y, workers)
-		},
 		Tol:     compTol,
 		PairTol: pairTol,
 	})

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -234,5 +235,33 @@ func TestSeismicBand(t *testing.T) {
 		if m.Rows == 0 || m.Cols == 0 || m.FrobNorm() == 0 {
 			t.Fatal("degenerate seismic slice")
 		}
+	}
+}
+
+// TestMulVecEntryPointCensus keeps the TLR-MVM surface at the six entry
+// points of DESIGN.md's "TLR-MVM entry points and who calls them" table.
+// A seventh exported (*tlr.Matrix).MulVec* method fails here: every
+// later kernel change has to keep each variant in step, so a new one is
+// argued for in that table (production caller, oracle Impl, hot-path
+// kernel) — or lands as a parameter of an existing row — first.
+func TestMulVecEntryPointCensus(t *testing.T) {
+	want := map[string]bool{
+		"MulVec": true, "MulVecConjTrans": true,
+		"MulVecSoA": true, "MulVecConjTransSoA": true,
+		"MulVecNormal": true, "MulVecBatched": true,
+	}
+	typ := reflect.TypeOf((*tlr.Matrix)(nil))
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		if !strings.HasPrefix(name, "MulVec") {
+			continue
+		}
+		if !want[name] {
+			t.Errorf("(*tlr.Matrix).%s is not one of the six TLR-MVM entry points; argue for it in DESIGN.md's entry-point table before adding it here", name)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("(*tlr.Matrix).%s is gone; update DESIGN.md's entry-point table and this census together", name)
 	}
 }

@@ -1,21 +1,18 @@
 package tlr
 
-import (
-	"repro/internal/batch"
-	"repro/internal/cfloat"
-)
+import "repro/internal/batch"
 
 // MulVecBatched computes y = A x by expressing the two TLR-MVM phases as
 // variable-size MVM batches over the stacked SoA panels and running them
 // on the batch engine — the execution style the paper says vendor
-// libraries lack for variable ranks and complex types (§4). One member
-// per tile column (Vcatⱼᴴ·x_j into the column-stacked intermediate) and
-// one per tile row (Ucatᵢ·yu_i straight into y's disjoint row blocks):
-// MT+NT presplit members instead of the 2·MT·NT per-tile members of the
-// AoS formulation, with the explicit shuffle in between and no partials
-// reduction. All intermediates come from the per-matrix scratch free
-// list, so the steady-state product performs no allocations. workers <= 0
-// uses GOMAXPROCS. Registered hot path.
+// libraries lack for variable ranks and complex types (§4), and the one
+// in-matrix parallel path. One member per tile column (Vcatⱼᴴ·x_j into
+// the column-stacked intermediate) and one per tile row (Ucatᵢ·yu_i
+// straight into y's disjoint row blocks): MT+NT presplit members with
+// the explicit shuffle in between and no partials reduction. All
+// intermediates come from the per-matrix scratch free list, so the
+// steady-state product performs no allocations. workers <= 0 uses
+// GOMAXPROCS. Registered hot path.
 //
 //lint:hotpath
 func (t *Matrix) MulVecBatched(x, y []complex64, workers int) error {
@@ -26,124 +23,15 @@ func (t *Matrix) MulVecBatched(x, y []complex64, workers int) error {
 	meterMVM(obsBatMeter, t)
 	l := t.getSoA()
 	s := t.getScratch()
+	defer t.putScratch(s)
 	// phase 1: yvc segment of column j = Vcatⱼᴴ x_j
-	tasks := s.tasks
-	for j := 0; j < t.NT; j++ {
-		m := t.tileCols(j)
-		base := l.colSeg[j*t.MT]
-		kc := l.colSeg[(j+1)*t.MT] - base
-		if kc == 0 {
-			continue
-		}
-		//lint:alloc-ok the append stays within the MT·NT cap preallocated at scratch init
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpC, M: m, N: kc, Alpha: 1,
-			AR: l.vr[l.vOff[j]:l.vOff[j+1]], AI: l.vi[l.vOff[j]:l.vOff[j+1]],
-			LDA: m, X: x[j*t.NB : j*t.NB+m],
-			Y: s.yvc[base : base+kc],
-		})
-	}
-	if err := batch.Run(tasks, batch.Options{Workers: workers}); err != nil {
-		t.putScratch(s)
+	opts := batch.Options{Workers: workers}
+	if err := batch.Run(l.v.members(s.tasks, batch.OpC, x, s.yvc), opts); err != nil {
 		return err
 	}
 	// phase 2: shuffle the column-stacked intermediate into the
 	// row-stacked ordering
-	for j := 0; j < t.NT; j++ {
-		for i := 0; i < t.MT; i++ {
-			c0, c1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
-			r0 := t.rankOff[i*t.NT+j]
-			copy(s.yv[r0:r0+c1-c0], s.yvc[c0:c1])
-		}
-	}
+	shuffle(t, l, true, s.yvc, s.yv)
 	// phase 3: y_i = Ucatᵢ yu_i, disjoint row blocks — no reduction
-	tasks = tasks[:0]
-	for i := 0; i < t.MT; i++ {
-		rows := t.tileRows(i)
-		base := t.rankOff[i*t.NT]
-		kr := t.rankOff[(i+1)*t.NT] - base
-		yi := y[i*t.NB : i*t.NB+rows]
-		if kr == 0 {
-			for k := range yi {
-				yi[k] = 0
-			}
-			continue
-		}
-		//lint:alloc-ok the append stays within the MT·NT cap preallocated at scratch init
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: rows, N: kr, Alpha: 1,
-			AR: l.ur[l.uOff[i]:l.uOff[i+1]], AI: l.ui[l.uOff[i]:l.uOff[i+1]],
-			LDA: rows, X: s.yv[base : base+kr],
-			Y: yi,
-		})
-	}
-	err := batch.Run(tasks, batch.Options{Workers: workers})
-	t.putScratch(s)
-	return err
-}
-
-// MulVecBatchedAoS is the per-tile array-of-structures batched product
-// kept as the oracle reference for MulVecBatched: phase 1 batches every
-// tile's Vᴴ product, phase 3 batches every tile's U product into
-// per-tile scratch segments, which are then reduced into y (batch
-// members must write disjoint outputs). Registered hot path.
-//
-//lint:hotpath
-func (t *Matrix) MulVecBatchedAoS(x, y []complex64, workers int) error {
-	if len(x) < t.N || len(y) < t.M {
-		panic("tlr: MulVecBatchedAoS vector too short")
-	}
-	defer obsBatAoS.Start().End()
-	meterMVM(obsBatAoSMeter, t)
-	s := t.getScratch()
-	// phase 1: yv segment (i,j) = V_{ij}ᴴ x_j
-	tasks := s.tasks
-	for j := 0; j < t.NT; j++ {
-		xj := x[j*t.NB : j*t.NB+t.tileCols(j)]
-		for i := 0; i < t.MT; i++ {
-			idx := i*t.NT + j
-			tile := t.tileAt(idx)
-			//lint:alloc-ok the append stays within the MT·NT cap preallocated at scratch init
-			tasks = append(tasks, batch.MVM{
-				Oper: batch.OpC, M: tile.V.Rows, N: tile.V.Cols, Alpha: 1,
-				A: tile.V.Data, LDA: tile.V.Stride, X: xj,
-				Y: s.yv[t.rankOff[idx]:t.rankOff[idx+1]],
-			})
-		}
-	}
-	if err := batch.Run(tasks, batch.Options{Workers: workers}); err != nil {
-		t.putScratch(s)
-		return err
-	}
-	// phase 3: per-tile partial outputs, then a host-style reduction
-	tasks = tasks[:0]
-	for i := 0; i < t.MT; i++ {
-		for j := 0; j < t.NT; j++ {
-			idx := i*t.NT + j
-			tile := t.tileAt(idx)
-			//lint:alloc-ok the append stays within the MT·NT cap preallocated at scratch init
-			tasks = append(tasks, batch.MVM{
-				Oper: batch.OpN, M: tile.U.Rows, N: tile.U.Cols, Alpha: 1,
-				A: tile.U.Data, LDA: tile.U.Stride,
-				X: s.yv[t.rankOff[idx]:t.rankOff[idx+1]],
-				Y: s.partials[t.partOff[idx]:t.partOff[idx+1]],
-			})
-		}
-	}
-	if err := batch.Run(tasks, batch.Options{Workers: workers}); err != nil {
-		t.putScratch(s)
-		return err
-	}
-	for i := 0; i < t.MT; i++ {
-		yi := y[i*t.NB : i*t.NB+t.tileRows(i)]
-		for k := range yi {
-			yi[k] = 0
-		}
-		for j := 0; j < t.NT; j++ {
-			idx := i*t.NT + j
-			cfloat.Axpy(1, s.partials[t.partOff[idx]:t.partOff[idx+1]], yi)
-		}
-	}
-	t.putScratch(s)
-	return nil
+	return batch.Run(l.u.members(s.tasks, batch.OpN, y, s.yv), opts)
 }

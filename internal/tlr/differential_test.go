@@ -4,6 +4,7 @@
 package tlr_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dense"
@@ -72,37 +73,6 @@ func TestDifferentialCompressionMethods(t *testing.T) {
 	}
 }
 
-// TestParallelBitwiseMatchesSequential: the parallel TLR-MVM partitions
-// work over disjoint output blocks without changing any summation order,
-// so it must agree with the sequential path to the last ULP.
-func TestParallelBitwiseMatchesSequential(t *testing.T) {
-	a := testkit.Mat(testkit.NewRNG(120), 50, 45)
-	tm, err := tlr.Compress(a, tlr.Options{NB: 10, Tol: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := testkit.NewRNG(121)
-	for trial := 0; trial < 3; trial++ {
-		x := testkit.Vec(rng, tm.N)
-		ys := make([]complex64, tm.M)
-		yp := make([]complex64, tm.M)
-		tm.MulVec(x, ys)
-		tm.MulVecParallel(x, yp, 4)
-		if d := testkit.MaxULPDist(yp, ys); d != 0 {
-			t.Fatalf("trial %d: parallel result %d ULPs from sequential", trial, d)
-		}
-		// adjoint path likewise
-		xa := testkit.Vec(rng, tm.M)
-		as := make([]complex64, tm.N)
-		ap := make([]complex64, tm.N)
-		tm.MulVecConjTrans(xa, as)
-		tm.MulVecConjTransParallel(xa, ap, 4)
-		if d := testkit.MaxULPDist(ap, as); d != 0 {
-			t.Fatalf("trial %d: parallel adjoint %d ULPs from sequential", trial, d)
-		}
-	}
-}
-
 // TestTLRAdjointConsistency checks ⟨Ax, y⟩ ≈ ⟨x, Aᴴy⟩ directly on the
 // compressed operator for every compression method — the property the
 // LSQR/CGLS inversions rest on.
@@ -125,28 +95,111 @@ func (o tlrOperator) Cols() int                     { return o.t.N }
 func (o tlrOperator) Apply(x, y []complex64)        { o.t.MulVec(x, y) }
 func (o tlrOperator) ApplyAdjoint(x, y []complex64) { o.t.MulVecConjTrans(x, y) }
 
-// TestBatchedMatchesSequentialAcrossShapes drives MulVecBatched over
-// ragged shapes (edge tiles smaller than NB) and worker counts.
-func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
-	rng := testkit.NewRNG(140)
-	for _, dims := range [][2]int{{30, 30}, {33, 27}, {25, 70}, {70, 25}} {
-		m, n := dims[0], dims[1]
-		a := testkit.DecayMat(rng, m, n, 0.6)
-		tm, err := tlr.Compress(a, tlr.Options{NB: 10, Tol: 1e-4})
-		if err != nil {
-			t.Fatal(err)
+type soaOperator struct{ t *tlr.Matrix }
+
+func (o soaOperator) Rows() int                     { return o.t.M }
+func (o soaOperator) Cols() int                     { return o.t.N }
+func (o soaOperator) Apply(x, y []complex64)        { o.t.MulVecSoA(x, y) }
+func (o soaOperator) ApplyAdjoint(x, y []complex64) { o.t.MulVecConjTransSoA(x, y) }
+
+// literalMatrix assembles an m×n matrix with tile size nb by literal
+// (the precision / tlrio / bench construction path: no Compress, lazily
+// built SoA layout) with Gaussian factors of the given per-tile ranks.
+func literalMatrix(rng *rand.Rand, m, n, nb int, rank func(i, j int) int) *tlr.Matrix {
+	mt, nt := (m+nb-1)/nb, (n+nb-1)/nb
+	tm := &tlr.Matrix{M: m, N: n, NB: nb, MT: mt, NT: nt, Tiles: make([]*tlr.Tile, mt*nt)}
+	for i := 0; i < mt; i++ {
+		rows := min((i+1)*nb, m) - i*nb
+		for j := 0; j < nt; j++ {
+			cols := min((j+1)*nb, n) - j*nb
+			k := min(rank(i, j), rows, cols)
+			tm.Tiles[i*nt+j] = &tlr.Tile{U: testkit.Mat(rng, rows, k), V: testkit.Mat(rng, cols, k)}
 		}
-		x := testkit.Vec(rng, n)
-		want := make([]complex64, m)
-		tm.MulVec(x, want)
-		for _, workers := range []int{1, 2, 8} {
-			got := make([]complex64, m)
-			if err := tm.MulVecBatched(x, got, workers); err != nil {
+	}
+	return tm
+}
+
+// TestBatchedMatchesSequentialAcrossShapes drives all six MulVec* entry
+// points (it began as the MulVecBatched-only shape sweep and keeps the
+// name) over the degenerate tile-grid shapes: every one must match the
+// sequential AoS reference within the oracle's execution tolerance,
+// MulVecBatched must sit within 1e-6 of MulVecSoA and not depend on its
+// worker count, the fused normal pass must reproduce the SoA composition
+// bit for bit, and the SoA pair must satisfy the adjoint identity.
+func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
+	mixed := func(i, j int) int { return 1 + (i+2*j)%5 }
+	cases := []struct {
+		name     string
+		m, n, nb int
+		rank     func(i, j int) int
+	}{
+		{"single-tile", 10, 7, 16, mixed},
+		{"one-tile-row", 12, 40, 16, mixed},
+		{"one-tile-col", 40, 12, 16, mixed},
+		// big enough that MulVecBatched at 4 workers leaves the batch
+		// engine's serial fallback
+		{"ragged-last-row-and-col", 203, 171, 16, func(i, j int) int { return 1 + (i+j)%8 }},
+		{"zero-rank-row-and-col", 30, 27, 8, func(i, j int) int {
+			if i == 1 || j == 2 {
+				return 0
+			}
+			return mixed(i, j)
+		}},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := testkit.NewRNG(int64(140 + ci))
+			tm := literalMatrix(rng, tc.m, tc.n, tc.nb, tc.rank)
+			x, xa := testkit.Vec(rng, tc.n), testkit.Vec(rng, tc.m)
+			tolFwd, tolAdj := testkit.ExecTolerance(tc.n), testkit.ExecTolerance(tc.m)
+
+			ref := make([]complex64, tc.m)
+			tm.MulVec(x, ref)
+			soa := make([]complex64, tc.m)
+			tm.MulVecSoA(x, soa)
+			if e := testkit.RelErr(soa, ref); e > tolFwd {
+				t.Errorf("MulVecSoA relErr %g > %g", e, tolFwd)
+			}
+			refA := make([]complex64, tc.n)
+			tm.MulVecConjTrans(xa, refA)
+			soaA := make([]complex64, tc.n)
+			tm.MulVecConjTransSoA(xa, soaA)
+			if e := testkit.RelErr(soaA, refA); e > tolAdj {
+				t.Errorf("MulVecConjTransSoA relErr %g > %g", e, tolAdj)
+			}
+
+			bat1, bat4 := make([]complex64, tc.m), make([]complex64, tc.m)
+			if err := tm.MulVecBatched(x, bat1, 1); err != nil {
 				t.Fatal(err)
 			}
-			if e := testkit.RelErr(got, want); e > testkit.ExecTolerance(n) {
-				t.Fatalf("%dx%d workers=%d: batched relErr %g", m, n, workers, e)
+			if err := tm.MulVecBatched(x, bat4, 4); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if e := testkit.RelErr(bat1, ref); e > tolFwd {
+				t.Errorf("MulVecBatched relErr %g > %g", e, tolFwd)
+			}
+			if e := testkit.RelErr(bat1, soa); e > 1e-6 {
+				t.Errorf("MulVecBatched %g from MulVecSoA, want <= 1e-6", e)
+			}
+			if d := testkit.MaxULPDist(bat4, bat1); d != 0 {
+				t.Errorf("MulVecBatched workers 4 vs 1: %d ULPs", d)
+			}
+
+			comp, fused := make([]complex64, tc.n), make([]complex64, tc.n)
+			tm.MulVecConjTransSoA(soa, comp)
+			tm.MulVecNormal(x, fused)
+			if d := testkit.MaxULPDist(fused, comp); d != 0 {
+				t.Errorf("MulVecNormal %d ULPs from MulVecConjTransSoA∘MulVecSoA", d)
+			}
+			refN := make([]complex64, tc.n)
+			tm.MulVecConjTrans(ref, refN)
+			if e := testkit.RelErr(fused, refN); e > tolFwd+tolAdj {
+				t.Errorf("MulVecNormal relErr %g > %g", e, tolFwd+tolAdj)
+			}
+
+			if gap := testkit.AdjointGap(soaOperator{tm}, rng, 3); gap > 1e-4 {
+				t.Errorf("SoA adjoint gap %g", gap)
+			}
+		})
 	}
 }

@@ -24,19 +24,20 @@ var (
 	obsSoAAdjMeter = obs.NewMeter("tlr.mvm_soa_adjoint")
 	obsNormal      = obs.NewTimer("tlr.mvm_normal")
 	obsNormalMeter = obs.NewMeter("tlr.mvm_normal")
-	obsBatAoS      = obs.NewTimer("tlr.mvm_batched_aos")
-	obsBatAoSMeter = obs.NewMeter("tlr.mvm_batched_aos")
 )
 
 // FlopCount returns the floating-point operations of one forward (or
 // adjoint) TLR-MVM: each tile contributes k·(rows+cols) complex MACs and
 // a complex MAC is 8 real flops — the flop convention behind the paper's
-// PFlop/s figures (§6.6).
+// PFlop/s figures (§6.6). Like CompressedBytes it reads the rank map
+// only: meterMVM calls it on every product while collection is on, and
+// walking Tile(i,j) there would fault a store-backed operator's whole
+// tile set through the cache once per product.
 func (t *Matrix) FlopCount() int64 {
 	var macs int64
 	for i := 0; i < t.MT; i++ {
 		for j := 0; j < t.NT; j++ {
-			macs += int64(t.Tile(i, j).Rank()) * int64(t.tileRows(i)+t.tileCols(j))
+			macs += int64(t.rankAt(i*t.NT+j)) * int64(t.tileRows(i)+t.tileCols(j))
 		}
 	}
 	return 8 * macs
@@ -50,9 +51,22 @@ func (t *Matrix) ByteCount() int64 {
 }
 
 // meterMVM publishes one product's work volume; the flop/byte walks over
-// the tile grid only run while collection is on.
+// the rank map only run while collection is on.
 func meterMVM(m *obs.Meter, t *Matrix) {
 	if obs.Enabled() {
 		m.Add(t.FlopCount(), t.ByteCount())
+	}
+}
+
+// meterNormal publishes the fused normal pass: two products' flops, but
+// the traffic the pass actually streams — the V panels twice (forward
+// phase 1, adjoint phase 3), the U panels once (both U products run on
+// each block while it is cache-resident, and the length-M vector between
+// them never leaves the out planes), x and y of length N, and the two
+// rank-space intermediates each written and re-read.
+func meterNormal(t *Matrix) {
+	if obs.Enabled() {
+		u, v := t.factorBytes()
+		obsNormalMeter.Add(2*t.FlopCount(), u+2*v+8*int64(2*t.N+4*t.TotalRank()))
 	}
 }

@@ -5,16 +5,16 @@ package tlr
 // by NewOutOfCore starts with every Tiles entry nil and faults tiles in
 // through a TileSource (internal/opstore layers a byte-budgeted LRU
 // cache over the paged tlrio format behind this interface). Every MVM
-// path — sequential, parallel, SoA, batched — reaches tiles only through
+// path — sequential AoS, SoA, batched — reaches tiles only through
 // tileAt/rankAt below, so in-memory and store-backed matrices run the
 // identical kernels; the differential oracle registers both and holds
 // them to ≤1e-6 relative error of each other.
 
 // TileSource supplies tiles of an out-of-core matrix on demand.
-// Implementations are expected to be safe for concurrent use (the
-// parallel MVM paths fault tiles from several goroutines) and to own the
-// returned tile's lifetime — callers must not mutate it, and the source
-// may hand the same *Tile to concurrent callers.
+// Implementations are expected to be safe for concurrent use (one
+// operator serves concurrent products from several goroutines) and to
+// own the returned tile's lifetime — callers must not mutate it, and the
+// source may hand the same *Tile to concurrent callers.
 type TileSource interface {
 	// Tile materializes tile idx (row-major in the tile grid, like
 	// Matrix.Tiles).
@@ -26,11 +26,10 @@ type TileSource interface {
 
 // NewOutOfCore builds an M×N matrix with tile size nb whose tiles are
 // faulted in from src instead of held resident. The returned matrix
-// supports every product path of an in-memory one; AoS paths (MulVec,
-// MulVecConjTrans, MulVecBatchedAoS) stream tiles through the source per
-// product, while the SoA paths materialize the stacked planes once on
-// first use (pulling each tile exactly once) and are resident
-// thereafter.
+// supports every product path of an in-memory one; the AoS paths
+// (MulVec, MulVecConjTrans) stream tiles through the source per product,
+// while the SoA paths materialize the stacked planes once on first use
+// (pulling each tile once per panel family) and are resident thereafter.
 func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb

@@ -7,13 +7,12 @@ import (
 	"repro/internal/batch"
 )
 
-// The three-phase MVM needs three intermediates per call: the stacked
-// Yv/Yu projection vector, the per-tile partial outputs of the batched
-// phase 3, and the batch task list. Allocating them per product put
-// O(MT·NT) makes on the hot path; they are hoisted here into a
-// per-matrix free list so steady-state products allocate nothing (the
-// allocfree analyzer proves it statically, testkit's AllocsPerRun gate
-// proves it at runtime). A channel free list rather than sync.Pool: the
+// The three-phase MVM needs its intermediates per call: the stacked
+// Yv/Yu projection vector, the split planes of the SoA paths, and the
+// batch task list. Allocating them per product put makes on the hot
+// path; they are hoisted here into a per-matrix free list so
+// steady-state products allocate nothing (the allocfree analyzer proves
+// it statically, testkit's AllocsPerRun gate proves it at runtime). A channel free list rather than sync.Pool: the
 // pool may drop entries at any GC, which makes AllocsPerRun
 // nondeterministic, and rather than a single cached buffer because
 // stress tests drive one Matrix from many goroutines concurrently.
@@ -28,10 +27,8 @@ type mvmScratch struct {
 	// in soaLayout.colSeg), the pre-shuffle intermediate of the stacked
 	// batched path.
 	yvc []complex64
-	// partials holds phase-3 per-tile outputs, stacked by tile index:
-	// tile idx owns partials[partOff[idx]:partOff[idx+1]].
-	partials []complex64
-	// tasks is the reusable batch member list (cap MT·NT).
+	// tasks is the reusable batch member list, one member per stacked
+	// panel of a phase (length 0, cap max(MT,NT)).
 	tasks []batch.MVM
 
 	// Split-plane scratch for the SoA kernels (soa.go): the input and
@@ -44,7 +41,7 @@ type mvmScratch struct {
 	yuR, yuI []float32
 }
 
-// ensureScratch computes the stacked-segment offset tables and creates
+// ensureScratch computes the stacked-segment offset table and creates
 // the free list, once per Matrix. A mutex-guarded slow path behind an
 // atomic flag instead of sync.Once: the fast path must stay free of the
 // method-value closure `t.once.Do(...)` would allocate per call.
@@ -59,10 +56,8 @@ func (t *Matrix) ensureScratch() {
 	}
 	nTiles := t.MT * t.NT
 	t.rankOff = make([]int, nTiles+1)
-	t.partOff = make([]int, nTiles+1)
 	for idx := 0; idx < nTiles; idx++ {
 		t.rankOff[idx+1] = t.rankOff[idx] + t.rankAt(idx)
-		t.partOff[idx+1] = t.partOff[idx] + t.tileRows(idx/t.NT)
 	}
 	t.scratchFree = make(chan *mvmScratch, scratchPoolCap)
 	t.scratchReady.Store(1)
@@ -84,25 +79,23 @@ func (t *Matrix) getScratch() *mvmScratch {
 	tr := t.rankOff[nTiles]
 	mn := max(t.M, t.N)
 	return &mvmScratch{
-		yv:       make([]complex64, tr),
-		yvc:      make([]complex64, tr),
-		partials: make([]complex64, t.partOff[nTiles]),
-		tasks:    make([]batch.MVM, 0, nTiles),
-		fxr:      make([]float32, mn),
-		fxi:      make([]float32, mn),
-		foutR:    make([]float32, mn),
-		foutI:    make([]float32, mn),
-		ycR:      make([]float32, tr),
-		ycI:      make([]float32, tr),
-		yuR:      make([]float32, tr),
-		yuI:      make([]float32, tr),
+		yv:    make([]complex64, tr),
+		yvc:   make([]complex64, tr),
+		tasks: make([]batch.MVM, 0, max(t.MT, t.NT)),
+		fxr:   make([]float32, mn),
+		fxi:   make([]float32, mn),
+		foutR: make([]float32, mn),
+		foutI: make([]float32, mn),
+		ycR:   make([]float32, tr),
+		ycI:   make([]float32, tr),
+		yuR:   make([]float32, tr),
+		yuI:   make([]float32, tr),
 	}
 }
 
 // putScratch returns a scratch set to the free list, dropping it when
 // the list is full.
 func (t *Matrix) putScratch(s *mvmScratch) {
-	s.tasks = s.tasks[:0]
 	select {
 	case t.scratchFree <- s:
 	default:
@@ -115,8 +108,7 @@ type scratchState struct {
 	scratchReady atomic.Uint32
 	scratchMu    sync.Mutex
 	scratchFree  chan *mvmScratch
-	// rankOff and partOff are the stacked-segment offset tables, length
-	// MT·NT+1 each.
+	// rankOff is the row-stacked segment offset table, length MT·NT+1:
+	// tile idx owns [rankOff[idx], rankOff[idx+1]) of yv.
 	rankOff []int
-	partOff []int
 }

@@ -16,44 +16,186 @@ package tlr
 //     ordering (rankOff offsets) between the two batched phases, which is
 //     the same data movement the CS-2 mapping pays as fabric traffic.
 //
-// Panels are swept in cache blocks of soaLayout.panelCols stacked
-// columns, sized from the roofline cache model so a block plus the
-// resident vectors fits in half the L2; the fused normal pass
-// (MulVecNormal) leans on that residency to stream each U panel's block
-// through the forward and adjoint products back to back.
+// Both panel families are one type, panels, with two sweeps: project
+// (Pᴴ·x into the panel's rank segment) and expand (P·segment into the
+// panel's vector block). Every SoA product is a composition of the two
+// around the shuffle — forward is project(V)·expand(U), adjoint
+// project(U)·expand(V), the fused normal pass runs expand and project
+// back to back on each U panel, and MulVecBatched hands the same panels
+// to the batch engine — so all four accumulate in the same order.
 //
-// The AoS tile paths (tlr.go, batched.go) are kept untouched as oracle
-// references; the differential tests in internal/testkit pin the SoA
+// Panels are swept in cache blocks of panels.cols stacked columns, sized
+// from the roofline cache model so a block plus the resident vectors
+// fits in half the L2; the fused normal pass (MulVecNormal) leans on that
+// residency to stream each U panel's block through the forward and
+// adjoint products back to back.
+//
+// The AoS tile paths (tlr.go) are kept untouched as the oracle
+// reference; the differential tests in internal/testkit pin the SoA
 // variants against them.
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/batch"
 	"repro/internal/cfloat"
+	"repro/internal/dense"
 	"repro/internal/roofline"
 )
 
+// panels is one family of stacked split-plane factor panels: the V bases
+// of every tile column, or the U bases of every tile row. Panel p is
+// ext×k column-major with leading dimension ext, where ext is the extent
+// of vector block p and k the panel's stacked rank; its tiles are
+// stacked along the rank dimension in the family's own order (tile-row
+// order inside a V panel, tile-column order inside a U panel).
+type panels struct {
+	// re/im are the split planes; panel p occupies [off[p], off[p+1]).
+	re, im []float32
+	off    []int // length n+1
+	// seg places panel p's k rank columns at [seg[p], seg[p+1]) of the
+	// family's stacked intermediate: column-stacked for the V family,
+	// row-stacked for the U family. Length n+1.
+	seg []int
+	// nb and dim place vector block p at [p·nb, min((p+1)·nb, dim)).
+	nb, dim int
+	// cols is the cache-block width (stacked rank columns per GEMV panel
+	// sweep), quad-aligned, from roofline.Cache.GemvPanelCols. Blocks
+	// start on multiples of four columns, so blocking never regroups the
+	// kernels' four-column unroll and leaves every sum bit-identical to
+	// the unblocked GEMV the batch engine runs.
+	cols int
+}
+
+// n returns the number of panels.
+func (ps *panels) n() int { return len(ps.off) - 1 }
+
+// block returns the offset and extent of vector block p.
+func (ps *panels) block(p int) (lo, ext int) {
+	lo = p * ps.nb
+	return lo, min(lo+ps.nb, ps.dim) - lo
+}
+
+// project runs panel p's conjugate-transpose sweep: the panel's rank
+// segment = Pᴴ · (vector block p of x), swept in cache-blocked panels.
+// Phase 1 of both products (Vcatⱼᴴ·x_j forward, Ucatᵢᴴ·x_i adjoint).
+// Registered hot path — must stay allocation-free.
+//
+//lint:hotpath
+func (ps *panels) project(p int, xr, xi, segR, segI []float32) {
+	lo, ext := ps.block(p)
+	base, k := ps.seg[p], ps.seg[p+1]-ps.seg[p]
+	outR, outI := segR[base:base+k], segI[base:base+k]
+	clear(outR)
+	clear(outI)
+	xr, xi = xr[lo:lo+ext], xi[lo:lo+ext]
+	off := ps.off[p]
+	for c0 := 0; c0 < k; c0 += ps.cols {
+		cw := min(ps.cols, k-c0)
+		cfloat.GemvConjSoAAcc(ext, cw, ps.re[off+c0*ext:], ps.im[off+c0*ext:], ext,
+			xr, xi, outR[c0:], outI[c0:])
+	}
+}
+
+// expand runs panel p's forward sweep: vector block p of out = P · (the
+// panel's rank segment), swept in cache-blocked panels. Phase 3 of both
+// products (Ucatᵢ·yu_i forward, Vcatⱼ·yc_j adjoint); blocks of distinct
+// panels are disjoint, so there is no reduction. Registered hot path —
+// must stay allocation-free.
+//
+//lint:hotpath
+func (ps *panels) expand(p int, segR, segI, outR, outI []float32) {
+	lo, ext := ps.block(p)
+	base, k := ps.seg[p], ps.seg[p+1]-ps.seg[p]
+	outR, outI = outR[lo:lo+ext], outI[lo:lo+ext]
+	clear(outR)
+	clear(outI)
+	off := ps.off[p]
+	for c0 := 0; c0 < k; c0 += ps.cols {
+		cw := min(ps.cols, k-c0)
+		cfloat.GemvSoAAcc(ext, cw, ps.re[off+c0*ext:], ps.im[off+c0*ext:], ext,
+			segR[base+c0:], segI[base+c0:], outR, outI)
+	}
+}
+
+// normal runs the fused middle of the normal product on panel p:
+// z = P · segment into block p of the out planes, then segment ← Pᴴ · z
+// in place — each cache block of the panel is touched by both sweeps
+// back to back while resident, and once z is complete the segment is
+// dead, so project may overwrite it. Registered hot path — must stay
+// allocation-free.
+//
+//lint:hotpath
+func (ps *panels) normal(p int, segR, segI, outR, outI []float32) {
+	ps.expand(p, segR, segI, outR, outI)
+	ps.project(p, outR, outI, segR, segI)
+}
+
+// members appends panel-sized batch members to tasks, one per panel of
+// nonzero stacked rank: with OpC the member projects vector block p of
+// vec into the panel's segment of seg, with OpN it expands the segment
+// into vector block p of vec (zero-rank panels clear their block
+// instead — the engine rejects empty members).
+func (ps *panels) members(tasks []batch.MVM, op batch.Op, vec, seg []complex64) []batch.MVM {
+	for p := 0; p < ps.n(); p++ {
+		lo, ext := ps.block(p)
+		base, k := ps.seg[p], ps.seg[p+1]-ps.seg[p]
+		blk, sg := vec[lo:lo+ext], seg[base:base+k]
+		if k == 0 {
+			if op == batch.OpN {
+				clear(blk)
+			}
+			continue
+		}
+		m := batch.MVM{
+			Oper: op, M: ext, N: k, LDA: ext,
+			AR: ps.re[ps.off[p]:ps.off[p+1]], AI: ps.im[ps.off[p]:ps.off[p+1]],
+			X: sg, Y: blk,
+		}
+		if op == batch.OpC {
+			m.X, m.Y = blk, sg
+		}
+		//lint:alloc-ok the append stays within the max(MT,NT) cap preallocated at scratch init
+		tasks = append(tasks, m)
+	}
+	return tasks
+}
+
+// stackPanels builds one family: panel p stacks factor(p, q) for q in
+// [0, inner) into the rank columns [seg[p], seg[p+1]).
+func stackPanels(seg []int, inner, nb, dim, cols int, factor func(p, q int) *dense.Matrix) panels {
+	ps := panels{seg: seg, off: make([]int, len(seg)), nb: nb, dim: dim, cols: cols}
+	for p := 0; p < ps.n(); p++ {
+		_, ext := ps.block(p)
+		ps.off[p+1] = ps.off[p] + ext*(seg[p+1]-seg[p])
+	}
+	ps.re = make([]float32, ps.off[ps.n()])
+	ps.im = make([]float32, ps.off[ps.n()])
+	for p := 0; p < ps.n(); p++ {
+		_, ext := ps.block(p)
+		dst := ps.off[p]
+		for q := 0; q < inner; q++ {
+			f := factor(p, q)
+			for kk := 0; kk < f.Cols; kk++ {
+				cfloat.SplitReIm(f.Data[kk*f.Stride:kk*f.Stride+ext], ps.re[dst:dst+ext], ps.im[dst:dst+ext])
+				dst += ext
+			}
+		}
+	}
+	return ps
+}
+
 // soaLayout is the stacked split-plane factor storage of one Matrix.
 type soaLayout struct {
-	// vr/vi hold the V panels: panel j is tileCols(j)×colK(j)
-	// column-major (leading dimension tileCols(j)) at plane offset
-	// vOff[j], tiles stacked in tile-row order along the rank dimension.
-	vr, vi []float32
-	vOff   []int // length NT+1
-	// ur/ui hold the U panels: panel i is tileRows(i)×rowK(i)
-	// column-major (leading dimension tileRows(i)) at plane offset
-	// uOff[i], tiles stacked in tile-column order.
-	ur, ui []float32
-	uOff   []int // length MT+1
+	// v holds one panel per tile column (tileCols(j)×colK(j), tiles in
+	// tile-row order), u one per tile row (tileRows(i)×rowK(i), tiles in
+	// tile-column order).
+	v, u panels
 	// colSeg are the column-stacked intermediate offsets, the j-major
 	// counterpart of Matrix.rankOff: tile (i,j) owns
 	// yc[colSeg[j*MT+i]:colSeg[j*MT+i+1]]. Length MT·NT+1.
 	colSeg []int
-	// panelCols is the cache-block width (stacked rank columns per GEMV
-	// panel sweep), quad-aligned, from roofline.Cache.GemvPanelCols.
-	panelCols int
 }
 
 // soaState is embedded in Matrix; like scratchState it keeps the keyed
@@ -74,11 +216,11 @@ func (t *Matrix) EnsureSoA() { t.getSoA() }
 // factors (equal to CompressedBytes: two float32 planes per complex64).
 func (t *Matrix) SoABytes() int64 {
 	l := t.getSoA()
-	return 4 * int64(len(l.vr)+len(l.vi)+len(l.ur)+len(l.ui))
+	return 8 * int64(len(l.v.re)+len(l.u.re))
 }
 
 // PanelCols returns the cache-block width of the SoA panel sweeps.
-func (t *Matrix) PanelCols() int { return t.getSoA().panelCols }
+func (t *Matrix) PanelCols() int { return t.getSoA().v.cols }
 
 // getSoA returns the layout, building it once per Matrix. Same
 // atomic-flag pattern as ensureScratch: the fast path must not allocate.
@@ -91,6 +233,8 @@ func (t *Matrix) getSoA() *soaLayout {
 }
 
 // buildSoA assembles the stacked split-plane layout, once per Matrix.
+// Offsets come from the rank map, so an out-of-core matrix faults each
+// tile in twice (once per family) and never for sizing.
 //
 //lint:alloc-ok one-time lazy build of the SoA planes; every later product takes the atomic-flag fast path in getSoA
 func (t *Matrix) buildSoA() {
@@ -101,62 +245,22 @@ func (t *Matrix) buildSoA() {
 	}
 	t.ensureScratch() // rankOff: the row-stacked offsets
 	defer obsSoABuild.Start().End()
-	nTiles := t.MT * t.NT
-	l := &soaLayout{
-		vOff:   make([]int, t.NT+1),
-		uOff:   make([]int, t.MT+1),
-		colSeg: make([]int, nTiles+1),
-	}
+	l := &soaLayout{colSeg: make([]int, t.MT*t.NT+1)}
+	vseg, useg := make([]int, t.NT+1), make([]int, t.MT+1)
 	c := 0
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
-			l.colSeg[c+1] = l.colSeg[c] + t.Tile(i, j).Rank()
+			l.colSeg[c+1] = l.colSeg[c] + t.rankAt(i*t.NT+j)
 			c++
 		}
-	}
-	for j := 0; j < t.NT; j++ {
-		kc := l.colSeg[(j+1)*t.MT] - l.colSeg[j*t.MT]
-		l.vOff[j+1] = l.vOff[j] + t.tileCols(j)*kc
+		vseg[j+1] = l.colSeg[c]
 	}
 	for i := 0; i < t.MT; i++ {
-		kr := t.rankOff[(i+1)*t.NT] - t.rankOff[i*t.NT]
-		l.uOff[i+1] = l.uOff[i] + t.tileRows(i)*kr
+		useg[i+1] = t.rankOff[(i+1)*t.NT]
 	}
-	l.vr = make([]float32, l.vOff[t.NT])
-	l.vi = make([]float32, l.vOff[t.NT])
-	l.ur = make([]float32, l.uOff[t.MT])
-	l.ui = make([]float32, l.uOff[t.MT])
-	for j := 0; j < t.NT; j++ {
-		ld := t.tileCols(j)
-		dst := l.vOff[j]
-		for i := 0; i < t.MT; i++ {
-			v := t.Tile(i, j).V
-			for kk := 0; kk < v.Cols; kk++ {
-				src := v.Data[kk*v.Stride : kk*v.Stride+ld]
-				for r, z := range src {
-					l.vr[dst+r] = real(z)
-					l.vi[dst+r] = imag(z)
-				}
-				dst += ld
-			}
-		}
-	}
-	for i := 0; i < t.MT; i++ {
-		ld := t.tileRows(i)
-		dst := l.uOff[i]
-		for j := 0; j < t.NT; j++ {
-			u := t.Tile(i, j).U
-			for kk := 0; kk < u.Cols; kk++ {
-				src := u.Data[kk*u.Stride : kk*u.Stride+ld]
-				for r, z := range src {
-					l.ur[dst+r] = real(z)
-					l.ui[dst+r] = imag(z)
-				}
-				dst += ld
-			}
-		}
-	}
-	l.panelCols = roofline.DefaultCache().GemvPanelCols(t.NB, 8)
+	cols := roofline.DefaultCache().GemvPanelCols(t.NB, 8)
+	l.v = stackPanels(vseg, t.MT, t.NB, t.N, cols, func(j, i int) *dense.Matrix { return t.Tile(i, j).V })
+	l.u = stackPanels(useg, t.NT, t.NB, t.M, cols, func(i, j int) *dense.Matrix { return t.Tile(i, j).U })
 	t.soa = l
 	t.soaReady.Store(1)
 }
@@ -164,100 +268,52 @@ func (t *Matrix) buildSoA() {
 // MulVecSoA computes y = A x over the stacked split-plane layout,
 // sequentially. x must have length N, y length M.
 func (t *Matrix) MulVecSoA(x, y []complex64) {
-	t.mulVecSoA(x, y, 1)
-}
-
-// MulVecSoAParallel is the parallel SoA forward product (phase 1 over
-// tile columns, phase 3 over tile rows). workers <= 0 uses GOMAXPROCS.
-func (t *Matrix) MulVecSoAParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVecSoA(x, y, workers)
-}
-
-func (t *Matrix) mulVecSoA(x, y []complex64, workers int) {
-	if len(x) < t.N || len(y) < t.M {
-		panic("tlr: MulVecSoA vector too short")
-	}
 	defer obsSoA.Start().End()
 	meterMVM(obsSoAMeter, t)
-	l := t.getSoA()
-	s := t.getScratch()
-	cfloat.SplitReIm(x[:t.N], s.fxr[:t.N], s.fxi[:t.N])
-	// Phase 1: yc segment of column j = Vcatⱼᴴ · x_j, one stacked GEMV
-	// per tile column. Sequential path calls kernels directly — the
-	// parallel closures would cost one allocation per product.
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.forwardVColSoA(j, l, s.ycR, s.ycI, s.fxr, s.fxi)
-		}
-	} else {
-		runIndexed(t.NT, workers, func(j int) {
-			t.forwardVColSoA(j, l, s.ycR, s.ycI, s.fxr, s.fxi)
-		})
-	}
-	// Phase 2: explicit shuffle from the column-stacked to the
-	// row-stacked ordering.
-	t.shuffleColToRow(l, s.ycR, s.ycI, s.yuR, s.yuI)
-	// Phase 3: y_i = Ucatᵢ · yu_i, one stacked GEMV per tile row, merged
-	// straight into the caller's y.
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.forwardURowSoA(i, l, s.yuR, s.yuI, s.foutR, s.foutI, y)
-		}
-	} else {
-		runIndexed(t.MT, workers, func(i int) {
-			t.forwardURowSoA(i, l, s.yuR, s.yuI, s.foutR, s.foutI, y)
-		})
-	}
-	t.putScratch(s)
+	t.mulVecSoA(x, y, false)
 }
 
 // MulVecConjTransSoA computes y = Aᴴ x over the stacked layout,
 // sequentially. x must have length M, y length N.
 func (t *Matrix) MulVecConjTransSoA(x, y []complex64) {
-	t.mulVecConjTransSoA(x, y, 1)
-}
-
-// MulVecConjTransSoAParallel is the parallel SoA adjoint product.
-func (t *Matrix) MulVecConjTransSoAParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVecConjTransSoA(x, y, workers)
-}
-
-func (t *Matrix) mulVecConjTransSoA(x, y []complex64, workers int) {
-	if len(x) < t.M || len(y) < t.N {
-		panic("tlr: MulVecConjTransSoA vector too short")
-	}
 	defer obsSoAAdj.Start().End()
 	meterMVM(obsSoAAdjMeter, t)
+	t.mulVecSoA(x, y, true)
+}
+
+// mulVecSoA is the one three-phase SoA product. Forward, the V family
+// projects and the U family expands; the adjoint swaps the families and
+// reverses the shuffle — tile (i,j) ≈ U Vᴴ contributes V (Uᴴ x_i) to
+// output block j.
+func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool) {
 	l := t.getSoA()
+	in, out := &l.v, &l.u
+	if adjoint {
+		in, out = out, in
+	}
+	if len(x) < in.dim || len(y) < out.dim {
+		panic("tlr: SoA product vector too short")
+	}
 	s := t.getScratch()
-	cfloat.SplitReIm(x[:t.M], s.fxr[:t.M], s.fxi[:t.M])
-	// adjoint phase 1: yu segment of row i = Ucatᵢᴴ · x_i
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.adjointURowSoA(i, l, s.fxr, s.fxi, s.yuR, s.yuI)
-		}
-	} else {
-		runIndexed(t.MT, workers, func(i int) {
-			t.adjointURowSoA(i, l, s.fxr, s.fxi, s.yuR, s.yuI)
-		})
+	inR, inI, outR, outI := s.ycR, s.ycI, s.yuR, s.yuI
+	if adjoint {
+		inR, inI, outR, outI = outR, outI, inR, inI
 	}
-	t.shuffleRowToCol(l, s.yuR, s.yuI, s.ycR, s.ycI)
-	// adjoint phase 3: y_j = Vcatⱼ · yc segment of column j
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.adjointVColSoA(j, l, s.ycR, s.ycI, s.foutR, s.foutI, y)
-		}
-	} else {
-		runIndexed(t.NT, workers, func(j int) {
-			t.adjointVColSoA(j, l, s.ycR, s.ycI, s.foutR, s.foutI, y)
-		})
+	cfloat.SplitReIm(x[:in.dim], s.fxr[:in.dim], s.fxi[:in.dim])
+	// Phase 1: one stacked GEMV per input panel into the family's own
+	// stacking of the intermediate.
+	for p := 0; p < in.n(); p++ {
+		in.project(p, s.fxr, s.fxi, inR, inI)
 	}
+	// Phase 2: explicit shuffle into the other family's ordering.
+	shuffle(t, l, !adjoint, inR, outR)
+	shuffle(t, l, !adjoint, inI, outI)
+	// Phase 3: one stacked GEMV per output panel into its disjoint block
+	// of the out planes, merged into the caller's y once.
+	for p := 0; p < out.n(); p++ {
+		out.expand(p, outR, outI, s.foutR, s.foutI)
+	}
+	cfloat.MergeReIm(s.foutR[:out.dim], s.foutI[:out.dim], y[:out.dim])
 	t.putScratch(s)
 }
 
@@ -268,195 +324,53 @@ func (t *Matrix) mulVecConjTransSoA(x, y []complex64, workers int) {
 // immediately adjoint (yu_i ← Ucatᵢᴴ·z) while hot — and the V panels run
 // once more for the adjoint phase 3. One fused pass streams the U planes
 // once per iteration where separate Apply+ApplyAdjoint calls stream them
-// twice (and pay four shuffles instead of two). x and y have length N.
+// twice. x and y have length N.
 func (t *Matrix) MulVecNormal(x, y []complex64) {
 	if len(x) < t.N || len(y) < t.N {
 		panic("tlr: MulVecNormal vector too short")
 	}
 	defer obsNormal.Start().End()
-	// two products' worth of flops; the byte meter slightly overstates
-	// the fused pass (U is streamed once, not twice)
-	meterMVM(obsNormalMeter, t)
-	meterMVM(obsNormalMeter, t)
+	meterNormal(t)
 	l := t.getSoA()
 	s := t.getScratch()
 	cfloat.SplitReIm(x[:t.N], s.fxr[:t.N], s.fxi[:t.N])
 	for j := 0; j < t.NT; j++ {
-		t.forwardVColSoA(j, l, s.ycR, s.ycI, s.fxr, s.fxi)
+		l.v.project(j, s.fxr, s.fxi, s.ycR, s.ycI)
 	}
-	t.shuffleColToRow(l, s.ycR, s.ycI, s.yuR, s.yuI)
+	shuffle(t, l, true, s.ycR, s.yuR)
+	shuffle(t, l, true, s.ycI, s.yuI)
 	for i := 0; i < t.MT; i++ {
-		t.normalURowSoA(i, l, s.yuR, s.yuI, s.foutR, s.foutI)
+		l.u.normal(i, s.yuR, s.yuI, s.foutR, s.foutI)
 	}
-	t.shuffleRowToCol(l, s.yuR, s.yuI, s.ycR, s.ycI)
+	shuffle(t, l, false, s.yuR, s.ycR)
+	shuffle(t, l, false, s.yuI, s.ycI)
 	for j := 0; j < t.NT; j++ {
-		t.adjointVColSoA(j, l, s.ycR, s.ycI, s.foutR, s.foutI, y)
+		l.v.expand(j, s.ycR, s.ycI, s.foutR, s.foutI)
 	}
+	cfloat.MergeReIm(s.foutR[:t.N], s.foutI[:t.N], y[:t.N])
 	t.putScratch(s)
 }
 
-// forwardVColSoA runs SoA phase 1 for tile column j: the column's yc
-// segment = Vcatⱼᴴ · x_j, swept in cache-blocked panels. Registered hot
-// path — must stay allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) forwardVColSoA(j int, l *soaLayout, ycR, ycI, xr, xi []float32) {
-	m := t.tileCols(j)
-	base := l.colSeg[j*t.MT]
-	kc := l.colSeg[(j+1)*t.MT] - base
-	outR := ycR[base : base+kc]
-	outI := ycI[base : base+kc]
-	for k := range outR {
-		outR[k] = 0
-		outI[k] = 0
-	}
-	xjr := xr[j*t.NB : j*t.NB+m]
-	xji := xi[j*t.NB : j*t.NB+m]
-	off := l.vOff[j]
-	for c0 := 0; c0 < kc; c0 += l.panelCols {
-		cw := min(l.panelCols, kc-c0)
-		cfloat.GemvConjSoAAcc(m, cw, l.vr[off+c0*m:], l.vi[off+c0*m:], m,
-			xjr, xji, outR[c0:], outI[c0:])
-	}
-}
-
-// forwardURowSoA runs SoA phase 3 for tile row i: y_i = Ucatᵢ · yu_i,
-// swept in cache-blocked panels and merged into y. Registered hot path —
+// shuffle permutes one rank-space intermediate between the two stacked
+// orderings (Fig. 6): toRows moves the column-stacked src (colSeg
+// offsets) into the row-stacked dst (rankOff offsets), !toRows is the
+// inverse permutation. Generic over the element type because the SoA
+// products shuffle float32 planes and MulVecBatched the complex
+// intermediate its batch members read and write. Registered hot path —
 // must stay allocation-free.
 //
 //lint:hotpath
-func (t *Matrix) forwardURowSoA(i int, l *soaLayout, yuR, yuI, outR, outI []float32, y []complex64) {
-	rows := t.tileRows(i)
-	base := t.rankOff[i*t.NT]
-	kr := t.rankOff[(i+1)*t.NT] - base
-	or := outR[i*t.NB : i*t.NB+rows]
-	oi := outI[i*t.NB : i*t.NB+rows]
-	for k := range or {
-		or[k] = 0
-		oi[k] = 0
-	}
-	off := l.uOff[i]
-	for c0 := 0; c0 < kr; c0 += l.panelCols {
-		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			yuR[base+c0:], yuI[base+c0:], or, oi)
-	}
-	cfloat.MergeReIm(or, oi, y[i*t.NB:i*t.NB+rows])
-}
-
-// adjointURowSoA runs the SoA adjoint phase 1 for tile row i: the row's
-// yu segment = Ucatᵢᴴ · x_i. Registered hot path — must stay
-// allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) adjointURowSoA(i int, l *soaLayout, xr, xi, yuR, yuI []float32) {
-	rows := t.tileRows(i)
-	base := t.rankOff[i*t.NT]
-	kr := t.rankOff[(i+1)*t.NT] - base
-	outR := yuR[base : base+kr]
-	outI := yuI[base : base+kr]
-	for k := range outR {
-		outR[k] = 0
-		outI[k] = 0
-	}
-	xir := xr[i*t.NB : i*t.NB+rows]
-	xii := xi[i*t.NB : i*t.NB+rows]
-	off := l.uOff[i]
-	for c0 := 0; c0 < kr; c0 += l.panelCols {
-		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvConjSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			xir, xii, outR[c0:], outI[c0:])
-	}
-}
-
-// adjointVColSoA runs the SoA adjoint phase 3 for tile column j:
-// y_j = Vcatⱼ · yc segment of column j, merged into y. Registered hot
-// path — must stay allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) adjointVColSoA(j int, l *soaLayout, ycR, ycI, outR, outI []float32, y []complex64) {
-	cols := t.tileCols(j)
-	base := l.colSeg[j*t.MT]
-	kc := l.colSeg[(j+1)*t.MT] - base
-	or := outR[j*t.NB : j*t.NB+cols]
-	oi := outI[j*t.NB : j*t.NB+cols]
-	for k := range or {
-		or[k] = 0
-		oi[k] = 0
-	}
-	off := l.vOff[j]
-	for c0 := 0; c0 < kc; c0 += l.panelCols {
-		cw := min(l.panelCols, kc-c0)
-		cfloat.GemvSoAAcc(cols, cw, l.vr[off+c0*cols:], l.vi[off+c0*cols:], cols,
-			ycR[base+c0:], ycI[base+c0:], or, oi)
-	}
-	cfloat.MergeReIm(or, oi, y[j*t.NB:j*t.NB+cols])
-}
-
-// normalURowSoA runs the fused middle of the normal product for tile
-// row i: z = Ucatᵢ · yu_i into the out planes, then yu_i ← Ucatᵢᴴ · z in
-// place — each cache block of the U panel is touched by both products
-// back to back while resident. Registered hot path — must stay
-// allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) normalURowSoA(i int, l *soaLayout, yuR, yuI, outR, outI []float32) {
-	rows := t.tileRows(i)
-	base := t.rankOff[i*t.NT]
-	kr := t.rankOff[(i+1)*t.NT] - base
-	or := outR[i*t.NB : i*t.NB+rows]
-	oi := outI[i*t.NB : i*t.NB+rows]
-	for k := range or {
-		or[k] = 0
-		oi[k] = 0
-	}
-	seg0 := yuR[base : base+kr]
-	seg1 := yuI[base : base+kr]
-	off := l.uOff[i]
-	for c0 := 0; c0 < kr; c0 += l.panelCols {
-		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			seg0[c0:], seg1[c0:], or, oi)
-	}
-	// z complete; yu_i is dead, overwrite it with Ucatᵢᴴ z
-	for k := range seg0 {
-		seg0[k] = 0
-		seg1[k] = 0
-	}
-	for c0 := 0; c0 < kr; c0 += l.panelCols {
-		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvConjSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			or, oi, seg0[c0:], seg1[c0:])
-	}
-}
-
-// shuffleColToRow permutes the column-stacked intermediate planes into
-// the row-stacked ordering (Fig. 6). Registered hot path — must stay
-// allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) shuffleColToRow(l *soaLayout, srcR, srcI, dstR, dstI []float32) {
+func shuffle[T float32 | complex64](t *Matrix, l *soaLayout, toRows bool, src, dst []T) {
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
-			s0, s1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
-			d0 := t.rankOff[i*t.NT+j]
-			copy(dstR[d0:d0+s1-s0], srcR[s0:s1])
-			copy(dstI[d0:d0+s1-s0], srcI[s0:s1])
-		}
-	}
-}
-
-// shuffleRowToCol is the inverse permutation. Registered hot path — must
-// stay allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) shuffleRowToCol(l *soaLayout, srcR, srcI, dstR, dstI []float32) {
-	for j := 0; j < t.NT; j++ {
-		for i := 0; i < t.MT; i++ {
-			d0, d1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
-			s0 := t.rankOff[i*t.NT+j]
-			copy(dstR[d0:d1], srcR[s0:s0+d1-d0])
-			copy(dstI[d0:d1], srcI[s0:s0+d1-d0])
+			c0, c1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
+			r0 := t.rankOff[i*t.NT+j]
+			r1 := r0 + c1 - c0
+			if toRows {
+				copy(dst[r0:r1], src[c0:c1])
+			} else {
+				copy(dst[c0:c1], src[r0:r1])
+			}
 		}
 	}
 }

@@ -2,9 +2,8 @@ package tlr
 
 // In-package tests for the stacked split-plane layout: the conversion is
 // a pure permutation copy, so every element must survive AoS→SoA→AoS
-// bit for bit (NaNs and signed zeros included), and the SoA products
-// must handle degenerate rank structure (zero-rank tiles) the AoS paths
-// already tolerate.
+// bit for bit (NaNs and signed zeros included), also under degenerate
+// rank structure (zero-rank tiles).
 
 import (
 	"math"
@@ -22,52 +21,39 @@ func randDense(rng *rand.Rand, m, n int) *dense.Matrix {
 	return a
 }
 
-// checkSoARoundTrip walks the stacked panels tile by tile and asserts
+// checkSoARoundTrip walks both panel families tile by tile and asserts
 // bit-identity with the AoS factors — equivalently, that converting the
 // layout back reproduces the original bases exactly.
 func checkSoARoundTrip(t testing.TB, m *Matrix) {
 	t.Helper()
 	l := m.getSoA()
-	for j := 0; j < m.NT; j++ {
-		ld := m.tileCols(j)
-		off := l.vOff[j]
-		for i := 0; i < m.MT; i++ {
-			v := m.Tile(i, j).V
-			for kk := 0; kk < v.Cols; kk++ {
-				for r := 0; r < ld; r++ {
-					z := v.Data[kk*v.Stride+r]
-					if math.Float32bits(real(z)) != math.Float32bits(l.vr[off+r]) ||
-						math.Float32bits(imag(z)) != math.Float32bits(l.vi[off+r]) {
-						t.Fatalf("V tile (%d,%d) col %d row %d: SoA round trip not bit-identical", i, j, kk, r)
+	check := func(name string, ps *panels, inner int, factor func(p, q int) *dense.Matrix) {
+		for p := 0; p < ps.n(); p++ {
+			_, ld := ps.block(p)
+			off := ps.off[p]
+			for q := 0; q < inner; q++ {
+				f := factor(p, q)
+				for kk := 0; kk < f.Cols; kk++ {
+					for r := 0; r < ld; r++ {
+						z := f.Data[kk*f.Stride+r]
+						if math.Float32bits(real(z)) != math.Float32bits(ps.re[off+r]) ||
+							math.Float32bits(imag(z)) != math.Float32bits(ps.im[off+r]) {
+							t.Fatalf("%s panel %d tile %d col %d row %d: SoA round trip not bit-identical", name, p, q, kk, r)
+						}
 					}
+					off += ld
 				}
-				off += ld
+			}
+			if off != ps.off[p+1] {
+				t.Fatalf("%s panel %d: consumed %d elements, offsets say %d", name, p, off-ps.off[p], ps.off[p+1]-ps.off[p])
+			}
+			if got, want := ps.seg[p+1]-ps.seg[p], (ps.off[p+1]-ps.off[p])/max(ld, 1); got != want {
+				t.Fatalf("%s panel %d: segment holds %d rank columns, planes hold %d", name, p, got, want)
 			}
 		}
-		if off != l.vOff[j+1] {
-			t.Fatalf("V panel %d: consumed %d elements, offsets say %d", j, off-l.vOff[j], l.vOff[j+1]-l.vOff[j])
-		}
 	}
-	for i := 0; i < m.MT; i++ {
-		ld := m.tileRows(i)
-		off := l.uOff[i]
-		for j := 0; j < m.NT; j++ {
-			u := m.Tile(i, j).U
-			for kk := 0; kk < u.Cols; kk++ {
-				for r := 0; r < ld; r++ {
-					z := u.Data[kk*u.Stride+r]
-					if math.Float32bits(real(z)) != math.Float32bits(l.ur[off+r]) ||
-						math.Float32bits(imag(z)) != math.Float32bits(l.ui[off+r]) {
-						t.Fatalf("U tile (%d,%d) col %d row %d: SoA round trip not bit-identical", i, j, kk, r)
-					}
-				}
-				off += ld
-			}
-		}
-		if off != l.uOff[i+1] {
-			t.Fatalf("U panel %d: consumed %d elements, offsets say %d", i, off-l.uOff[i], l.uOff[i+1]-l.uOff[i])
-		}
-	}
+	check("V", &l.v, m.MT, func(j, i int) *dense.Matrix { return m.Tile(i, j).V })
+	check("U", &l.u, m.NT, func(i, j int) *dense.Matrix { return m.Tile(i, j).U })
 	// offset-table consistency: column- and row-stacked totals agree
 	if l.colSeg[m.MT*m.NT] != m.rankOff[m.MT*m.NT] {
 		t.Fatalf("colSeg total %d != rankOff total %d", l.colSeg[m.MT*m.NT], m.rankOff[m.MT*m.NT])
@@ -87,8 +73,9 @@ func TestSoARoundTripCompressedShapes(t *testing.T) {
 
 // TestSoAZeroRankTiles assembles a matrix by literal (the precision /
 // tlrio construction path: no Compress, no eager layout) with some tiles
-// at rank zero and checks the lazily built SoA products against the AoS
-// reference.
+// at rank zero and checks the lazily built layout bit for bit. The
+// products over such matrices are rows of
+// TestBatchedMatchesSequentialAcrossShapes.
 func TestSoAZeroRankTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	const nb, mt, nt = 6, 3, 2
@@ -99,46 +86,13 @@ func TestSoAZeroRankTiles(t *testing.T) {
 			rows := min((i+1)*nb, mrows) - i*nb
 			cols := min((j+1)*nb, ncols) - j*nb
 			k := (i + j) % 3 // ranks 0, 1, 2
-			u, v := dense.New(rows, k), dense.New(cols, k)
-			for idx := range u.Data {
-				u.Data[idx] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-			}
-			for idx := range v.Data {
-				v.Data[idx] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-			}
-			tiles[i*nt+j] = &Tile{U: u, V: v}
+			tiles[i*nt+j] = &Tile{U: randDense(rng, rows, k), V: randDense(rng, cols, k)}
 		}
 	}
 	m := &Matrix{M: mrows, N: ncols, NB: nb, MT: mt, NT: nt, Tiles: tiles}
 	checkSoARoundTrip(t, m)
-
-	x := make([]complex64, ncols)
-	for i := range x {
-		x[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	want := make([]complex64, mrows)
-	got := make([]complex64, mrows)
-	m.MulVec(x, want)
-	m.MulVecSoA(x, got)
-	if e := relErrC(got, want); e > 1e-5 {
-		t.Fatalf("SoA forward with zero-rank tiles: relErr %g", e)
-	}
-	if err := m.MulVecBatched(x, got, 1); err != nil {
-		t.Fatal(err)
-	}
-	if e := relErrC(got, want); e > 1e-5 {
-		t.Fatalf("SoA batched with zero-rank tiles: relErr %g", e)
-	}
-	xa := make([]complex64, mrows)
-	for i := range xa {
-		xa[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	wantA := make([]complex64, ncols)
-	gotA := make([]complex64, ncols)
-	m.MulVecConjTrans(xa, wantA)
-	m.MulVecConjTransSoA(xa, gotA)
-	if e := relErrC(gotA, wantA); e > 1e-5 {
-		t.Fatalf("SoA adjoint with zero-rank tiles: relErr %g", e)
+	if m.SoABytes() != m.CompressedBytes() {
+		t.Fatalf("SoABytes %d != CompressedBytes %d", m.SoABytes(), m.CompressedBytes())
 	}
 }
 

@@ -1,7 +1,8 @@
-// Concurrency stress test for the batched TLR-MVM path, meant to run
-// under -race (`make race-stress`): many goroutines sharing one
-// compressed matrix, each driving MulVecBatched at a different worker
-// count. Guarded by testing.Short so quick suites skip it.
+// Concurrency stress test for the six TLR-MVM entry points, meant to
+// run under -race (`make race-stress`): many goroutines sharing one
+// matrix — its scratch free list and its lazily built SoA layout — each
+// driving a different product. Guarded by testing.Short so quick suites
+// skip it.
 package tlr
 
 import (
@@ -10,44 +11,70 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cfloat"
 	"repro/internal/dense"
 )
 
+// TestStressMulVecBatchedConcurrent began as the MulVecBatched-only
+// stress test and keeps the name; MulVecBatched at three worker counts
+// is now three of its eight rows.
 func TestStressMulVecBatchedConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
 	}
+	const m, n, nb = 96, 80, 16
 	rng := rand.New(rand.NewSource(81))
-	a := decayMatrix(rng, 96, 80)
-	tm := compressOrDie(t, a, Options{NB: 16, Tol: 1e-4})
-	x := dense.Random(rng, 80, 1).Data
-	yRef := make([]complex64, 96)
-	tm.MulVec(x, yRef)
-	refNorm := 1 + cfloat.Nrm2(yRef)
+	a := decayMatrix(rng, m, n)
+	compressed := compressOrDie(t, a, Options{NB: nb, Tol: 1e-4})
+	x := dense.Random(rng, n, 1).Data
+	xa := dense.Random(rng, m, 1).Data
+	// references from the sequential AoS pair, before any concurrency
+	fwd, adj, nrm := make([]complex64, m), make([]complex64, n), make([]complex64, n)
+	compressed.MulVec(x, fwd)
+	compressed.MulVecConjTrans(xa, adj)
+	compressed.MulVecConjTrans(fwd, nrm)
+
+	batched := func(workers int) func(tm *Matrix, y []complex64) error {
+		return func(tm *Matrix, y []complex64) error { return tm.MulVecBatched(x, y, workers) }
+	}
+	rows := []struct {
+		name string
+		want []complex64
+		run  func(tm *Matrix, y []complex64) error
+	}{
+		{"MulVec", fwd, func(tm *Matrix, y []complex64) error { tm.MulVec(x, y); return nil }},
+		{"MulVecConjTrans", adj, func(tm *Matrix, y []complex64) error { tm.MulVecConjTrans(xa, y); return nil }},
+		{"MulVecSoA", fwd, func(tm *Matrix, y []complex64) error { tm.MulVecSoA(x, y); return nil }},
+		{"MulVecConjTransSoA", adj, func(tm *Matrix, y []complex64) error { tm.MulVecConjTransSoA(xa, y); return nil }},
+		{"MulVecNormal", nrm, func(tm *Matrix, y []complex64) error { tm.MulVecNormal(x, y); return nil }},
+		{"MulVecBatched/workers=1", fwd, batched(1)},
+		{"MulVecBatched/workers=3", fwd, batched(3)},
+		{"MulVecBatched/workers=8", fwd, batched(8)},
+	}
 
 	const rounds = 10
-	workerCounts := []int{1, 2, 3, 4, 8}
 	for round := 0; round < rounds; round++ {
+		// a fresh literal over the same tiles each round: no layout, no
+		// scratch yet, so the goroutines race to build both
+		tm := &Matrix{M: m, N: n, NB: nb, MT: compressed.MT, NT: compressed.NT, Tiles: compressed.Tiles}
 		var wg sync.WaitGroup
-		errs := make([]error, len(workerCounts))
-		for i, workers := range workerCounts {
+		errs := make([]error, len(rows))
+		for i := range rows {
 			wg.Add(1)
-			go func(i, workers int) {
+			go func(i int) {
 				defer wg.Done()
-				y := make([]complex64, 96)
-				if err := tm.MulVecBatched(x, y, workers); err != nil {
-					errs[i] = err
-					return
+				row := rows[i]
+				y := make([]complex64, len(row.want))
+				for rep := 0; rep < 3; rep++ {
+					if err := row.run(tm, y); err != nil {
+						errs[i] = err
+						return
+					}
+					if rel := relErrC(y, row.want); rel > 1e-5 {
+						errs[i] = fmt.Errorf("%s drifted from the sequential AoS reference (rel %g)", row.name, rel)
+						return
+					}
 				}
-				diff := make([]complex64, len(y))
-				for j := range diff {
-					diff[j] = y[j] - yRef[j]
-				}
-				if rel := cfloat.Nrm2(diff) / refNorm; rel > 1e-5 {
-					errs[i] = fmt.Errorf("workers=%d: batched result drifted (rel %g)", workers, rel)
-				}
-			}(i, workers)
+			}(i)
 		}
 		wg.Wait()
 		for _, err := range errs {

@@ -7,9 +7,11 @@
 // projects from the V to the U ordering (Fig. 6), and a batched MVM over
 // the U bases (Fig. 7).
 //
-// The package provides both a sequential reference implementation and a
-// goroutine-parallel one (phase 1 parallel over tile columns, phase 3 over
-// tile rows), plus the adjoint product needed by LSQR-based inversion.
+// The package provides six products (DESIGN.md, "TLR-MVM entry points"):
+// the sequential per-tile reference MulVec/MulVecConjTrans, the stacked
+// split-plane MulVecSoA/MulVecConjTransSoA and their fused normal pass
+// MulVecNormal (soa.go), and MulVecBatched, the one in-matrix parallel
+// path, which runs the same stacked panels on the batch engine.
 package tlr
 
 import (
@@ -263,17 +265,23 @@ func (t *Matrix) AvgRank() float64 {
 }
 
 // CompressedBytes returns the total footprint of all U and V bases.
-// Computed from the rank map alone — (rows+cols)·k complex64 elements
-// per tile — so out-of-core matrices answer without faulting tiles in.
 func (t *Matrix) CompressedBytes() int64 {
-	var b int64
+	u, v := t.factorBytes()
+	return u + v
+}
+
+// factorBytes returns the footprints of the U and the V bases. Computed
+// from the rank map alone — rows·k and cols·k complex64 elements per
+// tile — so out-of-core matrices answer without faulting tiles in.
+func (t *Matrix) factorBytes() (u, v int64) {
 	for i := 0; i < t.MT; i++ {
 		for j := 0; j < t.NT; j++ {
 			k := int64(t.rankAt(i*t.NT + j))
-			b += int64(t.tileRows(i)+t.tileCols(j)) * k * 8
+			u += int64(t.tileRows(i)) * k * 8
+			v += int64(t.tileCols(j)) * k * 8
 		}
 	}
-	return b
+	return u, v
 }
 
 // DenseBytes returns the footprint of the dense equivalent.
@@ -305,22 +313,10 @@ func (t *Matrix) Reconstruct() *dense.Matrix {
 	return out
 }
 
-// MulVec computes y = A x via the three-phase TLR-MVM, sequentially.
-// x must have length N, y length M.
+// MulVec computes y = A x via the three-phase TLR-MVM, sequentially over
+// the per-tile AoS bases — the oracle's reference path and the route
+// mdc.TLRKernel takes. x must have length N, y length M.
 func (t *Matrix) MulVec(x, y []complex64) {
-	t.mulVec(x, y, 1)
-}
-
-// MulVecParallel computes y = A x with phases 1 and 3 parallelized over
-// tile columns and rows respectively. workers <= 0 uses GOMAXPROCS.
-func (t *Matrix) MulVecParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVec(x, y, workers)
-}
-
-func (t *Matrix) mulVec(x, y []complex64, workers int) {
 	if len(x) < t.N || len(y) < t.M {
 		panic("tlr: MulVec vector too short")
 	}
@@ -329,16 +325,9 @@ func (t *Matrix) mulVec(x, y []complex64, workers int) {
 	s := t.getScratch()
 	// Phase 1 (Fig. 5): V-batch. For each tile (i,j):
 	//   yv segment (i,j) = V_{ij}ᴴ · x_j   (length = rank of the tile)
-	// The sequential path calls the kernels directly: the parallel
-	// closures below would otherwise cost one allocation per product.
 	sp1 := obsPhase1.Start()
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.forwardVCol(j, s.yv, x)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore phase 1
-		runIndexed(t.NT, workers, func(j int) { t.forwardVCol(j, s.yv, x) })
+	for j := 0; j < t.NT; j++ {
+		t.forwardVCol(j, s.yv, x)
 	}
 	sp1.End()
 	// Phase 2 (Fig. 6): shuffle. In this in-memory implementation the
@@ -347,13 +336,8 @@ func (t *Matrix) mulVec(x, y []complex64, workers int) {
 	// would cost fabric traffic (package wse removes it).
 	// Phase 3 (Fig. 7): U-batch. y_i = Σ_j U_{ij} · yv segment (i,j).
 	sp3 := obsPhase3.Start()
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.forwardURow(i, s.yv, y)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore phase 3
-		runIndexed(t.MT, workers, func(i int) { t.forwardURow(i, s.yv, y) })
+	for i := 0; i < t.MT; i++ {
+		t.forwardURow(i, s.yv, y)
 	}
 	sp3.End()
 	t.putScratch(s)
@@ -394,18 +378,6 @@ func (t *Matrix) forwardURow(i int, yv, y []complex64) {
 // LSQR solver. Tile (i,j) ≈ U Vᴴ contributes V (Uᴴ x_i) to output block j.
 // x must have length M, y length N.
 func (t *Matrix) MulVecConjTrans(x, y []complex64) {
-	t.mulVecConjTrans(x, y, 1)
-}
-
-// MulVecConjTransParallel is the parallel adjoint product.
-func (t *Matrix) MulVecConjTransParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVecConjTrans(x, y, workers)
-}
-
-func (t *Matrix) mulVecConjTrans(x, y []complex64, workers int) {
 	if len(x) < t.M || len(y) < t.N {
 		panic("tlr: MulVecConjTrans vector too short")
 	}
@@ -413,22 +385,12 @@ func (t *Matrix) mulVecConjTrans(x, y []complex64, workers int) {
 	meterMVM(obsAdjMeter, t)
 	s := t.getScratch()
 	// adjoint phase 1: yu segment (i,j) = U_{ij}ᴴ · x_i
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.adjointURow(i, s.yv, x)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore adjoint phase 1
-		runIndexed(t.MT, workers, func(i int) { t.adjointURow(i, s.yv, x) })
+	for i := 0; i < t.MT; i++ {
+		t.adjointURow(i, s.yv, x)
 	}
 	// adjoint phase 3: y_j = Σ_i V_{ij} · yu segment (i,j)
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.adjointVCol(j, s.yv, y)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore adjoint phase 3
-		runIndexed(t.NT, workers, func(j int) { t.adjointVCol(j, s.yv, y) })
+	for j := 0; j < t.NT; j++ {
+		t.adjointVCol(j, s.yv, y)
 	}
 	t.putScratch(s)
 }
@@ -462,32 +424,6 @@ func (t *Matrix) adjointVCol(j int, yu, y []complex64) {
 		cfloat.Gemv(cfloat.NoTrans, tile.V.Rows, tile.V.Cols, 1,
 			tile.V.Data, tile.V.Stride, yu[t.rankOff[idx]:t.rankOff[idx+1]], 1, yj)
 	}
-}
-
-// runIndexed executes f(0..n-1), optionally across workers goroutines.
-func runIndexed(n, workers int, f func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ColumnStackedSizes returns, for each tile column j, the total stacked V

@@ -84,26 +84,6 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulVecParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := decayMatrix(rng, 128, 96)
-	tm := compressOrDie(t, a, Options{NB: 16, Tol: 1e-4})
-	x := dense.Random(rng, 96, 1).Data
-	ys := make([]complex64, 128)
-	tm.MulVec(x, ys)
-	yp := make([]complex64, 128)
-	tm.MulVecParallel(x, yp, 4)
-	for i := range ys {
-		if ys[i] != yp[i] {
-			// parallel phase order can reorder additions; allow tiny drift
-			d := ys[i] - yp[i]
-			if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-4 {
-				t.Fatalf("parallel mismatch at %d: %v vs %v", i, ys[i], yp[i])
-			}
-		}
-	}
-}
-
 func TestMulVecConjTransMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := decayMatrix(rng, 80, 60)
@@ -329,19 +309,6 @@ func BenchmarkTLRMVMSeq256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.MulVec(x, y)
-	}
-}
-
-func BenchmarkTLRMVMParallel256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := decayMatrix(rng, 256, 256)
-	tm, _ := Compress(a, Options{NB: 32, Tol: 1e-4})
-	x := dense.Random(rng, 256, 1).Data
-	y := make([]complex64, 256)
-	b.SetBytes(tm.CompressedBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm.MulVecParallel(x, y, 0)
 	}
 }
 
