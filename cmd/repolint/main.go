@@ -1,26 +1,14 @@
 // Command repolint runs the repo's domain-invariant static analysis
-// suite (internal/analysis) over the module. It operates in two modes:
-//
-// Standalone (the `make lint` entry point):
+// suite (internal/analysis) over the module:
 //
 //	repolint [-only a,b] [./...]
 //
-// loads the whole module from source — no export data, no third-party
-// packages — and runs every analyzer, including the module-scoped
-// oraclereg pass that cross-references kernel entry points against the
-// internal/testkit differential oracle. Package patterns are accepted
-// for familiarity but the whole module is always analyzed: the
-// analyzers' rules are module-wide invariants.
-//
-// Vettool (unitchecker) mode:
-//
-//	go vet -vettool=$(command -v repolint) ./...
-//
-// speaks cmd/go's vet protocol: go vet invokes the tool once per
-// package with a JSON .cfg file describing sources and export data, and
-// the tool type-checks against the compiler's export files. Module-
-// scoped analyzers are skipped in this mode (each invocation sees one
-// package); everything else runs identically.
+// It loads the whole module from source — no export data, no third-party
+// packages — and runs every analyzer over every package and, for the
+// analyzers whose rules cover _test.go files, over the test variants.
+// Package patterns are accepted for familiarity but the whole module is
+// always analyzed: the analyzers' rules are module-wide invariants.
+// Exit status: 0 clean, 1 diagnostics, 2 operational error.
 package main
 
 import (
@@ -36,28 +24,10 @@ import (
 
 func main() {
 	progname := filepath.Base(os.Args[0])
-
-	// cmd/go probes vettools before use: `tool -V=full` must print a
-	// stable identification line, and `tool -flags` the supported
-	// analyzer flags as JSON.
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			// cmd/go parses this line for its action cache key; the
-			// shape (version devel ... buildID=...) is the one
-			// x/tools' unitchecker prints for unstamped builds.
-			fmt.Printf("%s version devel comments-go-here buildID=gibberish_as_fallback\n", progname)
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	catalog := flag.Bool("catalog", false, "print the analyzer catalog as JSON and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-only names] [packages]\n       %s <vet>.cfg   (go vet -vettool mode)\n\nanalyzers:\n", progname, progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-only names] [packages]\n\nanalyzers:\n", progname)
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-18s %s\n", a.Name, a.Doc)
 		}
@@ -79,25 +49,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(analyzers, args[0]))
-	}
-	os.Exit(runStandalone(analyzers))
+	os.Exit(run(analyzers))
 }
 
-// runStandalone analyzes the whole module rooted at the working
-// directory. Exit status: 0 clean, 1 diagnostics, 2 operational error.
-func runStandalone(analyzers []*analysis.Analyzer) int {
+// run analyzes the whole module rooted at the working directory.
+func run(analyzers []*analysis.Analyzer) int {
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	// The driver loads and type-checks the module exactly once; every
-	// analyzer (and every Module.Cached artifact: call graph, summaries,
-	// escape info) shares that single load.
+	// analyzer (and every Module.Cached artifact: call graph, summaries)
+	// shares that single load.
 	diags, mod, err := (&analysis.Driver{}).Run(wd, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)

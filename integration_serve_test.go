@@ -65,6 +65,11 @@ func (s *ServeSuite) newStack(cfg mddserve.Config) *serveStack {
 	return st
 }
 
+// SetupTest arms the goroutine-baseline check: after TearDownTest has
+// closed every stack, the workers, shard runners, stream handlers and
+// connection loops the test started must all be gone.
+func (s *ServeSuite) SetupTest() { suite.VerifyNoLeaks(s.T()) }
+
 // TearDownTest drains every stack the test started. Server first so
 // queued jobs drain, then the listener.
 func (s *ServeSuite) TearDownTest() {

@@ -1,6 +1,6 @@
 // Package analysis is the repo's domain-invariant static analysis suite:
 // a small, dependency-free framework in the shape of golang.org/x/tools'
-// go/analysis, plus thirteen analyzers that turn this repo's correctness
+// go/analysis, plus ten analyzers that turn this repo's correctness
 // conventions into compiler-checked rules. The conventions exist because
 // the continuous-benchmarking gate (internal/benchreport) and the
 // §6.5–§6.7 cycle/meter invariants treat the machine-model outputs as
@@ -8,21 +8,24 @@
 // accumulator, or an execution path that never reaches the differential
 // oracle all break guarantees the test suite is built on.
 //
-// Five analyzers are syntactic (single-statement AST pattern matches);
-// three — allocfree, faultflow, lockorder — run on the intra-procedural
-// dataflow engine in cfg.go/dataflow.go: a CFG built from function
-// bodies, a must-reach-a-use analysis for error values, and a forward
-// held-lock-set propagation. On top of that sits the interprocedural
-// layer (callgraph.go/summary.go): an intra-module call graph over
-// go/types with single-assignment devirtualization and a bottom-up
-// function-summary fixpoint engine. It powers allocfree's transitive
-// mode (a hot path is clean only if everything it reaches is), the
-// goleak goroutine-termination analyzer, and the reqtaint
-// untrusted-size-flow analyzer. A goroutine-escape layer (escape.go)
-// sits on the same call graph and feeds the two concurrency analyzers:
-// racecheck, a lockset-based static race detector, and ctxflow, which
-// requires blocking operations in the serving/batch/fault stacks to be
-// cancellable.
+// An analyzer lives here only when it proves an all-paths or whole-tree
+// property no test states. Properties a runtime gate states more
+// strongly are left to that gate: allocation-freedom of the kernel
+// loops to internal/testkit's hot-path registry (AllocsPerRun == 0),
+// data races to `go test -race` and `make race-stress`, goroutine
+// termination to internal/testkit/suite's VerifyNoLeaks (EXPERIMENTS.md,
+// "Retired analyzers", records the evidence).
+//
+// Five analyzers are syntactic (AST pattern matches): modeldeterminism,
+// obshygiene, precwiden, oraclereg, seededrand. Two — faultflow and
+// lockorder — run on the intra-procedural dataflow engine in
+// cfg.go/dataflow.go: a CFG built from function bodies, a
+// must-reach-a-use analysis for error values, and a forward
+// held-lock-set propagation. Two more — reqtaint and ctxflow — add the
+// interprocedural layer (callgraph.go/summary.go): an intra-module call
+// graph over go/types with single-assignment devirtualization and a
+// bottom-up function-summary fixpoint engine. lintlint polices the
+// //lint: directives the others consult.
 //
 // The analyzers (see their files for the precise rules):
 //
@@ -39,8 +42,6 @@
 //     (escape: //lint:oracle-exempt).
 //   - seededrand: test/bench/testkit/cmd and serving-layer RNGs must be
 //     explicitly and deterministically seeded.
-//   - allocfree: //lint:hotpath-marked and registry-seeded kernel loops
-//     must be provably allocation-free (escape: //lint:alloc-ok).
 //   - faultflow: errors from internal/fault, internal/ckpt,
 //     SolveFallible, InvertResilient, and CheckedKernel calls must reach
 //     a check on every CFG path (escape: //lint:err-ok).
@@ -49,21 +50,19 @@
 //     (internal/mddserve, internal/mddclient, cmd/mddserve), examples/,
 //     or the module-root integration/stress suites
 //     (escape: //lint:lock-ok).
-//   - goleak: every go statement in non-test code must have a provable
-//     termination path — a reachable function exit on the goroutine
-//     body's CFG, with diverging callees (for{} loops, empty selects)
-//     cutting paths via call-graph summaries (escape: //lint:goleak-ok).
 //   - reqtaint: values decoded from HTTP request JSON (or parsed from
 //     request queries) in internal/mddserve must not size allocations,
 //     bound loops, or index slices without an intervening bounds check
 //     (escape: //lint:taint-ok).
+//   - ctxflow: blocking operations in internal/{mddserve,mddclient,
+//     batch,fault} must be cancellable (escape: //lint:ctx-ok).
 //   - lintlint: directive hygiene — unknown/misspelled //lint:
 //     directives and stale escapes that no longer suppress anything.
 //
-// cmd/repolint drives the suite both standalone (whole-module, source
-// type-checked) and as a `go vet -vettool` unitchecker. The framework is
-// stdlib-only on purpose: the module has no third-party dependencies and
-// the analyzers need nothing x/tools-specific.
+// cmd/repolint drives the suite over the whole module, type-checked from
+// source. The framework is stdlib-only on purpose: the module has no
+// third-party dependencies and the analyzers need nothing
+// x/tools-specific.
 package analysis
 
 import (
@@ -88,11 +87,6 @@ type Analyzer struct {
 	Name string
 	Doc  string
 
-	// NeedsModule marks analyzers that require whole-module context
-	// (Pass.Module non-nil). They are skipped by drivers that only see
-	// one package at a time, such as the `go vet -vettool` unitchecker.
-	NeedsModule bool
-
 	// TestFiles marks analyzers whose rules apply to _test.go files.
 	// All analyzers receive whatever files the driver loaded and are
 	// responsible for their own file filtering; this flag lets drivers
@@ -114,8 +108,7 @@ type Pass struct {
 	// should normalize away test-variant decorations ("pkg [pkg.test]").
 	Path string
 
-	// Module is the whole-module context, nil when the driver analyzes
-	// packages in isolation (vettool mode).
+	// Module is the whole-module context; every pass has one.
 	Module *Module
 
 	// TestVariant marks passes over test-assembled packages (in-package
@@ -125,9 +118,9 @@ type Pass struct {
 	TestVariant bool
 
 	// IgnoreEscapes disables //lint: escape suppression (markerLines and
-	// docHasMarker return nothing for escape-kind directives). The
-	// lintlint analyzer re-runs the suite in this mode to learn which
-	// escapes still attach to a diagnostic.
+	// docHasMarker return nothing). The lintlint analyzer re-runs the
+	// suite in this mode to learn which escapes still attach to a
+	// diagnostic.
 	IgnoreEscapes bool
 
 	diags *[]Diagnostic
@@ -172,12 +165,9 @@ func All() []*Analyzer {
 		PrecWiden,
 		OracleReg,
 		SeededRand,
-		AllocFree,
 		FaultFlow,
 		LockOrder,
-		GoLeak,
 		ReqTaint,
-		RaceCheck,
 		CtxFlow,
 		LintLint,
 	}
@@ -188,12 +178,11 @@ func All() []*Analyzer {
 // (cmd/repolint -catalog emits the full list as JSON; a drift test
 // fails when the table and the registered set disagree).
 type CatalogEntry struct {
-	Name        string `json:"name"`
-	Doc         string `json:"doc"`
-	Escape      string `json:"escape,omitempty"`
-	Fixture     string `json:"fixture"`
-	NeedsModule bool   `json:"needsModule,omitempty"`
-	TestFiles   bool   `json:"testFiles,omitempty"`
+	Name      string `json:"name"`
+	Doc       string `json:"doc"`
+	Escape    string `json:"escape,omitempty"`
+	Fixture   string `json:"fixture"`
+	TestFiles bool   `json:"testFiles,omitempty"`
 }
 
 // Catalog lists every registered analyzer in suite order with its
@@ -202,14 +191,13 @@ func Catalog() []CatalogEntry {
 	var out []CatalogEntry
 	for _, a := range All() {
 		e := CatalogEntry{
-			Name:        a.Name,
-			Doc:         a.Doc,
-			Fixture:     "testdata/" + a.Name + "/",
-			NeedsModule: a.NeedsModule,
-			TestFiles:   a.TestFiles,
+			Name:      a.Name,
+			Doc:       a.Doc,
+			Fixture:   "testdata/" + a.Name + "/",
+			TestFiles: a.TestFiles,
 		}
-		for dir, info := range knownDirectives {
-			if info.Owner == a.Name && info.Kind == directiveEscape {
+		for dir, owner := range knownDirectives {
+			if owner == a.Name {
 				e.Escape = "//lint:" + dir
 			}
 		}
@@ -294,13 +282,9 @@ func hasPathSegment(path, seg string) bool {
 	return false
 }
 
-// normalizePath strips go vet test-variant decorations such as
-// "repro/internal/tlr [repro/internal/tlr.test]" and the "_test"
-// external-test suffix.
+// normalizePath strips the "_test" suffix the loader gives external
+// test packages, so they scope like the package they test.
 func normalizePath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
 	return strings.TrimSuffix(path, "_test")
 }
 
@@ -330,45 +314,26 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// directiveKind distinguishes directives that opt code in to a rule
-// (markers) from ones that suppress a diagnostic (escapes).
-type directiveKind int
-
-const (
-	directiveMarker directiveKind = iota
-	directiveEscape
-)
-
-// directiveInfo describes one known //lint: directive: its kind and the
-// analyzer that owns it (consults it when reporting). lintlint uses the
-// table both to flag unknown directives and to decide which analyzer's
-// escape-ignored diagnostics an escape must attach to.
-type directiveInfo struct {
-	Kind  directiveKind
-	Owner string
-}
-
 // knownDirectives is the registry of every //lint: directive the suite
-// understands. New analyzers with escapes must register here or lintlint
-// flags their directives as unknown.
-var knownDirectives = map[string]directiveInfo{
-	"hotpath":       {directiveMarker, "allocfree"},
-	"alloc-ok":      {directiveEscape, "allocfree"},
-	"err-ok":        {directiveEscape, "faultflow"},
-	"lock-ok":       {directiveEscape, "lockorder"},
-	"widen-ok":      {directiveEscape, "precwiden"},
-	"oracle-exempt": {directiveEscape, "oraclereg"},
-	"goleak-ok":     {directiveEscape, "goleak"},
-	"taint-ok":      {directiveEscape, "reqtaint"},
-	"race-ok":       {directiveEscape, "racecheck"},
-	"ctx-ok":        {directiveEscape, "ctxflow"},
+// understands, mapped to the analyzer that owns it (consults it when
+// reporting). Every directive is an escape: it suppresses one diagnostic
+// of its owner. lintlint uses the table both to flag unknown directives
+// and to decide which analyzer's escape-ignored diagnostics an escape
+// must attach to. New analyzers with escapes must register here or
+// lintlint flags their directives as unknown.
+var knownDirectives = map[string]string{
+	"err-ok":        "faultflow",
+	"lock-ok":       "lockorder",
+	"widen-ok":      "precwiden",
+	"oracle-exempt": "oraclereg",
+	"taint-ok":      "reqtaint",
+	"ctx-ok":        "ctxflow",
 }
 
 // markerLines is the escape-aware form analyzers call: when the pass
-// ignores escapes and the directive is an escape (not an opt-in marker
-// like hotpath), no lines are suppressed.
+// ignores escapes, no lines are suppressed.
 func (p *Pass) markerLines(file *ast.File, marker string) map[int]bool {
-	if p.IgnoreEscapes && knownDirectives[marker].Kind == directiveEscape {
+	if p.IgnoreEscapes {
 		return map[int]bool{}
 	}
 	return markerLines(p.Fset, file, marker)
@@ -376,7 +341,7 @@ func (p *Pass) markerLines(file *ast.File, marker string) map[int]bool {
 
 // docHasMarker is the escape-aware form of docHasMarker.
 func (p *Pass) docHasMarker(doc *ast.CommentGroup, marker string) bool {
-	if p.IgnoreEscapes && knownDirectives[marker].Kind == directiveEscape {
+	if p.IgnoreEscapes {
 		return false
 	}
 	return docHasMarker(doc, marker)
@@ -466,4 +431,19 @@ func loopDepth(stack []ast.Node) int {
 		}
 	}
 	return depth
+}
+
+// isFuncLit reports whether n is a function literal; region walkers
+// stop at one because its body is analyzed as its own region.
+func isFuncLit(n ast.Node) bool {
+	_, ok := n.(*ast.FuncLit)
+	return ok
+}
+
+// typeUnder returns the underlying type, tolerating nil.
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
 }

@@ -20,8 +20,8 @@ import (
 // Interface method calls are devirtualized only when the concrete type
 // is locally evident — the receiver is a local variable with exactly one
 // assignment whose right-hand side has a concrete type. Everything else
-// stays Dynamic, and the analyzers built on the graph (transitive
-// allocfree, goleak divergence) treat Dynamic as "cannot prove".
+// stays Dynamic, and the analyzers built on the graph (reqtaint,
+// ctxflow) treat Dynamic as "cannot prove".
 
 // CallSite is one call expression inside a function body, classified by
 // how its target resolved.

@@ -8,9 +8,10 @@ import (
 // This file is the dataflow half of the analyzer suite: a dependency-free
 // intra-procedural control-flow graph built directly from a function
 // body's go/ast. The syntactic analyzers (PR 3) inspect statements in
-// isolation; the CFG lets allocfree skip statically dead blocks, lets
-// faultflow ask "does this error reach a use on *every* path", and lets
-// lockorder propagate the held-mutex set across branches and loops.
+// isolation; the CFG lets faultflow ask "does this error reach a use on
+// *every* path", lets lockorder propagate the held-mutex set across
+// branches and loops, and gives reqtaint and ctxflow their per-function
+// flow regions.
 //
 // Blocks hold only flat statements (assignments, calls, sends, defers,
 // returns, ...) — the bodies of nested if/for/switch/select statements

@@ -43,9 +43,9 @@ import (
 // cancellation point on every entry→exit path — calling it with your
 // ctx is itself a check) and MayBlock (the function contains an
 // unmitigated, unescaped blocking operation — calling it inherits the
-// block). Range over a channel passes (close-to-cancel hand-off, the
-// goleak-verified termination idiom), as do sync.WaitGroup.Wait and
-// mutex acquisition (bounded by goleak/lockorder's disciplines).
+// block). Range over a channel passes (close-to-cancel hand-off), as do
+// sync.WaitGroup.Wait and mutex acquisition (bounded by the joined
+// goroutines' own cancellability and by lockorder's discipline).
 // Escape: //lint:ctx-ok <reason>.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
@@ -53,8 +53,7 @@ var CtxFlow = &Analyzer{
 		"internal/mddserve, internal/mddclient, internal/batch, and internal/fault " +
 		"to be cancellable via ctx.Done()/ctx.Err() or bounded by a deadline " +
 		"(escape: //lint:ctx-ok <reason>)",
-	NeedsModule: true,
-	Run:         runCtxFlow,
+	Run: runCtxFlow,
 }
 
 func ctxflowInScope(path string) bool {
@@ -63,7 +62,7 @@ func ctxflowInScope(path string) bool {
 }
 
 func runCtxFlow(pass *Pass) error {
-	if pass.Module == nil || pass.TestVariant {
+	if pass.TestVariant {
 		return nil
 	}
 	if !ctxflowInScope(pass.Path) {

@@ -7,7 +7,7 @@ import (
 
 // MissingFixtures returns the registered analyzers that have no fixture
 // module under testdataDir (no testdata/<name>/go.mod). Every analyzer
-// must ship `// want` fixtures; repolint's standalone mode fails the
+// must ship `// want` fixtures; repolint fails the
 // whole run when one is missing so a new analyzer cannot land unpinned,
 // and TestFixtureDrift keeps the same invariant in `go test`.
 func MissingFixtures(testdataDir string) []string {

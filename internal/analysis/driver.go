@@ -5,13 +5,12 @@ import (
 	"strings"
 )
 
-// Driver is the standalone repolint engine: one module load, one
-// type-check, shared across every analyzer, with every Module.Cached
-// artifact (call graph, allocation/taint/spawn summaries) memoized per
-// module. The cost of adding an analyzer is its Run time only — the
-// front-loaded load/type-check is paid once. cmd/repolint's standalone
-// mode is a thin wrapper over this; tests drive it directly with a
-// counting loader to pin the single-load property.
+// Driver is the repolint engine: one module load, one type-check,
+// shared across every analyzer, with every Module.Cached artifact (call
+// graph, taint/ctx summaries) memoized per module. The cost of adding
+// an analyzer is its Run time only — the front-loaded load/type-check
+// is paid once. cmd/repolint is a thin wrapper over this; tests drive
+// it directly with a counting loader to pin the single-load property.
 type Driver struct {
 	// Load replaces LoadModule when non-nil, so tests can count how
 	// often the module is loaded.

@@ -19,7 +19,7 @@ func TestDriverSingleLoad(t *testing.T) {
 		},
 	}
 	before := analysis.CallGraphBuilds()
-	diags, mod, err := d.Run("testdata/racecheck", analysis.All())
+	diags, mod, err := d.Run("testdata/ctxflow", analysis.All())
 	if err != nil {
 		t.Fatalf("driver run: %v", err)
 	}

@@ -10,30 +10,21 @@ import (
 // directives are load-bearing — a misspelled //lint:aloc-ok silently
 // suppresses nothing while the author believes the hot path is vouched
 // for, and an escape left behind after the code it excused was fixed
-// rots into misleading documentation. Three rules:
+// rots into misleading documentation. Two rules:
 //
 //  1. every //lint: comment must name a directive from the
 //     knownDirectives registry (misspellings get a nearest-match hint);
 //  2. an escape directive must still attach to a diagnostic: re-running
 //     its owning analyzer with escapes ignored must report on a line the
 //     escape covers (its own line, the line below, or — for escapes in a
-//     declaration's doc comment — anywhere in that declaration);
-//  3. the //lint:hotpath opt-in marker must sit in a function
-//     declaration's doc comment, where allocfree looks for it.
-//
-// For allocfree, rule 2 also counts every local allocation site in every
-// function as a candidate: an //lint:alloc-ok inside a non-hot helper is
-// load-bearing through the summary layer (it keeps the helper's
-// allocation fact clean for its hot callers) even though the
-// escapes-ignored run reports at the caller, not here.
+//     declaration's doc comment — anywhere in that declaration).
 //
 // lintlint runs last in the suite and never re-runs itself.
 var LintLint = &Analyzer{
 	Name: "lintlint",
-	Doc: "flag unknown //lint: directives, stale escapes that no longer " +
-		"suppress any diagnostic, and hotpath markers outside function docs",
-	NeedsModule: true,
-	TestFiles:   true,
+	Doc: "flag unknown //lint: directives and stale escapes that no longer " +
+		"suppress any diagnostic",
+	TestFiles: true,
 }
 
 // Run is wired in init: runLintLint walks All() to find escape owners,
@@ -75,7 +66,7 @@ func runLintLint(pass *Pass) error {
 				if !ok {
 					continue
 				}
-				info, known := knownDirectives[name]
+				owner, known := knownDirectives[name]
 				if !known {
 					hint := ""
 					if near := nearestDirective(name); near != "" {
@@ -84,20 +75,13 @@ func runLintLint(pass *Pass) error {
 					pass.Reportf(c.Pos(), "unknown //lint: directive %q%s (known: %s)", name, hint, directiveNames())
 					continue
 				}
-				pos := pass.Fset.Position(c.Pos())
-				decl := docOwner[c]
-				if info.Kind == directiveMarker {
-					if decl == nil {
-						pass.Reportf(c.Pos(), "//lint:%s must appear in a function declaration's doc comment to take effect", name)
-					}
-					continue
-				}
-				set, known := candsFor(info.Owner)
+				set, known := candsFor(owner)
 				if !known {
 					continue // owner cannot run in this pass; no verdict
 				}
-				if !escapeCovers(pass, set, pos.Filename, pos.Line, decl) {
-					pass.Reportf(c.Pos(), "stale //lint:%s: no %s diagnostic attaches here anymore; delete the escape or move it next to what it excuses", name, info.Owner)
+				pos := pass.Fset.Position(c.Pos())
+				if !escapeCovers(pass, set, pos.Filename, pos.Line, docOwner[c]) {
+					pass.Reportf(c.Pos(), "stale //lint:%s: no %s diagnostic attaches here anymore; delete the escape or move it next to what it excuses", name, owner)
 				}
 			}
 		}
@@ -127,9 +111,9 @@ func escapeCovers(pass *Pass, set map[fileLine]bool, file string, line int, decl
 
 // lintCandidates re-runs the owning analyzer over this pass's package
 // with escapes ignored and collects the lines it reports on. A nil
-// return means the owner cannot produce a verdict here (it needs module
-// context this pass lacks, or skips test-variant packages entirely) —
-// staleness is then not judged rather than misjudged.
+// return means the owner cannot produce a verdict here (it skips
+// test-variant packages entirely) — staleness is then not judged rather
+// than misjudged.
 func lintCandidates(pass *Pass, owner string) map[fileLine]bool {
 	var a *Analyzer
 	for _, cand := range All() {
@@ -140,11 +124,7 @@ func lintCandidates(pass *Pass, owner string) map[fileLine]bool {
 	if a == nil {
 		return nil
 	}
-	if a.NeedsModule && pass.Module == nil {
-		return nil
-	}
-	if pass.TestVariant && (owner == GoLeak.Name || owner == ReqTaint.Name ||
-		owner == RaceCheck.Name || owner == CtxFlow.Name) {
+	if pass.TestVariant && (owner == ReqTaint.Name || owner == CtxFlow.Name) {
 		return nil // these skip test-variant passes; nothing to compare against
 	}
 	var tmp []Diagnostic
@@ -167,22 +147,6 @@ func lintCandidates(pass *Pass, owner string) map[fileLine]bool {
 	for _, d := range tmp {
 		p := pass.Fset.Position(d.Pos)
 		set[fileLine{p.Filename, p.Line}] = true
-	}
-	if owner == AllocFree.Name {
-		// alloc-ok inside any function body is load-bearing through the
-		// summary layer even when the report surfaces at a caller.
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				for _, f := range collectLocalAllocs(pass.Fset, pass.TypesInfo, fd, nil) {
-					p := pass.Fset.Position(f.Pos)
-					set[fileLine{p.Filename, p.Line}] = true
-				}
-			}
-		}
 	}
 	return set
 }

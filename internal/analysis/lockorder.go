@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // LockOrder flags mutex acquisitions held across blocking channel
@@ -35,10 +34,7 @@ var LockOrder = &Analyzer{
 func runLockOrder(pass *Pass) error {
 	// The module root hosts the integration/stress suites, which juggle
 	// the same locks and channels as the serving layer they drive.
-	atRoot := !strings.Contains(normalizePath(pass.Path), "/")
-	if pass.Module != nil {
-		atRoot = normalizePath(pass.Path) == pass.Module.Path
-	}
+	atRoot := normalizePath(pass.Path) == pass.Module.Path
 	if !atRoot && !hasPathSegment(pass.Path, "examples") &&
 		!pathMatches(pass.Path, "internal/batch", "internal/obs",
 			"internal/mddserve", "internal/mddclient", "cmd/mddserve") {
@@ -101,8 +97,7 @@ func checkLockOrder(pass *Pass, fn *ast.FuncDecl, okLines map[int]bool) {
 // lockFixpoint computes the may-held lock set entering each block: a
 // forward fixpoint where in[b] is the union of predecessors' outs (a
 // lock held on any incoming path counts as held). Entry blocks of
-// unreachable regions stay nil. Shared with racecheck, whose lockset
-// discipline must agree with lockorder's exactly.
+// unreachable regions stay nil.
 func lockFixpoint(info *types.Info, cfg *CFG) []lockSet {
 	in := make([]lockSet, len(cfg.Blocks))
 	in[cfg.Entry.Index] = lockSet{}

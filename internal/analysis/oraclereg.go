@@ -27,15 +27,13 @@ var oracleKernelSuffixes = []string{
 // entry points (wrappers whose vector shape does not match the oracle
 // matrix) are annotated //lint:oracle-exempt with a reason.
 //
-// The analyzer needs whole-module context (it resolves references inside
-// internal/testkit), so it runs in cmd/repolint's standalone mode and is
-// skipped under `go vet -vettool`.
+// The analyzer resolves references inside internal/testkit through the
+// pass's whole-module context.
 var OracleReg = &Analyzer{
 	Name: "oraclereg",
 	Doc: "require every exported MulVec-shaped kernel entry point to be referenced " +
 		"from the internal/testkit differential oracle (escape: //lint:oracle-exempt)",
-	NeedsModule: true,
-	Run:         runOracleReg,
+	Run: runOracleReg,
 }
 
 func runOracleReg(pass *Pass) error {

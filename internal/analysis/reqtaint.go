@@ -33,8 +33,7 @@ var ReqTaint = &Analyzer{
 	Doc: "forbid HTTP-request-decoded values in internal/mddserve from sizing " +
 		"allocations, bounding loops, or slicing without an intervening bounds " +
 		"check (escape: //lint:taint-ok <reason>)",
-	NeedsModule: true,
-	Run:         runReqTaint,
+	Run: runReqTaint,
 }
 
 type taintLevel int
@@ -85,7 +84,7 @@ func taintFactsEqual(a, b *taintFact) bool {
 }
 
 func runReqTaint(pass *Pass) error {
-	if pass.Module == nil || pass.TestVariant {
+	if pass.TestVariant {
 		return nil
 	}
 	if !pathMatches(pass.Path, "internal/mddserve") {

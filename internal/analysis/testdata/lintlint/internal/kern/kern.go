@@ -1,39 +1,9 @@
 // Package kern exercises the lintlint directive-hygiene rules: unknown
-// or misspelled //lint: directives, escapes that no longer suppress any
-// diagnostic, and hotpath markers outside function doc comments.
+// or misspelled //lint: directives and escapes that no longer suppress
+// any diagnostic.
 package kern
 
 import "fixture/internal/fault"
-
-// hot is a real hot path whose alloc-ok escape still suppresses a
-// diagnostic: nothing to report.
-//
-//lint:hotpath
-func hot(x, scratch []float64) []float64 {
-	acc := scratch[:0]
-	for _, v := range x {
-		//lint:alloc-ok scratch cap is preallocated to len(x) by the caller
-		acc = append(acc, v)
-	}
-	return acc
-}
-
-// refill is not hot, but its escape is load-bearing through the summary
-// layer: it keeps refill's allocation fact clean for hot callers.
-func refill(buf []float64) []float64 {
-	//lint:alloc-ok slow-path free-list refill, at most once per epoch
-	return append(buf, 0)
-}
-
-// tidy allocates nothing: the escape inside excuses nothing and rots.
-func tidy(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		//lint:alloc-ok this sum does not allocate // want `stale //lint:alloc-ok: no allocfree diagnostic attaches here anymore`
-		s += v
-	}
-	return s
-}
 
 // probe discards a fault error on purpose; the escape is in use.
 func probe() {
@@ -47,24 +17,15 @@ func pure(a, b int) int {
 	return a + b
 }
 
-// typo misspells the escape: the allocation below is NOT suppressed and
-// the author should be told before they trust it.
-func typo(n int) []float64 {
-	//lint:aloc-ok scratch is preallocated // want `unknown //lint: directive "aloc-ok"; did you mean //lint:alloc-ok\?`
-	return make([]float64, n)
+// typo misspells the escape: the discarded error below is NOT suppressed
+// and the author should be told before they trust it.
+func typo() {
+	//lint:eror-ok best-effort probe // want `unknown //lint: directive .eror-ok.; did you mean //lint:err-ok\?`
+	_ = fault.Inject()
 }
 
 // invented uses a directive nothing owns.
 func invented() {
-	//lint:frobnicate // want `unknown //lint: directive "frobnicate" \(known: alloc-ok, err-ok, goleak-ok, hotpath, lock-ok, oracle-exempt, taint-ok, widen-ok\)`
+	//lint:frobnicate // want `unknown //lint: directive .frobnicate. \(known: ctx-ok, err-ok, lock-ok, oracle-exempt, taint-ok, widen-ok\)`
 	_ = 0
-}
-
-// detached carries a hotpath marker in its body, where allocfree never
-// looks: the function is silently unprotected.
-func detached(x []float64) {
-	//lint:hotpath // want `//lint:hotpath must appear in a function declaration's doc comment to take effect`
-	for i := range x {
-		x[i] = 0
-	}
 }

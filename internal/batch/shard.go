@@ -43,7 +43,16 @@ type ShardTask struct {
 // task.Y on success so a retried task leaves no stale partial output.
 type ShardExec func(shard int, task ShardTask) error
 
-// ShardOptions configures a ShardRunner.
+// Retry backoff: the delay before a failed task re-executes starts at
+// backoff and doubles with each attempt, capped at maxBackoff.
+const (
+	backoff    = time.Millisecond
+	maxBackoff = 50 * time.Millisecond
+)
+
+// ShardOptions configures a ShardRunner. A successful execution whose
+// output contains NaN is always treated as a shard failure
+// (corrupted-result detection).
 type ShardOptions struct {
 	// Shards is the number of simulated systems (≥ 1).
 	Shards int
@@ -53,15 +62,6 @@ type ShardOptions struct {
 	// DeathAfter is the consecutive-failure count that declares a shard
 	// dead and triggers failover of its queue (default 2).
 	DeathAfter int
-	// Backoff is the base delay before a failed task re-executes; it
-	// doubles with each attempt (default 1ms). Capped by MaxBackoff
-	// (default 50ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// NoValidate disables the NaN scan of task outputs. By default a
-	// successful execution whose output contains NaN is treated as a
-	// shard failure (corrupted-result detection).
-	NoValidate bool
 	// DisableStealing pins every task to the shard it was dealt to
 	// (except death failover), restoring the strict round-robin draining
 	// order. Tasks are normally scheduled work-stealing: each shard owns
@@ -83,12 +83,6 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	}
 	if o.DeathAfter == 0 {
 		o.DeathAfter = 2
-	}
-	if o.Backoff == 0 {
-		o.Backoff = time.Millisecond
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 50 * time.Millisecond
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -300,7 +294,7 @@ func (r *ShardRunner) worker(shard int, exec ShardExec) {
 
 		obsShardExecs.Add(1)
 		err := exec(shard, task)
-		if err == nil && !r.opts.NoValidate {
+		if err == nil {
 			err = validateOutput(task)
 		}
 
@@ -385,9 +379,9 @@ func (r *ShardRunner) onFailure(shard int, p pendingTask, err error) {
 	r.mu.Unlock()
 
 	// Exponential backoff outside the lock so other shards keep draining.
-	delay := r.opts.Backoff << (p.attempts - 1)
-	if delay > r.opts.MaxBackoff {
-		delay = r.opts.MaxBackoff
+	delay := backoff << (p.attempts - 1)
+	if delay > maxBackoff {
+		delay = maxBackoff
 	}
 	r.opts.Sleep(delay)
 

@@ -198,26 +198,6 @@ func TestShardRunnerNaNValidation(t *testing.T) {
 	checkAllDone(t, tasks) // the corrupted attempt must have been recomputed
 }
 
-func TestShardRunnerNoValidateLetsNaNThrough(t *testing.T) {
-	r, err := NewShardRunner(ShardOptions{Shards: 1, Sleep: noSleep, NoValidate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nan := float32(math.NaN())
-	tasks := makeTasks(1, 1)
-	execs := 0
-	if err := r.Run(tasks, func(shard int, task ShardTask) error {
-		execs++
-		task.Y[0] = complex(nan, nan)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if execs != 1 {
-		t.Errorf("NoValidate re-executed the task %d times", execs)
-	}
-}
-
 func TestShardRunnerRejectsConcurrentRun(t *testing.T) {
 	r, err := NewShardRunner(ShardOptions{Shards: 1, Sleep: noSleep})
 	if err != nil {

@@ -12,12 +12,14 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/testkit/suite"
 )
 
 func TestStressShardRunnerMidFlightRevocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
 	}
+	suite.VerifyNoLeaks(t)
 	for _, shards := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			r, err := NewShardRunner(ShardOptions{Shards: shards, Sleep: noSleep, MaxAttempts: 64, DeathAfter: 1 << 30})
@@ -60,6 +62,7 @@ func TestStressShardRunnerFlakyExecutors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
 	}
+	suite.VerifyNoLeaks(t)
 	r, err := NewShardRunner(ShardOptions{Shards: 6, Sleep: noSleep, MaxAttempts: 32, DeathAfter: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +97,7 @@ func TestStressWorkStealingRankSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
 	}
+	suite.VerifyNoLeaks(t)
 	const shards = 4
 	r, err := NewShardRunner(ShardOptions{Shards: shards, Sleep: noSleep})
 	if err != nil {

@@ -247,7 +247,7 @@ func Run(label string, p Profile) (*Report, error) {
 		return nil, err
 	}
 
-	// --- hot-path allocation budgets: runtime half of the allocfree gate ---
+	// --- hot-path allocation budgets ---
 	if err := hotPathAllocMetrics(add); err != nil {
 		return nil, err
 	}
@@ -324,10 +324,9 @@ func failoverMetrics(add func(name string, value float64, unit, direction string
 
 // hotPathAllocMetrics measures steady-state allocations per op for every
 // kernel in the shared hot-path registry (internal/testkit.HotPaths).
-// The family gates at zero tolerance: the static allocfree analyzer
-// proves the kernels free of allocating constructs at the source level,
-// and these metrics keep that proof honest against escape-analysis and
-// library regressions the analyzer cannot see.
+// The family gates at zero tolerance, so an escape-analysis or library
+// regression that makes a steady-state kernel allocate shows up on the
+// bench trajectory as well as in TestHotPathAllocs.
 func hotPathAllocMetrics(add func(name string, value float64, unit, direction string, gate bool)) error {
 	for _, hp := range testkit.HotPaths() {
 		op, err := hp.Setup()

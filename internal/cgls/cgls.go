@@ -7,9 +7,11 @@
 package cgls
 
 import (
+	"errors"
 	"math"
 	"time"
 
+	"repro/internal/cfloat"
 	"repro/internal/lsqr"
 	"repro/internal/obs"
 )
@@ -46,11 +48,74 @@ type Result struct {
 }
 
 // Solve runs CGLS on the operator (reusing the lsqr.Operator interface).
-// It is the infallible front door over SolveFallible: same iteration,
-// no checkpointing, operator faults impossible by construction.
 func Solve(a lsqr.Operator, b []complex64, opts Options) (*Result, error) {
-	res, _, err := SolveFallible(lsqr.Fallible{Op: a}, b, opts, CheckpointConfig{}, nil)
-	return res, err
+	defer obsSolve.Start().End()
+	m, n := a.Rows(), a.Cols()
+	if len(b) != m {
+		return nil, errors.New("cgls: rhs length mismatch")
+	}
+	if opts.MaxIters <= 0 {
+		opts.MaxIters = 30
+	}
+	if opts.Tol == 0 {
+		opts.Tol = 1e-8
+	}
+	damp2 := complex(float32(opts.Damp*opts.Damp), 0)
+
+	x := make([]complex64, n)
+	r := make([]complex64, m) // r = b − A x (x starts at 0)
+	copy(r, b)
+	s := make([]complex64, n) // s = Aᴴ r, recomputed every iteration
+	a.ApplyAdjoint(r, s)
+	p := make([]complex64, n)
+	copy(p, s)
+	gamma := real2(cfloat.Dotc(s, s))
+	gamma0 := gamma
+	if gamma0 == 0 {
+		return &Result{X: x, Converged: true}, nil
+	}
+	res := &Result{X: x}
+	q := make([]complex64, m)
+	for it := 0; it < opts.MaxIters; it++ {
+		iterSpan := obsIter.Start()
+		a.Apply(p, q)
+		den := real2(cfloat.Dotc(q, q))
+		if opts.Damp > 0 {
+			den += float64(real(damp2)) * real2(cfloat.Dotc(p, p))
+		}
+		if den == 0 {
+			iterSpan.End()
+			break
+		}
+		alpha := complex(float32(gamma/den), 0)
+		cfloat.Axpy(alpha, p, x)
+		cfloat.Axpy(-alpha, q, r)
+		a.ApplyAdjoint(r, s)
+		if opts.Damp > 0 {
+			for i := range s {
+				s[i] -= damp2 * x[i]
+			}
+		}
+		gammaNew := real2(cfloat.Dotc(s, s))
+		res.Iters = it + 1
+		res.ResidualNorm = cfloat.Nrm2(r)
+		res.NormalResidual = sqrt(gammaNew)
+		res.ResidualHistory = append(res.ResidualHistory, res.ResidualNorm)
+		obsIters.Add(1)
+		if d := iterSpan.End(); d > 0 {
+			res.IterTimes = append(res.IterTimes, d)
+		}
+		if gammaNew <= opts.Tol*opts.Tol*gamma0 {
+			res.Converged = true
+			break
+		}
+		beta := complex(float32(gammaNew/gamma), 0)
+		for i := range p {
+			p[i] = s[i] + beta*p[i]
+		}
+		gamma = gammaNew
+	}
+	return res, nil
 }
 
 func real2(c complex64) float64 { return float64(real(c)) }

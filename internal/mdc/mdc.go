@@ -127,8 +127,6 @@ func (k *DenseKernel) Cols() int { return k.Mats[0].Cols }
 
 // Apply implements Kernel. Registered hot path: one MVM per in-band
 // frequency per operator application.
-//
-//lint:hotpath
 func (k *DenseKernel) Apply(f int, x, y []complex64) { k.Mats[f].MulVec(x, y) }
 
 // ApplyAdjoint implements Kernel.
@@ -192,8 +190,6 @@ func (k *TLRKernel) Cols() int { return k.Mats[0].N }
 
 // Apply implements Kernel. Registered hot path: one TLR-MVM per in-band
 // frequency per operator application.
-//
-//lint:hotpath
 func (k *TLRKernel) Apply(f int, x, y []complex64) { k.Mats[f].MulVec(x, y) }
 
 // ApplyAdjoint implements Kernel.
@@ -202,8 +198,6 @@ func (k *TLRKernel) ApplyAdjoint(f int, x, y []complex64) { k.Mats[f].MulVecConj
 // ApplyNormal implements NormalKernel: the fused K_fᴴ K_f pass of
 // tlr.Matrix.MulVecNormal. Registered hot path: one fused TLR normal
 // product per in-band frequency per normal-equation iteration.
-//
-//lint:hotpath
 func (k *TLRKernel) ApplyNormal(f int, x, y []complex64) { k.Mats[f].MulVecNormal(x, y) }
 
 // ApplyChecked implements CheckedKernel.

@@ -12,12 +12,14 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/testkit/suite"
 )
 
 func TestStressFreqOperatorConcurrentApplyAdjoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
 	}
+	suite.VerifyNoLeaks(t)
 	rng := rand.New(rand.NewSource(71))
 	nf, rows, cols := 12, 16, 14
 	k := randKernel(rng, nf, rows, cols)
@@ -80,6 +82,7 @@ func TestStressShardedOperatorMidFlightRevocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
 	}
+	suite.VerifyNoLeaks(t)
 	rng := rand.New(rand.NewSource(72))
 	nf, rows, cols := 24, 10, 8
 	k := randKernel(rng, nf, rows, cols)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mdc"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
+	"repro/internal/testkit/suite"
 	"repro/internal/tlr"
 )
 
@@ -151,6 +152,7 @@ func TestLooserToleranceDegradesSolution(t *testing.T) {
 }
 
 func TestInvertLineParallelMatchesSequential(t *testing.T) {
+	suite.VerifyNoLeaks(t)
 	ds := testDataset(t)
 	p := denseProblem(t, ds)
 	vss := []int{0, 3, 7, 11}

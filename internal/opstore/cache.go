@@ -6,9 +6,9 @@
 //
 // The cache-hit path is lock-free (one atomic pointer load, one LRU
 // tick, two counter bumps — all sync/atomic) and allocation-free; it is
-// registered in both halves of the hot-path registry like every other
-// steady-state kernel. Misses take a mutex, singleflight the page read
-// so concurrent faults on one tile decode it once, and evict
+// registered in the hot-path registry (internal/testkit/hotpath.go) like
+// every other steady-state kernel. Misses take a mutex, singleflight the
+// page read so concurrent faults on one tile decode it once, and evict
 // least-recently-used unpinned tiles until the decoded bytes fit the
 // budget again. Store build time chooses each tile's on-disk precision
 // tier (fp32/fp16/bf16) via a precision.Policy passed to
@@ -105,10 +105,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 
 // Tile returns tile g, serving it from cache when resident. The hit
 // path is one atomic pointer load plus bookkeeping atomics — lock-free
-// and allocation-free, proven in both hot-path registry halves (kernel
-// opstore.tile_hit). Registered hot path.
-//
-//lint:hotpath
+// and allocation-free (hot-path registry kernel opstore.tile_hit).
 func (c *Cache) Tile(g int) (*tlr.Tile, error) {
 	e := &c.entries[g]
 	if t := e.tile.Load(); t != nil {
@@ -147,9 +144,9 @@ func (c *Cache) Unpin(g int) {
 
 // loadSlow is the miss path: singleflight the load under the cache
 // mutex, publish the decoded tile, then evict LRU unpinned tiles until
-// the budget holds again.
-//
-//lint:alloc-ok miss path; decoding a tile from the page store necessarily allocates its panels, and the steady-state hit path never reaches here
+// the budget holds again. Decoding a tile from the page store
+// necessarily allocates its panels; the steady-state hit path never
+// reaches here.
 func (c *Cache) loadSlow(g int) (*tlr.Tile, error) {
 	for {
 		c.mu.Lock()

@@ -13,15 +13,13 @@ import (
 	"repro/internal/wsesim"
 )
 
-// HotPath is one runtime-verifiable kernel of the allocation-budget
-// contract. The static half lives in internal/analysis/hotpath.go: the
-// allocfree analyzer proves the registered functions free of allocating
-// constructs. This registry is the runtime half — every entry's op must
-// measure 0 allocs/op under testing.AllocsPerRun once warmed up
-// (hotpath_alloc_test.go), and the two registries are cross-checked
-// name-for-name so neither can drift alone.
+// HotPath is one kernel of the allocation-budget contract. This
+// registry is the whole contract: every entry's op must measure
+// 0 allocs/op under testing.AllocsPerRun once warmed up
+// (TestHotPathAllocs, tier-1) and benchreport gates the same
+// measurement as hotpath.<Name>.allocs_per_op.
 type HotPath struct {
-	// Name matches HotPathSeed.Kernel in internal/analysis/hotpath.go.
+	// Name is the kernel's name in test output and benchreport rows.
 	Name string
 	// Setup builds the kernel's operands deterministically and returns
 	// the steady-state operation to measure.

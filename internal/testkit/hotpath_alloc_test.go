@@ -3,17 +3,14 @@ package testkit_test
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/testkit"
 )
 
-// TestHotPathAllocs is the runtime half of the allocation-budget
-// contract: every kernel in the hot-path registry must run steady-state
-// with zero allocations per op. The static half (the allocfree
-// analyzer) proves the absence of allocating constructs; this test
-// catches what escapes static reasoning — interface boxing in callees,
-// escape-analysis regressions, scratch that silently stopped being
-// recycled.
+// TestHotPathAllocs is the allocation-budget contract: every kernel in
+// the hot-path registry must run steady-state with zero allocations per
+// op. It measures the compiled code, so it also catches what source
+// inspection cannot — interface boxing in callees, escape-analysis
+// regressions, scratch that silently stopped being recycled.
 func TestHotPathAllocs(t *testing.T) {
 	for _, hp := range testkit.HotPaths() {
 		t.Run(hp.Name, func(t *testing.T) {
@@ -33,39 +30,9 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestHotPathRegistryMatchesSeeds pins the runtime registry to the
-// static one: the analyzer's seeded kernel set and the AllocsPerRun
-// gate must cover exactly the same names, so adding a kernel to either
-// side without the other fails here.
-func TestHotPathRegistryMatchesSeeds(t *testing.T) {
-	static := make(map[string]bool)
-	for _, s := range analysis.HotPathSeeds {
-		static[s.Kernel] = true
-	}
-	runtime := make(map[string]bool)
-	for _, hp := range testkit.HotPaths() {
-		if runtime[hp.Name] {
-			t.Errorf("duplicate runtime registry entry %q", hp.Name)
-		}
-		runtime[hp.Name] = true
-	}
-	for name := range static {
-		if !runtime[name] {
-			t.Errorf("kernel %q is seeded in internal/analysis but has no runtime AllocsPerRun entry", name)
-		}
-	}
-	for name := range runtime {
-		if !static[name] {
-			t.Errorf("kernel %q has a runtime AllocsPerRun entry but is not seeded in internal/analysis", name)
-		}
-	}
-}
-
 // TestHotPathGateDetectsAllocation is the negative control: the same
 // measurement that passes for every registered kernel must flag an op
-// that allocates. Together with the `unhoisted` fixture in
-// internal/analysis/testdata/allocfree, this demonstrates that removing
-// a scratch hoist trips both halves of the gate.
+// that allocates — removing a scratch hoist trips the gate.
 func TestHotPathGateDetectsAllocation(t *testing.T) {
 	op := func() {
 		allocSink = make([]complex64, 64)

@@ -1,0 +1,46 @@
+package suite
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+// leakRecorder stands in for the *testing.T under check: it captures
+// the cleanup and the failure instead of failing the real test.
+type leakRecorder struct {
+	testing.TB
+	cleanup func()
+	failure string
+}
+
+func (r *leakRecorder) Helper()          {}
+func (r *leakRecorder) Cleanup(f func()) { r.cleanup = f }
+func (r *leakRecorder) Errorf(format string, args ...any) {
+	r.failure = format
+}
+
+// TestVerifyNoLeaks is the helper's own control pair: a goroutine that
+// has exited by the end of the test passes, one that is still blocked
+// fails with the stack dump.
+func TestVerifyNoLeaks(t *testing.T) {
+	rec := &leakRecorder{TB: t}
+	verifyNoLeaks(rec, 20*time.Millisecond)
+	done := make(chan struct{})
+	go func() { close(done) }()
+	<-done
+	rec.cleanup()
+	if rec.failure != "" {
+		t.Errorf("joined goroutine reported as a leak: %s", rec.failure)
+	}
+
+	rec = &leakRecorder{TB: t}
+	verifyNoLeaks(rec, 20*time.Millisecond)
+	release := make(chan struct{})
+	defer close(release)
+	go func() { <-release }()
+	rec.cleanup()
+	if !strings.Contains(rec.failure, "goroutine leak") {
+		t.Error("a goroutine still blocked at cleanup was not reported")
+	}
+}

@@ -13,8 +13,6 @@ import "repro/internal/batch"
 // intermediates come from the per-matrix scratch free list, so the
 // steady-state product performs no allocations. workers <= 0 uses
 // GOMAXPROCS. Registered hot path.
-//
-//lint:hotpath
 func (t *Matrix) MulVecBatched(x, y []complex64, workers int) error {
 	if len(x) < t.N || len(y) < t.M {
 		panic("tlr: MulVecBatched vector too short")

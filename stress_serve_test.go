@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/mddclient"
 	"repro/internal/mddserve"
+	"repro/internal/testkit/suite"
 )
 
 // newLocalServer exposes the server on 127.0.0.1:0 for the duration of
@@ -28,6 +29,7 @@ func newLocalServer(t *testing.T, srv *mddserve.Server) *httptest.Server {
 }
 
 func TestStressServeConcurrentJobs(t *testing.T) {
+	suite.VerifyNoLeaks(t)
 	const (
 		tenants   = 4
 		perTenant = 60 // 240 jobs total
@@ -117,6 +119,7 @@ func TestStressServeConcurrentJobs(t *testing.T) {
 // every other job is cancelled right after submission. Nothing may
 // deadlock, double-finish, or leak a tenant slot.
 func TestStressServeCancelStorm(t *testing.T) {
+	suite.VerifyNoLeaks(t)
 	const jobs = 80
 	srv := mddserve.New(mddserve.Config{
 		Workers:           2,
