@@ -12,7 +12,6 @@ FUZZ_TARGETS = \
 	internal/cfloat:FuzzComplexMVMViaFourReal \
 	internal/precision:FuzzF16RoundTrip \
 	internal/precision:FuzzBF16RoundTrip \
-	internal/tlrio:FuzzRead \
 	internal/tlrio:FuzzOpenPaged \
 	internal/tlr:FuzzSoARoundTrip \
 	internal/lsqr:FuzzCheckpointDecode \

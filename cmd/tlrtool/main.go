@@ -1,82 +1,99 @@
 // Command tlrtool manages compressed-kernel files: it runs the §6.1
 // pre-processing (synthesize → Hilbert-sort → TLR-compress) and stores the
-// result in the tlrio binary format, prints stats of existing files, and
-// verifies their integrity.
+// result as a paged TLRP file — the format opstore, mddrun -store-path and
+// mddserve -store-dir read — and prints stats of existing files from
+// their verified index.
 //
-//	tlrtool -compress kernel.tlrk -nb 48 -acc 1e-3
-//	tlrtool -info kernel.tlrk
+//	tlrtool -compress kernel.tlrp -nb 48 -acc 1e-3
+//	tlrtool -info kernel.tlrp
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"repro/internal/mdc"
+	"repro/internal/opstore"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
 	"repro/internal/tlr"
 	"repro/internal/tlrio"
 )
 
-func compress(path string, nb int, acc float64) {
-	opts := seismic.DemoOptions()
-	fmt.Printf("synthesizing %dx%d survey...\n", opts.Geom.NumSources(), opts.Geom.NumReceivers())
+func compress(w io.Writer, path string, opts seismic.Options, nb int, acc float64) error {
+	fmt.Fprintf(w, "synthesizing %dx%d survey...\n", opts.Geom.NumSources(), opts.Geom.NumReceivers())
 	ds, err := seismic.Generate(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hds, _ := ds.Reorder(sfc.Hilbert)
 	dk, err := mdc.NewDenseKernel(hds.K)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("compressing %d frequency matrices (nb=%d, acc=%g)...\n", dk.NumFreqs(), nb, acc)
+	fmt.Fprintf(w, "compressing %d frequency matrices (nb=%d, acc=%g)...\n", dk.NumFreqs(), nb, acc)
 	tk, err := mdc.CompressKernel(dk, tlr.Options{NB: nb, Tol: acc})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	f, err := os.Create(path)
+	if err := opstore.WriteFile(path, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}, nil); err != nil {
+		return err
+	}
+	st, err := os.Stat(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := tlrio.Write(f, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}); err != nil {
-		log.Fatal(err)
-	}
-	st, _ := f.Stat()
-	fmt.Printf("wrote %s: %.2f MB on disk, %.2fx compression vs dense\n",
+	fmt.Fprintf(w, "wrote %s: %.2f MB on disk, %.2fx compression vs dense\n",
 		path, float64(st.Size())/1e6, float64(dk.Bytes())/float64(tk.Bytes()))
+	return nil
 }
 
-func info(path string) {
+// info prints per-matrix stats from the file's CRC-verified index; no
+// tile page is read.
+func info(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
-	k, err := tlrio.Read(f)
+	st, err := f.Stat()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %d frequency matrices (checksum OK)\n", path, len(k.Mats))
-	if len(k.Mats) == 0 {
-		return
+	pf, err := tlrio.OpenPaged(f, st.Size())
+	if err != nil {
+		return err
 	}
-	fmt.Printf("%10s %10s %8s %10s %10s %12s\n",
+	fmt.Fprintf(w, "%s: %d frequency matrices (index checksum OK)\n", path, len(pf.Mats))
+	if len(pf.Mats) == 0 {
+		return nil
+	}
+	fmt.Fprintf(w, "%10s %10s %8s %10s %10s %12s\n",
 		"freq (Hz)", "shape", "nb", "max rank", "avg rank", "compression")
 	var total, dense int64
-	for i, m := range k.Mats {
-		total += m.CompressedBytes()
-		dense += m.DenseBytes()
-		if i%10 == 0 || i == len(k.Mats)-1 {
-			fmt.Printf("%10.2f %6dx%-4d %7d %10d %10.1f %11.2fx\n",
-				k.Freqs[i], m.M, m.N, m.NB, m.MaxRank(), m.AvgRank(), m.CompressionRatio())
+	for i, pm := range pf.Mats {
+		var tlrBytes int64
+		var maxRank, sumRank int
+		for idx, pt := range pm.Tiles {
+			tlrBytes += pm.TileBytes(idx)
+			maxRank = max(maxRank, pt.Rank)
+			sumRank += pt.Rank
+		}
+		denseBytes := int64(pm.M) * int64(pm.N) * 8
+		total += tlrBytes
+		dense += denseBytes
+		if i%10 == 0 || i == len(pf.Mats)-1 {
+			fmt.Fprintf(w, "%10.2f %6dx%-4d %7d %10d %10.1f %11.2fx\n",
+				pm.Freq, pm.M, pm.N, pm.NB, maxRank, float64(sumRank)/float64(len(pm.Tiles)),
+				float64(denseBytes)/float64(tlrBytes))
 		}
 	}
-	fmt.Printf("total: %.2f MB compressed vs %.2f MB dense (%.2fx)\n",
+	fmt.Fprintf(w, "total: %.2f MB compressed vs %.2f MB dense (%.2fx)\n",
 		float64(total)/1e6, float64(dense)/1e6, float64(dense)/float64(total))
+	return nil
 }
 
 func main() {
@@ -86,13 +103,17 @@ func main() {
 	acc := flag.Float64("acc", 1e-3, "tile accuracy for -compress")
 	inf := flag.String("info", "", "print stats of a kernel file")
 	flag.Parse()
+	var err error
 	switch {
 	case *comp != "":
-		compress(*comp, *nb, *acc)
+		err = compress(os.Stdout, *comp, seismic.DemoOptions(), *nb, *acc)
 	case *inf != "":
-		info(*inf)
+		err = info(os.Stdout, *inf)
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }

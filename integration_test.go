@@ -15,6 +15,7 @@ import (
 	"repro/internal/lsqr"
 	"repro/internal/mdc"
 	"repro/internal/mdd"
+	"repro/internal/opstore"
 	"repro/internal/precision"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
@@ -58,16 +59,22 @@ func TestEndToEndPipelineStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// serialize and reload through tlrio
+	// serialize to the paged format and reload through a store whose
+	// budget holds the whole operator
 	var buf bytes.Buffer
-	if err := tlrio.Write(&buf, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}); err != nil {
+	if err := tlrio.WritePaged(&buf, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}, tlrio.PagedOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := tlrio.Read(&buf)
+	st, err := opstore.OpenBytes(buf.Bytes(), tk.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded := &mdc.TLRKernel{Mats: loaded.Mats}
+	reloaded := &mdc.TLRKernel{Mats: make([]*tlr.Matrix, st.NumMats())}
+	for f := range reloaded.Mats {
+		if reloaded.Mats[f], err = st.Matrix(f); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// invert with the reloaded kernel
 	prob, err := mdd.NewProblem(hds, reloaded)
 	if err != nil {

@@ -7,8 +7,10 @@ import (
 
 // FaultFlow guards the fallible API surface PR 4 introduced: errors from
 // internal/fault and internal/ckpt, from the solvers' SolveFallible
-// entry points, and from the CheckedKernel methods
-// (ApplyChecked/ApplyAdjointChecked) exist so shard faults and corrupt
+// entry points, and from any method named ApplyChecked or
+// ApplyAdjointChecked (guarded by name for as long as mdc declares
+// CheckedKernel: bench/ still implements and calls the pair, nothing
+// else in the tree does) exist so shard faults and corrupt
 // checkpoints surface as retryable errors instead of panics — a caller
 // that drops one silently reintroduces exactly the failure mode the
 // fault-tolerant stack was built to remove. This is a dataflow

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -38,7 +37,7 @@ type Profile struct {
 	// NB and Acc configure the TLR compression under test.
 	NB  int
 	Acc float64
-	// MVMReps is the repetition count for kernel timings.
+	// MVMReps sizes the serve job burst (2·MVMReps jobs, at least 8).
 	MVMReps int
 	// SolverIters is the LSQR iteration budget of the MDD solve.
 	SolverIters int
@@ -97,16 +96,6 @@ func Profiles(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("benchreport: unknown profile %q (want short, full, or smoke)", name)
 }
 
-// timeOp runs f reps times after one warm-up call and returns ns/op.
-func timeOp(reps int, f func()) float64 {
-	f()
-	t0 := time.Now()
-	for i := 0; i < reps; i++ {
-		f()
-	}
-	return float64(time.Since(t0).Nanoseconds()) / float64(reps)
-}
-
 // Run executes the curated benchmark set for the profile and assembles
 // the report. Collection on the obs registry is enabled for the duration
 // so the report's Stages section carries the per-stage timers and meters
@@ -145,46 +134,13 @@ func Run(label string, p Profile) (*Report, error) {
 	for i := range x {
 		x[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
 	}
-	y := make([]complex64, tm.M)
-
-	// --- TLR-MVM: sequential AoS reference and the batched parallel path ---
-	flops, bytes := float64(tm.FlopCount()), float64(tm.ByteCount())
-	seqNs := timeOp(p.MVMReps, func() { tm.MulVec(x, y) })
-	add("tlr.mvm.seq.ns_op", seqNs, "ns/op", Lower, false)
-	add("tlr.mvm.seq.gflops", flops/seqNs, "GFlop/s", Higher, false)
-	add("tlr.mvm.seq.gbps", bytes/seqNs, "GB/s", Higher, false)
-
-	var batchErr error
-	batNs := timeOp(p.MVMReps, func() {
-		if err := tm.MulVecBatched(x, y, 0); err != nil {
-			batchErr = err
-		}
-	})
-	if batchErr != nil {
-		return nil, fmt.Errorf("benchreport: batched MVM: %w", batchErr)
-	}
-	add("tlr.mvm.batched.ns_op", batNs, "ns/op", Lower, false)
-	add("tlr.mvm.batched.gflops", flops/batNs, "GFlop/s", Higher, false)
-
-	// --- TLR-MVM split-plane (SoA) paths and the fused normal pass ---
-	soaNs := timeOp(p.MVMReps, func() { tm.MulVecSoA(x, y) })
-	add("tlr.mvm.soa.ns_op", soaNs, "ns/op", Lower, false)
-	add("tlr.mvm.soa.gflops", flops/soaNs, "GFlop/s", Higher, false)
-	add("tlr.mvm.soa.gbps", bytes/soaNs, "GB/s", Higher, false)
-
-	yn := make([]complex64, tm.N)
-	normNs := timeOp(p.MVMReps, func() { tm.MulVecNormal(x, yn) })
-	add("tlr.mvm.normal.ns_op", normNs, "ns/op", Lower, false)
-	// the fused AᴴA pass performs the forward and adjoint flop counts
-	add("tlr.mvm.normal.gflops", 2*flops/normNs, "GFlop/s", Higher, false)
-
 	// Layout/blocking facts: pure functions of the deterministic dataset,
 	// the compression options, and the roofline cache parameters, so they
 	// gate — a drift means the layout or the blocking policy changed.
 	add("tlr.mvm.soa.panel_cols", float64(tm.PanelCols()), "cols", Higher, true)
 	add("tlr.mvm.soa.bytes", float64(tm.SoABytes()), "B", Lower, true)
 
-	// --- MDC apply: the per-frequency operator over the TLR kernel ---
+	// --- MDC kernel: the per-frequency stack, TLR-compressed ---
 	dk, err := mdc.NewDenseKernel(hds.K)
 	if err != nil {
 		return nil, err
@@ -193,18 +149,10 @@ func Run(label string, p Profile) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := &mdc.FreqOperator{K: tk}
-	mx := make([]complex64, op.Cols())
-	for i := range mx {
-		mx[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
-	}
-	my := make([]complex64, op.Rows())
-	mdcNs := timeOp(p.MVMReps, func() { op.Apply(mx, my) })
-	add("mdc.apply.ns_op", mdcNs, "ns/op", Lower, false)
 	add("mdc.kernel.compression_ratio",
 		float64(dk.Bytes())/float64(tk.Bytes()), "x", Higher, true)
 
-	// --- MDD inversion: LSQR solve quality and timing ---
+	// --- MDD inversion: LSQR solve quality ---
 	pipe, err := core.BuildPipeline(core.PipelineOptions{
 		Dataset: p.Dataset, TileSize: p.NB, Accuracy: p.Acc,
 	})
@@ -212,35 +160,27 @@ func Run(label string, p Profile) (*Report, error) {
 		return nil, fmt.Errorf("benchreport: building pipeline: %w", err)
 	}
 	vs := pipe.DS.Geom.NumReceivers() / 2
-	t0 := time.Now()
 	rep, err := pipe.RunMDD(vs, p.SolverIters)
 	if err != nil {
 		return nil, fmt.Errorf("benchreport: MDD solve: %w", err)
 	}
-	solveNs := float64(time.Since(t0).Nanoseconds())
-	add("mdd.solve.ns_op", solveNs, "ns/op", Lower, false)
 	add("mdd.inversion_nmse", rep.InversionNMSE, "nmse", Lower, true)
 	add("mdd.adjoint_nmse", rep.AdjointNMSE, "nmse", Lower, true)
 	add("lsqr.final_residual", rep.FinalResidual, "norm", Lower, true)
 	add("lsqr.iters", float64(rep.Iterations), "iters", Lower, false)
-	if rep.Iterations > 0 {
-		add("lsqr.iter.avg_ns", solveNs/float64(rep.Iterations), "ns/iter", Lower, false)
-	}
 
 	// --- wsesim: executed wafer-scale functional simulation ---
 	mach, err := wsesim.Build(tm, p.SimSW, cs2.DefaultArch())
 	if err != nil {
 		return nil, fmt.Errorf("benchreport: wsesim build: %w", err)
 	}
-	simNs := timeOp(p.MVMReps, func() { mach.MulVec(x, y) })
-	add("wsesim.mulvec.ns_op", simNs, "ns/op", Lower, false)
+	mach.MulVec(x, make([]complex64, tm.M))
 	add("wsesim.model_cycles", float64(mach.ModelCycles()), "cycles", Lower, true)
 	add("wsesim.pes", float64(mach.NumPEs()), "PEs", Lower, true)
 	add("wsesim.worst_sram_bytes", float64(mach.WorstSRAM()), "B", Lower, true)
-	met := mach.TotalMeter()
-	runs := float64(p.MVMReps + 1) // timeOp's warm-up included
-	add("wsesim.executed_bytes_op", float64(met.Bytes())/runs, "B/op", Lower, true)
-	add("wsesim.executed_fmacs_op", float64(met.FMACs)/runs, "fmac/op", Lower, true)
+	met := mach.TotalMeter() // of the one product above
+	add("wsesim.executed_bytes_op", float64(met.Bytes()), "B/op", Lower, true)
+	add("wsesim.executed_fmacs_op", float64(met.FMACs), "fmac/op", Lower, true)
 
 	// --- fault tolerance: deterministic failover overhead ---
 	if err := failoverMetrics(add, tk); err != nil {
@@ -284,7 +224,7 @@ func Run(label string, p Profile) (*Report, error) {
 // fail — so extra executions, retries, and failed-over tasks are a pure
 // function of the schedule and the frequency count, and the metrics can
 // gate.
-func failoverMetrics(add func(name string, value float64, unit, direction string, gate bool), k mdc.CheckedKernel) error {
+func failoverMetrics(add func(name string, value float64, unit, direction string, gate bool), k mdc.Kernel) error {
 	sched, err := fault.Parse("shard2:die@1")
 	if err != nil {
 		return fmt.Errorf("benchreport: fault schedule: %w", err)
@@ -388,8 +328,7 @@ func opstoreMetrics(add func(name string, value float64, unit, direction string,
 // are saturated by construction (exactly one tenant_limit and one
 // queue_full rejection), then a mixed compress/tlrmvm/mdd throughput
 // run sized by the profile. Completion, rejection, and dataset-cache
-// counts are pure functions of the burst shape and gate; the wall-clock
-// throughput and latency percentiles are informational.
+// counts are pure functions of the burst shape and gate.
 func serveMetrics(add func(name string, value float64, unit, direction string, gate bool), p Profile) error {
 	ds := mddserve.DatasetSpec{
 		NsX: p.Dataset.Geom.NsX, NsY: p.Dataset.Geom.NsY,
@@ -463,15 +402,12 @@ func serveMetrics(add func(name string, value float64, unit, direction string, g
 			specs[i] = compress
 		}
 	}
-	lat := make([]float64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	t0 := time.Now()
 	for i := range specs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			start := time.Now()
 			id, err := srv.Submit(specs[i], fmt.Sprintf("tenant%d", i%4))
 			if err != nil {
 				errs[i] = fmt.Errorf("benchreport: serve throughput submit: %w", err)
@@ -485,11 +421,9 @@ func serveMetrics(add func(name string, value float64, unit, direction string, g
 			if st.State != mddserve.StateDone {
 				errs[i] = fmt.Errorf("benchreport: serve job %s ended %s: %s", id, st.State, st.Error)
 			}
-			lat[i] = float64(time.Since(start).Nanoseconds())
 		}(i)
 	}
 	wg.Wait()
-	wall := time.Since(t0).Seconds()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -507,10 +441,6 @@ func serveMetrics(add func(name string, value float64, unit, direction string, g
 	add("serve.admission.rejects.tenant", float64(admStats.RejectsTenant), "rejects", Lower, true)
 	add("serve.cache.misses", delta("serve.cache.misses"), "builds", Lower, true)
 	add("serve.cache.hits", delta("serve.cache.hits"), "hits", Higher, true)
-	add("serve.throughput.jobs_per_sec", float64(n)/wall, "jobs/s", Higher, false)
-	sort.Float64s(lat)
-	add("serve.job.latency.p50_ns", lat[n/2], "ns", Lower, false)
-	add("serve.job.latency.p99_ns", lat[min(n-1, n*99/100)], "ns", Lower, false)
 	return nil
 }
 

@@ -8,20 +8,17 @@ import (
 	"repro/internal/obs"
 )
 
-// requiredMetrics are the acceptance-criteria coverage set: TLR-MVM in
-// its sequential, SoA and batched execution styles, MDC apply, the LSQR solve, and the wsesim
-// cycle counts.
+// requiredMetrics are the acceptance-criteria coverage set: one gated
+// row from each layer the report walks — TLR compression and SoA layout,
+// the MDC kernel, the LSQR solve, and the wsesim cycle counts.
 var requiredMetrics = []string{
-	"tlr.mvm.seq.ns_op",
-	"tlr.mvm.soa.ns_op",
-	"tlr.mvm.batched.ns_op",
-	"mdc.apply.ns_op",
-	"mdd.solve.ns_op",
+	"tlr.compression_ratio",
+	"tlr.mvm.soa.bytes",
+	"mdc.kernel.compression_ratio",
 	"mdd.inversion_nmse",
 	"lsqr.final_residual",
 	"wsesim.model_cycles",
 	"wsesim.executed_bytes_op",
-	"tlr.compression_ratio",
 }
 
 func TestRunSmokeProfile(t *testing.T) {

@@ -1,12 +1,12 @@
 // Package fault is the deterministic fault-injection layer behind the
 // chaos tests: a Schedule names exactly which invocation of which
-// target (a simulated CS-2 shard, the whole operator, a kernel) fails
+// target (a simulated CS-2 shard, the whole operator) fails
 // and how — transient error, sticky death, NaN-corrupted output, or
 // injected latency. Schedules are keyed on invocation counts, not
 // clocks or random draws, so a chaos run is exactly reproducible: the
 // same schedule against the same workload fires the same faults at the
-// same points every time. Wrappers for mdc kernels, lsqr operators, and
-// batch shard executors live in wrap.go.
+// same points every time. Wrappers for lsqr operators and batch shard
+// executors live in wrap.go.
 package fault
 
 import (

@@ -1,10 +1,9 @@
-// Wrappers that attach an Injector to the three layers of the execution
-// stack: per-frequency kernels (mdc.CheckedKernel), whole operators
-// (lsqr.FallibleOperator), and simulated CS-2 shard executors
-// (batch.ShardExec). Each wrapper advances its target's invocation
-// count, fails or delays per the schedule, and corrupts outputs to NaN
-// for NaN events — downstream validation must catch the corruption, not
-// the wrapper.
+// Wrappers that attach an Injector to the two seams where errors enter
+// the execution stack: whole operators (lsqr.FallibleOperator) and
+// simulated CS-2 shard executors (batch.ShardExec). Each wrapper
+// advances its target's invocation count, fails or delays per the
+// schedule, and corrupts outputs to NaN for NaN events — downstream
+// validation must catch the corruption, not the wrapper.
 package fault
 
 import (
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/lsqr"
-	"repro/internal/mdc"
 )
 
 // corrupt overwrites y's first element with NaN — the minimal silent
@@ -23,53 +21,6 @@ func corrupt(y []complex64) {
 		nan := float32(math.NaN())
 		y[0] = complex(nan, nan)
 	}
-}
-
-// Kernel wraps a CheckedKernel with fault injection on its checked
-// products (one injector invocation per per-frequency product). The
-// infallible Apply/ApplyAdjoint pass through untouched — faults belong
-// on the fallible path the schedulers use.
-type Kernel struct {
-	mdc.CheckedKernel
-	Inj *Injector
-	// Target is the injector stream name, default "kernel".
-	Target string
-}
-
-// WrapKernel attaches inj to k under the given target name.
-func WrapKernel(k mdc.CheckedKernel, inj *Injector, target string) *Kernel {
-	if target == "" {
-		target = "kernel"
-	}
-	return &Kernel{CheckedKernel: k, Inj: inj, Target: target}
-}
-
-// ApplyChecked implements mdc.CheckedKernel with injection.
-func (k *Kernel) ApplyChecked(f int, x, y []complex64) error {
-	if dec := k.Inj.Advance(k.Target); dec.Err != nil {
-		return dec.Err
-	} else if dec.NaN {
-		if err := k.CheckedKernel.ApplyChecked(f, x, y); err != nil {
-			return err
-		}
-		corrupt(y)
-		return nil
-	}
-	return k.CheckedKernel.ApplyChecked(f, x, y)
-}
-
-// ApplyAdjointChecked implements mdc.CheckedKernel with injection.
-func (k *Kernel) ApplyAdjointChecked(f int, x, y []complex64) error {
-	if dec := k.Inj.Advance(k.Target); dec.Err != nil {
-		return dec.Err
-	} else if dec.NaN {
-		if err := k.CheckedKernel.ApplyAdjointChecked(f, x, y); err != nil {
-			return err
-		}
-		corrupt(y)
-		return nil
-	}
-	return k.CheckedKernel.ApplyAdjointChecked(f, x, y)
 }
 
 // Operator wraps a FallibleOperator with fault injection on whole

@@ -8,8 +8,9 @@ import (
 	"repro/internal/dense"
 )
 
-// emptyKernel reports zero frequencies, a degenerate shape the checked
-// paths must treat as a no-op rather than an index panic.
+// emptyKernel reports zero frequencies, a degenerate shape the
+// operators must treat as a no-op rather than an index panic. It
+// implements mdc.Kernel and nothing more.
 type emptyKernel struct{}
 
 func (emptyKernel) NumFreqs() int                        { return 0 }
@@ -18,25 +19,13 @@ func (emptyKernel) Cols() int                            { return 3 }
 func (emptyKernel) Apply(f int, x, y []complex64)        {}
 func (emptyKernel) ApplyAdjoint(f int, x, y []complex64) {}
 func (emptyKernel) Bytes() int64                         { return 0 }
-func (emptyKernel) ApplyChecked(f int, x, y []complex64) error {
-	return checkKernelArgs(emptyKernel{}, f, x, y, false)
-}
-func (emptyKernel) ApplyAdjointChecked(f int, x, y []complex64) error {
-	return checkKernelArgs(emptyKernel{}, f, x, y, true)
-}
 
 func TestFreqOperatorZeroFrequencies(t *testing.T) {
 	op := &FreqOperator{K: emptyKernel{}}
 	if op.Rows() != 0 || op.Cols() != 0 {
 		t.Fatalf("zero-frequency operator is %dx%d, want 0x0", op.Rows(), op.Cols())
 	}
-	if err := op.ApplyChecked(nil, nil); err != nil {
-		t.Errorf("forward no-op: %v", err)
-	}
-	if err := op.ApplyAdjointChecked(nil, nil); err != nil {
-		t.Errorf("adjoint no-op: %v", err)
-	}
-	// the panicking entry points must also be no-ops, not crashes
+	// the panicking entry points must be no-ops, not crashes
 	op.Apply(nil, nil)
 	op.ApplyAdjoint(nil, nil)
 }
@@ -64,9 +53,7 @@ func TestFreqOperatorSingleFrequency(t *testing.T) {
 	// workers far beyond nf must not deadlock or duplicate work
 	op := &FreqOperator{K: k, Workers: 16}
 	y := make([]complex64, 6)
-	if err := op.ApplyChecked(x, y); err != nil {
-		t.Fatal(err)
-	}
+	op.Apply(x, y)
 	for i := range want {
 		if y[i] != want[i] {
 			t.Fatalf("element %d: %v vs %v", i, y[i], want[i])
@@ -83,17 +70,24 @@ func TestFreqOperatorShortVectors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		err  error
+		call func()
+		want string
 	}{
-		{"short forward input", op.ApplyChecked(x[:len(x)-1], y)},
-		{"short forward output", op.ApplyChecked(x, y[:len(y)-1])},
-		{"short adjoint input", op.ApplyAdjointChecked(y[:len(y)-1], x)},
-		{"short adjoint output", op.ApplyAdjointChecked(y, x[:len(x)-1])},
+		{"short forward input", func() { op.Apply(x[:len(x)-1], y) }, "FreqOperator input has 14 elements, want 15"},
+		{"short forward output", func() { op.Apply(x, y[:len(y)-1]) }, "FreqOperator output has 11 elements, want 12"},
+		{"short adjoint input", func() { op.ApplyAdjoint(y[:len(y)-1], x) }, "FreqOperator input has 11 elements, want 12"},
+		{"short adjoint output", func() { op.ApplyAdjoint(y, x[:len(x)-1]) }, "FreqOperator output has 14 elements, want 15"},
 	}
 	for _, c := range cases {
-		if c.err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: panic value %v, want an error naming %q", c.name, err, c.want)
+				}
+			}()
+			c.call()
+		}()
 	}
 }
 
@@ -111,39 +105,6 @@ func TestShardedOperatorShortVectors(t *testing.T) {
 	}
 	if err := op.ApplyAdjoint(y, x[:len(x)-1]); err == nil {
 		t.Error("short adjoint output: no error")
-	}
-}
-
-func TestCheckedKernelBadFrequency(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	k := randKernel(rng, 2, 4, 3)
-	x := make([]complex64, 3)
-	y := make([]complex64, 4)
-	for _, f := range []int{-1, 2, 100} {
-		if err := k.ApplyChecked(f, x, y); err == nil || !strings.Contains(err.Error(), "frequency") {
-			t.Errorf("frequency %d: err = %v, want frequency-range error", f, err)
-		}
-		if err := k.ApplyAdjointChecked(f, y, x); err == nil {
-			t.Errorf("adjoint frequency %d: no error", f)
-		}
-	}
-}
-
-func TestCheckedKernelShortVectors(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	k := randKernel(rng, 2, 4, 3)
-	if err := k.ApplyChecked(0, make([]complex64, 2), make([]complex64, 4)); err == nil {
-		t.Error("short input accepted")
-	}
-	if err := k.ApplyChecked(0, make([]complex64, 3), make([]complex64, 3)); err == nil {
-		t.Error("short output accepted")
-	}
-	// adjoint swaps the roles: input must be Rows-long, output Cols-long
-	if err := k.ApplyAdjointChecked(0, make([]complex64, 3), make([]complex64, 3)); err == nil {
-		t.Error("short adjoint input accepted")
-	}
-	if err := k.ApplyAdjointChecked(0, make([]complex64, 4), make([]complex64, 2)); err == nil {
-		t.Error("short adjoint output accepted")
 	}
 }
 

@@ -63,38 +63,17 @@ type NormalKernel interface {
 	ApplyNormal(f int, x, y []complex64)
 }
 
-// CheckedKernel is the fallible kernel surface the fault-tolerant
-// execution stack is built on: the same per-frequency products, but a
-// bad frequency index, a short vector, or a shard-level fault comes back
-// as an error the scheduler can retry or fail over, never as a panic
-// that takes the whole fan-out down. Both built-in kernels implement it;
-// fault-injection wrappers (internal/fault) preserve it.
+// CheckedKernel is the retired fallible twin of Kernel. Nothing in the
+// tree implements or consumes it: operators validate the frequency-major
+// vectors once and hand kernels exact-length blocks, so a kernel product
+// cannot fail, and faults enter at batch.ShardExec and
+// lsqr.FallibleOperator. The declaration stays only because bench/
+// (frozen by BENCHMARK.json) names the type; it goes in the next
+// benchmark revision.
 type CheckedKernel interface {
 	Kernel
-	// ApplyChecked computes y = K_f x, reporting invalid inputs or
-	// execution faults as errors.
 	ApplyChecked(f int, x, y []complex64) error
-	// ApplyAdjointChecked computes y = K_fᴴ x likewise.
 	ApplyAdjointChecked(f int, x, y []complex64) error
-}
-
-// checkKernelArgs validates a per-frequency product's arguments against
-// the kernel's shape.
-func checkKernelArgs(k Kernel, f int, x, y []complex64, adjoint bool) error {
-	if f < 0 || f >= k.NumFreqs() {
-		return fmt.Errorf("mdc: frequency %d outside [0,%d)", f, k.NumFreqs())
-	}
-	nin, nout := k.Cols(), k.Rows()
-	if adjoint {
-		nin, nout = nout, nin
-	}
-	if len(x) < nin {
-		return fmt.Errorf("mdc: frequency %d input has %d elements, want %d", f, len(x), nin)
-	}
-	if len(y) < nout {
-		return fmt.Errorf("mdc: frequency %d output has %d elements, want %d", f, len(y), nout)
-	}
-	return nil
 }
 
 // DenseKernel wraps a stack of dense frequency matrices.
@@ -131,24 +110,6 @@ func (k *DenseKernel) Apply(f int, x, y []complex64) { k.Mats[f].MulVec(x, y) }
 
 // ApplyAdjoint implements Kernel.
 func (k *DenseKernel) ApplyAdjoint(f int, x, y []complex64) { k.Mats[f].MulVecConjTrans(x, y) }
-
-// ApplyChecked implements CheckedKernel.
-func (k *DenseKernel) ApplyChecked(f int, x, y []complex64) error {
-	if err := checkKernelArgs(k, f, x, y, false); err != nil {
-		return err
-	}
-	k.Mats[f].MulVec(x, y)
-	return nil
-}
-
-// ApplyAdjointChecked implements CheckedKernel.
-func (k *DenseKernel) ApplyAdjointChecked(f int, x, y []complex64) error {
-	if err := checkKernelArgs(k, f, x, y, true); err != nil {
-		return err
-	}
-	k.Mats[f].MulVecConjTrans(x, y)
-	return nil
-}
 
 // Bytes implements Kernel.
 func (k *DenseKernel) Bytes() int64 {
@@ -200,24 +161,6 @@ func (k *TLRKernel) ApplyAdjoint(f int, x, y []complex64) { k.Mats[f].MulVecConj
 // product per in-band frequency per normal-equation iteration.
 func (k *TLRKernel) ApplyNormal(f int, x, y []complex64) { k.Mats[f].MulVecNormal(x, y) }
 
-// ApplyChecked implements CheckedKernel.
-func (k *TLRKernel) ApplyChecked(f int, x, y []complex64) error {
-	if err := checkKernelArgs(k, f, x, y, false); err != nil {
-		return err
-	}
-	k.Mats[f].MulVec(x, y)
-	return nil
-}
-
-// ApplyAdjointChecked implements CheckedKernel.
-func (k *TLRKernel) ApplyAdjointChecked(f int, x, y []complex64) error {
-	if err := checkKernelArgs(k, f, x, y, true); err != nil {
-		return err
-	}
-	k.Mats[f].MulVecConjTrans(x, y)
-	return nil
-}
-
 // Bytes implements Kernel.
 func (k *TLRKernel) Bytes() int64 {
 	var b int64
@@ -245,33 +188,20 @@ func (op *FreqOperator) Rows() int { return op.K.NumFreqs() * op.K.Rows() }
 // Cols implements lsqr.Operator: total model length nf·nrec.
 func (op *FreqOperator) Cols() int { return op.K.NumFreqs() * op.K.Cols() }
 
-// Apply implements lsqr.Operator. It panics on invalid vectors; callers
-// that need error propagation (the fault-tolerant stack) use
-// ApplyChecked instead.
+// Apply implements lsqr.Operator. It panics on invalid vectors; faults
+// the stack must survive enter one level up (ShardedFreqOperator,
+// lsqr.FallibleOperator), never at a kernel.
 func (op *FreqOperator) Apply(x, y []complex64) {
 	if err := op.run(x, y, forward); err != nil {
 		panic(err)
 	}
 }
 
-// ApplyAdjoint implements lsqr.Operator. It panics on invalid vectors;
-// the fallible variant is ApplyAdjointChecked.
+// ApplyAdjoint implements lsqr.Operator. It panics on invalid vectors.
 func (op *FreqOperator) ApplyAdjoint(x, y []complex64) {
 	if err := op.run(x, y, adjoint); err != nil {
 		panic(err)
 	}
-}
-
-// ApplyChecked computes y = K x, reporting short vectors and
-// per-frequency kernel faults as errors instead of panicking — the
-// entry point the fault-tolerant execution stack calls.
-func (op *FreqOperator) ApplyChecked(x, y []complex64) error {
-	return op.run(x, y, forward)
-}
-
-// ApplyAdjointChecked computes y = Kᴴ x with error propagation.
-func (op *FreqOperator) ApplyAdjointChecked(x, y []complex64) error {
-	return op.run(x, y, adjoint)
 }
 
 // ApplyNormal implements lsqr.NormalOperator. The operator is
@@ -297,43 +227,12 @@ func (op *FreqOperator) run(x, y []complex64, dir product) error {
 		return err
 	}
 	workers := poolSize(b.nf, op.Workers)
-	ck, checked := op.K.(CheckedKernel)
-	nk, fused := op.K.(NormalKernel)
 	// the unfused normal map needs K_f x_f between its two passes: one
 	// data-grid vector per worker, not per frequency
-	m := op.K.Rows()
-	var mid []complex64
-	if dir == normal && !fused {
-		mid = make([]complex64, workers*m)
-	}
-	errs := make([]error, b.nf)
+	mid := make([]complex64, workers*b.mid)
 	fanOut(b.nf, workers, func(w, f int) {
-		xf, yf := b.in(x, f), b.out(y, f)
-		switch {
-		case dir == normal && fused:
-			nk.ApplyNormal(f, xf, yf)
-		case dir == normal:
-			q := mid[w*m : (w+1)*m]
-			op.K.Apply(f, xf, q)
-			op.K.ApplyAdjoint(f, q, yf)
-		case checked && dir == adjoint:
-			errs[f] = ck.ApplyAdjointChecked(f, xf, yf)
-		case checked:
-			errs[f] = ck.ApplyChecked(f, xf, yf)
-		case dir == adjoint:
-			op.K.ApplyAdjoint(f, xf, yf)
-		default:
-			op.K.Apply(f, xf, yf)
-		}
-		if errs[f] == nil {
-			b.rescale(yf)
-		}
+		b.apply(f, b.in(x, f), b.out(y, f), mid[w*b.mid:(w+1)*b.mid])
 	})
-	for f, err := range errs {
-		if err != nil {
-			return fmt.Errorf("mdc: frequency %d: %w", f, err)
-		}
-	}
 	return nil
 }
 
@@ -347,31 +246,64 @@ const (
 	normal                 // y_f = K_fᴴ K_f x_f
 )
 
-// freqBlocks is the frequency-major shape of one product over a kernel
-// stack — nf blocks of nin inputs and nout outputs — plus the factor
+// freqBlocks is one product over a kernel stack in frequency-major
+// shape — nf blocks of nin inputs and nout outputs — plus the factor
 // every output block is multiplied by. The one place the operators
 // (FreqOperator, TimeOperator, ShardedFreqOperator) resolve scale,
-// check bounds, and slice per frequency.
+// check bounds, slice per frequency, and pick the kernel method.
 type freqBlocks struct {
+	k   Kernel
+	dir product
+	// fused is k's one-pass K_fᴴ K_f, set for a normal product over a
+	// NormalKernel; mid is the K_f x_f scratch length the two-pass
+	// composition needs instead (Rows, zero for every other product).
+	fused         NormalKernel
+	mid           int
 	nf, nin, nout int
 	scale         complex64
 }
 
-// shapeFor resolves the block shape of k in direction dir. A zero
-// scale means unscaled; the normal map applies the scale twice.
+// shapeFor resolves the product of k in direction dir. A zero scale
+// means unscaled; the normal map applies the scale twice.
 func shapeFor(k Kernel, dir product, scale float32) freqBlocks {
-	b := freqBlocks{nf: k.NumFreqs(), nin: k.Cols(), nout: k.Rows(), scale: 1}
+	b := freqBlocks{k: k, dir: dir, nf: k.NumFreqs(), nin: k.Cols(), nout: k.Rows(), scale: 1}
 	switch dir {
 	case adjoint:
 		b.nin, b.nout = b.nout, b.nin
 	case normal:
 		b.nout = b.nin
 		scale *= scale
+		if nk, ok := k.(NormalKernel); ok {
+			b.fused = nk
+		} else {
+			b.mid = k.Rows()
+		}
 	}
 	if scale != 0 {
 		b.scale = complex(scale, 0)
 	}
 	return b
+}
+
+// apply computes output block yf of frequency f from input block xf.
+// Kernels are infallible here: check has validated the vectors, so
+// every block has its exact length and f is in range. mid is the
+// caller's b.mid-long scratch.
+func (b freqBlocks) apply(f int, xf, yf, mid []complex64) {
+	switch {
+	case b.dir == forward:
+		b.k.Apply(f, xf, yf)
+	case b.dir == adjoint:
+		b.k.ApplyAdjoint(f, xf, yf)
+	case b.fused != nil:
+		b.fused.ApplyNormal(f, xf, yf)
+	default:
+		b.k.Apply(f, xf, mid)
+		b.k.ApplyAdjoint(f, mid, yf)
+	}
+	if b.scale != 1 {
+		cfloat.Scal(b.scale, yf)
+	}
 }
 
 // check validates the frequency-major vectors of one product.
@@ -387,13 +319,6 @@ func (b freqBlocks) check(who string, x, y []complex64) error {
 
 func (b freqBlocks) in(x []complex64, f int) []complex64  { return x[f*b.nin : (f+1)*b.nin] }
 func (b freqBlocks) out(y []complex64, f int) []complex64 { return y[f*b.nout : (f+1)*b.nout] }
-
-// rescale applies the output factor to one computed block.
-func (b freqBlocks) rescale(yf []complex64) {
-	if b.scale != 1 {
-		cfloat.Scal(b.scale, yf)
-	}
-}
 
 // poolSize resolves a Workers field (0 = GOMAXPROCS) against nf
 // independent frequencies.
@@ -546,13 +471,7 @@ func (op *TimeOperator) run(x, y []complex64, dir product) {
 	// K (or Kᴴ) per frequency
 	yf := make([]complex64, b.nf*b.nout)
 	fanOut(b.nf, op.Workers, func(_, f int) {
-		in, out := b.in(xf, f), b.out(yf, f)
-		if dir == adjoint {
-			op.K.ApplyAdjoint(f, in, out)
-		} else {
-			op.K.Apply(f, in, out)
-		}
-		b.rescale(out)
+		b.apply(f, b.in(xf, f), b.out(yf, f), nil)
 	})
 	// Sᴴ: zero-pad the band back onto the DFT grid, unitary inverse FFT
 	op.SynthesizeTime(yf, y, b.nout)

@@ -25,7 +25,7 @@ var obsSharded = [...]*obs.Timer{
 // scheduled onto simulated CS-2 shards, and all faults surface as
 // errors. It satisfies lsqr.FallibleOperator.
 type ShardedFreqOperator struct {
-	K     CheckedKernel
+	K     Kernel
 	Scale float32
 	// Runner owns shard health across calls: a shard that dies during
 	// Apply stays dead for the following ApplyAdjoint, like a failed
@@ -38,7 +38,7 @@ type ShardedFreqOperator struct {
 
 // NewShardedFreqOperator builds the operator with a fresh runner of the
 // given shard count and default retry policy.
-func NewShardedFreqOperator(k CheckedKernel, scale float32, shards int) (*ShardedFreqOperator, error) {
+func NewShardedFreqOperator(k Kernel, scale float32, shards int) (*ShardedFreqOperator, error) {
 	r, err := batch.NewShardRunner(batch.ShardOptions{Shards: shards})
 	if err != nil {
 		return nil, err
@@ -77,17 +77,10 @@ func (op *ShardedFreqOperator) run(x, y []complex64, dir product) error {
 	for f := range tasks {
 		tasks[f] = batch.ShardTask{ID: f, X: b.in(x, f), Y: b.out(y, f)}
 	}
+	// the product itself cannot fail; errors come from Intercept and the
+	// runner's output scan
 	exec := func(shard int, t batch.ShardTask) error {
-		var err error
-		if dir == adjoint {
-			err = op.K.ApplyAdjointChecked(t.ID, t.X, t.Y)
-		} else {
-			err = op.K.ApplyChecked(t.ID, t.X, t.Y)
-		}
-		if err != nil {
-			return err
-		}
-		b.rescale(t.Y)
+		b.apply(t.ID, t.X, t.Y, nil)
 		return nil
 	}
 	if op.Intercept != nil {

@@ -43,10 +43,7 @@ func TestStressFreqOperatorConcurrentApplyAdjoint(t *testing.T) {
 				adj := make([]complex64, nf*cols)
 				go func(g int) {
 					defer wg.Done()
-					if err := op.ApplyChecked(x, fwd); err != nil {
-						errs[2*g] = err
-						return
-					}
+					op.Apply(x, fwd)
 					for i := range refFwd {
 						if fwd[i] != refFwd[i] {
 							errs[2*g] = fmt.Errorf("forward element %d drifted under concurrency", i)
@@ -56,10 +53,7 @@ func TestStressFreqOperatorConcurrentApplyAdjoint(t *testing.T) {
 				}(g)
 				go func(g int) {
 					defer wg.Done()
-					if err := op.ApplyAdjointChecked(z, adj); err != nil {
-						errs[2*g+1] = err
-						return
-					}
+					op.ApplyAdjoint(z, adj)
 					for i := range refAdj {
 						if adj[i] != refAdj[i] {
 							errs[2*g+1] = fmt.Errorf("adjoint element %d drifted under concurrency", i)

@@ -103,12 +103,7 @@ func InvertResilient(a lsqr.FallibleOperator, b []complex64, opts ResilientOptio
 
 // ShardedOperator returns the fault-tolerant MDC operator for this
 // problem: the same per-frequency products as Operator(), scheduled
-// onto the given number of simulated CS-2 shards. The problem's kernel
-// must implement mdc.CheckedKernel (both built-in kernels do).
+// onto the given number of simulated CS-2 shards.
 func (p *Problem) ShardedOperator(shards int) (*mdc.ShardedFreqOperator, error) {
-	ck, ok := p.K.(mdc.CheckedKernel)
-	if !ok {
-		return nil, fmt.Errorf("mdd: kernel %T does not support checked products", p.K)
-	}
-	return mdc.NewShardedFreqOperator(ck, float32(p.DS.DArea), shards)
+	return mdc.NewShardedFreqOperator(p.K, float32(p.DS.DArea), shards)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dense"
 	"repro/internal/lsqr"
+	"repro/internal/seismic"
 )
 
 // dyingOp fails every product from invocation failFrom on — a fault no
@@ -75,19 +76,29 @@ func TestInvertResilientZeroRHS(t *testing.T) {
 	}
 }
 
-func TestShardedOperatorRejectsUncheckedKernel(t *testing.T) {
-	p := &Problem{K: uncheckedKernel{}}
-	if _, err := p.ShardedOperator(2); err == nil {
-		t.Error("kernel without checked products should be rejected")
+// TestShardedOperatorAcceptsPlainKernel: the sharded route needs
+// nothing of a kernel beyond mdc.Kernel — faults enter at the shard
+// executor, not at the kernel.
+func TestShardedOperatorAcceptsPlainKernel(t *testing.T) {
+	p := &Problem{DS: &seismic.Dataset{DArea: 1}, K: plainKernel{}}
+	op, err := p.ShardedOperator(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Apply(make([]complex64, 1), make([]complex64, 1)); err != nil {
+		t.Errorf("sharded product over a plain kernel: %v", err)
+	}
+	if _, err := p.ShardedOperator(0); err == nil {
+		t.Error("zero shards accepted")
 	}
 }
 
-// uncheckedKernel implements only the panicking mdc.Kernel surface.
-type uncheckedKernel struct{}
+// plainKernel implements mdc.Kernel and nothing more.
+type plainKernel struct{}
 
-func (uncheckedKernel) NumFreqs() int                        { return 1 }
-func (uncheckedKernel) Rows() int                            { return 1 }
-func (uncheckedKernel) Cols() int                            { return 1 }
-func (uncheckedKernel) Apply(f int, x, y []complex64)        {}
-func (uncheckedKernel) ApplyAdjoint(f int, x, y []complex64) {}
-func (uncheckedKernel) Bytes() int64                         { return 0 }
+func (plainKernel) NumFreqs() int                        { return 1 }
+func (plainKernel) Rows() int                            { return 1 }
+func (plainKernel) Cols() int                            { return 1 }
+func (plainKernel) Apply(f int, x, y []complex64)        {}
+func (plainKernel) ApplyAdjoint(f int, x, y []complex64) {}
+func (plainKernel) Bytes() int64                         { return 0 }

@@ -229,7 +229,7 @@ type built struct {
 	err   error
 
 	prob  *mdd.Problem
-	ck    mdc.CheckedKernel
+	ck    mdc.Kernel
 	scale float32
 	// slice is the TLR-compressed middle frequency slice used by
 	// compress and tlrmvm jobs.
@@ -735,6 +735,9 @@ func buildProblem(cfg Config, spec JobSpec, b *built) error {
 	if err != nil {
 		return fmt.Errorf("compressing kernel: %w", err)
 	}
+	// taken before storeBackKernel swaps the stack for store-backed
+	// twins: the bench slice stays in memory
+	slice := tk.Mats[hds.NumFreqs()/2]
 	if cfg.StoreDir != "" {
 		if err := storeBackKernel(cfg, spec, hds.Freqs, tk, b); err != nil {
 			return err
@@ -743,10 +746,6 @@ func buildProblem(cfg Config, spec JobSpec, b *built) error {
 	prob, err := mdd.NewProblem(hds, tk)
 	if err != nil {
 		return err
-	}
-	slice, err := tlr.Compress(hds.K[hds.NumFreqs()/2], tlr.Options{NB: spec.NB, Tol: spec.Tol})
-	if err != nil {
-		return fmt.Errorf("compressing slice: %w", err)
 	}
 	b.prob = prob
 	b.ck = tk

@@ -2,12 +2,14 @@ package opstore
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/tlr"
+	"repro/internal/tlrio"
 )
 
 // shadowCache replays the cache's contract in plain single-threaded
@@ -238,5 +240,14 @@ func TestCacheConfigValidation(t *testing.T) {
 		if _, err := NewCache(cfg); err == nil {
 			t.Fatalf("config %d accepted", i)
 		}
+	}
+	// the store constructor's twin of N: 0 — a kernel of no matrices
+	// writes a valid file that Open must refuse
+	path := filepath.Join(t.TempDir(), "empty.tlrp")
+	if err := WriteFile(path, &tlrio.Kernel{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path, 1); err == nil {
+		t.Fatal("empty kernel opened")
 	}
 }

@@ -133,18 +133,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		Adjoint: denseOp.ApplyAdjoint,
 		Tol:     pairTol,
 	})
-	// The fallible path the fault-tolerant stack uses: same math, error
-	// propagation instead of panics.
-	o.Impls = append(o.Impls, Impl{
-		Name:  "mdc-checked",
-		Apply: denseOp.ApplyChecked,
-		Adjoint: func(x, y []complex64) {
-			if err := denseOp.ApplyAdjointChecked(x, y); err != nil {
-				panic(err)
-			}
-		},
-		Tol: pairTol,
-	})
 	// The per-frequency kernel primitives, exercised directly rather than
 	// through FreqOperator, so the kernel layer itself stays under
 	// differential coverage.
@@ -156,18 +144,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		},
 		Adjoint: func(x, y []complex64) { dk.ApplyAdjoint(0, x, y) },
 		Tol:     pairTol,
-	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "mdc-kernel-dense-checked",
-		Apply: func(x, y []complex64) error {
-			return dk.ApplyChecked(0, x, y)
-		},
-		Adjoint: func(x, y []complex64) {
-			if err := dk.ApplyAdjointChecked(0, x, y); err != nil {
-				panic(err)
-			}
-		},
-		Tol: pairTol,
 	})
 	// MDC operator with the TLR kernel: the paper's configuration.
 	tk := &mdc.TLRKernel{Mats: []*tlr.Matrix{t}}
@@ -192,23 +168,10 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		Tol:     compTol,
 		PairTol: pairTol,
 	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "mdc-kernel-tlr-checked",
-		Apply: func(x, y []complex64) error {
-			return tk.ApplyChecked(0, x, y)
-		},
-		Adjoint: func(x, y []complex64) {
-			if err := tk.ApplyAdjointChecked(0, x, y); err != nil {
-				panic(err)
-			}
-		},
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
 	// The sharded multi-system execution path: the same TLR kernel fanned
-	// out over simulated CS-2 shards with failover enabled. Shard
-	// assignment must not perturb the numbers, so it shares the TLR
-	// tolerances.
+	// out over simulated CS-2 shards with failover enabled — the
+	// fallible route. Shard assignment must not perturb the numbers, so
+	// it shares the TLR tolerances.
 	shardedOp, err := mdc.NewShardedFreqOperator(tk, 0, 3)
 	if err != nil {
 		return nil, fmt.Errorf("testkit: building sharded operator: %w", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/mdc"
 	"repro/internal/precision"
 	"repro/internal/tlr"
 )
@@ -263,5 +264,30 @@ func TestMulVecEntryPointCensus(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("(*tlr.Matrix).%s is gone; update DESIGN.md's entry-point table and this census together", name)
+	}
+}
+
+// TestKernelSurfaceCensus keeps the per-frequency kernel contract
+// single: the built-in kernels export mdc.Kernel (plus the one optional
+// fused capability on the TLR kernel) and FreqOperator the three
+// products, nothing else. A fallible twin of any of them fails here —
+// errors enter the stack at batch.ShardExec and lsqr.FallibleOperator
+// (DESIGN.md, "Where a product can fail"), not at a kernel.
+func TestKernelSurfaceCensus(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string // sorted, as reflect lists methods
+	}{
+		{reflect.TypeOf((*mdc.DenseKernel)(nil)), []string{"Apply", "ApplyAdjoint", "Bytes", "Cols", "NumFreqs", "Rows"}},
+		{reflect.TypeOf((*mdc.TLRKernel)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyNormal", "Bytes", "Cols", "NumFreqs", "Rows"}},
+		{reflect.TypeOf((*mdc.FreqOperator)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyNormal", "Cols", "Rows"}},
+	} {
+		var got []string
+		for i := 0; i < c.typ.NumMethod(); i++ {
+			got = append(got, c.typ.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v exports %v, want exactly %v", c.typ, got, c.want)
+		}
 	}
 }

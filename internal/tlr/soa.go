@@ -1,7 +1,7 @@
 package tlr
 
 // Structure-of-arrays (SoA) TLR-MVM paths. The per-tile U/V bases are
-// re-laid at compress time into the paper's stacked form (Fig. 4): one
+// re-laid on first SoA product into the paper's stacked form (Fig. 4): one
 // column-major panel per tile column holding every V base of that column
 // stacked along the rank dimension, and one panel per tile row holding
 // the U bases likewise — each panel split into float32 real/imaginary
@@ -193,8 +193,8 @@ type soaLayout struct {
 }
 
 // soaState is embedded in Matrix; like scratchState it keeps the keyed
-// Matrix literals in precision and tlrio valid, so matrices built
-// without Compress convert lazily on their first SoA product.
+// Matrix literals in precision valid. Every matrix converts lazily, on
+// its first SoA product.
 type soaState struct {
 	soaReady atomic.Uint32
 	soaMu    sync.Mutex
@@ -202,8 +202,8 @@ type soaState struct {
 }
 
 // EnsureSoA builds the stacked split-plane layout now rather than on the
-// first SoA product. Compress calls it so layout conversion happens at
-// compress time; it is safe and cheap to call again.
+// first SoA product, for callers that time products; it is safe and
+// cheap to call again.
 func (t *Matrix) EnsureSoA() { t.getSoA() }
 
 // SoABytes returns the footprint of the stacked split-plane copy of the

@@ -92,9 +92,8 @@ type Matrix struct {
 	// scratchState holds the lazily built MVM scratch free list and
 	// stacked-segment offset tables (see scratch.go).
 	scratchState
-	// soaState holds the stacked split-plane factor layout built at
-	// compress time (or lazily for matrices assembled elsewhere); see
-	// soa.go.
+	// soaState holds the stacked split-plane factor layout, built on
+	// first SoA product; see soa.go.
 	soaState
 }
 
@@ -181,10 +180,6 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 		return nil, err
 	default:
 	}
-	// Layout conversion at compress time: build the stacked split-plane
-	// SoA copy of the factors while they are still cache-warm, so the
-	// first SoA product pays nothing.
-	t.EnsureSoA()
 	return t, nil
 }
 

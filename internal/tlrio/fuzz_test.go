@@ -9,60 +9,9 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/dense"
 	"repro/internal/precision"
 	"repro/internal/tlr"
 )
-
-// FuzzRead asserts the decoder never panics or over-allocates on
-// arbitrary input — it must fail cleanly on anything but a valid stream.
-func FuzzRead(f *testing.F) {
-	// seeds: valid stream, truncations, bit flips
-	rng := rand.New(rand.NewSource(1))
-	a := dense.RandomLowRank(rng, 24, 20, 2)
-	tm, err := tlr.Compress(a, tlr.Options{NB: 8, Tol: 1e-4})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, &Kernel{Freqs: []float64{7}, Mats: []*tlr.Matrix{tm}}); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:8])
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("TLRK"))
-	f.Add([]byte{})
-	mut := append([]byte(nil), valid...)
-	mut[10] ^= 0x80
-	f.Add(mut)
-	mut2 := append([]byte(nil), valid...)
-	// blow up a dimension field
-	for i := 16; i < 28 && i < len(mut2); i++ {
-		mut2[i] = 0xFF
-	}
-	f.Add(mut2)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		k, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return // clean failure is the contract
-		}
-		// a successfully decoded kernel must be internally consistent
-		if len(k.Freqs) != len(k.Mats) {
-			t.Fatal("decoded kernel with mismatched lengths")
-		}
-		for _, m := range k.Mats {
-			if m.M <= 0 || m.N <= 0 || m.NB <= 0 {
-				t.Fatal("decoded matrix with nonpositive dims")
-			}
-			if len(m.Tiles) != m.MT*m.NT {
-				t.Fatal("decoded matrix with wrong tile count")
-			}
-		}
-	})
-}
 
 // resealPaged recomputes the header and index CRCs of a (possibly
 // mutated) paged image in place, when the header is long enough and its

@@ -1,9 +1,8 @@
-// Paged on-disk TLR format ("TLRP"): the out-of-core counterpart of the
-// monolithic "TLRK" stream. The survey-scale operator of the paper is
-// 110 GB compressed — nothing forces it through one sequential read. The
-// paged layout gives every tile its own page-aligned region so a tiered
-// operator store (internal/opstore) can fault single tiles in and out
-// under a byte budget:
+// Paged on-disk TLR format ("TLRP"). The survey-scale operator of the
+// paper is 110 GB compressed — nothing forces it through one sequential
+// read. The paged layout gives every tile its own page-aligned region so
+// a tiered operator store (internal/opstore) can fault single tiles in
+// and out under a byte budget:
 //
 //	page 0:   magic "TLRP" | version u32 | pageSize u32 | matCount u32 |
 //	          indexOff u64 | indexLen u64 | indexCRC u32 | headerCRC u32

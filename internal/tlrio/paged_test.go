@@ -3,30 +3,59 @@ package tlrio
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/precision"
 	"repro/internal/tlr"
 )
 
-// smallKernel builds a compact two-matrix kernel with ragged edge tiles
-// (13x11 with nb=6) so the corruption tables stay cheap to sweep.
-func smallKernel(t *testing.T) *Kernel {
+func smoothMatrix(rng *rand.Rand, m, n int) *dense.Matrix {
+	a := dense.New(m, n)
+	for t := 0; t < 4; t++ {
+		fu := 0.5 + rng.Float64()*2
+		fv := 0.5 + rng.Float64()*2
+		amp := math.Pow(0.6, float64(t))
+		for j := 0; j < n; j++ {
+			vj := complex(amp*math.Cos(fv*float64(j)/float64(n)*math.Pi),
+				amp*math.Sin(fv*float64(j)/float64(n)*math.Pi))
+			for i := 0; i < m; i++ {
+				ui := complex(math.Cos(fu*float64(i)/float64(m)*math.Pi),
+					math.Sin(fu*float64(i)/float64(m)*math.Pi))
+				a.Set(i, j, a.At(i, j)+complex64(ui*vj))
+			}
+		}
+	}
+	return a
+}
+
+// kernelOf compresses nf smooth m×n matrices at tile size nb into a
+// kernel with frequencies f0, f0+1, ….
+func kernelOf(t *testing.T, seed int64, nf, m, n, nb int, f0 float64) *Kernel {
 	t.Helper()
-	rng := rand.New(rand.NewSource(11))
+	rng := rand.New(rand.NewSource(seed))
 	k := &Kernel{}
-	for f := 0; f < 2; f++ {
-		a := smoothMatrix(rng, 13, 11)
-		tm, err := tlr.Compress(a, tlr.Options{NB: 6, Tol: 1e-4})
+	for f := 0; f < nf; f++ {
+		tm, err := tlr.Compress(smoothMatrix(rng, m, n), tlr.Options{NB: nb, Tol: 1e-4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.Freqs = append(k.Freqs, 3.0+float64(f))
+		k.Freqs = append(k.Freqs, f0+float64(f))
 		k.Mats = append(k.Mats, tm)
 	}
 	return k
 }
+
+// testKernel is three 53x47 matrices at nb=16 (ragged edge tiles).
+func testKernel(t *testing.T) *Kernel { return kernelOf(t, 3, 3, 53, 47, 16, 5) }
+
+// smallKernel is a compact two-matrix kernel with ragged edge tiles
+// (13x11 with nb=6) so the corruption tables stay cheap to sweep.
+func smallKernel(t *testing.T) *Kernel { return kernelOf(t, 11, 2, 13, 11, 6, 3) }
 
 // pagedImage serializes a kernel to an in-memory paged file.
 func pagedImage(t *testing.T, k *Kernel, opts PagedOptions) []byte {
@@ -187,13 +216,38 @@ func TestPagedCorruptionTable(t *testing.T) {
 }
 
 // TestPagedOpenRejectsTruncation covers structural validation: images
-// cut mid-index or mid-header must error rather than misparse.
+// cut mid-index or mid-header, or carrying a foreign magic or version,
+// must error rather than misparse, and a kernel whose frequency and
+// matrix lists disagree must not be written at all.
 func TestPagedOpenRejectsTruncation(t *testing.T) {
 	k := smallKernel(t)
 	img := pagedImage(t, k, PagedOptions{PageSize: 64})
-	for _, cut := range []int{0, 8, pagedHeaderLen - 1, len(img) / 2, len(img) - 1} {
-		if _, err := OpenPaged(bytes.NewReader(img[:cut]), int64(cut)); err == nil {
-			t.Fatalf("truncation to %d bytes opened cleanly", cut)
+	open := func(img []byte) error {
+		_, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
+		return err
+	}
+	badMagic := bytes.Clone(img)
+	copy(badMagic, "NOPE")
+	badVersion := bytes.Clone(img)
+	badVersion[4] = 99 // version, little-endian low byte
+	resealPaged(badVersion)
+	cases := []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"cut to nothing", open(img[:0]), "truncated"},
+		{"cut mid-magic-to-version", open(img[:8]), "truncated"},
+		{"cut one byte short of the header", open(img[:pagedHeaderLen-1]), "truncated"},
+		{"cut mid-file", open(img[:len(img)/2]), "outside file"},
+		{"cut one byte short", open(img[:len(img)-1]), "outside file"},
+		{"bad magic", open(badMagic), "magic"},
+		{"bad version", open(badVersion), "version"},
+		{"freqs and mats disagree", WritePaged(io.Discard, &Kernel{Freqs: k.Freqs[:1], Mats: k.Mats}, PagedOptions{}), "1 freqs but 2 matrices"},
+	}
+	for _, c := range cases {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, c.err, c.want)
 		}
 	}
 }

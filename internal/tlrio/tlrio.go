@@ -1,40 +1,23 @@
-// Package tlrio serializes TLR-compressed kernels to a compact binary
-// format. The paper's pre-processing compresses 230 frequency matrices
-// once on the host and reuses them across thousands of virtual-source
-// inversions; a production deployment therefore needs a durable on-disk
-// representation of the compressed operator. The format is little-endian,
-// versioned, and CRC-checked.
-//
-// Layout:
-//
-//	magic "TLRK" | version u32 | count u32
-//	per matrix: freq float64 | M,N,NB int32 | per tile: rank int32,
-//	            U floats (rows×k×2 float32), V floats (cols×k×2 float32)
-//	crc32 (IEEE) of everything after the magic
+// Package tlrio serializes TLR-compressed kernels to the paged "TLRP"
+// binary format. The paper's pre-processing compresses 230 frequency
+// matrices once on the host and reuses them across thousands of
+// virtual-source inversions; a production deployment therefore needs a
+// durable on-disk representation of the compressed operator. The format
+// (paged.go) is little-endian, versioned, page-aligned per tile and
+// CRC-checked, and is the one container every reader in the tree —
+// opstore, mddserve -store-dir, mddrun -store, tlrtool — speaks.
 package tlrio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
 
-	"repro/internal/dense"
 	"repro/internal/tlr"
 )
 
-var magic = [4]byte{'T', 'L', 'R', 'K'}
-
-// Version is the current format version.
-const Version uint32 = 1
-
 // ErrChecksum is the sentinel wrapped by every CRC-mismatch error this
-// package returns (the monolithic trailer CRC of Read and the per-page
-// CRC-32C of the paged reader alike), so callers can distinguish media
-// corruption from structural decode failures with errors.Is.
+// package returns (header, index and per-page CRC-32C alike), so callers
+// can distinguish media corruption from structural decode failures with
+// errors.Is.
 var ErrChecksum = errors.New("tlrio: checksum mismatch")
 
 // maxDim bounds decoded dimensions to keep corrupted headers from
@@ -46,215 +29,4 @@ const maxDim = 1 << 24
 type Kernel struct {
 	Freqs []float64
 	Mats  []*tlr.Matrix
-}
-
-// Write serializes the kernel.
-func Write(w io.Writer, k *Kernel) error {
-	if len(k.Freqs) != len(k.Mats) {
-		return fmt.Errorf("tlrio: %d freqs but %d matrices", len(k.Freqs), len(k.Mats))
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	out := io.MultiWriter(bw, crc)
-	if err := writeU32(out, Version); err != nil {
-		return err
-	}
-	if err := writeU32(out, uint32(len(k.Mats))); err != nil {
-		return err
-	}
-	for i, m := range k.Mats {
-		if err := binary.Write(out, binary.LittleEndian, k.Freqs[i]); err != nil {
-			return err
-		}
-		if err := writeMatrix(out, m); err != nil {
-			return fmt.Errorf("tlrio: matrix %d: %w", i, err)
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func writeMatrix(w io.Writer, t *tlr.Matrix) error {
-	for _, v := range []int{t.M, t.N, t.NB} {
-		if v <= 0 || v > maxDim {
-			return fmt.Errorf("dimension %d out of range", v)
-		}
-	}
-	if err := writeI32s(w, int32(t.M), int32(t.N), int32(t.NB)); err != nil {
-		return err
-	}
-	for i := 0; i < t.MT; i++ {
-		for j := 0; j < t.NT; j++ {
-			tile := t.Tile(i, j)
-			if tile == nil {
-				return fmt.Errorf("missing tile (%d,%d)", i, j)
-			}
-			if err := writeI32s(w, int32(tile.Rank())); err != nil {
-				return err
-			}
-			if err := writeDense(w, tile.U); err != nil {
-				return err
-			}
-			if err := writeDense(w, tile.V); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeDense(w io.Writer, a *dense.Matrix) error {
-	buf := make([]byte, 8*a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		col := a.Col(j)
-		for i, v := range col {
-			binary.LittleEndian.PutUint32(buf[8*i:], math.Float32bits(real(v)))
-			binary.LittleEndian.PutUint32(buf[8*i+4:], math.Float32bits(imag(v)))
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read deserializes a kernel, verifying the checksum.
-func Read(r io.Reader) (*Kernel, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("tlrio: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("tlrio: bad magic %q", m)
-	}
-	crc := crc32.NewIEEE()
-	in := io.TeeReader(br, crc)
-	ver, err := readU32(in)
-	if err != nil {
-		return nil, err
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("tlrio: unsupported version %d (have %d)", ver, Version)
-	}
-	count, err := readU32(in)
-	if err != nil {
-		return nil, err
-	}
-	if count > maxDim {
-		return nil, fmt.Errorf("tlrio: implausible matrix count %d", count)
-	}
-	k := &Kernel{
-		Freqs: make([]float64, 0, count),
-		Mats:  make([]*tlr.Matrix, 0, count),
-	}
-	for i := uint32(0); i < count; i++ {
-		var f float64
-		if err := binary.Read(in, binary.LittleEndian, &f); err != nil {
-			return nil, fmt.Errorf("tlrio: matrix %d frequency: %w", i, err)
-		}
-		mat, err := readMatrix(in)
-		if err != nil {
-			return nil, fmt.Errorf("tlrio: matrix %d: %w", i, err)
-		}
-		k.Freqs = append(k.Freqs, f)
-		k.Mats = append(k.Mats, mat)
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(br, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("tlrio: reading checksum: %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w (file %08x, computed %08x)", ErrChecksum, got, want)
-	}
-	return k, nil
-}
-
-// readMatrix decodes one matrix from r. The running CRC is folded in by
-// the caller's TeeReader wrapped around r — this function used to take a
-// hash.Hash32 it never touched, which read as if per-matrix verification
-// happened here; it does not, the trailer CRC in Read covers everything.
-func readMatrix(r io.Reader) (*tlr.Matrix, error) {
-	dims, err := readI32s(r, 3)
-	if err != nil {
-		return nil, err
-	}
-	mm, nn, nb := int(dims[0]), int(dims[1]), int(dims[2])
-	for _, v := range []int{mm, nn, nb} {
-		if v <= 0 || v > maxDim {
-			return nil, fmt.Errorf("dimension %d out of range", v)
-		}
-	}
-	mt := (mm + nb - 1) / nb
-	nt := (nn + nb - 1) / nb
-	t := &tlr.Matrix{M: mm, N: nn, NB: nb, MT: mt, NT: nt, Tiles: make([]*tlr.Tile, mt*nt)}
-	for i := 0; i < mt; i++ {
-		rows := min((i+1)*nb, mm) - i*nb
-		for j := 0; j < nt; j++ {
-			cols := min((j+1)*nb, nn) - j*nb
-			ks, err := readI32s(r, 1)
-			if err != nil {
-				return nil, err
-			}
-			k := int(ks[0])
-			if k < 0 || k > nb {
-				return nil, fmt.Errorf("tile (%d,%d) rank %d out of [0,%d]", i, j, k, nb)
-			}
-			u, err := readDense(r, rows, k)
-			if err != nil {
-				return nil, err
-			}
-			v, err := readDense(r, cols, k)
-			if err != nil {
-				return nil, err
-			}
-			t.Tiles[i*nt+j] = &tlr.Tile{U: u, V: v}
-		}
-	}
-	return t, nil
-}
-
-func readDense(r io.Reader, rows, cols int) (*dense.Matrix, error) {
-	a := dense.New(rows, cols)
-	buf := make([]byte, 8*rows)
-	for j := 0; j < cols; j++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		col := a.Col(j)
-		for i := range col {
-			re := math.Float32frombits(binary.LittleEndian.Uint32(buf[8*i:]))
-			im := math.Float32frombits(binary.LittleEndian.Uint32(buf[8*i+4:]))
-			col[i] = complex(re, im)
-		}
-	}
-	return a, nil
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	return binary.Write(w, binary.LittleEndian, v)
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func writeI32s(w io.Writer, vs ...int32) error {
-	return binary.Write(w, binary.LittleEndian, vs)
-}
-
-func readI32s(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
