@@ -32,7 +32,10 @@ func FuzzSplitMergeRoundTrip(f *testing.F) {
 
 // FuzzComplexMVMViaFourReal: the four-real-GEMV decomposition (§6.6) must
 // track the direct complex GEMV within float32 summation-order error on
-// arbitrary well-scaled inputs and shapes.
+// arbitrary well-scaled inputs and shapes. The error is measured against
+// ‖A‖_F·‖x‖, the bound a backward-stable product satisfies, not against
+// ‖y‖: a row whose terms cancel (testdata seed m1_cancellation, m = 1)
+// leaves a small y carrying the rounding of large summands.
 func FuzzComplexMVMViaFourReal(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(1))
 	f.Add(int64(42), uint8(17), uint8(29))
@@ -49,8 +52,9 @@ func FuzzComplexMVMViaFourReal(f *testing.F) {
 		got := make([]complex64, m)
 		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, want)
 		cfloat.ComplexMVMViaFourReal(m, n, ar, ai, m, x, got)
-		if e := testkit.RelErr(got, want); e > testkit.ExecTolerance(n) {
-			t.Fatalf("m=%d n=%d seed=%d: four-real relErr %g > %g",
+		cfloat.Axpy(-1, want, got)
+		if e := cfloat.Nrm2(got) / (cfloat.Nrm2(a) * cfloat.Nrm2(x)); e > testkit.ExecTolerance(n) {
+			t.Fatalf("m=%d n=%d seed=%d: four-real error %g of ‖A‖‖x‖ > %g",
 				m, n, seed, e, testkit.ExecTolerance(n))
 		}
 	})

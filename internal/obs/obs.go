@@ -12,7 +12,7 @@
 // meant for package-level var initialization, never for inner loops.
 //
 // Naming convention: dot-separated lowercase paths, "<package>.<stage>"
-// (e.g. "tlr.mvm.phase1", "lsqr.iter", "wsesim.model_cycles").
+// (e.g. "tlr.mvm_soa", "lsqr.iter", "wsesim.model_cycles").
 package obs
 
 import (

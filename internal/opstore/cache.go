@@ -10,7 +10,12 @@
 // every other steady-state kernel. Misses take a mutex, singleflight the
 // page read so concurrent faults on one tile decode it once, and evict
 // least-recently-used unpinned tiles until the decoded bytes fit the
-// budget again. Store build time chooses each tile's on-disk precision
+// budget again. The victim is found without a scan: every resident tile
+// has one record in a min-heap keyed by the LRU tick seen when the
+// record was last pushed or refreshed, hits leave the heap alone, and
+// eviction refreshes a stale root before trusting it (evictLocked) — a
+// miss costs O(log resident) under the mutex, however many tiles the
+// store holds. Store build time chooses each tile's on-disk precision
 // tier (fp32/fp16/bf16) via a precision.Policy passed to
 // tlrio.WritePaged.
 package opstore
@@ -76,6 +81,9 @@ type Cache struct {
 	// and eviction. The hit path never touches it.
 	mu      sync.Mutex
 	loading map[int]chan struct{}
+	// lru holds exactly one record per resident tile, min-ordered by
+	// key. Under mu.
+	lru lruHeap
 }
 
 // NewCache builds a cache. Sizes are precomputed so the serving paths
@@ -121,9 +129,9 @@ func (c *Cache) Tile(g int) (*tlr.Tile, error) {
 // eviction skips pinned tiles, so a caller walking a tile's panels
 // across multiple kernel invocations cannot have it reclaimed
 // underneath. Pins stack. The pin is taken under mu, which eviction
-// holds from its scan to the drop: a pin lands either before the scan
-// (and is skipped) or after the drop (and Tile reloads the tile, pinned
-// from then on) — never between the two.
+// holds from its pin check to the drop: a pin lands either before the
+// check (and is skipped) or after the drop (and Tile reloads the tile,
+// pinned from then on) — never between the two.
 func (c *Cache) Pin(g int) (*tlr.Tile, error) {
 	c.mu.Lock()
 	c.entries[g].pins.Add(1)
@@ -184,7 +192,9 @@ func (c *Cache) loadSlow(g int) (*tlr.Tile, error) {
 	}
 	e := &c.entries[g]
 	e.tile.Store(t)
-	e.lastUse.Store(c.tick.Add(1))
+	use := c.tick.Add(1)
+	e.lastUse.Store(use)
+	c.lru.push(lruRec{key: use, g: g})
 	c.misses.Add(1)
 	obsMisses.Add(1)
 	res := c.resident.Add(c.sizes[g])
@@ -198,27 +208,100 @@ func (c *Cache) loadSlow(g int) (*tlr.Tile, error) {
 
 // evictLocked drops least-recently-used unpinned tiles until resident
 // bytes fit the budget (or nothing evictable remains). Caller holds mu.
+//
+// A record's key is the tile's lastUse when the record was pushed or
+// last refreshed; a hit only raises lastUse (two hits racing on one
+// tile may leave the older of their adjacent ticks, as they could under
+// the scan this replaces), so key ≤ lastUse for every record. A root
+// whose key is current is therefore the true LRU tile: its lastUse
+// equals the smallest key, and every other tile's lastUse is at least
+// its own, larger, key. A stale root is re-keyed and sifted down
+// instead, once per tile hit since its last refresh.
+// Pinned roots are set aside for the duration of the call and pushed
+// back before returning, so a fully pinned cache returns over budget
+// after one pass rather than spinning.
 func (c *Cache) evictLocked(res int64) int64 {
-	for res > c.budget {
-		victim, oldest := -1, int64(0)
-		for g := range c.entries {
-			e := &c.entries[g]
-			if e.tile.Load() == nil || e.pins.Load() > 0 {
-				continue
-			}
-			if u := e.lastUse.Load(); victim < 0 || u < oldest {
-				victim, oldest = g, u
-			}
+	var pinned []lruRec
+	for res > c.budget && len(c.lru) > 0 {
+		top := c.lru[0]
+		e := &c.entries[top.g]
+		if u := e.lastUse.Load(); u != top.key {
+			c.lru.rekeyRoot(u)
+			continue
 		}
-		if victim < 0 {
-			return res
+		c.lru.popRoot()
+		if e.pins.Load() > 0 {
+			pinned = append(pinned, top)
+			continue
 		}
-		c.entries[victim].tile.Store(nil)
-		res = c.resident.Add(-c.sizes[victim])
+		e.tile.Store(nil)
+		res = c.resident.Add(-c.sizes[top.g])
 		c.evictions.Add(1)
 		obsEvictions.Add(1)
 	}
+	for _, r := range pinned {
+		c.lru.push(r)
+	}
 	return res
+}
+
+// lruRec is one resident tile's eviction record.
+type lruRec struct {
+	key int64 // the tile's lastUse when pushed or last refreshed
+	g   int
+}
+
+// lruHeap is a binary min-heap of records by key. Hand-rolled rather
+// than container/heap: that API boxes every pushed record in an
+// interface, one allocation per miss.
+type lruHeap []lruRec
+
+func (h *lruHeap) push(r lruRec) {
+	a := append(*h, r)
+	*h = a
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p].key <= a[i].key {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+// popRoot removes the minimum record.
+func (h *lruHeap) popRoot() {
+	a := *h
+	n := len(a) - 1
+	a[0] = a[n]
+	*h = a[:n]
+	h.siftDown()
+}
+
+// rekeyRoot replaces the root's key and restores heap order.
+func (h *lruHeap) rekeyRoot(key int64) {
+	(*h)[0].key = key
+	h.siftDown()
+}
+
+func (h *lruHeap) siftDown() {
+	a := *h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(a) {
+			return
+		}
+		if c+1 < len(a) && a[c+1].key < a[c].key {
+			c++
+		}
+		if a[i].key <= a[c].key {
+			return
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters, kept

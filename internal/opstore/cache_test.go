@@ -154,6 +154,137 @@ func TestCacheProperty(t *testing.T) {
 	}
 }
 
+// unitCache is a cache over n unit-size tiles with room for budget of
+// them, paired with its shadow model.
+func unitCache(t *testing.T, n int, budget int64) (*Cache, *shadowCache) {
+	t.Helper()
+	sizes := make([]int64, n)
+	for g := range sizes {
+		sizes[g] = 1
+	}
+	c, err := NewCache(CacheConfig{
+		N:      n,
+		Budget: budget,
+		Load: func(g int) (*tlr.Tile, error) {
+			return &tlr.Tile{U: dense.New(1, 1), V: dense.New(1, 1)}, nil
+		},
+		Size: func(g int) int64 { return 1 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, &shadowCache{
+		budget:   budget,
+		sizes:    sizes,
+		resident: map[int]bool{},
+		lastUse:  map[int]int64{},
+		pins:     map[int]int{},
+	}
+}
+
+// agree requires the cache's counters and resident set to equal the
+// shadow's.
+func agree(t *testing.T, step string, c *Cache, s *shadowCache) {
+	t.Helper()
+	st := c.Stats()
+	if st.Hits != s.hits || st.Misses != s.misses || st.Evictions != s.evictions || st.ResidentBytes != s.bytes {
+		t.Fatalf("%s: cache (h=%d m=%d e=%d bytes=%d), shadow (h=%d m=%d e=%d bytes=%d)",
+			step, st.Hits, st.Misses, st.Evictions, st.ResidentBytes, s.hits, s.misses, s.evictions, s.bytes)
+	}
+	for g := range s.sizes {
+		if c.Resident(g) != s.resident[g] {
+			t.Fatalf("%s: tile %d resident=%v, shadow says %v", step, g, c.Resident(g), s.resident[g])
+		}
+	}
+}
+
+// TestCacheEveryResidentTilePinned pins one tile more than the budget
+// holds: eviction finds no victim, so the load returns — rather than
+// looping over records it cannot drop — with the cache over budget and
+// nothing evicted. Once a pin is released the next miss reclaims what
+// LRU order says, overshoot included, and the still-pinned tiles stay.
+func TestCacheEveryResidentTilePinned(t *testing.T) {
+	c, shadow := unitCache(t, 8, 3)
+	for g := 0; g < 4; g++ {
+		if _, err := c.Pin(g); err != nil {
+			t.Fatal(err)
+		}
+		shadow.pins[g]++
+		shadow.access(g)
+		agree(t, "pinning", c, shadow)
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.ResidentBytes != 4 {
+		t.Fatalf("all pinned: evictions=%d resident=%d, want 0 and 4 (one over budget)", st.Evictions, st.ResidentBytes)
+	}
+	c.Unpin(1)
+	shadow.pins[1]--
+	for _, g := range []int{5, 6} {
+		if _, err := c.Tile(g); err != nil {
+			t.Fatal(err)
+		}
+		shadow.access(g)
+		agree(t, "after Unpin", c, shadow)
+	}
+	if c.Resident(1) || !c.Resident(0) || !c.Resident(2) || !c.Resident(3) {
+		t.Fatalf("after Unpin: resident 0=%v 1=%v 2=%v 3=%v, want only the unpinned tile gone",
+			c.Resident(0), c.Resident(1), c.Resident(2), c.Resident(3))
+	}
+	if st := c.Stats(); st.ResidentBytes > st.Budget {
+		t.Fatalf("after Unpin: resident %d still over budget %d", st.ResidentBytes, st.Budget)
+	}
+}
+
+// TestCacheStaleRecordAcrossReload walks one tile through the states in
+// which its eviction record lags its real recency: hit after load (the
+// record's key is older than lastUse, so a key-order eviction would take
+// it too early), evicted, reloaded, hit again, and pinned while its
+// record is the oldest. Each step must match the exact-LRU shadow.
+func TestCacheStaleRecordAcrossReload(t *testing.T) {
+	c, shadow := unitCache(t, 8, 3)
+	touch := func(step string, gs ...int) {
+		t.Helper()
+		for _, g := range gs {
+			if _, err := c.Tile(g); err != nil {
+				t.Fatal(err)
+			}
+			shadow.access(g)
+			agree(t, step, c, shadow)
+		}
+	}
+	touch("fill", 0, 1, 2)
+	touch("hit 0 — its record now lags", 0)
+	touch("evicts 1, not 0", 3)
+	if !c.Resident(0) || c.Resident(1) {
+		t.Fatalf("tile 0 was hit after tile 1 but resident 0=%v 1=%v", c.Resident(0), c.Resident(1))
+	}
+	touch("evicts 2, then 0", 4, 5)
+	if c.Resident(0) {
+		t.Fatal("tile 0 still resident after three newer tiles")
+	}
+	touch("reload 0, hit it and 4", 0, 0, 4)
+	touch("evicts 5, the only tile not touched since", 6)
+	if c.Resident(5) || !c.Resident(0) || !c.Resident(4) {
+		t.Fatalf("resident 0=%v 4=%v 5=%v, want 5 evicted", c.Resident(0), c.Resident(4), c.Resident(5))
+	}
+	// tile 0 is now the oldest; pinned, it is set aside and the next
+	// oldest goes instead — and it is still evictable after the Unpin
+	if _, err := c.Pin(0); err != nil {
+		t.Fatal(err)
+	}
+	shadow.pins[0]++
+	shadow.access(0)
+	touch("pinned oldest is skipped", 7, 1)
+	if !c.Resident(0) {
+		t.Fatal("pinned tile 0 evicted")
+	}
+	c.Unpin(0)
+	shadow.pins[0]--
+	touch("evictable again after Unpin", 2, 3, 5)
+	if c.Resident(0) {
+		t.Fatal("tile 0 survived three newer tiles after its Unpin")
+	}
+}
+
 // TestStressCacheConcurrentReaders hammers one small-budget cache from
 // many goroutines under the race detector: concurrent hits, misses on
 // the same tile (singleflight), evictions, and pin/unpin cycles. Each

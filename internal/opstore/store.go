@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/precision"
 	"repro/internal/tlr"
@@ -102,14 +103,14 @@ func WriteFile(path string, k *tlrio.Kernel, pol precision.Policy) error {
 
 // locate splits a global tile index into (matrix, tile) coordinates.
 func (s *Store) locate(g int) (int, int) {
-	// Linear scan: stores hold a few hundred frequency matrices at most,
-	// and this runs only on the miss path.
-	for f := 0; f < len(s.matBase)-1; f++ {
-		if g < s.matBase[f+1] {
-			return f, g - s.matBase[f]
-		}
+	// matBase[1:] holds each matrix's end, ascending: the owner of g is
+	// the first matrix whose end lies beyond it.
+	ends := s.matBase[1:]
+	f := sort.SearchInts(ends, g+1)
+	if f == len(ends) {
+		panic("opstore: global tile index out of range")
 	}
-	panic("opstore: global tile index out of range")
+	return f, g - s.matBase[f]
 }
 
 func (s *Store) loadGlobal(g int) (*tlr.Tile, error) {

@@ -2,16 +2,14 @@ package tlr
 
 import "repro/internal/obs"
 
-// Stage metrics for the three-phase TLR-MVM hot path (§5, Figs. 5–7) and
-// the compression front end. Registered once at package init; every
+// Stage metrics for the TLR-MVM hot paths (§5, Figs. 5–7) and the
+// compression front end. Registered once at package init; every
 // recording site is guarded inside obs, so the paths cost one atomic
 // load each when collection is disabled.
 var (
 	obsCompress = obs.NewTimer("tlr.compress")
 	obsMVM      = obs.NewTimer("tlr.mvm")
 	obsMVMMeter = obs.NewMeter("tlr.mvm")
-	obsPhase1   = obs.NewTimer("tlr.mvm.phase1")
-	obsPhase3   = obs.NewTimer("tlr.mvm.phase3")
 	obsAdjoint  = obs.NewTimer("tlr.mvm_adjoint")
 	obsAdjMeter = obs.NewMeter("tlr.mvm_adjoint")
 	obsBatched  = obs.NewTimer("tlr.mvm_batched")

@@ -27,9 +27,10 @@ type TileSource interface {
 // NewOutOfCore builds an M×N matrix with tile size nb whose tiles are
 // faulted in from src instead of held resident. The returned matrix
 // supports every product path of an in-memory one; the AoS paths
-// (MulVec, MulVecConjTrans) stream tiles through the source per product,
-// while the SoA paths materialize the stacked planes once on first use
-// (pulling each tile once per panel family) and are resident thereafter.
+// (MulVec, MulVecConjTrans) stream every tile through the source once
+// per product, in row-major order, while the SoA paths materialize the
+// stacked planes once on first use (pulling each tile once per panel
+// family) and are resident thereafter.
 func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb

@@ -21,7 +21,8 @@ const scratchPoolCap = 16
 // mvmScratch is one checkout of the MVM intermediates.
 type mvmScratch struct {
 	// yv holds every tile's projection segment, stacked by tile index:
-	// tile idx owns yv[rankOff[idx]:rankOff[idx+1]].
+	// tile idx owns yv[rankOff[idx]:rankOff[idx+1]]. The sequential
+	// sweep needs one tile's segment at a time and borrows the head.
 	yv []complex64
 	// yvc is the column-stacked counterpart (tile order j-major, offsets
 	// in soaLayout.colSeg), the pre-shuffle intermediate of the stacked

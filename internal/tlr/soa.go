@@ -30,9 +30,11 @@ package tlr
 // residency to stream each U panel's block through the forward and
 // adjoint products back to back.
 //
-// The AoS tile paths (tlr.go) are kept untouched as the oracle
-// reference; the differential tests in internal/testkit pin the SoA
-// variants against them.
+// The AoS tile paths (tlr.go) fuse the phases the other way — one
+// sweep that takes each tile's V and U together, with no stacked
+// intermediate and no shuffle — and remain the oracle reference; the
+// differential tests in internal/testkit pin the SoA variants against
+// them.
 
 import (
 	"sync"

@@ -8,10 +8,11 @@
 // the U bases (Fig. 7).
 //
 // The package provides six products (DESIGN.md, "TLR-MVM entry points"):
-// the sequential per-tile reference MulVec/MulVecConjTrans, the stacked
-// split-plane MulVecSoA/MulVecConjTransSoA and their fused normal pass
-// MulVecNormal (soa.go), and MulVecBatched, the one in-matrix parallel
-// path, which runs the same stacked panels on the batch engine.
+// the sequential per-tile reference MulVec/MulVecConjTrans (the phases
+// fused per tile, see sweep), the stacked split-plane
+// MulVecSoA/MulVecConjTransSoA and their fused normal pass MulVecNormal
+// (soa.go), and MulVecBatched, the one in-matrix parallel path, which
+// runs the same stacked panels on the batch engine.
 package tlr
 
 import (
@@ -308,9 +309,9 @@ func (t *Matrix) Reconstruct() *dense.Matrix {
 	return out
 }
 
-// MulVec computes y = A x via the three-phase TLR-MVM, sequentially over
-// the per-tile AoS bases — the oracle's reference path and the route
-// mdc.TLRKernel takes. x must have length N, y length M.
+// MulVec computes y = A x, sequentially over the per-tile AoS bases —
+// the oracle's reference path and the route mdc.TLRKernel takes. x must
+// have length N, y length M.
 func (t *Matrix) MulVec(x, y []complex64) {
 	if len(x) < t.N || len(y) < t.M {
 		panic("tlr: MulVec vector too short")
@@ -318,51 +319,8 @@ func (t *Matrix) MulVec(x, y []complex64) {
 	defer obsMVM.Start().End()
 	meterMVM(obsMVMMeter, t)
 	s := t.getScratch()
-	// Phase 1 (Fig. 5): V-batch. For each tile (i,j):
-	//   yv segment (i,j) = V_{ij}ᴴ · x_j   (length = rank of the tile)
-	sp1 := obsPhase1.Start()
-	for j := 0; j < t.NT; j++ {
-		t.forwardVCol(j, s.yv, x)
-	}
-	sp1.End()
-	// Phase 2 (Fig. 6): shuffle. In this in-memory implementation the
-	// shuffle is the re-indexing of yv from column-major traversal to
-	// row-major consumption — made explicit on the CS-2 mapping where it
-	// would cost fabric traffic (package wse removes it).
-	// Phase 3 (Fig. 7): U-batch. y_i = Σ_j U_{ij} · yv segment (i,j).
-	sp3 := obsPhase3.Start()
-	for i := 0; i < t.MT; i++ {
-		t.forwardURow(i, s.yv, y)
-	}
-	sp3.End()
+	t.sweep(false, x, y[:t.M], s.yv)
 	t.putScratch(s)
-}
-
-// forwardVCol runs phase 1 for tile column j: every tile's Vᴴ·x_j
-// projection into its stacked yv segment. Registered hot path — the
-// loop must stay allocation-free.
-func (t *Matrix) forwardVCol(j int, yv, x []complex64) {
-	xj := x[j*t.NB : j*t.NB+t.tileCols(j)]
-	for i := 0; i < t.MT; i++ {
-		idx := i*t.NT + j
-		t.tileAt(idx).V.MulVecConjTrans(xj, yv[t.rankOff[idx]:t.rankOff[idx+1]])
-	}
-}
-
-// forwardURow runs phase 3 for tile row i: y_i = Σ_j U_{ij} · yv
-// segment (i,j). Registered hot path — the loop must stay
-// allocation-free.
-func (t *Matrix) forwardURow(i int, yv, y []complex64) {
-	yi := y[i*t.NB : i*t.NB+t.tileRows(i)]
-	for k := range yi {
-		yi[k] = 0
-	}
-	for j := 0; j < t.NT; j++ {
-		idx := i*t.NT + j
-		tile := t.tileAt(idx)
-		cfloat.Gemv(cfloat.NoTrans, tile.U.Rows, tile.U.Cols, 1,
-			tile.U.Data, tile.U.Stride, yv[t.rankOff[idx]:t.rankOff[idx+1]], 1, yi)
-	}
 }
 
 // MulVecConjTrans computes y = Aᴴ x: the adjoint TLR-MVM required by the
@@ -375,42 +333,50 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 	defer obsAdjoint.Start().End()
 	meterMVM(obsAdjMeter, t)
 	s := t.getScratch()
-	// adjoint phase 1: yu segment (i,j) = U_{ij}ᴴ · x_i
-	for i := 0; i < t.MT; i++ {
-		t.adjointURow(i, s.yv, x)
-	}
-	// adjoint phase 3: y_j = Σ_i V_{ij} · yu segment (i,j)
-	for j := 0; j < t.NT; j++ {
-		t.adjointVCol(j, s.yv, y)
-	}
+	t.sweep(true, x, y[:t.N], s.yv)
 	t.putScratch(s)
 }
 
-// adjointURow runs the adjoint phase 1 for tile row i: every tile's
-// Uᴴ·x_i projection into its stacked yu segment. Registered hot path —
-// the loop must stay allocation-free.
-func (t *Matrix) adjointURow(i int, yu, x []complex64) {
-	xi := x[i*t.NB : i*t.NB+t.tileRows(i)]
-	for j := 0; j < t.NT; j++ {
-		idx := i*t.NT + j
-		t.tileAt(idx).U.MulVecConjTrans(xi, yu[t.rankOff[idx]:t.rankOff[idx+1]])
+// sweep is the body of both sequential products: one pass over the
+// tiles in storage (row-major) order, consuming each tile's two bases
+// together —
+//
+//	forward:  seg = V_{ij}ᴴ·x_j (Fig. 5), y_i += U_{ij}·seg (Fig. 7)
+//	adjoint:  seg = U_{ij}ᴴ·x_i,          y_j += V_{ij}·seg
+//
+// The three-phase schedule of the paper (all projections, the Fig. 6
+// shuffle, all expansions) computes the same bits: a tile's projection
+// depends on nothing but the tile and x, and every output block still
+// accumulates its tiles in ascending order. What the fused order buys is
+// Fig. 9's point applied on the host — with U and V of a tile used
+// together there is no shuffle, and a store-backed matrix faults each
+// tile once per product, in the order the file holds them. seg is rank
+// scratch of at least the largest tile rank. Registered hot path — the
+// loop must stay allocation-free.
+func (t *Matrix) sweep(adjoint bool, x, y, seg []complex64) {
+	for k := range y {
+		y[k] = 0
+	}
+	for i := 0; i < t.MT; i++ {
+		r0, r1 := i*t.NB, i*t.NB+t.tileRows(i)
+		for j := 0; j < t.NT; j++ {
+			c0, c1 := j*t.NB, j*t.NB+t.tileCols(j)
+			tile := t.tileAt(i*t.NT + j)
+			if adjoint {
+				applyTile(tile.U, tile.V, x[r0:r1], y[c0:c1], seg)
+			} else {
+				applyTile(tile.V, tile.U, x[c0:c1], y[r0:r1], seg)
+			}
+		}
 	}
 }
 
-// adjointVCol runs the adjoint phase 3 for tile column j:
-// y_j = Σ_i V_{ij} · yu segment (i,j). Registered hot path — the loop
-// must stay allocation-free.
-func (t *Matrix) adjointVCol(j int, yu, y []complex64) {
-	yj := y[j*t.NB : j*t.NB+t.tileCols(j)]
-	for k := range yj {
-		yj[k] = 0
-	}
-	for i := 0; i < t.MT; i++ {
-		idx := i*t.NT + j
-		tile := t.tileAt(idx)
-		cfloat.Gemv(cfloat.NoTrans, tile.V.Rows, tile.V.Cols, 1,
-			tile.V.Data, tile.V.Stride, yu[t.rankOff[idx]:t.rankOff[idx+1]], 1, yj)
-	}
+// applyTile accumulates one tile's contribution, out += exp·(projᴴ·in),
+// through the rank segment seg.
+func applyTile(proj, exp *dense.Matrix, in, out, seg []complex64) {
+	seg = seg[:proj.Cols]
+	proj.MulVecConjTrans(in, seg)
+	cfloat.Gemv(cfloat.NoTrans, exp.Rows, exp.Cols, 1, exp.Data, exp.Stride, seg, 1, out)
 }
 
 // ColumnStackedSizes returns, for each tile column j, the total stacked V

@@ -36,7 +36,9 @@ func resealPaged(img []byte) {
 // only with errors, and must not allocate more than a small multiple of
 // the image size (a forged dimension may not size an allocation). On an
 // image that loads cleanly, flipping any one payload byte of a tile must
-// fail that tile's load with ErrChecksum.
+// fail that tile's load with ErrChecksum and no tile — on the in-place
+// FP32 route, which verifies the CRC over the tile's own backing store,
+// as on the decoding one.
 func FuzzOpenPaged(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	tm, err := tlr.Compress(smoothMatrix(rng, 13, 11), tlr.Options{NB: 6, Tol: 1e-4})
@@ -98,8 +100,10 @@ func FuzzOpenPaged(f *testing.F) {
 			// in a crafted image the payload may overlap the header or
 			// index; the flip then fails OpenPaged instead, which is fine
 			if mpf, err := OpenPaged(bytes.NewReader(mut), int64(len(mut))); err == nil {
-				if _, err := mpf.LoadTile(mi, idx); !errors.Is(err, ErrChecksum) {
-					t.Fatalf("payload flip in tile %d/%d: got %v, want ErrChecksum", mi, idx, err)
+				for _, inPlace := range []bool{false, true} {
+					if tile, err := mpf.loadTile(mi, idx, inPlace); tile != nil || !errors.Is(err, ErrChecksum) {
+						t.Fatalf("payload flip in tile %d/%d (inPlace=%v): got tile %v, err %v, want ErrChecksum alone", mi, idx, inPlace, tile != nil, err)
+					}
 				}
 			}
 		}

@@ -67,9 +67,9 @@ func pagedImage(t *testing.T, k *Kernel, opts PagedOptions) []byte {
 	return buf.Bytes()
 }
 
-// loadAll opens an image and decodes every tile, returning nil tiles on
-// the first error.
-func loadAll(img []byte) ([][]*tlr.Tile, error) {
+// loadAll opens an image and decodes every tile on the given FP32 route
+// (see loadTile), returning nil tiles on the first error.
+func loadAll(img []byte, inPlace bool) ([][]*tlr.Tile, error) {
 	pf, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func loadAll(img []byte) ([][]*tlr.Tile, error) {
 	for mi, pm := range pf.Mats {
 		out[mi] = make([]*tlr.Tile, len(pm.Tiles))
 		for idx := range pm.Tiles {
-			tile, err := pf.LoadTile(mi, idx)
+			tile, err := pf.loadTile(mi, idx, inPlace)
 			if err != nil {
 				return nil, err
 			}
@@ -184,35 +184,82 @@ func TestPagedTiersMatchQuantize(t *testing.T) {
 func TestPagedCorruptionTable(t *testing.T) {
 	k := smallKernel(t)
 	img := pagedImage(t, k, PagedOptions{PageSize: 64, Policy: precision.DiagonalBand{Band: 0.3, Demoted: precision.FP16}})
-	want, err := loadAll(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var errCount, checksumCount, padCount int
-	for off := range img {
-		mut := bytes.Clone(img)
-		mut[off] ^= 0x40
-		got, err := loadAll(mut)
+	// both FP32 routes, whatever this host's LoadTile picks: the in-place
+	// read verifies the CRC over the tile's own backing store and must
+	// refuse a flipped payload exactly as the decoder does
+	for _, inPlace := range []bool{false, true} {
+		want, err := loadAll(img, inPlace)
 		if err != nil {
-			errCount++
-			if errors.Is(err, ErrChecksum) {
-				checksumCount++
-			}
-			continue
+			t.Fatal(err)
 		}
-		padCount++
-		for mi := range want {
-			for idx := range want[mi] {
-				if !tilesEqual(got[mi][idx], want[mi][idx]) {
-					t.Fatalf("offset %d: flip in unprotected bytes changed tile %d/%d", off, mi, idx)
+		var errCount, checksumCount, padCount int
+		for off := range img {
+			mut := bytes.Clone(img)
+			mut[off] ^= 0x40
+			got, err := loadAll(mut, inPlace)
+			if err != nil {
+				errCount++
+				if errors.Is(err, ErrChecksum) {
+					checksumCount++
+				}
+				continue
+			}
+			padCount++
+			for mi := range want {
+				for idx := range want[mi] {
+					if !tilesEqual(got[mi][idx], want[mi][idx]) {
+						t.Fatalf("inPlace=%v offset %d: flip in unprotected bytes changed tile %d/%d", inPlace, off, mi, idx)
+					}
 				}
 			}
 		}
+		if errCount == 0 || checksumCount == 0 {
+			t.Fatalf("inPlace=%v corruption sweep: %d errors (%d checksum) over %d offsets", inPlace, errCount, checksumCount, len(img))
+		}
+		t.Logf("inPlace=%v swept %d offsets: %d errored (%d via ErrChecksum), %d landed in padding", inPlace, len(img), errCount, checksumCount, padCount)
 	}
-	if errCount == 0 || checksumCount == 0 {
-		t.Fatalf("corruption sweep: %d errors (%d checksum) over %d offsets", errCount, checksumCount, len(img))
+}
+
+// TestPagedFP32InPlaceMatchesDecode runs every tile of an all-FP32
+// kernel with ragged edge tiles, zero-rank tiles and full-rank tiles
+// through both FP32 routes of loadTile — the in-place page read
+// little-endian hosts take and the decodePanel element loop — and
+// requires the same panels bit for bit, each equal to what was written.
+func TestPagedFP32InPlaceMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const m, n, nb = 13, 11, 6 // 3×2 tiles, last row 1 high, last column 5 wide
+	mt, nt := (m+nb-1)/nb, (n+nb-1)/nb
+	tm := &tlr.Matrix{M: m, N: n, NB: nb, MT: mt, NT: nt, Tiles: make([]*tlr.Tile, mt*nt)}
+	for i := 0; i < mt; i++ {
+		for j := 0; j < nt; j++ {
+			rows, cols := min((i+1)*nb, m)-i*nb, min((j+1)*nb, n)-j*nb
+			k := min([]int{0, 2, nb}[(i+j)%3], rows, cols)
+			tm.Tiles[i*nt+j] = &tlr.Tile{U: dense.Random(rng, rows, k), V: dense.Random(rng, cols, k)}
+		}
 	}
-	t.Logf("swept %d offsets: %d errored (%d via ErrChecksum), %d landed in padding", len(img), errCount, checksumCount, padCount)
+	for _, ps := range []int{64, DefaultPageSize} {
+		img := pagedImage(t, &Kernel{Freqs: []float64{9}, Mats: []*tlr.Matrix{tm}}, PagedOptions{PageSize: ps})
+		pf, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, src := range tm.Tiles {
+			inPlace, err := pf.loadTile(0, idx, true)
+			if err != nil {
+				t.Fatalf("ps=%d tile %d in place: %v", ps, idx, err)
+			}
+			decoded, err := pf.loadTile(0, idx, false)
+			if err != nil {
+				t.Fatalf("ps=%d tile %d decoded: %v", ps, idx, err)
+			}
+			if !tilesEqual(inPlace, decoded) {
+				t.Errorf("ps=%d tile %d (rank %d): in-place and decoded panels differ", ps, idx, src.Rank())
+			}
+			if !tilesEqual(decoded, src) {
+				t.Errorf("ps=%d tile %d (rank %d): decoded panels differ from the written ones", ps, idx, src.Rank())
+			}
+		}
+	}
 }
 
 // TestPagedOpenRejectsTruncation covers structural validation: images
