@@ -19,7 +19,7 @@ FUZZ_TARGETS = \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-stress integration fuzz bench bench-json bench-compare bench-e2e bench-e2e-compare lint repolint vuln cover
+.PHONY: all build vet test race race-stress integration fuzz bench bench-json bench-compare report report-check bench-e2e bench-e2e-compare lint repolint vuln cover
 
 all: vet build test
 
@@ -55,19 +55,33 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) ./$$pkg/; \
 	done
 
+# the per-package microbenchmarks, one iteration each — a smoke run;
+# wall-clock numbers that count come from bench-e2e below
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# ---- continuous benchmarking (mirrors the CI bench job) ----
+# ---- deterministic gates (mirrors the CI bench job) ----
+# bench-compare gates the short profile's rows against the committed
+# BENCH_baseline.json. report regenerates REPORT.md — every published
+# row of the paper beside the model's, with Δ and tolerance — and
+# report-check diffs the committed file against a fresh run (~35 s:
+# -full inverts the laptop-scale survey), so a model change that moves a
+# published comparison cannot land without the report showing it.
 
-BENCH_PROFILE ?= short
 BENCH_OUT ?= BENCH_ci.json
 
 bench-json:
-	$(GO) run ./cmd/benchreport run -profile $(BENCH_PROFILE) -label local -o $(BENCH_OUT)
+	$(GO) run ./cmd/benchreport run -profile short -label local -o $(BENCH_OUT)
 
 bench-compare: bench-json
 	$(GO) run ./cmd/benchreport compare BENCH_baseline.json $(BENCH_OUT)
+
+report:
+	$(GO) run ./cmd/paperrun -full -o REPORT.md
+
+report-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(GO) run ./cmd/paperrun -full -o "$$tmp" && diff -u REPORT.md "$$tmp"
 
 # ---- end-to-end memory-wall benchmark (BENCHMARK.json, bench/README.md) ----
 # bench-e2e runs one workload the way the benchmark driver does.

@@ -1,15 +1,15 @@
-// Command benchreport produces and gates the repo's performance
-// trajectory. `benchreport run` executes the curated benchmark set (the
-// workloads behind the paper's §6–§7 tables, instrumented through
-// internal/obs) and writes a schema-versioned JSON report;
-// `benchreport compare` diffs two reports and exits non-zero when any
-// gated metric regresses past the threshold — the check CI runs against
-// the committed BENCH_baseline.json.
+// Command benchreport produces and gates the repo's deterministic
+// metrics. `benchreport run` executes the curated workload set (the
+// workloads behind the paper's §6–§7 tables) and writes a
+// schema-versioned JSON report of what they compute — no wall-clock
+// value; `benchreport compare` diffs two reports and exits non-zero when
+// any gated metric regresses past the threshold — the check CI runs
+// against the committed BENCH_baseline.json.
 //
 // Usage:
 //
-//	benchreport run [-o BENCH.json] [-label NAME] [-profile short|full]
-//	benchreport compare [-threshold 0.10] [-gate-timing] OLD.json NEW.json
+//	benchreport run [-o BENCH.json] [-label NAME] [-profile short|smoke]
+//	benchreport compare [-threshold 0.10] OLD.json NEW.json
 package main
 
 import (
@@ -40,15 +40,15 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  benchreport run [-o FILE] [-label NAME] [-profile short|full|smoke]
-  benchreport compare [-threshold F] [-gate-timing] OLD.json NEW.json`)
+  benchreport run [-o FILE] [-label NAME] [-profile short|smoke]
+  benchreport compare [-threshold F] OLD.json NEW.json`)
 }
 
 func runCmd(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	out := fs.String("o", "BENCH.json", "output report path")
-	label := fs.String("label", "dev", "run label (e.g. PR2, baseline)")
-	profile := fs.String("profile", "short", "iteration profile: short, full, or smoke")
+	label := fs.String("label", "dev", "run label (e.g. ci, baseline)")
+	profile := fs.String("profile", "short", "workload profile: short or smoke")
 	fs.Parse(args)
 
 	p, err := benchreport.Profiles(*profile)
@@ -70,7 +70,6 @@ func runCmd(args []string) {
 func compareCmd(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.10, "relative regression threshold for gated metrics")
-	gateTiming := fs.Bool("gate-timing", false, "also gate wall-clock metrics (same-host comparisons only)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()
@@ -84,9 +83,7 @@ func compareCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := benchreport.Compare(oldR, newR, benchreport.CompareOptions{
-		Threshold: *threshold, GateTiming: *gateTiming,
-	})
+	res, err := benchreport.Compare(oldR, newR, benchreport.CompareOptions{Threshold: *threshold})
 	if err != nil {
 		fatal(err)
 	}

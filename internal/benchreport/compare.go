@@ -12,22 +12,11 @@ type CompareOptions struct {
 	// Threshold is the relative change treated as a regression for gated
 	// metrics (default 0.10, the ISSUE's >10% rule).
 	Threshold float64
-	// GateTiming also applies the gate to wall-clock metrics (Gate:false
-	// in the report). Off by default: baseline and candidate may run on
-	// different machines, so timings are reported but not enforced unless
-	// the caller knows the hosts match.
-	GateTiming bool
-	// TimingThreshold is the looser threshold used for wall-clock metrics
-	// when GateTiming is set (default 0.25, absorbing scheduler noise).
-	TimingThreshold float64
 }
 
 func (o CompareOptions) withDefaults() CompareOptions {
 	if o.Threshold == 0 {
 		o.Threshold = 0.10
-	}
-	if o.TimingThreshold == 0 {
-		o.TimingThreshold = 0.25
 	}
 	return o
 }
@@ -85,13 +74,9 @@ func Compare(oldR, newR *Report, opts CompareOptions) (*CompareResult, error) {
 			continue
 		}
 		d.New = nm.Value
-		gate, threshold := om.Gate, opts.Threshold
-		if !gate && opts.GateTiming {
-			gate, threshold = true, opts.TimingThreshold
-		}
-		d.Gated = gate
+		d.Gated = om.Gate
 		d.Change = relChange(om.Value, nm.Value)
-		if gate && regressed(om.Direction, om.Value, nm.Value, threshold) {
+		if om.Gate && regressed(om.Direction, om.Value, nm.Value, opts.Threshold) {
 			d.Regressed = true
 			res.Regressions = append(res.Regressions, om.Name)
 		}

@@ -60,21 +60,14 @@ func TestCompareTolerance(t *testing.T) {
 }
 
 func TestCompareUngatedTimingIsInformational(t *testing.T) {
-	oldR := mkReport(Metric{Name: "tlr.mvm.seq.ns_op", Value: 1000, Unit: "ns/op", Direction: Lower, Gate: false})
-	newR := mkReport(Metric{Name: "tlr.mvm.seq.ns_op", Value: 2000, Unit: "ns/op", Direction: Lower, Gate: false})
+	oldR := mkReport(Metric{Name: "lsqr.iters", Value: 10, Unit: "iters", Direction: Lower, Gate: false})
+	newR := mkReport(Metric{Name: "lsqr.iters", Value: 20, Unit: "iters", Direction: Lower, Gate: false})
 	res, err := Compare(oldR, newR, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.OK() {
-		t.Error("ungated timing metric tripped the gate")
-	}
-	res, err = Compare(oldR, newR, CompareOptions{GateTiming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK() {
-		t.Error("-gate-timing did not enforce a 2x timing regression")
+		t.Error("ungated metric tripped the gate")
 	}
 }
 

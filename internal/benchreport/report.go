@@ -1,10 +1,12 @@
-// Package benchreport turns the repo's benchmarks and obs-layer stage
-// meters into a machine-readable performance trajectory. A Report is the
-// schema-versioned JSON that cmd/benchreport emits per PR (BENCH_PR<N>.json)
-// and that CI diffs against the committed BENCH_baseline.json: wall-clock
-// timings, model-predicted cycle/traffic counts, and solution-quality
-// numbers (NMSE), each tagged with a direction and whether the regression
-// gate applies to it.
+// Package benchreport runs a curated set of the repo's workloads and
+// records what they compute, not how long they take: model-predicted
+// cycle and traffic counts, layout bytes, compression ratios,
+// solution-quality numbers (NMSE), failover, cache and allocation counts.
+// A Report is the schema-versioned JSON cmd/benchreport emits and CI
+// diffs against the committed BENCH_baseline.json; every row is a
+// deterministic function of the tree, tagged with a direction and
+// whether the regression gate applies to it. Wall-clock measurement is
+// bench/'s job (BENCHMARK.json).
 package benchreport
 
 import (
@@ -36,11 +38,9 @@ type Metric struct {
 	Unit  string  `json:"unit"`
 	// Direction is Lower or Higher.
 	Direction string `json:"direction"`
-	// Gate marks the metric as subject to the CI regression gate.
-	// Deterministic model outputs (cycle counts, traffic bytes, NMSE,
-	// compression ratios) gate by default; wall-clock timings do not,
-	// because baseline and PR may run on different machines — pass
-	// -gate-timing to compare to include them.
+	// Gate marks the metric as subject to the CI regression gate. An
+	// ungated row (today only lsqr.iters, where fewer is not worse) is
+	// reported by compare and never fails it.
 	Gate bool `json:"gate"`
 }
 
@@ -57,7 +57,7 @@ type Report struct {
 	Schema string `json:"schema"`
 	// Label names the run (e.g. "PR2", "baseline").
 	Label string `json:"label"`
-	// Profile is the iteration profile the run used ("short" or "full").
+	// Profile is the profile the run used ("short" or "smoke").
 	Profile string `json:"profile"`
 	// GitSHA is the commit the run measured (best effort; empty outside a
 	// git checkout).
@@ -66,10 +66,6 @@ type Report struct {
 	GeneratedUnix int64    `json:"generated_unix"`
 	Host          Host     `json:"host"`
 	Metrics       []Metric `json:"metrics"`
-	// Stages carries the raw obs-layer snapshot (per-stage timers, flop
-	// and byte meters, model gauges) for drill-down; it is informational
-	// and never gated.
-	Stages json.RawMessage `json:"stages,omitempty"`
 }
 
 // Metric returns the named metric, or nil.

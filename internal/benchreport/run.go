@@ -2,7 +2,6 @@ package benchreport
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/opstore"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
 	"repro/internal/testkit"
 	"repro/internal/tlr"
 	"repro/internal/tlrio"
@@ -27,18 +25,16 @@ import (
 	"repro/internal/wsesim"
 )
 
-// Profile sizes one benchreport run. The measured quantities are the
-// same in every profile; only the workload scale and repetition counts
-// differ, so short (CI) and full (workstation) reports stay comparable
-// metric-for-metric.
+// Profile sizes one benchreport run: short is what CI gates against
+// BENCH_baseline.json, smoke the minimal workload the tests run.
 type Profile struct {
 	Name    string
 	Dataset seismic.Options
 	// NB and Acc configure the TLR compression under test.
 	NB  int
 	Acc float64
-	// MVMReps sizes the serve job burst (2·MVMReps jobs, at least 8).
-	MVMReps int
+	// ServeJobs is the size of the mixed job burst sent to mddserve.
+	ServeJobs int
 	// SolverIters is the LSQR iteration budget of the MDD solve.
 	SolverIters int
 	// SimSW is the wsesim stack width.
@@ -62,21 +58,7 @@ func Profiles(name string) (Profile, error) {
 				},
 				Nt: 128, Dt: 0.004,
 			},
-			NB: 8, Acc: 1e-4, MVMReps: 20, SolverIters: 10, SimSW: 8,
-			PaperScale: true,
-		}, nil
-	case "full":
-		// Workstation profile: the bench_test.go survey scale.
-		return Profile{
-			Name: "full",
-			Dataset: seismic.Options{
-				Geom: seismic.Geometry{
-					NsX: 12, NsY: 8, NrX: 10, NrY: 6,
-					Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300,
-				},
-				Nt: 256, Dt: 0.004,
-			},
-			NB: 10, Acc: 1e-4, MVMReps: 100, SolverIters: 30, SimSW: 8,
+			NB: 8, Acc: 1e-4, ServeJobs: 40, SolverIters: 10, SimSW: 8,
 			PaperScale: true,
 		}, nil
 	case "smoke":
@@ -90,16 +72,15 @@ func Profiles(name string) (Profile, error) {
 				},
 				Nt: 64, Dt: 0.004,
 			},
-			NB: 4, Acc: 1e-3, MVMReps: 3, SolverIters: 5, SimSW: 4,
+			NB: 4, Acc: 1e-3, ServeJobs: 8, SolverIters: 5, SimSW: 4,
 		}, nil
 	}
-	return Profile{}, fmt.Errorf("benchreport: unknown profile %q (want short, full, or smoke)", name)
+	return Profile{}, fmt.Errorf("benchreport: unknown profile %q (want short or smoke)", name)
 }
 
 // Run executes the curated benchmark set for the profile and assembles
-// the report. Collection on the obs registry is enabled for the duration
-// so the report's Stages section carries the per-stage timers and meters
-// alongside the headline metrics.
+// the report. Collection on the obs registry is enabled for the duration:
+// the failover, store and serve rows are deltas of its counters.
 func Run(label string, p Profile) (*Report, error) {
 	wasEnabled := obs.Enabled()
 	obs.Enable()
@@ -117,16 +98,16 @@ func Run(label string, p Profile) (*Report, error) {
 		})
 	}
 
-	// --- workload: one Hilbert-ordered frequency slice, TLR-compressed ---
-	ds, err := seismic.Generate(p.Dataset)
+	// --- workload: the survey's Hilbert-ordered kernel, TLR-compressed
+	// once; the single-matrix rows use its middle frequency slice ---
+	pipe, err := core.BuildPipeline(core.PipelineOptions{
+		Dataset: p.Dataset, TileSize: p.NB, Accuracy: p.Acc,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("benchreport: generating dataset: %w", err)
+		return nil, fmt.Errorf("benchreport: building pipeline: %w", err)
 	}
-	hds, _ := ds.Reorder(sfc.Hilbert)
-	tm, err := tlr.Compress(hds.K[hds.NumFreqs()/2], tlr.Options{NB: p.NB, Tol: p.Acc})
-	if err != nil {
-		return nil, fmt.Errorf("benchreport: compressing slice: %w", err)
-	}
+	tk := pipe.Problem.K.(*mdc.TLRKernel) // BuildPipeline compresses unless Dense is set
+	tm := tk.Mats[len(tk.Mats)/2]
 	add("tlr.compression_ratio", tm.CompressionRatio(), "x", Higher, true)
 
 	rng := rand.New(rand.NewSource(1))
@@ -140,25 +121,10 @@ func Run(label string, p Profile) (*Report, error) {
 	add("tlr.mvm.soa.panel_cols", float64(tm.PanelCols()), "cols", Higher, true)
 	add("tlr.mvm.soa.bytes", float64(tm.SoABytes()), "B", Lower, true)
 
-	// --- MDC kernel: the per-frequency stack, TLR-compressed ---
-	dk, err := mdc.NewDenseKernel(hds.K)
-	if err != nil {
-		return nil, err
-	}
-	tk, err := mdc.CompressKernel(dk, tlr.Options{NB: p.NB, Tol: p.Acc})
-	if err != nil {
-		return nil, err
-	}
-	add("mdc.kernel.compression_ratio",
-		float64(dk.Bytes())/float64(tk.Bytes()), "x", Higher, true)
+	// --- MDC kernel: the per-frequency stack ---
+	add("mdc.kernel.compression_ratio", pipe.CompressionRatio(), "x", Higher, true)
 
 	// --- MDD inversion: LSQR solve quality ---
-	pipe, err := core.BuildPipeline(core.PipelineOptions{
-		Dataset: p.Dataset, TileSize: p.NB, Accuracy: p.Acc,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("benchreport: building pipeline: %w", err)
-	}
 	vs := pipe.DS.Geom.NumReceivers() / 2
 	rep, err := pipe.RunMDD(vs, p.SolverIters)
 	if err != nil {
@@ -209,9 +175,6 @@ func Run(label string, p Profile) (*Report, error) {
 		}
 	}
 
-	if stages, err := json.Marshal(obs.TakeSnapshot()); err == nil {
-		r.Stages = stages
-	}
 	return r, nil
 }
 
@@ -373,10 +336,7 @@ func serveMetrics(add func(name string, value float64, unit, direction string, g
 	// Phase 2: throughput. A fresh server with ample limits executes a
 	// mixed job burst; every job shares one dataset key, so the build
 	// cache misses exactly once per server.
-	n := 2 * p.MVMReps
-	if n < 8 {
-		n = 8
-	}
+	n := p.ServeJobs
 	iters := p.SolverIters
 	if iters > 4 {
 		iters = 4
@@ -458,19 +418,13 @@ func waitServeJob(s *mddserve.Server, id string) (mddserve.JobStatus, error) {
 	}
 }
 
-// paperScaleMetrics evaluates the calibrated rank distributions on the
-// CS-2 machine model — the cycle counts and aggregate bandwidths of
-// Tables 2 and 5 plus the §7.6 power figure. All outputs are
-// deterministic and therefore gate.
+// paperScaleMetrics evaluates three of the paper's published deployments
+// (internal/ranks/paper.go) on the CS-2 machine model — the cycle counts
+// and aggregate bandwidths of Tables 2 and 5 plus the §7.6 power figure.
+// All outputs are deterministic and therefore gate.
 func paperScaleMetrics(add func(name string, value float64, unit, direction string, gate bool)) error {
-	d70, err := ranks.New(ranks.Config{NB: 70, Acc: 1e-4})
-	if err != nil {
-		return fmt.Errorf("benchreport: calibrating nb=70: %w", err)
-	}
-	arch := cs2.DefaultArch()
-	m2, err := wse.Plan{
-		Dist: d70, Arch: arch, StackWidth: 23, Systems: 6, Strategy: wse.Strategy1,
-	}.Evaluate()
+	var pm wse.PaperModel
+	m2, err := pm.Evaluate(ranks.PaperSixShard[2].PaperPlan) // nb=70 acc=1e-4, sw=23
 	if err != nil {
 		return fmt.Errorf("benchreport: Table 2 plan: %w", err)
 	}
@@ -478,9 +432,7 @@ func paperScaleMetrics(add func(name string, value float64, unit, direction stri
 	add("cs2.table2.relative_bytes", float64(m2.RelativeBytes), "B", Lower, true)
 	add("cs2.table2.absolute_bytes", float64(m2.AbsoluteBytes), "B", Lower, true)
 
-	m5, err := wse.Plan{
-		Dist: d70, Arch: arch, StackWidth: 23, Systems: 48, Strategy: wse.Strategy2,
-	}.Evaluate()
+	m5, err := pm.Evaluate(ranks.PaperFortyEight[2].PaperPlan) // the same layout on 48 systems
 	if err != nil {
 		return fmt.Errorf("benchreport: Table 5 plan: %w", err)
 	}
@@ -488,12 +440,9 @@ func paperScaleMetrics(add func(name string, value float64, unit, direction stri
 	add("cs2.table5.abs_pbps", m5.AbsoluteBW/1e15, "PB/s", Higher, true)
 	add("cs2.table5.pflops", m5.FlopRate/1e15, "PFlop/s", Higher, true)
 
-	d25, err := ranks.New(ranks.Config{NB: 25, Acc: 1e-4})
+	plan, err := pm.Plan(ranks.PaperPower.PaperPlan) // nb=25 acc=1e-4, sw=64
 	if err != nil {
-		return fmt.Errorf("benchreport: calibrating nb=25: %w", err)
-	}
-	plan := wse.Plan{
-		Dist: d25, Arch: arch, StackWidth: 64, Systems: 6, Strategy: wse.Strategy1,
+		return fmt.Errorf("benchreport: power plan: %w", err)
 	}
 	m1, err := plan.Evaluate()
 	if err != nil {

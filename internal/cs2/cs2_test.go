@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ranks"
 )
 
 func TestDefaultArchParameters(t *testing.T) {
@@ -121,24 +123,23 @@ func TestStrategyOneProgramFitsSRAM(t *testing.T) {
 	// (V bases) and 4 of nb×sw (U bases) — must fit 48 kB for each Table 1
 	// configuration.
 	a := DefaultArch()
-	for _, cfg := range []struct{ nb, sw int }{
-		{25, 64}, {50, 32}, {70, 23}, {50, 18}, {70, 14},
-	} {
+	for _, r := range ranks.PaperSixShard {
+		nb, sw := r.NB, r.StackWidth
 		var mvms []MVM
 		for i := 0; i < 4; i++ {
-			mvms = append(mvms, MVM{M: cfg.sw, N: cfg.nb})
-			mvms = append(mvms, MVM{M: cfg.nb, N: cfg.sw})
+			mvms = append(mvms, MVM{M: sw, N: nb})
+			mvms = append(mvms, MVM{M: nb, N: sw})
 		}
 		p := PEProgram{MVMs: mvms}
 		// Re/Im parts of V and U are each stored once and reused by two
 		// MVMs: physical storage is half the naive per-MVM sum.
 		physical := p.MatrixSRAMBytes() / 2
 		if physical > a.SRAMBytes {
-			t.Errorf("nb=%d sw=%d: %d B exceeds SRAM", cfg.nb, cfg.sw, physical)
+			t.Errorf("nb=%d sw=%d: %d B exceeds SRAM", nb, sw, physical)
 		}
 		// and it should use a substantial fraction ("max out the SRAM")
-		if cfg.sw*cfg.nb >= 1600 && physical < a.SRAMBytes/4 {
-			t.Errorf("nb=%d sw=%d: only %d B of SRAM used", cfg.nb, cfg.sw, physical)
+		if sw*nb >= 1600 && physical < a.SRAMBytes/4 {
+			t.Errorf("nb=%d sw=%d: only %d B of SRAM used", nb, sw, physical)
 		}
 	}
 }
@@ -147,24 +148,14 @@ func TestCycleModelNearPaperWorstCounts(t *testing.T) {
 	// Table 2 worst cycle counts for the five validated configurations,
 	// modelled with ChunkCycles (strategy 1). The tiles-per-chunk values
 	// follow from the Fig. 12 rank layouts (≈ sw / mean tile rank + 1).
-	// The model is calibrated for shape, not exactness: require every
-	// prediction within 10% of the published value.
-	cases := []struct {
-		nb, sw, tiles int
-		want          int64
-	}{
-		{25, 64, 37, 21350},
-		{50, 32, 10, 19214},
-		{70, 23, 6, 19131},
-		{50, 18, 10, 12275},
-		{70, 14, 6, 12999},
-	}
-	for _, c := range cases {
-		got := ChunkCycles(c.nb, c.sw, c.tiles)
-		rel := math.Abs(float64(got-c.want)) / float64(c.want)
-		if rel > 0.10 {
-			t.Errorf("nb=%d sw=%d: modelled %d cycles vs paper %d (%.0f%% off)",
-				c.nb, c.sw, got, c.want, rel*100)
+	// The model is calibrated for shape, not exactness: every prediction
+	// must land within the published value's tolerance.
+	tilesPerChunk := map[int]int{25: 37, 50: 10, 70: 6}
+	for _, r := range ranks.PaperSixShard {
+		got := ChunkCycles(r.NB, r.StackWidth, tilesPerChunk[r.NB])
+		if !r.Cycles.Admits(float64(got)) {
+			t.Errorf("nb=%d sw=%d: modelled %d cycles vs paper %.0f (%+.0f%%, tolerance %.0f%%)",
+				r.NB, r.StackWidth, got, r.Cycles.Value, 100*r.Cycles.Delta(float64(got)), 100*r.Cycles.Tol)
 		}
 	}
 }
@@ -225,13 +216,14 @@ func TestRelativeBandwidthSaturatesNearTwoPBs(t *testing.T) {
 	cycles := MVMCycles(n, n)
 	perPE := a.Bandwidth(RelativeBytes(n, n), cycles)
 	agg := perPE * float64(a.UsablePEs())
-	if agg < 1.5e15 || agg > 2.5e15 {
-		t.Errorf("saturated relative bandwidth %g PB/s, want ≈2", agg/1e15)
+	fig := ranks.PaperFig14
+	if !fig.SaturatedRelPBps.Admits(agg / 1e15) {
+		t.Errorf("saturated relative bandwidth %g PB/s, want ≈%g", agg/1e15, fig.SaturatedRelPBps.Value)
 	}
 	// and the absolute metric must be ≈3X
 	aggAbs := a.Bandwidth(AbsoluteBytes(n, n), cycles) * float64(a.UsablePEs())
-	if r := aggAbs / agg; r < 2.5 || r > 3.2 {
-		t.Errorf("absolute/relative ratio %g, want ≈3", r)
+	if r := aggAbs / agg; !fig.AbsOverRel.Admits(r) {
+		t.Errorf("absolute/relative ratio %g, want ≈%g", r, fig.AbsOverRel.Value)
 	}
 }
 

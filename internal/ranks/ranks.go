@@ -42,6 +42,10 @@ var Fig12TotalBytes = map[Config]int64{
 	{70, 1e-4}: 112e9, {70, 3e-4}: 66e9, {70, 5e-4}: 49e9, {70, 7e-4}: 40e9,
 }
 
+// Fig12Tol is the relative deviation from its Fig. 12 total every
+// calibrated distribution is held to.
+const Fig12Tol = 0.02
+
 // Params configures a rank-distribution model.
 type Params struct {
 	// NB is the tile size.

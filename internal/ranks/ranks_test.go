@@ -37,13 +37,13 @@ func TestPaperDenseBytes(t *testing.T) {
 }
 
 func TestCalibrationHitsFig12Totals(t *testing.T) {
-	// Every published configuration must calibrate to within 2% of its
-	// Fig. 12 aggregate size.
+	// Every published configuration must calibrate to within Fig12Tol of
+	// its Fig. 12 aggregate size.
 	for cfg, want := range Fig12TotalBytes {
 		d := paperDist(t, cfg)
 		got := d.TotalBytes()
 		rel := math.Abs(float64(got-want)) / float64(want)
-		if rel > 0.02 {
+		if rel > Fig12Tol {
 			t.Errorf("%v: modelled %g GB vs published %g GB (%.1f%%)",
 				cfg, float64(got)/1e9, float64(want)/1e9, rel*100)
 		}
@@ -144,31 +144,19 @@ func TestPaperStackWidthsReproduceTable1PEs(t *testing.T) {
 	// Table 1: with the published stack widths on 6 systems, the chunk
 	// count (= PEs used under strategy 1) must land close to the
 	// published PE counts and inside the 6-system budget.
-	cases := []struct {
-		cfg     Config
-		sw      int
-		paperPE int64
-	}{
-		{Config{25, 1e-4}, 64, 4417690},
-		{Config{50, 1e-4}, 32, 4330150},
-		{Config{70, 1e-4}, 23, 4416383},
-		{Config{50, 3e-4}, 18, 4445947},
-		{Config{70, 3e-4}, 14, 4252877},
-	}
 	budget := int64(6 * 745500)
-	for _, c := range cases {
-		d := paperDist(t, c.cfg)
-		chunks, worst := d.Chunks(c.sw)
-		rel := math.Abs(float64(chunks-c.paperPE)) / float64(c.paperPE)
-		if rel > 0.10 {
-			t.Errorf("%v sw=%d: %d chunks vs paper %d PEs (%.1f%%)",
-				c.cfg, c.sw, chunks, c.paperPE, rel*100)
+	for _, r := range PaperSixShard {
+		d := paperDist(t, r.Config)
+		chunks, worst := d.Chunks(r.StackWidth)
+		if !r.PEs.Admits(float64(chunks)) {
+			t.Errorf("%v sw=%d: %d chunks vs paper %.0f PEs (%+.1f%%, tolerance %.0f%%)",
+				r.Config, r.StackWidth, chunks, r.PEs.Value, 100*r.PEs.Delta(float64(chunks)), 100*r.PEs.Tol)
 		}
 		if chunks > budget {
-			t.Errorf("%v sw=%d: %d chunks exceed 6-system budget %d", c.cfg, c.sw, chunks, budget)
+			t.Errorf("%v sw=%d: %d chunks exceed 6-system budget %d", r.Config, r.StackWidth, chunks, budget)
 		}
-		if worst != c.sw {
-			t.Errorf("%v: worst chunk %d, want full %d", c.cfg, worst, c.sw)
+		if worst != r.StackWidth {
+			t.Errorf("%v: worst chunk %d, want full %d", r.Config, worst, r.StackWidth)
 		}
 	}
 }
