@@ -2,7 +2,7 @@
 // a small, dependency-free framework in the shape of golang.org/x/tools'
 // go/analysis, plus ten analyzers that turn this repo's correctness
 // conventions into compiler-checked rules. The conventions exist because
-// the continuous-benchmarking gate (internal/benchreport) and the
+// the committed model report (REPORT.md, `make report-check`) and the
 // §6.5–§6.7 cycle/meter invariants treat the machine-model outputs as
 // exact: nondeterminism in a model package, a silently widened kernel
 // accumulator, or an execution path that never reaches the differential
@@ -42,9 +42,9 @@
 //     (escape: //lint:oracle-exempt).
 //   - seededrand: test/bench/testkit/cmd and serving-layer RNGs must be
 //     explicitly and deterministically seeded.
-//   - faultflow: errors from internal/fault, internal/ckpt,
-//     SolveFallible, InvertResilient, and CheckedKernel calls must reach
-//     a check on every CFG path (escape: //lint:err-ok).
+//   - faultflow: errors from internal/fault, SolveFallible,
+//     InvertResilient, and CheckedKernel calls must reach a check on
+//     every CFG path (escape: //lint:err-ok).
 //   - lockorder: no mutex held across channel operations or ShardRunner
 //     dispatch in internal/batch, internal/obs, the serving layer
 //     (internal/mddserve, internal/mddclient, cmd/mddserve), examples/,

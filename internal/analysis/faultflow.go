@@ -6,21 +6,20 @@ import (
 )
 
 // FaultFlow guards the fallible API surface PR 4 introduced: errors from
-// internal/fault and internal/ckpt, from the solvers' SolveFallible
-// entry points, and from any method named ApplyChecked or
-// ApplyAdjointChecked (guarded by name for as long as mdc declares
-// CheckedKernel: bench/ still implements and calls the pair, nothing
-// else in the tree does) exist so shard faults and corrupt
-// checkpoints surface as retryable errors instead of panics — a caller
-// that drops one silently reintroduces exactly the failure mode the
-// fault-tolerant stack was built to remove. This is a dataflow
-// must-reach check over the CFG, not an AST pattern: assigning the error
-// to a variable is not enough, the variable must be read (condition,
-// return, handler argument, closure capture) on every path out of the
-// function. Deliberate drops are annotated //lint:err-ok <reason>.
+// internal/fault, from the solvers' SolveFallible entry points, and from
+// any method named ApplyChecked or ApplyAdjointChecked (guarded by name
+// for as long as mdc declares CheckedKernel: bench/ still implements and
+// calls the pair, nothing else in the tree does) exist so shard faults
+// surface as retryable errors instead of panics — a caller that drops
+// one silently reintroduces exactly the failure mode the fault-tolerant
+// stack was built to remove. This is a dataflow must-reach check over
+// the CFG, not an AST pattern: assigning the error to a variable is not
+// enough, the variable must be read (condition, return, handler
+// argument, closure capture) on every path out of the function.
+// Deliberate drops are annotated //lint:err-ok <reason>.
 var FaultFlow = &Analyzer{
 	Name: "faultflow",
-	Doc: "require errors from internal/fault, internal/ckpt, SolveFallible, " +
+	Doc: "require errors from internal/fault, SolveFallible, " +
 		"InvertResilient, and CheckedKernel calls to reach a check on every path " +
 		"(escape: //lint:err-ok <reason>)",
 	TestFiles: true,
@@ -57,7 +56,7 @@ func fallibleCallee(fn *types.Func) bool {
 	if fn == nil {
 		return false
 	}
-	if pathMatches(funcPkgPath(fn), "internal/fault", "internal/ckpt") {
+	if pathMatches(funcPkgPath(fn), "internal/fault") {
 		return true
 	}
 	switch fn.Name() {

@@ -7,8 +7,8 @@ import (
 )
 
 // modelPkgSuffixes are the deterministic machine-model packages: their
-// outputs (cycle counts, byte counts, SRAM footprints) are gated exactly
-// by cmd/benchreport and asserted exactly by the §6.5–§6.7 oracle
+// outputs (cycle counts, byte counts, SRAM footprints) are diffed exactly
+// by `make report-check` and asserted exactly by the §6.5–§6.7 oracle
 // invariants, so any run-to-run variation is a correctness bug.
 var modelPkgSuffixes = []string{
 	"internal/cs2",
@@ -78,7 +78,7 @@ func runModelDeterminism(pass *Pass) error {
 				}
 				key := funcPkgPath(fn) + "." + fn.Name()
 				if why, ok := nondetFuncs[key]; ok {
-					pass.Reportf(n.Pos(), "%s %s; model packages must be bit-deterministic (benchreport gates their outputs exactly)", key, why)
+					pass.Reportf(n.Pos(), "%s %s; model packages must be bit-deterministic (REPORT.md diffs their outputs exactly)", key, why)
 				} else if isGlobalRand(fn) {
 					pass.Reportf(n.Pos(), "global %s.%s draws from a shared unseeded source; model packages must be bit-deterministic", funcPkgPath(fn), fn.Name())
 				}

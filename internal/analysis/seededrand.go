@@ -14,8 +14,8 @@ import (
 // seeds both make a failing trial unreproducible, which defeats the
 // differential oracle — and a chaos schedule that fires on a
 // nondeterministic draw cannot be replayed at all. The cmd/ drivers are
-// in scope because their runs feed committed artifacts (BENCH_*.json,
-// MDD reports) that must reproduce bit-for-bit. The serving layer
+// in scope because their runs feed committed artifacts (REPORT.md, MDD
+// reports) that must reproduce bit-for-bit. The serving layer
 // (internal/mddserve, internal/mddclient) is in scope because job
 // results are keyed on spec seeds — a tlrmvm checksum or a client
 // backoff schedule derived from the wall clock would break both the

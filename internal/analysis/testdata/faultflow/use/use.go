@@ -1,12 +1,9 @@
 // Package use exercises the faultflow must-reach rule over the guarded
-// fallible surface: internal/fault, internal/ckpt, SolveFallible, and
+// fallible surface: internal/fault, SolveFallible, InvertResilient, and
 // the CheckedKernel methods.
 package use
 
-import (
-	"fixture/internal/ckpt"
-	"fixture/internal/fault"
-)
+import "fixture/internal/fault"
 
 // Solver stands in for the LSQR/CGLS fallible entry points.
 type Solver struct{}
@@ -37,7 +34,7 @@ func dropped() {
 
 // Bad: explicit blank discard without annotation.
 func blanked() {
-	_ = ckpt.Write("p") // want `error from Write is discarded as _`
+	_ = fault.Inject() // want `error from Inject is discarded as _`
 }
 
 // Bad: assigned but clobbered before any read — no path observes the
@@ -95,7 +92,7 @@ func spawned() {
 
 // Bad: a deferred call's result vanishes.
 func deferred() {
-	defer ckpt.Write("p") // want `error from deferred Write call is dropped`
+	defer fault.Inject() // want `error from deferred Inject call is dropped`
 }
 
 // Good: annotated deliberate drop.

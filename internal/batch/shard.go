@@ -62,16 +62,6 @@ type ShardOptions struct {
 	// DeathAfter is the consecutive-failure count that declares a shard
 	// dead and triggers failover of its queue (default 2).
 	DeathAfter int
-	// DisableStealing pins every task to the shard it was dealt to
-	// (except death failover), restoring the strict round-robin draining
-	// order. Tasks are normally scheduled work-stealing: each shard owns
-	// a LIFO deque and an idle shard steals the oldest task from the
-	// most-loaded live peer, which bounds the tail when per-task work is
-	// skewed. Outputs are bitwise independent of which shard computes
-	// them, so stealing never changes results — only schedules. The
-	// deterministic failover benchmarks disable it so their retry and
-	// failover counts stay a pure function of the fault schedule.
-	DisableStealing bool
 	// Sleep replaces time.Sleep for the backoff delays (tests inject a
 	// no-op to keep deterministic schedules fast).
 	Sleep func(time.Duration)
@@ -313,24 +303,23 @@ func (r *ShardRunner) worker(shard int, exec ShardExec) {
 }
 
 // dequeueLocked takes the next task for a shard: the newest entry of its
-// own deque (LIFO — retries and fresh deals run hottest-first), else,
-// unless stealing is disabled, the oldest fresh entry of the most-loaded
-// live peer (FIFO from the victim's cold end, the classic work-stealing
-// split that minimizes contention with the owner). Two carve-outs keep
-// the failure semantics intact under stealing: only fresh tasks (zero
-// attempts) are stealable, so a retried task stays pinned to its shard
-// and the consecutive-failure death policy observes the same executions
-// it would without stealing; and a steal always leaves the victim at
-// least one task, so a misbehaving shard cannot be drained by its peers
-// before it ever executes (and earns its death).
+// own deque (LIFO — retries and fresh deals run hottest-first), else the
+// oldest fresh entry of the most-loaded live peer (FIFO from the
+// victim's cold end, the classic work-stealing split that minimizes
+// contention with the owner), which bounds the tail when per-task work
+// is skewed. Outputs are bitwise independent of which shard computes
+// them, so stealing never changes results — only schedules. Two
+// carve-outs keep the failure semantics intact under stealing: only
+// fresh tasks (zero attempts) are stealable, so a retried task stays
+// pinned to its shard and the consecutive-failure death policy observes
+// the same executions it would without stealing; and a steal always
+// leaves the victim at least one task, so a misbehaving shard cannot be
+// drained by its peers before it ever executes (and earns its death).
 func (r *ShardRunner) dequeueLocked(shard int) (pendingTask, bool) {
 	if q := r.queues[shard]; len(q) > 0 {
 		p := q[len(q)-1]
 		r.queues[shard] = q[:len(q)-1]
 		return p, true
-	}
-	if r.opts.DisableStealing {
-		return pendingTask{}, false
 	}
 	// best counts only queues holding a stealable entry, so a long
 	// all-retries queue never shadows a shorter stealable one.

@@ -92,7 +92,7 @@ func TestStressShardRunnerFlakyExecutors(t *testing.T) {
 // peers (the rank-skewed tile-row distribution of a real TLR factor) and
 // verifies the idle shards actually steal: the run completes, the steal
 // counter moves, nobody dies, and the outputs are bitwise identical to a
-// strict round-robin (DisableStealing) run of the same task set.
+// one-shard run of the same task set (no peer to steal from).
 func TestStressWorkStealingRankSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
@@ -103,7 +103,7 @@ func TestStressWorkStealingRankSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := NewShardRunner(ShardOptions{Shards: shards, Sleep: noSleep, DisableStealing: true})
+	one, err := NewShardRunner(ShardOptions{Shards: 1, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestStressWorkStealingRankSkew(t *testing.T) {
 			t.Fatalf("round %d: alive = %d, want %d (stealing must not trip the death policy)", round, r.Alive(), shards)
 		}
 
-		pinned := makeTasks(8*shards, 3)
-		if err := rr.Run(pinned, exec); err != nil {
-			t.Fatalf("round %d (round-robin): %v", round, err)
+		serial := makeTasks(8*shards, 3)
+		if err := one.Run(serial, exec); err != nil {
+			t.Fatalf("round %d (one shard): %v", round, err)
 		}
 		for i := range stolen {
 			for k := range stolen[i].Y {
-				if stolen[i].Y[k] != pinned[i].Y[k] {
-					t.Fatalf("round %d: task %d output %d differs between stealing and round-robin schedules", round, i, k)
+				if stolen[i].Y[k] != serial[i].Y[k] {
+					t.Fatalf("round %d: task %d output %d differs between the stealing and one-shard schedules", round, i, k)
 				}
 			}
 		}

@@ -195,9 +195,6 @@ func (p PEProgram) MatrixSRAMBytes() int {
 // SRAMBytes returns the total per-PE footprint including vectors/padding.
 func (p PEProgram) SRAMBytes() int { return p.MatrixSRAMBytes() + p.ExtraSRAMBytes }
 
-// Fits reports whether the program fits the PE SRAM.
-func (p PEProgram) Fits(a Arch) bool { return p.SRAMBytes() <= a.SRAMBytes }
-
 // Seconds converts a cycle count to wall time on the architecture.
 func (a Arch) Seconds(cycles int64) float64 {
 	return float64(cycles) / a.ClockHz

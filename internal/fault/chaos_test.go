@@ -202,3 +202,66 @@ func TestChaosNaNCorruptionRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosStickyDeathFailoverCounts pins what surviving one dead shard
+// costs, from the runner's policy rather than from a recorded run: a
+// shard whose every execution fails retries its first task in place
+// until DeathAfter consecutive failures kill it, so the run executes
+// exactly DeathAfter extra attempts, DeathAfter−1 of them retries, and
+// fails over that task plus whatever the shard still had queued — at
+// least the one task, at most its whole deal. Retries stay pinned and a
+// steal leaves its victim a task, so the counts hold for every steal
+// schedule; the product is bit-identical to the unsharded one.
+func TestChaosStickyDeathFailoverCounts(t *testing.T) {
+	const (
+		nf, rows, cols = 22, 6, 5
+		shards         = 4
+	)
+	k := chaosKernel(41, nf, rows, cols)
+	x := testkit.Vec(rand.New(rand.NewSource(42)), nf*cols)
+	want := make([]complex64, nf*rows)
+	(&mdc.FreqOperator{K: k}).Apply(x, want)
+
+	sched, err := fault.Parse("shard2:die@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	obs.Enable()
+	defer obs.Disable()
+	for _, deathAfter := range []int{1, 2, 3} {
+		runner, err := batch.NewShardRunner(batch.ShardOptions{
+			Shards: shards, DeathAfter: deathAfter, Sleep: func(time.Duration) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := &mdc.ShardedFreqOperator{K: k, Runner: runner, Intercept: fault.Shard(fault.NewInjector(sched))}
+
+		before := obs.TakeSnapshot()
+		got := make([]complex64, nf*rows)
+		if err := op.Apply(x, got); err != nil {
+			t.Fatalf("DeathAfter=%d: one dead shard of %d must not fail the product: %v", deathAfter, shards, err)
+		}
+		after := obs.TakeSnapshot()
+		delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
+
+		if extra := delta("batch.shard.execs") - nf; extra != int64(deathAfter) {
+			t.Errorf("DeathAfter=%d: %d extra executions, want %d", deathAfter, extra, deathAfter)
+		}
+		if n := delta("batch.shard.retries"); n != int64(deathAfter-1) {
+			t.Errorf("DeathAfter=%d: %d in-place retries, want %d", deathAfter, n, deathAfter-1)
+		}
+		if n := delta("batch.shard.deaths"); n != 1 || !runner.Dead(2) {
+			t.Errorf("DeathAfter=%d: %d deaths (shard 2 dead: %v), want exactly shard 2", deathAfter, n, runner.Dead(2))
+		}
+		if n, deal := delta("batch.shard.failovers"), int64((nf+shards-1)/shards); n < 1 || n > deal {
+			t.Errorf("DeathAfter=%d: %d failovers, want between 1 and the shard's deal of %d", deathAfter, n, deal)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("DeathAfter=%d: element %d differs after failover: %v vs %v", deathAfter, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -100,8 +100,6 @@ func Shard(inj *Injector) func(batch.ShardExec) batch.ShardExec {
 	}
 }
 
-// ShardTarget returns the injector stream name for a shard index, the
+// shardTarget returns the injector stream name for a shard index, the
 // name schedules use ("shard0", "shard1", …).
-func ShardTarget(shard int) string { return shardTarget(shard) }
-
 func shardTarget(shard int) string { return "shard" + strconv.Itoa(shard) }

@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/cfloat"
-	"repro/internal/ckpt"
 )
 
 // FallibleOperator is Operator with error propagation: the MVM products
@@ -43,11 +42,6 @@ func (f Fallible) Apply(x, y []complex64) error { f.Op.Apply(x, y); return nil }
 // ApplyAdjoint implements FallibleOperator.
 func (f Fallible) ApplyAdjoint(x, y []complex64) error { f.Op.ApplyAdjoint(x, y); return nil }
 
-const (
-	ckptMagic   = "LSQRCKPT"
-	ckptVersion = 1
-)
-
 // Checkpoint is the complete between-iterations state of an LSQR solve:
 // restoring it and continuing reproduces the uninterrupted trajectory
 // bit for bit (the loop body reads exactly these fields — the previous
@@ -65,66 +59,13 @@ type Checkpoint struct {
 	History []float64
 }
 
-// Encode serializes the checkpoint (magic "LSQRCKPT", CRC-32 trailer).
-func (c *Checkpoint) Encode() []byte {
-	e := ckpt.NewEncoder(ckptMagic, ckptVersion)
-	e.Int(int64(c.Iter))
-	e.Complex64s(c.X)
-	e.Complex64s(c.U)
-	e.Complex64s(c.V)
-	e.Complex64s(c.W)
-	e.Float(c.Alpha)
-	e.Float(c.PhiBar)
-	e.Float(c.RhoBar)
-	e.Float(c.Anorm)
-	e.Float(c.Ddnorm)
-	e.Float(c.Bnorm)
-	e.Float64s(c.History)
-	return e.Bytes()
-}
-
-// DecodeCheckpoint parses an encoded checkpoint, rejecting corrupted or
-// truncated snapshots with an error wrapping ckpt.ErrCorrupt.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	d, err := ckpt.NewDecoder(ckptMagic, ckptVersion, data)
-	if err != nil {
-		return nil, err
-	}
-	c := &Checkpoint{}
-	iter, err := d.Int()
-	if err != nil {
-		return nil, err
-	}
-	if iter < 0 {
-		return nil, fmt.Errorf("%w: negative iteration count %d", ckpt.ErrCorrupt, iter)
-	}
-	c.Iter = int(iter)
-	for _, dst := range []*[]complex64{&c.X, &c.U, &c.V, &c.W} {
-		if *dst, err = d.Complex64s(); err != nil {
-			return nil, err
-		}
-	}
-	for _, dst := range []*float64{&c.Alpha, &c.PhiBar, &c.RhoBar, &c.Anorm, &c.Ddnorm, &c.Bnorm} {
-		if *dst, err = d.Float(); err != nil {
-			return nil, err
-		}
-	}
-	if c.History, err = d.Float64s(); err != nil {
-		return nil, err
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // CheckpointConfig controls periodic snapshotting inside SolveFallible.
 type CheckpointConfig struct {
 	// Interval snapshots the solver state every Interval completed
 	// iterations; 0 disables checkpointing.
 	Interval int
 	// OnCheckpoint, when non-nil, observes each snapshot as it is taken
-	// (e.g. to persist its Encode()d bytes).
+	// (mddserve streams the per-iteration residual from it).
 	OnCheckpoint func(*Checkpoint)
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/dense"
 )
 
@@ -55,49 +54,9 @@ func bitIdentical(t *testing.T, label string, got, want []complex64) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	c := &Checkpoint{
-		Iter: 7,
-		X:    []complex64{1 + 2i, 3}, U: []complex64{4i}, V: []complex64{5, 6}, W: []complex64{7, 8i},
-		Alpha: 0.5, PhiBar: 1.5, RhoBar: -2.5, Anorm: 3.5, Ddnorm: 4.5, Bnorm: 5.5,
-		History: []float64{9, 8, 7},
-	}
-	got, err := DecodeCheckpoint(c.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iter != c.Iter || got.Alpha != c.Alpha || got.PhiBar != c.PhiBar ||
-		got.RhoBar != c.RhoBar || got.Anorm != c.Anorm || got.Ddnorm != c.Ddnorm ||
-		got.Bnorm != c.Bnorm {
-		t.Errorf("scalars differ: %+v vs %+v", got, c)
-	}
-	bitIdentical(t, "X", got.X, c.X)
-	bitIdentical(t, "U", got.U, c.U)
-	bitIdentical(t, "V", got.V, c.V)
-	bitIdentical(t, "W", got.W, c.W)
-	if len(got.History) != 3 || got.History[0] != 9 {
-		t.Errorf("history = %v", got.History)
-	}
-}
-
-func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
-	data := (&Checkpoint{Iter: 1, X: []complex64{1}, U: []complex64{2},
-		V: []complex64{3}, W: []complex64{4}}).Encode()
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x20
-		if _, err := DecodeCheckpoint(mut); err == nil {
-			t.Fatalf("flipping byte %d went undetected", i)
-		}
-	}
-	if _, err := DecodeCheckpoint(data[:len(data)/2]); !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Errorf("truncated snapshot: err = %v, want ErrCorrupt", err)
-	}
-}
-
 // TestResumeBitIdentical checkpoints mid-solve, resumes from the
-// serialized snapshot, and requires the resumed trajectory to land
-// exactly on the uninterrupted one.
+// snapshot, and requires the resumed trajectory to land exactly on the
+// uninterrupted one.
 func TestResumeBitIdentical(t *testing.T) {
 	op, b := randProblem(51, 20, 12)
 	opts := Options{MaxIters: 12}
@@ -107,24 +66,20 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snap []byte
+	var resume *Checkpoint
 	_, _, err = SolveFallible(Fallible{Op: op}, b, opts, CheckpointConfig{
 		Interval: 5,
 		OnCheckpoint: func(c *Checkpoint) {
 			if c.Iter == 5 {
-				snap = c.Encode()
+				resume = c
 			}
 		},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
+	if resume == nil {
 		t.Fatal("no checkpoint taken at iteration 5")
-	}
-	resume, err := DecodeCheckpoint(snap)
-	if err != nil {
-		t.Fatal(err)
 	}
 	res, _, err := SolveFallible(Fallible{Op: op}, b, opts, CheckpointConfig{}, resume)
 	if err != nil {

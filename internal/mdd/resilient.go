@@ -32,8 +32,8 @@ type ResilientOptions struct {
 	// MaxRestarts bounds how many faults the solve will absorb before
 	// giving up and returning the last fault (default 3).
 	MaxRestarts int
-	// OnCheckpoint, when non-nil, observes each snapshot (e.g. to
-	// persist its Encode()d bytes off-system).
+	// OnCheckpoint, when non-nil, observes each snapshot (mddserve
+	// streams the per-iteration residual from it).
 	OnCheckpoint func(*lsqr.Checkpoint)
 	// Fatal, when non-nil, classifies operator faults that must not be
 	// retried: when it reports true the fault is returned immediately

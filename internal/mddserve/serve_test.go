@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mdc"
+	"repro/internal/obs"
 )
 
 func testSpec(typ JobType) JobSpec {
@@ -197,12 +198,20 @@ func TestClosedServerRejectsSubmit(t *testing.T) {
 	}
 }
 
+// TestDatasetCacheBuildsOnce: the build cache is keyed on what shapes
+// the dataset and its kernels, not on what a job does with them, so a
+// burst of every job type over one spec synthesizes and compresses
+// once — one miss, a hit for every other job, one cached build.
 func TestDatasetCacheBuildsOnce(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	before := obs.TakeSnapshot()
 	s := New(testConfig())
 	defer s.Close()
-	ids := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		id, err := s.Submit(testSpec(JobCompress), "t")
+	types := []JobType{JobCompress, JobCompress, JobTLRMVM, JobMDD, JobCompress}
+	ids := make([]string, 0, len(types))
+	for _, typ := range types {
+		id, err := s.Submit(testSpec(typ), "t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +223,10 @@ func TestDatasetCacheBuildsOnce(t *testing.T) {
 		if st.State != StateDone {
 			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
 		}
-		if i == 0 {
+		if types[i] != JobCompress {
+			continue
+		}
+		if ratio == 0 {
 			ratio = st.Result.CompressionRatio
 		} else if st.Result.CompressionRatio != ratio {
 			t.Errorf("cached build must be shared: ratio %g != %g", st.Result.CompressionRatio, ratio)
@@ -225,6 +237,12 @@ func TestDatasetCacheBuildsOnce(t *testing.T) {
 	s.cacheMu.Unlock()
 	if n != 1 {
 		t.Errorf("cache holds %d builds for one spec key, want 1", n)
+	}
+	after := obs.TakeSnapshot()
+	misses := after.Counter("serve.cache.misses") - before.Counter("serve.cache.misses")
+	hits := after.Counter("serve.cache.hits") - before.Counter("serve.cache.hits")
+	if misses != 1 || hits != int64(len(types)-1) {
+		t.Errorf("%d jobs over one spec: %d builds, %d cache hits; want 1 and %d", len(types), misses, hits, len(types)-1)
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package obs is the repo-wide observability layer: named counters,
 // per-stage timers, flop/byte meters, and gauges that the hot paths of the
 // TLR-MVM stack (internal/tlr, internal/batch, internal/mdc, the solvers,
-// and the CS-2 machine models) publish into a single registry.
-// cmd/benchreport takes its failover, store and serve rows from counter
-// deltas of the registry, and mddserve serves a snapshot of it at
-// GET /api/v1/metrics.
+// and the CS-2 machine models) publish into a single registry. The chaos
+// and failover tests assert counter deltas of the registry, and mddserve
+// serves a snapshot of it at GET /api/v1/metrics.
 //
 // Collection is globally disabled by default and every recording call is
 // guarded by one atomic load, so instrumented hot paths pay (far) less

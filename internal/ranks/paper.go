@@ -5,10 +5,9 @@ import "math"
 // This file is the one declaration of the paper's CS-2 results (§7:
 // Fig. 14, Tables 1–5, §7.6): every published row in print order, with
 // the deviation the machine model is allowed on each quantity. The
-// ranks, cs2 and wse tests assert it, benchreport's cs2.* rows take
-// their plans from it, and cmd/paperrun prints REPORT.md from it.
-// TestPaperTableCensus pins the row counts and refuses a widened
-// tolerance.
+// ranks, cs2 and wse tests assert it and cmd/paperrun prints REPORT.md
+// from it. TestPaperTableCensus pins the row counts and refuses a
+// widened tolerance.
 
 // PaperPlan is one deployment the paper reports: a Fig. 12 configuration
 // at a stack width on a number of CS-2 systems under a §6.7 strategy

@@ -28,6 +28,17 @@ func TestGemvPanelCols(t *testing.T) {
 			t.Errorf("GemvPanelCols(%d, %d) = %d fails invariant", tc.rows, tc.elemBytes, cols)
 		}
 	}
+	// maximal: the widest quad-aligned panel that fits half the L2 — one
+	// quad more would not — unless the 4096-column cap binds first
+	for _, rows := range []int{4, 10, 70, 1000} {
+		cols := c.GemvPanelCols(rows, 8)
+		if cols*rows*8 > c.L2/2 {
+			t.Errorf("GemvPanelCols(%d, 8) = %d overflows half the L2", rows, cols)
+		}
+		if cols < 4096 && (cols+4)*rows*8 <= c.L2/2 {
+			t.Errorf("GemvPanelCols(%d, 8) = %d leaves room for another quad", rows, cols)
+		}
+	}
 	// monotone: longer columns never widen the panel
 	if a, b := c.GemvPanelCols(16, 8), c.GemvPanelCols(64, 8); a < b {
 		t.Errorf("panel widened with column length: rows=16 -> %d, rows=64 -> %d", a, b)

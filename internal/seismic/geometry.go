@@ -76,14 +76,6 @@ func (g Geometry) ReceiverIndex(ix, iy int) int {
 	return ix*g.NrY + iy
 }
 
-// SourceIndex returns the source index for grid coordinates (ix, iy).
-func (g Geometry) SourceIndex(ix, iy int) int {
-	if ix < 0 || ix >= g.NsX || iy < 0 || iy >= g.NsY {
-		panic(fmt.Sprintf("seismic: source (%d,%d) outside %dx%d grid", ix, iy, g.NsX, g.NsY))
-	}
-	return ix*g.NsY + iy
-}
-
 // Validate reports whether the geometry is usable.
 func (g Geometry) Validate() error {
 	if g.NsX < 1 || g.NsY < 1 || g.NrX < 1 || g.NrY < 1 {

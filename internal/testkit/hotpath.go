@@ -13,13 +13,12 @@ import (
 	"repro/internal/wsesim"
 )
 
-// HotPath is one kernel of the allocation-budget contract. This
+// hotPath is one kernel of the allocation-budget contract. This
 // registry is the whole contract: every entry's op must measure
 // 0 allocs/op under testing.AllocsPerRun once warmed up
-// (TestHotPathAllocs, tier-1) and benchreport gates the same
-// measurement as hotpath.<Name>.allocs_per_op.
-type HotPath struct {
-	// Name is the kernel's name in test output and benchreport rows.
+// (TestHotPathAllocs, tier-1).
+type hotPath struct {
+	// Name is the kernel's subtest name.
 	Name string
 	// Setup builds the kernel's operands deterministically and returns
 	// the steady-state operation to measure.
@@ -42,11 +41,11 @@ func hotPathMatrix() (*tlr.Matrix, error) {
 	return tlr.Compress(a, tlr.Options{NB: hotNB, Tol: 1e-4, Workers: 1})
 }
 
-// HotPaths returns the runtime allocation-budget registry. Every entry
+// hotPaths returns the runtime allocation-budget registry. Every entry
 // runs single-worker: the parallel paths spawn goroutines whose
 // allocations are legitimate scheduling cost, not kernel cost.
-func HotPaths() []HotPath {
-	return []HotPath{
+func hotPaths() []hotPath {
+	return []hotPath{
 		{Name: "tlr.mulvec", Setup: func() (func(), error) {
 			t, err := hotPathMatrix()
 			if err != nil {

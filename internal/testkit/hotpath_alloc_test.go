@@ -1,10 +1,6 @@
-package testkit_test
+package testkit
 
-import (
-	"testing"
-
-	"repro/internal/testkit"
-)
+import "testing"
 
 // TestHotPathAllocs is the allocation-budget contract: every kernel in
 // the hot-path registry must run steady-state with zero allocations per
@@ -12,7 +8,7 @@ import (
 // inspection cannot — interface boxing in callees, escape-analysis
 // regressions, scratch that silently stopped being recycled.
 func TestHotPathAllocs(t *testing.T) {
-	for _, hp := range testkit.HotPaths() {
+	for _, hp := range hotPaths() {
 		t.Run(hp.Name, func(t *testing.T) {
 			op, err := hp.Setup()
 			if err != nil {

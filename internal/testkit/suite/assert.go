@@ -1,6 +1,5 @@
-// Assertions for package suite, mirroring the testify assert/require
-// surface the serving-layer tests need. Each method reports success so
-// callers can chain logic on non-fatal assertions.
+// Assertions for package suite, mirroring the part of the testify
+// require surface the serving-layer tests need.
 package suite
 
 import (
@@ -12,11 +11,10 @@ import (
 	"testing"
 )
 
-// Assertions is one assertion set bound to a *testing.T. fatal selects
-// require semantics (FailNow) over assert semantics (Fail).
+// Assertions is one assertion set bound to a *testing.T, with require
+// semantics: a failed assertion stops the test method (FailNow).
 type Assertions struct {
-	t     *testing.T
-	fatal bool
+	t *testing.T
 }
 
 // fail records a failure, formatted testify-style with optional
@@ -34,11 +32,7 @@ func (a *Assertions) fail(msg string, msgAndArgs ...any) bool {
 			msg += ": " + strings.Join(parts, " ")
 		}
 	}
-	if a.fatal {
-		a.t.Fatal(msg)
-	} else {
-		a.t.Error(msg)
-	}
+	a.t.Fatal(msg)
 	return false
 }
 

@@ -34,32 +34,26 @@ type (
 )
 
 // Suite is the embeddable base: it carries the current *testing.T and
-// exposes the assertion sets.
+// exposes the assertion set.
 type Suite struct {
 	t *testing.T
 
 	require *Assertions
-	assert  *Assertions
 }
 
 // T returns the *testing.T of the currently running test method.
 func (s *Suite) T() *testing.T { return s.t }
 
 // SetT installs the *testing.T for the next test method and rebinds the
-// assertion sets to it.
+// assertion set to it.
 func (s *Suite) SetT(t *testing.T) {
 	s.t = t
-	s.require = &Assertions{t: t, fatal: true}
-	s.assert = &Assertions{t: t, fatal: false}
+	s.require = &Assertions{t: t}
 }
 
 // Require returns assertions that stop the test method on failure
 // (FailNow semantics).
 func (s *Suite) Require() *Assertions { return s.require }
-
-// Assert returns assertions that mark the test failed but keep running
-// (Fail semantics).
-func (s *Suite) Assert() *Assertions { return s.assert }
 
 // Run runs every exported Test* method of the suite as a subtest of t,
 // wiring the lifecycle hooks around them.

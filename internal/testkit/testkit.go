@@ -54,11 +54,6 @@ func Mat(rng *rand.Rand, m, n int) *dense.Matrix {
 	return dense.Random(rng, m, n)
 }
 
-// LowRankMat returns an m×n matrix of exact rank r.
-func LowRankMat(rng *rand.Rand, m, n, r int) *dense.Matrix {
-	return dense.RandomLowRank(rng, m, n, r)
-}
-
 // DecayMat returns an m×n matrix whose singular values decay as decay^k —
 // the data-sparse regime of Hilbert-sorted seismic frequency matrices
 // where TLR compression pays off.

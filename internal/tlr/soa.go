@@ -208,16 +208,6 @@ type soaState struct {
 // cheap to call again.
 func (t *Matrix) EnsureSoA() { t.getSoA() }
 
-// SoABytes returns the footprint of the stacked split-plane copy of the
-// factors (equal to CompressedBytes: two float32 planes per complex64).
-func (t *Matrix) SoABytes() int64 {
-	l := t.getSoA()
-	return 8 * int64(len(l.v.re)+len(l.u.re))
-}
-
-// PanelCols returns the cache-block width of the SoA panel sweeps.
-func (t *Matrix) PanelCols() int { return t.getSoA().v.cols }
-
 // getSoA returns the layout, building it once per Matrix. Same
 // atomic-flag pattern as ensureScratch: the fast path must not allocate.
 func (t *Matrix) getSoA() *soaLayout {

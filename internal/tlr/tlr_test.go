@@ -212,6 +212,18 @@ func TestRanksMap(t *testing.T) {
 	if maxR != tm.MaxRank() {
 		t.Errorf("MaxRank %d != map max %d", tm.MaxRank(), maxR)
 	}
+	// every block of an exactly rank-3 matrix has rank 3: the compressor
+	// keeps three columns per base — fewer loses accuracy, more loses the
+	// footprint — and the compressed size follows in closed form
+	lr := compressOrDie(t, dense.RandomLowRank(rng, 48, 48, 3), Options{NB: 16, Tol: 1e-4})
+	for idx, r := range lr.Ranks() {
+		if r != 3 {
+			t.Errorf("rank-3 matrix: tile %d kept rank %d", idx, r)
+		}
+	}
+	if want := int64(9 * 3 * (16 + 16) * 8); lr.CompressedBytes() != want {
+		t.Errorf("rank-3 matrix: %d B compressed, want 9 tiles × 3 × (16+16) × 8 B = %d", lr.CompressedBytes(), want)
+	}
 }
 
 func TestMaxRankCap(t *testing.T) {

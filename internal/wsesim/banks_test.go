@@ -20,6 +20,15 @@ func TestBankPlanConflictFree(t *testing.T) {
 		if err := plan.Verify(); err != nil {
 			t.Fatalf("PE %d: %v", i, err)
 		}
+		// the planner lists the image array by array; what it places
+		// must be what the PE says it holds
+		var placed int
+		for _, a := range plan.Arrays {
+			placed += a.Bytes
+		}
+		if placed != pe.SRAMBytes() {
+			t.Fatalf("PE %d: planner places %d B, SRAMBytes reports %d", i, placed, pe.SRAMBytes())
+		}
 	}
 }
 

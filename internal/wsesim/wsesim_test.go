@@ -146,20 +146,22 @@ func TestMeteredTrafficMatchesAbsoluteFormula(t *testing.T) {
 	y := make([]complex64, 64)
 	mach.MulVec(x, y)
 	got := mach.TotalMeter()
-	var want int64
+	var want, wantFMACs int64
 	for _, pe := range mach.PEs {
 		// 4 V MVMs of (Rows × ColExtent)
 		want += 4 * cs2.AbsoluteBytes(pe.Chunk.Rows, pe.ColExtent)
+		wantFMACs += 4 * cs2.FMACs(pe.Chunk.Rows, pe.ColExtent)
 		// 4 U MVMs per segment of (rowExt × K)
 		for s, seg := range pe.Chunk.Segments {
 			want += 4 * cs2.AbsoluteBytes(pe.rowExt[s], seg.K)
+			wantFMACs += 4 * cs2.FMACs(pe.rowExt[s], seg.K)
 		}
 	}
 	if got.Bytes() != want {
 		t.Errorf("metered %d B, formula %d B", got.Bytes(), want)
 	}
-	if got.FMACs == 0 {
-		t.Error("no FMACs metered")
+	if got.FMACs != wantFMACs {
+		t.Errorf("metered %d FMACs, formula %d", got.FMACs, wantFMACs)
 	}
 }
 
