@@ -10,6 +10,7 @@ FUZZ_TARGETS = \
 	internal/sfc:FuzzVectorPermutationRoundTrip \
 	internal/cfloat:FuzzSplitMergeRoundTrip \
 	internal/cfloat:FuzzComplexMVMViaFourReal \
+	internal/cfloat:FuzzGemvBlocked \
 	internal/precision:FuzzF16RoundTrip \
 	internal/precision:FuzzBF16RoundTrip \
 	internal/tlrio:FuzzOpenPaged \
@@ -98,7 +99,9 @@ bench-e2e-compare:
 # (TESTING.md, "Static analysis suite") and needs no network: one
 # whole-module run covers every analyzer, test variants included. The
 # s390x cross-vet type-checks the big-endian side of tlrio.LoadTile,
-# which no host here executes.
+# which no host here executes; the arm64 one the float32 Gemv and LSQR
+# loops for a target that fuses multiply-adds, where they are not run
+# either.
 
 REPOLINT_SRCS := $(wildcard cmd/repolint/*.go internal/analysis/*.go)
 
@@ -109,6 +112,7 @@ repolint: bin/repolint
 
 lint: vet bin/repolint
 	GOARCH=s390x $(GO) vet ./internal/tlrio/ ./internal/opstore/ ./internal/tlr/
+	GOARCH=arm64 $(GO) vet ./internal/cfloat/ ./internal/lsqr/
 	./bin/repolint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

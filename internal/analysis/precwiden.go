@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -17,16 +18,19 @@ var kernelPkgSuffixes = []string{
 	"internal/precision",
 }
 
-// PrecWiden flags float32→float64 and complex64→complex128 conversions
-// inside for/range loops of the kernel packages. Intentional widened
-// accumulators are suppressed with //lint:widen-ok — on the conversion's
-// line, the line above it, or the enclosing function's doc comment (for
-// functions whose whole point is float64 accumulation, e.g. the cfloat
-// dot products).
+// PrecWiden flags the two ways a float32 kernel loop ends up computing
+// in float64: float32→float64 and complex64→complex128 conversions, and
+// complex64 products (`*`, `*=`) — gc lowers a complex64 multiply to
+// four float32→float64 converts, float64 arithmetic and two converts
+// back, a widening no conversion in the source shows. Both are flagged
+// inside for/range loops of the kernel packages. Intentional widening
+// is suppressed with //lint:widen-ok — on the line, the line above it,
+// or the enclosing function's doc comment (for functions whose whole
+// point is float64 accumulation, e.g. the cfloat dot products).
 var PrecWiden = &Analyzer{
 	Name: "precwiden",
-	Doc: "flag silent float32→float64 / complex64→complex128 widening in kernel " +
-		"hot loops; annotate intentional accumulators with //lint:widen-ok",
+	Doc: "flag silent float32→float64 / complex64→complex128 widening, conversions and " +
+		"complex64 products alike, in kernel hot loops; annotate intentional widening with //lint:widen-ok",
 	Run: runPrecWiden,
 }
 
@@ -40,24 +44,56 @@ func runPrecWiden(pass *Pass) error {
 		}
 		okLines := pass.markerLines(file, "widen-ok")
 		walkStack(file, func(n ast.Node, stack []ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
+			var pos token.Pos
+			var what string
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if len(n.Args) != 1 {
+					return
+				}
+				from, to, isWiden := wideningConversion(pass.TypesInfo, n)
+				if !isWiden {
+					return
+				}
+				pos, what = n.Pos(), "silent "+from+"→"+to+" widening"
+			case *ast.BinaryExpr:
+				if n.Op != token.MUL || !isComplex64Product(pass.TypesInfo, n) {
+					return
+				}
+				pos, what = n.OpPos, "complex64 product (gc computes it in float64)"
+			case *ast.AssignStmt:
+				if n.Tok != token.MUL_ASSIGN || !isComplex64(pass.TypesInfo.TypeOf(n.Lhs[0])) {
+					return
+				}
+				pos, what = n.TokPos, "complex64 product (gc computes it in float64)"
+			default:
 				return
 			}
-			from, to, isWiden := wideningConversion(pass.TypesInfo, call)
-			if !isWiden || loopDepth(stack) == 0 {
-				return
-			}
-			if okLines[pass.Fset.Position(call.Pos()).Line] {
+			if loopDepth(stack) == 0 || okLines[pass.Fset.Position(pos).Line] {
 				return
 			}
 			if fd := enclosingFuncDecl(stack); fd != nil && pass.docHasMarker(fd.Doc, "widen-ok") {
 				return
 			}
-			pass.Reportf(call.Pos(), "silent %s→%s widening in a kernel hot loop changes numerics and modelled traffic; annotate //lint:widen-ok if the accumulation is intentional", from, to)
+			pass.Reportf(pos, "%s in a kernel hot loop changes numerics and modelled traffic; write the float32 arithmetic out, or annotate //lint:widen-ok if the widening is intentional", what)
 		})
 	}
 	return nil
+}
+
+// isComplex64Product reports whether the multiplication e is evaluated
+// at run time in complex64 (a product folded to a constant is not).
+func isComplex64Product(info *types.Info, e *ast.BinaryExpr) bool {
+	tv, ok := info.Types[e]
+	return ok && tv.Value == nil && isComplex64(tv.Type)
+}
+
+func isComplex64(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Complex64
 }
 
 // wideningConversion reports whether call is a conversion whose target

@@ -19,6 +19,48 @@ func SumBad(z []complex64) complex128 {
 	return s
 }
 
+// A complex64 product is a widening no conversion shows: gc computes it
+// in float64. Flagged in loops, as `*` and as `*=`.
+func AxpyBad(alpha complex64, x, y []complex64) {
+	for i, v := range x {
+		y[i] += alpha * v // want `complex64 product \(gc computes it in float64\)`
+	}
+}
+
+func ScalBad(alpha complex64, x []complex64) {
+	for i := range x {
+		x[i] *= alpha // want `complex64 product \(gc computes it in float64\)`
+	}
+}
+
+// The same product written out in float32 is what the loop should hold.
+func ScalOK(alpha complex64, x []complex64) {
+	ar, ai := real(alpha), imag(alpha)
+	for i, v := range x {
+		x[i] = complex(ar*real(v)-ai*imag(v), ar*imag(v)+ai*real(v))
+	}
+}
+
+// Sums, real products, complex128 products and constant-folded
+// products are not complex64 multiplies; outside a loop nothing is hot.
+func NotProducts(x []complex64, z []complex128, s float32) complex64 {
+	const twoI = 2 * 1i
+	var acc complex64
+	for i, v := range x {
+		acc += v + twoI
+		x[i] = complex(s*real(v), s*imag(v))
+		z[i] = z[i] * z[i]
+	}
+	return acc * acc
+}
+
+// Line-level suppression covers products too.
+func AxpyOK(alpha complex64, x, y []complex64) {
+	for i, v := range x {
+		y[i] += alpha * v //lint:widen-ok set-up path, bits pinned
+	}
+}
+
 // Line-level suppression: same line.
 func DotOKSameLine(x []float32) float64 {
 	var s float64

@@ -3,8 +3,14 @@
 // and level-2 routines over complex64, plus the four-real-MVM decomposition
 // of a complex MVM that the paper's Cerebras kernel uses (§6.6).
 //
-// All routines are allocation-free on their hot paths and accumulate in
-// float64 where it measurably improves accuracy (dot products, norms).
+// All routines are allocation-free on their hot paths. The products the
+// solve streams — Gemv in both directions, Scal, the SoA kernels — run in
+// float32 real/imaginary arithmetic, the tile's native precision: a
+// complex64 `*` is not that (gc computes it in float64), so those loops
+// spell the four real multiplies out. The reductions to one number —
+// Dotc, Dotu, Nrm2, Asum — accumulate in float64, where it measurably
+// improves accuracy, and Gemm and Axpy, which run at set-up only, keep
+// the widened arithmetic their pinned results were computed with.
 package cfloat
 
 import "math"
@@ -34,6 +40,8 @@ func (t Trans) String() string {
 }
 
 // Axpy computes y += alpha*x elementwise. x and y must have equal length.
+//
+//lint:widen-ok set-up and checking path (orthonormalisation under dense, CGLS, residual checks): gc's float64 complex product is kept, its bits feed pinned compression facts
 func Axpy(alpha complex64, x, y []complex64) {
 	if len(x) != len(y) {
 		panic("cfloat: Axpy length mismatch")
@@ -46,10 +54,18 @@ func Axpy(alpha complex64, x, y []complex64) {
 	}
 }
 
-// Scal scales x in place by alpha.
+// Scal scales x in place by alpha, in float32 arithmetic: two multiplies
+// per element for a real alpha (what every caller outside the tests
+// passes), the four-multiply complex product otherwise.
 func Scal(alpha complex64, x []complex64) {
-	for i := range x {
-		x[i] *= alpha
+	if s := real(alpha); imag(alpha) == 0 {
+		for i, v := range x {
+			x[i] = complex(s*real(v), s*imag(v))
+		}
+		return
+	}
+	for i, v := range x {
+		x[i] = mul(alpha, v)
 	}
 }
 
@@ -147,11 +163,23 @@ func Copy(dst, src []complex64) {
 }
 
 // Gemv computes y = alpha*op(A)*x + beta*y where A is m×n stored
-// column-major in a with leading dimension lda, and op is selected by t.
-// For t == NoTrans, x has length n and y length m; for Transpose and
-// ConjTrans the roles are swapped.
+// column-major in a with leading dimension lda, and op is NoTrans (x has
+// length n, y length m) or ConjTrans (roles swapped). The unconjugated
+// Transpose has no caller and panics.
 //
-//lint:widen-ok deliberate float64 accumulation for numerical stability
+// Both directions run in float32 real/imaginary arithmetic on the
+// interleaved data, two columns per pass — the four real FMAC streams of
+// §6.6, not gc's complex64 product, which converts every operand to
+// float64 and back. Sums therefore carry float32 rounding in column
+// order (NoTrans) or row order (ConjTrans); internal/estimator's εe
+// models exactly that. Two columns, not four or eight, was decided on
+// the 1 GiB solve-dram operator rather than on a cached slice
+// (EXPERIMENTS.md, "fp32 inner loops"); the width moves no bit, because
+// every y[i] and every accumulator takes its terms in the same order at
+// any width.
+//
+// No column is skipped: a zero in x still multiplies its column, so an
+// Inf or NaN in A reaches y as NaN (IEEE 0·Inf) in either direction.
 func Gemv(t Trans, m, n int, alpha complex64, a []complex64, lda int, x []complex64, beta complex64, y []complex64) {
 	if m < 0 || n < 0 || lda < max(1, m) {
 		panic("cfloat: Gemv bad dimensions")
@@ -161,63 +189,106 @@ func Gemv(t Trans, m, n int, alpha complex64, a []complex64, lda int, x []comple
 		if len(x) < n || len(y) < m {
 			panic("cfloat: Gemv vector too short")
 		}
+		y = y[:m]
 		if beta == 0 {
-			for i := 0; i < m; i++ {
-				y[i] = 0
-			}
+			clear(y)
 		} else if beta != 1 {
-			for i := 0; i < m; i++ {
-				y[i] *= beta
-			}
+			Scal(beta, y)
 		}
-		for j := 0; j < n; j++ {
-			axj := alpha * x[j]
-			if axj == 0 {
-				continue
-			}
-			col := a[j*lda : j*lda+m]
-			for i, v := range col {
-				y[i] += axj * v
-			}
-		}
-	case Transpose, ConjTrans:
+		gemvN(n, alpha, a, lda, x, y)
+	case ConjTrans:
 		if len(x) < m || len(y) < n {
 			panic("cfloat: Gemv vector too short")
 		}
-		for j := 0; j < n; j++ {
-			col := a[j*lda : j*lda+m]
-			var re, im float64
-			if t == ConjTrans {
-				for i, v := range col {
-					vr, vi := float64(real(v)), float64(imag(v))
-					xr, xi := float64(real(x[i])), float64(imag(x[i]))
-					re += vr*xr + vi*xi
-					im += vr*xi - vi*xr
-				}
-			} else {
-				for i, v := range col {
-					vr, vi := float64(real(v)), float64(imag(v))
-					xr, xi := float64(real(x[i])), float64(imag(x[i]))
-					re += vr*xr - vi*xi
-					im += vr*xi + vi*xr
-				}
-			}
-			s := alpha * complex(float32(re), float32(im))
-			if beta == 0 {
-				y[j] = s
-			} else {
-				y[j] = beta*y[j] + s
-			}
-		}
+		gemvC(n, alpha, a, lda, x[:m], beta, y)
 	default:
-		panic("cfloat: Gemv unknown Trans")
+		panic("cfloat: Gemv supports NoTrans and ConjTrans only")
 	}
+}
+
+// mul returns a·b in float32 arithmetic.
+func mul(a, b complex64) complex64 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(ar*br-ai*bi, ar*bi+ai*br)
+}
+
+// gemvN accumulates y += alpha·A·x, len(y) rows by n columns: y[i] is
+// loaded and stored once per pair of columns.
+func gemvN(n int, alpha complex64, a []complex64, lda int, x, y []complex64) {
+	j := 0
+	for ; j+2 <= n; j += 2 {
+		p0, p1 := mul(alpha, x[j]), mul(alpha, x[j+1])
+		p0r, p0i, p1r, p1i := real(p0), imag(p0), real(p1), imag(p1)
+		c0 := a[j*lda:][:len(y)]
+		c1 := a[(j+1)*lda:][:len(y)]
+		for i, yi := range y {
+			v0r, v0i := real(c0[i]), imag(c0[i])
+			v1r, v1i := real(c1[i]), imag(c1[i])
+			y[i] = complex(
+				real(yi)+v0r*p0r-v0i*p0i+v1r*p1r-v1i*p1i,
+				imag(yi)+v0r*p0i+v0i*p0r+v1r*p1i+v1i*p1r)
+		}
+	}
+	for ; j < n; j++ {
+		p := mul(alpha, x[j])
+		pr, pi := real(p), imag(p)
+		c := a[j*lda:][:len(y)]
+		for i, yi := range y {
+			vr, vi := real(c[i]), imag(c[i])
+			y[i] = complex(real(yi)+vr*pr-vi*pi, imag(yi)+vr*pi+vi*pr)
+		}
+	}
+}
+
+// gemvC computes y[j] = alpha·(A[:,j]ᴴ·x) + beta·y[j] for n columns of
+// len(x) rows: every x[i] loaded feeds the independent accumulator pairs
+// of two columns.
+func gemvC(n int, alpha complex64, a []complex64, lda int, x []complex64, beta complex64, y []complex64) {
+	j := 0
+	for ; j+2 <= n; j += 2 {
+		c0 := a[j*lda:][:len(x)]
+		c1 := a[(j+1)*lda:][:len(x)]
+		var s0r, s0i, s1r, s1i float32
+		for i, xv := range x {
+			xr, xi := real(xv), imag(xv)
+			v0r, v0i := real(c0[i]), imag(c0[i])
+			v1r, v1i := real(c1[i]), imag(c1[i])
+			// conj(a)·x = (ar − i·ai)(xr + i·xi)
+			s0r += v0r*xr + v0i*xi
+			s0i += v0r*xi - v0i*xr
+			s1r += v1r*xr + v1i*xi
+			s1i += v1r*xi - v1i*xr
+		}
+		y[j] = axpby(alpha, complex(s0r, s0i), beta, y[j])
+		y[j+1] = axpby(alpha, complex(s1r, s1i), beta, y[j+1])
+	}
+	for ; j < n; j++ {
+		c := a[j*lda:][:len(x)]
+		var sr, si float32
+		for i, xv := range x {
+			xr, xi := real(xv), imag(xv)
+			vr, vi := real(c[i]), imag(c[i])
+			sr += vr*xr + vi*xi
+			si += vr*xi - vi*xr
+		}
+		y[j] = axpby(alpha, complex(sr, si), beta, y[j])
+	}
+}
+
+// axpby returns alpha·s + beta·y in float32 arithmetic; beta == 0 ignores
+// y, which may hold a NaN going in.
+func axpby(alpha, s, beta, y complex64) complex64 {
+	s = mul(alpha, s)
+	if beta != 0 {
+		s += mul(beta, y)
+	}
+	return s
 }
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C with column-major storage.
 // A is used as op(A) of size m×k, B as op(B) of size k×n, C is m×n.
 //
-//lint:widen-ok deliberate float64 accumulation for numerical stability
+//lint:widen-ok set-up path (dense.Mul, the compressors): float64 accumulators and gc's float64 complex products are kept, their bits feed pinned compression facts
 func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b []complex64, ldb int, beta complex64, c []complex64, ldc int) {
 	if m < 0 || n < 0 || k < 0 || ldc < max(1, m) {
 		panic("cfloat: Gemm bad dimensions")

@@ -2,6 +2,7 @@ package cfloat_test
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 	"testing/quick"
 
@@ -149,7 +150,7 @@ func refGemv(t cfloat.Trans, m, n int, a []complex64, lda int, x []complex64) []
 
 func TestGemvAgainstReference(t *testing.T) {
 	rng := testkit.NewRNG(4)
-	for _, tr := range []cfloat.Trans{cfloat.NoTrans, cfloat.Transpose, cfloat.ConjTrans} {
+	for _, tr := range []cfloat.Trans{cfloat.NoTrans, cfloat.ConjTrans} {
 		for _, dims := range [][2]int{{1, 1}, {3, 7}, {16, 16}, {70, 25}, {25, 70}} {
 			m, n := dims[0], dims[1]
 			a := testkit.Vec(rng, m*n)
@@ -206,6 +207,141 @@ func TestGemvLeadingDimension(t *testing.T) {
 		}
 		if cAbs(y[i]-complex64(acc)) > 1e-3*(1+cAbs(complex64(acc))) {
 			t.Fatalf("lda: y[%d]=%v want %v", i, y[i], acc)
+		}
+	}
+}
+
+// gemvCase is one Gemv call checked against a complex128 loop. zeroEvery
+// > 0 zeroes every zeroEvery-th element of x. Rows m..lda of A are NaN —
+// Gemv must never read them — and so is y going in when beta == 0, which
+// overwrites without reading.
+type gemvCase struct {
+	tr          cfloat.Trans
+	m, n, lda   int
+	alpha, beta complex64
+	zeroEvery   int
+	seed        int64
+}
+
+// err returns the error of the case normalised by what a backward-stable
+// product is bounded by, |alpha|·‖A‖_F·‖x‖ + |beta|·‖y₀‖ — never by ‖y‖,
+// which cancels — together with the reduction length its float32 sums
+// run over.
+func (c gemvCase) err() (e float64, reduce int) {
+	rng := testkit.NewRNG(c.seed)
+	nan := complex(float32(math.NaN()), float32(math.NaN()))
+	a := make([]complex64, c.lda*c.n)
+	for j := 0; j < c.n; j++ {
+		copy(a[j*c.lda:], testkit.Vec(rng, c.m))
+		for i := c.m; i < c.lda; i++ {
+			a[j*c.lda+i] = nan
+		}
+	}
+	xlen, ylen := c.n, c.m
+	if c.tr == cfloat.ConjTrans {
+		xlen, ylen = c.m, c.n
+	}
+	x := testkit.Vec(rng, xlen)
+	for i := 0; c.zeroEvery > 0 && i < xlen; i += c.zeroEvery {
+		x[i] = 0
+	}
+	y0 := testkit.Vec(rng, ylen)
+	y := append([]complex64(nil), y0...)
+	if c.beta == 0 {
+		for i := range y {
+			y[i] = nan
+		}
+	}
+	cfloat.Gemv(c.tr, c.m, c.n, c.alpha, a, c.lda, x, c.beta, y)
+
+	var num, anorm float64
+	for k := 0; k < ylen; k++ {
+		var acc complex128
+		for l := 0; l < xlen; l++ {
+			var v complex128
+			if c.tr == cfloat.ConjTrans {
+				v = cmplx.Conj(complex128(a[k*c.lda+l]))
+			} else {
+				v = complex128(a[l*c.lda+k])
+			}
+			anorm += real(v)*real(v) + imag(v)*imag(v)
+			acc += v * complex128(x[l])
+		}
+		want := complex128(c.alpha) * acc
+		if c.beta != 0 {
+			want += complex128(c.beta) * complex128(y0[k])
+		}
+		d := cmplx.Abs(complex128(y[k]) - want)
+		if math.IsNaN(d) {
+			return math.Inf(1), xlen
+		}
+		num += d * d
+	}
+	den := cAbs(c.alpha) * math.Sqrt(anorm) * cfloat.Nrm2(x)
+	if c.beta != 0 {
+		den += cAbs(c.beta) * cfloat.Nrm2(y0)
+	}
+	if den == 0 {
+		return math.Sqrt(num), xlen
+	}
+	return math.Sqrt(num) / den, xlen
+}
+
+// TestGemvBlockedTable walks the column-blocked float32 loops over every
+// shape class they distinguish: each residue of n modulo any block width
+// up to 8, the tile heights of the workloads, a padded leading
+// dimension, general alpha, the three beta branches, and zeros in x.
+func TestGemvBlockedTable(t *testing.T) {
+	var seed int64
+	for _, tr := range []cfloat.Trans{cfloat.NoTrans, cfloat.ConjTrans} {
+		for _, m := range []int{1, 7, 24, 64} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 25} {
+				for _, pad := range []int{0, 3} {
+					for _, alpha := range []complex64{1, 0.5 - 2i} {
+						for _, beta := range []complex64{0, 1, -0.25 + 0.5i} {
+							for _, zeroEvery := range []int{0, 3} {
+								seed++
+								c := gemvCase{tr, m, n, max(1, m) + pad, alpha, beta, zeroEvery, seed}
+								if e, reduce := c.err(); e > testkit.ExecTolerance(reduce) {
+									t.Errorf("%+v: error %g of ‖A‖‖x‖ > %g", c, e, testkit.ExecTolerance(reduce))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemvNoColumnSkipped pins the zero-entry semantics: a zero in x
+// still multiplies its column, so an Inf in A surfaces as NaN (0·Inf)
+// wherever the column lands in a block, in both directions.
+func TestGemvNoColumnSkipped(t *testing.T) {
+	const m, n = 3, 5
+	for bad := 0; bad < n; bad++ {
+		a := make([]complex64, m*n)
+		for i := range a {
+			a[i] = 1
+		}
+		a[bad*m+1] = complex(float32(math.Inf(1)), 0)
+		x := []complex64{1, 1, 1, 1, 1}
+		x[bad] = 0
+		y := make([]complex64, m)
+		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, y)
+		if v := y[1]; !math.IsNaN(float64(real(v))) {
+			t.Errorf("NoTrans: zero x[%d] skipped its Inf column: y[1] = %v", bad, v)
+		}
+		if y[0] != 4 || y[2] != 4 {
+			t.Errorf("NoTrans: finite rows %v, %v, want 4", y[0], y[2])
+		}
+		xc := []complex64{1, 0, 1}
+		yc := make([]complex64, n)
+		cfloat.Gemv(cfloat.ConjTrans, m, n, 1, a, m, xc, 0, yc)
+		for j, v := range yc {
+			if isNaN := math.IsNaN(float64(real(v))); isNaN != (j == bad) {
+				t.Errorf("ConjTrans: Inf in column %d, y[%d] = %v", bad, j, v)
+			}
 		}
 	}
 }
@@ -471,6 +607,9 @@ func TestGemvPanics(t *testing.T) {
 		},
 		"badTrans": func() {
 			cfloat.Gemv(cfloat.Trans(9), 2, 2, 1, make([]complex64, 4), 2, make([]complex64, 2), 0, make([]complex64, 2))
+		},
+		"plainTrans": func() {
+			cfloat.Gemv(cfloat.Transpose, 2, 2, 1, make([]complex64, 4), 2, make([]complex64, 2), 0, make([]complex64, 2))
 		},
 		"gemmDims": func() { cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, -1, 1, 1, 1, nil, 1, nil, 1, 0, nil, 1) },
 		"realGemv": func() { cfloat.RealGemv(2, 2, make([]float32, 4), 1, make([]float32, 2), make([]float32, 2)) },

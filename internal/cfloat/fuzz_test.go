@@ -59,3 +59,33 @@ func FuzzComplexMVMViaFourReal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGemvBlocked: the column-blocked float32 Gemv loops must track a
+// complex128 product within float32 summation error of ‖A‖‖x‖ on any
+// shape — every block remainder, an empty matrix, a padded leading
+// dimension — for general alpha, each beta branch and zeros in x. The
+// flag byte picks the variant; TestGemvBlockedTable is the same check on
+// a fixed grid.
+func FuzzGemvBlocked(f *testing.F) {
+	f.Add(int64(1), uint8(63), uint8(25), uint8(0))
+	f.Add(int64(2), uint8(0), uint8(3), uint8(0xff))
+	f.Add(int64(3), uint8(23), uint8(0), uint8(0x55))
+	f.Fuzz(func(t *testing.T, seed int64, mRaw, nRaw, flags uint8) {
+		c := gemvCase{
+			tr: cfloat.NoTrans, m: int(mRaw%70) + 1, n: int(nRaw % 71),
+			alpha: 1, beta: 0, seed: seed,
+		}
+		if flags&1 != 0 {
+			c.tr = cfloat.ConjTrans
+		}
+		c.lda = c.m + int(flags>>1&3)
+		if flags&8 != 0 {
+			c.alpha = 0.5 - 2i
+		}
+		c.beta = []complex64{0, 1, -0.25 + 0.5i, 1}[flags>>4&3]
+		c.zeroEvery = int(flags >> 6) // 0 = none
+		if e, reduce := c.err(); e > testkit.ExecTolerance(reduce) {
+			t.Fatalf("%+v: error %g of ‖A‖‖x‖ > %g", c, e, testkit.ExecTolerance(reduce))
+		}
+	})
+}

@@ -10,7 +10,7 @@ import "repro/internal/batch"
 // the column-stacked intermediate) and one per tile row (Ucatᵢ·yu_i
 // straight into y's disjoint row blocks): MT+NT presplit members with
 // the explicit shuffle in between and no partials reduction. All
-// intermediates come from the per-matrix scratch free list, so the
+// intermediates come from the layout's scratch free list, so the
 // steady-state product performs no allocations. workers <= 0 uses
 // GOMAXPROCS. Registered hot path.
 func (t *Matrix) MulVecBatched(x, y []complex64, workers int) error {
@@ -20,8 +20,8 @@ func (t *Matrix) MulVecBatched(x, y []complex64, workers int) error {
 	defer obsBatched.Start().End()
 	meterMVM(obsBatMeter, t)
 	l := t.getSoA()
-	s := t.getScratch()
-	defer t.putScratch(s)
+	s := l.getScratch(t)
+	defer l.putScratch(s)
 	// phase 1: yvc segment of column j = Vcatⱼᴴ x_j
 	opts := batch.Options{Workers: workers}
 	if err := batch.Run(l.v.members(s.tasks, batch.OpC, x, s.yvc), opts); err != nil {

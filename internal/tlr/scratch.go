@@ -7,27 +7,77 @@ import (
 	"repro/internal/batch"
 )
 
-// The three-phase MVM needs its intermediates per call: the stacked
-// Yv/Yu projection vector, the split planes of the SoA paths, and the
-// batch task list. Allocating them per product put makes on the hot
-// path; they are hoisted here into a per-matrix free list so
-// steady-state products allocate nothing (testkit's AllocsPerRun gate
-// proves it). A channel free list rather than sync.Pool: the pool may
-// drop entries at any GC, which makes AllocsPerRun
-// nondeterministic, and rather than a single cached buffer because
-// stress tests drive one Matrix from many goroutines concurrently.
+// Every product needs intermediates per call: the sequential sweep one
+// tile's projection segment, the stacked paths the whole Yv/Yu
+// projection vector, the split planes and the batch task list.
+// Allocating them per product put makes on the hot path; they are
+// hoisted here into per-matrix free lists so steady-state products
+// allocate nothing (testkit's AllocsPerRun gate proves it). A channel
+// free list rather than sync.Pool: the pool may drop entries at any GC,
+// which makes AllocsPerRun nondeterministic, and rather than a single
+// cached buffer because stress tests drive one Matrix from many
+// goroutines concurrently.
+//
+// Two lists, because the two families differ by three orders of
+// magnitude: a segment is MaxRank elements (512 B at rank 64), a stacked
+// set 2·TotalRank complex64 plus eight float32 planes (2.2 MB per
+// frequency of solve-dram). The segment list is what every matrix
+// holds; the stacked list belongs to the SoA layout and is created with
+// it (buildSoA), so a matrix that only ever runs the AoS sweep — every
+// store-backed one, whose memory is otherwise the opstore budget's —
+// never pays for it.
 const scratchPoolCap = 16
 
-// mvmScratch is one checkout of the MVM intermediates.
-type mvmScratch struct {
-	// yv holds every tile's projection segment, stacked by tile index:
-	// tile idx owns yv[rankOff[idx]:rankOff[idx+1]]. The sequential
-	// sweep needs one tile's segment at a time and borrows the head.
-	yv []complex64
-	// yvc is the column-stacked counterpart (tile order j-major, offsets
-	// in soaLayout.colSeg), the pre-shuffle intermediate of the stacked
-	// batched path.
-	yvc []complex64
+// scratchState is embedded in Matrix; a separate struct keeps the
+// public Matrix fields (and keyed literals elsewhere) untouched.
+type scratchState struct {
+	segReady atomic.Uint32
+	segMu    sync.Mutex
+	segFree  chan []complex64
+	segLen   int // the largest tile rank
+}
+
+// getSeg checks the sweep's rank segment out of the free list,
+// allocating a fresh one when the list is empty (first calls and bursts
+// of concurrent products beyond the pool capacity). The list is created
+// on first use behind an atomic flag rather than sync.Once: the fast
+// path must stay free of the method-value closure `t.once.Do(...)` would
+// allocate per call.
+func (t *Matrix) getSeg() []complex64 {
+	if t.segReady.Load() == 0 {
+		t.segMu.Lock()
+		if t.segReady.Load() == 0 {
+			t.segLen = t.MaxRank()
+			t.segFree = make(chan []complex64, scratchPoolCap)
+			t.segReady.Store(1)
+		}
+		t.segMu.Unlock()
+	}
+	select {
+	case seg := <-t.segFree:
+		return seg
+	default:
+		return make([]complex64, t.segLen)
+	}
+}
+
+// putSeg returns a segment to the free list, dropping it when the list
+// is full.
+func (t *Matrix) putSeg(seg []complex64) {
+	select {
+	case t.segFree <- seg:
+	default:
+	}
+}
+
+// soaScratch is one checkout of the stacked paths' intermediates.
+type soaScratch struct {
+	// yv holds every tile's projection segment, row-stacked: tile idx
+	// owns yv[rowSeg[idx]:rowSeg[idx+1]]. yvc is the column-stacked
+	// counterpart (offsets in soaLayout.colSeg), the pre-shuffle
+	// intermediate. Both are MulVecBatched's, whose members read and
+	// write complex vectors.
+	yv, yvc []complex64
 	// tasks is the reusable batch member list, one member per stacked
 	// panel of a phase (length 0, cap max(MT,NT)).
 	tasks []batch.MVM
@@ -42,42 +92,17 @@ type mvmScratch struct {
 	yuR, yuI []float32
 }
 
-// ensureScratch computes the stacked-segment offset table and creates
-// the free list, once per Matrix. A mutex-guarded slow path behind an
-// atomic flag instead of sync.Once: the fast path must stay free of the
-// method-value closure `t.once.Do(...)` would allocate per call.
-func (t *Matrix) ensureScratch() {
-	if t.scratchReady.Load() == 1 {
-		return
-	}
-	t.scratchMu.Lock()
-	defer t.scratchMu.Unlock()
-	if t.scratchReady.Load() == 1 {
-		return
-	}
-	nTiles := t.MT * t.NT
-	t.rankOff = make([]int, nTiles+1)
-	for idx := 0; idx < nTiles; idx++ {
-		t.rankOff[idx+1] = t.rankOff[idx] + t.rankAt(idx)
-	}
-	t.scratchFree = make(chan *mvmScratch, scratchPoolCap)
-	t.scratchReady.Store(1)
-}
-
-// getScratch checks a scratch set out of the free list, allocating a
-// fresh one when the list is empty (first calls and bursts of
-// concurrent products beyond the pool capacity).
-func (t *Matrix) getScratch() *mvmScratch {
-	t.ensureScratch()
+// getScratch checks a stacked scratch set out of the layout's free
+// list, allocating a fresh one when the list is empty.
+func (l *soaLayout) getScratch(t *Matrix) *soaScratch {
 	select {
-	case s := <-t.scratchFree:
+	case s := <-l.free:
 		return s
 	default:
 	}
-	nTiles := t.MT * t.NT
-	tr := t.rankOff[nTiles]
+	tr := l.rowSeg[len(l.rowSeg)-1]
 	mn := max(t.M, t.N)
-	return &mvmScratch{
+	return &soaScratch{
 		yv:    make([]complex64, tr),
 		yvc:   make([]complex64, tr),
 		tasks: make([]batch.MVM, 0, max(t.MT, t.NT)),
@@ -94,20 +119,9 @@ func (t *Matrix) getScratch() *mvmScratch {
 
 // putScratch returns a scratch set to the free list, dropping it when
 // the list is full.
-func (t *Matrix) putScratch(s *mvmScratch) {
+func (l *soaLayout) putScratch(s *soaScratch) {
 	select {
-	case t.scratchFree <- s:
+	case l.free <- s:
 	default:
 	}
-}
-
-// scratchState is embedded in Matrix; a separate struct keeps the
-// public Matrix fields (and keyed literals elsewhere) untouched.
-type scratchState struct {
-	scratchReady atomic.Uint32
-	scratchMu    sync.Mutex
-	scratchFree  chan *mvmScratch
-	// rankOff is the row-stacked segment offset table, length MT·NT+1:
-	// tile idx owns [rankOff[idx], rankOff[idx+1]) of yv.
-	rankOff []int
 }

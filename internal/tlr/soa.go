@@ -13,7 +13,7 @@ package tlr
 //     the vector endpoints split exactly once per product.
 //   - The phase-2 shuffle (Fig. 6) becomes explicit: the column-stacked
 //     intermediate (colSeg offsets) is permuted into the row-stacked
-//     ordering (rankOff offsets) between the two batched phases, which is
+//     ordering (rowSeg offsets) between the two batched phases, which is
 //     the same data movement the CS-2 mapping pays as fabric traffic.
 //
 // Both panel families are one type, panels, with two sweeps: project
@@ -188,10 +188,13 @@ type soaLayout struct {
 	// tile-row order), u one per tile row (tileRows(i)×rowK(i), tiles in
 	// tile-column order).
 	v, u panels
-	// colSeg are the column-stacked intermediate offsets, the j-major
-	// counterpart of Matrix.rankOff: tile (i,j) owns
-	// yc[colSeg[j*MT+i]:colSeg[j*MT+i+1]]. Length MT·NT+1.
-	colSeg []int
+	// rowSeg and colSeg are the stacked intermediate offsets, each of
+	// length MT·NT+1: tile (i,j) owns yu[rowSeg[i*NT+j]:rowSeg[i*NT+j+1]]
+	// of the row-stacked ordering and yc[colSeg[j*MT+i]:colSeg[j*MT+i+1]]
+	// of the column-stacked one.
+	rowSeg, colSeg []int
+	// free recycles the stacked paths' scratch sets (scratch.go).
+	free chan *soaScratch
 }
 
 // soaState is embedded in Matrix; like scratchState it keeps the keyed
@@ -209,7 +212,7 @@ type soaState struct {
 func (t *Matrix) EnsureSoA() { t.getSoA() }
 
 // getSoA returns the layout, building it once per Matrix. Same
-// atomic-flag pattern as ensureScratch: the fast path must not allocate.
+// atomic-flag pattern as getSeg: the fast path must not allocate.
 func (t *Matrix) getSoA() *soaLayout {
 	if t.soaReady.Load() == 1 {
 		return t.soa
@@ -221,17 +224,24 @@ func (t *Matrix) getSoA() *soaLayout {
 // buildSoA assembles the stacked split-plane layout, once per Matrix.
 // Offsets come from the rank map, so an out-of-core matrix faults each
 // tile in twice (once per family) and never for sizing. This is the one
-// place the planes are allocated; every later product takes the
-// atomic-flag fast path in getSoA.
+// place the planes and the stacked scratch list are allocated; every
+// later product takes the atomic-flag fast path in getSoA.
 func (t *Matrix) buildSoA() {
 	t.soaMu.Lock()
 	defer t.soaMu.Unlock()
 	if t.soaReady.Load() == 1 {
 		return
 	}
-	t.ensureScratch() // rankOff: the row-stacked offsets
 	defer obsSoABuild.Start().End()
-	l := &soaLayout{colSeg: make([]int, t.MT*t.NT+1)}
+	nTiles := t.MT * t.NT
+	l := &soaLayout{
+		rowSeg: make([]int, nTiles+1),
+		colSeg: make([]int, nTiles+1),
+		free:   make(chan *soaScratch, scratchPoolCap),
+	}
+	for idx := 0; idx < nTiles; idx++ {
+		l.rowSeg[idx+1] = l.rowSeg[idx] + t.rankAt(idx)
+	}
 	vseg, useg := make([]int, t.NT+1), make([]int, t.MT+1)
 	c := 0
 	for j := 0; j < t.NT; j++ {
@@ -242,7 +252,7 @@ func (t *Matrix) buildSoA() {
 		vseg[j+1] = l.colSeg[c]
 	}
 	for i := 0; i < t.MT; i++ {
-		useg[i+1] = t.rankOff[(i+1)*t.NT]
+		useg[i+1] = l.rowSeg[(i+1)*t.NT]
 	}
 	cols := roofline.DefaultCache().GemvPanelCols(t.NB, 8)
 	l.v = stackPanels(vseg, t.MT, t.NB, t.N, cols, func(j, i int) *dense.Matrix { return t.Tile(i, j).V })
@@ -280,7 +290,7 @@ func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool) {
 	if len(x) < in.dim || len(y) < out.dim {
 		panic("tlr: SoA product vector too short")
 	}
-	s := t.getScratch()
+	s := l.getScratch(t)
 	inR, inI, outR, outI := s.ycR, s.ycI, s.yuR, s.yuI
 	if adjoint {
 		inR, inI, outR, outI = outR, outI, inR, inI
@@ -300,7 +310,7 @@ func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool) {
 		out.expand(p, outR, outI, s.foutR, s.foutI)
 	}
 	cfloat.MergeReIm(s.foutR[:out.dim], s.foutI[:out.dim], y[:out.dim])
-	t.putScratch(s)
+	l.putScratch(s)
 }
 
 // MulVecNormal computes y = Aᴴ(A x), the fused normal product behind the
@@ -318,7 +328,7 @@ func (t *Matrix) MulVecNormal(x, y []complex64) {
 	defer obsNormal.Start().End()
 	meterNormal(t)
 	l := t.getSoA()
-	s := t.getScratch()
+	s := l.getScratch(t)
 	cfloat.SplitReIm(x[:t.N], s.fxr[:t.N], s.fxi[:t.N])
 	for j := 0; j < t.NT; j++ {
 		l.v.project(j, s.fxr, s.fxi, s.ycR, s.ycI)
@@ -334,12 +344,12 @@ func (t *Matrix) MulVecNormal(x, y []complex64) {
 		l.v.expand(j, s.ycR, s.ycI, s.foutR, s.foutI)
 	}
 	cfloat.MergeReIm(s.foutR[:t.N], s.foutI[:t.N], y[:t.N])
-	t.putScratch(s)
+	l.putScratch(s)
 }
 
 // shuffle permutes one rank-space intermediate between the two stacked
 // orderings (Fig. 6): toRows moves the column-stacked src (colSeg
-// offsets) into the row-stacked dst (rankOff offsets), !toRows is the
+// offsets) into the row-stacked dst (rowSeg offsets), !toRows is the
 // inverse permutation. Generic over the element type because the SoA
 // products shuffle float32 planes and MulVecBatched the complex
 // intermediate its batch members read and write. Registered hot path —
@@ -348,7 +358,7 @@ func shuffle[T float32 | complex64](t *Matrix, l *soaLayout, toRows bool, src, d
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
 			c0, c1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
-			r0 := t.rankOff[i*t.NT+j]
+			r0 := l.rowSeg[i*t.NT+j]
 			r1 := r0 + c1 - c0
 			if toRows {
 				copy(dst[r0:r1], src[c0:c1])

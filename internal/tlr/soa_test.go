@@ -55,8 +55,8 @@ func checkSoARoundTrip(t testing.TB, m *Matrix) {
 	check("V", &l.v, m.MT, func(j, i int) *dense.Matrix { return m.Tile(i, j).V })
 	check("U", &l.u, m.NT, func(i, j int) *dense.Matrix { return m.Tile(i, j).U })
 	// offset-table consistency: column- and row-stacked totals agree
-	if l.colSeg[m.MT*m.NT] != m.rankOff[m.MT*m.NT] {
-		t.Fatalf("colSeg total %d != rankOff total %d", l.colSeg[m.MT*m.NT], m.rankOff[m.MT*m.NT])
+	if l.colSeg[m.MT*m.NT] != l.rowSeg[m.MT*m.NT] {
+		t.Fatalf("colSeg total %d != rowSeg total %d", l.colSeg[m.MT*m.NT], l.rowSeg[m.MT*m.NT])
 	}
 	// a permutation copy: two float32 planes per complex64, no padding
 	if got := 4 * int64(len(l.v.re)+len(l.v.im)+len(l.u.re)+len(l.u.im)); got != m.CompressedBytes() {
@@ -110,6 +110,34 @@ func relErrC(got, want []complex64) float64 {
 		return math.Sqrt(num)
 	}
 	return math.Sqrt(num / den)
+}
+
+// TestAoSProductsHoldOnlyARankSegment pins what a matrix that only runs
+// the sequential sweep keeps between products: one segment of MaxRank
+// elements, no stacked layout and none of its TotalRank-sized scratch —
+// those arrive with the first SoA product.
+func TestAoSProductsHoldOnlyARankSegment(t *testing.T) {
+	rng := rand.New(rand.NewSource(210))
+	m, err := Compress(randDense(rng, 40, 33), Options{NB: 8, Tol: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := make([]complex64, m.N), make([]complex64, m.M)
+	m.MulVec(x, y)
+	m.MulVecConjTrans(y, x)
+	if m.soaReady.Load() != 0 {
+		t.Fatal("a sequential product built the SoA layout")
+	}
+	if len(m.segFree) != 1 {
+		t.Fatalf("%d segments in the free list after two sequential products, want the one they shared", len(m.segFree))
+	}
+	if seg := <-m.segFree; len(seg) != m.MaxRank() || cap(seg) != m.MaxRank() {
+		t.Errorf("segment len %d cap %d, want MaxRank %d", len(seg), cap(seg), m.MaxRank())
+	}
+	m.MulVecSoA(x, y)
+	if l := m.getSoA(); len(l.free) != 1 {
+		t.Errorf("%d stacked scratch sets after one SoA product, want 1", len(l.free))
+	}
 }
 
 // FuzzSoARoundTrip fuzzes the bit-identity property over matrix shapes,

@@ -1,9 +1,14 @@
 package tlr_test
 
 import (
+	"math"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cfloat"
+	"repro/internal/dense"
+	"repro/internal/ranks"
 	"repro/internal/testkit"
 	"repro/internal/tlr"
 )
@@ -138,5 +143,109 @@ func TestSweepOneFaultPerTileAndBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// boundedVec returns n seeded values uniform in [-0.5, 0.5)², the
+// bounded generator the benchmark fills its operators and right-hand
+// sides from: no Gaussian tail decides a tolerance.
+func boundedVec(rng *rand.Rand, n int) []complex64 {
+	x := make([]complex64, n)
+	fillBounded(rng, x)
+	return x
+}
+
+func fillBounded(rng *rand.Rand, x []complex64) {
+	for i := range x {
+		x[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
+	}
+}
+
+func dot128(x, y []complex64) (s complex128) {
+	for i := range x {
+		s += cmplx.Conj(complex128(x[i])) * complex128(y[i])
+	}
+	return s
+}
+
+// TestSweepDotAndLinearity puts the two metamorphic identities an LSQR
+// operator must satisfy to the sequential products on the operator the
+// benchmark times: solve-dram's layout at its smoke scale (the paper's
+// distance-decay rank map through ranks.NewCustom, literal-built tiles,
+// bounded uniform factors), which has what a compressed survey never
+// produces — zero-rank tiles off the diagonal and rank = nb tiles on it.
+// Errors are measured against ‖A‖·‖x‖(·‖y‖) with ‖A‖ taken as
+// (Σ‖U_ij‖²‖V_ij‖²)^½, the norm the factored product is backward stable
+// in — never against the result, which may cancel.
+func TestSweepDotAndLinearity(t *testing.T) {
+	const rows, cols, nb, freqs = 384, 192, 32, 4
+	dist, err := ranks.NewCustom(ranks.Params{NB: nb, Rows: rows, Cols: cols, NumFreqs: freqs, TargetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol := testkit.ExecTolerance(rows)
+	for f := 0; f < freqs; f++ {
+		rng := testkit.NewRNG(int64(520 + f))
+		tm := &tlr.Matrix{M: rows, N: cols, NB: nb, MT: dist.MT, NT: dist.NT, Tiles: make([]*tlr.Tile, dist.MT*dist.NT)}
+		var anorm2 float64
+		var zeroRank, fullRank int
+		for idx := range tm.Tiles {
+			k := min(dist.Rank(f, idx/dist.NT, idx%dist.NT), nb)
+			switch k {
+			case 0:
+				zeroRank++
+			case nb:
+				fullRank++
+			}
+			u, v := dense.New(nb, k), dense.New(nb, k)
+			fillBounded(rng, u.Data)
+			fillBounded(rng, v.Data)
+			tm.Tiles[idx] = &tlr.Tile{U: u, V: v}
+			nu, nv := cfloat.Nrm2(u.Data), cfloat.Nrm2(v.Data)
+			anorm2 += nu * nu * nv * nv
+		}
+		anorm := math.Sqrt(anorm2)
+		if f == freqs-1 && (zeroRank == 0 || fullRank == 0) {
+			t.Fatalf("top frequency has %d zero-rank and %d rank-nb tiles; the layout no longer covers both", zeroRank, fullRank)
+		}
+
+		x, y := boundedVec(rng, cols), boundedVec(rng, rows)
+		nx, ny := cfloat.Nrm2(x), cfloat.Nrm2(y)
+		ax, ahy := make([]complex64, rows), make([]complex64, cols)
+		tm.MulVec(x, ax)
+		tm.MulVecConjTrans(y, ahy)
+		// ⟨y, A x⟩ = ⟨Aᴴ y, x⟩
+		if gap := cmplx.Abs(dot128(y, ax)-dot128(ahy, x)) / (anorm * nx * ny); gap > tol {
+			t.Errorf("freq %d: dot-test gap %g of ‖A‖‖x‖‖y‖ > %g", f, gap, tol)
+		}
+
+		// A(a·x + x₂) = a·A x + A x₂, and the same for Aᴴ
+		const a = complex64(0.75 - 1.5i)
+		for _, dir := range []struct {
+			name      string
+			mul       func(x, y []complex64)
+			x1, first []complex64 // an input and its product, from the dot test
+		}{
+			{"MulVec", tm.MulVec, x, ax},
+			{"MulVecConjTrans", tm.MulVecConjTrans, y, ahy},
+		} {
+			x2 := boundedVec(rng, len(dir.x1))
+			comb := make([]complex64, len(x2))
+			for i := range comb {
+				comb[i] = a*dir.x1[i] + x2[i]
+			}
+			y2, yc := make([]complex64, len(dir.first)), make([]complex64, len(dir.first))
+			dir.mul(x2, y2)
+			dir.mul(comb, yc)
+			var num float64
+			for i := range yc {
+				d := complex128(yc[i]) - (complex128(a)*complex128(dir.first[i]) + complex128(y2[i]))
+				num += real(d)*real(d) + imag(d)*imag(d)
+			}
+			scale := anorm * (cmplx.Abs(complex128(a))*cfloat.Nrm2(dir.x1) + cfloat.Nrm2(x2))
+			if e := math.Sqrt(num) / scale; e > tol {
+				t.Errorf("freq %d: %s linearity error %g of ‖A‖(|a|‖x‖+‖x₂‖) > %g", f, dir.name, e, tol)
+			}
+		}
 	}
 }

@@ -90,8 +90,8 @@ type Matrix struct {
 	src   TileSource
 	ranks []int
 
-	// scratchState holds the lazily built MVM scratch free list and
-	// stacked-segment offset tables (see scratch.go).
+	// scratchState holds the sweep's rank-segment free list (see
+	// scratch.go).
 	scratchState
 	// soaState holds the stacked split-plane factor layout, built on
 	// first SoA product; see soa.go.
@@ -318,9 +318,9 @@ func (t *Matrix) MulVec(x, y []complex64) {
 	}
 	defer obsMVM.Start().End()
 	meterMVM(obsMVMMeter, t)
-	s := t.getScratch()
-	t.sweep(false, x, y[:t.M], s.yv)
-	t.putScratch(s)
+	seg := t.getSeg()
+	t.sweep(false, x, y[:t.M], seg)
+	t.putSeg(seg)
 }
 
 // MulVecConjTrans computes y = Aᴴ x: the adjoint TLR-MVM required by the
@@ -332,9 +332,9 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 	}
 	defer obsAdjoint.Start().End()
 	meterMVM(obsAdjMeter, t)
-	s := t.getScratch()
-	t.sweep(true, x, y[:t.N], s.yv)
-	t.putScratch(s)
+	seg := t.getSeg()
+	t.sweep(true, x, y[:t.N], seg)
+	t.putSeg(seg)
 }
 
 // sweep is the body of both sequential products: one pass over the
