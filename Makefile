@@ -19,12 +19,16 @@ FUZZ_TARGETS = \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-stress integration fuzz bench report report-check bench-e2e bench-e2e-compare lint repolint vuln cover
+.PHONY: all build quickstart vet test race race-stress integration fuzz bench report report-check bench-e2e bench-e2e-compare lint repolint vuln cover
 
-all: vet build test
+all: vet build quickstart test
 
 build:
 	$(GO) build ./...
+
+# README's first command, executed (CI test job runs it after the build)
+quickstart:
+	$(GO) run ./examples/quickstart
 
 vet:
 	$(GO) vet ./...

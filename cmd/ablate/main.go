@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -19,11 +20,10 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/cfloat"
 	"repro/internal/cgls"
+	"repro/internal/core"
 	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/lsqr"
-	"repro/internal/mdc"
-	"repro/internal/mdd"
 	"repro/internal/precision"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
@@ -176,50 +176,37 @@ func demoMatrix() (*tlr.Matrix, *dense.Matrix) {
 	return tm, k
 }
 
-func solversAblation() {
-	fmt.Println("== Ablation: LSQR vs CGLS on the MDD inversion ==")
-	ds, err := seismic.Generate(seismic.Options{
-		Geom: seismic.Geometry{
-			NsX: 12, NsY: 8, NrX: 10, NrY: 6,
-			Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300,
-		},
-		Nt: 256, Dt: 0.004,
-	})
+func solversAblation(w io.Writer, opts seismic.Options) error {
+	fmt.Fprintln(w, "== Ablation: LSQR vs CGLS on the MDD inversion ==")
+	pipe, err := core.BuildPipeline(core.PipelineOptions{Dataset: opts, Dense: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	hds, _ := ds.Reorder(sfc.Hilbert)
-	dk, err := mdc.NewDenseKernel(hds.K)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prob, err := mdd.NewProblem(hds, dk)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vs := ds.Geom.NumReceivers() / 2
+	prob := pipe.Problem
+	vs := prob.DS.Geom.NumReceivers() / 2
 	op := prob.Operator()
 	y := prob.Data(vs)
-	fmt.Printf("%8s %8s %14s %14s %12s\n", "solver", "iters", "residual", "NMSE", "time")
+	fmt.Fprintf(w, "%8s %8s %14s %14s %12s\n", "solver", "iters", "residual", "NMSE", "time")
 	for _, iters := range []int{10, 30} {
 		t0 := time.Now()
 		rl, err := lsqr.Solve(op, y, lsqr.Options{MaxIters: iters, ATol: 1e-16, BTol: 1e-16})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tl := time.Since(t0)
 		t0 = time.Now()
 		rc, err := cgls.Solve(op, y, cgls.Options{MaxIters: iters, Tol: 1e-16})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tc := time.Since(t0)
-		fmt.Printf("%8s %8d %14.3e %14.4f %12s\n", "lsqr", rl.Iters, rl.ResidualNorm,
+		fmt.Fprintf(w, "%8s %8d %14.3e %14.4f %12s\n", "lsqr", rl.Iters, rl.ResidualNorm,
 			prob.NMSEAgainstTruth(rl.X, vs), tl.Round(time.Millisecond))
-		fmt.Printf("%8s %8d %14.3e %14.4f %12s\n", "cgls", rc.Iters, rc.ResidualNorm,
+		fmt.Fprintf(w, "%8s %8d %14.3e %14.4f %12s\n", "cgls", rc.Iters, rc.ResidualNorm,
 			prob.NMSEAgainstTruth(rc.X, vs), tc.Round(time.Millisecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 func demultipleAblation() {
@@ -278,7 +265,10 @@ func main() {
 		mmmAblation()
 	}
 	if *all || *so {
-		solversAblation()
+		// 12×8 sources over 10×6 receivers, 256 samples at 4 ms
+		if err := solversAblation(os.Stdout, seismic.Options{Geom: seismic.DefaultGeometry()}); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *all || *dm {
 		demultipleAblation()

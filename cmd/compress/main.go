@@ -14,15 +14,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/mdc"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
-	"repro/internal/tlr"
 )
 
 func paperScale() {
@@ -60,6 +59,10 @@ func demoScale(iters int) {
 	opts := seismic.DemoOptions()
 	fmt.Printf("dataset: %d sources x %d receivers\n",
 		opts.Geom.NumSources(), opts.Geom.NumReceivers())
+	ds, err := seismic.Generate(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// benchmark solution: tightest accuracy, largest tile size
 	vs := opts.Geom.NumReceivers() / 2
 	type key struct {
@@ -76,9 +79,7 @@ func demoScale(iters int) {
 	var benchNMSE float64
 	for _, nb := range []int{16, 32, 48} {
 		for _, acc := range accs {
-			pipe, err := core.BuildPipeline(core.PipelineOptions{
-				Dataset: opts, TileSize: nb, Accuracy: acc,
-			})
+			pipe, err := core.BuildFrom(ds, core.PipelineOptions{TileSize: nb, Accuracy: acc})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func demoScale(iters int) {
 				log.Fatal(err)
 			}
 			results[key{nb, acc}] = rep
-			ratios[key{nb, acc}] = pipe.CompressionRatio()
+			ratios[key{nb, acc}] = pipe.Provenance.CompressionRatio()
 			if nb == 48 && acc == 1e-4 {
 				benchNMSE = rep.InversionNMSE
 			}
@@ -103,32 +104,26 @@ func demoScale(iters int) {
 		}
 	}
 	fmt.Println()
-	orderingAblation(opts)
+	if err := orderingAblation(os.Stdout, ds); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // orderingAblation compares Hilbert vs Morton vs natural ordering — the
 // ablation behind the paper's §4 claim that Hilbert sorting compresses
 // best.
-func orderingAblation(opts seismic.Options) {
-	fmt.Println("== Reordering ablation (nb=48, acc=1e-3): compression by ordering ==")
-	ds, err := seismic.Generate(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%10s %13s\n", "ordering", "compression")
+func orderingAblation(w io.Writer, ds *seismic.Dataset) error {
+	fmt.Fprintln(w, "== Reordering ablation (nb=48, acc=1e-3): compression by ordering ==")
+	fmt.Fprintf(w, "%10s %13s\n", "ordering", "compression")
 	for _, ord := range []sfc.Order{sfc.Shuffled, sfc.Natural, sfc.Morton, sfc.Hilbert} {
-		rds, _ := ds.Reorder(ord)
-		dk, err := mdc.NewDenseKernel(rds.K)
+		pipe, err := core.BuildFrom(ds, core.PipelineOptions{Ordering: ord, TileSize: 48, Accuracy: 1e-3})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		tk, err := mdc.CompressKernel(dk, tlr.Options{NB: 48, Tol: 1e-3})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%10s %12.2fx\n", ord, float64(dk.Bytes())/float64(tk.Bytes()))
+		fmt.Fprintf(w, "%10s %12.2fx\n", pipe.Provenance.Ordering, pipe.Provenance.CompressionRatio())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 func main() {

@@ -16,35 +16,33 @@
 //	         survives via re-sharding plus checkpoint resume every
 //	         -ckpt-interval iterations and is compared against the
 //	         fault-free single-system result.
-//	-store   out-of-core operator demo: a frequency band is compressed,
-//	         written to a paged tile store with an fp16 off-band storage
-//	         tier, reopened under a byte budget far below the operator
-//	         size, and swept product-by-product — cache traffic, resident
-//	         bytes, and the analytic estimator's predicted NMSE bound
-//	         against the measured error are printed.
+//	-store   out-of-core operator demo: the survey's kernel is
+//	         compressed, written to a paged tile store with an fp16
+//	         off-band storage tier, reopened under a byte budget far
+//	         below the operator size, and swept product-by-product —
+//	         cache traffic, resident bytes, and the analytic estimator's
+//	         predicted NMSE bound against the measured error are printed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/estimator"
+	"repro/internal/dense"
 	"repro/internal/fault"
 	"repro/internal/lsqr"
 	"repro/internal/mdd"
 	"repro/internal/obs"
-	"repro/internal/opstore"
 	"repro/internal/precision"
 	"repro/internal/render"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
-	"repro/internal/testkit"
-	"repro/internal/tlr"
-	"repro/internal/tlrio"
 )
 
 // savePanel writes a gather as a PGM figure panel if outDir is set.
@@ -78,7 +76,7 @@ func fig11(iters int, outDir string) {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-34s adjoint NMSE %.4f | inversion NMSE %.4f | iters %d | compression %.2fx\n",
-			label, rep.AdjointNMSE, rep.InversionNMSE, rep.Iterations, pipe.CompressionRatio())
+			label, rep.AdjointNMSE, rep.InversionNMSE, rep.Iterations, pipe.Provenance.CompressionRatio())
 		savePanel(outDir, panel, pipe.Problem.Gather(rep.Solution))
 		panels = pipe
 		return rep
@@ -234,7 +232,7 @@ func faultDemo(iters, shards int, schedule string, ckptInterval int) {
 	fmt.Printf("solve completed: %d iters, %d restarts, %d iterations salvaged from checkpoints\n",
 		out.Result.Iters, out.Restarts, out.SalvagedIters)
 	fmt.Printf("shards alive after run: %d of %d\n", op.Runner.Alive(), shards)
-	fmt.Printf("relative error vs fault-free solve: %.3g\n", testkit.RelErr(out.Result.X, ref.LSQR.X))
+	fmt.Printf("relative error vs fault-free solve: %.3g\n", math.Sqrt(seismic.NMSE(out.Result.X, ref.LSQR.X)))
 	fmt.Printf("NMSE vs true reflectivity: faulted %.4f | fault-free %.4f\n",
 		pipe.Problem.NMSEAgainstTruth(out.Result.X, vs), pipe.Problem.NMSEAgainstTruth(ref.LSQR.X, vs))
 	fmt.Printf("recovery counters: retries %d | failovers %d | deaths %d | injected %d\n",
@@ -243,118 +241,76 @@ func faultDemo(iters, shards int, schedule string, ckptInterval int) {
 	fmt.Println()
 }
 
-// storeDemo is the worked out-of-core example: a band of frequency
-// slices compressed, written to a paged tile store with fp16 off-band
-// storage tiers, and swept through under a budget far below the
-// operator's footprint, with the analytic estimator's predicted bound
-// checked against the measured error on the spot.
-func storeDemo(storePath string, budget int64) {
-	fmt.Println("== Out-of-core tiered operator store ==")
-	const (
-		nFreqs = 8
-		nb     = 48
-		acc    = 1e-4
-	)
-	pol := precision.DiagonalBand{Band: 0.3, Demoted: precision.FP16}
-
-	opts := seismic.DemoOptions()
-	ds, err := seismic.Generate(opts)
+// storeDemo is the worked out-of-core example: the survey's compressed
+// kernel moved behind a paged tile store with fp16 off-band storage
+// tiers and swept through under a budget far below the operator's
+// footprint (0 = a quarter of it), with the analytic estimator's
+// predicted bound checked against the measured error on the spot.
+func storeDemo(w io.Writer, opts seismic.Options, storePath string, budget int64) error {
+	fmt.Fprintln(w, "== Out-of-core tiered operator store ==")
+	pipe, err := core.BuildPipeline(core.PipelineOptions{
+		Dataset: opts, TileSize: 48, Accuracy: 1e-4,
+	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	hds, _ := ds.Reorder(sfc.Hilbert)
-	fmt.Printf("survey: %d sources x %d receivers, %d frequency slices (storing %d)\n",
-		opts.Geom.NumSources(), opts.Geom.NumReceivers(), hds.NumFreqs(), nFreqs)
+	nf := pipe.DS.NumFreqs()
+	fmt.Fprintf(w, "survey: %d sources x %d receivers, %d frequency slices\n",
+		opts.Geom.NumSources(), opts.Geom.NumReceivers(), nf)
 
-	k := &tlrio.Kernel{}
-	base := hds.NumFreqs()/2 - nFreqs/2
-	for f := base; f < base+nFreqs; f++ {
-		tm, err := tlr.Compress(hds.K[f], tlr.Options{NB: nb, Tol: acc})
-		if err != nil {
-			log.Fatal(err)
-		}
-		k.Freqs = append(k.Freqs, hds.Freqs[f])
-		k.Mats = append(k.Mats, tm)
-	}
-	var compressed int64
-	for _, tm := range k.Mats {
-		compressed += tm.CompressedBytes()
-	}
 	if budget <= 0 {
-		budget = compressed / 4
+		budget = pipe.Provenance.CompressedBytes / 4
 	}
-
 	if storePath == "" {
 		dir, err := os.MkdirTemp("", "mddrun-store")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer os.RemoveAll(dir)
 		storePath = filepath.Join(dir, "band.tlrp")
 	}
-	if err := opstore.WriteFile(storePath, k, pol); err != nil {
-		log.Fatal(err)
+	pol := precision.DiagonalBand{Band: 0.3, Demoted: precision.FP16}
+	if err := pipe.StoreBack(storePath, budget, pol); err != nil {
+		return err
 	}
+	defer pipe.Close()
 	info, err := os.Stat(storePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	st, err := opstore.OpenFile(storePath, budget)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer st.Close()
-	fmt.Printf("store: %s | page file %d B | compressed operator %d B | cache budget %d B (%.0f%% of operator)\n",
-		storePath, info.Size(), compressed, budget, 100*float64(budget)/float64(compressed))
+	pv := pipe.Provenance
+	fmt.Fprintf(w, "operator: %v ordering, nb=%d, acc=%g, %v compressor, storage tiers %+v\n",
+		pv.Ordering, pv.TileSize, pv.Accuracy, pv.Method, pv.Policy)
+	fmt.Fprintf(w, "store: %s | page file %d B | compressed operator %d B | cache budget %d B (%.0f%% of operator)\n",
+		storePath, info.Size(), pv.CompressedBytes, pv.StoreBudget, 100*float64(pv.StoreBudget)/float64(pv.CompressedBytes))
 
-	obs.Enable()
-	obs.Reset()
-	rng := testkit.NewRNG(42)
+	rng := rand.New(rand.NewSource(42))
 	var worst float64
-	for f := range k.Mats {
-		ooc, err := st.Matrix(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		x := testkit.Vec(rng, ooc.N)
+	for f := 0; f < nf; f++ {
+		ooc := pipe.Kernel.Mats[f]
+		x := dense.Random(rng, ooc.N, 1).Data
 		y := make([]complex64, ooc.M)
 		ooc.MulVec(x, y)
 		// measured error of the store-backed (fp16-demoted) product
 		// against the dense reference slice
 		want := make([]complex64, ooc.M)
-		hds.K[base+f].MulVec(x, want)
-		if e := testkit.RelErr(y, want); e > worst {
-			worst = e
-		}
+		pipe.DS.K[f].MulVec(x, want)
+		worst = max(worst, seismic.NMSE(y, want))
 	}
-	snap := obs.TakeSnapshot()
-	obs.Disable()
+	stats := pipe.StoreStats()
+	fmt.Fprintf(w, "swept %d products: hits %d | misses %d | evictions %d | resident %d B (budget %d B)\n",
+		nf, stats.Hits, stats.Misses, stats.Evictions, stats.ResidentBytes, stats.Budget)
 
-	stats := st.Stats()
-	fmt.Printf("swept %d products: hits %d | misses %d | evictions %d | resident %d B (budget %d B)\n",
-		len(k.Mats), stats.Hits, stats.Misses, stats.Evictions, stats.ResidentBytes, stats.Budget)
-	fmt.Printf("obs counters: opstore.hits %d | opstore.misses %d | opstore.evictions %d | opstore.bytes_resident %d\n",
-		snap.Counter("opstore.hits"), snap.Counter("opstore.misses"),
-		snap.Counter("opstore.evictions"), gaugeOrZero(snap, "opstore.bytes_resident"))
-
-	m0 := k.Mats[0]
-	pred, err := estimator.Predict(estimator.Config{
-		M: m0.M, N: m0.N, NB: nb, Acc: acc, Policy: pol,
-	})
+	pred, err := pv.Predict(0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("estimator: predicted NMSE bound %.3g (rel err bound %.3g, %.0f%% of tiles demoted to fp16)\n",
+	fmt.Fprintf(w, "estimator: predicted NMSE bound %.3g (rel err bound %.3g, %.0f%% of tiles demoted to fp16)\n",
 		pred.NMSEBound, pred.RelErrBound, 100*pred.DemotedFrac)
-	fmt.Printf("measured:  worst NMSE %.3g (rel err %.3g) — bound holds: %v\n",
-		worst*worst, worst, worst*worst <= pred.NMSEBound)
-	fmt.Println()
-}
-
-// gaugeOrZero reads a gauge from a snapshot, defaulting to 0.
-func gaugeOrZero(snap obs.Snapshot, name string) int64 {
-	v, _ := snap.Gauge(name)
-	return v
+	fmt.Fprintf(w, "measured:  worst NMSE %.3g (rel err %.3g) — bound holds: %v\n",
+		worst, math.Sqrt(worst), worst <= pred.NMSEBound)
+	fmt.Fprintln(w)
+	return nil
 }
 
 // validateFlags rejects nonsensical numeric flags before any dataset is
@@ -415,6 +371,8 @@ func main() {
 		faultDemo(*iters, *shards, *faults, *ckptInterval)
 	}
 	if *fstore {
-		storeDemo(*storePath, *storeBudget)
+		if err := storeDemo(os.Stdout, seismic.DemoOptions(), *storePath, *storeBudget); err != nil {
+			log.Fatal(err)
+		}
 	}
 }

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/seismic"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -43,5 +48,25 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not name the offending flag %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestStoreDemoSmoke drives -store through the pipeline builder on the
+// default 12×8 / 10×6 survey (2×2 tiles at nb 48): the page file lands
+// at the requested path, every frequency is swept under the default
+// quarter budget, and the estimator's bound holds on the measured error.
+func TestStoreDemoSmoke(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "band.tlrp")
+	var out bytes.Buffer
+	if err := storeDemo(&out, seismic.Options{Geom: seismic.DefaultGeometry()}, path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("-store-path file not kept: %v", err)
+	}
+	for _, want := range []string{"44 frequency slices", "swept 44 products", "(25% of operator)", "bound holds: true"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

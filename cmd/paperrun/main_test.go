@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -45,4 +46,36 @@ func TestBandRowMarksOutsideTheInterval(t *testing.T) {
 	if out := bandRow("energy efficiency", "%.2f", "%.2f", "GFlop/s/W", b, 52.5); !strings.Contains(out, "+43.8%"+outOfTolerance) {
 		t.Errorf("bandRow outside = %q, want the mark after the Δ", out)
 	}
+}
+
+// TestModelReportIsCommittedPrefix is the tier-1 half of `make
+// report-check`: the model-only report must be, byte for byte, the
+// committed REPORT.md up to the laptop-scale section, so a model change
+// that moves a published comparison inside its tolerance (doubling
+// cs2.CyclesPerMVM moves 29 rows and fails no other test) cannot pass
+// `go test ./...` without the report showing it. The -full tail stays
+// with `make report-check`.
+func TestModelReportIsCommittedPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates every paper-scale rank distribution (~10 s)")
+	}
+	committed, err := os.ReadFile("../../REPORT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, ok := strings.Cut(string(committed), mddHeading)
+	if !ok {
+		t.Fatalf("REPORT.md has no %q section; regenerate it with `make report`", strings.TrimSpace(mddHeading))
+	}
+	got := build(false)
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("REPORT.md is stale (run `make report`); first difference at line %d:\n committed: %s\n      model: %s", i+1, wl[i], gl[i])
+		}
+	}
+	t.Fatalf("REPORT.md is stale (run `make report`): model section is %d lines, committed %d", len(gl), len(wl))
 }

@@ -15,39 +15,27 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/mdc"
-	"repro/internal/opstore"
+	"repro/internal/core"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
-	"repro/internal/tlr"
 	"repro/internal/tlrio"
 )
 
 func compress(w io.Writer, path string, opts seismic.Options, nb int, acc float64) error {
-	fmt.Fprintf(w, "synthesizing %dx%d survey...\n", opts.Geom.NumSources(), opts.Geom.NumReceivers())
-	ds, err := seismic.Generate(opts)
+	fmt.Fprintf(w, "synthesizing %dx%d survey and compressing its frequency matrices (nb=%d, acc=%g)...\n",
+		opts.Geom.NumSources(), opts.Geom.NumReceivers(), nb, acc)
+	pipe, err := core.BuildPipeline(core.PipelineOptions{Dataset: opts, TileSize: nb, Accuracy: acc})
 	if err != nil {
 		return err
 	}
-	hds, _ := ds.Reorder(sfc.Hilbert)
-	dk, err := mdc.NewDenseKernel(hds.K)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "compressing %d frequency matrices (nb=%d, acc=%g)...\n", dk.NumFreqs(), nb, acc)
-	tk, err := mdc.CompressKernel(dk, tlr.Options{NB: nb, Tol: acc})
-	if err != nil {
-		return err
-	}
-	if err := opstore.WriteFile(path, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}, nil); err != nil {
+	if err := pipe.WriteStore(path, nil); err != nil {
 		return err
 	}
 	st, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "wrote %s: %.2f MB on disk, %.2fx compression vs dense\n",
-		path, float64(st.Size())/1e6, float64(dk.Bytes())/float64(tk.Bytes()))
+	fmt.Fprintf(w, "wrote %s: %d frequency matrices, %.2f MB on disk, %.2fx compression vs dense\n",
+		path, pipe.DS.NumFreqs(), float64(st.Size())/1e6, pipe.Provenance.CompressionRatio())
 	return nil
 }
 

@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("modelled + compressed %d frequency matrices in %.1fs (TLR %.2fx smaller)\n",
-		pipe.DS.NumFreqs(), time.Since(t0).Seconds(), pipe.CompressionRatio())
+		pipe.DS.NumFreqs(), time.Since(t0).Seconds(), pipe.Provenance.CompressionRatio())
 
 	// a short line of virtual sources along the central crossline
 	g := pipe.DS.Geom

@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("kernel: %d frequency matrices, %.1f kB dense, %.1f kB TLR-compressed\n",
-		pipe.DS.NumFreqs(), float64(pipe.DenseBytes)/1e3, float64(pipe.CompressedBytes)/1e3)
+		pipe.DS.NumFreqs(), float64(pipe.Provenance.DenseBytes)/1e3, float64(pipe.Provenance.CompressedBytes)/1e3)
 
 	// Deconvolve one virtual source with 30 LSQR iterations (§6.2).
 	rep, err := pipe.RunMDD(pipe.DS.Geom.NumReceivers()/2, 30)

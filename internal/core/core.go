@@ -1,9 +1,9 @@
-// Package core is the public façade of the reproduction: it wires the
-// synthetic seismic dataset, space-filling-curve reordering, TLR
-// compression, the MDC operator, and LSQR-based MDD into one pipeline
-// (the laptop-scale end-to-end path), and exposes the CS-2 machine-model
-// experiments that regenerate the paper's performance tables at full
-// paper scale.
+// Package core is the one pipeline builder of the reproduction: the
+// paper's §6.1 pre-processing (synthetic survey, space-filling-curve
+// reordering, TLR compression, optional paged tile store, MDD problem)
+// is written here once, and the serving layer, the command-line tools
+// and the examples call it. It also exposes the CS-2 machine-model
+// experiments that regenerate the paper's performance tables.
 //
 // Typical end-to-end use:
 //
@@ -25,26 +25,31 @@ import (
 	"math/rand"
 
 	"repro/internal/cs2"
+	"repro/internal/estimator"
 	"repro/internal/lsqr"
 	"repro/internal/mdc"
 	"repro/internal/mdd"
+	"repro/internal/opstore"
+	"repro/internal/precision"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
 	"repro/internal/tlr"
+	"repro/internal/tlrio"
 	"repro/internal/wse"
 )
 
 // PipelineOptions configures the laptop-scale MDD pipeline.
 type PipelineOptions struct {
-	// Dataset controls the synthetic survey (zero value = defaults:
-	// 12×8 sources, 10×6 receivers, 256 samples at 4 ms, 45 Hz band).
+	// Dataset controls the synthetic survey BuildPipeline generates (zero
+	// value = defaults: 12×8 sources, 10×6 receivers, 256 samples at 4 ms,
+	// 45 Hz band). BuildFrom takes the survey as an argument instead.
 	Dataset seismic.Options
 	// Ordering selects the row/column reordering before compression
-	// (default Hilbert, the paper's choice).
+	// (zero value Hilbert, the paper's choice).
 	Ordering sfc.Order
-	// UseHilbert is implied by Ordering; set Dense to skip compression
-	// and run MDD against the dense kernel (the baseline).
+	// Dense skips compression and runs MDD against the dense kernel (the
+	// baseline).
 	Dense bool
 	// TileSize is the TLR tile size nb (default 8 at laptop scale).
 	TileSize int
@@ -56,72 +61,160 @@ type PipelineOptions struct {
 	Seed int64
 }
 
-// Pipeline holds a generated dataset and its (compressed) kernel, ready
-// for MDD inversions.
+// Pipeline holds a reordered dataset and its (compressed) kernel, ready
+// for MDD inversions; after StoreBack it owns the open tile store.
 type Pipeline struct {
-	DS        *seismic.Dataset
-	Orderings *seismic.Orderings
-	Problem   *mdd.Problem
-	// DenseBytes and CompressedBytes describe the kernel footprint.
+	DS      *seismic.Dataset
+	Problem *mdd.Problem
+	// Kernel is Problem.K when it is compressed, nil for a dense pipeline.
+	Kernel *mdc.TLRKernel
+	// Provenance says how the problem was built.
+	Provenance Provenance
+
+	store *opstore.Store // nil unless store-backed
+}
+
+// Provenance records which choices produced a Pipeline's operator.
+type Provenance struct {
+	// PipelineOptions are the build options as applied (TileSize and
+	// Accuracy with their defaults filled in).
+	PipelineOptions
+	// Policy is the storage-tier policy of the tile store and StoreBudget
+	// its resident-byte budget; nil and 0 while the kernel is in memory.
+	Policy      precision.Policy
+	StoreBudget int64
+	// DenseBytes and CompressedBytes are the kernel footprint before and
+	// after compression (equal for a dense pipeline).
 	DenseBytes      int64
 	CompressedBytes int64
+
+	rows, cols int // per-frequency operator shape, for Predict
 }
 
 // CompressionRatio returns dense/compressed kernel size.
-func (p *Pipeline) CompressionRatio() float64 {
-	if p.CompressedBytes == 0 {
-		return 0
-	}
-	return float64(p.DenseBytes) / float64(p.CompressedBytes)
+func (pv Provenance) CompressionRatio() float64 {
+	return float64(pv.DenseBytes) / float64(pv.CompressedBytes)
 }
 
-// BuildPipeline generates the dataset, reorders it, compresses the kernel,
-// and returns a ready MDD problem.
+// Predict returns the analytic noise estimator's bounds for exactly this
+// configuration and an LSQR budget of iters.
+func (pv Provenance) Predict(iters int) (estimator.Prediction, error) {
+	return estimator.Predict(estimator.Config{
+		M: pv.rows, N: pv.cols, NB: pv.TileSize, Acc: pv.Accuracy,
+		Policy: pv.Policy, Iters: iters,
+	})
+}
+
+// BuildPipeline generates the dataset and builds the pipeline from it.
 func BuildPipeline(opts PipelineOptions) (*Pipeline, error) {
 	ds, err := seismic.Generate(opts.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("core: generating dataset: %w", err)
 	}
-	if opts.Ordering == sfc.Natural && !opts.Dense {
-		opts.Ordering = sfc.Hilbert
-	}
-	rds, ord := ds.Reorder(opts.Ordering)
+	return BuildFrom(ds, opts)
+}
+
+// BuildFrom reorders an already generated survey, compresses its kernel
+// and binds the MDD problem, so callers that sweep configurations over one
+// survey generate it once. ds is not modified; opts.Dataset is not read.
+func BuildFrom(ds *seismic.Dataset, opts PipelineOptions) (*Pipeline, error) {
+	rds, _ := ds.Reorder(opts.Ordering)
 	dk, err := mdc.NewDenseKernel(rds.K)
 	if err != nil {
 		return nil, err
 	}
-	pipe := &Pipeline{DS: rds, Orderings: ord, DenseBytes: dk.Bytes()}
+	pipe := &Pipeline{DS: rds}
 	var kernel mdc.Kernel = dk
 	if !opts.Dense {
-		nb := opts.TileSize
-		if nb == 0 {
-			nb = 8
+		if opts.TileSize == 0 {
+			opts.TileSize = 8
 		}
-		acc := opts.Accuracy
-		if acc == 0 {
-			acc = 1e-4
+		if opts.Accuracy == 0 {
+			opts.Accuracy = 1e-4
 		}
 		var rng *rand.Rand
 		if opts.Method == tlr.MethodRSVD {
 			rng = rand.New(rand.NewSource(opts.Seed + 1))
 		}
-		tk, err := mdc.CompressKernel(dk, tlr.Options{
-			NB: nb, Tol: acc, Method: opts.Method, Rng: rng,
+		pipe.Kernel, err = mdc.CompressKernel(dk, tlr.Options{
+			NB: opts.TileSize, Tol: opts.Accuracy, Method: opts.Method, Rng: rng,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: compressing kernel: %w", err)
 		}
-		kernel = tk
-		pipe.CompressedBytes = tk.Bytes()
-	} else {
-		pipe.CompressedBytes = dk.Bytes()
+		kernel = pipe.Kernel
 	}
-	prob, err := mdd.NewProblem(rds, kernel)
+	pipe.Provenance = Provenance{
+		PipelineOptions: opts,
+		DenseBytes:      dk.Bytes(), CompressedBytes: kernel.Bytes(),
+		rows: dk.Rows(), cols: dk.Cols(),
+	}
+	pipe.Problem, err = mdd.NewProblem(rds, kernel)
 	if err != nil {
 		return nil, err
 	}
-	pipe.Problem = prob
 	return pipe, nil
+}
+
+// WriteStore writes the compressed kernel to a paged TLRP file under the
+// given storage-tier policy (nil = uniform fp32) and leaves the pipeline
+// as it was. A failed write leaves no file behind.
+func (p *Pipeline) WriteStore(path string, pol precision.Policy) error {
+	if p.Kernel == nil {
+		return fmt.Errorf("core: a dense pipeline has no compressed kernel to store")
+	}
+	return opstore.WriteFile(path, &tlrio.Kernel{Freqs: p.DS.Freqs, Mats: p.Kernel.Mats}, pol)
+}
+
+// StoreBack is WriteStore, then the file reopened under a resident-byte
+// budget and every frequency matrix swapped for its store-backed twin, so
+// products fault tiles through an LRU cache; under a nil policy (fp32
+// decodes bit-identically) that changes memory behaviour, never results.
+// The pipeline owns the open store until Close; on failure no descriptor
+// stays open and the kernel stays in memory. Not for a problem already
+// shared between goroutines.
+func (p *Pipeline) StoreBack(path string, budget int64, pol precision.Policy) error {
+	if p.store != nil {
+		return fmt.Errorf("core: pipeline is already store-backed")
+	}
+	if err := p.WriteStore(path, pol); err != nil {
+		return err
+	}
+	st, err := opstore.OpenFile(path, budget)
+	if err != nil {
+		return fmt.Errorf("core: opening kernel store: %w", err)
+	}
+	mats := make([]*tlr.Matrix, len(p.Kernel.Mats))
+	for f := range mats {
+		if mats[f], err = st.Matrix(f); err != nil {
+			st.Close()
+			return fmt.Errorf("core: store matrix %d: %w", f, err)
+		}
+	}
+	copy(p.Kernel.Mats, mats)
+	p.store = st
+	p.Provenance.Policy, p.Provenance.StoreBudget = pol, budget
+	return nil
+}
+
+// StoreStats snapshots the tile cache counters of a store-backed
+// pipeline (the zero value otherwise).
+func (p *Pipeline) StoreStats() opstore.CacheStats {
+	if p.store == nil {
+		return opstore.CacheStats{}
+	}
+	return p.store.Stats()
+}
+
+// Close releases the tile store; the problem of a store-backed pipeline
+// must not be used afterwards. A no-op without a store or when repeated.
+func (p *Pipeline) Close() error {
+	if p.store == nil {
+		return nil
+	}
+	err := p.store.Close()
+	p.store = nil
+	return err
 }
 
 // MDDReport summarizes one virtual-source deconvolution.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ranks"
@@ -28,11 +30,34 @@ func TestBuildPipelineCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.CompressedBytes == 0 || pipe.DenseBytes == 0 {
-		t.Error("footprints not recorded")
+	if pv := pipe.Provenance; pv.CompressedBytes == 0 || pv.DenseBytes == 0 || pv.TileSize != 4 || pv.Accuracy != 1e-4 {
+		t.Errorf("provenance not recorded: %+v", pv)
 	}
-	if pipe.Orderings.Order != sfc.Hilbert {
+	if pipe.Provenance.Ordering != sfc.Hilbert {
 		t.Error("default ordering should be Hilbert")
+	}
+}
+
+// TestExplicitNaturalOrderingIsHonoured: Natural is a choice, not the
+// unset value — asking for it with compression on must compress the
+// survey in acquisition order, not silently Hilbert-sort it.
+func TestExplicitNaturalOrderingIsHonoured(t *testing.T) {
+	ds, err := seismic.Generate(smallDataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := BuildFrom(ds, PipelineOptions{Ordering: sfc.Natural, TileSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipe.Provenance.Ordering != sfc.Natural {
+		t.Fatalf("asked for natural ordering, built %v", pipe.Provenance.Ordering)
+	}
+	if pipe.Kernel == nil {
+		t.Fatal("natural ordering must still compress")
+	}
+	for f, k := range ds.K {
+		bitEqual(t, fmt.Sprintf("K[%d]", f), pipe.DS.K[f].Data, k.Data)
 	}
 }
 
@@ -48,8 +73,8 @@ func TestDemoScaleCompressionBeatsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.CompressionRatio() < 1.3 {
-		t.Errorf("demo-scale compression ratio %.2f < 1.3", pipe.CompressionRatio())
+	if r := pipe.Provenance.CompressionRatio(); r < 1.3 {
+		t.Errorf("demo-scale compression ratio %.2f < 1.3", r)
 	}
 }
 
@@ -78,8 +103,11 @@ func TestRunMDDDenseBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.CompressionRatio() != 1 {
-		t.Errorf("dense pipeline ratio %g", pipe.CompressionRatio())
+	if r := pipe.Provenance.CompressionRatio(); r != 1 {
+		t.Errorf("dense pipeline ratio %g", r)
+	}
+	if err := pipe.StoreBack(filepath.Join(t.TempDir(), "k.tlrp"), 1<<20, nil); err == nil {
+		t.Error("a dense pipeline has nothing to store-back")
 	}
 	rep, err := pipe.RunMDD(3, 30)
 	if err != nil {

@@ -190,21 +190,24 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		xx, ww := updateXW(x, w, v, float32(t1), float32(t2))
 		ddnorm += (1 / rho) * (1 / rho) * float64(float32(ww))
 
+		// phiBar stays signed for the recurrence (damping flips it once
+		// rhoBar < 0); the residual norm is |phiBar|, as in Paige–Saunders
+		rnorm := math.Abs(phiBar)
 		res.Iters = it + 1
-		res.ResidualNorm = phiBar
-		res.ResidualHistory = append(res.ResidualHistory, phiBar)
+		res.ResidualNorm = rnorm
+		res.ResidualHistory = append(res.ResidualHistory, rnorm)
 		obsIters.Add(1)
 		if d := iterSpan.End(); d > 0 {
 			res.IterTimes = append(res.IterTimes, d)
 		}
 
 		// stopping tests (Paige–Saunders criteria 1 and 2)
-		if phiBar <= opts.BTol*bnorm+opts.ATol*anorm*math.Sqrt(xx) {
+		if rnorm <= opts.BTol*bnorm+opts.ATol*anorm*math.Sqrt(xx) {
 			res.Converged = true
 			break
 		}
-		arnorm := alpha * math.Abs(cs) * phiBar
-		if anorm > 0 && phiBar > 0 && arnorm/(anorm*phiBar) <= opts.ATol {
+		arnorm := alpha * math.Abs(cs) * rnorm
+		if anorm > 0 && rnorm > 0 && arnorm/(anorm*rnorm) <= opts.ATol {
 			res.Converged = true
 			break
 		}

@@ -148,6 +148,18 @@ func TestDampingShrinksSolution(t *testing.T) {
 		t.Errorf("damped ‖x‖=%g not smaller than undamped %g",
 			cfloat.Nrm2(resD.X), cfloat.Nrm2(res0.X))
 	}
+	// the damping rotation flips the sign of φ̄ from the second iteration
+	// on; the reported residual is |φ̄|, so the solve neither "converges"
+	// on a negative residual nor records one
+	if resD.Iters <= 2 {
+		t.Errorf("damped solve stopped after %d iterations (converged %v)", resD.Iters, resD.Converged)
+	}
+	for i, r := range resD.ResidualHistory {
+		if r < 0 || (i > 0 && r > resD.ResidualHistory[i-1]) {
+			t.Fatalf("damped residual history is not non-negative and non-increasing at %d: %v",
+				i, resD.ResidualHistory[:i+1])
+		}
+	}
 }
 
 func TestMaxItersRespected(t *testing.T) {

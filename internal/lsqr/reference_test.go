@@ -76,14 +76,15 @@ func solveUnfused(a Operator, b []complex64, opts Options, ckptAt int) (*Result,
 		}
 		ddnorm += (1 / rho) * (1 / rho) * float64(real(cfloat.Dotc(w, w)))
 		res.Iters = it + 1
-		res.ResidualNorm = phiBar
-		res.ResidualHistory = append(res.ResidualHistory, phiBar)
-		if phiBar <= opts.BTol*bnorm+opts.ATol*anorm*cfloat.Nrm2(x) {
+		rnorm := math.Abs(phiBar)
+		res.ResidualNorm = rnorm
+		res.ResidualHistory = append(res.ResidualHistory, rnorm)
+		if rnorm <= opts.BTol*bnorm+opts.ATol*anorm*cfloat.Nrm2(x) {
 			res.Converged = true
 			break
 		}
-		arnorm := alpha * math.Abs(cs) * phiBar
-		if anorm > 0 && phiBar > 0 && arnorm/(anorm*phiBar) <= opts.ATol {
+		arnorm := alpha * math.Abs(cs) * rnorm
+		if anorm > 0 && rnorm > 0 && arnorm/(anorm*rnorm) <= opts.ATol {
 			res.Converged = true
 			break
 		}
@@ -116,8 +117,8 @@ func TestFusedLoopMatchesUnfusedReference(t *testing.T) {
 		ckptAt int
 	}{
 		{20, 12, Options{MaxIters: 12, ATol: 1e-30, BTol: 1e-30}, 5},
-		// a damped solve stops after two iterations (phiBar takes the sign
-		// of rhoBar); the damping rotation still runs once before that
+		// a damped solve: phiBar takes the sign of rhoBar from the second
+		// iteration on, the residual history carries its modulus
 		{33, 7, Options{MaxIters: 9, ATol: 1e-30, BTol: 1e-30, Damp: 0.3}, 1},
 		// consistent system (below): stops early, on the fused ‖x‖ alone
 		{40, 10, Options{MaxIters: 30, ATol: 1e-3, BTol: 1e-30}, 2},

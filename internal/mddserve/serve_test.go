@@ -5,11 +5,14 @@
 package mddserve
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/mdc"
 	"repro/internal/obs"
+	"repro/internal/testkit/suite"
 )
 
 func testSpec(typ JobType) JobSpec {
@@ -315,24 +318,81 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 	}
 	for _, b := range builds {
 		<-b.ready
-		if b.store == nil {
-			t.Fatal("StoreDir build has no open store")
+		pv := b.pipe.Provenance
+		if pv.StoreBudget != pv.CompressedBytes/2 {
+			t.Fatalf("StoreDir build reports budget %d, want half of %d", pv.StoreBudget, pv.CompressedBytes)
 		}
-		stats := b.store.Stats()
+		stats := b.pipe.StoreStats()
 		if stats.Misses == 0 {
 			t.Errorf("store-backed solve never faulted a tile: %+v", stats)
 		}
 		if stats.ResidentBytes > stats.Budget {
 			t.Errorf("resident %d exceeds budget %d", stats.ResidentBytes, stats.Budget)
 		}
-		tk, ok := b.ck.(*mdc.TLRKernel)
-		if !ok {
-			t.Fatalf("built kernel is %T, want *mdc.TLRKernel", b.ck)
+		if _, ok := b.pipe.Problem.K.(*mdc.TLRKernel); !ok {
+			t.Fatalf("built kernel is %T, want *mdc.TLRKernel", b.pipe.Problem.K)
 		}
-		for f, m := range tk.Mats {
-			if !m.OutOfCore() {
+		for f := 0; f < b.pipe.DS.NumFreqs(); f++ {
+			if !b.pipe.Kernel.Mats[f].OutOfCore() {
 				t.Errorf("kernel matrix %d is not store-backed", f)
 			}
 		}
+		if b.slice.OutOfCore() {
+			t.Error("the tlrmvm slice must stay in memory")
+		}
+	}
+}
+
+// TestFailedBuildIsRebuilt: a build that fails (here: StoreDir below a
+// regular file, so the page file cannot be created) fails its job but
+// not its cache key — once the directory exists the same spec builds
+// and completes.
+func TestFailedBuildIsRebuilt(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	obs.Enable()
+	defer obs.Disable()
+	before := obs.TakeSnapshot()
+
+	blocker := filepath.Join(t.TempDir(), "stores")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.StoreDir = filepath.Join(blocker, "sub")
+	s := New(cfg)
+	defer s.Close()
+	spec := testSpec(JobMDD)
+	spec.Iters = 3
+
+	id, err := s.Submit(spec, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, id); st.State != StateFailed {
+		t.Fatalf("job under an unusable StoreDir ended %s, want failed", st.State)
+	}
+	s.cacheMu.Lock()
+	n := len(s.cache)
+	s.cacheMu.Unlock()
+	if n != 0 {
+		t.Fatalf("failed build left %d cache entries", n)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	id, err = s.Submit(spec, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, id); st.State != StateDone {
+		t.Fatalf("same spec after the directory exists: %s (%s)", st.State, st.Error)
+	}
+	after := obs.TakeSnapshot()
+	if misses := after.Counter("serve.cache.misses") - before.Counter("serve.cache.misses"); misses != 2 {
+		t.Errorf("%d cache misses, want 2 (the failed build and its rebuild)", misses)
 	}
 }

@@ -26,16 +26,14 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/cfloat"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/lsqr"
 	"repro/internal/mdc"
 	"repro/internal/mdd"
 	"repro/internal/obs"
-	"repro/internal/opstore"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
 	"repro/internal/tlr"
-	"repro/internal/tlrio"
 )
 
 // Serving-layer metrics: submission/terminal counters, admission
@@ -228,17 +226,13 @@ type built struct {
 	ready chan struct{}
 	err   error
 
-	prob  *mdd.Problem
-	ck    mdc.Kernel
-	scale float32
-	// slice is the TLR-compressed middle frequency slice used by
-	// compress and tlrmvm jobs.
-	slice      *tlr.Matrix
-	denseBytes int64
-	tlrBytes   int64
-	// store backs the kernel's tiles in StoreDir mode (nil otherwise);
-	// it stays open for the server's lifetime and closes with it.
-	store *opstore.Store
+	// pipe is the built problem; in StoreDir mode it owns the open tile
+	// store, which stays open for the server's lifetime and closes with
+	// it.
+	pipe *core.Pipeline
+	// slice is the TLR-compressed middle frequency slice used by tlrmvm
+	// jobs, taken before store-backing so it stays in memory.
+	slice *tlr.Matrix
 }
 
 // Server is the in-process service instance; Handler() exposes it over
@@ -298,7 +292,7 @@ func (s *Server) Close() {
 	s.cond.Broadcast()
 	s.wg.Wait()
 	// Snapshot the build cache under the lock, then wait for in-flight
-	// builds and release their stores lock-free: a build goroutine may
+	// builds and close their pipelines lock-free: a build goroutine may
 	// briefly take cacheMu itself, so blocking on ready while holding it
 	// would deadlock.
 	s.cacheMu.Lock()
@@ -308,10 +302,10 @@ func (s *Server) Close() {
 	}
 	s.cacheMu.Unlock()
 	for _, b := range builds {
-		//lint:ctx-ok shutdown must not orphan tile stores: each in-flight build closes ready when buildProblem returns, so the wait is bounded by the finite build set
+		//lint:ctx-ok shutdown must not orphan tile stores: each in-flight build closes ready when Server.build returns, so the wait is bounded by the finite build set
 		<-b.ready
-		if b.store != nil {
-			b.store.Close()
+		if b.pipe != nil {
+			b.pipe.Close()
 		}
 	}
 }
@@ -564,10 +558,11 @@ func (s *Server) execute(runner *batch.ShardRunner, j *job) (*JobResult, error) 
 	}
 	switch j.spec.Type {
 	case JobCompress:
+		pv := b.pipe.Provenance
 		return &JobResult{
-			CompressionRatio: float64(b.denseBytes) / float64(b.tlrBytes),
-			DenseBytes:       b.denseBytes,
-			CompressedBytes:  b.tlrBytes,
+			CompressionRatio: pv.CompressionRatio(),
+			DenseBytes:       pv.DenseBytes,
+			CompressedBytes:  pv.CompressedBytes,
 		}, nil
 	case JobTLRMVM:
 		return runTLRMVM(j, b)
@@ -601,7 +596,8 @@ func runTLRMVM(j *job, b *built) (*JobResult, error) {
 // runMDD runs the fault-tolerant inversion on the worker's runner,
 // streaming per-iteration residuals from the solver checkpoints.
 func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built) (*JobResult, error) {
-	sop := &mdc.ShardedFreqOperator{K: b.ck, Scale: b.scale, Runner: runner}
+	prob := b.pipe.Problem
+	sop := &mdc.ShardedFreqOperator{K: prob.K, Scale: float32(prob.DS.DArea), Runner: runner}
 	var op lsqr.FallibleOperator = sop
 	if len(s.cfg.Faults) > 0 {
 		inj := fault.NewInjector(s.cfg.Faults)
@@ -613,8 +609,7 @@ func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built) (*JobResult
 	}
 	op = &ctxOperator{ctx: j.ctx, op: op}
 
-	rhs := b.prob.Data(j.spec.VS)
-	out, err := mdd.InvertResilient(op, rhs, mdd.ResilientOptions{
+	out, err := mdd.InvertResilient(op, prob.Data(j.spec.VS), mdd.ResilientOptions{
 		LSQR:               lsqr.Options{MaxIters: j.spec.Iters},
 		CheckpointInterval: 1,
 		MaxRestarts:        4,
@@ -630,7 +625,7 @@ func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built) (*JobResult
 	}
 	obsSolveRestarts.Add(int64(out.Restarts))
 	res := &JobResult{
-		InversionNMSE: b.prob.NMSEAgainstTruth(out.Result.X, j.spec.VS),
+		InversionNMSE: prob.NMSEAgainstTruth(out.Result.X, j.spec.VS),
 		FinalResidual: out.Result.ResidualNorm,
 		Iterations:    out.Result.Iters,
 		Converged:     out.Result.Converged,
@@ -683,9 +678,10 @@ func specKey(spec JobSpec) string {
 
 // built returns the cached dataset/kernel build for the spec, building
 // it exactly once per key (concurrent requesters wait on the ready
-// channel rather than duplicating the synthesis). The wait for another
-// requester's in-flight build honors the job's context, so a cancelled
-// job never wedges a worker behind a slow synthesis it doesn't own.
+// channel rather than duplicating the synthesis); only a successful
+// build stays cached. The wait for another requester's in-flight build
+// honors the job's context, so a cancelled job never wedges a worker
+// behind a slow synthesis it doesn't own.
 func (s *Server) built(ctx context.Context, spec JobSpec) (*built, error) {
 	key := specKey(spec)
 	s.cacheMu.Lock()
@@ -705,83 +701,46 @@ func (s *Server) built(ctx context.Context, spec JobSpec) (*built, error) {
 	s.cacheMu.Unlock()
 	obsCacheMisses.Add(1)
 
-	b.err = buildProblem(s.cfg, spec, b)
+	b.err = s.build(spec, b)
+	if b.err != nil {
+		// waiting requesters see this error; the next submitter rebuilds
+		s.cacheMu.Lock()
+		delete(s.cache, key)
+		s.cacheMu.Unlock()
+	}
 	close(b.ready)
 	return b, b.err
 }
 
-// buildProblem synthesizes the survey, Hilbert-reorders it, compresses
-// the kernel, and prepares the shared MDD problem and bench slice. In
-// StoreDir mode the compressed kernel round-trips through a paged tile
-// store first, so the problem's matrices fault tiles in on demand.
-func buildProblem(cfg Config, spec JobSpec, b *built) error {
-	ds, err := seismic.Generate(seismic.Options{
-		Geom: seismic.Geometry{
-			NsX: spec.Dataset.NsX, NsY: spec.Dataset.NsY,
-			NrX: spec.Dataset.NrX, NrY: spec.Dataset.NrY,
-			Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300,
+// build runs the pipeline builder on the spec's survey and keeps the
+// mid-band slice for tlrmvm jobs. In StoreDir mode the kernel then moves
+// behind a paged tile store, so the problem's matrices fault tiles in.
+func (s *Server) build(spec JobSpec, b *built) error {
+	pipe, err := core.BuildPipeline(core.PipelineOptions{
+		Dataset: seismic.Options{
+			Geom: seismic.Geometry{
+				NsX: spec.Dataset.NsX, NsY: spec.Dataset.NsY,
+				NrX: spec.Dataset.NrX, NrY: spec.Dataset.NrY,
+				Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300,
+			},
+			Nt: spec.Dataset.Nt, Dt: 0.004,
 		},
-		Nt: spec.Dataset.Nt, Dt: 0.004,
+		TileSize: spec.NB, Accuracy: spec.Tol,
 	})
-	if err != nil {
-		return fmt.Errorf("generating dataset: %w", err)
-	}
-	hds, _ := ds.Reorder(sfc.Hilbert)
-	dk, err := mdc.NewDenseKernel(hds.K)
 	if err != nil {
 		return err
 	}
-	tk, err := mdc.CompressKernel(dk, tlr.Options{NB: spec.NB, Tol: spec.Tol})
-	if err != nil {
-		return fmt.Errorf("compressing kernel: %w", err)
-	}
-	// taken before storeBackKernel swaps the stack for store-backed
-	// twins: the bench slice stays in memory
-	slice := tk.Mats[hds.NumFreqs()/2]
-	if cfg.StoreDir != "" {
-		if err := storeBackKernel(cfg, spec, hds.Freqs, tk, b); err != nil {
+	b.slice = pipe.Kernel.Mats[pipe.DS.NumFreqs()/2]
+	if s.cfg.StoreDir != "" {
+		budget := s.cfg.StoreBudget
+		if budget <= 0 {
+			budget = pipe.Provenance.CompressedBytes / 2
+		}
+		path := filepath.Join(s.cfg.StoreDir, specKey(spec)+".tlrp")
+		if err := pipe.StoreBack(path, budget, nil); err != nil {
 			return err
 		}
 	}
-	prob, err := mdd.NewProblem(hds, tk)
-	if err != nil {
-		return err
-	}
-	b.prob = prob
-	b.ck = tk
-	b.scale = float32(hds.DArea)
-	b.slice = slice
-	b.denseBytes = dk.Bytes()
-	b.tlrBytes = tk.Bytes()
-	return nil
-}
-
-// storeBackKernel writes the compressed kernel to the spec's page file
-// under cfg.StoreDir and swaps every frequency matrix for its
-// store-backed twin, leaving the open store on b for lifetime
-// management. The fp32 page codec decodes bit-identically, so the swap
-// changes memory behaviour, never results.
-func storeBackKernel(cfg Config, spec JobSpec, freqs []float64, tk *mdc.TLRKernel, b *built) error {
-	budget := cfg.StoreBudget
-	if budget <= 0 {
-		budget = tk.Bytes() / 2
-	}
-	path := filepath.Join(cfg.StoreDir, specKey(spec)+".tlrp")
-	if err := opstore.WriteFile(path, &tlrio.Kernel{Freqs: freqs, Mats: tk.Mats}, nil); err != nil {
-		return fmt.Errorf("writing kernel store: %w", err)
-	}
-	st, err := opstore.OpenFile(path, budget)
-	if err != nil {
-		return fmt.Errorf("opening kernel store: %w", err)
-	}
-	for f := range tk.Mats {
-		m, err := st.Matrix(f)
-		if err != nil {
-			st.Close()
-			return fmt.Errorf("store matrix %d: %w", f, err)
-		}
-		tk.Mats[f] = m
-	}
-	b.store = st
+	b.pipe = pipe
 	return nil
 }

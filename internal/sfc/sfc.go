@@ -13,12 +13,13 @@ import "sort"
 type Order int
 
 const (
-	// Natural keeps the original acquisition ordering (row-major grid).
-	Natural Order = iota
+	// Hilbert orders points along the Hilbert curve — the paper's choice
+	// and so the zero value; Natural is a choice like any other.
+	Hilbert Order = iota
 	// Morton orders points along the Z-order curve.
 	Morton
-	// Hilbert orders points along the Hilbert curve — the paper's choice.
-	Hilbert
+	// Natural keeps the original acquisition ordering (row-major grid).
+	Natural
 	// Shuffled applies a deterministic pseudo-random permutation — a
 	// locality-destroying baseline for reordering ablations (not in the
 	// paper, but useful to bound the effect of spatial locality).
