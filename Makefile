@@ -19,7 +19,7 @@ FUZZ_TARGETS = \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build quickstart vet test race race-stress integration fuzz bench report report-check bench-e2e bench-e2e-compare lint repolint vuln cover
+.PHONY: all build quickstart vet test race race-stress cpu-identity integration fuzz bench report report-check bench-e2e bench-e2e-compare lint repolint vuln cover
 
 all: vet build quickstart test
 
@@ -45,6 +45,12 @@ race:
 # at the repo root — run repeatedly under the race detector
 race-stress:
 	$(GO) test -race -count=2 -run '^TestStress' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/
+
+# worker-count bit-identity where GOMAXPROCS is not the host's: the
+# parallel product against the sequential one at 1, 2, 4 and 8 workers,
+# and every compressor's build at 1, 2 and 4, on one and on four Ps
+cpu-identity:
+	$(GO) test -race -cpu 1,4 -run '^(TestBatchedMatchesSequentialAcrossShapes|TestCompressAccuracyAllMethods)$$' ./internal/tlr/
 
 # serving-layer integration suite: typed client against a live
 # in-process mddserve instance (submit/poll/stream/cancel, backpressure,

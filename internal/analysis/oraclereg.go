@@ -16,7 +16,6 @@ var oracleKernelSuffixes = []string{
 	"internal/wsesim",
 	"internal/dense",
 	"internal/precision",
-	"internal/batch",
 }
 
 // OracleReg detects exported kernel entry points with the execution-path

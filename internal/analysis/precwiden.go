@@ -13,7 +13,6 @@ import (
 // decision — never an accident.
 var kernelPkgSuffixes = []string{
 	"internal/tlr",
-	"internal/batch",
 	"internal/cfloat",
 	"internal/precision",
 }

@@ -1,10 +1,10 @@
-// Sharded execution: the paper's headline run spreads the TLR-MVM
-// frequency fan-out over 48 physical CS-2 systems (§7). This file is the
-// failure-domain-aware version of that fan-out: independent per-frequency
-// tasks are assigned to N simulated shards, and when a shard misbehaves —
-// returns errors, goes silent, or emits corrupted (NaN) output — its
-// orphaned tasks are re-sharded onto the survivors with bounded retries
-// and exponential backoff. Retries, failovers, deaths, and the surviving
+// Package batch is the sharded executor: the paper's headline run spreads
+// the TLR-MVM frequency fan-out over 48 physical CS-2 systems (§7), and
+// ShardRunner is the failure-domain-aware version of that fan-out:
+// independent per-frequency tasks are assigned to N simulated shards, and
+// when a shard misbehaves — returns errors, goes silent, or emits
+// corrupted (NaN) output — its orphaned tasks are re-sharded onto the
+// survivors with bounded retries and exponential backoff. Retries, failovers, deaths, and the surviving
 // capacity are all published through the obs registry so degraded-mode
 // throughput is observable, not silent.
 package batch

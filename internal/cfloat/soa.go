@@ -7,8 +7,8 @@ package cfloat
 // chains over four columns at a time: the four-way unroll amortizes the
 // y (or x) traffic over four columns, which is what moves a short-fat
 // GEMV from call-overhead-bound toward the bandwidth roofline. These are
-// the primitives behind the SoA TLR-MVM paths (internal/tlr/soa.go) and
-// the batch engine's members (batch.MVM.AR/AI).
+// the primitives behind the SoA TLR-MVM paths (internal/tlr/soa.go),
+// which split and merge the vector endpoints once per product.
 
 // GemvSoAAcc accumulates y += A x over split planes: A is m×n column-major
 // in (ar, ai) with leading dimension lda, x is (xr, xi) of length n, and y
@@ -114,36 +114,4 @@ func GemvConjSoAAcc(m, n int, ar, ai []float32, lda int, xr, xi, yr, yi []float3
 		yr[c] += sr
 		yi[c] += si
 	}
-}
-
-// GemvSoA computes y = A x over split matrix planes with complex vector
-// endpoints: x (length n) is split into the caller's xr/xi scratch, the
-// product accumulates in the yr/yi scratch planes, and the result merges
-// into y (length m). All scratch may be dirty; it is (re)initialized
-// here, so hot paths can recycle buffers across calls without allocating.
-func GemvSoA(m, n int, ar, ai []float32, lda int, x, y []complex64, xr, xi, yr, yi []float32) {
-	xr, xi = xr[:n], xi[:n]
-	yr, yi = yr[:m], yi[:m]
-	SplitReIm(x[:n], xr, xi)
-	for i := range yr {
-		yr[i] = 0
-		yi[i] = 0
-	}
-	GemvSoAAcc(m, n, ar, ai, lda, xr, xi, yr, yi)
-	MergeReIm(yr, yi, y[:m])
-}
-
-// GemvConjSoA computes y = Aᴴ x over split matrix planes with complex
-// vector endpoints, the conjugate-transpose analogue of GemvSoA: x has
-// length m, y length n, and the scratch planes are sized accordingly.
-func GemvConjSoA(m, n int, ar, ai []float32, lda int, x, y []complex64, xr, xi, yr, yi []float32) {
-	xr, xi = xr[:m], xi[:m]
-	yr, yi = yr[:n], yi[:n]
-	SplitReIm(x[:m], xr, xi)
-	for i := range yr {
-		yr[i] = 0
-		yi[i] = 0
-	}
-	GemvConjSoAAcc(m, n, ar, ai, lda, xr, xi, yr, yi)
-	MergeReIm(yr, yi, y[:n])
 }

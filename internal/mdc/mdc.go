@@ -9,12 +9,11 @@ package mdc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cfloat"
 	"repro/internal/dense"
+	"repro/internal/fanout"
 	"repro/internal/fft"
 	"repro/internal/obs"
 	"repro/internal/tlr"
@@ -226,11 +225,11 @@ func (op *FreqOperator) run(x, y []complex64, dir product) error {
 	if err := b.check("FreqOperator", x, y); err != nil {
 		return err
 	}
-	workers := poolSize(b.nf, op.Workers)
+	workers := fanout.PoolSize(b.nf, op.Workers)
 	// the unfused normal map needs K_f x_f between its two passes: one
 	// data-grid vector per worker, not per frequency
 	mid := make([]complex64, workers*b.mid)
-	fanOut(b.nf, workers, func(w, f int) {
+	fanout.Do(b.nf, workers, func(w, f int) {
 		b.apply(f, b.in(x, f), b.out(y, f), mid[w*b.mid:(w+1)*b.mid])
 	})
 	return nil
@@ -319,41 +318,6 @@ func (b freqBlocks) check(who string, x, y []complex64) error {
 
 func (b freqBlocks) in(x []complex64, f int) []complex64  { return x[f*b.nin : (f+1)*b.nin] }
 func (b freqBlocks) out(y []complex64, f int) []complex64 { return y[f*b.nout : (f+1)*b.nout] }
-
-// poolSize resolves a Workers field (0 = GOMAXPROCS) against nf
-// independent frequencies.
-func poolSize(nf, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, nf)
-}
-
-// fanOut runs body(w, f) once for every frequency f in [0, nf) on
-// poolSize(nf, workers) workers pulling from a shared index; w is the
-// worker's index, for per-worker scratch. A pool of one runs inline on
-// the caller's goroutine, so a Workers: 1 operator spawns nothing.
-func fanOut(nf, workers int, body func(w, f int)) {
-	workers = poolSize(nf, workers)
-	if workers <= 1 {
-		for f := 0; f < nf; f++ {
-			body(0, f)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for f := int(next.Add(1)) - 1; f < nf; f = int(next.Add(1)) - 1 {
-				body(w, f)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
 
 // TimeOperator is the literal Eqn. (2) composition A = Sᴴ K S over complex
 // time-domain traces, where S is the unitary band-sampling DFT (forward
@@ -470,7 +434,7 @@ func (op *TimeOperator) run(x, y []complex64, dir product) {
 	op.AnalyzeTime(x, xf, b.nin)
 	// K (or Kᴴ) per frequency
 	yf := make([]complex64, b.nf*b.nout)
-	fanOut(b.nf, op.Workers, func(_, f int) {
+	fanout.Do(b.nf, op.Workers, func(_, f int) {
 		b.apply(f, b.in(xf, f), b.out(yf, f), nil)
 	})
 	// Sᴴ: zero-pad the band back onto the DFT grid, unitary inverse FFT

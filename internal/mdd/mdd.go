@@ -9,9 +9,8 @@ package mdd
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/lsqr"
 	"repro/internal/mdc"
 	"repro/internal/seismic"
@@ -106,23 +105,11 @@ func (p *Problem) Invert(vs int, opts lsqr.Options) (*Solution, error) {
 // parallel structure the paper exploits across 708 GPUs (§6.4). workers
 // <= 0 uses GOMAXPROCS.
 func (p *Problem) InvertLine(vss []int, opts lsqr.Options, workers int) ([]*Solution, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sols := make([]*Solution, len(vss))
 	errs := make([]error, len(vss))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, vs := range vss {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, vs int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sols[i], errs[i] = p.Invert(vs, opts)
-		}(i, vs)
-	}
-	wg.Wait()
+	fanout.Do(len(vss), workers, func(_, i int) {
+		sols[i], errs[i] = p.Invert(vss[i], opts)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -127,8 +127,8 @@ func TestStoreBackedMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		tm.MulVecSoA(x, want)
-		if e := relErr(got, want); e > 1e-6 {
-			t.Errorf("f=%d MulVecBatched vs SoA: rel err %g", f, e)
+		if e := relErr(got, want); e != 0 {
+			t.Errorf("f=%d MulVecBatched vs SoA: rel err %g, want bit-exact", f, e)
 		}
 		ooc.MulVecSoA(x, got)
 		if e := relErr(got, want); e != 0 {

@@ -3,10 +3,9 @@ package seismic
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/dense"
+	"repro/internal/fanout"
 	"repro/internal/fft"
 	"repro/internal/sfc"
 )
@@ -142,22 +141,9 @@ func Generate(opts Options) (*Dataset, error) {
 		Rtrue:  make([]*dense.Matrix, len(freqs)),
 		DArea:  g.Dx * g.Dy,
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for fi := range freqs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(fi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ds.synthesizeFrequency(fi, nmul)
-		}(fi)
-	}
-	wg.Wait()
+	fanout.Do(len(freqs), opts.Workers, func(_, fi int) {
+		ds.synthesizeFrequency(fi, nmul)
+	})
 	return ds, nil
 }
 

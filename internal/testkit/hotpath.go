@@ -3,8 +3,6 @@ package testkit
 import (
 	"fmt"
 
-	"repro/internal/batch"
-	"repro/internal/cfloat"
 	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/mdc"
@@ -103,17 +101,6 @@ func hotPaths() []hotPath {
 			x, y := make([]complex64, hotN), make([]complex64, hotN)
 			x[0], x[hotN-1] = 1, 2i
 			return func() { t.MulVecNormal(x, y) }, nil
-		}},
-		{Name: "batch.run_soa", Setup: func() (func(), error) {
-			tasks, err := hotPathBatch()
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if err := batch.Run(tasks, batch.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
-			}, nil
 		}},
 		{Name: "mdc.kernel_dense", Setup: func() (func(), error) {
 			rng := NewRNG(7)
@@ -215,38 +202,4 @@ func hotPathStore() (*opstore.Store, int, error) {
 		return nil, 0, err
 	}
 	return st, t.MT * t.NT, nil
-}
-
-// hotPathBatch builds the deterministic variable-size batch: per tile
-// U base one OpN member (the phase-3 shape of the batched TLR-MVM) and
-// one OpC member, the matrix carried as presplit float32 planes, so both
-// split-plane executors stay under the gate.
-func hotPathBatch() ([]batch.MVM, error) {
-	t, err := hotPathMatrix()
-	if err != nil {
-		return nil, err
-	}
-	var tasks []batch.MVM
-	x := make([]complex64, hotM)
-	for i := range x {
-		x[i] = complex(float32(i%5)-2, float32(i%3))
-	}
-	for _, tile := range t.Tiles {
-		u := tile.U
-		if u.Cols == 0 {
-			continue
-		}
-		ne := u.Stride*(u.Cols-1) + u.Rows
-		ar, ai := make([]float32, ne), make([]float32, ne)
-		cfloat.SplitReIm(u.Data[:ne], ar, ai)
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: u.Rows, N: u.Cols,
-			AR: ar, AI: ai, LDA: u.Stride, X: x[:u.Cols], Y: make([]complex64, u.Rows),
-		})
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpC, M: u.Rows, N: u.Cols,
-			AR: ar, AI: ai, LDA: u.Stride, X: x[:u.Rows], Y: make([]complex64, u.Cols),
-		})
-	}
-	return tasks, nil
 }

@@ -4,12 +4,15 @@
 package tlr_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/opstore"
 	"repro/internal/testkit"
 	"repro/internal/tlr"
+	"repro/internal/tlrio"
 )
 
 // TestDifferentialMatrixClasses runs the oracle over the matrix classes
@@ -119,37 +122,73 @@ func literalMatrix(rng *rand.Rand, m, n, nb int, rank func(i, j int) int) *tlr.M
 	return tm
 }
 
+// storeBackedTwin pages tm into memory and returns its out-of-core twin
+// over a store whose budget forces evictions, as opstore's
+// TestStoreBackedMatchesInMemory does.
+func storeBackedTwin(t *testing.T, tm *tlr.Matrix) *tlr.Matrix {
+	t.Helper()
+	var buf bytes.Buffer
+	k := &tlrio.Kernel{Freqs: []float64{1}, Mats: []*tlr.Matrix{tm}}
+	if err := tlrio.WritePaged(&buf, k, tlrio.PagedOptions{PageSize: 256}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := opstore.OpenBytes(buf.Bytes(), 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ooc, err := st.Matrix(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ooc
+}
+
 // TestBatchedMatchesSequentialAcrossShapes drives all six MulVec* entry
 // points (it began as the MulVecBatched-only shape sweep and keeps the
 // name) over the degenerate tile-grid shapes: every one must match the
 // sequential AoS reference within the oracle's execution tolerance,
-// MulVecBatched must sit within 1e-6 of MulVecSoA and not depend on its
-// worker count, the fused normal pass must reproduce the SoA composition
-// bit for bit, and the SoA pair must satisfy the adjoint identity.
+// MulVecBatched must be MulVecSoA bit for bit at every worker count (it
+// is the same product with its panel loops on a pool), the fused normal
+// pass must reproduce the SoA composition bit for bit, and the SoA pair
+// must satisfy the adjoint identity.
 func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
 	mixed := func(i, j int) int { return 1 + (i+2*j)%5 }
+	ragged := func(i, j int) int { return 1 + (i+j)%8 }
 	cases := []struct {
 		name     string
 		m, n, nb int
 		rank     func(i, j int) int
+		stored   bool
 	}{
-		{"single-tile", 10, 7, 16, mixed},
-		{"one-tile-row", 12, 40, 16, mixed},
-		{"one-tile-col", 40, 12, 16, mixed},
-		// big enough that MulVecBatched at 4 workers leaves the batch
-		// engine's serial fallback
-		{"ragged-last-row-and-col", 203, 171, 16, func(i, j int) int { return 1 + (i+j)%8 }},
+		{"single-tile", 10, 7, 16, mixed, false},
+		{"one-tile-row", 12, 40, 16, mixed, false},
+		{"one-tile-col", 40, 12, 16, mixed, false},
+		// the 203x171 cases are big enough that MulVecBatched at 2+
+		// workers leaves its serial fallback
+		{"ragged-last-row-and-col", 203, 171, 16, ragged, false},
 		{"zero-rank-row-and-col", 30, 27, 8, func(i, j int) int {
 			if i == 1 || j == 2 {
 				return 0
 			}
 			return mixed(i, j)
-		}},
+		}, false},
+		// whole U and V panels of stacked rank zero on the pool: expand
+		// must still clear their output blocks, project write nothing
+		{"zero-rank-panels-parallel", 203, 171, 16, func(i, j int) int {
+			if i%5 == 1 || j%4 == 2 {
+				return 0
+			}
+			return ragged(i, j)
+		}, false},
+		{"store-backed", 203, 171, 16, ragged, true},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := testkit.NewRNG(int64(140 + ci))
 			tm := literalMatrix(rng, tc.m, tc.n, tc.nb, tc.rank)
+			if tc.stored {
+				tm = storeBackedTwin(t, tm)
+			}
 			x, xa := testkit.Vec(rng, tc.n), testkit.Vec(rng, tc.m)
 			tolFwd, tolAdj := testkit.ExecTolerance(tc.n), testkit.ExecTolerance(tc.m)
 
@@ -168,21 +207,14 @@ func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
 				t.Errorf("MulVecConjTransSoA relErr %g > %g", e, tolAdj)
 			}
 
-			bat1, bat4 := make([]complex64, tc.m), make([]complex64, tc.m)
-			if err := tm.MulVecBatched(x, bat1, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := tm.MulVecBatched(x, bat4, 4); err != nil {
-				t.Fatal(err)
-			}
-			if e := testkit.RelErr(bat1, ref); e > tolFwd {
-				t.Errorf("MulVecBatched relErr %g > %g", e, tolFwd)
-			}
-			if e := testkit.RelErr(bat1, soa); e > 1e-6 {
-				t.Errorf("MulVecBatched %g from MulVecSoA, want <= 1e-6", e)
-			}
-			if d := testkit.MaxULPDist(bat4, bat1); d != 0 {
-				t.Errorf("MulVecBatched workers 4 vs 1: %d ULPs", d)
+			for _, workers := range []int{1, 2, 4, 8} {
+				bat := testkit.Vec(rng, tc.m) // dirty: every block must be written
+				if err := tm.MulVecBatched(x, bat, workers); err != nil {
+					t.Fatal(err)
+				}
+				if d := testkit.MaxULPDist(bat, soa); d != 0 {
+					t.Errorf("MulVecBatched at %d workers: %d ULPs from MulVecSoA", workers, d)
+				}
 			}
 
 			comp, fused := make([]complex64, tc.n), make([]complex64, tc.n)

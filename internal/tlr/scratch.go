@@ -3,13 +3,11 @@ package tlr
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/batch"
 )
 
 // Every product needs intermediates per call: the sequential sweep one
 // tile's projection segment, the stacked paths the whole Yv/Yu
-// projection vector, the split planes and the batch task list.
+// projection vector and the vector endpoints as split planes.
 // Allocating them per product put makes on the hot path; they are
 // hoisted here into per-matrix free lists so steady-state products
 // allocate nothing (testkit's AllocsPerRun gate proves it). A channel
@@ -20,7 +18,7 @@ import (
 //
 // Two lists, because the two families differ by three orders of
 // magnitude: a segment is MaxRank elements (512 B at rank 64), a stacked
-// set 2·TotalRank complex64 plus eight float32 planes (2.2 MB per
+// set eight float32 planes, four of them TotalRank long (1.1 MB per
 // frequency of solve-dram). The segment list is what every matrix
 // holds; the stacked list belongs to the SoA layout and is created with
 // it (buildSoA), so a matrix that only ever runs the AoS sweep — every
@@ -72,19 +70,10 @@ func (t *Matrix) putSeg(seg []complex64) {
 
 // soaScratch is one checkout of the stacked paths' intermediates.
 type soaScratch struct {
-	// yv holds every tile's projection segment, row-stacked: tile idx
-	// owns yv[rowSeg[idx]:rowSeg[idx+1]]. yvc is the column-stacked
-	// counterpart (offsets in soaLayout.colSeg), the pre-shuffle
-	// intermediate. Both are MulVecBatched's, whose members read and
-	// write complex vectors.
-	yv, yvc []complex64
-	// tasks is the reusable batch member list, one member per stacked
-	// panel of a phase (length 0, cap max(MT,NT)).
-	tasks []batch.MVM
-
 	// Split-plane scratch for the SoA kernels (soa.go): the input and
 	// output vectors split once per product (length max(M,N) each) and
-	// the column- and row-stacked intermediate planes (length TotalRank).
+	// the column- and row-stacked intermediate planes (length TotalRank;
+	// tile offsets in soaLayout.colSeg and rowSeg).
 	fxr, fxi []float32
 	foutR    []float32
 	foutI    []float32
@@ -103,9 +92,6 @@ func (l *soaLayout) getScratch(t *Matrix) *soaScratch {
 	tr := l.rowSeg[len(l.rowSeg)-1]
 	mn := max(t.M, t.N)
 	return &soaScratch{
-		yv:    make([]complex64, tr),
-		yvc:   make([]complex64, tr),
-		tasks: make([]batch.MVM, 0, max(t.MT, t.NT)),
 		fxr:   make([]float32, mn),
 		fxi:   make([]float32, mn),
 		foutR: make([]float32, mn),

@@ -21,8 +21,10 @@ package tlr
 // panel's vector block). Every SoA product is a composition of the two
 // around the shuffle — forward is project(V)·expand(U), adjoint
 // project(U)·expand(V), the fused normal pass runs expand and project
-// back to back on each U panel, and MulVecBatched hands the same panels
-// to the batch engine — so all four accumulate in the same order.
+// back to back on each U panel, and MulVecBatched is the forward product
+// with the panels of each phase dealt to a worker pool — so all four
+// accumulate in the same order, and the parallel product is the
+// sequential one bit for bit at any worker count.
 //
 // Panels are swept in cache blocks of panels.cols stacked columns, sized
 // from the roofline cache model so a block plus the resident vectors
@@ -37,12 +39,13 @@ package tlr
 // them.
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/batch"
 	"repro/internal/cfloat"
 	"repro/internal/dense"
+	"repro/internal/fanout"
 	"repro/internal/roofline"
 )
 
@@ -66,8 +69,12 @@ type panels struct {
 	// sweep), quad-aligned, from roofline.Cache.GemvPanelCols. Blocks
 	// start on multiples of four columns, so blocking never regroups the
 	// kernels' four-column unroll and leaves every sum bit-identical to
-	// the unblocked GEMV the batch engine runs.
+	// the unblocked GEMV.
 	cols int
+	// order lists the panels largest first (ext·k, ties in index order):
+	// the order a worker pool takes them in, so the tail of a parallel
+	// sweep is the small panels.
+	order []int
 }
 
 // n returns the number of panels.
@@ -128,44 +135,41 @@ func (ps *panels) normal(p int, segR, segI, outR, outI []float32) {
 	ps.project(p, outR, outI, segR, segI)
 }
 
-// members appends panel-sized batch members to tasks, one per panel of
-// nonzero stacked rank: with OpC the member projects vector block p of
-// vec into the panel's segment of seg, with OpN it expands the segment
-// into vector block p of vec (zero-rank panels clear their block
-// instead — the engine rejects empty members).
-func (ps *panels) members(tasks []batch.MVM, op batch.Op, vec, seg []complex64) []batch.MVM {
-	for p := 0; p < ps.n(); p++ {
-		lo, ext := ps.block(p)
-		base, k := ps.seg[p], ps.seg[p+1]-ps.seg[p]
-		blk, sg := vec[lo:lo+ext], seg[base:base+k]
-		if k == 0 {
-			if op == batch.OpN {
-				clear(blk)
-			}
-			continue
+// minParallelWork is the fmac count below which a sweep over a whole
+// family runs on the caller's goroutine whatever the worker count: under
+// it the goroutine wake-ups cost more than the panels themselves.
+const minParallelWork = 4096
+
+// sweepAll runs one of the two sweeps (project or expand, as a method
+// expression) over every panel of the family: in index order on the
+// caller's goroutine at one worker (or under minParallelWork), largest
+// first over a pool otherwise. Panels own disjoint rank segments and
+// disjoint vector blocks, so the result does not depend on which. The
+// closure is built only on the pool branch: the sequential products
+// must stay allocation-free.
+func (ps *panels) sweepAll(workers int, sweep func(ps *panels, p int, a, b, c, d []float32), a, b, c, d []float32) {
+	if workers <= 1 || len(ps.re) < minParallelWork {
+		for p := 0; p < ps.n(); p++ {
+			sweep(ps, p, a, b, c, d)
 		}
-		m := batch.MVM{
-			Oper: op, M: ext, N: k, LDA: ext,
-			AR: ps.re[ps.off[p]:ps.off[p+1]], AI: ps.im[ps.off[p]:ps.off[p+1]],
-			X: sg, Y: blk,
-		}
-		if op == batch.OpC {
-			m.X, m.Y = blk, sg
-		}
-		// the append stays within the max(MT,NT) cap preallocated at scratch init
-		tasks = append(tasks, m)
+		return
 	}
-	return tasks
+	fanout.Do(ps.n(), workers, func(_, i int) { sweep(ps, ps.order[i], a, b, c, d) })
 }
 
 // stackPanels builds one family: panel p stacks factor(p, q) for q in
 // [0, inner) into the rank columns [seg[p], seg[p+1]).
 func stackPanels(seg []int, inner, nb, dim, cols int, factor func(p, q int) *dense.Matrix) panels {
-	ps := panels{seg: seg, off: make([]int, len(seg)), nb: nb, dim: dim, cols: cols}
+	ps := panels{seg: seg, off: make([]int, len(seg)), nb: nb, dim: dim, cols: cols, order: make([]int, len(seg)-1)}
 	for p := 0; p < ps.n(); p++ {
 		_, ext := ps.block(p)
 		ps.off[p+1] = ps.off[p] + ext*(seg[p+1]-seg[p])
+		ps.order[p] = p
 	}
+	sort.SliceStable(ps.order, func(a, b int) bool {
+		pa, pb := ps.order[a], ps.order[b]
+		return ps.off[pa+1]-ps.off[pa] > ps.off[pb+1]-ps.off[pb]
+	})
 	ps.re = make([]float32, ps.off[ps.n()])
 	ps.im = make([]float32, ps.off[ps.n()])
 	for p := 0; p < ps.n(); p++ {
@@ -266,7 +270,7 @@ func (t *Matrix) buildSoA() {
 func (t *Matrix) MulVecSoA(x, y []complex64) {
 	defer obsSoA.Start().End()
 	meterMVM(obsSoAMeter, t)
-	t.mulVecSoA(x, y, false)
+	t.mulVecSoA(x, y, false, 1)
 }
 
 // MulVecConjTransSoA computes y = Aᴴ x over the stacked layout,
@@ -274,14 +278,31 @@ func (t *Matrix) MulVecSoA(x, y []complex64) {
 func (t *Matrix) MulVecConjTransSoA(x, y []complex64) {
 	defer obsSoAAdj.Start().End()
 	meterMVM(obsSoAAdjMeter, t)
-	t.mulVecSoA(x, y, true)
+	t.mulVecSoA(x, y, true, 1)
+}
+
+// MulVecBatched computes y = A x as the same three-phase product with
+// the panels of each phase dealt to a pool of workers goroutines (<= 0
+// uses GOMAXPROCS): MT+NT stacked GEMVs of heterogeneous rank — the
+// variable-size complex batch the paper says vendor libraries lack (§4)
+// — taken largest first, into disjoint rank segments and disjoint
+// output blocks, so there is no reduction and the result is MulVecSoA's
+// bit for bit. The one in-matrix parallel path; at one worker it is the
+// MulVecSoA call. The error is always nil (the signature is frozen by
+// bench/). Registered hot path.
+func (t *Matrix) MulVecBatched(x, y []complex64, workers int) error {
+	defer obsBatched.Start().End()
+	meterMVM(obsBatMeter, t)
+	t.mulVecSoA(x, y, false, fanout.PoolSize(max(t.MT, t.NT), workers))
+	return nil
 }
 
 // mulVecSoA is the one three-phase SoA product. Forward, the V family
 // projects and the U family expands; the adjoint swaps the families and
 // reverses the shuffle — tile (i,j) ≈ U Vᴴ contributes V (Uᴴ x_i) to
-// output block j.
-func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool) {
+// output block j. workers > 1 deals the panels of phases 1 and 3 to a
+// pool (MulVecBatched); the sequential entry points pass 1.
+func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool, workers int) {
 	l := t.getSoA()
 	in, out := &l.v, &l.u
 	if adjoint {
@@ -298,17 +319,13 @@ func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool) {
 	cfloat.SplitReIm(x[:in.dim], s.fxr[:in.dim], s.fxi[:in.dim])
 	// Phase 1: one stacked GEMV per input panel into the family's own
 	// stacking of the intermediate.
-	for p := 0; p < in.n(); p++ {
-		in.project(p, s.fxr, s.fxi, inR, inI)
-	}
+	in.sweepAll(workers, (*panels).project, s.fxr, s.fxi, inR, inI)
 	// Phase 2: explicit shuffle into the other family's ordering.
 	shuffle(t, l, !adjoint, inR, outR)
 	shuffle(t, l, !adjoint, inI, outI)
 	// Phase 3: one stacked GEMV per output panel into its disjoint block
 	// of the out planes, merged into the caller's y once.
-	for p := 0; p < out.n(); p++ {
-		out.expand(p, outR, outI, s.foutR, s.foutI)
-	}
+	out.sweepAll(workers, (*panels).expand, outR, outI, s.foutR, s.foutI)
 	cfloat.MergeReIm(s.foutR[:out.dim], s.foutI[:out.dim], y[:out.dim])
 	l.putScratch(s)
 }
@@ -350,11 +367,8 @@ func (t *Matrix) MulVecNormal(x, y []complex64) {
 // shuffle permutes one rank-space intermediate between the two stacked
 // orderings (Fig. 6): toRows moves the column-stacked src (colSeg
 // offsets) into the row-stacked dst (rowSeg offsets), !toRows is the
-// inverse permutation. Generic over the element type because the SoA
-// products shuffle float32 planes and MulVecBatched the complex
-// intermediate its batch members read and write. Registered hot path —
-// must stay allocation-free.
-func shuffle[T float32 | complex64](t *Matrix, l *soaLayout, toRows bool, src, dst []T) {
+// inverse permutation. Registered hot path — must stay allocation-free.
+func shuffle(t *Matrix, l *soaLayout, toRows bool, src, dst []float32) {
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
 			c0, c1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]

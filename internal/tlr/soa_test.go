@@ -159,3 +159,20 @@ func FuzzSoARoundTrip(f *testing.F) {
 		checkSoARoundTrip(t, m)
 	})
 }
+
+// TestBatchedSerialBelowThreshold pins the fallback the batch engine's
+// TestSerialFallbackSmallBatch pinned: a product whose phases are under
+// minParallelWork runs on the caller's goroutine whatever the worker
+// count — no goroutine, no closure, so no allocation once warm.
+func TestBatchedSerialBelowThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tm := compressOrDie(t, decayMatrix(rng, 40, 32), Options{NB: 8, Tol: 1e-4})
+	l := tm.getSoA()
+	if len(l.v.re) >= minParallelWork || len(l.u.re) >= minParallelWork {
+		t.Fatalf("panels hold %d and %d fmacs: too large to exercise the serial fallback", len(l.v.re), len(l.u.re))
+	}
+	x, y := dense.Random(rng, tm.N, 1).Data, make([]complex64, tm.M)
+	if allocs := testing.AllocsPerRun(20, func() { _ = tm.MulVecBatched(x, y, 8) }); allocs != 0 {
+		t.Errorf("MulVecBatched at 8 workers under the threshold allocates %v per product: it left the caller's goroutine", allocs)
+	}
+}

@@ -11,19 +11,18 @@
 // the sequential per-tile reference MulVec/MulVecConjTrans (the phases
 // fused per tile, see sweep), the stacked split-plane
 // MulVecSoA/MulVecConjTransSoA and their fused normal pass MulVecNormal
-// (soa.go), and MulVecBatched, the one in-matrix parallel path, which
-// runs the same stacked panels on the batch engine.
+// (soa.go), and MulVecBatched, the one in-matrix parallel path: the
+// stacked forward product with its panels dealt to a worker pool.
 package tlr
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/aca"
 	"repro/internal/cfloat"
 	"repro/internal/dense"
+	"repro/internal/fanout"
 	"repro/internal/qr"
 	"repro/internal/rsvd"
 	"repro/internal/svd"
@@ -135,56 +134,30 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb
 	t := &Matrix{M: m, N: n, NB: nb, MT: mt, NT: nt, Tiles: make([]*Tile, mt*nt)}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type job struct{ i, j int }
-	// fully buffered so an early worker exit can never block the producer
-	jobs := make(chan job, mt*nt)
-	for i := 0; i < mt; i++ {
-		for j := 0; j < nt; j++ {
-			jobs <- job{i, j}
+	// one RNG stream per tile, seeded in tile order before the fan-out:
+	// which worker takes a tile must not change the bases it gets
+	var seeds []int64
+	if opts.Method == MethodRSVD {
+		seeds = make([]int64, mt*nt)
+		for idx := range seeds {
+			seeds[idx] = opts.Rng.Int63()
 		}
 	}
-	close(jobs)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// each worker gets an independent rng stream for RSVD determinism
-		var wrng *rand.Rand
-		if opts.Rng != nil {
-			wrng = rand.New(rand.NewSource(opts.Rng.Int63()))
+	fanout.Do(mt*nt, opts.Workers, func(_, idx int) {
+		i, j := idx/nt, idx%nt
+		var rng *rand.Rand
+		if seeds != nil {
+			rng = rand.New(rand.NewSource(seeds[idx]))
 		}
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				i0, i1 := jb.i*nb, min((jb.i+1)*nb, m)
-				j0, j1 := jb.j*nb, min((jb.j+1)*nb, n)
-				block := a.Slice(i0, i1, j0, j1)
-				tile, err := compressTile(block, opts, wrng)
-				if err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-					return
-				}
-				t.Tiles[jb.i*nt+jb.j] = tile
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
+		block := a.Slice(i*nb, min((i+1)*nb, m), j*nb, min((j+1)*nb, n))
+		t.Tiles[idx] = compressTile(block, opts, rng)
+	})
 	return t, nil
 }
 
-func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) (*Tile, error) {
+// compressTile compresses one tile with opts.Method, which Compress has
+// validated.
+func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) *Tile {
 	switch opts.Method {
 	case MethodSVD:
 		d := svd.Decompose(block)
@@ -193,7 +166,7 @@ func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) (*Tile, err
 			k = opts.MaxRank
 		}
 		u, v := d.Truncate(k)
-		return &Tile{U: u, V: v}, nil
+		return &Tile{U: u, V: v}
 	case MethodRRQR:
 		f := qr.RRQR(block, opts.Tol, opts.MaxRank)
 		// A P = Q R ⇒ A ≈ Q (R Pᵀ); store U = Q, V = (R Pᵀ)ᴴ
@@ -206,19 +179,19 @@ func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) (*Tile, err
 				vp.Set(orig, i, complex(real(x), -imag(x)))
 			}
 		}
-		return &Tile{U: f.Q.Clone(), V: vp}, nil
+		return &Tile{U: f.Q.Clone(), V: vp}
 	case MethodRSVD:
 		maxR := opts.MaxRank
 		if maxR == 0 {
 			maxR = min(block.Rows, block.Cols)
 		}
 		u, v := rsvd.Compress(block, opts.Tol, maxR, rng)
-		return &Tile{U: u, V: v}, nil
+		return &Tile{U: u, V: v}
 	case MethodACA:
 		res := aca.Compress(block, opts.Tol, opts.MaxRank)
-		return &Tile{U: res.U, V: res.V}, nil
+		return &Tile{U: res.U, V: res.V}
 	}
-	return nil, fmt.Errorf("tlr: unknown compression method %d", opts.Method)
+	panic("tlr: unreachable: Compress validates the method")
 }
 
 // Tile returns tile (i, j), faulting it in from the tile source for

@@ -3,6 +3,7 @@ package tlr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,20 +46,40 @@ func compressOrDie(t *testing.T, a *dense.Matrix, opts Options) *Matrix {
 	return tm
 }
 
+// TestCompressAccuracyAllMethods holds every compressor to its accuracy
+// target, and every build to its inputs: the same matrix, options and
+// seed give the same ranks and factor bits whatever the worker count —
+// for RSVD because each tile draws from its own stream, seeded in tile
+// order, not from the stream of whichever worker took it.
 func TestCompressAccuracyAllMethods(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := decayMatrix(rng, 96, 80)
+	a := decayMatrix(rand.New(rand.NewSource(1)), 96, 80)
 	for _, method := range []Method{MethodSVD, MethodRRQR, MethodRSVD, MethodACA} {
 		tol := 1e-3
-		tm := compressOrDie(t, a, Options{NB: 16, Tol: tol, Method: method, Rng: rng})
-		err := dense.RelError(tm.Reconstruct(), a)
-		// per-tile tolerance gives an aggregate bound of roughly tol
-		headroom := 5.0
-		if method == MethodACA {
-			headroom = 50 // ACA's stopping estimate is heuristic
-		}
-		if err > headroom*tol {
-			t.Errorf("%v: reconstruction error %g at tol %g", method, err, tol)
+		var first *Matrix
+		for _, workers := range []int{1, 2, 4} {
+			tm := compressOrDie(t, a, Options{
+				NB: 16, Tol: tol, Method: method, Rng: rand.New(rand.NewSource(11)), Workers: workers,
+			})
+			if first == nil {
+				first = tm
+				err := dense.RelError(tm.Reconstruct(), a)
+				// per-tile tolerance gives an aggregate bound of roughly tol
+				headroom := 5.0
+				if method == MethodACA {
+					headroom = 50 // ACA's stopping estimate is heuristic
+				}
+				if err > headroom*tol {
+					t.Errorf("%v: reconstruction error %g at tol %g", method, err, tol)
+				}
+				continue
+			}
+			for idx, tile := range tm.Tiles {
+				want := first.Tiles[idx]
+				if !slices.Equal(tile.U.Data, want.U.Data) || !slices.Equal(tile.V.Data, want.V.Data) {
+					t.Fatalf("%v: tile %d built at %d workers (rank %d) differs from the 1-worker build (rank %d)",
+						method, idx, workers, tile.Rank(), want.Rank())
+				}
+			}
 		}
 	}
 }

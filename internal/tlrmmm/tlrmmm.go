@@ -11,11 +11,10 @@ package tlrmmm
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/cfloat"
 	"repro/internal/dense"
+	"repro/internal/fanout"
 	"repro/internal/tlr"
 )
 
@@ -44,45 +43,29 @@ func MulMatFusedParallel(a *tlr.Matrix, x, y *dense.Matrix, workers int) error {
 	if err := checkShapes(a, x, y); err != nil {
 		return err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := x.Cols
 	y.Zero()
-	var wg sync.WaitGroup
-	rows := make(chan int, a.MT)
-	for i := 0; i < a.MT; i++ {
-		rows <- i
-	}
-	close(rows)
-	for w := 0; w < min(workers, a.MT); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range rows {
-				i0 := i * a.NB
-				rowExt := min((i+1)*a.NB, a.M) - i0
-				ysub := y.Slice(i0, i0+rowExt, 0, s)
-				for j := 0; j < a.NT; j++ {
-					tile := a.Tile(i, j)
-					k := tile.Rank()
-					j0 := j * a.NB
-					colExt := min((j+1)*a.NB, a.N) - j0
-					xsub := x.Slice(j0, j0+colExt, 0, s)
-					// Yv = Vᴴ · X_j : k×s
-					yv := dense.New(k, s)
-					cfloat.Gemm(cfloat.ConjTrans, cfloat.NoTrans, k, s, colExt,
-						1, tile.V.Data, tile.V.Stride, xsub.Data, xsub.Stride,
-						0, yv.Data, yv.Stride)
-					// Y_i += U · Yv
-					cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, rowExt, s, k,
-						1, tile.U.Data, tile.U.Stride, yv.Data, yv.Stride,
-						1, ysub.Data, ysub.Stride)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Do(a.MT, workers, func(_, i int) {
+		i0 := i * a.NB
+		rowExt := min((i+1)*a.NB, a.M) - i0
+		ysub := y.Slice(i0, i0+rowExt, 0, s)
+		for j := 0; j < a.NT; j++ {
+			tile := a.Tile(i, j)
+			k := tile.Rank()
+			j0 := j * a.NB
+			colExt := min((j+1)*a.NB, a.N) - j0
+			xsub := x.Slice(j0, j0+colExt, 0, s)
+			// Yv = Vᴴ · X_j : k×s
+			yv := dense.New(k, s)
+			cfloat.Gemm(cfloat.ConjTrans, cfloat.NoTrans, k, s, colExt,
+				1, tile.V.Data, tile.V.Stride, xsub.Data, xsub.Stride,
+				0, yv.Data, yv.Stride)
+			// Y_i += U · Yv
+			cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, rowExt, s, k,
+				1, tile.U.Data, tile.U.Stride, yv.Data, yv.Stride,
+				1, ysub.Data, ysub.Stride)
+		}
+	})
 	return nil
 }
 
