@@ -40,17 +40,21 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # concurrency stress tests (TestStress*, skipped under -short): sharded
-# scheduler with mid-flight revocation, concurrent MDC fan-out, the six
-# TLR-MVM entry points on one shared matrix, and the mddserve load tests
-# at the repo root — run repeatedly under the race detector
+# scheduler with mid-flight revocation, concurrent MDC fan-out, one
+# TimeOperator under two solvers, the six TLR-MVM entry points on one
+# shared matrix, and the mddserve load tests at the repo root — run
+# repeatedly under the race detector
 race-stress:
 	$(GO) test -race -count=2 -run '^TestStress' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/
 
 # worker-count bit-identity where GOMAXPROCS is not the host's: the
 # parallel product against the sequential one at 1, 2, 4 and 8 workers,
-# and every compressor's build at 1, 2 and 4, on one and on four Ps
+# every compressor's build at 1, 2 and 4, and the batched S / Sᴴ stages
+# against the channel-at-a-time reference at 1, 2, 4 and 8, on one and on
+# four Ps
 cpu-identity:
 	$(GO) test -race -cpu 1,4 -run '^(TestBatchedMatchesSequentialAcrossShapes|TestCompressAccuracyAllMethods)$$' ./internal/tlr/
+	$(GO) test -race -cpu 1,4 -run '^TestTimeStagesMatchReference$$' ./internal/mdc/
 
 # serving-layer integration suite: typed client against a live
 # in-process mddserve instance (submit/poll/stream/cancel, backpressure,

@@ -8,13 +8,10 @@ package mdc
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/cfloat"
 	"repro/internal/dense"
 	"repro/internal/fanout"
-	"repro/internal/fft"
 	"repro/internal/obs"
 	"repro/internal/tlr"
 )
@@ -327,17 +324,19 @@ func (b freqBlocks) out(y []complex64, f int) []complex64 { return y[f*b.nout : 
 //
 // Layout: x holds Cols() channels of Nt complex samples, channel-major
 // (x[c·Nt+t]); y holds Rows() channels likewise.
+//
+// The first product or stage fixes the transform: Nt and FreqIdx must not
+// change afterwards. The operator is safe for concurrent products.
 type TimeOperator struct {
 	K Kernel
 	// Nt is the time-series length; FreqIdx maps each kernel frequency to
-	// its bin on the length-Nt DFT grid.
+	// its bin on the length-Nt DFT grid — distinct bins in [0, Nt).
 	Nt      int
 	FreqIdx []int
 	Scale   float32
 	Workers int
 
-	planOnce sync.Once
-	plan     *fft.Plan
+	pencils // the batched S / Sᴴ stage and its scratch (pencil.go)
 }
 
 // Rows implements lsqr.Operator.
@@ -346,23 +345,14 @@ func (op *TimeOperator) Rows() int { return op.K.Rows() * op.Nt }
 // Cols implements lsqr.Operator.
 func (op *TimeOperator) Cols() int { return op.K.Cols() * op.Nt }
 
-func (op *TimeOperator) getPlan() *fft.Plan {
-	op.planOnce.Do(func() { op.plan = fft.NewPlan(op.Nt) })
-	return op.plan
-}
-
 // Apply implements lsqr.Operator. Its vector space (channels × Nt) does
-// not match the oracle matrix, and it is covered by this package's
-// round-trip and adjoint tests.
-//
-//lint:oracle-exempt time-domain wrapper over the registered FreqOperator
+// not match the oracle matrix; it is covered by this package's reference,
+// round-trip and adjoint tests. Registered hot path (mdc.time_apply): at
+// one worker a steady-state product allocates nothing.
 func (op *TimeOperator) Apply(x, y []complex64) { op.run(x, y, forward) }
 
-// ApplyAdjoint implements lsqr.Operator. Its vector space (channels ×
-// Nt) does not match the oracle matrix, and it is covered by this
-// package's round-trip and adjoint tests.
-//
-//lint:oracle-exempt time-domain wrapper over the registered FreqOperator
+// ApplyAdjoint implements lsqr.Operator; as Apply, over Kᴴ. Registered
+// hot path (mdc.time_adjoint).
 func (op *TimeOperator) ApplyAdjoint(x, y []complex64) { op.run(x, y, adjoint) }
 
 // AnalyzeTime applies the S stage standalone: channel-major time traces
@@ -376,19 +366,9 @@ func (op *TimeOperator) AnalyzeTime(x, out []complex64, nchan int) {
 	if len(x) < nchan*op.Nt || len(out) < len(op.FreqIdx)*nchan {
 		panic("mdc: AnalyzeTime buffer too short")
 	}
-	plan := op.getPlan()
-	root := 1 / math.Sqrt(float64(op.Nt))
-	buf := make([]complex128, op.Nt)
-	for c := 0; c < nchan; c++ {
-		for t := 0; t < op.Nt; t++ {
-			buf[t] = complex128(x[c*op.Nt+t])
-		}
-		plan.Forward(buf)
-		for f, bin := range op.FreqIdx {
-			v := buf[bin]
-			out[f*nchan+c] = complex64(complex(real(v)*root, imag(v)*root))
-		}
-	}
+	s := op.getScratch()
+	s.transform((*timeScratch).analyzeBlock, x, out, nchan)
+	op.putScratch(s)
 }
 
 // SynthesizeTime applies the Sᴴ stage standalone: frequency-major in-band
@@ -402,22 +382,9 @@ func (op *TimeOperator) SynthesizeTime(x, out []complex64, nchan int) {
 	if len(x) < len(op.FreqIdx)*nchan || len(out) < nchan*op.Nt {
 		panic("mdc: SynthesizeTime buffer too short")
 	}
-	plan := op.getPlan()
-	rootInv := math.Sqrt(float64(op.Nt))
-	buf := make([]complex128, op.Nt)
-	for c := 0; c < nchan; c++ {
-		for t := range buf {
-			buf[t] = 0
-		}
-		for f, bin := range op.FreqIdx {
-			buf[bin] = complex128(x[f*nchan+c])
-		}
-		plan.Inverse(buf)
-		for t := 0; t < op.Nt; t++ {
-			v := buf[t]
-			out[c*op.Nt+t] = complex64(complex(real(v)*rootInv, imag(v)*rootInv))
-		}
-	}
+	s := op.getScratch()
+	s.transform((*timeScratch).synthesizeBlock, out, x, nchan)
+	op.putScratch(s)
 }
 
 func (op *TimeOperator) run(x, y []complex64, dir product) {
@@ -429,14 +396,13 @@ func (op *TimeOperator) run(x, y []complex64, dir product) {
 	if len(x) < b.nin*op.Nt || len(y) < b.nout*op.Nt {
 		panic("mdc: TimeOperator vector too short")
 	}
+	s := op.getScratch()
+	xf, yf := s.panels(b)
 	// S: per input channel, unitary forward FFT, keep in-band bins
-	xf := make([]complex64, b.nf*b.nin) // frequency-major panels
-	op.AnalyzeTime(x, xf, b.nin)
+	s.transform((*timeScratch).analyzeBlock, x, xf, b.nin)
 	// K (or Kᴴ) per frequency
-	yf := make([]complex64, b.nf*b.nout)
-	fanout.Do(b.nf, op.Workers, func(_, f int) {
-		b.apply(f, b.in(xf, f), b.out(yf, f), nil)
-	})
+	s.each(b.nf, (*timeScratch).kernel)
 	// Sᴴ: zero-pad the band back onto the DFT grid, unitary inverse FFT
-	op.SynthesizeTime(yf, y, b.nout)
+	s.transform((*timeScratch).synthesizeBlock, y, yf, b.nout)
+	op.putScratch(s)
 }

@@ -1,8 +1,10 @@
 package mdc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cfloat"
@@ -208,6 +210,47 @@ func TestTimeOperatorFreqIdxMismatchPanics(t *testing.T) {
 		}
 	}()
 	op.Apply(make([]complex64, 32), make([]complex64, 32))
+}
+
+// TestTimeOperatorFreqIdxValidated: a bin off the DFT grid or a repeated
+// one is refused where the plan is built, by name, from every entry
+// point — not an index panic inside a butterfly, not a silently
+// non-unitary S.
+func TestTimeOperatorFreqIdxValidated(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	k := randKernel(rng, 3, 2, 2)
+	const nt = 16
+	entries := map[string]func(op *TimeOperator){
+		"Apply":          func(op *TimeOperator) { op.Apply(make([]complex64, 2*nt), make([]complex64, 2*nt)) },
+		"ApplyAdjoint":   func(op *TimeOperator) { op.ApplyAdjoint(make([]complex64, 2*nt), make([]complex64, 2*nt)) },
+		"AnalyzeTime":    func(op *TimeOperator) { op.AnalyzeTime(make([]complex64, 2*nt), make([]complex64, 6), 2) },
+		"SynthesizeTime": func(op *TimeOperator) { op.SynthesizeTime(make([]complex64, 6), make([]complex64, 2*nt), 2) },
+	}
+	for _, c := range []struct {
+		name    string
+		freqIdx []int
+		want    string
+	}{
+		{"negative", []int{1, -1, 3}, "FreqIdx[1] = -1 is outside [0, 16)"},
+		{"at Nt", []int{1, 2, nt}, "FreqIdx[2] = 16 is outside [0, 16)"},
+		{"far out", []int{400, 2, 3}, "FreqIdx[0] = 400 is outside [0, 16)"},
+		{"duplicate", []int{5, 2, 5}, "FreqIdx[2] repeats bin 5"},
+	} {
+		for entry, call := range entries {
+			t.Run(c.name+"/"+entry, func(t *testing.T) {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.HasPrefix(msg, "mdc: TimeOperator FreqIdx") || !strings.Contains(msg, c.want) {
+						t.Fatalf("panic %q, want mdc: TimeOperator … %s", msg, c.want)
+					}
+				}()
+				call(&TimeOperator{K: k, Nt: nt, FreqIdx: c.freqIdx})
+			})
+		}
+	}
+	// the boundary bins are legal
+	op := &TimeOperator{K: k, Nt: nt, FreqIdx: []int{0, nt - 1, 7}}
+	op.Apply(make([]complex64, 2*nt), make([]complex64, 2*nt))
 }
 
 func TestFreqOperatorShapes(t *testing.T) {

@@ -1,7 +1,8 @@
 // Concurrency stress tests for the MDC frequency fan-out, meant to run
 // under -race (`make race-stress`). They hammer FreqOperator with
-// concurrent forward and adjoint products across worker counts, and the
-// sharded operator with mid-flight shard revocation. Guarded by
+// concurrent forward and adjoint products across worker counts, one
+// TimeOperator (and its scratch free list) under two solvers at once, and
+// the sharded operator with mid-flight shard revocation. Guarded by
 // testing.Short so quick suites skip them.
 package mdc
 
@@ -58,6 +59,68 @@ func TestStressFreqOperatorConcurrentApplyAdjoint(t *testing.T) {
 						if adj[i] != refAdj[i] {
 							errs[2*g+1] = fmt.Errorf("adjoint element %d drifted under concurrency", i)
 							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestStressTimeOperatorSharedByTwoSolvers: one TimeOperator under two
+// goroutines at once — each running forward and adjoint products and the
+// standalone stages — draws scratch from the one free list and must give
+// each the bits a lone caller gets, at every worker count.
+func TestStressTimeOperatorSharedByTwoSolvers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test; run via make race-stress")
+	}
+	suite.VerifyNoLeaks(t)
+	rng := rand.New(rand.NewSource(73))
+	nf, rows, cols, nt := 6, 37, 20, 64
+	k := randKernel(rng, nf, rows, cols)
+	freqIdx := []int{2, 3, 4, 5, 6, 7}
+	x := dense.Random(rng, cols*nt, 1).Data
+	z := dense.Random(rng, rows*nt, 1).Data
+
+	for _, workers := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			op := &TimeOperator{K: k, Nt: nt, FreqIdx: freqIdx, Scale: 0.5, Workers: workers}
+			refFwd, refAdj := make([]complex64, rows*nt), make([]complex64, cols*nt)
+			refBand := make([]complex64, nf*rows)
+			op.Apply(x, refFwd)
+			op.ApplyAdjoint(z, refAdj)
+			op.AnalyzeTime(z, refBand, rows)
+
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			for g := range errs {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					fwd, adj := make([]complex64, rows*nt), make([]complex64, cols*nt)
+					band, back := make([]complex64, nf*rows), make([]complex64, rows*nt)
+					for round := 0; round < 20 && errs[g] == nil; round++ {
+						op.Apply(x, fwd)
+						op.ApplyAdjoint(z, adj)
+						op.AnalyzeTime(z, band, rows)
+						op.SynthesizeTime(band, back, rows)
+						for _, c := range []struct {
+							what      string
+							got, want []complex64
+						}{{"forward", fwd, refFwd}, {"adjoint", adj, refAdj}, {"analysis", band, refBand}} {
+							for i := range c.want {
+								if c.got[i] != c.want[i] {
+									errs[g] = fmt.Errorf("round %d: %s element %d drifted under concurrency", round, c.what, i)
+									break
+								}
+							}
 						}
 					}
 				}(g)

@@ -35,10 +35,14 @@ func (p *Problem) TimeOperator() *mdc.TimeOperator {
 // upgoing data for virtual source vs, transformed to complex time traces
 // with the unitary band-limited synthesis the TimeOperator's Sᴴ uses.
 func (p *Problem) TimeData(vs int) []complex64 {
+	return p.timeData(p.TimeOperator(), vs)
+}
+
+// timeData is TimeData through a given operator: frequency panels → time
+// traces by the same unitary transform (and the same plan) the solve
+// applies, so the two sides see consistent scalings.
+func (p *Problem) timeData(op *mdc.TimeOperator, vs int) []complex64 {
 	ns := p.DS.Geom.NumSources()
-	// frequency panels → time traces through the same unitary transform
-	// the operator applies, so the two solves see consistent scalings
-	op := p.TimeOperator()
 	out := make([]complex64, ns*op.Nt)
 	op.SynthesizeTime(p.Data(vs), out, ns)
 	return out
@@ -53,7 +57,7 @@ func (p *Problem) TimeData(vs int) []complex64 {
 // causality) it becomes the preconditioned scheme of [43].
 func (p *Problem) InvertTimeDomain(vs int, opts lsqr.Options) (*TimeSolution, error) {
 	op := p.TimeOperator()
-	y := p.TimeData(vs)
+	y := p.timeData(op, vs)
 	res, err := lsqr.Solve(op, y, opts)
 	if err != nil {
 		return nil, fmt.Errorf("mdd: time-domain virtual source %d: %w", vs, err)
