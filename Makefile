@@ -113,9 +113,9 @@ bench-e2e-compare:
 # (TESTING.md, "Static analysis suite") and needs no network: one
 # whole-module run covers every analyzer, test variants included. The
 # s390x cross-vet type-checks the big-endian side of tlrio.LoadTile,
-# which no host here executes; the arm64 one the float32 Gemv and LSQR
-# loops for a target that fuses multiply-adds, where they are not run
-# either.
+# which no host here executes; the arm64 one the pure-Go Gemv loops
+# (amd64 runs cfloat's SSE assembly instead) and the LSQR loops for a
+# target that fuses multiply-adds, where they are not run either.
 
 REPOLINT_SRCS := $(wildcard cmd/repolint/*.go internal/analysis/*.go)
 

@@ -13,7 +13,10 @@
 // the widened arithmetic their pinned results were computed with.
 package cfloat
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Trans selects the operation applied to a matrix operand.
 type Trans int
@@ -168,21 +171,33 @@ func Copy(dst, src []complex64) {
 // Transpose has no caller and panics.
 //
 // Both directions run in float32 real/imaginary arithmetic on the
-// interleaved data, two columns per pass — the four real FMAC streams of
-// §6.6, not gc's complex64 product, which converts every operand to
-// float64 and back. Sums therefore carry float32 rounding in column
-// order (NoTrans) or row order (ConjTrans); internal/estimator's εe
-// models exactly that. Two columns, not four or eight, was decided on
-// the 1 GiB solve-dram operator rather than on a cached slice
-// (EXPERIMENTS.md, "fp32 inner loops"); the width moves no bit, because
-// every y[i] and every accumulator takes its terms in the same order at
-// any width.
+// interleaved data — the four real FMAC streams of §6.6, not gc's
+// complex64 product, which converts every operand to float64 and back.
+// Sums therefore carry float32 rounding in column order (NoTrans) or row
+// order (ConjTrans); internal/estimator's εe models exactly that.
+//
+// On amd64 the two loops are packed SSE (gemv_amd64.s): the forward one
+// two rows per register, the adjoint one two columns per register, each
+// computing the pure-Go loops' float32 operations in their order, so
+// the results are bit for bit those of gemvNGo and gemvCGo, which every
+// other GOARCH runs and the tests hold the assembly to. Those Go loops
+// take two columns per pass, decided on the 1 GiB solve-dram operator
+// rather than on a cached slice (EXPERIMENTS.md, "fp32 inner loops");
+// the width moves no bit, because every y[i] and every accumulator takes
+// its terms in the same order at any width.
 //
 // No column is skipped: a zero in x still multiplies its column, so an
 // Inf or NaN in A reaches y as NaN (IEEE 0·Inf) in either direction.
 func Gemv(t Trans, m, n int, alpha complex64, a []complex64, lda int, x []complex64, beta complex64, y []complex64) {
 	if m < 0 || n < 0 || lda < max(1, m) {
 		panic("cfloat: Gemv bad dimensions")
+	}
+	if m > 0 && n > 0 {
+		// a must hold (n−1)·lda + m elements; the product is taken in 128
+		// bits so a huge lda cannot wrap past the check
+		if hi, lo := bits.Mul64(uint64(n-1), uint64(lda)); hi != 0 || len(a) < m || lo > uint64(len(a)-m) {
+			panic("cfloat: Gemv matrix too short")
+		}
 	}
 	switch t {
 	case NoTrans:
@@ -212,9 +227,10 @@ func mul(a, b complex64) complex64 {
 	return complex(ar*br-ai*bi, ar*bi+ai*br)
 }
 
-// gemvN accumulates y += alpha·A·x, len(y) rows by n columns: y[i] is
-// loaded and stored once per pair of columns.
-func gemvN(n int, alpha complex64, a []complex64, lda int, x, y []complex64) {
+// gemvNGo accumulates y += alpha·A·x, len(y) rows by n columns: y[i] is
+// loaded and stored once per pair of columns. It is gemvN on every GOARCH
+// without an assembly kernel and the reference the amd64 one is == to.
+func gemvNGo(n int, alpha complex64, a []complex64, lda int, x, y []complex64) {
 	j := 0
 	for ; j+2 <= n; j += 2 {
 		p0, p1 := mul(alpha, x[j]), mul(alpha, x[j+1])
@@ -240,10 +256,11 @@ func gemvN(n int, alpha complex64, a []complex64, lda int, x, y []complex64) {
 	}
 }
 
-// gemvC computes y[j] = alpha·(A[:,j]ᴴ·x) + beta·y[j] for n columns of
+// gemvCGo computes y[j] = alpha·(A[:,j]ᴴ·x) + beta·y[j] for n columns of
 // len(x) rows: every x[i] loaded feeds the independent accumulator pairs
-// of two columns.
-func gemvC(n int, alpha complex64, a []complex64, lda int, x []complex64, beta complex64, y []complex64) {
+// of two columns. It is gemvC without an assembly kernel and the
+// reference the amd64 one is == to.
+func gemvCGo(n int, alpha complex64, a []complex64, lda int, x []complex64, beta complex64, y []complex64) {
 	j := 0
 	for ; j+2 <= n; j += 2 {
 		c0 := a[j*lda:][:len(x)]

@@ -223,14 +223,12 @@ type gemvCase struct {
 	seed        int64
 }
 
-// err returns the error of the case normalised by what a backward-stable
-// product is bounded by, |alpha|·‖A‖_F·‖x‖ + |beta|·‖y₀‖ — never by ‖y‖,
-// which cancels — together with the reduction length its float32 sums
-// run over.
-func (c gemvCase) err() (e float64, reduce int) {
+// operands builds the case's A, x and y₀ from its seed, and the y Gemv
+// is handed: y₀, or all NaN when beta == 0.
+func (c gemvCase) operands() (a, x, y0, y []complex64) {
 	rng := testkit.NewRNG(c.seed)
 	nan := complex(float32(math.NaN()), float32(math.NaN()))
-	a := make([]complex64, c.lda*c.n)
+	a = make([]complex64, c.lda*c.n)
 	for j := 0; j < c.n; j++ {
 		copy(a[j*c.lda:], testkit.Vec(rng, c.m))
 		for i := c.m; i < c.lda; i++ {
@@ -241,17 +239,54 @@ func (c gemvCase) err() (e float64, reduce int) {
 	if c.tr == cfloat.ConjTrans {
 		xlen, ylen = c.m, c.n
 	}
-	x := testkit.Vec(rng, xlen)
+	x = testkit.Vec(rng, xlen)
 	for i := 0; c.zeroEvery > 0 && i < xlen; i += c.zeroEvery {
 		x[i] = 0
 	}
-	y0 := testkit.Vec(rng, ylen)
-	y := append([]complex64(nil), y0...)
+	y0 = testkit.Vec(rng, ylen)
+	y = append([]complex64(nil), y0...)
 	if c.beta == 0 {
 		for i := range y {
 			y[i] = nan
 		}
 	}
+	return a, x, y0, y
+}
+
+// sameBits is the index of the first element where got and want differ
+// as float32 bit patterns, every NaN equal to every NaN, or -1.
+func sameBits(got, want []complex64) int {
+	eq := func(u, v float32) bool {
+		if u != u || v != v {
+			return u != u && v != v
+		}
+		return math.Float32bits(u) == math.Float32bits(v)
+	}
+	for i := range want {
+		if !eq(real(got[i]), real(want[i])) || !eq(imag(got[i]), imag(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// bitsDiffer runs the case through Gemv and through the pure-Go loops and
+// returns the first element where they differ (sameBits), or -1.
+func (c gemvCase) bitsDiffer() int {
+	a, x, _, y := c.operands()
+	want := append([]complex64(nil), y...)
+	cfloat.Gemv(c.tr, c.m, c.n, c.alpha, a, c.lda, x, c.beta, y)
+	cfloat.GemvGo(c.tr, c.m, c.n, c.alpha, a, c.lda, x, c.beta, want)
+	return sameBits(y, want)
+}
+
+// err returns the error of the case normalised by what a backward-stable
+// product is bounded by, |alpha|·‖A‖_F·‖x‖ + |beta|·‖y₀‖ — never by ‖y‖,
+// which cancels — together with the reduction length its float32 sums
+// run over.
+func (c gemvCase) err() (e float64, reduce int) {
+	a, x, y0, y := c.operands()
+	xlen, ylen := len(x), len(y)
 	cfloat.Gemv(c.tr, c.m, c.n, c.alpha, a, c.lda, x, c.beta, y)
 
 	var num, anorm float64
@@ -597,7 +632,17 @@ func TestGemmBetaPaths(t *testing.T) {
 }
 
 func TestGemvPanics(t *testing.T) {
+	// a is one element short of 3 columns of lda 3; the first two columns
+	// fit, so a product that started before checking would have written y
+	yN := []complex64{1, 2, 3}
+	yC := []complex64{4, 5, 6}
 	for name, f := range map[string]func(){
+		"shortMatrixN": func() {
+			cfloat.Gemv(cfloat.NoTrans, 3, 3, 1, make([]complex64, 8), 3, make([]complex64, 3), 2, yN)
+		},
+		"shortMatrixC": func() {
+			cfloat.Gemv(cfloat.ConjTrans, 3, 3, 1, make([]complex64, 8), 3, make([]complex64, 3), 2, yC)
+		},
 		"badDims": func() { cfloat.Gemv(cfloat.NoTrans, -1, 2, 1, nil, 1, nil, 0, nil) },
 		"shortVec": func() {
 			cfloat.Gemv(cfloat.NoTrans, 2, 2, 1, make([]complex64, 4), 2, make([]complex64, 1), 0, make([]complex64, 2))
@@ -626,6 +671,9 @@ func TestGemvPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+	if yN[0] != 1 || yN[1] != 2 || yN[2] != 3 || yC[0] != 4 || yC[1] != 5 || yC[2] != 6 {
+		t.Errorf("a Gemv that panicked on a short matrix wrote y: %v, %v", yN, yC)
 	}
 }
 

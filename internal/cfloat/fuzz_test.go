@@ -63,9 +63,10 @@ func FuzzComplexMVMViaFourReal(f *testing.F) {
 // FuzzGemvBlocked: the column-blocked float32 Gemv loops must track a
 // complex128 product within float32 summation error of ‖A‖‖x‖ on any
 // shape — every block remainder, an empty matrix, a padded leading
-// dimension — for general alpha, each beta branch and zeros in x. The
-// flag byte picks the variant; TestGemvBlockedTable is the same check on
-// a fixed grid.
+// dimension — for general alpha, each beta branch and zeros in x, and
+// must be bit for bit (NaN ≡ NaN) the pure-Go loops, which on amd64 are
+// not what Gemv runs. The flag byte picks the variant; TestGemvBlockedTable
+// and TestGemvAsmMatchesGo are the same checks on fixed grids.
 func FuzzGemvBlocked(f *testing.F) {
 	f.Add(int64(1), uint8(63), uint8(25), uint8(0))
 	f.Add(int64(2), uint8(0), uint8(3), uint8(0xff))
@@ -86,6 +87,9 @@ func FuzzGemvBlocked(f *testing.F) {
 		c.zeroEvery = int(flags >> 6) // 0 = none
 		if e, reduce := c.err(); e > testkit.ExecTolerance(reduce) {
 			t.Fatalf("%+v: error %g of ‖A‖‖x‖ > %g", c, e, testkit.ExecTolerance(reduce))
+		}
+		if i := c.bitsDiffer(); i >= 0 {
+			t.Fatalf("%+v: y[%d] differs from the pure-Go loops' bits", c, i)
 		}
 	})
 }

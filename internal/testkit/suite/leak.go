@@ -1,7 +1,9 @@
 package suite
 
 import (
+	"bytes"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -11,13 +13,15 @@ import (
 // return, an HTTP connection loop seeing the listener close).
 const leakWait = 2 * time.Second
 
-// VerifyNoLeaks snapshots the goroutine count and, when the test ends,
-// polls until the count is back at or below the snapshot, failing with
-// a dump of every goroutine's stack if it is not within leakWait. Call
-// it first: cleanups run last-in-first-out, so everything the test
+// VerifyNoLeaks records which goroutines exist when it is called and,
+// when the test ends, polls until every goroutine started since has
+// exited, failing with the stacks of those still running after leakWait.
+// Call it first: cleanups run last-in-first-out, so everything the test
 // registers afterwards (server Close, context cancel) has run by the
-// time the count is compared. It is a count, not an identity check —
-// use it in tests that do not run in parallel with others.
+// time it looks. It compares goroutine IDs, not counts, so a goroutine
+// of an earlier test that exits inside the window cannot hide a leak —
+// but a test running in parallel with this one can still be blamed for
+// the goroutines it starts.
 //
 // It lives in this stdlib-only package rather than in testkit proper
 // because testkit imports batch and mdc, whose in-package stress tests
@@ -29,21 +33,61 @@ func VerifyNoLeaks(t testing.TB) {
 
 func verifyNoLeaks(t testing.TB, wait time.Duration) {
 	t.Helper()
-	base := runtime.NumGoroutine()
+	before := make(map[uint64]bool)
+	for _, g := range goroutines() {
+		before[g.id] = true
+	}
 	t.Cleanup(func() {
 		deadline := time.Now().Add(wait)
 		for {
-			n := runtime.NumGoroutine()
-			if n <= base {
+			var started [][]byte
+			for _, g := range goroutines() {
+				if !before[g.id] {
+					started = append(started, g.stack)
+				}
+			}
+			if len(started) == 0 {
 				return
 			}
 			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				buf = buf[:runtime.Stack(buf, true)]
-				t.Errorf("goroutine leak: %d goroutines at test start, %d still running %v after it ended\n%s", base, n, wait, buf)
+				t.Errorf("goroutine leak: %d goroutines started during the test still running %v after it ended\n%s",
+					len(started), wait, bytes.Join(started, []byte("\n\n")))
 				return
 			}
 			time.Sleep(time.Millisecond)
 		}
 	})
+}
+
+// goroutine is one entry of a full stack dump.
+type goroutine struct {
+	id    uint64
+	stack []byte
+}
+
+// goroutines returns every user goroutine.
+func goroutines() []goroutine {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return parseStacks(buf[:n])
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// parseStacks splits a runtime.Stack dump into its records, separated by
+// a blank line and each headed "goroutine <id> [<state>]:".
+func parseStacks(dump []byte) []goroutine {
+	var gs []goroutine
+	for _, rec := range bytes.Split(dump, []byte("\n\n")) {
+		head, _, _ := bytes.Cut(rec, []byte(" ["))
+		id, err := strconv.ParseUint(string(bytes.TrimPrefix(head, []byte("goroutine "))), 10, 64)
+		if err != nil {
+			continue // not a "goroutine <id> [...]" record
+		}
+		gs = append(gs, goroutine{id, rec})
+	}
+	return gs
 }

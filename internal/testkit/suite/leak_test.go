@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -42,5 +43,38 @@ func TestVerifyNoLeaks(t *testing.T) {
 	rec.cleanup()
 	if !strings.Contains(rec.failure, "goroutine leak") {
 		t.Error("a goroutine still blocked at cleanup was not reported")
+	}
+}
+
+// TestVerifyNoLeaksComparesIDs is the order dependence a count check
+// had: a goroutine that predates the snapshot — an earlier test's, on its
+// way out — exits inside the window while one the test started stays
+// blocked. The goroutine count is back at the snapshot's, so a count
+// check passes (the old one did, checked by running this test against
+// it); the blocked goroutine's ID is new, so this check must fail.
+func TestVerifyNoLeaksComparesIDs(t *testing.T) {
+	stop, exited := make(chan struct{}), make(chan uint64)
+	go func() {
+		<-stop
+		buf := make([]byte, 256)
+		exited <- parseStacks(buf[:runtime.Stack(buf, false)])[0].id
+	}()
+	rec := &leakRecorder{TB: t}
+	verifyNoLeaks(rec, 20*time.Millisecond)
+	release := make(chan struct{})
+	defer close(release)
+	go func() { <-release }()
+
+	close(stop)
+	old := <-exited
+	for gone := false; !gone; time.Sleep(time.Millisecond) {
+		gone = true
+		for _, g := range goroutines() {
+			gone = gone && g.id != old
+		}
+	}
+	rec.cleanup()
+	if !strings.Contains(rec.failure, "goroutine leak") {
+		t.Error("a leak offset by an older goroutine's exit was not reported")
 	}
 }
