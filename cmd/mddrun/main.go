@@ -298,7 +298,7 @@ func storeDemo(w io.Writer, opts seismic.Options, storePath string, budget int64
 		worst = max(worst, seismic.NMSE(y, want))
 	}
 	stats := pipe.StoreStats()
-	fmt.Fprintf(w, "swept %d products: hits %d | misses %d | evictions %d | resident %d B (budget %d B)\n",
+	fmt.Fprintf(w, "swept %d products: hits %d | misses %d | streamed %d | resident %d B (budget %d B)\n",
 		nf, stats.Hits, stats.Misses, stats.Evictions, stats.ResidentBytes, stats.Budget)
 
 	pred, err := pv.Predict(0)

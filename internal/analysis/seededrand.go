@@ -22,7 +22,7 @@ import (
 // determinism contract of the API and the replayability of every
 // serving-layer chaos test. The out-of-core store and the noise
 // estimator (internal/opstore, internal/estimator) are in scope because
-// their validation tiers are randomized property tests — an eviction
+// their validation tiers are randomized property tests — an admission
 // sequence or a soundness grid drawn from an unseeded source cannot be
 // replayed when the invariant it violated is being debugged.
 var SeededRand = &Analyzer{

@@ -124,7 +124,7 @@ func TestBuildPipelineMatchesHandWrittenSequence(t *testing.T) {
 }
 
 // TestStoreBackOwnsTheHandle: fp32 store-backed products are the
-// in-memory ones bit for bit under a budget that evicts, the provenance
+// in-memory ones bit for bit under a budget that streams, the provenance
 // says so, and the pipeline holds exactly one descriptor from StoreBack
 // until Close.
 func TestStoreBackOwnsTheHandle(t *testing.T) {
@@ -166,8 +166,9 @@ func TestStoreBackOwnsTheHandle(t *testing.T) {
 		pipe.Kernel.Mats[f].MulVec(xs[f], got)
 		bitEqual(t, "store-backed product", got, want[f])
 	}
+	// Evictions counts the reads that were not admitted
 	if st := pipe.StoreStats(); st.Evictions == 0 || st.ResidentBytes > budget {
-		t.Errorf("budget %d did not bound an evicting cache: %+v", budget, st)
+		t.Errorf("budget %d admitted every read or was exceeded: %+v", budget, st)
 	}
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)

@@ -168,8 +168,9 @@ func (p *Pipeline) WriteStore(path string, pol precision.Policy) error {
 
 // StoreBack is WriteStore, then the file reopened under a resident-byte
 // budget and every frequency matrix swapped for its store-backed twin, so
-// products fault tiles through an LRU cache; under a nil policy (fp32
-// decodes bit-identically) that changes memory behaviour, never results.
+// products fault tiles through the store's tile cache; under a nil policy
+// (fp32 decodes bit-identically) that changes memory behaviour, never
+// results.
 // The pipeline owns the open store until Close; on failure no descriptor
 // stays open and the kernel stays in memory. Not for a problem already
 // shared between goroutines.

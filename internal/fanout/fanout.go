@@ -28,6 +28,11 @@ func PoolSize(n, workers int) int {
 // increasing order; w is the worker's index, for per-worker scratch. A
 // pool of one runs inline on the caller's goroutine, so a one-worker
 // caller spawns nothing.
+//
+// A body that panics panics on the caller's goroutine, at any pool
+// size, so the caller can recover it: a worker recovers the value, the
+// pool stops handing out indices, and once every worker has returned Do
+// re-panics with the first value recovered.
 func Do(n, workers int, body func(w, i int)) {
 	workers = PoolSize(n, workers)
 	if workers <= 1 {
@@ -36,16 +41,34 @@ func Do(n, workers int, body func(w, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked bool
+		first    any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					next.Store(int64(n))
+					mu.Lock()
+					if !panicked {
+						panicked, first = true, v
+					}
+					mu.Unlock()
+				}
+			}()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				body(w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if panicked {
+		panic(first)
+	}
 }

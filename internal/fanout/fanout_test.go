@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -58,6 +59,34 @@ func TestDoInlineAtOneWorker(t *testing.T) {
 	Do(5, 1, func(w, i int) { order = append(order, w*10+i) })
 	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("one worker visited %v, want 0..4 in order on worker 0", order)
+	}
+}
+
+// TestDoPanicReachesCaller: a body's panic surfaces on the caller's
+// goroutine, where it can be recovered with its value, at any pool size
+// — and only once no body is still running.
+func TestDoPanicReachesCaller(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	boom := errors.New("fanout test: index 5")
+	for _, workers := range []int{1, 2, 4} {
+		var running atomic.Int32
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Do(64, workers, func(_, i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 5 {
+					panic(boom)
+				}
+			})
+			return nil
+		}()
+		if got != boom {
+			t.Errorf("workers=%d: caller recovered %v, want the body's panic value", workers, got)
+		}
+		if r := running.Load(); r != 0 {
+			t.Errorf("workers=%d: %d bodies still running after Do panicked", workers, r)
+		}
 	}
 }
 

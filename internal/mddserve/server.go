@@ -91,12 +91,12 @@ type Config struct {
 	// StoreDir, when non-empty, switches each built dataset's compressed
 	// kernel to the out-of-core tile store: the kernel is written to
 	// StoreDir/<specKey>.tlrp once at build time and every MDD product
-	// streams tiles through a byte-budgeted LRU cache instead of holding
+	// streams tiles through a byte-budgeted tile cache instead of holding
 	// the whole operator resident — the paper's memory-wall serving mode.
 	StoreDir string
 	// StoreBudget is the per-kernel resident-byte budget of the tile
 	// cache in StoreDir mode. 0 defaults to half the kernel's compressed
-	// footprint, so products genuinely evict and refault tiles.
+	// footprint, so products genuinely stream the tiles it cannot keep.
 	StoreBudget int64
 }
 

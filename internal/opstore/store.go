@@ -113,9 +113,12 @@ func (s *Store) locate(g int) (int, int) {
 	return f, g - s.matBase[f]
 }
 
-func (s *Store) loadGlobal(g int) (*tlr.Tile, error) {
+func (s *Store) loadGlobal(g int, ts *tlr.TileScratch) (*tlr.Tile, error) {
 	f, idx := s.locate(g)
-	return s.pf.LoadTile(f, idx)
+	if ts == nil {
+		return s.pf.LoadTile(f, idx)
+	}
+	return s.pf.ReadTile(f, idx, ts)
 }
 
 func (s *Store) sizeGlobal(g int) int64 {
@@ -143,7 +146,7 @@ func (s *Store) Matrix(f int) (*tlr.Matrix, error) {
 // Stats snapshots the shared cache counters.
 func (s *Store) Stats() CacheStats { return s.cache.Stats() }
 
-// Cache exposes the shared tile cache (pinning, direct tile access).
+// Cache exposes the shared tile cache (direct tile access).
 func (s *Store) Cache() *Cache { return s.cache }
 
 // Close releases the backing file when the store owns one.
@@ -162,8 +165,8 @@ type matSource struct {
 	pm   *tlrio.PagedMatrix
 }
 
-func (ms *matSource) Tile(idx int) (*tlr.Tile, error) {
-	return ms.st.cache.Tile(ms.base + idx)
+func (ms *matSource) Tile(idx int, s *tlr.TileScratch) (*tlr.Tile, error) {
+	return ms.st.cache.get(ms.base+idx, s)
 }
 
 func (ms *matSource) Rank(idx int) int { return ms.pm.Tiles[idx].Rank }

@@ -142,9 +142,9 @@ func hotPaths() []hotPath {
 				return nil, err
 			}
 			c := st.Cache()
-			// Warm every tile in: the generous budget keeps all resident,
-			// so the measured op cycles through pure cache hits — one
-			// atomic pointer load plus counter bumps, 0 allocs.
+			// Warm every tile in: the generous budget admits them all, so
+			// the measured op cycles through pure cache hits — one atomic
+			// pointer load plus counter bumps, 0 allocs.
 			for g := 0; g < nTiles; g++ {
 				if _, err := c.Tile(g); err != nil {
 					return nil, err
@@ -172,10 +172,33 @@ func hotPaths() []hotPath {
 			}
 			x, y := make([]complex64, hotN), make([]complex64, hotM)
 			x[0], x[hotN-1] = 1, 2i
-			// Warm-up runs fault every tile in; at the budget above
-			// nothing evicts, so the measured product is all cache hits
-			// through Matrix.tileAt.
+			// The warm-up run admits every tile at the budget above, so
+			// the measured product is all cache hits through
+			// Matrix.tileAt.
 			return func() { t.MulVec(x, y) }, nil
+		}},
+		{Name: "tlr.mulvec_ooc_stream", Setup: func() (func(), error) {
+			m, err := hotPathMatrix()
+			if err != nil {
+				return nil, err
+			}
+			st, err := pagedStore(m, nil, m.CompressedBytes()/4)
+			if err != nil {
+				return nil, err
+			}
+			t, err := st.Matrix(0)
+			if err != nil {
+				return nil, err
+			}
+			x, y := make([]complex64, hotN), make([]complex64, hotM)
+			x[0], x[hotN-1] = 1, 2i
+			// A quarter budget: the warm-up pair admits the tiles that
+			// fit, and every later product reads the rest into the tile
+			// scratch it checks out with its rank segment.
+			return func() {
+				t.MulVec(x, y)
+				t.MulVecConjTrans(y, x)
+			}, nil
 		}},
 		{Name: "wsesim.mulvec", Setup: func() (func(), error) {
 			t, err := hotPathMatrix()
@@ -212,8 +235,9 @@ func hotPathTimeProduct(nt int, adjoint bool) (func(), error) {
 }
 
 // hotPathStore pages the shared deterministic matrix into an in-memory
-// tile store with a budget generous enough that nothing ever evicts —
-// the cache-hit steady state the two out-of-core kernels are gated on.
+// tile store with a budget generous enough to admit every tile — the
+// cache-hit steady state opstore.tile_hit and tlr.mulvec_ooc are gated
+// on.
 func hotPathStore() (*opstore.Store, int, error) {
 	t, err := hotPathMatrix()
 	if err != nil {

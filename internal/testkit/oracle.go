@@ -243,10 +243,10 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 
 	// The out-of-core store: the operator paged onto a (here in-memory)
 	// CRC-checked tile store and served back through the byte-budgeted
-	// LRU cache — the configuration paper-scale operators run in. The
-	// budget is half the compressed footprint, so a full product
-	// genuinely faults and evicts; fp32 pages decode bit-identically, so
-	// the paths carry the in-memory tolerances.
+	// tile cache — the configuration paper-scale operators run in. The
+	// budget is half the compressed footprint, so a full product admits
+	// part of the operator and streams the rest; fp32 pages decode
+	// bit-identically, so the paths carry the in-memory tolerances.
 	oocT, err := storeBacked(t, nil, t.CompressedBytes()/2+1024)
 	if err != nil {
 		return nil, fmt.Errorf("testkit: building out-of-core twin: %w", err)
@@ -442,7 +442,8 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 	//    SoA products — and, under a reduced format, the quantized pair —
 	//    must reproduce their in-memory counterparts to the bit. This is
 	//    the differential proof that paging, CRC verification, tile
-	//    decode, and cache eviction are invisible to the numerics.
+	//    decode, and streaming through scratch are invisible to the
+	//    numerics.
 	{
 		x := Vec(rng, n)
 		mem := make([]complex64, m)

@@ -123,7 +123,7 @@ func literalMatrix(rng *rand.Rand, m, n, nb int, rank func(i, j int) int) *tlr.M
 }
 
 // storeBackedTwin pages tm into memory and returns its out-of-core twin
-// over a store whose budget forces evictions, as opstore's
+// over a store whose budget admits only part of it, as opstore's
 // TestStoreBackedMatchesInMemory does.
 func storeBackedTwin(t *testing.T, tm *tlr.Matrix) *tlr.Matrix {
 	t.Helper()

@@ -1,10 +1,12 @@
 package tlr
 
+import "repro/internal/dense"
+
 // Out-of-core tile sourcing. The paper's survey-scale operator is 110 GB
 // compressed — no Matrix can hold all its tiles resident. A Matrix built
 // by NewOutOfCore starts with every Tiles entry nil and faults tiles in
-// through a TileSource (internal/opstore layers a byte-budgeted LRU
-// cache over the paged tlrio format behind this interface). Every MVM
+// through a TileSource (internal/opstore keeps the tiles its byte budget
+// has room for and streams the rest behind this interface). Every MVM
 // path — sequential AoS, SoA, batched — reaches tiles only through
 // tileAt/rankAt below, so in-memory and store-backed matrices run the
 // identical kernels; the differential oracle registers both and holds
@@ -12,16 +14,47 @@ package tlr
 
 // TileSource supplies tiles of an out-of-core matrix on demand.
 // Implementations are expected to be safe for concurrent use (one
-// operator serves concurrent products from several goroutines) and to
-// own the returned tile's lifetime — callers must not mutate it, and the
-// source may hand the same *Tile to concurrent callers.
+// operator serves concurrent products from several goroutines). A tile
+// the source keeps may be handed to concurrent callers, who must not
+// mutate it.
 type TileSource interface {
 	// Tile materializes tile idx (row-major in the tile grid, like
-	// Matrix.Tiles).
-	Tile(idx int) (*Tile, error)
+	// Matrix.Tiles). Given a scratch, the source may read a tile it does
+	// not keep into it; that tile is valid until the next request made
+	// with the same scratch. Given nil, a tile the source does not keep
+	// is the caller's.
+	Tile(idx int, s *TileScratch) (*Tile, error)
 	// Rank returns tile idx's rank without materializing its panels, so
 	// offset tables and rank statistics never touch the backing store.
 	Rank(idx int) int
+}
+
+// TileScratch is caller-owned storage a TileSource reads a tile into
+// instead of allocating one. The sequential sweep of a store-backed
+// matrix checks one out per product together with its rank segment, so
+// a tile the source does not keep costs its read and nothing else.
+type TileScratch struct {
+	// Data backs the factors. The sweep sizes it once, from the rank
+	// snapshot, to one element more than the largest tile's U and V
+	// together: a source that reads a whole record in place may land an
+	// 8-byte record header in Data[0].
+	Data []complex64
+	// Page holds encoded bytes a source decodes the factors from; the
+	// source grows it.
+	Page []byte
+
+	tile Tile
+	u, v dense.Matrix
+}
+
+// View points the scratch's tile at f, which holds U (rows×k) followed
+// by V (cols×k), both column-major with tight strides, and returns it.
+func (s *TileScratch) View(rows, cols, k int, f []complex64) *Tile {
+	nu, nv := rows*k, cols*k
+	s.u = dense.Matrix{Rows: rows, Cols: k, Stride: max(1, rows), Data: f[:nu:nu]}
+	s.v = dense.Matrix{Rows: cols, Cols: k, Stride: max(1, cols), Data: f[nu : nu+nv : nu+nv]}
+	s.tile = Tile{U: &s.u, V: &s.v}
+	return &s.tile
 }
 
 // NewOutOfCore builds an M×N matrix with tile size nb whose tiles are
@@ -50,18 +83,17 @@ func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 }
 
 // tileAt returns tile idx, faulting it in from the tile source when not
-// resident. The resident check is the entirety of the in-memory fast
-// path — one slice index and a nil test — so the MVM kernels stay
-// allocation-free; the out-of-core miss is taken by tileSlow. Registered
-// hot path (kernel tlr.mulvec_ooc drives the store-backed product
-// through here at cache-hit steady state).
-func (t *Matrix) tileAt(idx int) *Tile {
+// resident; s is the sweep's tile scratch, or nil for a caller that
+// keeps the tile. The resident check is the entirety of the in-memory
+// fast path — one slice index and a nil test — so the MVM kernels stay
+// allocation-free. Registered hot paths: tlr.mulvec_ooc drives the
+// store-backed product through here with every tile resident,
+// tlr.mulvec_ooc_stream with most of them read into s.
+func (t *Matrix) tileAt(idx int, s *TileScratch) *Tile {
 	if tile := t.Tiles[idx]; tile != nil {
 		return tile
 	}
-	// out-of-core miss path; the cache-hit steady state returns above,
-	// and a miss necessarily allocates the decoded tile
-	return t.tileSlow(idx)
+	return t.tileSlow(idx, s)
 }
 
 // tileSlow faults tile idx in through the tile source. A load failure is
@@ -69,11 +101,11 @@ func (t *Matrix) tileAt(idx int) *Tile {
 // with no error path (testkit.Operator, mdc kernels), and a CRC mismatch
 // or I/O error mid-product leaves no usable partial result anyway.
 // Callers needing an error should probe the store directly first.
-func (t *Matrix) tileSlow(idx int) *Tile {
+func (t *Matrix) tileSlow(idx int, s *TileScratch) *Tile {
 	if t.src == nil {
 		return nil
 	}
-	tile, err := t.src.Tile(idx)
+	tile, err := t.src.Tile(idx, s)
 	if err != nil {
 		panic("tlr: out-of-core tile load failed: " + err.Error())
 	}

@@ -6,8 +6,9 @@ import (
 )
 
 // Every product needs intermediates per call: the sequential sweep one
-// tile's projection segment, the stacked paths the whole Yv/Yu
-// projection vector and the vector endpoints as split planes.
+// tile's projection segment (and, store-backed, a tile to read into),
+// the stacked paths the whole Yv/Yu projection vector and the vector
+// endpoints as split planes.
 // Allocating them per product put makes on the hot path; they are
 // hoisted here into per-matrix free lists so steady-state products
 // allocate nothing (testkit's AllocsPerRun gate proves it). A channel
@@ -16,54 +17,74 @@ import (
 // cached buffer because stress tests drive one Matrix from many
 // goroutines concurrently.
 //
-// Two lists, because the two families differ by three orders of
-// magnitude: a segment is MaxRank elements (512 B at rank 64), a stacked
-// set eight float32 planes, four of them TotalRank long (1.1 MB per
-// frequency of solve-dram). The segment list is what every matrix
-// holds; the stacked list belongs to the SoA layout and is created with
-// it (buildSoA), so a matrix that only ever runs the AoS sweep — every
-// store-backed one, whose memory is otherwise the opstore budget's —
-// never pays for it.
+// Two lists, because the two families differ by orders of magnitude: a
+// sweep set is MaxRank elements (512 B at rank 64) plus, store-backed,
+// one tile (64 kB at nb = rank = 64), a stacked set eight float32
+// planes, four of them TotalRank long (1.1 MB per frequency of
+// solve-dram). The sweep list is what every matrix holds; the stacked
+// list belongs to the SoA layout and is created with it (buildSoA), so a
+// matrix that only ever runs the AoS sweep — every store-backed one,
+// whose memory is otherwise the opstore budget's plus one sweep set per
+// concurrent product — never pays for it.
 const scratchPoolCap = 16
 
 // scratchState is embedded in Matrix; a separate struct keeps the
 // public Matrix fields (and keyed literals elsewhere) untouched.
 type scratchState struct {
-	segReady atomic.Uint32
-	segMu    sync.Mutex
-	segFree  chan []complex64
-	segLen   int // the largest tile rank
+	sweepReady atomic.Uint32
+	sweepMu    sync.Mutex
+	sweepFree  chan *sweepScratch
+	segLen     int // the largest tile rank
+	tileLen    int // store-backed: TileScratch.Data's length; 0 in memory
 }
 
-// getSeg checks the sweep's rank segment out of the free list,
-// allocating a fresh one when the list is empty (first calls and bursts
-// of concurrent products beyond the pool capacity). The list is created
-// on first use behind an atomic flag rather than sync.Once: the fast
-// path must stay free of the method-value closure `t.once.Do(...)` would
-// allocate per call.
-func (t *Matrix) getSeg() []complex64 {
-	if t.segReady.Load() == 0 {
-		t.segMu.Lock()
-		if t.segReady.Load() == 0 {
+// sweepScratch is one checkout of the sequential sweep's intermediates.
+type sweepScratch struct {
+	seg  []complex64
+	tile *TileScratch // nil for an in-memory matrix
+}
+
+// getSweep checks a sweep set out of the free list, allocating a fresh
+// one when the list is empty (first calls and bursts of concurrent
+// products beyond the pool capacity). The list is created on first use
+// behind an atomic flag rather than sync.Once: the fast path must stay
+// free of the method-value closure `t.once.Do(...)` would allocate per
+// call. Sizes come from the rank map, so a store-backed matrix reads no
+// tile to size its scratch.
+func (t *Matrix) getSweep() *sweepScratch {
+	if t.sweepReady.Load() == 0 {
+		t.sweepMu.Lock()
+		if t.sweepReady.Load() == 0 {
 			t.segLen = t.MaxRank()
-			t.segFree = make(chan []complex64, scratchPoolCap)
-			t.segReady.Store(1)
+			if t.src != nil {
+				var most int
+				for idx := range t.Tiles {
+					most = max(most, (t.tileRows(idx/t.NT)+t.tileCols(idx%t.NT))*t.rankAt(idx))
+				}
+				t.tileLen = 1 + most
+			}
+			t.sweepFree = make(chan *sweepScratch, scratchPoolCap)
+			t.sweepReady.Store(1)
 		}
-		t.segMu.Unlock()
+		t.sweepMu.Unlock()
 	}
 	select {
-	case seg := <-t.segFree:
-		return seg
+	case s := <-t.sweepFree:
+		return s
 	default:
-		return make([]complex64, t.segLen)
 	}
+	s := &sweepScratch{seg: make([]complex64, t.segLen)}
+	if t.tileLen > 0 {
+		s.tile = &TileScratch{Data: make([]complex64, t.tileLen)}
+	}
+	return s
 }
 
-// putSeg returns a segment to the free list, dropping it when the list
-// is full.
-func (t *Matrix) putSeg(seg []complex64) {
+// putSweep returns a sweep set to the free list, dropping it when the
+// list is full.
+func (t *Matrix) putSweep(s *sweepScratch) {
 	select {
-	case t.segFree <- seg:
+	case t.sweepFree <- s:
 	default:
 	}
 }

@@ -216,7 +216,7 @@ type soaState struct {
 func (t *Matrix) EnsureSoA() { t.getSoA() }
 
 // getSoA returns the layout, building it once per Matrix. Same
-// atomic-flag pattern as getSeg: the fast path must not allocate.
+// atomic-flag pattern as getSweep: the fast path must not allocate.
 func (t *Matrix) getSoA() *soaLayout {
 	if t.soaReady.Load() == 1 {
 		return t.soa

@@ -114,8 +114,9 @@ func relErrC(got, want []complex64) float64 {
 
 // TestAoSProductsHoldOnlyARankSegment pins what a matrix that only runs
 // the sequential sweep keeps between products: one segment of MaxRank
-// elements, no stacked layout and none of its TotalRank-sized scratch —
-// those arrive with the first SoA product.
+// elements and, in memory, no tile scratch; no stacked layout and none
+// of its TotalRank-sized scratch — those arrive with the first SoA
+// product.
 func TestAoSProductsHoldOnlyARankSegment(t *testing.T) {
 	rng := rand.New(rand.NewSource(210))
 	m, err := Compress(randDense(rng, 40, 33), Options{NB: 8, Tol: 1e-4})
@@ -128,11 +129,15 @@ func TestAoSProductsHoldOnlyARankSegment(t *testing.T) {
 	if m.soaReady.Load() != 0 {
 		t.Fatal("a sequential product built the SoA layout")
 	}
-	if len(m.segFree) != 1 {
-		t.Fatalf("%d segments in the free list after two sequential products, want the one they shared", len(m.segFree))
+	if len(m.sweepFree) != 1 {
+		t.Fatalf("%d sweep sets in the free list after two sequential products, want the one they shared", len(m.sweepFree))
 	}
-	if seg := <-m.segFree; len(seg) != m.MaxRank() || cap(seg) != m.MaxRank() {
-		t.Errorf("segment len %d cap %d, want MaxRank %d", len(seg), cap(seg), m.MaxRank())
+	s := <-m.sweepFree
+	if len(s.seg) != m.MaxRank() || cap(s.seg) != m.MaxRank() {
+		t.Errorf("segment len %d cap %d, want MaxRank %d", len(s.seg), cap(s.seg), m.MaxRank())
+	}
+	if s.tile != nil {
+		t.Error("an in-memory matrix checked out a tile scratch")
 	}
 	m.MulVecSoA(x, y)
 	if l := m.getSoA(); len(l.free) != 1 {

@@ -1,6 +1,7 @@
 package tlr_test
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -16,14 +17,31 @@ import (
 // countingSource serves an in-memory matrix's tiles through the
 // TileSource seam and counts the faults. The out-of-core matrix built
 // over it keeps nothing resident, so every tile access is a Tile call.
+// With viaScratch it copies each tile into the caller's scratch and
+// serves the copy, as a store serves a tile it does not keep.
 type countingSource struct {
-	tiles []*tlr.Tile
-	calls int
+	tiles      []*tlr.Tile
+	viaScratch bool
+	calls      int
 }
 
-func (s *countingSource) Tile(idx int) (*tlr.Tile, error) {
+func (s *countingSource) Tile(idx int, ts *tlr.TileScratch) (*tlr.Tile, error) {
 	s.calls++
-	return s.tiles[idx], nil
+	tile := s.tiles[idx]
+	if !s.viaScratch {
+		return tile, nil
+	}
+	u, v := tile.U, tile.V
+	nu, nv := u.Rows*u.Cols, v.Rows*v.Cols
+	if ts == nil || len(ts.Data) < 1+nu+nv {
+		return nil, errors.New("no scratch with room for the tile and a header element")
+	}
+	f := ts.Data[1 : 1+nu+nv]
+	for j := 0; j < u.Cols; j++ {
+		copy(f[j*u.Rows:], u.Col(j))
+		copy(f[nu+j*v.Rows:], v.Col(j))
+	}
+	return ts.View(u.Rows, v.Rows, u.Cols, f), nil
 }
 
 func (s *countingSource) Rank(idx int) int { return s.tiles[idx].Rank() }
@@ -88,9 +106,10 @@ func threePhase(tm *tlr.Matrix, adjoint bool, x, y []complex64) {
 // TestSweepOneFaultPerTileAndBitIdentical pins the two properties of the
 // sequential products' tile sweep: a matrix that keeps nothing resident
 // faults each tile exactly once per product, forward and adjoint, and
-// the result — in memory and store-backed alike — equals the three-phase
-// schedule it replaced to the last bit, over ragged edge tiles,
-// zero-rank tiles and full-rank (rank = NB) tiles.
+// the result — in memory, store-backed and streamed through the
+// product's tile scratch alike — equals the three-phase schedule it
+// replaced to the last bit, over ragged edge tiles, zero-rank tiles and
+// full-rank (rank = NB) tiles.
 func TestSweepOneFaultPerTileAndBitIdentical(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -113,8 +132,7 @@ func TestSweepOneFaultPerTileAndBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := testkit.NewRNG(int64(310 + ci))
 			mem := literalMatrix(rng, tc.m, tc.n, tc.nb, tc.rank)
-			src := &countingSource{tiles: mem.Tiles}
-			ooc := tlr.NewOutOfCore(tc.m, tc.n, tc.nb, src)
+			srcs := []*countingSource{{tiles: mem.Tiles}, {tiles: mem.Tiles, viaScratch: true}}
 			for _, dir := range []struct {
 				name          string
 				adjoint       bool
@@ -128,18 +146,22 @@ func TestSweepOneFaultPerTileAndBitIdentical(t *testing.T) {
 				want := make([]complex64, dir.outLen)
 				threePhase(mem, dir.adjoint, x, want)
 				// a stale output must be overwritten, not accumulated into
-				gotMem, gotOOC := testkit.Vec(rng, dir.outLen), testkit.Vec(rng, dir.outLen)
+				gotMem := testkit.Vec(rng, dir.outLen)
 				dir.mul(mem, x, gotMem)
-				src.calls = 0
-				dir.mul(ooc, x, gotOOC)
-				if want := len(mem.Tiles); src.calls != want {
-					t.Errorf("%s: %d tile faults for %d tiles, want one each", dir.name, src.calls, want)
-				}
 				if d := testkit.MaxULPDist(gotMem, want); d != 0 {
 					t.Errorf("%s in memory: %d ULPs from the three-phase schedule", dir.name, d)
 				}
-				if d := testkit.MaxULPDist(gotOOC, want); d != 0 {
-					t.Errorf("%s store-backed: %d ULPs from the three-phase schedule", dir.name, d)
+				for _, src := range srcs {
+					ooc := tlr.NewOutOfCore(tc.m, tc.n, tc.nb, src)
+					got := testkit.Vec(rng, dir.outLen)
+					src.calls = 0
+					dir.mul(ooc, x, got)
+					if want := len(mem.Tiles); src.calls != want {
+						t.Errorf("%s (scratch %v): %d tile faults for %d tiles, want one each", dir.name, src.viaScratch, src.calls, want)
+					}
+					if d := testkit.MaxULPDist(got, want); d != 0 {
+						t.Errorf("%s store-backed (scratch %v): %d ULPs from the three-phase schedule", dir.name, src.viaScratch, d)
+					}
 				}
 			}
 		})

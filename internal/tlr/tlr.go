@@ -89,7 +89,7 @@ type Matrix struct {
 	src   TileSource
 	ranks []int
 
-	// scratchState holds the sweep's rank-segment free list (see
+	// scratchState holds the sweep's scratch free list (see
 	// scratch.go).
 	scratchState
 	// soaState holds the stacked split-plane factor layout, built on
@@ -196,7 +196,7 @@ func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) *Tile {
 
 // Tile returns tile (i, j), faulting it in from the tile source for
 // out-of-core matrices.
-func (t *Matrix) Tile(i, j int) *Tile { return t.tileAt(i*t.NT + j) }
+func (t *Matrix) Tile(i, j int) *Tile { return t.tileAt(i*t.NT+j, nil) }
 
 // tileRows returns the row extent of tile row i.
 func (t *Matrix) tileRows(i int) int { return min((i+1)*t.NB, t.M) - i*t.NB }
@@ -291,9 +291,9 @@ func (t *Matrix) MulVec(x, y []complex64) {
 	}
 	defer obsMVM.Start().End()
 	meterMVM(obsMVMMeter, t)
-	seg := t.getSeg()
-	t.sweep(false, x, y[:t.M], seg)
-	t.putSeg(seg)
+	s := t.getSweep()
+	t.sweep(false, x, y[:t.M], s)
+	t.putSweep(s)
 }
 
 // MulVecConjTrans computes y = Aᴴ x: the adjoint TLR-MVM required by the
@@ -305,9 +305,9 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 	}
 	defer obsAdjoint.Start().End()
 	meterMVM(obsAdjMeter, t)
-	seg := t.getSeg()
-	t.sweep(true, x, y[:t.N], seg)
-	t.putSeg(seg)
+	s := t.getSweep()
+	t.sweep(true, x, y[:t.N], s)
+	t.putSweep(s)
 }
 
 // sweep is the body of both sequential products: one pass over the
@@ -323,10 +323,12 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 // accumulates its tiles in ascending order. What the fused order buys is
 // Fig. 9's point applied on the host — with U and V of a tile used
 // together there is no shuffle, and a store-backed matrix faults each
-// tile once per product, in the order the file holds them. seg is rank
-// scratch of at least the largest tile rank. Registered hot path — the
-// loop must stay allocation-free.
-func (t *Matrix) sweep(adjoint bool, x, y, seg []complex64) {
+// tile once per product, in the order the file holds them, and each
+// tile is done with before the next is requested — so a tile the store
+// does not keep can be read into the product's one tile scratch. s is
+// the product's checkout (scratch.go). Registered hot path — the loop
+// must stay allocation-free.
+func (t *Matrix) sweep(adjoint bool, x, y []complex64, s *sweepScratch) {
 	for k := range y {
 		y[k] = 0
 	}
@@ -334,11 +336,11 @@ func (t *Matrix) sweep(adjoint bool, x, y, seg []complex64) {
 		r0, r1 := i*t.NB, i*t.NB+t.tileRows(i)
 		for j := 0; j < t.NT; j++ {
 			c0, c1 := j*t.NB, j*t.NB+t.tileCols(j)
-			tile := t.tileAt(i*t.NT + j)
+			tile := t.tileAt(i*t.NT+j, s.tile)
 			if adjoint {
-				applyTile(tile.U, tile.V, x[r0:r1], y[c0:c1], seg)
+				applyTile(tile.U, tile.V, x[r0:r1], y[c0:c1], s.seg)
 			} else {
-				applyTile(tile.V, tile.U, x[c0:c1], y[r0:r1], seg)
+				applyTile(tile.V, tile.U, x[c0:c1], y[r0:r1], s.seg)
 			}
 		}
 	}

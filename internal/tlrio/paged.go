@@ -426,21 +426,41 @@ func decodeIndexMatrix(b []byte, size int64) (*PagedMatrix, []byte, error) {
 // in-memory form of its []complex64.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// LoadTile reads, CRC-verifies, and decodes one tile. The returned tile
-// holds FP32 compute values: reduced-tier pages are dequantized through
-// the per-panel scale exactly as precision.Quantize would produce them.
+// LoadTile reads, CRC-verifies, and decodes one tile into storage of its
+// own. The returned tile holds FP32 compute values: reduced-tier pages
+// are dequantized through the per-panel scale exactly as
+// precision.Quantize would produce them.
 func (pf *PagedFile) LoadTile(mat, idx int) (*tlr.Tile, error) {
 	return pf.loadTile(mat, idx, hostLittleEndian)
 }
 
+// ReadTile is LoadTile into the caller's scratch, with every length and
+// CRC check of LoadTile: the returned tile lives in s until s is read
+// into again. s.Data and s.Page are grown only when too short, so a
+// scratch reused across reads stops allocating once it has held the
+// largest tile.
+func (pf *PagedFile) ReadTile(mat, idx int, s *tlr.TileScratch) (*tlr.Tile, error) {
+	return pf.readTile(mat, idx, s, hostLittleEndian)
+}
+
 // loadTile is LoadTile with the FP32 route explicit (the tests run both
-// on one host). With inPlace, an FP32 page is read straight into the
-// []complex64 that backs the tile's U and V — one allocation, no element
-// loop; the 8-byte page header lands in element 0, which the panels
-// skip. The CRC is verified over those same bytes before any tile is
-// returned. Reduced tiers, and FP32 where memory order differs from the
-// file's, go through decodePanel.
+// on one host): readTile into a scratch of its own, sized to the tile.
 func (pf *PagedFile) loadTile(mat, idx int, inPlace bool) (*tlr.Tile, error) {
+	s := new(tlr.TileScratch)
+	t, err := pf.readTile(mat, idx, s, inPlace)
+	// the tile keeps s alive, and has no use for a reduced tier's page
+	s.Page = nil
+	return t, err
+}
+
+// readTile is the one tile read. The factors land in s.Data[1:], grown
+// to the tile when it is too short. With inPlace, an FP32 page is read
+// straight into s.Data — no element loop; the 8-byte page header lands
+// in element 0, which the factors skip. The CRC is verified over those
+// same bytes before any tile is returned. Reduced tiers, and FP32 where
+// memory order differs from the file's, are read into s.Page and
+// decoded into s.Data.
+func (pf *PagedFile) readTile(mat, idx int, s *tlr.TileScratch, inPlace bool) (*tlr.Tile, error) {
 	if mat < 0 || mat >= len(pf.Mats) {
 		return nil, fmt.Errorf("tlrio: matrix %d out of range", mat)
 	}
@@ -450,23 +470,29 @@ func (pf *PagedFile) loadTile(mat, idx int, inPlace bool) (*tlr.Tile, error) {
 	}
 	pt := pm.Tiles[idx]
 	rows, cols, k := pm.TileRows(idx/pm.NT), pm.TileCols(idx%pm.NT), pt.Rank
+	n := 1 + (rows+cols)*k
+	if cap(s.Data) < n {
+		s.Data = make([]complex64, n)
+	}
+	data := s.Data[:n]
 	if inPlace && pt.Format == precision.FP32 {
 		// OpenPaged checked PayloadLen == (rows+cols)·k·8 for this tile.
-		data := make([]complex64, 1+(rows+cols)*k)
-		page := unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data))
+		page := unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*n)
 		if err := pf.readPage(page, idx, pt); err != nil {
 			return nil, err
 		}
-		u, v := data[1:1+rows*k:1+rows*k], data[1+rows*k:]
-		return &tlr.Tile{U: dense.FromSlice(rows, k, u), V: dense.FromSlice(cols, k, v)}, nil
+	} else {
+		if cap(s.Page) < 8+pt.PayloadLen {
+			s.Page = make([]byte, 8+pt.PayloadLen)
+		}
+		page := s.Page[:8+pt.PayloadLen]
+		if err := pf.readPage(page, idx, pt); err != nil {
+			return nil, err
+		}
+		rest := decodePanel(page[8:], data[1:1+rows*k], pt.Format)
+		decodePanel(rest, data[1+rows*k:], pt.Format)
 	}
-	page := make([]byte, 8+pt.PayloadLen)
-	if err := pf.readPage(page, idx, pt); err != nil {
-		return nil, err
-	}
-	u, rest := decodePanel(page[8:], rows, k, pt.Format)
-	v, _ := decodePanel(rest, cols, k, pt.Format)
-	return &tlr.Tile{U: u, V: v}, nil
+	return s.View(rows, cols, k, data[1:]), nil
 }
 
 // readPage fills page (8+PayloadLen bytes) from tile idx's region and
@@ -484,32 +510,27 @@ func (pf *PagedFile) readPage(page []byte, idx int, pt PagedTile) error {
 	return nil
 }
 
-// decodePanel consumes one rows×k panel from the payload.
-func decodePanel(b []byte, rows, k int, f precision.Format) (*dense.Matrix, []byte) {
-	a := dense.New(rows, k)
+// decodePanel decodes one panel of len(dst) elements, column-major with
+// a tight stride, from the payload into dst and returns the rest of the
+// payload.
+func decodePanel(b []byte, dst []complex64, f precision.Format) []byte {
 	if f == precision.FP32 {
-		for j := 0; j < k; j++ {
-			col := a.Col(j)
-			for i := range col {
-				re := math.Float32frombits(binary.LittleEndian.Uint32(b))
-				im := math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
-				col[i] = complex(re, im)
-				b = b[8:]
-			}
+		for i := range dst {
+			re := math.Float32frombits(binary.LittleEndian.Uint32(b))
+			im := math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
+			dst[i] = complex(re, im)
+			b = b[8:]
 		}
-		return a, b
+		return b
 	}
 	e := int(int16(binary.LittleEndian.Uint16(b)))
 	b = b[2:]
 	inv := math.Ldexp(1, e)
-	for j := 0; j < k; j++ {
-		col := a.Col(j)
-		for i := range col {
-			re := decodeReal(f, binary.LittleEndian.Uint16(b))
-			im := decodeReal(f, binary.LittleEndian.Uint16(b[2:]))
-			col[i] = complex(float32(float64(re)*inv), float32(float64(im)*inv))
-			b = b[4:]
-		}
+	for i := range dst {
+		re := decodeReal(f, binary.LittleEndian.Uint16(b))
+		im := decodeReal(f, binary.LittleEndian.Uint16(b[2:]))
+		dst[i] = complex(float32(float64(re)*inv), float32(float64(im)*inv))
+		b = b[4:]
 	}
-	return a, b
+	return b
 }

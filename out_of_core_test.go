@@ -1,6 +1,6 @@
 // Out-of-core and estimator validation tier: the paged operator store
-// exercised through a real temp-dir file (write, reopen, stream tiles
-// under an eviction-forcing budget) and held differentially to the
+// exercised through a real temp-dir file (write, reopen, stream the
+// tiles a small budget does not admit) and held differentially to the
 // in-memory kernels, plus the analytic precision-noise estimator held to
 // "bound ≥ measured" on every oracle-style case. CI runs the store tests
 // as the integration job's out-of-core step (-run TestOutOfCore).
@@ -41,7 +41,7 @@ func outOfCoreKernel(t *testing.T) *tlrio.Kernel {
 // TestOutOfCoreStoreMatchesInMemory is the store-backed differential
 // pass: the seismic kernel written to a temp-dir page file, reopened,
 // and driven through every product path with a budget small enough that
-// tiles evict mid-product — each path must agree with its fully
+// half the tiles are streamed — each path must agree with its fully
 // in-memory twin within the 1e-6 acceptance threshold (the fp32 store
 // decodes bit-identically, so the matched-kernel paths must in fact
 // agree exactly).
@@ -100,6 +100,7 @@ func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 		}
 	}
 	stats := st.Stats()
+	// Evictions counts the reads that were not admitted
 	if stats.Hits == 0 || stats.Misses == 0 || stats.Evictions == 0 {
 		t.Fatalf("differential pass did not stream tiles (stats %+v)", stats)
 	}
@@ -111,7 +112,7 @@ func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 // TestOutOfCoreQuantizedStore holds a reduced-tier temp-dir store to
 // precision.Quantize's in-memory operator: the decoded tiles are defined
 // to be bit-identical, so the products must match exactly even while
-// streaming under an eviction-forcing budget.
+// streaming the tiles a small budget does not admit.
 func TestOutOfCoreQuantizedStore(t *testing.T) {
 	k := outOfCoreKernel(t)
 	for _, pol := range []precision.Policy{
