@@ -114,7 +114,8 @@ bench-e2e-compare:
 # staticcheck and govulncheck are fetched by CI; locally they are used
 # only if already on PATH. repolint is this repo's own analyzer suite
 # (TESTING.md, "Static analysis suite") and needs no network: one
-# whole-module run covers every analyzer, test variants included. The
+# whole-module run covers every analyzer, test variants included.
+# `gofmt -l .` must list no file, analyzer fixtures included. The
 # s390x cross-vet type-checks the big-endian side of tlrio.LoadTile,
 # which no host here executes; the arm64 one the pure-Go Gemv loops
 # (amd64 runs cfloat's SSE assembly instead) and the LSQR loops for a
@@ -128,6 +129,7 @@ bin/repolint: $(REPOLINT_SRCS)
 repolint: bin/repolint
 
 lint: vet bin/repolint
+	test -z "$$(gofmt -l .)"
 	GOARCH=s390x $(GO) vet ./internal/tlrio/ ./internal/opstore/ ./internal/tlr/
 	GOARCH=arm64 $(GO) vet ./internal/cfloat/ ./internal/lsqr/
 	./bin/repolint ./...

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +24,6 @@ import (
 func main() {
 	progname := filepath.Base(os.Args[0])
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	catalog := flag.Bool("catalog", false, "print the analyzer catalog as JSON and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-only names] [packages]\n\nanalyzers:\n", progname)
 		for _, a := range analysis.All() {
@@ -33,16 +31,6 @@ func main() {
 		}
 	}
 	flag.Parse()
-
-	if *catalog {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(analysis.Catalog()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
 
 	analyzers, err := analysis.ByName(*only)
 	if err != nil {
@@ -66,16 +54,6 @@ func run(analyzers []*analysis.Analyzer) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 		return 2
-	}
-
-	// Fixture drift guard: when the analyzed module is the one that hosts
-	// the analysis suite itself, every registered analyzer must ship a
-	// `// want` fixture module — a new analyzer cannot land unpinned.
-	if pkg := mod.PackageBySuffix("internal/analysis"); pkg != nil {
-		if missing := analysis.MissingFixtures(filepath.Join(pkg.Dir, "testdata")); len(missing) > 0 {
-			fmt.Fprintf(os.Stderr, "repolint: analyzers without testdata fixture modules: %s\n", strings.Join(missing, ", "))
-			return 1
-		}
 	}
 	for _, d := range diags {
 		pos := mod.Fset.Position(d.Pos)

@@ -16,16 +16,20 @@
 // termination to internal/testkit/suite's VerifyNoLeaks (EXPERIMENTS.md,
 // "Retired analyzers", records the evidence).
 //
-// Five analyzers are syntactic (AST pattern matches): modeldeterminism,
-// obshygiene, precwiden, oraclereg, seededrand. Two — faultflow and
-// lockorder — run on the intra-procedural dataflow engine in
-// cfg.go/dataflow.go: a CFG built from function bodies, a
-// must-reach-a-use analysis for error values, and a forward
-// held-lock-set propagation. Two more — reqtaint and ctxflow — add the
-// interprocedural layer (callgraph.go/summary.go): an intra-module call
-// graph over go/types with single-assignment devirtualization and a
-// bottom-up function-summary fixpoint engine. lintlint polices the
-// //lint: directives the others consult.
+// The analyzers share one engine. go/build picks the files of each
+// package (load.go). Pass.Reportf applies the one //lint: escape rule
+// (an escape covers its own line and the next, or, in a function's doc
+// comment, the whole function) and drops a second diagnostic at the
+// same position. Five analyzers are syntactic (AST pattern matches):
+// modeldeterminism, obshygiene, precwiden, oraclereg, seededrand. Two —
+// faultflow and lockorder — run on the intra-procedural dataflow engine
+// in cfg.go/dataflow.go: a CFG built from function bodies, a
+// must-reach-a-use check for error values, and one forward may-analysis
+// solver (lockorder's held locks, reqtaint's taint). Two more — reqtaint
+// and ctxflow — add the interprocedural layer (callgraph.go/summary.go):
+// an intra-module call graph over go/types with single-assignment
+// devirtualization and a bottom-up function-summary fixpoint engine.
+// lintlint polices the //lint: directives the others consult.
 //
 // The analyzers (see their files for the precise rules):
 //
@@ -117,13 +121,13 @@ type Pass struct {
 	// analyzers skip these passes.
 	TestVariant bool
 
-	// IgnoreEscapes disables //lint: escape suppression (markerLines and
-	// docHasMarker return nothing). The lintlint analyzer re-runs the
-	// suite in this mode to learn which escapes still attach to a
-	// diagnostic.
+	// IgnoreEscapes disables //lint: escape suppression. The lintlint
+	// analyzer re-runs the suite in this mode to learn which escapes
+	// still attach to a diagnostic.
 	IgnoreEscapes bool
 
-	diags *[]Diagnostic
+	diags    *[]Diagnostic
+	reported map[token.Pos]bool
 }
 
 // NewPass assembles a Pass that appends its findings to sink.
@@ -141,8 +145,16 @@ func NewPass(a *Analyzer, fset *token.FileSet, pkg *Package, module *Module, sin
 	}
 }
 
-// Reportf records a diagnostic at pos.
+// Reportf records a diagnostic at pos, unless one is already recorded
+// there or a //lint: escape of this analyzer covers pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	if p.reported[pos] || (!p.IgnoreEscapes && escaped(p.Fset, p.Files, p.Analyzer.Name, pos)) {
+		return
+	}
+	if p.reported == nil {
+		p.reported = map[token.Pos]bool{}
+	}
+	p.reported[pos] = true
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
@@ -171,39 +183,6 @@ func All() []*Analyzer {
 		CtxFlow,
 		LintLint,
 	}
-}
-
-// CatalogEntry is one analyzer's machine-readable catalog row, the
-// source of truth the TESTING.md analyzer table is regenerated from
-// (cmd/repolint -catalog emits the full list as JSON; a drift test
-// fails when the table and the registered set disagree).
-type CatalogEntry struct {
-	Name      string `json:"name"`
-	Doc       string `json:"doc"`
-	Escape    string `json:"escape,omitempty"`
-	Fixture   string `json:"fixture"`
-	TestFiles bool   `json:"testFiles,omitempty"`
-}
-
-// Catalog lists every registered analyzer in suite order with its
-// escape directive (from the directive registry) and fixture path.
-func Catalog() []CatalogEntry {
-	var out []CatalogEntry
-	for _, a := range All() {
-		e := CatalogEntry{
-			Name:      a.Name,
-			Doc:       a.Doc,
-			Fixture:   "testdata/" + a.Name + "/",
-			TestFiles: a.TestFiles,
-		}
-		for dir, owner := range knownDirectives {
-			if owner == a.Name {
-				e.Escape = "//lint:" + dir
-			}
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // ByName resolves a comma-separated analyzer name list ("" = all).
@@ -330,57 +309,92 @@ var knownDirectives = map[string]string{
 	"ctx-ok":        "ctxflow",
 }
 
-// markerLines is the escape-aware form analyzers call: when the pass
-// ignores escapes, no lines are suppressed.
-func (p *Pass) markerLines(file *ast.File, marker string) map[int]bool {
-	if p.IgnoreEscapes {
-		return map[int]bool{}
-	}
-	return markerLines(p.Fset, file, marker)
+// escape is one //lint: directive comment and the lines it covers: its
+// own line and the next, or, in a function's doc comment, every line
+// through the end of that function. This is the one escape rule:
+// Reportf and the summary passes suppress what an escape covers, and
+// lintlint calls an escape stale when none of its owner's diagnostics
+// lands in it.
+type escape struct {
+	name     string
+	comment  *ast.Comment
+	from, to int
 }
 
-// docHasMarker is the escape-aware form of docHasMarker.
-func (p *Pass) docHasMarker(doc *ast.CommentGroup, marker string) bool {
-	if p.IgnoreEscapes {
-		return false
-	}
-	return docHasMarker(doc, marker)
-}
+func (e escape) covers(line int) bool { return e.from <= line && line <= e.to }
 
-// markerLines collects, per line, whether a "//lint:<marker>" comment
-// appears anywhere in the file. Suppressions apply to the marker's own
-// line and the line directly below it, so both trailing and preceding
-// comment placement work.
-func markerLines(fset *token.FileSet, file *ast.File, marker string) map[int]bool {
-	lines := map[int]bool{}
-	needle := "lint:" + marker
+// fileEscapes lists the //lint: directive comments of file.
+func fileEscapes(fset *token.FileSet, file *ast.File) []escape {
+	docEnd := map[*ast.CommentGroup]token.Pos{}
+	for _, d := range file.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
+			docEnd[fd.Doc] = fd.End()
+		}
+	}
+	var out []escape
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if strings.Contains(c.Text, needle) {
-				line := fset.Position(c.Pos()).Line
-				lines[line] = true
-				lines[line+1] = true
+			name, ok := directiveName(c.Text)
+			if !ok {
+				continue
+			}
+			line := fset.Position(c.Pos()).Line
+			e := escape{name: name, comment: c, from: line, to: line + 1}
+			if end, ok := docEnd[cg]; ok {
+				e.to = fset.Position(end).Line
+			}
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// escaped reports whether an escape owned by the named analyzer covers
+// pos, which lies in one of files.
+func escaped(fset *token.FileSet, files []*ast.File, analyzer string, pos token.Pos) bool {
+	for _, f := range files {
+		if f.FileStart <= pos && pos < f.FileEnd {
+			line := fset.Position(pos).Line
+			for _, e := range fileEscapes(fset, f) {
+				if knownDirectives[e.name] == analyzer && e.covers(line) {
+					return true
+				}
 			}
 		}
 	}
-	return lines
+	return false
 }
 
-// docHasMarker reports whether a declaration's doc comment carries the
-// given //lint: marker, exempting the whole declaration. The raw
-// comment list is scanned because CommentGroup.Text strips
-// directive-style "//lint:..." lines.
-func docHasMarker(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
+// directiveName extracts NAME from a comment of the form
+// "//lint:NAME ...". Only comments that begin with the directive prefix
+// count — prose mentioning a directive mid-sentence does not.
+func directiveName(text string) (string, bool) {
+	rest, ok := strings.CutPrefix(text, "//lint:")
+	if !ok {
+		return "", false
 	}
-	needle := "lint:" + marker
-	for _, c := range doc.List {
-		if strings.Contains(c.Text, needle) {
-			return true
+	name := rest
+	if i := strings.IndexAny(name, " \t"); i >= 0 {
+		name = name[:i]
+	}
+	return name, name != ""
+}
+
+// eachFunc calls visit for every function declaration with a body in
+// the pass's files, _test.go files only when tests is set, with the
+// function it declares.
+func (p *Pass) eachFunc(tests bool, visit func(fd *ast.FuncDecl, fn *types.Func)) {
+	for _, file := range p.Files {
+		if !tests && p.IsTestFile(file.Pos()) {
+			continue
+		}
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn, _ := p.TypesInfo.Defs[fd.Name].(*types.Func)
+				visit(fd, fn)
+			}
 		}
 	}
-	return false
 }
 
 // walkStack traverses the file calling fn with each node and the stack

@@ -29,32 +29,17 @@ import (
 var wantRE = regexp.MustCompile("//\\s*want\\s+((?:[\"`][^\"`]*[\"`]\\s*)+)")
 var wantArgRE = regexp.MustCompile("[\"`]([^\"`]*)[\"`]")
 
-// Run loads the fixture module rooted at dir, runs analyzer a over the
-// packages whose import paths end in pkgSuffixes (all packages when none
-// are given), and checks diagnostics against the fixtures' want
-// comments.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgSuffixes ...string) {
+// Run loads the fixture module rooted at dir, runs analyzer a over every
+// package, and checks diagnostics against the fixtures' want comments.
+func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
 	mod, err := analysis.LoadModule(dir, true)
 	if err != nil {
 		t.Fatalf("loading fixture module %s: %v", dir, err)
 	}
-
-	var pkgs []*analysis.Package
-	for _, p := range mod.SortedPackages() {
-		if len(pkgSuffixes) == 0 {
-			pkgs = append(pkgs, p)
-			continue
-		}
-		for _, suf := range pkgSuffixes {
-			if p.Path == mod.Path+"/"+suf || strings.HasSuffix(p.Path, "/"+suf) {
-				pkgs = append(pkgs, p)
-				break
-			}
-		}
-	}
+	pkgs := mod.SortedPackages()
 	if len(pkgs) == 0 {
-		t.Fatalf("no fixture packages matched %v under %s", pkgSuffixes, dir)
+		t.Fatalf("no fixture packages under %s", dir)
 	}
 
 	var diags []analysis.Diagnostic

@@ -10,49 +10,27 @@ import (
 // This file is the interprocedural half of the analyzer suite: an
 // intra-module call graph built over go/types. Every function or method
 // declared with a body anywhere in the module becomes a node; each node
-// records its call sites classified as module-internal (resolved to
-// another node), external (a stdlib *types.Func), or dynamic (a call
-// through a function value, or an interface method the devirtualizer
-// could not pin down). Calls inside function literals are attributed to
-// the enclosing declaration: for summary purposes a closure's body is
-// code the declaring function may run.
+// maps its calls that resolve to another node to that node. Calls to
+// functions outside the module, and calls whose target cannot be
+// resolved statically (a function value, or an interface method the
+// devirtualizer could not pin down), have no callee, and the analyzers
+// built on the graph (reqtaint, ctxflow) treat them as "cannot prove".
+// Calls inside function literals are attributed to the enclosing
+// declaration: for summary purposes a closure's body is code the
+// declaring function may run.
 //
 // Interface method calls are devirtualized only when the concrete type
 // is locally evident — the receiver is a local variable with exactly one
-// assignment whose right-hand side has a concrete type. Everything else
-// stays Dynamic, and the analyzers built on the graph (reqtaint,
-// ctxflow) treat Dynamic as "cannot prove".
-
-// CallSite is one call expression inside a function body, classified by
-// how its target resolved.
-type CallSite struct {
-	// Call is the call expression (positions point into the module fset).
-	Call *ast.CallExpr
-	// Callee is the module-internal target, nil otherwise.
-	Callee *FuncNode
-	// External is the resolved non-module target (standard library),
-	// nil when the callee is module-internal or unresolved.
-	External *types.Func
-	// Dynamic marks calls whose target cannot be resolved statically.
-	Dynamic bool
-}
+// assignment whose right-hand side has a concrete type.
 
 // FuncNode is one declared function or method in the module.
 type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// Calls lists every call site in the body (closures included), in
-	// source order.
-	Calls []CallSite
-
-	siteByCall map[*ast.CallExpr]*CallSite
-}
-
-// Site returns the classified call site for a call expression inside
-// this node's body, or nil for conversions/builtins.
-func (n *FuncNode) Site(call *ast.CallExpr) *CallSite {
-	return n.siteByCall[call]
+	// Callees maps every call in the body (closures included) whose
+	// target is a module function to that function's node.
+	Callees map[*ast.CallExpr]*FuncNode
 }
 
 // CallGraph indexes the module's declared functions and their calls.
@@ -110,74 +88,38 @@ func buildCallGraph(m *Module) *CallGraph {
 }
 
 func collectCalls(g *CallGraph, n *FuncNode) {
-	n.siteByCall = map[*ast.CallExpr]*CallSite{}
+	n.Callees = map[*ast.CallExpr]*FuncNode{}
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if site, real := resolveCall(g, n, call); real {
-			n.Calls = append(n.Calls, site)
+		if call, ok := nd.(*ast.CallExpr); ok {
+			if callee := resolveCall(g, n, call); callee != nil {
+				n.Callees[call] = callee
+			}
 		}
 		return true
 	})
-	// index after the appends settle (append may move the backing array)
-	for i := range n.Calls {
-		n.siteByCall[n.Calls[i].Call] = &n.Calls[i]
-	}
 }
 
-// resolveCall classifies one call expression. The bool result is false
-// for non-calls: type conversions and builtin invocations.
-func resolveCall(g *CallGraph, n *FuncNode, call *ast.CallExpr) (CallSite, bool) {
-	info := n.Pkg.Info
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return CallSite{}, false // conversion, not a call
+// resolveCall returns the module node a call expression targets, or nil.
+func resolveCall(g *CallGraph, n *FuncNode, call *ast.CallExpr) *FuncNode {
+	fn := calleeFunc(n.Pkg.Info, call)
+	if fn == nil {
+		return nil
 	}
-	fun := ast.Unparen(call.Fun)
-	var id *ast.Ident
-	switch f := fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		// computed function value: fs[i](), returned closure, ...
-		return CallSite{Call: call, Dynamic: true}, true
-	}
-	switch obj := info.Uses[id].(type) {
-	case *types.Builtin:
-		return CallSite{}, false
-	case *types.Func:
-		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil &&
-			types.IsInterface(sig.Recv().Type()) {
-			sel, ok := fun.(*ast.SelectorExpr)
-			if !ok {
-				return CallSite{Call: call, Dynamic: true}, true
-			}
-			if m := devirtualize(n, sel, obj); m != nil {
-				if node := g.Nodes[m]; node != nil {
-					return CallSite{Call: call, Callee: node}, true
-				}
-				return CallSite{Call: call, External: m}, true
-			}
-			return CallSite{Call: call, Dynamic: true}, true
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return nil
 		}
-		if node := g.Nodes[obj]; node != nil {
-			return CallSite{Call: call, Callee: node}, true
-		}
-		return CallSite{Call: call, External: obj}, true
-	default:
-		// function-typed variable, method value, unresolved ident
-		return CallSite{Call: call, Dynamic: true}, true
+		fn = devirtualize(n, sel, fn)
 	}
+	return g.Nodes[fn]
 }
 
 // devirtualize resolves an interface method call to a concrete method
 // when the target is locally evident: the receiver is a local variable
 // written exactly once in the enclosing declaration, with a concrete
 // right-hand side. Address-taken receivers, range bindings, and
-// multi-assignments all bail to Dynamic — the safe direction.
+// multi-assignments all stay unresolved — the safe direction.
 func devirtualize(n *FuncNode, sel *ast.SelectorExpr, ifaceMethod *types.Func) *types.Func {
 	info := n.Pkg.Info
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
@@ -243,16 +185,6 @@ func devirtualize(n *FuncNode, sel *ast.SelectorExpr, ifaceMethod *types.Func) *
 	m, _, _ := types.LookupFieldOrMethod(t, true, n.Pkg.Types, ifaceMethod.Name())
 	fn, _ := m.(*types.Func)
 	return fn
-}
-
-// fileOf returns the package file whose range contains pos, or nil.
-func fileOf(pkg *Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // funcDisplayName renders a node's function as "pkg.Name" or

@@ -1,7 +1,9 @@
 package analysis_test
 
 import (
+	"go/ast"
 	"go/types"
+	"sort"
 	"testing"
 
 	"repro/internal/analysis"
@@ -33,20 +35,16 @@ func nodeNamed(t *testing.T, g *analysis.CallGraph, name string) *analysis.FuncN
 	return found
 }
 
-// calleeNames classifies a node's call sites: module callees by name,
-// external callees as pkg.Name, dynamic sites as "<dynamic>".
+// calleeNames lists a node's module callees by name, in call order.
 func calleeNames(n *analysis.FuncNode) []string {
+	var calls []*ast.CallExpr
+	for call := range n.Callees {
+		calls = append(calls, call)
+	}
+	sort.Slice(calls, func(i, j int) bool { return calls[i].Pos() < calls[j].Pos() })
 	var out []string
-	for i := range n.Calls {
-		site := &n.Calls[i]
-		switch {
-		case site.Callee != nil:
-			out = append(out, site.Callee.Fn.Name())
-		case site.External != nil:
-			out = append(out, site.External.Pkg().Name()+"."+site.External.Name())
-		case site.Dynamic:
-			out = append(out, "<dynamic>")
-		}
+	for _, call := range calls {
+		out = append(out, n.Callees[call].Fn.Name())
 	}
 	return out
 }
@@ -60,39 +58,33 @@ func TestCallGraphClassification(t *testing.T) {
 		{"direct", []string{"helper"}},
 		{"method", []string{"Do"}},
 		{"devirt", []string{"Do"}}, // devirtualized to valImpl.Do
-		{"rebound", []string{"<dynamic>"}},
-		{"indirect", []string{"<dynamic>"}},
-		{"external", []string{"strings.ToUpper"}},
-		{"builtins", nil}, // make/len/append are not call sites
-		{"inLiteral", []string{"helper", "<dynamic>"}},
+		{"rebound", nil},           // two assignments: not devirtualized
+		{"indirect", nil},          // a function value
+		{"external", nil},          // strings.ToUpper is outside the module
+		{"builtins", nil},          // make/len/append are not calls
+		{"inLiteral", []string{"helper"}},
 		{"selfLoop", []string{"selfLoop", "helper"}},
 	}
 	for _, c := range cases {
 		n := nodeNamed(t, g, c.fn)
 		got := calleeNames(n)
 		if len(got) != len(c.want) {
-			t.Errorf("%s: call sites %v, want %v", c.fn, got, c.want)
+			t.Errorf("%s: callees %v, want %v", c.fn, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("%s: call sites %v, want %v", c.fn, got, c.want)
+				t.Errorf("%s: callees %v, want %v", c.fn, got, c.want)
 				break
 			}
 		}
 	}
 
 	// devirt resolved to the value implementation, not the interface method
-	devirt := nodeNamed(t, g, "devirt")
-	recv := devirt.Calls[0].Callee.Fn.Type().(*types.Signature).Recv()
-	if recv == nil || recv.Type().String() != "fixture/cg.valImpl" {
-		t.Errorf("devirt callee receiver = %v, want fixture/cg.valImpl", recv)
-	}
-
-	// every call expression indexes back to its site
-	for i := range devirt.Calls {
-		if devirt.Site(devirt.Calls[i].Call) != &devirt.Calls[i] {
-			t.Errorf("Site() does not round-trip for devirt call %d", i)
+	for _, callee := range nodeNamed(t, g, "devirt").Callees {
+		recv := callee.Fn.Type().(*types.Signature).Recv()
+		if recv == nil || recv.Type().String() != "fixture/cg.valImpl" {
+			t.Errorf("devirt callee receiver = %v, want fixture/cg.valImpl", recv)
 		}
 	}
 }
@@ -104,9 +96,8 @@ func TestSummarizeFixpoint(t *testing.T) {
 	// "reaches helper" propagated bottom-up; selfLoop's recursion must
 	// converge rather than oscillate.
 	facts := analysis.Summarize(g, func(n *analysis.FuncNode, get func(*types.Func) bool) bool {
-		for i := range n.Calls {
-			c := &n.Calls[i]
-			if c.Callee != nil && (c.Callee.Fn == helper || get(c.Callee.Fn)) {
+		for _, callee := range n.Callees {
+			if callee.Fn == helper || get(callee.Fn) {
 				return true
 			}
 		}

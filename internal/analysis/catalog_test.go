@@ -1,4 +1,4 @@
-package analysis_test
+package analysis
 
 import (
 	"bufio"
@@ -6,8 +6,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // catalogRow is one parsed line of TESTING.md's analyzer table.
@@ -53,36 +51,25 @@ func readDocCatalog(t *testing.T) []catalogRow {
 }
 
 // TestCatalogDrift pins TESTING.md's analyzer table to the registered
-// set: `cmd/repolint -catalog` is the machine-readable source of truth,
-// and the doc table must agree with it row for row (same analyzers, same
-// order, same escape directives, same fixture paths). Adding, renaming,
-// or re-escaping an analyzer without regenerating the table fails here.
+// set: the doc table must agree with All() and the directive registry row
+// for row (same analyzers, same order, same escape directives, same
+// fixture paths). Adding, renaming, or re-escaping an analyzer without
+// updating the table fails here.
 func TestCatalogDrift(t *testing.T) {
 	doc := readDocCatalog(t)
-	reg := analysis.Catalog()
-
+	reg := All()
 	if len(doc) != len(reg) {
-		var docNames, regNames []string
-		for _, r := range doc {
-			docNames = append(docNames, r.name)
-		}
-		for _, e := range reg {
-			regNames = append(regNames, e.Name)
-		}
-		t.Fatalf("TESTING.md table has %d analyzers %v; registered set has %d %v",
-			len(doc), docNames, len(reg), regNames)
+		t.Fatalf("TESTING.md table has %d analyzers %v; registered set has %d", len(doc), doc, len(reg))
 	}
-	for i, e := range reg {
-		r := doc[i]
-		if r.name != e.Name {
-			t.Errorf("row %d: TESTING.md lists %q, registered order has %q", i, r.name, e.Name)
-			continue
+	for i, a := range reg {
+		want := catalogRow{name: a.Name, fixture: "testdata/" + a.Name + "/"}
+		for dir, owner := range knownDirectives {
+			if owner == a.Name {
+				want.escape = "//lint:" + dir
+			}
 		}
-		if r.escape != e.Escape {
-			t.Errorf("%s: TESTING.md escape %q, registered %q", e.Name, r.escape, e.Escape)
-		}
-		if r.fixture != e.Fixture {
-			t.Errorf("%s: TESTING.md fixture %q, registered %q", e.Name, r.fixture, e.Fixture)
+		if doc[i] != want {
+			t.Errorf("row %d: TESTING.md has %+v, registered %+v", i, doc[i], want)
 		}
 	}
 }

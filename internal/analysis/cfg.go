@@ -411,22 +411,34 @@ func (b *cfgBuilder) top(stack []*Block) *Block {
 
 // markDead flags blocks unreachable from the entry.
 func (b *cfgBuilder) markDead() {
-	reach := make([]bool, len(b.cfg.Blocks))
-	stack := []*Block{b.cfg.Entry}
-	reach[b.cfg.Entry.Index] = true
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range blk.Succs {
-			if !reach[s.Index] {
-				reach[s.Index] = true
+	reach := b.cfg.reach(nil, b.cfg.Entry)
+	for _, blk := range b.cfg.Blocks {
+		blk.Dead = !reach[blk.Index]
+	}
+}
+
+// reach marks, by block index, the blocks reachable from starts (the
+// starts included). A block with stop set is reached but not left; stop
+// may be nil.
+func (c *CFG) reach(stop []bool, starts ...*Block) []bool {
+	seen := make([]bool, len(c.Blocks))
+	var stack []*Block
+	push := func(bs []*Block) {
+		for _, s := range bs {
+			if !seen[s.Index] {
+				seen[s.Index] = true
 				stack = append(stack, s)
 			}
 		}
 	}
-	for _, blk := range b.cfg.Blocks {
-		blk.Dead = !reach[blk.Index]
+	for push(starts); len(stack) > 0; {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if stop == nil || !stop[b.Index] {
+			push(b.Succs)
+		}
 	}
+	return seen
 }
 
 // isPanicCall reports whether e is syntactically a call to the panic

@@ -98,7 +98,7 @@ func TestBuildCFGShapes(t *testing.T) {
 		},
 		{
 			name: "switch with default",
-			src: "switch x {\ncase 1:\n a()\ncase 2:\n b()\ndefault:\n c()\n}",
+			src:  "switch x {\ncase 1:\n a()\ncase 2:\n b()\ndefault:\n c()\n}",
 			// + switch.after, 3 case bodies, 2 test blocks (default has none)
 			blocks: 9,
 			edges:  10,
@@ -113,7 +113,7 @@ func TestBuildCFGShapes(t *testing.T) {
 		},
 		{
 			name: "fallthrough",
-			src: "switch x {\ncase 1:\n a()\n fallthrough\ncase 2:\n b()\n}",
+			src:  "switch x {\ncase 1:\n a()\n fallthrough\ncase 2:\n b()\n}",
 			// + after, 2 case bodies, 2 tests, unreachable-after-fallthrough
 			blocks: 9,
 			edges:  10, // includes the case1 -> case2 fallthrough edge
@@ -121,7 +121,7 @@ func TestBuildCFGShapes(t *testing.T) {
 		},
 		{
 			name: "type switch",
-			src: "switch v := y.(type) {\ncase int:\n sink(v)\ndefault:\n sink(v)\n}",
+			src:  "switch v := y.(type) {\ncase int:\n sink(v)\ndefault:\n sink(v)\n}",
 			// + after, 2 case bodies, 1 test (default has none)
 			blocks: 7,
 			edges:  7,
@@ -143,7 +143,7 @@ func TestBuildCFGShapes(t *testing.T) {
 		},
 		{
 			name: "labeled break through nested loops",
-			src: "outer:\nfor i := 0; i < 3; i++ {\n for {\n  break outer\n }\n}\nx = 1",
+			src:  "outer:\nfor i := 0; i < 3; i++ {\n for {\n  break outer\n }\n}\nx = 1",
 			// + label.outer, outer head/body/after/post, inner
 			// head/body/after, unreachable-after-break
 			blocks: 12,
@@ -176,7 +176,7 @@ func TestBuildCFGShapes(t *testing.T) {
 			// exits run through select comm arms, so the cycle must pass
 			// the Done arm (a cancel block) on every iteration.
 			name: "for around select with only Done arms",
-			src: "for {\n select {\n case <-ctx.Done():\n  return\n case <-tick.C:\n  work()\n }\n}",
+			src:  "for {\n select {\n case <-ctx.Done():\n  return\n case <-tick.C:\n  work()\n }\n}",
 			// + for head/body/after, select.after, 2 comm bodies,
 			// unreachable-after-return
 			blocks: 10,
@@ -185,7 +185,7 @@ func TestBuildCFGShapes(t *testing.T) {
 		},
 		{
 			name: "nested selects with default",
-			src: "select {\ncase v := <-ch:\n sink(v)\ndefault:\n select {\n case ch <- 1:\n  d()\n default:\n  e()\n }\n}",
+			src:  "select {\ncase v := <-ch:\n sink(v)\ndefault:\n select {\n case ch <- 1:\n  d()\n default:\n  e()\n }\n}",
 			// outer select.after + 2 comm bodies, inner select.after +
 			// 2 comm bodies; the inner select dispatches straight from
 			// the outer default's comm block
@@ -198,7 +198,7 @@ func TestBuildCFGShapes(t *testing.T) {
 			// block must re-enter the select's dispatch, giving the comm
 			// arms two predecessors.
 			name: "goto into a select-containing block",
-			src: "x = 1\nloop:\n select {\n case <-ch:\n  a()\n default:\n }\nif x < 3 {\n x++\n goto loop\n}",
+			src:  "x = 1\nloop:\n select {\n case <-ch:\n  a()\n default:\n }\nif x < 3 {\n x++\n goto loop\n}",
 			// + label.loop, select.after, 2 comm bodies, if.then,
 			// if.after, unreachable-after-goto
 			blocks: 10,

@@ -62,45 +62,25 @@ func ctxflowInScope(path string) bool {
 }
 
 func runCtxFlow(pass *Pass) error {
-	if pass.TestVariant {
-		return nil
-	}
-	if !ctxflowInScope(pass.Path) {
+	if pass.TestVariant || !ctxflowInScope(pass.Path) {
 		return nil
 	}
 	checks := ctxChecksFacts(pass.Module)
 	mayBlock := ctxMayBlockFacts(pass.Module, pass.IgnoreEscapes)
 	g := pass.Module.CallGraph()
-	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
+	pass.eachFunc(false, func(fd *ast.FuncDecl, fn *types.Func) {
+		node := g.Nodes[fn]
+		if node == nil {
+			return
 		}
-		okLines := pass.markerLines(file, "ctx-ok")
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			node := g.Nodes[fn]
-			if node == nil {
-				continue
-			}
-			reported := map[token.Pos]bool{}
-			emit := func(pos token.Pos, msg string) {
-				if reported[pos] || okLines[pass.Fset.Position(pos).Line] {
-					return
-				}
-				reported[pos] = true
+		for _, body := range declRegions(fd) {
+			r := &ctxRegion{info: pass.TypesInfo, node: node, body: body,
+				checks: checks, mayBlock: mayBlock}
+			r.findings(func(pos token.Pos, msg string) {
 				pass.Reportf(pos, "%s or annotate //lint:ctx-ok <reason>", msg)
-			}
-			for _, body := range declRegions(fd) {
-				r := &ctxRegion{info: pass.TypesInfo, node: node, body: body,
-					checks: checks, mayBlock: mayBlock}
-				r.findings(emit)
-			}
+			})
 		}
-	}
+	})
 	return nil
 }
 
@@ -130,29 +110,9 @@ func ctxChecksFacts(m *Module) func(*types.Func) bool {
 			}
 			r := &ctxRegion{info: n.Pkg.Info, node: n, body: n.Decl.Body, checks: get}
 			cfg := BuildCFG(n.Decl.Body)
-			cancel := r.cancelBlocks(cfg)
-			// DFS from the entry through non-cancel blocks: reaching the
-			// exit means some path never checks the context.
-			seen := make([]bool, len(cfg.Blocks))
-			stack := []*Block{cfg.Entry}
-			seen[cfg.Entry.Index] = true
-			for len(stack) > 0 {
-				b := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if cancel[b.Index] {
-					continue
-				}
-				if b == cfg.Exit {
-					return false
-				}
-				for _, s := range b.Succs {
-					if !seen[s.Index] {
-						seen[s.Index] = true
-						stack = append(stack, s)
-					}
-				}
-			}
-			return true
+			// reaching the exit without passing a cancel block means some
+			// path never checks the context
+			return !cfg.reach(r.cancelBlocks(cfg), cfg.Entry)[cfg.Exit.Index]
 		}, eq)
 	}).(map[*types.Func]bool)
 	return func(fn *types.Func) bool { return facts[fn] }
@@ -176,20 +136,13 @@ func ctxMayBlockFacts(m *Module, ignoreEscapes bool) func(*types.Func) bool {
 			if !ctxflowInScope(n.Pkg.Path) {
 				return false
 			}
-			var okLines map[int]bool
-			if !ignoreEscapes {
-				if f := fileOf(n.Pkg, n.Decl.Pos()); f != nil {
-					okLines = markerLines(m.Fset, f, "ctx-ok")
-				}
-			}
 			blocks := false
 			r := &ctxRegion{info: n.Pkg.Info, node: n, body: n.Decl.Body,
 				checks: checks, mayBlock: get}
 			r.findings(func(pos token.Pos, msg string) {
-				if okLines[m.Fset.Position(pos).Line] {
-					return
+				if ignoreEscapes || !escaped(m.Fset, n.Pkg.Files, "ctxflow", pos) {
+					blocks = true
 				}
-				blocks = true
 			})
 			return blocks
 		}, eq)
@@ -267,6 +220,11 @@ func (r *ctxRegion) findings(emit func(pos token.Pos, msg string)) {
 		emit(sel.Pos(), "select can block with no ctx.Done(), deadline, or default arm; add a cancellation alternative")
 	})
 
+	// looping: control can re-execute op without passing a cancellation
+	// point (an op in a cancel block is checked every iteration)
+	looping := func(op *ctxOp) bool {
+		return !cancel[op.block.Index] && cfg.reach(cancel, op.block.Succs...)[op.block.Index]
+	}
 	cancelPositions := r.cancelPositions()
 	for _, op := range ops {
 		if op.block.Dead {
@@ -280,7 +238,7 @@ func (r *ctxRegion) findings(emit func(pos token.Pos, msg string)) {
 		case opCondWait:
 			emit(op.pos, "sync.Cond.Wait cannot observe context cancellation; document the wakeup protocol")
 		case opSleep:
-			if r.opInUncancelledCycle(cfg, cancel, op) {
+			if looping(op) {
 				emit(op.pos, "sleep inside a loop with no cancellation point on the looping path; check ctx.Err() or select on ctx.Done() each iteration")
 				continue
 			}
@@ -291,46 +249,11 @@ func (r *ctxRegion) findings(emit func(pos token.Pos, msg string)) {
 				emit(op.pos, "backoff sleep with no subsequent context check and no clamped duration; check ctx.Err() after sleeping or clamp the delay")
 			}
 		case opMayBlockCall:
-			if r.opInUncancelledCycle(cfg, cancel, op) {
+			if looping(op) {
 				emit(op.pos, "call to "+funcDisplayName(op.callee)+" (which may block) inside a loop with no cancellation point on the looping path; check ctx.Err() or select on ctx.Done() each iteration")
 			}
 		}
 	}
-}
-
-// opInUncancelledCycle reports whether control can re-execute the
-// operation without passing a cancellation point: the op's block is on
-// a cycle avoiding cancel blocks. An op in a cancel block is checked
-// every iteration by construction.
-func (r *ctxRegion) opInUncancelledCycle(cfg *CFG, cancel []bool, op *ctxOp) bool {
-	if cancel[op.block.Index] {
-		return false
-	}
-	seen := make([]bool, len(cfg.Blocks))
-	stack := []*Block{}
-	for _, s := range op.block.Succs {
-		if !seen[s.Index] {
-			seen[s.Index] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if b == op.block {
-			return true
-		}
-		if cancel[b.Index] {
-			continue
-		}
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
 }
 
 // collectOps scans every live block's statements (and branch
@@ -389,10 +312,8 @@ func (r *ctxRegion) scanExprOps(e ast.Expr, b *Block, comm bool, ops []*ctxOp) [
 				if r.mayBlock == nil {
 					break
 				}
-				site := r.node.Site(n)
-				if site != nil && site.Callee != nil && r.mayBlock(site.Callee.Fn) &&
-					!r.ctxCheckedCall(n) {
-					ops = append(ops, &ctxOp{kind: opMayBlockCall, pos: n.Pos(), block: b, callee: site.Callee.Fn})
+				if callee := r.node.Callees[n]; callee != nil && r.mayBlock(callee.Fn) && !r.ctxCheckedCall(n) {
+					ops = append(ops, &ctxOp{kind: opMayBlockCall, pos: n.Pos(), block: b, callee: callee.Fn})
 				}
 			}
 		}
@@ -510,8 +431,7 @@ func (r *ctxRegion) exprCancelsShallow(e ast.Expr) bool {
 // ctxCheckedCall reports whether the call threads a context into a
 // module callee that provably checks it.
 func (r *ctxRegion) ctxCheckedCall(call *ast.CallExpr) bool {
-	site := r.node.Site(call)
-	if site == nil || site.Callee == nil || !r.checks(site.Callee.Fn) {
+	if callee := r.node.Callees[call]; callee == nil || !r.checks(callee.Fn) {
 		return false
 	}
 	for _, arg := range call.Args {

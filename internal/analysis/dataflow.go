@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // Statement-granular expression access for CFG blocks. Blocks hold flat
@@ -48,6 +49,41 @@ func stmtExprs(dst []ast.Expr, s ast.Stmt) []ast.Expr {
 		}
 	}
 	return dst
+}
+
+// forward solves a forward may-analysis over cfg. The state entering a
+// block is the join of the states its predecessors leave with, starting
+// from entry at the entry block; blocks no path reaches keep a nil
+// state. transfer applies one block to a copy of its entering state, in
+// place; join merges src into dst and reports whether dst grew. Once
+// nothing grows, every reached block is transferred once more with
+// final set: the pass on which analyzers report.
+func forward[M ~map[K]V, K comparable, V any](cfg *CFG, entry M, transfer func(b *Block, st M, final bool), join func(dst, src M) bool) {
+	in := make([]M, len(cfg.Blocks))
+	in[cfg.Entry.Index] = entry
+	for changed := true; changed; {
+		changed = false
+		for _, b := range cfg.Blocks {
+			if in[b.Index] == nil {
+				continue
+			}
+			out := maps.Clone(in[b.Index])
+			transfer(b, out, false)
+			for _, s := range b.Succs {
+				if in[s.Index] == nil {
+					in[s.Index], changed = M{}, true
+				}
+				if join(in[s.Index], out) {
+					changed = true
+				}
+			}
+		}
+	}
+	for _, b := range cfg.Blocks {
+		if in[b.Index] != nil {
+			transfer(b, maps.Clone(in[b.Index]), true)
+		}
+	}
 }
 
 // exprUses reports whether obj is referenced anywhere inside e,

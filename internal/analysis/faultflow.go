@@ -28,7 +28,6 @@ var FaultFlow = &Analyzer{
 
 func runFaultFlow(pass *Pass) error {
 	for _, file := range pass.Files {
-		okLines := pass.markerLines(file, "err-ok")
 		walkStack(file, func(n ast.Node, stack []ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -40,9 +39,6 @@ func runFaultFlow(pass *Pass) error {
 			}
 			errIdx := errorResultIndex(fn)
 			if errIdx < 0 {
-				return
-			}
-			if okLines[pass.Fset.Position(call.Pos()).Line] {
 				return
 			}
 			checkErrorConsumed(pass, call, fn, errIdx, stack)

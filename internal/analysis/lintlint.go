@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"go/ast"
+	"go/token"
 	"sort"
 	"strings"
 )
@@ -16,8 +16,9 @@ import (
 //     knownDirectives registry (misspellings get a nearest-match hint);
 //  2. an escape directive must still attach to a diagnostic: re-running
 //     its owning analyzer with escapes ignored must report on a line the
-//     escape covers (its own line, the line below, or — for escapes in a
-//     declaration's doc comment — anywhere in that declaration).
+//     escape covers (the one escape rule, escape.covers: its own line,
+//     the line below, or — in a function's doc comment — the whole
+//     function).
 //
 // lintlint runs last in the suite and never re-runs itself.
 var LintLint = &Analyzer{
@@ -31,139 +32,64 @@ var LintLint = &Analyzer{
 // and a literal field initializer would form an initialization cycle.
 func init() { LintLint.Run = runLintLint }
 
-// fileLine keys a diagnostic's location; package candidate sets must be
-// keyed by file as well as line because files share line numbers.
-type fileLine struct {
-	file string
-	line int
-}
-
 func runLintLint(pass *Pass) error {
-	cands := map[string]map[fileLine]bool{}
-	candsFor := func(owner string) (map[fileLine]bool, bool) {
-		if c, ok := cands[owner]; ok {
-			return c, c != nil
-		}
-		set := lintCandidates(pass, owner)
-		cands[owner] = set
-		return set, set != nil
-	}
-
+	cands := map[string][]Diagnostic{}
 	for _, file := range pass.Files {
-		docOwner := map[*ast.Comment]*ast.FuncDecl{}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
+		for _, e := range fileEscapes(pass.Fset, file) {
+			owner, known := knownDirectives[e.name]
+			if !known {
+				hint := ""
+				if near := nearestDirective(e.name); near != "" {
+					hint = "; did you mean //lint:" + near + "?"
+				}
+				pass.Reportf(e.comment.Pos(), "unknown //lint: directive %q%s (known: %s)", e.name, hint, directiveNames())
 				continue
 			}
-			for _, c := range fd.Doc.List {
-				docOwner[c] = fd
+			if pass.TestVariant && (owner == ReqTaint.Name || owner == CtxFlow.Name) {
+				continue // these skip test-variant passes: no verdict here
 			}
-		}
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				name, ok := directiveName(c.Text)
-				if !ok {
-					continue
+			diags, ok := cands[owner]
+			if !ok {
+				var err error
+				if diags, err = ownerDiagnostics(pass, owner); err != nil {
+					return err
 				}
-				owner, known := knownDirectives[name]
-				if !known {
-					hint := ""
-					if near := nearestDirective(name); near != "" {
-						hint = "; did you mean //lint:" + near + "?"
-					}
-					pass.Reportf(c.Pos(), "unknown //lint: directive %q%s (known: %s)", name, hint, directiveNames())
-					continue
-				}
-				set, known := candsFor(owner)
-				if !known {
-					continue // owner cannot run in this pass; no verdict
-				}
-				pos := pass.Fset.Position(c.Pos())
-				if !escapeCovers(pass, set, pos.Filename, pos.Line, docOwner[c]) {
-					pass.Reportf(c.Pos(), "stale //lint:%s: no %s diagnostic attaches here anymore; delete the escape or move it next to what it excuses", name, owner)
-				}
+				cands[owner] = diags
+			}
+			if !attaches(pass.Fset, e, diags) {
+				pass.Reportf(e.comment.Pos(), "stale //lint:%s: no %s diagnostic attaches here anymore; delete the escape or move it next to what it excuses", e.name, owner)
 			}
 		}
 	}
 	return nil
 }
 
-// escapeCovers reports whether any candidate diagnostic lands on a line
-// the escape at (file, line) suppresses: the line itself, the next line,
-// or the whole declaration span when the escape sits in its doc comment.
-func escapeCovers(pass *Pass, set map[fileLine]bool, file string, line int, decl *ast.FuncDecl) bool {
-	if set[fileLine{file, line}] || set[fileLine{file, line + 1}] {
-		return true
-	}
-	if decl == nil {
-		return false
-	}
-	start := pass.Fset.Position(decl.Pos()).Line
-	end := pass.Fset.Position(decl.End()).Line
-	for l := start; l <= end; l++ {
-		if set[fileLine{file, l}] {
+// attaches reports whether a diagnostic lands on a line the escape
+// covers, in the escape's file.
+func attaches(fset *token.FileSet, e escape, diags []Diagnostic) bool {
+	file := fset.Position(e.comment.Pos()).Filename
+	for _, d := range diags {
+		if p := fset.Position(d.Pos); p.Filename == file && e.covers(p.Line) {
 			return true
 		}
 	}
 	return false
 }
 
-// lintCandidates re-runs the owning analyzer over this pass's package
-// with escapes ignored and collects the lines it reports on. A nil
-// return means the owner cannot produce a verdict here (it skips
-// test-variant packages entirely) — staleness is then not judged rather
-// than misjudged.
-func lintCandidates(pass *Pass, owner string) map[fileLine]bool {
-	var a *Analyzer
-	for _, cand := range All() {
-		if cand.Name == owner && cand.Name != LintLint.Name {
-			a = cand
+// ownerDiagnostics re-runs the owning analyzer over this pass's package
+// with escapes ignored and returns what it reports.
+func ownerDiagnostics(pass *Pass, owner string) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	for _, a := range All() {
+		if a.Name == owner {
+			sub := *pass
+			sub.Analyzer, sub.IgnoreEscapes, sub.diags, sub.reported = a, true, &diags, nil
+			if err := a.Run(&sub); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if a == nil {
-		return nil
-	}
-	if pass.TestVariant && (owner == ReqTaint.Name || owner == CtxFlow.Name) {
-		return nil // these skip test-variant passes; nothing to compare against
-	}
-	var tmp []Diagnostic
-	sub := &Pass{
-		Analyzer:      a,
-		Fset:          pass.Fset,
-		Files:         pass.Files,
-		Pkg:           pass.Pkg,
-		TypesInfo:     pass.TypesInfo,
-		Path:          pass.Path,
-		Module:        pass.Module,
-		TestVariant:   pass.TestVariant,
-		IgnoreEscapes: true,
-		diags:         &tmp,
-	}
-	if err := a.Run(sub); err != nil {
-		return nil
-	}
-	set := map[fileLine]bool{}
-	for _, d := range tmp {
-		p := pass.Fset.Position(d.Pos)
-		set[fileLine{p.Filename, p.Line}] = true
-	}
-	return set
-}
-
-// directiveName extracts NAME from a comment of the form
-// "//lint:NAME ...". Only comments that begin with the directive prefix
-// count — prose mentioning a directive mid-sentence does not.
-func directiveName(text string) (string, bool) {
-	rest, ok := strings.CutPrefix(text, "//lint:")
-	if !ok {
-		return "", false
-	}
-	name := rest
-	if i := strings.IndexAny(name, " \t"); i >= 0 {
-		name = name[:i]
-	}
-	return name, name != ""
+	return diags, nil
 }
 
 func directiveNames() string {

@@ -3,24 +3,23 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
 
 // Module is a whole Go module loaded from source and type-checked with
-// nothing but the standard library: package sources are parsed directly
-// and imports inside the module resolve to the freshly checked packages,
-// while standard-library imports go through go/importer's source
-// importer. This keeps the analysis suite runnable in hermetic
-// environments with no export data and no golang.org/x/tools.
+// nothing but the standard library: go/build picks each directory's
+// files for the running platform, imports inside the module resolve to
+// the freshly checked packages, and standard-library imports go through
+// go/importer's source importer. This keeps the analysis suite runnable
+// in hermetic environments with no export data and no golang.org/x/tools.
 type Module struct {
 	Fset *token.FileSet
 	Dir  string // absolute module root (the directory holding go.mod)
@@ -81,9 +80,9 @@ func newInfo() *types.Info {
 }
 
 // LoadModule loads every package under dir's module from source. When
-// includeTests is true, _test.go files in the same package (same package
-// clause) are type-checked together with the regular files — the mode
-// the analysistest fixtures use. Drivers for the real tree load with
+// includeTests is true, a package's in-package _test.go files are
+// type-checked together with its regular files — the mode the
+// analysistest fixtures use. Drivers for the real tree load with
 // includeTests=false and add test variants via LoadTestPackages so that
 // regular packages stay exactly what importers see.
 func LoadModule(dir string, includeTests bool) (*Module, error) {
@@ -146,10 +145,12 @@ func findModule(dir string) (root, path string, err error) {
 	}
 }
 
-// packageDirs lists every directory under root that contains .go files,
-// skipping hidden dirs, testdata, and vendor trees.
+// packageDirs lists, once each, every directory under root that contains
+// .go files, skipping hidden dirs, testdata, and vendor trees. (The walk
+// can return to a directory after one of its subdirectories.)
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
+	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -162,11 +163,9 @@ func packageDirs(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.HasSuffix(p, ".go") {
-			dir := filepath.Dir(p)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
+		if dir := filepath.Dir(p); strings.HasSuffix(p, ".go") && !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
 		}
 		return nil
 	})
@@ -228,20 +227,20 @@ func (im *moduleImporter) load(path string) (*Package, error) {
 	defer delete(im.loading, path)
 
 	dir := im.m.dirFor(path)
-	files, names, err := parseDir(im.m.Fset, dir, func(name string) bool {
-		if im.includeTests {
-			return true
-		}
-		return !strings.HasSuffix(name, "_test.go")
-	})
+	bp, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	// With tests included, external _test packages would clash with the
-	// package proper; keep only the dominant (regular) package clause.
-	files = filterPackageClause(files, names)
-	if len(files) == 0 {
+	names := bp.GoFiles
+	if im.includeTests {
+		names = append(names[:len(names):len(names)], bp.TestGoFiles...)
+	}
+	if len(names) == 0 {
 		return nil, errNoGoFiles(dir)
+	}
+	files, err := parseFiles(im.m.Fset, dir, names)
+	if err != nil {
+		return nil, err
 	}
 
 	info := newInfo()
@@ -255,146 +254,29 @@ func (im *moduleImporter) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses the .go files in dir accepted by keep, in name order,
-// applying the same file-selection rules the go tool would: _GOOS/_GOARCH
-// filename suffixes and //go:build (or legacy // +build) constraints
-// both exclude files that do not match the running toolchain's platform.
-// It returns the files and their package clause names.
-func parseDir(fset *token.FileSet, dir string, keep func(name string) bool) ([]*ast.File, []string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
+// listDir is go/build's selection of dir's files for the running
+// platform: GOOS/GOARCH filename suffixes and build constraints applied,
+// regular, in-package test and external test files listed apart. A
+// directory with nothing to build lists no files rather than failing.
+func listDir(dir string) (*build.Package, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if _, ok := err.(*build.NoGoError); ok {
+		return bp, nil
 	}
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || !keep(name) ||
-			excludedByFilename(name) {
-			continue
-		}
+	return bp, err
+}
+
+// parseFiles parses the named files of dir, in order.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, nil, err
-		}
-		if excludedByConstraints(f) {
-			continue
+			return nil, err
 		}
 		files = append(files, f)
-		names = append(names, f.Name.Name)
 	}
-	return files, names, nil
-}
-
-// goosNames and goarchNames are the platform names recognized in
-// filename suffixes — the released targets, not an exhaustive mirror of
-// the go tool's internal tables.
-var goosNames = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var goarchNames = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-var unixGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "linux": true,
-	"netbsd": true, "openbsd": true, "solaris": true,
-}
-
-// excludedByFilename applies the _GOOS / _GOARCH / _GOOS_GOARCH filename
-// convention: a recognized platform suffix that does not match the
-// running platform excludes the file. Per the go tool's rule, the suffix
-// only counts when something precedes it ("linux.go" is unconstrained).
-func excludedByFilename(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	base = strings.TrimSuffix(base, "_test")
-	parts := strings.Split(base, "_")
-	if len(parts) >= 3 {
-		goos, goarch := parts[len(parts)-2], parts[len(parts)-1]
-		if goosNames[goos] && goarchNames[goarch] {
-			return goos != runtime.GOOS || goarch != runtime.GOARCH
-		}
-	}
-	if len(parts) >= 2 {
-		last := parts[len(parts)-1]
-		if goosNames[last] {
-			return last != runtime.GOOS
-		}
-		if goarchNames[last] {
-			return last != runtime.GOARCH
-		}
-	}
-	return false
-}
-
-// excludedByConstraints evaluates the file's build-constraint comments
-// (those preceding the package clause). Unknown tags — including
-// "ignore" — evaluate false, so a //go:build ignore helper file is
-// skipped exactly as the go tool would.
-func excludedByConstraints(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) && !constraint.IsPlusBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			if !expr.Eval(buildTagActive) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// buildTagActive decides one constraint tag for the running toolchain:
-// the current platform, the gc compiler, the unix alias, and any go1.x
-// language-version tag are on; everything else (custom tags, cgo) is off.
-func buildTagActive(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		return unixGOOS[runtime.GOOS]
-	}
-	return strings.HasPrefix(tag, "go1")
-}
-
-// filterPackageClause keeps the files belonging to the non-_test package
-// clause when a directory mixes in-package files with external test
-// files; with only one clause present everything is kept.
-func filterPackageClause(files []*ast.File, names []string) []*ast.File {
-	base := ""
-	for _, n := range names {
-		if !strings.HasSuffix(n, "_test") {
-			base = n
-			break
-		}
-	}
-	if base == "" && len(names) > 0 {
-		base = names[0] // test-only directory (e.g. the module root)
-	}
-	var out []*ast.File
-	for i, f := range files {
-		if names[i] == base {
-			out = append(out, f)
-		}
-	}
-	return out
+	return files, nil
 }
 
 // LoadTestPackages assembles the test variants of every module package:
@@ -411,45 +293,35 @@ func (m *Module) LoadTestPackages() []*Package {
 		return nil
 	}
 	for _, dir := range dirs {
-		basePath := importPathFor(m, dir)
-		files, names, err := parseDir(m.Fset, dir, func(name string) bool {
-			return strings.HasSuffix(name, "_test.go")
-		})
-		if err != nil || len(files) == 0 {
+		bp, err := listDir(dir)
+		if err != nil {
 			continue
 		}
-		inPkg := map[string][]*ast.File{}
-		var clauses []string
-		for i, f := range files {
-			if _, ok := inPkg[names[i]]; !ok {
-				clauses = append(clauses, names[i])
+		basePath := importPathFor(m, dir)
+		for _, v := range []struct {
+			path  string
+			names []string
+		}{{basePath, bp.TestGoFiles}, {basePath + "_test", bp.XTestGoFiles}} {
+			tfiles, err := parseFiles(m.Fset, dir, v.names)
+			if err != nil || len(tfiles) == 0 {
+				continue
 			}
-			inPkg[names[i]] = append(inPkg[names[i]], f)
-		}
-		sort.Strings(clauses)
-		for _, clause := range clauses {
-			tfiles := inPkg[clause]
 			all := tfiles
-			path := basePath
-			if !strings.HasSuffix(clause, "_test") {
+			if reg, ok := m.Packages[basePath]; ok && v.path == basePath {
 				// in-package tests: augment with the regular files
-				if reg, ok := m.Packages[basePath]; ok {
-					all = append(append([]*ast.File{}, reg.Files...), tfiles...)
-				}
-			} else {
-				path = basePath + "_test"
+				all = append(append([]*ast.File{}, reg.Files...), tfiles...)
 			}
 			info := newInfo()
 			conf := types.Config{
 				Importer: m.importer,
 				Error:    func(error) {}, // lenient: collect what resolves
 			}
-			tpkg, _ := conf.Check(path, m.Fset, all, info)
+			tpkg, _ := conf.Check(v.path, m.Fset, all, info)
 			if tpkg == nil {
 				continue
 			}
 			out = append(out, &Package{
-				Path: path, Dir: dir, Files: all, Types: tpkg, Info: info,
+				Path: v.path, Dir: dir, Files: all, Types: tpkg, Info: info,
 				TestVariant: true,
 			})
 		}

@@ -94,6 +94,7 @@ func TestLoadTestPackagesVariants(t *testing.T) {
 		"c/lib.go":      "package c\n\nfunc Lib() int { return 7 }\n",
 		"c/in_test.go":  "package c\n\nimport \"testing\"\n\nfunc TestLib(t *testing.T) { _ = Lib() }\n",
 		"c/ext_test.go": "package c_test\n\nimport \"testing\"\n\nfunc TestExt(t *testing.T) {}\n",
+		"c/f/f.go":      "package f\n", // the walk leaves c for c/f, then returns to c
 	})
 	mod, err := analysis.LoadModule(dir, false)
 	if err != nil {
@@ -110,6 +111,9 @@ func TestLoadTestPackagesVariants(t *testing.T) {
 			t.Errorf("%s: TestVariant not set", v.Path)
 		}
 		byPath[v.Path] = v
+	}
+	if len(byPath) != len(variants) {
+		t.Errorf("%d test variants for %d import paths: a directory was loaded twice", len(variants), len(byPath))
 	}
 	inPkg, ok := byPath["tmpmod/c"]
 	if !ok {

@@ -40,40 +40,25 @@ func runLockOrder(pass *Pass) error {
 			"internal/mddserve", "internal/mddclient", "cmd/mddserve") {
 		return nil
 	}
-	for _, file := range pass.Files {
-		okLines := pass.markerLines(file, "lock-ok")
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	pass.eachFunc(true, func(fd *ast.FuncDecl, _ *types.Func) {
+		forward(BuildCFG(fd.Body), lockSet{}, func(b *Block, held lockSet, final bool) {
+			transferLockBlock(pass, b, held, final)
+		}, func(dst, src lockSet) bool {
+			grew := false
+			for k := range src {
+				if !dst[k] {
+					dst[k], grew = true, true
+				}
 			}
-			checkLockOrder(pass, fn, okLines)
-		}
-	}
+			return grew
+		})
+	})
 	return nil
 }
 
+// lockSet is the may-held lock set: a lock held on any incoming path
+// counts as held.
 type lockSet map[string]bool
-
-func (s lockSet) clone() lockSet {
-	out := make(lockSet, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
-func (s lockSet) equal(o lockSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
 
 func (s lockSet) any() string {
 	for k := range s {
@@ -82,68 +67,14 @@ func (s lockSet) any() string {
 	return ""
 }
 
-func checkLockOrder(pass *Pass, fn *ast.FuncDecl, okLines map[int]bool) {
-	cfg := BuildCFG(fn.Body)
-	in := lockFixpoint(pass.TypesInfo, cfg)
-	reported := map[token.Pos]bool{}
-	for _, b := range cfg.Blocks {
-		if in[b.Index] == nil {
-			continue
-		}
-		transferLockBlock(pass, b, in[b.Index].clone(), okLines, reported)
-	}
-}
-
-// lockFixpoint computes the may-held lock set entering each block: a
-// forward fixpoint where in[b] is the union of predecessors' outs (a
-// lock held on any incoming path counts as held). Entry blocks of
-// unreachable regions stay nil.
-func lockFixpoint(info *types.Info, cfg *CFG) []lockSet {
-	in := make([]lockSet, len(cfg.Blocks))
-	in[cfg.Entry.Index] = lockSet{}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range cfg.Blocks {
-			if in[b.Index] == nil {
-				continue
-			}
-			out := in[b.Index].clone()
-			for _, s := range b.Stmts {
-				applyLockEffects(info, s, out)
-			}
-			for _, succ := range b.Succs {
-				merged := in[succ.Index]
-				if merged == nil {
-					merged = lockSet{}
-					in[succ.Index] = merged
-					changed = true
-				}
-				for k := range out {
-					if !merged[k] {
-						merged[k] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return in
-}
-
 // transferLockBlock walks one block applying lock effects in statement
-// order; when report state is non-nil it emits diagnostics for channel
-// operations and ShardRunner dispatch performed while a lock is held.
-func transferLockBlock(pass *Pass, b *Block, held lockSet, okLines map[int]bool, reported map[token.Pos]bool) lockSet {
+// order; on the final pass it reports channel operations and
+// ShardRunner dispatch performed while a lock is held.
+func transferLockBlock(pass *Pass, b *Block, held lockSet, final bool) {
 	report := func(pos token.Pos, what string) {
-		if reported == nil || len(held) == 0 {
-			return
+		if final && len(held) > 0 {
+			pass.Reportf(pos, "%s while holding %s; release the lock first or annotate //lint:lock-ok <reason>", what, held.any())
 		}
-		if reported[pos] || okLines[pass.Fset.Position(pos).Line] {
-			return
-		}
-		reported[pos] = true
-		pass.Reportf(pos, "%s while holding %s; release the lock first or annotate //lint:lock-ok <reason>", what, held.any())
 	}
 	for _, s := range b.Stmts {
 		// channel operations and dispatch are checked against the set
@@ -164,7 +95,6 @@ func transferLockBlock(pass *Pass, b *Block, held lockSet, okLines map[int]bool,
 	if b.Cond != nil {
 		scanChanOps(pass, b.Cond, report)
 	}
-	return held
 }
 
 // scanChanOps finds channel receives and ShardRunner dispatch calls

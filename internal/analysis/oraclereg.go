@@ -49,28 +49,11 @@ func runOracleReg(pass *Pass) error {
 			used[fn] = true
 		}
 	}
-	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || fd.Body == nil {
-				continue
-			}
-			if !isKernelEntryShape(pass.TypesInfo, fd) {
-				continue
-			}
-			if pass.docHasMarker(fd.Doc, "oracle-exempt") {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok || used[fn] {
-				continue
-			}
+	pass.eachFunc(false, func(fd *ast.FuncDecl, fn *types.Func) {
+		if fd.Name.IsExported() && isKernelEntryShape(pass.TypesInfo, fd) && !used[fn] {
 			pass.Reportf(fd.Name.Pos(), "exported kernel entry point %s is not referenced by the internal/testkit differential oracle; register it as an Impl (TESTING.md, \"Adding an implementation to the oracle\") or annotate //lint:oracle-exempt with a reason", entryName(fd))
 		}
-	}
+	})
 	return nil
 }
 

@@ -41,7 +41,6 @@ func runPrecWiden(pass *Pass) error {
 		if pass.IsTestFile(file.Pos()) {
 			continue
 		}
-		okLines := pass.markerLines(file, "widen-ok")
 		walkStack(file, func(n ast.Node, stack []ast.Node) {
 			var pos token.Pos
 			var what string
@@ -68,13 +67,9 @@ func runPrecWiden(pass *Pass) error {
 			default:
 				return
 			}
-			if loopDepth(stack) == 0 || okLines[pass.Fset.Position(pos).Line] {
-				return
+			if loopDepth(stack) > 0 {
+				pass.Reportf(pos, "%s in a kernel hot loop changes numerics and modelled traffic; write the float32 arithmetic out, or annotate //lint:widen-ok if the widening is intentional", what)
 			}
-			if fd := enclosingFuncDecl(stack); fd != nil && pass.docHasMarker(fd.Doc, "widen-ok") {
-				return
-			}
-			pass.Reportf(pos, "%s in a kernel hot loop changes numerics and modelled traffic; write the float32 arithmetic out, or annotate //lint:widen-ok if the widening is intentional", what)
 		})
 	}
 	return nil
@@ -121,13 +116,4 @@ func wideningConversion(info *types.Info, call *ast.CallExpr) (from, to string, 
 		return "complex64", "complex128", true
 	}
 	return "", "", false
-}
-
-func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
 }

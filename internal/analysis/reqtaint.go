@@ -46,14 +46,6 @@ const (
 
 type taintState map[types.Object]taintLevel
 
-func (st taintState) clone() taintState {
-	out := make(taintState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
 // taintFact is one function's interprocedural summary. Index 0 is the
 // receiver for methods; parameters follow in order.
 type taintFact struct {
@@ -84,40 +76,20 @@ func taintFactsEqual(a, b *taintFact) bool {
 }
 
 func runReqTaint(pass *Pass) error {
-	if pass.TestVariant {
-		return nil
-	}
-	if !pathMatches(pass.Path, "internal/mddserve") {
+	if pass.TestVariant || !pathMatches(pass.Path, "internal/mddserve") {
 		return nil
 	}
 	sums := reqtaintSummaries(pass.Module, pass.IgnoreEscapes)
 	g := pass.Module.CallGraph()
-	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
+	pass.eachFunc(false, func(fd *ast.FuncDecl, fn *types.Func) {
+		node := g.Nodes[fn]
+		if node == nil {
+			return
 		}
-		okLines := pass.markerLines(file, "taint-ok")
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			node := g.Nodes[fn]
-			if node == nil {
-				continue
-			}
-			t := newTaintFunc(pass.Fset, node, sums)
-			reported := map[token.Pos]bool{}
-			t.analyze(nil, func(pos token.Pos, what string, obj types.Object) {
-				if reported[pos] || okLines[pass.Fset.Position(pos).Line] {
-					return
-				}
-				reported[pos] = true
-				pass.Reportf(pos, "request-tainted %s flows into %s without an intervening bounds check; compare it against a limit first or annotate //lint:taint-ok <reason>", obj.Name(), what)
-			})
-		}
-	}
+		newTaintFunc(node, sums).analyze(nil, func(pos token.Pos, what string, obj types.Object) {
+			pass.Reportf(pos, "request-tainted %s flows into %s without an intervening bounds check; compare it against a limit first or annotate //lint:taint-ok <reason>", obj.Name(), what)
+		})
+	})
 	return nil
 }
 
@@ -138,12 +110,6 @@ func reqtaintSummaries(m *Module, ignoreEscapes bool) func(*types.Func) *taintFa
 			if len(params) == 0 {
 				return nil
 			}
-			var okLines map[int]bool
-			if !ignoreEscapes {
-				if f := fileOf(n.Pkg, n.Decl.Pos()); f != nil {
-					okLines = markerLines(m.Fset, f, "taint-ok")
-				}
-			}
 			fact := &taintFact{
 				SinkParams:      make([]bool, len(params)),
 				ValidatedParams: make([]bool, len(params)),
@@ -153,12 +119,10 @@ func reqtaintSummaries(m *Module, ignoreEscapes bool) func(*types.Func) *taintFa
 					continue
 				}
 				fact.ValidatedParams[i] = paramValidated(n, p, get)
-				t := newTaintFunc(m.Fset, n, get)
-				t.analyze([]types.Object{p}, func(pos token.Pos, what string, obj types.Object) {
-					if okLines[m.Fset.Position(pos).Line] {
-						return
+				newTaintFunc(n, get).analyze([]types.Object{p}, func(pos token.Pos, what string, obj types.Object) {
+					if ignoreEscapes || !escaped(m.Fset, n.Pkg.Files, "reqtaint", pos) {
+						fact.SinkParams[i] = true
 					}
-					fact.SinkParams[i] = true
 				})
 			}
 			return fact
@@ -217,15 +181,15 @@ func paramValidated(n *FuncNode, p types.Object, get func(*types.Func) *taintFac
 				validated = true
 			}
 		case *ast.CallExpr:
-			site := n.Site(s)
-			if site == nil || site.Callee == nil {
+			callee := n.Callees[s]
+			if callee == nil {
 				return true
 			}
-			fact := get(site.Callee.Fn)
+			fact := get(callee.Fn)
 			if fact == nil {
 				return true
 			}
-			for j, arg := range callArgsWithRecv(site.Callee.Fn, s) {
+			for j, arg := range callArgsWithRecv(callee.Fn, s) {
 				if j < len(fact.ValidatedParams) && fact.ValidatedParams[j] && exprUses(info, arg, p) {
 					validated = true
 				}
@@ -251,7 +215,6 @@ func callArgsWithRecv(callee *types.Func, call *ast.CallExpr) []ast.Expr {
 
 // taintFunc runs the per-function forward dataflow.
 type taintFunc struct {
-	fset        *token.FileSet
 	info        *types.Info
 	node        *FuncNode
 	sums        func(*types.Func) *taintFact
@@ -260,9 +223,9 @@ type taintFunc struct {
 
 type taintEmit func(pos token.Pos, what string, obj types.Object)
 
-func newTaintFunc(fset *token.FileSet, node *FuncNode, sums func(*types.Func) *taintFact) *taintFunc {
+func newTaintFunc(node *FuncNode, sums func(*types.Func) *taintFact) *taintFunc {
 	return &taintFunc{
-		fset: fset, info: node.Pkg.Info, node: node, sums: sums,
+		info: node.Pkg.Info, node: node, sums: sums,
 		hasReqParam: hasRequestParam(node.Fn),
 	}
 }
@@ -284,53 +247,31 @@ func hasRequestParam(fn *types.Func) bool {
 
 // analyze seeds the entry state (tainted params in summary mode, nothing
 // in reporting mode — roots are discovered at decode/parse sites), runs
-// the block fixpoint, then replays each block emitting sink hits.
+// the forward solver, and emits sink hits on its final pass. The join is
+// per-object max: a value unchecked on any incoming path stays tainted.
 func (t *taintFunc) analyze(seeds []types.Object, emit taintEmit) {
-	cfg := BuildCFG(t.node.Decl.Body)
-	in := make([]taintState, len(cfg.Blocks))
 	entry := taintState{}
 	for _, o := range seeds {
 		entry[o] = taintTainted
 	}
-	in[cfg.Entry.Index] = entry
-	for changed := true; changed; {
-		changed = false
-		for _, b := range cfg.Blocks {
-			if in[b.Index] == nil {
-				continue
-			}
-			out := t.transferBlock(b, in[b.Index].clone(), nil)
-			for _, succ := range b.Succs {
-				if mergeTaint(&in[succ.Index], out) {
-					changed = true
-				}
+	forward(BuildCFG(t.node.Decl.Body), entry, func(b *Block, st taintState, final bool) {
+		if final {
+			t.transferBlock(b, st, emit)
+		} else {
+			t.transferBlock(b, st, nil)
+		}
+	}, func(dst, src taintState) bool {
+		grew := false
+		for k, v := range src {
+			if dst[k] < v {
+				dst[k], grew = v, true
 			}
 		}
-	}
-	for _, b := range cfg.Blocks {
-		if in[b.Index] != nil {
-			t.transferBlock(b, in[b.Index].clone(), emit)
-		}
-	}
+		return grew
+	})
 }
 
-// mergeTaint joins src into *dst (per-object max) and reports change.
-func mergeTaint(dst *taintState, src taintState) bool {
-	if *dst == nil {
-		*dst = src.clone()
-		return true
-	}
-	changed := false
-	for k, v := range src {
-		if (*dst)[k] < v {
-			(*dst)[k] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (t *taintFunc) transferBlock(b *Block, st taintState, emit taintEmit) taintState {
+func (t *taintFunc) transferBlock(b *Block, st taintState, emit taintEmit) {
 	for _, s := range b.Stmts {
 		if emit != nil {
 			t.scanStmtSinks(s, st, emit)
@@ -356,7 +297,6 @@ func (t *taintFunc) transferBlock(b *Block, st taintState, emit taintEmit) taint
 			}
 		}
 	}
-	return st
 }
 
 // scanStmtSinks finds sinks evaluated by one statement against the
@@ -401,18 +341,18 @@ func (t *taintFunc) scanExprSinks(e ast.Expr, st taintState, emit taintEmit) {
 					return true
 				}
 			}
-			site := t.node.Site(n)
-			if site == nil || site.Callee == nil {
+			callee := t.node.Callees[n]
+			if callee == nil {
 				return true
 			}
-			fact := t.sums(site.Callee.Fn)
+			fact := t.sums(callee.Fn)
 			if fact == nil {
 				return true
 			}
-			for j, arg := range callArgsWithRecv(site.Callee.Fn, n) {
+			for j, arg := range callArgsWithRecv(callee.Fn, n) {
 				if j < len(fact.SinkParams) && fact.SinkParams[j] {
 					if obj := taintedObjIn(t.info, arg, st); obj != nil {
-						emit(arg.Pos(), "an allocation-sizing parameter of "+funcDisplayName(site.Callee.Fn), obj)
+						emit(arg.Pos(), "an allocation-sizing parameter of "+funcDisplayName(callee.Fn), obj)
 					}
 				}
 			}
@@ -502,15 +442,15 @@ func (t *taintFunc) applyStmt(s ast.Stmt, st taintState) {
 // applyValidatorCall upgrades tainted arguments passed to a validating
 // parameter position of a serving-layer callee.
 func (t *taintFunc) applyValidatorCall(call *ast.CallExpr, st taintState) {
-	site := t.node.Site(call)
-	if site == nil || site.Callee == nil {
+	callee := t.node.Callees[call]
+	if callee == nil {
 		return
 	}
-	fact := t.sums(site.Callee.Fn)
+	fact := t.sums(callee.Fn)
 	if fact == nil {
 		return
 	}
-	for j, arg := range callArgsWithRecv(site.Callee.Fn, call) {
+	for j, arg := range callArgsWithRecv(callee.Fn, call) {
 		if j >= len(fact.ValidatedParams) || !fact.ValidatedParams[j] {
 			continue
 		}

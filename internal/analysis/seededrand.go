@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -48,9 +47,6 @@ func runSeededRand(pass *Pass) error {
 		"internal/opstore", "internal/estimator") ||
 		hasPathSegment(pass.Path, "cmd") ||
 		hasPathSegment(pass.Path, "examples")
-	// rand.New(rand.NewSource(bad)) nests two constructors around one
-	// seed expression; report each offending node once.
-	reported := map[token.Pos]bool{}
 	for _, file := range pass.Files {
 		if !inTestkit && !pass.IsTestFile(file.Pos()) {
 			continue
@@ -71,8 +67,9 @@ func runSeededRand(pass *Pass) error {
 			p := funcPkgPath(fn)
 			if (p == "math/rand" || p == "math/rand/v2") && randConstructors[fn.Name()] {
 				for _, arg := range call.Args {
-					if node, src := findNondetSeed(pass.TypesInfo, arg); node != nil && !reported[node.Pos()] {
-						reported[node.Pos()] = true
+					// rand.New(rand.NewSource(bad)) nests two constructors
+					// around one seed; Reportf keeps one report per node
+					if node, src := findNondetSeed(pass.TypesInfo, arg); node != nil {
 						pass.Reportf(node.Pos(), "RNG seeded from %s is different every run; use a fixed seed so failures reproduce", src)
 					}
 				}

@@ -122,6 +122,17 @@ func (p *pool) parkOK() {
 	p.cond.Wait()
 }
 
+// handOff's escape sits in its doc comment, so it covers the whole
+// function: the bare send four lines below it is excused, not reported.
+//
+//lint:ctx-ok fixture: the one reader drains out until close, so every send is bounded
+func handOff(out chan int, work []int) {
+	for _, w := range work {
+		w *= 2
+		out <- w
+	}
+}
+
 // checksCtx observes cancellation on every path, so passing it a ctx is
 // itself a cancellation point for the caller.
 func checksCtx(ctx context.Context) error {

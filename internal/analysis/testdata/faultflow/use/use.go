@@ -23,9 +23,9 @@ func (Kernel) ApplyChecked(f int) error { return nil }
 
 type state struct{ err error }
 
-func handle(err error)  {}
-func cond() bool        { return false }
-func log(v ...any)      {}
+func handle(err error) {}
+func cond() bool       { return false }
+func log(v ...any)     {}
 
 // Bad: the call's only result is dropped on the floor.
 func dropped() {

@@ -11,9 +11,9 @@ import (
 
 // Violations: wall clock, environment, global rand.
 func Nondeterministic() float64 {
-	t := time.Now()                   // want `time.Now reads the wall clock`
-	elapsed := time.Since(t)          // want `time.Since reads the wall clock`
-	if os.Getenv("CS2_MODE") != "" {  // want `os.Getenv reads the environment`
+	t := time.Now()                  // want `time.Now reads the wall clock`
+	elapsed := time.Since(t)         // want `time.Since reads the wall clock`
+	if os.Getenv("CS2_MODE") != "" { // want `os.Getenv reads the environment`
 		return rand.Float64() // want `global math/rand.Float64 draws from a shared unseeded source`
 	}
 	return elapsed.Seconds()

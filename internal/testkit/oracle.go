@@ -209,18 +209,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		Tol:     compTol,
 		PairTol: pairTol,
 	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "wsesim-checked",
-		Apply: func(x, y []complex64) error {
-			if err := machine.MulVecChecked(x, y); err != nil {
-				return err
-			}
-			o.wsesimMuls++
-			return nil
-		},
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
 
 	if cfg.Format != precision.FP32 {
 		q, err := precision.Quantize(t, precision.Uniform{F: cfg.Format})

@@ -338,21 +338,6 @@ func (m *Machine) MulVec(x, y []complex64) {
 	}
 }
 
-// MulVecChecked is the fallible variant of MulVec for the
-// fault-tolerant execution stack: short vectors come back as an error
-// instead of a panic, and the product is metered identically.
-func (m *Machine) MulVecChecked(x, y []complex64) error {
-	t := m.T
-	if len(x) < t.N {
-		return fmt.Errorf("wsesim: input has %d elements, want %d", len(x), t.N)
-	}
-	if len(y) < t.M {
-		return fmt.Errorf("wsesim: output has %d elements, want %d", len(y), t.M)
-	}
-	m.MulVec(x, y)
-	return nil
-}
-
 // TotalMeter sums all PE meters.
 func (m *Machine) TotalMeter() Meter {
 	var tot Meter
