@@ -41,7 +41,7 @@ race:
 
 # concurrency stress tests (TestStress*, skipped under -short): sharded
 # scheduler with mid-flight revocation, concurrent MDC fan-out, one
-# TimeOperator under two solvers, the six TLR-MVM entry points on one
+# TimeOperator under two solvers, the seven TLR-MVM entry points on one
 # shared matrix, streamed products sharing one quarter-budget tile store,
 # and the mddserve load tests at the repo root — run repeatedly under the
 # race detector
@@ -51,12 +51,14 @@ race-stress:
 # worker-count bit-identity where GOMAXPROCS is not the host's: the
 # parallel product against the sequential one at 1, 2, 4 and 8 workers,
 # every compressor's build at 1, 2 and 4, the batched S / Sᴴ stages
-# against the channel-at-a-time reference at 1, 2, 4 and 8, and
+# against the channel-at-a-time reference at 1, 2, 4 and 8, the LSQR
+# step of FreqOperator and whole solves against their composed route at
+# 1, 2, 4 and 8, and
 # store-backed products against in-memory ones at three budgets, on one
 # and on four Ps
 cpu-identity:
 	$(GO) test -race -cpu 1,4 -run '^(TestBatchedMatchesSequentialAcrossShapes|TestCompressAccuracyAllMethods)$$' ./internal/tlr/
-	$(GO) test -race -cpu 1,4 -run '^TestTimeStagesMatchReference$$' ./internal/mdc/
+	$(GO) test -race -cpu 1,4 -run '^(TestTimeStagesMatchReference|TestFreqOperatorStepMatchesComposition|TestSolveStepRouteMatchesComposed)$$' ./internal/mdc/
 	$(GO) test -race -cpu 1,4 -run '^TestStreamedProductsBitIdentical$$' ./internal/opstore/
 
 # serving-layer integration suite: typed client against a live

@@ -72,6 +72,27 @@ func Scal(alpha complex64, x []complex64) {
 	}
 }
 
+// ScaleSub overwrites t with c·t − s·z, the vector update of one LSQR
+// step, and returns the norm of what it wrote. It is Scal by c followed
+// by a real-scalar subtract, with the same float32 roundings: c = 1
+// changes nothing, and the float32 conversions keep an FMA-fusing target
+// from merging a product into the subtract beside it. The norm is
+// accumulated in float64 in index order, exactly as Nrm2 would on a
+// second pass over t.
+//
+//lint:widen-ok deliberate float64 accumulation of the norm, as in Nrm2
+func ScaleSub(c float32, t []complex64, s float32, z []complex64) float64 {
+	z = z[:len(t)]
+	var ss float64
+	for i, ti := range t {
+		re := float32(c*real(ti)) - float32(s*real(z[i]))
+		im := float32(c*imag(ti)) - float32(s*imag(z[i]))
+		t[i] = complex(re, im)
+		ss += float64(re)*float64(re) + float64(im)*float64(im)
+	}
+	return math.Sqrt(ss)
+}
+
 // Dotc returns xᴴ y (x conjugated), accumulating in float64.
 //
 //lint:widen-ok deliberate float64 accumulation for numerical stability

@@ -1,8 +1,9 @@
 // CG on the normal equations with a fused AᴴA pass: where standard CGLS
 // applies A and Aᴴ separately each iteration (two sweeps over the TLR
 // factors), this variant touches the operator once per iteration through
-// lsqr.NormalOperator — for the TLR-backed MDC operator the fused
-// tlr.Matrix.MulVecNormal streams every stacked U panel a single time.
+// lsqr.StepOperator at α = 0 — for the TLR-backed MDC operator one
+// tlr.Matrix.MulVecStep sweep, which reads each tile row's tiles for the
+// adjoint half while the forward half has left them in cache.
 // The trade is the classic CGNR one: the iteration tracks the normal
 // residual Aᴴ(b−Ax) instead of the plain residual b−Ax, squaring the
 // condition number seen by the recurrence, so it is offered as a solver
@@ -24,11 +25,11 @@ var (
 )
 
 // SolveNormal runs CG directly on (AᴴA + damp²I) x = Aᴴb. When a
-// implements lsqr.NormalOperator its fused ApplyNormal carries the whole
+// implements lsqr.StepOperator its ApplyStep at α = 0 carries the whole
 // per-iteration operator work; otherwise the pass is the explicit
-// adjoint∘forward composition. In exact arithmetic the iterates coincide
-// with Solve's; in float32 they drift apart at roughly the square of the
-// condition number.
+// adjoint∘forward composition, with the same bits. In exact arithmetic
+// the iterates coincide with Solve's; in float32 they drift apart at
+// roughly the square of the condition number.
 //
 // Because the plain residual b − Ax is never formed, Result.ResidualNorm
 // and Result.ResidualHistory report the normal residual ‖Aᴴ(b−Ax)‖ (the
@@ -48,14 +49,11 @@ func SolveNormal(a lsqr.Operator, b []complex64, opts Options) (*Result, error) 
 	}
 	damp2 := complex(float32(opts.Damp*opts.Damp), 0)
 
-	normal, fused := a.(lsqr.NormalOperator)
-	var q []complex64 // forward-product scratch, fallback path only
-	if !fused {
-		q = make([]complex64, m)
-	}
+	stepper, fused := a.(lsqr.StepOperator)
+	q := make([]complex64, m) // A p, between the two halves
 	applyNormal := func(p, w []complex64) {
 		if fused {
-			normal.ApplyNormal(p, w)
+			stepper.ApplyStep(p, 0, nil, q, w)
 		} else {
 			a.Apply(p, q)
 			a.ApplyAdjoint(q, w)

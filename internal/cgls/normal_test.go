@@ -81,9 +81,10 @@ func TestSolveNormalRHSLengthMismatch(t *testing.T) {
 }
 
 // TestSolveNormalFusedTLROperator drives the whole fused stack: the MDC
-// frequency operator over a TLR kernel implements lsqr.NormalOperator,
-// so each SolveNormal iteration is one tlr.Matrix.MulVecNormal pass. The
-// solution must match standard CGLS on the same operator.
+// frequency operator over a TLR kernel implements lsqr.StepOperator, so
+// each SolveNormal iteration is one tlr.Matrix.MulVecStep sweep at α = 0.
+// The solution must match standard CGLS on the same operator, and equal
+// SolveNormal's own composed route.
 func TestSolveNormalFusedTLROperator(t *testing.T) {
 	rng := testkit.NewRNG(15)
 	n := 36
@@ -96,8 +97,8 @@ func TestSolveNormalFusedTLROperator(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: []*tlr.Matrix{tm}}, Workers: 1}
-	if _, ok := interface{}(op).(lsqr.NormalOperator); !ok {
-		t.Fatal("FreqOperator over a TLR kernel must implement lsqr.NormalOperator")
+	if _, ok := interface{}(op).(lsqr.StepOperator); !ok {
+		t.Fatal("FreqOperator over a TLR kernel must implement lsqr.StepOperator")
 	}
 	b := dense.Random(rng, n, 1).Data
 	rn, err := SolveNormal(op, b, Options{MaxIters: 15, Tol: 1e-16})
@@ -110,5 +111,12 @@ func TestSolveNormalFusedTLROperator(t *testing.T) {
 	}
 	if e := testkit.RelErr(rn.X, rc.X); e > 1e-2 {
 		t.Errorf("fused SolveNormal vs CGLS solutions differ by %g", e)
+	}
+	composed, err := SolveNormal(struct{ lsqr.Operator }{op}, b, Options{MaxIters: 15, Tol: 1e-16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := testkit.MaxULPDist(rn.X, composed.X); d != 0 {
+		t.Errorf("fused SolveNormal %d ULPs from its composed route", d)
 	}
 }

@@ -116,3 +116,19 @@ func TestSolveEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateVAtBreakdown is the deferred step's one division: at
+// breakdown the step's w, and so z = Aᴴ w, vanish exactly, and the next
+// v must be 0 with alpha 0 — z is never divided by beta = 0.
+func TestUpdateVAtBreakdown(t *testing.T) {
+	z := make([]complex64, 5)
+	v := []complex64{1, 2i, -3, 4 + 1i, 0.5}
+	if alpha := updateV(z, 0, v); alpha != 0 {
+		t.Errorf("alpha = %g at breakdown, want 0", alpha)
+	}
+	for i, zi := range z {
+		if zi != 0 {
+			t.Errorf("next v[%d] = %v at breakdown, want 0", i, zi)
+		}
+	}
+}

@@ -145,24 +145,31 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 	damp := opts.Damp
 	tmpM := make([]complex64, m)
 	tmpN := make([]complex64, n)
+	// the one-call step is taken only from an infallible operator behind
+	// Fallible, so every fault keeps its seam
+	var stepper StepOperator
+	if f, ok := a.(Fallible); ok {
+		stepper, _ = f.Op.(StepOperator)
+	}
 
 	for it := start; it < opts.MaxIters; it++ {
 		iterSpan := obsIter.Start()
-		// bidiagonalization: beta*u = A v − alpha*u
-		if err := a.Apply(v, tmpM); err != nil {
-			return nil, last, fmt.Errorf("lsqr: iteration %d forward product: %w", it, err)
+		// bidiagonalization with the normalization deferred by one step,
+		// so both products run on vectors known before either starts:
+		// w = A v − alpha*u and z = Aᴴ w; then beta*u = w and
+		// alpha*v = Aᴴ u − beta*v = z/beta − beta*v
+		beta, err := step(a, stepper, v, float32(alpha), u, tmpM, tmpN)
+		if err != nil {
+			return nil, last, fmt.Errorf("lsqr: iteration %d %w", it, err)
 		}
-		beta := subScaled(tmpM, float32(alpha), u)
+		u, tmpM = tmpM, u
 		if beta > 0 {
 			rescale(u, 1/beta)
 		}
 		anorm = math.Sqrt(anorm*anorm + alpha*alpha + beta*beta + damp*damp)
 
-		// alpha*v = Aᴴ u − beta*v
-		if err := a.ApplyAdjoint(u, tmpN); err != nil {
-			return nil, last, fmt.Errorf("lsqr: iteration %d adjoint product: %w", it, err)
-		}
-		alpha = subScaled(tmpN, float32(beta), v)
+		alpha = updateV(tmpN, beta, v)
+		v, tmpN = tmpN, v
 		if alpha > 0 {
 			rescale(v, 1/alpha)
 		}
@@ -231,29 +238,43 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 	return res, last, nil
 }
 
-// The solver's vector work runs in the operator's own precision: a real
-// scalar times a complex64 is two float32 multiplies, and each update
-// returns the float64 sum of squares of what it just wrote, accumulated
-// in index order exactly as cfloat.Nrm2 and Dotc would on a second pass
-// over the vector. Five vector passes per iteration instead of nine,
-// and the same bits: complex(s, 0)·z differs from the real-scalar
-// product only in the sign of an exact zero. The float32 conversions
-// mark the roundings that identity rests on, so an FMA-fusing target
-// cannot merge a product into the add beside it.
-
-// subScaled overwrites z with t − s·z, the update of u and v in the
-// bidiagonalization, and returns ‖z‖₂.
-func subScaled(t []complex64, s float32, z []complex64) float64 {
-	t = t[:len(z)]
-	var ss float64
-	for i, zi := range z {
-		re := real(t[i]) - float32(s*real(zi))
-		im := imag(t[i]) - float32(s*imag(zi))
-		z[i] = complex(re, im)
-		ss += float64(re)*float64(re) + float64(im)*float64(im)
+// step computes w = A v − alpha·u and z = Aᴴ w, in one call when s is
+// non-nil and as Apply, cfloat.ScaleSub and ApplyAdjoint otherwise —
+// the same float32 operations in the same order — and returns ‖w‖₂.
+func step(a FallibleOperator, s StepOperator, v []complex64, alpha float32, u, w, z []complex64) (float64, error) {
+	if s != nil {
+		s.ApplyStep(v, alpha, u, w, z)
+		return cfloat.Nrm2(w), nil
 	}
-	return math.Sqrt(ss)
+	if err := a.Apply(v, w); err != nil {
+		return 0, fmt.Errorf("forward product: %w", err)
+	}
+	beta := cfloat.ScaleSub(1, w, alpha, u)
+	if err := a.ApplyAdjoint(w, z); err != nil {
+		return 0, fmt.Errorf("adjoint product: %w", err)
+	}
+	return beta, nil
 }
+
+// updateV overwrites z, which holds Aᴴ w for the step's w = beta·u,
+// with alpha·v = z/beta − beta·v and returns alpha. At breakdown
+// (beta = 0, hence w = z = 0) u stays w, so z is Aᴴ u already and is not
+// divided.
+func updateV(z []complex64, beta float64, v []complex64) float64 {
+	inv := float32(1)
+	if beta > 0 {
+		inv = float32(1 / beta)
+	}
+	return cfloat.ScaleSub(inv, z, float32(beta), v)
+}
+
+// The solver's vector work runs in the operator's own precision: a real
+// scalar times a complex64 is two float32 multiplies (cfloat.ScaleSub,
+// updateXW), and each update returns the float64 sum of squares of what
+// it just wrote, accumulated in index order exactly as cfloat.Nrm2 and
+// Dotc would on a second pass over the vector. The float32 conversions
+// mark the roundings, so an FMA-fusing target cannot merge a product
+// into the add beside it.
 
 // updateXW steps the solution and the search direction, x += t1·w then
 // w = v + t2·w, and returns ‖x‖² and ‖w‖² for the stopping test and the

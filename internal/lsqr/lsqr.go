@@ -32,17 +32,22 @@ type Operator interface {
 	ApplyAdjoint(x, y []complex64)
 }
 
-// NormalOperator is an Operator that can additionally apply the
-// normal-equations map in one fused pass. Normal-equation solvers
-// (cgls.SolveNormal) use it to replace the Apply/ApplyAdjoint pair with
-// a single operator sweep per iteration — for the TLR-backed MDC
-// operator that streams every U panel once instead of twice. LSQR
-// itself bidiagonalizes A directly and never forms AᴴA, so this package
-// only declares the interface.
-type NormalOperator interface {
+// StepOperator is an Operator that can run LSQR's bidiagonalization
+// step in one call: w = A x − α u, then z = Aᴴ w. SolveFallible
+// bidiagonalizes with the normalization deferred by one step so that
+// the two products of an iteration are exactly these; for the TLR-backed
+// MDC operator the call is one sweep over the tiles instead of two.
+// cgls.SolveNormal takes the α = 0 case as its AᴴA. The solver sees the
+// capability through Fallible{Op}, so an operator that can fail runs
+// the composed Apply → subtract → ApplyAdjoint, which gives the same
+// bits.
+type StepOperator interface {
 	Operator
-	// ApplyNormal computes y = AᴴA x (len(x) = len(y) = Cols).
-	ApplyNormal(x, y []complex64)
+	// ApplyStep computes w = A x − alpha·u and z = Aᴴ w (len(x) =
+	// len(z) = Cols, len(u) = len(w) = Rows), with the float32
+	// operations of Apply, cfloat.ScaleSub(1, w, alpha, u) and
+	// ApplyAdjoint. u may be nil when alpha is 0.
+	ApplyStep(x []complex64, alpha float32, u, w, z []complex64)
 }
 
 // Options controls the iteration.

@@ -7,13 +7,14 @@ import (
 	"repro/internal/cfloat"
 )
 
-// solveUnfused is the iteration as SolveFallible ran it before its
-// vector work was fused, kept as the reference the fused loop must
-// reproduce: every scalar enters as complex(float32(s), 0) — the full
-// complex product gc computes in float64 and rounds once — and every
-// norm is a second pass (cfloat.Nrm2, Dotc) over the vector the update
-// just wrote, nine vector passes per iteration. It returns the result
-// and the state after ckptAt completed iterations.
+// solveUnfused is the reference the fused loop must reproduce: the
+// bidiagonalization with its normalization deferred by one step (w =
+// A v − α u and z = Aᴴ w, then β u = w and α v = z/β − β v), written with
+// none of SolveFallible's vector fusions — every scalar enters as
+// complex(float32(s), 0), the full complex product gc computes in
+// float64 and rounds once, and every norm is a second pass (cfloat.Nrm2,
+// Dotc) over the vector the update just wrote. It returns the result and
+// the state after ckptAt completed iterations.
 func solveUnfused(a Operator, b []complex64, opts Options, ckptAt int) (*Result, *Checkpoint) {
 	m, n := a.Rows(), a.Cols()
 	scale := func(x []complex64, s float64) {
@@ -35,22 +36,25 @@ func solveUnfused(a Operator, b []complex64, opts Options, ckptAt int) (*Result,
 	phiBar, rhoBar, bnorm := beta, alpha, beta
 	var anorm, ddnorm float64
 	damp := opts.Damp
-	tmpM, tmpN := make([]complex64, m), make([]complex64, n)
+	wv, z := make([]complex64, m), make([]complex64, n)
 	res := &Result{X: x}
 	var ckpt *Checkpoint
 	for it := 0; it < opts.MaxIters; it++ {
-		a.Apply(v, tmpM)
-		for i := range u {
-			u[i] = tmpM[i] - complex(float32(alpha), 0)*u[i]
+		a.Apply(v, wv)
+		for i := range wv {
+			wv[i] -= complex(float32(alpha), 0) * u[i]
 		}
-		beta := cfloat.Nrm2(u)
+		a.ApplyAdjoint(wv, z)
+		beta := cfloat.Nrm2(wv)
+		copy(u, wv)
+		inv := 1.0
 		if beta > 0 {
 			scale(u, 1/beta)
+			inv = 1 / beta
 		}
 		anorm = math.Sqrt(anorm*anorm + alpha*alpha + beta*beta + damp*damp)
-		a.ApplyAdjoint(u, tmpN)
 		for i := range v {
-			v[i] = tmpN[i] - complex(float32(beta), 0)*v[i]
+			v[i] = complex(float32(inv), 0)*z[i] - complex(float32(beta), 0)*v[i]
 		}
 		alpha = cfloat.Nrm2(v)
 		if alpha > 0 {

@@ -23,9 +23,9 @@ var (
 	obsFreq = [...]*obs.Timer{
 		forward: obs.NewTimer("mdc.freq.apply"),
 		adjoint: obs.NewTimer("mdc.freq.adjoint"),
-		normal:  obs.NewTimer("mdc.freq.normal"),
 	}
-	obsTime = [...]*obs.Timer{
+	obsFreqStep = obs.NewTimer("mdc.freq.step")
+	obsTime     = [...]*obs.Timer{
 		forward: obs.NewTimer("mdc.time.apply"),
 		adjoint: obs.NewTimer("mdc.time.adjoint"),
 	}
@@ -47,16 +47,20 @@ type Kernel interface {
 	Bytes() int64
 }
 
-// NormalKernel is the kernel extension for normal-equation solvers: a
-// kernel that can apply K_fᴴ K_f in one fused pass instead of a forward
-// product followed by an adjoint one. The TLR kernel implements it via
-// the fused tlr.Matrix.MulVecNormal, which streams each stacked U panel
-// once per iteration; kernels without the method fall back to the
-// two-pass composition inside FreqOperator.ApplyNormal.
+// NormalKernel is the kernel's one optional fused capability: a kernel
+// that can run a forward product and an adjoint one of a vector built
+// from it in one sweep over its factors. The TLR kernel implements it
+// with tlr.Matrix.MulVecStep and MulVecNormal; FreqOperator.ApplyStep,
+// the one place it is detected, composes Apply and ApplyAdjoint for
+// every other kernel with the same float32 operations.
 type NormalKernel interface {
 	Kernel
 	// ApplyNormal computes y = K_fᴴ K_f x (len(x) = len(y) = Cols).
 	ApplyNormal(f int, x, y []complex64)
+	// ApplyStep computes w = scale·K_f x − alpha·u, then z = K_fᴴ w
+	// (len(x) = len(z) = Cols, len(u) = len(w) = Rows; u may be nil
+	// when alpha is 0).
+	ApplyStep(f int, x []complex64, scale, alpha float32, u, w, z []complex64)
 }
 
 // CheckedKernel is the retired fallible twin of Kernel. Nothing in the
@@ -152,10 +156,15 @@ func (k *TLRKernel) Apply(f int, x, y []complex64) { k.Mats[f].MulVec(x, y) }
 // ApplyAdjoint implements Kernel.
 func (k *TLRKernel) ApplyAdjoint(f int, x, y []complex64) { k.Mats[f].MulVecConjTrans(x, y) }
 
-// ApplyNormal implements NormalKernel: the fused K_fᴴ K_f pass of
-// tlr.Matrix.MulVecNormal. Registered hot path: one fused TLR normal
-// product per in-band frequency per normal-equation iteration.
+// ApplyNormal implements NormalKernel: tlr.Matrix.MulVecNormal.
+// Registered hot path (mdc.kernel_tlr_normal).
 func (k *TLRKernel) ApplyNormal(f int, x, y []complex64) { k.Mats[f].MulVecNormal(x, y) }
+
+// ApplyStep implements NormalKernel: tlr.Matrix.MulVecStep, one sweep
+// over frequency f's tiles per LSQR iteration.
+func (k *TLRKernel) ApplyStep(f int, x []complex64, scale, alpha float32, u, w, z []complex64) {
+	k.Mats[f].MulVecStep(x, scale, alpha, u, w, z)
+}
 
 // Bytes implements Kernel.
 func (k *TLRKernel) Bytes() int64 {
@@ -169,7 +178,7 @@ func (k *TLRKernel) Bytes() int64 {
 // FreqOperator is the frequency-domain MDC operator used by MDD: the
 // unknown and data live on the in-band frequency grid (frequency-major
 // layout: x[f·Cols+v], y[f·Rows+s]) and the operator applies one scaled
-// kernel MVM per frequency, in parallel. It satisfies lsqr.Operator.
+// kernel MVM per frequency, in parallel. It satisfies lsqr.StepOperator.
 type FreqOperator struct {
 	K Kernel
 	// Scale multiplies every MVM; the MDC surface-integration weight dA.
@@ -200,16 +209,51 @@ func (op *FreqOperator) ApplyAdjoint(x, y []complex64) {
 	}
 }
 
-// ApplyNormal implements lsqr.NormalOperator. The operator is
-// frequency-block-diagonal, so the normal map factors per frequency:
-// y_f = Scale² K_fᴴ K_f x_f, computed by the kernel's fused pass when it
-// implements NormalKernel (the TLR kernel does) and by the two-pass
-// adjoint∘forward composition otherwise. Both vectors live on the model
-// grid (length Cols). It panics on invalid vectors.
-func (op *FreqOperator) ApplyNormal(x, y []complex64) {
-	if err := op.run(x, y, normal); err != nil {
+// ApplyStep implements lsqr.StepOperator: w = A x − alpha·u, then
+// z = Aᴴ w (x and z on the model grid, u and w on the data grid; u may
+// be nil when alpha is 0). The operator is frequency-block-diagonal, so
+// the step factors per frequency: the kernel's one-sweep step when it
+// implements NormalKernel (the TLR kernel does), otherwise Apply, the
+// subtract (cfloat.ScaleSub) and ApplyAdjoint. Either way the result is
+// Apply, cfloat.ScaleSub over the whole vector and ApplyAdjoint bit for
+// bit. It panics on invalid vectors.
+func (op *FreqOperator) ApplyStep(x []complex64, alpha float32, u, w, z []complex64) {
+	defer obsFreqStep.Start().End()
+	fwd, adj := shapeFor(op.K, forward, op.Scale), shapeFor(op.K, adjoint, op.Scale)
+	if fwd.nf == 0 {
+		return // zero-dimensional operator: nothing to apply
+	}
+	obsFreqCount.Add(int64(2 * fwd.nf))
+	err := fwd.check("FreqOperator", x, w)
+	if err == nil {
+		err = adj.check("FreqOperator", w, z)
+	}
+	if err == nil && u != nil {
+		err = fwd.check("FreqOperator", x, u)
+	}
+	if err != nil {
 		panic(err)
 	}
+	nk, fused := op.K.(NormalKernel)
+	fanout.Do(fwd.nf, fanout.PoolSize(fwd.nf, op.Workers), func(_, f int) {
+		xf, wf, zf := fwd.in(x, f), fwd.out(w, f), adj.out(z, f)
+		var uf []complex64
+		if u != nil {
+			uf = fwd.out(u, f)
+		}
+		if fused {
+			nk.ApplyStep(f, xf, real(fwd.scale), alpha, uf, wf, zf)
+		} else {
+			fwd.apply(f, xf, wf)
+			if uf != nil {
+				cfloat.ScaleSub(1, wf, alpha, uf)
+			}
+			op.K.ApplyAdjoint(f, wf, zf)
+		}
+		if adj.scale != 1 {
+			cfloat.Scal(adj.scale, zf)
+		}
+	})
 }
 
 func (op *FreqOperator) run(x, y []complex64, dir product) error {
@@ -222,12 +266,8 @@ func (op *FreqOperator) run(x, y []complex64, dir product) error {
 	if err := b.check("FreqOperator", x, y); err != nil {
 		return err
 	}
-	workers := fanout.PoolSize(b.nf, op.Workers)
-	// the unfused normal map needs K_f x_f between its two passes: one
-	// data-grid vector per worker, not per frequency
-	mid := make([]complex64, workers*b.mid)
-	fanout.Do(b.nf, workers, func(w, f int) {
-		b.apply(f, b.in(x, f), b.out(y, f), mid[w*b.mid:(w+1)*b.mid])
+	fanout.Do(b.nf, fanout.PoolSize(b.nf, op.Workers), func(_, f int) {
+		b.apply(f, b.in(x, f), b.out(y, f))
 	})
 	return nil
 }
@@ -239,7 +279,6 @@ type product int
 const (
 	forward product = iota // y_f = K_f x_f
 	adjoint                // y_f = K_fᴴ x_f
-	normal                 // y_f = K_fᴴ K_f x_f
 )
 
 // freqBlocks is one product over a kernel stack in frequency-major
@@ -248,32 +287,18 @@ const (
 // (FreqOperator, TimeOperator, ShardedFreqOperator) resolve scale,
 // check bounds, slice per frequency, and pick the kernel method.
 type freqBlocks struct {
-	k   Kernel
-	dir product
-	// fused is k's one-pass K_fᴴ K_f, set for a normal product over a
-	// NormalKernel; mid is the K_f x_f scratch length the two-pass
-	// composition needs instead (Rows, zero for every other product).
-	fused         NormalKernel
-	mid           int
+	k             Kernel
+	dir           product
 	nf, nin, nout int
 	scale         complex64
 }
 
 // shapeFor resolves the product of k in direction dir. A zero scale
-// means unscaled; the normal map applies the scale twice.
+// means unscaled.
 func shapeFor(k Kernel, dir product, scale float32) freqBlocks {
 	b := freqBlocks{k: k, dir: dir, nf: k.NumFreqs(), nin: k.Cols(), nout: k.Rows(), scale: 1}
-	switch dir {
-	case adjoint:
+	if dir == adjoint {
 		b.nin, b.nout = b.nout, b.nin
-	case normal:
-		b.nout = b.nin
-		scale *= scale
-		if nk, ok := k.(NormalKernel); ok {
-			b.fused = nk
-		} else {
-			b.mid = k.Rows()
-		}
 	}
 	if scale != 0 {
 		b.scale = complex(scale, 0)
@@ -283,19 +308,12 @@ func shapeFor(k Kernel, dir product, scale float32) freqBlocks {
 
 // apply computes output block yf of frequency f from input block xf.
 // Kernels are infallible here: check has validated the vectors, so
-// every block has its exact length and f is in range. mid is the
-// caller's b.mid-long scratch.
-func (b freqBlocks) apply(f int, xf, yf, mid []complex64) {
-	switch {
-	case b.dir == forward:
+// every block has its exact length and f is in range.
+func (b freqBlocks) apply(f int, xf, yf []complex64) {
+	if b.dir == forward {
 		b.k.Apply(f, xf, yf)
-	case b.dir == adjoint:
+	} else {
 		b.k.ApplyAdjoint(f, xf, yf)
-	case b.fused != nil:
-		b.fused.ApplyNormal(f, xf, yf)
-	default:
-		b.k.Apply(f, xf, mid)
-		b.k.ApplyAdjoint(f, mid, yf)
 	}
 	if b.scale != 1 {
 		cfloat.Scal(b.scale, yf)

@@ -275,53 +275,19 @@ func BenchmarkFreqOperatorApply(b *testing.B) {
 	}
 }
 
-// TestFreqOperatorApplyNormalMatchesComposition checks the fused normal
-// map against the explicit Scale·Kᴴ ∘ Scale·K composition, on the dense
-// kernel (two-pass fallback) and on the TLR kernel (fused
-// tlr.Matrix.MulVecNormal), across scales and worker counts.
-func TestFreqOperatorApplyNormalMatchesComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	nf, rows, cols := 4, 24, 20
-	dk := randKernel(rng, nf, rows, cols)
-	tlrMats := make([]*tlr.Matrix, nf)
-	for f := range tlrMats {
-		var err error
-		tlrMats[f], err = tlr.Compress(dk.Mats[f], tlr.Options{NB: 8, Tol: 1e-6, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	kernels := map[string]Kernel{"dense": dk, "tlr": &TLRKernel{Mats: tlrMats}}
-	x := dense.Random(rng, nf*cols, 1).Data
-	for name, k := range kernels {
-		for _, scale := range []float32{0, 1, 0.5} {
-			for _, workers := range []int{1, 3} {
-				op := &FreqOperator{K: k, Scale: scale, Workers: workers}
-				got := make([]complex64, nf*cols)
-				op.ApplyNormal(x, got)
-				mid := make([]complex64, nf*rows)
-				want := make([]complex64, nf*cols)
-				op.Apply(x, mid)
-				op.ApplyAdjoint(mid, want)
-				for i := range want {
-					d := got[i] - want[i]
-					if math.Hypot(float64(real(d)), float64(imag(d))) > 2e-4*(1+math.Hypot(float64(real(want[i])), float64(imag(want[i])))) {
-						t.Fatalf("%s scale=%g workers=%d: normal product element %d: got %v want %v",
-							name, scale, workers, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestFreqOperatorApplyNormalShortVectorPanics(t *testing.T) {
+func TestFreqOperatorApplyStepShortVectorPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	op := &FreqOperator{K: randKernel(rng, 2, 4, 3)}
-	defer func() {
-		if recover() == nil {
-			t.Error("short normal input should panic")
-		}
-	}()
-	op.ApplyNormal(make([]complex64, 5), make([]complex64, 6))
+	for name, c := range map[string]struct{ x, u, w, z int }{
+		"x": {5, 8, 8, 6}, "u": {6, 7, 8, 6}, "w": {6, 8, 7, 6}, "z": {6, 8, 8, 5},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("short step %s should panic", name)
+				}
+			}()
+			op.ApplyStep(make([]complex64, c.x), 1, make([]complex64, c.u), make([]complex64, c.w), make([]complex64, c.z))
+		}()
+	}
 }

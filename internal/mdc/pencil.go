@@ -131,7 +131,7 @@ func (s *timeScratch) transform(block func(s *timeScratch, w, blk int), traces, 
 
 // kernel is the K step of a product at frequency f.
 func (s *timeScratch) kernel(_, f int) {
-	s.b.apply(f, s.b.in(s.xf, f), s.b.out(s.yf, f), nil)
+	s.b.apply(f, s.b.in(s.xf, f), s.b.out(s.yf, f))
 }
 
 // analyzeBlock is S on channels [blk·pencilBlock, …): each trace through

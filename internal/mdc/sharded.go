@@ -80,7 +80,7 @@ func (op *ShardedFreqOperator) run(x, y []complex64, dir product) error {
 	// the product itself cannot fail; errors come from Intercept and the
 	// runner's output scan
 	exec := func(shard int, t batch.ShardTask) error {
-		b.apply(t.ID, t.X, t.Y, nil)
+		b.apply(t.ID, t.X, t.Y)
 		return nil
 	}
 	if op.Intercept != nil {

@@ -102,6 +102,13 @@ func hotPaths() []hotPath {
 			x[0], x[hotN-1] = 1, 2i
 			return func() { t.MulVecNormal(x, y) }, nil
 		}},
+		{Name: "tlr.mulvec_step", Setup: func() (func(), error) {
+			t, err := hotPathMatrix()
+			if err != nil {
+				return nil, err
+			}
+			return hotPathStep(t), nil
+		}},
 		{Name: "mdc.kernel_dense", Setup: func() (func(), error) {
 			rng := NewRNG(7)
 			k, err := mdc.NewDenseKernel([]*dense.Matrix{DecayMat(rng, hotM, hotN, 0.5)})
@@ -200,6 +207,24 @@ func hotPaths() []hotPath {
 				t.MulVecConjTrans(y, x)
 			}, nil
 		}},
+		{Name: "tlr.mulvec_step_ooc_stream", Setup: func() (func(), error) {
+			m, err := hotPathMatrix()
+			if err != nil {
+				return nil, err
+			}
+			st, err := pagedStore(m, nil, m.CompressedBytes()/4)
+			if err != nil {
+				return nil, err
+			}
+			t, err := st.Matrix(0)
+			if err != nil {
+				return nil, err
+			}
+			// A quarter budget, as tlr.mulvec_ooc_stream: each half of the
+			// step reads the tiles the store does not keep into the one
+			// tile scratch.
+			return hotPathStep(t), nil
+		}},
 		{Name: "wsesim.mulvec", Setup: func() (func(), error) {
 			t, err := hotPathMatrix()
 			if err != nil {
@@ -214,6 +239,15 @@ func hotPaths() []hotPath {
 			return func() { m.MulVec(x, y) }, nil
 		}},
 	}
+}
+
+// hotPathStep is one LSQR step on t, w = 0.5·A x − 0.75·u and z = Aᴴ w,
+// in one sweep.
+func hotPathStep(t *tlr.Matrix) func() {
+	x, u := make([]complex64, hotN), make([]complex64, hotM)
+	w, z := make([]complex64, hotM), make([]complex64, hotN)
+	x[0], x[hotN-1], u[1] = 1, 2i, 3
+	return func() { t.MulVecStep(x, 0.5, 0.75, u, w, z) }
 }
 
 // hotPathTimeProduct is one Eqn. (2) product Sᴴ K S (or its adjoint) on

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cfloat"
 	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/mdc"
@@ -400,29 +401,34 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 				impl.Name, gap, adjTol)
 		}
 	}
-	// 2. fused normal product: MulVecNormal fuses the adjoint∘forward
-	//    composition around a single hot pass over the U panels without
-	//    reordering a single accumulation, so it must reproduce the SoA
-	//    composition bit for bit.
-	{
-		x := Vec(rng, n)
-		ax := make([]complex64, m)
-		comp := make([]complex64, n)
-		fused := make([]complex64, n)
-		o.T.MulVecSoA(x, ax)
-		o.T.MulVecConjTransSoA(ax, comp)
-		o.T.MulVecNormal(x, fused)
-		if d := MaxULPDist(fused, comp); d != 0 {
-			return fmt.Errorf("oracle: fused normal product %d ULPs from SoA adjoint∘forward composition", d)
+	// 2. row-fused sweeps: MulVecStep runs each tile row's forward half,
+	//    the scale and the subtract, and the row's adjoint half without
+	//    reordering a single accumulation, and MulVecNormal is its α = 0
+	//    case, so both must reproduce their compositions bit for bit, in
+	//    memory and on the store-backed twin.
+	for _, tm := range []*tlr.Matrix{o.T, o.oocT} {
+		if err := checkFusedSweeps(tm, Vec(rng, n), Vec(rng, m)); err != nil {
+			return err
 		}
-		// The MDC layers above the fused kernel add no arithmetic of their
-		// own (single frequency, unit scale), so they must reproduce the
-		// tlr.Matrix product exactly.
-		normalOp := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: []*tlr.Matrix{o.T}}, Workers: 1}
-		opOut := make([]complex64, n)
-		normalOp.ApplyNormal(x, opOut)
-		if d := MaxULPDist(opOut, fused); d != 0 {
-			return fmt.Errorf("oracle: FreqOperator.ApplyNormal %d ULPs from the fused TLR normal product", d)
+	}
+	// The MDC layers above the fused kernel add no arithmetic of their own
+	// at a single frequency and unit scale, so they must reproduce the
+	// tlr.Matrix step exactly.
+	{
+		x, u := Vec(rng, n), Vec(rng, m)
+		w, z := make([]complex64, m), make([]complex64, n)
+		o.T.MulVecStep(x, 1, 0.75, u, w, z)
+		k := &mdc.TLRKernel{Mats: []*tlr.Matrix{o.T}}
+		op := &mdc.FreqOperator{K: k, Workers: 1}
+		for name, step := range map[string]func(w, z []complex64){
+			"TLRKernel.ApplyStep":    func(w, z []complex64) { k.ApplyStep(0, x, 1, 0.75, u, w, z) },
+			"FreqOperator.ApplyStep": func(w, z []complex64) { op.ApplyStep(x, 0.75, u, w, z) },
+		} {
+			gotW, gotZ := make([]complex64, m), make([]complex64, n)
+			step(gotW, gotZ)
+			if d := max(MaxULPDist(gotW, w), MaxULPDist(gotZ, z)); d != 0 {
+				return fmt.Errorf("oracle: %s %d ULPs from the fused TLR step", name, d)
+			}
 		}
 	}
 	// 3. out-of-core identity: the store-backed twin runs the identical
@@ -482,6 +488,31 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 			return fmt.Errorf("oracle: executed bytes %d != predicted absolute bytes %d",
 				meter.Bytes(), o.wsesimMuls*o.perMulBytes)
 		}
+	}
+	return nil
+}
+
+// checkFusedSweeps holds tm's MulVecStep, at a non-unit scale, to
+// MulVec → scale → subtract → MulVecConjTrans, and MulVecNormal to
+// MulVecConjTrans∘MulVec, both to 0 ULP.
+func checkFusedSweeps(tm *tlr.Matrix, x, u []complex64) error {
+	const scale, alpha = 0.5, 0.75
+	m, n := tm.M, tm.N
+	ax, z := make([]complex64, m), make([]complex64, n)
+	tm.MulVec(x, ax)
+	tm.MulVecConjTrans(ax, z)
+	fused := make([]complex64, n)
+	tm.MulVecNormal(x, fused)
+	if d := MaxULPDist(fused, z); d != 0 {
+		return fmt.Errorf("oracle: MulVecNormal %d ULPs from MulVecConjTrans∘MulVec (store-backed %v)", d, tm.OutOfCore())
+	}
+	cfloat.Scal(scale, ax)
+	cfloat.ScaleSub(1, ax, alpha, u)
+	tm.MulVecConjTrans(ax, z)
+	w := make([]complex64, m)
+	tm.MulVecStep(x, scale, alpha, u, w, fused)
+	if d := max(MaxULPDist(w, ax), MaxULPDist(fused, z)); d != 0 {
+		return fmt.Errorf("oracle: MulVecStep %d ULPs from MulVec → scale → subtract → MulVecConjTrans (store-backed %v)", d, tm.OutOfCore())
 	}
 	return nil
 }

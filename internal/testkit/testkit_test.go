@@ -239,9 +239,9 @@ func TestSeismicBand(t *testing.T) {
 	}
 }
 
-// TestMulVecEntryPointCensus keeps the TLR-MVM surface at the six entry
+// TestMulVecEntryPointCensus keeps the TLR-MVM surface at the seven entry
 // points of DESIGN.md's "TLR-MVM entry points and who calls them" table.
-// A seventh exported (*tlr.Matrix).MulVec* method fails here: every
+// An eighth exported (*tlr.Matrix).MulVec* method fails here: every
 // later kernel change has to keep each variant in step, so a new one is
 // argued for in that table (production caller, oracle Impl, hot-path
 // kernel) — or lands as a parameter of an existing row — first.
@@ -249,7 +249,7 @@ func TestMulVecEntryPointCensus(t *testing.T) {
 	want := map[string]bool{
 		"MulVec": true, "MulVecConjTrans": true,
 		"MulVecSoA": true, "MulVecConjTransSoA": true,
-		"MulVecNormal": true, "MulVecBatched": true,
+		"MulVecStep": true, "MulVecNormal": true, "MulVecBatched": true,
 	}
 	typ := reflect.TypeOf((*tlr.Matrix)(nil))
 	for i := 0; i < typ.NumMethod(); i++ {
@@ -258,7 +258,7 @@ func TestMulVecEntryPointCensus(t *testing.T) {
 			continue
 		}
 		if !want[name] {
-			t.Errorf("(*tlr.Matrix).%s is not one of the six TLR-MVM entry points; argue for it in DESIGN.md's entry-point table before adding it here", name)
+			t.Errorf("(*tlr.Matrix).%s is not one of the seven TLR-MVM entry points; argue for it in DESIGN.md's entry-point table before adding it here", name)
 		}
 		delete(want, name)
 	}
@@ -269,8 +269,9 @@ func TestMulVecEntryPointCensus(t *testing.T) {
 
 // TestKernelSurfaceCensus keeps the per-frequency kernel contract
 // single: the built-in kernels export mdc.Kernel (plus the one optional
-// fused capability on the TLR kernel) and FreqOperator the three
-// products, nothing else. A fallible twin of any of them fails here —
+// fused capability on the TLR kernel, mdc.NormalKernel's ApplyNormal and
+// ApplyStep) and FreqOperator its forward, adjoint and step products,
+// nothing else. A fallible twin of any of them fails here —
 // errors enter the stack at batch.ShardExec and lsqr.FallibleOperator
 // (DESIGN.md, "Where a product can fail"), not at a kernel.
 func TestKernelSurfaceCensus(t *testing.T) {
@@ -279,8 +280,8 @@ func TestKernelSurfaceCensus(t *testing.T) {
 		want []string // sorted, as reflect lists methods
 	}{
 		{reflect.TypeOf((*mdc.DenseKernel)(nil)), []string{"Apply", "ApplyAdjoint", "Bytes", "Cols", "NumFreqs", "Rows"}},
-		{reflect.TypeOf((*mdc.TLRKernel)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyNormal", "Bytes", "Cols", "NumFreqs", "Rows"}},
-		{reflect.TypeOf((*mdc.FreqOperator)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyNormal", "Cols", "Rows"}},
+		{reflect.TypeOf((*mdc.TLRKernel)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyNormal", "ApplyStep", "Bytes", "Cols", "NumFreqs", "Rows"}},
+		{reflect.TypeOf((*mdc.FreqOperator)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyStep", "Cols", "Rows"}},
 	} {
 		var got []string
 		for i := 0; i < c.typ.NumMethod(); i++ {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cfloat"
 	"repro/internal/dense"
 	"repro/internal/opstore"
 	"repro/internal/testkit"
@@ -143,14 +144,14 @@ func storeBackedTwin(t *testing.T, tm *tlr.Matrix) *tlr.Matrix {
 	return ooc
 }
 
-// TestBatchedMatchesSequentialAcrossShapes drives all six MulVec* entry
+// TestBatchedMatchesSequentialAcrossShapes drives all seven MulVec* entry
 // points (it began as the MulVecBatched-only shape sweep and keeps the
 // name) over the degenerate tile-grid shapes: every one must match the
 // sequential AoS reference within the oracle's execution tolerance,
 // MulVecBatched must be MulVecSoA bit for bit at every worker count (it
-// is the same product with its panel loops on a pool), the fused normal
-// pass must reproduce the SoA composition bit for bit, and the SoA pair
-// must satisfy the adjoint identity.
+// is the same product with its panel loops on a pool), the row-fused
+// step and normal pass must reproduce their AoS compositions bit for bit,
+// and the SoA pair must satisfy the adjoint identity.
 func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
 	mixed := func(i, j int) int { return 1 + (i+2*j)%5 }
 	ragged := func(i, j int) int { return 1 + (i+j)%8 }
@@ -218,15 +219,20 @@ func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
 			}
 
 			comp, fused := make([]complex64, tc.n), make([]complex64, tc.n)
-			tm.MulVecConjTransSoA(soa, comp)
+			tm.MulVecConjTrans(ref, comp)
 			tm.MulVecNormal(x, fused)
 			if d := testkit.MaxULPDist(fused, comp); d != 0 {
-				t.Errorf("MulVecNormal %d ULPs from MulVecConjTransSoA∘MulVecSoA", d)
+				t.Errorf("MulVecNormal %d ULPs from MulVecConjTrans∘MulVec", d)
 			}
-			refN := make([]complex64, tc.n)
-			tm.MulVecConjTrans(ref, refN)
-			if e := testkit.RelErr(fused, refN); e > tolFwd+tolAdj {
-				t.Errorf("MulVecNormal relErr %g > %g", e, tolFwd+tolAdj)
+			// the step at a non-unit scale, dirty outputs: every block of w
+			// and z must be written
+			w, z := testkit.Vec(rng, tc.m), testkit.Vec(rng, tc.n)
+			tm.MulVecStep(x, 0.5, 0.75, xa, w, z)
+			cfloat.Scal(0.5, ref)
+			cfloat.ScaleSub(1, ref, 0.75, xa)
+			tm.MulVecConjTrans(ref, comp)
+			if d := max(testkit.MaxULPDist(w, ref), testkit.MaxULPDist(z, comp)); d != 0 {
+				t.Errorf("MulVecStep %d ULPs from MulVec → scale → subtract → MulVecConjTrans", d)
 			}
 
 			if gap := testkit.AdjointGap(soaOperator{tm}, rng, 3); gap > 1e-4 {

@@ -22,6 +22,8 @@ var (
 	obsSoAAdjMeter = obs.NewMeter("tlr.mvm_soa_adjoint")
 	obsNormal      = obs.NewTimer("tlr.mvm_normal")
 	obsNormalMeter = obs.NewMeter("tlr.mvm_normal")
+	obsStep        = obs.NewTimer("tlr.mvm_step")
+	obsStepMeter   = obs.NewMeter("tlr.mvm_step")
 )
 
 // FlopCount returns the floating-point operations of one forward (or
@@ -56,15 +58,12 @@ func meterMVM(m *obs.Meter, t *Matrix) {
 	}
 }
 
-// meterNormal publishes the fused normal pass: two products' flops, but
-// the traffic the pass actually streams — the V panels twice (forward
-// phase 1, adjoint phase 3), the U panels once (both U products run on
-// each block while it is cache-resident, and the length-M vector between
-// them never leaves the out planes), x and y of length N, and the two
-// rank-space intermediates each written and re-read.
-func meterNormal(t *Matrix) {
+// meterFused publishes one row-fused sweep (MulVecStep, MulVecNormal):
+// two products' flops, but the traffic an in-memory sweep streams — every
+// base once (a row's adjoint half rereads its tiles from cache) and the
+// given count of complex64 vector elements.
+func meterFused(m *obs.Meter, t *Matrix, vecElems int) {
 	if obs.Enabled() {
-		u, v := t.factorBytes()
-		obsNormalMeter.Add(2*t.FlopCount(), u+2*v+8*int64(2*t.N+4*t.TotalRank()))
+		m.Add(2*t.FlopCount(), t.CompressedBytes()+8*int64(vecElems))
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // Every product needs intermediates per call: the sequential sweep one
-// tile's projection segment (and, store-backed, a tile to read into),
+// tile's projection segment, one tile row's block of A x for the normal
+// product (and, store-backed, a tile to read into),
 // the stacked paths the whole Yv/Yu projection vector and the vector
 // endpoints as split planes.
 // Allocating them per product put makes on the hot path; they are
@@ -41,6 +42,7 @@ type scratchState struct {
 // sweepScratch is one checkout of the sequential sweep's intermediates.
 type sweepScratch struct {
 	seg  []complex64
+	row  []complex64  // one tile row's block of A x, for MulVecNormal
 	tile *TileScratch // nil for an in-memory matrix
 }
 
@@ -73,7 +75,7 @@ func (t *Matrix) getSweep() *sweepScratch {
 		return s
 	default:
 	}
-	s := &sweepScratch{seg: make([]complex64, t.segLen)}
+	s := &sweepScratch{seg: make([]complex64, t.segLen), row: make([]complex64, min(t.NB, t.M))}
 	if t.tileLen > 0 {
 		s.tile = &TileScratch{Data: make([]complex64, t.tileLen)}
 	}

@@ -20,17 +20,14 @@ package tlr
 // (Pᴴ·x into the panel's rank segment) and expand (P·segment into the
 // panel's vector block). Every SoA product is a composition of the two
 // around the shuffle — forward is project(V)·expand(U), adjoint
-// project(U)·expand(V), the fused normal pass runs expand and project
-// back to back on each U panel, and MulVecBatched is the forward product
-// with the panels of each phase dealt to a worker pool — so all four
+// project(U)·expand(V), and MulVecBatched is the forward product with
+// the panels of each phase dealt to a worker pool — so all three
 // accumulate in the same order, and the parallel product is the
 // sequential one bit for bit at any worker count.
 //
 // Panels are swept in cache blocks of panels.cols stacked columns, sized
 // from the roofline cache model so a block plus the resident vectors
-// fits in half the L2; the fused normal pass (MulVecNormal) leans on that
-// residency to stream each U panel's block through the forward and
-// adjoint products back to back.
+// fits in half the L2.
 //
 // The AoS tile paths (tlr.go) fuse the phases the other way — one
 // sweep that takes each tile's V and U together, with no stacked
@@ -122,17 +119,6 @@ func (ps *panels) expand(p int, segR, segI, outR, outI []float32) {
 		cfloat.GemvSoAAcc(ext, cw, ps.re[off+c0*ext:], ps.im[off+c0*ext:], ext,
 			segR[base+c0:], segI[base+c0:], outR, outI)
 	}
-}
-
-// normal runs the fused middle of the normal product on panel p:
-// z = P · segment into block p of the out planes, then segment ← Pᴴ · z
-// in place — each cache block of the panel is touched by both sweeps
-// back to back while resident, and once z is complete the segment is
-// dead, so project may overwrite it. Registered hot path — must stay
-// allocation-free.
-func (ps *panels) normal(p int, segR, segI, outR, outI []float32) {
-	ps.expand(p, segR, segI, outR, outI)
-	ps.project(p, outR, outI, segR, segI)
 }
 
 // minParallelWork is the fmac count below which a sweep over a whole
@@ -327,40 +313,6 @@ func (t *Matrix) mulVecSoA(x, y []complex64, adjoint bool, workers int) {
 	// of the out planes, merged into the caller's y once.
 	out.sweepAll(workers, (*panels).expand, outR, outI, s.foutR, s.foutI)
 	cfloat.MergeReIm(s.foutR[:out.dim], s.foutI[:out.dim], y[:out.dim])
-	l.putScratch(s)
-}
-
-// MulVecNormal computes y = Aᴴ(A x), the fused normal product behind the
-// LSQR/CGLS inner iteration: the V panels run the forward phase 1, the
-// shuffled intermediate drives both U products back to back — each
-// cache-resident U block is applied forward (z = Ucatᵢ·yu_i) and
-// immediately adjoint (yu_i ← Ucatᵢᴴ·z) while hot — and the V panels run
-// once more for the adjoint phase 3. One fused pass streams the U planes
-// once per iteration where separate Apply+ApplyAdjoint calls stream them
-// twice. x and y have length N.
-func (t *Matrix) MulVecNormal(x, y []complex64) {
-	if len(x) < t.N || len(y) < t.N {
-		panic("tlr: MulVecNormal vector too short")
-	}
-	defer obsNormal.Start().End()
-	meterNormal(t)
-	l := t.getSoA()
-	s := l.getScratch(t)
-	cfloat.SplitReIm(x[:t.N], s.fxr[:t.N], s.fxi[:t.N])
-	for j := 0; j < t.NT; j++ {
-		l.v.project(j, s.fxr, s.fxi, s.ycR, s.ycI)
-	}
-	shuffle(t, l, true, s.ycR, s.yuR)
-	shuffle(t, l, true, s.ycI, s.yuI)
-	for i := 0; i < t.MT; i++ {
-		l.u.normal(i, s.yuR, s.yuI, s.foutR, s.foutI)
-	}
-	shuffle(t, l, false, s.yuR, s.ycR)
-	shuffle(t, l, false, s.yuI, s.ycI)
-	for j := 0; j < t.NT; j++ {
-		l.v.expand(j, s.ycR, s.ycI, s.foutR, s.foutI)
-	}
-	cfloat.MergeReIm(s.foutR[:t.N], s.foutI[:t.N], y[:t.N])
 	l.putScratch(s)
 }
 

@@ -1,4 +1,4 @@
-// Concurrency stress test for the six TLR-MVM entry points, meant to
+// Concurrency stress test for the seven TLR-MVM entry points, meant to
 // run under -race (`make race-stress`): many goroutines sharing one
 // matrix — its scratch free list and its lazily built SoA layout — each
 // driving a different product. Guarded by testing.Short so quick suites
@@ -16,7 +16,7 @@ import (
 
 // TestStressMulVecBatchedConcurrent began as the MulVecBatched-only
 // stress test and keeps the name; MulVecBatched at three worker counts
-// is now three of its eight rows.
+// is now three of its nine rows.
 func TestStressMulVecBatchedConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")
@@ -32,6 +32,11 @@ func TestStressMulVecBatchedConcurrent(t *testing.T) {
 	compressed.MulVec(x, fwd)
 	compressed.MulVecConjTrans(xa, adj)
 	compressed.MulVecConjTrans(fwd, nrm)
+	stp, w := make([]complex64, n), append([]complex64(nil), fwd...)
+	for i := range w {
+		w[i] -= 0.5 * xa[i]
+	}
+	compressed.MulVecConjTrans(w, stp)
 
 	batched := func(workers int) func(tm *Matrix, y []complex64) error {
 		return func(tm *Matrix, y []complex64) error { return tm.MulVecBatched(x, y, workers) }
@@ -46,6 +51,10 @@ func TestStressMulVecBatchedConcurrent(t *testing.T) {
 		{"MulVecSoA", fwd, func(tm *Matrix, y []complex64) error { tm.MulVecSoA(x, y); return nil }},
 		{"MulVecConjTransSoA", adj, func(tm *Matrix, y []complex64) error { tm.MulVecConjTransSoA(xa, y); return nil }},
 		{"MulVecNormal", nrm, func(tm *Matrix, y []complex64) error { tm.MulVecNormal(x, y); return nil }},
+		{"MulVecStep", stp, func(tm *Matrix, y []complex64) error {
+			tm.MulVecStep(x, 1, 0.5, xa, make([]complex64, m), y)
+			return nil
+		}},
 		{"MulVecBatched/workers=1", fwd, batched(1)},
 		{"MulVecBatched/workers=3", fwd, batched(3)},
 		{"MulVecBatched/workers=8", fwd, batched(8)},

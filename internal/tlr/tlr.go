@@ -7,12 +7,14 @@
 // projects from the V to the U ordering (Fig. 6), and a batched MVM over
 // the U bases (Fig. 7).
 //
-// The package provides six products (DESIGN.md, "TLR-MVM entry points"):
-// the sequential per-tile reference MulVec/MulVecConjTrans (the phases
-// fused per tile, see sweep), the stacked split-plane
-// MulVecSoA/MulVecConjTransSoA and their fused normal pass MulVecNormal
-// (soa.go), and MulVecBatched, the one in-matrix parallel path: the
-// stacked forward product with its panels dealt to a worker pool.
+// The package provides seven products (DESIGN.md, "TLR-MVM entry
+// points"): the sequential per-tile MulVec/MulVecConjTrans (the phases
+// fused per tile), MulVecStep, one LSQR step w = A x − α u, z = Aᴴ w in
+// one sweep over the tile rows, and its α = 0 case MulVecNormal — all
+// four one body, sweep — plus the stacked split-plane
+// MulVecSoA/MulVecConjTransSoA (soa.go) and MulVecBatched, the one
+// in-matrix parallel path: the stacked forward product with its panels
+// dealt to a worker pool.
 package tlr
 
 import (
@@ -292,7 +294,7 @@ func (t *Matrix) MulVec(x, y []complex64) {
 	defer obsMVM.Start().End()
 	meterMVM(obsMVMMeter, t)
 	s := t.getSweep()
-	t.sweep(false, x, y[:t.M], s)
+	t.sweep(x, y[:t.M], nil, 1, 0, nil, s)
 	t.putSweep(s)
 }
 
@@ -306,41 +308,93 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 	defer obsAdjoint.Start().End()
 	meterMVM(obsAdjMeter, t)
 	s := t.getSweep()
-	t.sweep(true, x, y[:t.N], s)
+	t.sweep(nil, x, y[:t.N], 1, 0, nil, s)
 	t.putSweep(s)
 }
 
-// sweep is the body of both sequential products: one pass over the
-// tiles in storage (row-major) order, consuming each tile's two bases
-// together —
+// MulVecStep runs one Golub–Kahan step of LSQR in one sweep over the
+// tiles: w = scale·(A x) − alpha·u, then z = Aᴴ w. Each tile row's
+// adjoint half runs on the tiles its forward half has just read, so an
+// in-memory operator is streamed once where MulVec followed by
+// MulVecConjTrans streams it twice; the result is theirs bit for bit,
+// with the scale and the subtract of cfloat.ScaleSub between them. u
+// may be nil when alpha is 0. x and z have length N, u and w length M.
+func (t *Matrix) MulVecStep(x []complex64, scale, alpha float32, u, w, z []complex64) {
+	if len(x) < t.N || len(w) < t.M || len(z) < t.N || (u != nil && len(u) < t.M) {
+		panic("tlr: MulVecStep vector too short")
+	}
+	defer obsStep.Start().End()
+	meterFused(obsStepMeter, t, 2*t.N+2*t.M)
+	s := t.getSweep()
+	t.sweep(x, w[:t.M], z[:t.N], scale, alpha, u, s)
+	t.putSweep(s)
+}
+
+// MulVecNormal computes y = Aᴴ(A x), the normal product behind CGLS:
+// MulVecStep at alpha 0 and unit scale, with each A x row block kept in
+// the sweep's row scratch. x and y have length N.
+func (t *Matrix) MulVecNormal(x, y []complex64) {
+	if len(x) < t.N || len(y) < t.N {
+		panic("tlr: MulVecNormal vector too short")
+	}
+	defer obsNormal.Start().End()
+	meterFused(obsNormalMeter, t, 2*t.N)
+	s := t.getSweep()
+	t.sweep(x, nil, y[:t.N], 1, 0, nil, s)
+	t.putSweep(s)
+}
+
+// sweep is the body of every sequential product: one pass over the tile
+// rows in storage (row-major) order. Row i runs up to three steps, each
+// consuming a tile's two bases together —
 //
-//	forward:  seg = V_{ij}ᴴ·x_j (Fig. 5), y_i += U_{ij}·seg (Fig. 7)
-//	adjoint:  seg = U_{ij}ᴴ·x_i,          y_j += V_{ij}·seg
+//	forward (x != nil):  seg = V_{ij}ᴴ·x_j (Fig. 5), w_i += U_{ij}·seg (Fig. 7)
+//	middle  (scale ≠ 1 or u != nil):  w_i = scale·w_i − alpha·u_i
+//	adjoint (z != nil):  seg = U_{ij}ᴴ·w_i,          z_j += V_{ij}·seg
+//
+// MulVec is the forward step alone (w = y), MulVecConjTrans the adjoint
+// alone (w = its input), MulVecStep all three and MulVecNormal the
+// forward and adjoint around no middle, with w nil: each w_i then lives
+// in the checkout's row scratch.
 //
 // The three-phase schedule of the paper (all projections, the Fig. 6
 // shuffle, all expansions) computes the same bits: a tile's projection
-// depends on nothing but the tile and x, and every output block still
-// accumulates its tiles in ascending order. What the fused order buys is
-// Fig. 9's point applied on the host — with U and V of a tile used
-// together there is no shuffle, and a store-backed matrix faults each
-// tile once per product, in the order the file holds them, and each
-// tile is done with before the next is requested — so a tile the store
-// does not keep can be read into the product's one tile scratch. s is
-// the product's checkout (scratch.go). Registered hot path — the loop
-// must stay allocation-free.
-func (t *Matrix) sweep(adjoint bool, x, y []complex64, s *sweepScratch) {
-	for k := range y {
-		y[k] = 0
-	}
+// depends on nothing but the tile and its input block, and every output
+// block still accumulates its tiles in ascending order — w_i over j, z_j
+// over i — so a fused step is its two products bit for bit. What the
+// fused order buys is Fig. 9's point applied on the host: with U and V
+// of a tile used together there is no shuffle, a row's adjoint half
+// finds its tiles still in cache, and a store-backed matrix faults each
+// tile once per half, in the order the file holds them, each done with
+// before the next is requested — so a tile the store does not keep can
+// be read into the product's one tile scratch. s is the product's
+// checkout (scratch.go). Registered hot path — the loop must stay
+// allocation-free.
+func (t *Matrix) sweep(x, w, z []complex64, scale, alpha float32, u []complex64, s *sweepScratch) {
+	clear(z)
 	for i := 0; i < t.MT; i++ {
 		r0, r1 := i*t.NB, i*t.NB+t.tileRows(i)
-		for j := 0; j < t.NT; j++ {
-			c0, c1 := j*t.NB, j*t.NB+t.tileCols(j)
-			tile := t.tileAt(i*t.NT+j, s.tile)
-			if adjoint {
-				applyTile(tile.U, tile.V, x[r0:r1], y[c0:c1], s.seg)
-			} else {
-				applyTile(tile.V, tile.U, x[c0:c1], y[r0:r1], s.seg)
+		wi := s.row[:r1-r0]
+		if w != nil {
+			wi = w[r0:r1]
+		}
+		if x != nil {
+			clear(wi)
+			for j := 0; j < t.NT; j++ {
+				tile := t.tileAt(i*t.NT+j, s.tile)
+				applyTile(tile.V, tile.U, x[j*t.NB:j*t.NB+t.tileCols(j)], wi, s.seg)
+			}
+		}
+		switch {
+		case u != nil:
+			cfloat.ScaleSub(scale, wi, alpha, u[r0:r1])
+		case scale != 1:
+			cfloat.Scal(complex(scale, 0), wi)
+		}
+		if z != nil {
+			for j := 0; j < t.NT; j++ {
+				tile := t.tileAt(i*t.NT+j, s.tile)
+				applyTile(tile.U, tile.V, wi, z[j*t.NB:j*t.NB+t.tileCols(j)], s.seg)
 			}
 		}
 	}
