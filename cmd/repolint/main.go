@@ -48,8 +48,7 @@ func run(analyzers []*analysis.Analyzer) int {
 		return 2
 	}
 	// The driver loads and type-checks the module exactly once; every
-	// analyzer (and every Module.Cached artifact: call graph, summaries)
-	// shares that single load.
+	// analyzer shares that single load.
 	diags, mod, err := (&analysis.Driver{}).Run(wd, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)

@@ -1,6 +1,6 @@
 // Package analysis is the repo's domain-invariant static analysis suite:
 // a small, dependency-free framework in the shape of golang.org/x/tools'
-// go/analysis, plus nine analyzers that turn this repo's correctness
+// go/analysis, plus eight analyzers that turn this repo's correctness
 // conventions into compiler-checked rules. The conventions exist because
 // the committed model report (REPORT.md, `make report-check`) and the
 // §6.5–§6.7 cycle/meter invariants treat the machine-model outputs as
@@ -14,8 +14,10 @@
 // loops to internal/testkit's hot-path registry (AllocsPerRun == 0),
 // data races to `go test -race` and `make race-stress`, goroutine
 // termination to internal/testkit/suite's VerifyNoLeaks, the serving
-// layer's admission caps to internal/mddserve's cap table and FuzzSubmit
-// (EXPERIMENTS.md, "Retired analyzers", records the evidence).
+// layer's admission caps to internal/mddserve's cap table and FuzzSubmit,
+// cancellation and wakeups in the serving and batch stacks to their
+// TestCancel* tests (EXPERIMENTS.md, "Retired analyzers", records the
+// evidence).
 //
 // The analyzers share one engine. go/build picks the files of each
 // package (load.go). Pass.Reportf applies the one //lint: escape rule
@@ -26,11 +28,9 @@
 // faultflow and lockorder — run on the intra-procedural dataflow engine
 // in cfg.go/dataflow.go: a CFG built from function bodies, a
 // must-reach-a-use check for error values, and a forward may-analysis
-// solver (lockorder's held locks). ctxflow adds the interprocedural
-// layer (callgraph.go/summary.go): an intra-module call graph over
-// go/types with single-assignment devirtualization and a bottom-up
-// function-summary fixpoint engine. lintlint polices the //lint:
-// directives the others consult.
+// solver (lockorder's held locks). No analyzer looks across function
+// boundaries. lintlint polices the //lint: directives the others
+// consult.
 //
 // The analyzers (see their files for the precise rules):
 //
@@ -55,8 +55,6 @@
 //     (internal/mddserve, internal/mddclient, cmd/mddserve), examples/,
 //     or the module-root integration/stress suites
 //     (escape: //lint:lock-ok).
-//   - ctxflow: blocking operations in internal/{mddserve,mddclient,
-//     batch,fault} must be cancellable (escape: //lint:ctx-ok).
 //   - lintlint: directive hygiene — unknown/misspelled //lint:
 //     directives and stale escapes that no longer suppress anything.
 //
@@ -112,12 +110,6 @@ type Pass struct {
 	// Module is the whole-module context; every pass has one.
 	Module *Module
 
-	// TestVariant marks passes over test-assembled packages (in-package
-	// augmented or external _test packages). Their types.Func objects are
-	// distinct from the module call graph's, so the interprocedural
-	// analyzers skip these passes.
-	TestVariant bool
-
 	// IgnoreEscapes disables //lint: escape suppression. The lintlint
 	// analyzer re-runs the suite in this mode to learn which escapes
 	// still attach to a diagnostic.
@@ -130,15 +122,14 @@ type Pass struct {
 // NewPass assembles a Pass that appends its findings to sink.
 func NewPass(a *Analyzer, fset *token.FileSet, pkg *Package, module *Module, sink *[]Diagnostic) *Pass {
 	return &Pass{
-		Analyzer:    a,
-		Fset:        fset,
-		Files:       pkg.Files,
-		Pkg:         pkg.Types,
-		TypesInfo:   pkg.Info,
-		Path:        pkg.Path,
-		Module:      module,
-		TestVariant: pkg.TestVariant,
-		diags:       sink,
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.Info,
+		Path:      pkg.Path,
+		Module:    module,
+		diags:     sink,
 	}
 }
 
@@ -176,7 +167,6 @@ func All() []*Analyzer {
 		SeededRand,
 		FaultFlow,
 		LockOrder,
-		CtxFlow,
 		LintLint,
 	}
 }
@@ -301,15 +291,13 @@ var knownDirectives = map[string]string{
 	"lock-ok":       "lockorder",
 	"widen-ok":      "precwiden",
 	"oracle-exempt": "oraclereg",
-	"ctx-ok":        "ctxflow",
 }
 
 // escape is one //lint: directive comment and the lines it covers: its
 // own line and the next, or, in a function's doc comment, every line
 // through the end of that function. This is the one escape rule:
-// Reportf and the summary passes suppress what an escape covers, and
-// lintlint calls an escape stale when none of its owner's diagnostics
-// lands in it.
+// Reportf suppresses what an escape covers, and lintlint calls an
+// escape stale when none of its owner's diagnostics lands in it.
 type escape struct {
 	name     string
 	comment  *ast.Comment
@@ -440,13 +428,6 @@ func loopDepth(stack []ast.Node) int {
 		}
 	}
 	return depth
-}
-
-// isFuncLit reports whether n is a function literal; region walkers
-// stop at one because its body is analyzed as its own region.
-func isFuncLit(n ast.Node) bool {
-	_, ok := n.(*ast.FuncLit)
-	return ok
 }
 
 // typeUnder returns the underlying type, tolerating nil.

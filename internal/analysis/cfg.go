@@ -9,8 +9,8 @@ import (
 // intra-procedural control-flow graph built directly from a function
 // body's go/ast. The syntactic analyzers (PR 3) inspect statements in
 // isolation; the CFG lets faultflow ask "does this error reach a use on
-// *every* path", lets lockorder propagate the held-mutex set across
-// branches and loops, and gives ctxflow its per-function flow regions.
+// *every* path" and lets lockorder propagate the held-mutex set across
+// branches and loops.
 //
 // Blocks hold only flat statements (assignments, calls, sends, defers,
 // returns, ...) — the bodies of nested if/for/switch/select statements
@@ -410,31 +410,25 @@ func (b *cfgBuilder) top(stack []*Block) *Block {
 
 // markDead flags blocks unreachable from the entry.
 func (b *cfgBuilder) markDead() {
-	reach := b.cfg.reach(nil, b.cfg.Entry)
+	reach := b.cfg.reach(b.cfg.Entry)
 	for _, blk := range b.cfg.Blocks {
 		blk.Dead = !reach[blk.Index]
 	}
 }
 
-// reach marks, by block index, the blocks reachable from starts (the
-// starts included). A block with stop set is reached but not left; stop
-// may be nil.
-func (c *CFG) reach(stop []bool, starts ...*Block) []bool {
+// reach marks, by block index, the blocks reachable from start (start
+// included).
+func (c *CFG) reach(start *Block) []bool {
 	seen := make([]bool, len(c.Blocks))
-	var stack []*Block
-	push := func(bs []*Block) {
-		for _, s := range bs {
+	seen[start.Index] = true
+	for stack := []*Block{start}; len(stack) > 0; {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
 			if !seen[s.Index] {
 				seen[s.Index] = true
 				stack = append(stack, s)
 			}
-		}
-	}
-	for push(starts); len(stack) > 0; {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if stop == nil || !stop[b.Index] {
-			push(b.Succs)
 		}
 	}
 	return seen

@@ -172,9 +172,9 @@ func TestBuildCFGShapes(t *testing.T) {
 			dead:   1,
 		},
 		{
-			// ctxflow's canonical cancellable worker: the loop's only
-			// exits run through select comm arms, so the cycle must pass
-			// the Done arm (a cancel block) on every iteration.
+			// The canonical cancellable worker: the loop's only exit
+			// runs through a select comm arm, so every iteration
+			// dispatches from the select and only the Done arm leaves.
 			name: "for around select with only Done arms",
 			src:  "for {\n select {\n case <-ctx.Done():\n  return\n case <-tick.C:\n  work()\n }\n}",
 			// + for head/body/after, select.after, 2 comm bodies,

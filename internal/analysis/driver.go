@@ -6,11 +6,10 @@ import (
 )
 
 // Driver is the repolint engine: one module load, one type-check,
-// shared across every analyzer, with every Module.Cached artifact (call
-// graph, ctxflow's summaries) memoized per module. The cost of adding
-// an analyzer is its Run time only — the front-loaded load/type-check
-// is paid once. cmd/repolint is a thin wrapper over this; tests drive
-// it directly with a counting loader to pin the single-load property.
+// shared across every analyzer. The cost of adding an analyzer is its
+// Run time only — the front-loaded load/type-check is paid once.
+// cmd/repolint is a thin wrapper over this; tests drive it directly
+// with a counting loader to pin the single-load property.
 type Driver struct {
 	// Load replaces LoadModule when non-nil, so tests can count how
 	// often the module is loaded.
@@ -65,11 +64,3 @@ func (d *Driver) Run(dir string, analyzers []*Analyzer) ([]Diagnostic, *Module, 
 	SortDiagnostics(mod.Fset, diags)
 	return diags, mod, nil
 }
-
-// callGraphBuilds counts actual call-graph constructions (cache hits
-// excluded). The driver regression test asserts one build per module.
-var callGraphBuilds int
-
-// CallGraphBuilds returns the number of call graphs constructed so far
-// in this process.
-func CallGraphBuilds() int { return callGraphBuilds }

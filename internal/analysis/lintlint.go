@@ -45,9 +45,6 @@ func runLintLint(pass *Pass) error {
 				pass.Reportf(e.comment.Pos(), "unknown //lint: directive %q%s (known: %s)", e.name, hint, directiveNames())
 				continue
 			}
-			if pass.TestVariant && owner == CtxFlow.Name {
-				continue // ctxflow skips test-variant passes: no verdict here
-			}
 			diags, ok := cands[owner]
 			if !ok {
 				var err error

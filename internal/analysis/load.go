@@ -30,7 +30,6 @@ type Module struct {
 	Packages map[string]*Package
 
 	importer *moduleImporter
-	cache    map[string]any // Cached artifacts: call graph, summary maps
 }
 
 // Package is one loaded, type-checked package.

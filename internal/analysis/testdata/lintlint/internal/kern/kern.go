@@ -26,6 +26,6 @@ func typo() {
 
 // invented uses a directive nothing owns.
 func invented() {
-	//lint:frobnicate // want `unknown //lint: directive .frobnicate. \(known: ctx-ok, err-ok, lock-ok, oracle-exempt, widen-ok\)`
+	//lint:frobnicate // want `unknown //lint: directive .frobnicate. \(known: err-ok, lock-ok, oracle-exempt, widen-ok\)`
 	_ = 0
 }

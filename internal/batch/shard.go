@@ -276,7 +276,9 @@ func (r *ShardRunner) worker(shard int, exec ShardExec) {
 			if p, ok = r.dequeueLocked(shard); ok {
 				break
 			}
-			//lint:ctx-ok wakeup protocol: Run broadcasts on every enqueue, on fatal error, and when remaining hits zero, and the loop rechecks its exit predicate under r.mu before parking again
+			// Wakeup protocol: the runner broadcasts on every enqueue, on
+			// fatal error, and when remaining hits zero, and the loop
+			// rechecks its exit predicate under r.mu before parking again.
 			r.cond.Wait()
 		}
 		task := r.tasks[p.idx]

@@ -7,9 +7,39 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testkit/suite"
 )
 
 func noSleep(time.Duration) {}
+
+// waitBound bounds every wait in these tests for a wakeup, so a missing
+// broadcast fails the waiting test by name in seconds instead of hanging
+// the binary until its timeout.
+const waitBound = 10 * time.Second
+
+// runWithin runs r.Run on its own goroutine and fails the test when Run
+// has not returned within waitBound.
+func runWithin(t *testing.T, r *ShardRunner, tasks []ShardTask, exec ShardExec) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- r.Run(tasks, exec) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(waitBound):
+		t.Fatalf("Run did not return within %v", waitBound)
+		return nil
+	}
+}
+
+// parked reports whether n shard workers parked on the runner's
+// condition variable within waitBound. Exec callbacks use it to hold a
+// task until its peers have run out of work, so what happens next has
+// to wake them.
+func parked(n int) bool {
+	return suite.WaitParked("batch.(*ShardRunner).worker", n, waitBound)
+}
 
 func makeTasks(n, width int) []ShardTask {
 	tasks := make([]ShardTask, n)
@@ -41,13 +71,19 @@ func checkAllDone(t *testing.T, tasks []ShardTask) {
 	}
 }
 
+// TestShardRunnerHappyPath: every task runs and every shard survives.
+// Task 0 finishes last, after the other three shards have run out of
+// work and parked, so the run's last completion has to wake them.
 func TestShardRunnerHappyPath(t *testing.T) {
 	r, err := NewShardRunner(ShardOptions{Shards: 4, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tasks := makeTasks(10, 3)
-	if err := r.Run(tasks, func(shard int, task ShardTask) error {
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
+		if task.ID == 0 && !parked(3) {
+			t.Errorf("three idle shards not parked within %v", waitBound)
+		}
 		fill(task)
 		return nil
 	}); err != nil {
@@ -76,7 +112,7 @@ func TestShardRunnerTransientRetry(t *testing.T) {
 	}
 	var failed atomic.Bool
 	tasks := makeTasks(6, 2)
-	if err := r.Run(tasks, func(shard int, task ShardTask) error {
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 		if task.ID == 2 && !failed.Swap(true) {
 			return errors.New("transient")
 		}
@@ -97,7 +133,7 @@ func TestShardRunnerDeathAndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := makeTasks(9, 2)
-	if err := r.Run(tasks, func(shard int, task ShardTask) error {
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 		if shard == 1 {
 			return fmt.Errorf("shard %d is broken", shard)
 		}
@@ -121,7 +157,7 @@ func TestShardRunnerMaxAttemptsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := makeTasks(4, 2)
-	err = r.Run(tasks, func(shard int, task ShardTask) error {
+	err = runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 		if task.ID == 1 {
 			return errors.New("always fails")
 		}
@@ -139,7 +175,7 @@ func TestShardRunnerAllDeadFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := makeTasks(6, 2)
-	err = r.Run(tasks, func(shard int, task ShardTask) error {
+	err = runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 		return errors.New("everything is on fire")
 	})
 	if err == nil {
@@ -149,7 +185,7 @@ func TestShardRunnerAllDeadFatal(t *testing.T) {
 		t.Errorf("alive = %d, want 0", r.Alive())
 	}
 	// a runner with no capacity refuses further runs
-	if err := r.Run(makeTasks(1, 1), func(int, ShardTask) error { return nil }); err == nil {
+	if err := runWithin(t, r, makeTasks(1, 1), func(int, ShardTask) error { return nil }); err == nil {
 		t.Error("run with zero alive shards should error")
 	}
 }
@@ -166,7 +202,7 @@ func TestShardRunnerReviveRestoresCapacity(t *testing.T) {
 	}
 	r.Revive(0)
 	tasks := makeTasks(3, 1)
-	if err := r.Run(tasks, func(shard int, task ShardTask) error {
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 		if shard != 0 {
 			return fmt.Errorf("task ran on dead shard %d", shard)
 		}
@@ -186,7 +222,7 @@ func TestShardRunnerNaNValidation(t *testing.T) {
 	nan := float32(math.NaN())
 	var corrupted atomic.Bool
 	tasks := makeTasks(4, 2)
-	if err := r.Run(tasks, func(shard int, task ShardTask) error {
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 		fill(task)
 		if task.ID == 3 && !corrupted.Swap(true) {
 			task.Y[0] = complex(nan, 0) // silent corruption, exactly once
@@ -216,7 +252,7 @@ func TestShardRunnerRejectsConcurrentRun(t *testing.T) {
 		})
 	}()
 	<-started
-	if err := r.Run(makeTasks(1, 1), func(int, ShardTask) error { return nil }); err == nil {
+	if err := runWithin(t, r, makeTasks(1, 1), func(int, ShardTask) error { return nil }); err == nil {
 		t.Error("concurrent Run should be rejected")
 	}
 	close(release)
@@ -230,7 +266,7 @@ func TestShardRunnerEmptyTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(nil, func(int, ShardTask) error {
+	if err := runWithin(t, r, nil, func(int, ShardTask) error {
 		t.Error("exec called with no tasks")
 		return nil
 	}); err != nil {

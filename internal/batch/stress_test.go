@@ -43,7 +43,7 @@ func TestStressShardRunnerMidFlightRevocation(t *testing.T) {
 					}
 					r.Revive(victim)
 				}()
-				err := r.Run(tasks, func(shard int, task ShardTask) error {
+				err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 					fill(task)
 					return nil
 				})
@@ -70,7 +70,7 @@ func TestStressShardRunnerFlakyExecutors(t *testing.T) {
 	var n atomic.Int64
 	for round := 0; round < 10; round++ {
 		tasks := makeTasks(48, 2)
-		err := r.Run(tasks, func(shard int, task ShardTask) error {
+		err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
 			// deterministic-per-attempt flakiness: every 5th execution fails
 			if n.Add(1)%5 == 0 {
 				return fmt.Errorf("flaky attempt")
@@ -132,7 +132,7 @@ func TestStressWorkStealingRankSkew(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		before := obs.TakeSnapshot().Counter("batch.shard.steals")
 		stolen := makeTasks(8*shards, 3)
-		if err := r.Run(stolen, exec); err != nil {
+		if err := runWithin(t, r, stolen, exec); err != nil {
 			t.Fatalf("round %d (stealing): %v", round, err)
 		}
 		checkAllDone(t, stolen)
@@ -145,7 +145,7 @@ func TestStressWorkStealingRankSkew(t *testing.T) {
 		}
 
 		serial := makeTasks(8*shards, 3)
-		if err := one.Run(serial, exec); err != nil {
+		if err := runWithin(t, one, serial, exec); err != nil {
 			t.Fatalf("round %d (one shard): %v", round, err)
 		}
 		for i := range stolen {

@@ -234,7 +234,9 @@ func (in *Injector) Advance(target string) Decision {
 	sleep := in.Sleep
 	in.mu.Unlock()
 	if delay > 0 && sleep != nil {
-		//lint:ctx-ok injected latency is schedule-bounded: delay comes from the finite fault schedule and the Sleep hook is the test's own clock, not an unbounded wait
+		// Injected latency is schedule-bounded: delay comes from the
+		// finite fault schedule and the Sleep hook is the test's own
+		// clock, not an unbounded wait.
 		sleep(delay)
 	}
 	return dec

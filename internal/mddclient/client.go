@@ -76,8 +76,10 @@ type Options struct {
 	MaxBackoff time.Duration
 	// PollInterval paces Wait's status polling (default 5ms).
 	PollInterval time.Duration
-	// Sleep replaces time.Sleep for backoff and polling (tests inject a
-	// no-op).
+	// Sleep, when set, replaces the backoff and polling wait (tests
+	// inject a no-op). It cannot be interrupted, so the context is
+	// checked once it returns; without it the wait ends early when the
+	// context does.
 	Sleep func(time.Duration)
 }
 
@@ -103,9 +105,6 @@ func New(base string, opts Options) *Client {
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 5 * time.Millisecond
-	}
-	if opts.Sleep == nil {
-		opts.Sleep = time.Sleep
 	}
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]
@@ -195,13 +194,21 @@ func (c *Client) backoffDelay(attempt int, lastErr error) time.Duration {
 	return d
 }
 
-// sleep waits for d or the context, whichever ends first.
+// sleep waits for d or the context, whichever ends first. An injected
+// Sleep hook waits out d in full and the context is checked after it.
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
+	if c.opts.Sleep != nil {
+		c.opts.Sleep(d)
 		return ctx.Err()
 	}
-	c.opts.Sleep(d)
-	return ctx.Err()
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 func decodeAPIError(resp *http.Response) error {

@@ -22,8 +22,7 @@ import (
 // first request, so a handler that panics holding the job's lock fails
 // the test without wedging Close.
 func TestEventsRejectsBadFrom(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	id, err := s.Submit(testSpec(JobCompress), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -48,12 +47,11 @@ func TestEventsRejectsBadFrom(t *testing.T) {
 
 // postSpec sends body to the submit endpoint of a fresh paused server
 // and returns the response and, for a 202, the spec as the server
-// queued it. The job is cancelled before the server closes, so no job
-// ever runs.
+// queued it. The job is cancelled before the server closes at the end
+// of the test, so no job ever runs.
 func postSpec(t *testing.T, body []byte) (*httptest.ResponseRecorder, *JobSpec) {
 	t.Helper()
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	s.Pause()
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body)))

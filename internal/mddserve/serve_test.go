@@ -23,23 +23,79 @@ func testConfig() Config {
 	return Config{Workers: 1, BackoffSleep: func(time.Duration) {}}
 }
 
-// wait polls the job's status snapshot until it is terminal.
-func waitTerminal(t *testing.T, s *Server, id string) JobStatus {
+// waitBound bounds every wait in these tests for a wakeup or a
+// cancellation, so a missing one fails the waiting test by name in
+// seconds instead of hanging the binary until its timeout.
+const waitBound = 10 * time.Second
+
+// newServer starts a server that is closed, within waitBound, when the
+// test ends.
+func newServer(t *testing.T, cfg Config) *Server {
+	s := New(cfg)
+	t.Cleanup(func() { closeWithin(t, s) })
+	return s
+}
+
+// closeWithin closes s and reports whether Close returned within
+// waitBound; when it did not, the test has failed.
+func closeWithin(t *testing.T, s *Server) bool {
 	t.Helper()
-	deadline := time.Now().Add(time.Minute)
+	if !within(s.Close) {
+		t.Errorf("Close did not return within %v", waitBound)
+		return false
+	}
+	return true
+}
+
+// within runs fn on its own goroutine and reports whether it returned
+// within waitBound. When it did not, fn is still blocked.
+func within(fn func()) bool {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(waitBound):
+		return false
+	}
+}
+
+// waitParked waits until the server's n workers are parked on its
+// condition variable, so the next call has to wake them.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	if !suite.WaitParked("mddserve.(*Server).worker", n, waitBound) {
+		t.Fatalf("%d worker(s) not parked within %v", n, waitBound)
+	}
+}
+
+// waitState polls the job's status snapshot until it is in a state
+// accepted by done, for at most waitBound.
+func waitState(t *testing.T, s *Server, id string, done func(State) bool) JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(waitBound)
 	for {
 		st, ok := s.Status(id)
 		if !ok {
 			t.Fatalf("job %s vanished", id)
 		}
-		if st.State.Terminal() {
+		if done(st.State) {
 			return st
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, st.State)
+			t.Fatalf("job %s stuck in %s for %v", id, st.State, waitBound)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// waitTerminal waits until the job is terminal.
+func waitTerminal(t *testing.T, s *Server, id string) JobStatus {
+	t.Helper()
+	return waitState(t, s, id, State.Terminal)
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -128,9 +184,11 @@ func TestSizeCaps(t *testing.T) {
 	}
 }
 
+// TestSubmitAppliesDefaults: a spec's optional knobs are filled at
+// admission, and Resume wakes the worker parked by Pause to run the job.
 func TestSubmitAppliesDefaults(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	suite.VerifyNoLeaks(t)
+	s := newServer(t, testConfig())
 	s.Pause()
 	id, err := s.Submit(testSpec(JobMDD), "")
 	if err != nil {
@@ -146,12 +204,15 @@ func TestSubmitAppliesDefaults(t *testing.T) {
 	if j.spec.NB != 8 || j.spec.Tol != 1e-4 || j.spec.Iters != 10 || j.spec.Reps != 1 {
 		t.Errorf("defaults not applied: %+v", j.spec)
 	}
+	waitParked(t, 1)
 	s.Resume()
+	if st := waitTerminal(t, s, id); st.State != StateDone {
+		t.Fatalf("job queued under Pause ended %s after Resume: %s", st.State, st.Error)
+	}
 }
 
 func TestCancelQueuedVsWorkerCAS(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	s.Pause()
 	id, err := s.Submit(testSpec(JobCompress), "t")
 	if err != nil {
@@ -189,8 +250,7 @@ func TestAdmissionRejectsAreDeterministic(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueSize = 2
 	cfg.PerTenantInflight = 2
-	s := New(cfg)
-	defer s.Close()
+	s := newServer(t, cfg)
 	s.Pause()
 
 	for i := 0; i < 2; i++ {
@@ -217,9 +277,15 @@ func TestAdmissionRejectsAreDeterministic(t *testing.T) {
 	s.Resume()
 }
 
+// TestClosedServerRejectsSubmit: Close wakes the parked worker pool and
+// returns, and the closed server rejects new work.
 func TestClosedServerRejectsSubmit(t *testing.T) {
+	suite.VerifyNoLeaks(t)
 	s := New(testConfig())
-	s.Close()
+	waitParked(t, 1)
+	if !closeWithin(t, s) {
+		t.FailNow()
+	}
 	_, err := s.Submit(testSpec(JobCompress), "t")
 	se, ok := err.(*submitErr)
 	if !ok || se.code != CodeShutdown {
@@ -235,8 +301,7 @@ func TestDatasetCacheBuildsOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	before := obs.TakeSnapshot()
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	types := []JobType{JobCompress, JobCompress, JobTLRMVM, JobMDD, JobCompress}
 	ids := make([]string, 0, len(types))
 	for _, typ := range types {
@@ -304,21 +369,19 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 	spec := testSpec(JobMDD)
 	spec.Iters = 5
 
-	mem := New(testConfig())
+	mem := newServer(t, testConfig())
 	id, err := mem.Submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := waitTerminal(t, mem, id)
-	mem.Close()
 	if want.State != StateDone {
 		t.Fatalf("in-memory job: %s (%s)", want.State, want.Error)
 	}
 
 	cfg := testConfig()
 	cfg.StoreDir = t.TempDir()
-	s := New(cfg)
-	defer s.Close()
+	s := newServer(t, cfg)
 	id, err = s.Submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +435,8 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 // TestFailedBuildIsRebuilt: a build that fails (here: StoreDir below a
 // regular file, so the page file cannot be created) fails its job but
 // not its cache key — once the directory exists the same spec builds
-// and completes.
+// and completes. The resubmission finds the worker parked, so Submit has
+// to wake it.
 func TestFailedBuildIsRebuilt(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	obs.Enable()
@@ -385,8 +449,7 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.StoreDir = filepath.Join(blocker, "sub")
-	s := New(cfg)
-	defer s.Close()
+	s := newServer(t, cfg)
 	spec := testSpec(JobMDD)
 	spec.Iters = 3
 
@@ -410,6 +473,7 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	waitParked(t, 1)
 	id, err = s.Submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)

@@ -304,7 +304,9 @@ func (s *Server) Close() {
 	}
 	s.cacheMu.Unlock()
 	for _, b := range builds {
-		//lint:ctx-ok shutdown must not orphan tile stores: each in-flight build closes ready when Server.build returns, so the wait is bounded by the finite build set
+		// Shutdown must not orphan tile stores. Each in-flight build
+		// closes ready when Server.build returns, so the wait is bounded
+		// by the finite build set.
 		<-b.ready
 		if b.pipe != nil {
 			b.pipe.Close()
@@ -478,7 +480,9 @@ func (s *Server) worker(runner *batch.ShardRunner) {
 	for {
 		s.mu.Lock()
 		for !s.closed && (s.paused || len(s.queue) == 0) {
-			//lint:ctx-ok wakeup protocol: Submit, Resume, and Close all broadcast under s.mu, and the park predicate rechecks closed/paused/queue before waiting again
+			// Wakeup protocol: Submit signals, and Resume and Close
+			// broadcast, after changing the predicate under s.mu, and the
+			// loop rechecks closed/paused/queue before waiting again.
 			s.cond.Wait()
 		}
 		if len(s.queue) == 0 {

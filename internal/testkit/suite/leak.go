@@ -59,6 +59,33 @@ func verifyNoLeaks(t testing.TB, wait time.Duration) {
 	})
 }
 
+// WaitParked polls until at least n goroutines are blocked in
+// sync.Cond.Wait with fn on their stack (fn as a trace prints it:
+// "mddserve.(*Server).worker"), and reports whether that happened
+// within d. A wakeup test waits for this before it makes the call that
+// must deliver the wakeup: a worker that has not parked yet needs none,
+// so without the wait the test could pass with the wakeup removed.
+func WaitParked(fn string, n int, d time.Duration) bool {
+	frame := []byte(fn + "(")
+	deadline := time.Now().Add(d)
+	for {
+		parked := 0
+		for _, g := range goroutines() {
+			head, _, _ := bytes.Cut(g.stack, []byte("\n"))
+			if bytes.Contains(head, []byte("[sync.Cond.Wait")) && bytes.Contains(g.stack, frame) {
+				parked++
+			}
+		}
+		if parked >= n {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // goroutine is one entry of a full stack dump.
 type goroutine struct {
 	id    uint64

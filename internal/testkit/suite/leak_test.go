@@ -3,6 +3,7 @@ package suite
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,4 +78,39 @@ func TestVerifyNoLeaksComparesIDs(t *testing.T) {
 	if !strings.Contains(rec.failure, "goroutine leak") {
 		t.Error("a leak offset by an older goroutine's exit was not reported")
 	}
+}
+
+// parkedWaiter blocks in sync.Cond.Wait until release is set.
+func parkedWaiter(mu *sync.Mutex, cond *sync.Cond, release *bool, done chan<- struct{}) {
+	mu.Lock()
+	for !*release {
+		cond.Wait()
+	}
+	mu.Unlock()
+	close(done)
+}
+
+// TestWaitParked: a goroutine parked on a condition variable is counted
+// under its own function's name and not under another's, and a count
+// that is never reached times out.
+func TestWaitParked(t *testing.T) {
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	release := false
+	done := make(chan struct{})
+	go parkedWaiter(&mu, cond, &release, done)
+	if !WaitParked("suite.parkedWaiter", 1, 10*time.Second) {
+		t.Fatal("a goroutine parked in sync.Cond.Wait was not seen")
+	}
+	if WaitParked("suite.parkedWaiter", 2, 20*time.Millisecond) {
+		t.Error("one parked goroutine counted as two")
+	}
+	if WaitParked("suite.TestWaitParked", 1, 20*time.Millisecond) {
+		t.Error("a goroutine counted under a function it is not parked in")
+	}
+	mu.Lock()
+	release = true
+	mu.Unlock()
+	cond.Broadcast()
+	<-done
 }
