@@ -15,7 +15,6 @@ FUZZ_TARGETS = \
 	internal/precision:FuzzBF16RoundTrip \
 	internal/tlrio:FuzzOpenPaged \
 	internal/tlr:FuzzSoARoundTrip \
-	internal/analysis:FuzzCFGBuild \
 	internal/mddserve:FuzzSubmit
 
 FUZZTIME ?= 10s
@@ -44,11 +43,13 @@ race:
 # scheduler with mid-flight revocation, concurrent MDC fan-out, one
 # TimeOperator under two solvers, the seven TLR-MVM entry points on one
 # shared matrix, streamed products sharing one quarter-budget tile store,
-# and the mddserve load tests at the repo root; and the cancellation and
+# and the mddserve load tests at the repo root; the cancellation and
 # wakeup tests (TestCancel*) of mddserve, mddclient and the shard runner,
-# whose waits are bounded — run repeatedly under the race detector
+# and the two mddserve tests a lock held across a wait fails
+# (TestStreamFollowsRunningJob, TestFailedBuildIsRebuilt), whose waits
+# are bounded — run repeatedly under the race detector
 race-stress:
-	$(GO) test -race -count=2 -run '^(TestStress|TestCancel)' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/ ./internal/mddserve/ ./internal/mddclient/
+	$(GO) test -race -count=2 -run '^(TestStress|TestCancel|TestStreamFollowsRunningJob$$|TestFailedBuildIsRebuilt$$)' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/ ./internal/mddserve/ ./internal/mddclient/
 
 # worker-count bit-identity where GOMAXPROCS is not the host's: the
 # parallel product against the sequential one at 1, 2, 4 and 8 workers,

@@ -184,32 +184,40 @@ func fig13(iters int, outDir string) {
 	fmt.Println()
 }
 
-func faultDemo(iters, shards int, schedule string, ckptInterval int) {
-	fmt.Println("== Fault-tolerant sharded MDD ==")
+// defaultFaults is -faults' default: two of -shards' default eight
+// shards die early in the solve.
+const defaultFaults = "shard2:die@3,shard5:die@5"
+
+// faultDemo is the worked fault-tolerance example: the survey's
+// inversion runs over shards simulated CS-2 systems while the schedule
+// fails them, and the surviving solve is compared against the
+// fault-free single-system one. A malformed schedule, and a schedule
+// the solve cannot survive, are errors.
+func faultDemo(w io.Writer, opts seismic.Options, iters, shards int, schedule string, ckptInterval int) error {
+	fmt.Fprintln(w, "== Fault-tolerant sharded MDD ==")
 	sched, err := fault.Parse(schedule)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("-faults %q: %w", schedule, err)
 	}
-	opts := seismic.DemoOptions()
 	vs := opts.Geom.NumReceivers() / 2
 	pipe, err := core.BuildPipeline(core.PipelineOptions{
 		Dataset: opts, TileSize: 48, Accuracy: 1e-4,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b := pipe.Problem.Data(vs)
 
 	// fault-free single-system reference
 	ref, err := pipe.Problem.Invert(vs, lsqr.Options{MaxIters: iters})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// sharded execution with the schedule injected at shard and operator level
 	op, err := pipe.Problem.ShardedOperator(shards)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	inj := fault.NewInjector(sched)
 	op.Intercept = fault.Shard(inj)
@@ -217,28 +225,29 @@ func faultDemo(iters, shards int, schedule string, ckptInterval int) {
 
 	obs.Enable()
 	obs.Reset()
+	defer obs.Disable()
 	out, err := mdd.InvertResilient(wrapped, b, mdd.ResilientOptions{
 		LSQR:               lsqr.Options{MaxIters: iters},
 		CheckpointInterval: ckptInterval,
 		MaxRestarts:        2 * len(sched),
 	})
 	if err != nil {
-		log.Fatalf("resilient solve did not survive the schedule: %v", err)
+		return fmt.Errorf("resilient solve did not survive the schedule: %w", err)
 	}
 	snap := obs.TakeSnapshot()
-	obs.Disable()
 
-	fmt.Printf("shards %d | schedule %q | checkpoint every %d iters\n", shards, sched.String(), ckptInterval)
-	fmt.Printf("solve completed: %d iters, %d restarts, %d iterations salvaged from checkpoints\n",
+	fmt.Fprintf(w, "shards %d | schedule %q | checkpoint every %d iters\n", shards, sched.String(), ckptInterval)
+	fmt.Fprintf(w, "solve completed: %d iters, %d restarts, %d iterations salvaged from checkpoints\n",
 		out.Result.Iters, out.Restarts, out.SalvagedIters)
-	fmt.Printf("shards alive after run: %d of %d\n", op.Runner.Alive(), shards)
-	fmt.Printf("relative error vs fault-free solve: %.3g\n", math.Sqrt(seismic.NMSE(out.Result.X, ref.LSQR.X)))
-	fmt.Printf("NMSE vs true reflectivity: faulted %.4f | fault-free %.4f\n",
+	fmt.Fprintf(w, "shards alive after run: %d of %d\n", op.Runner.Alive(), shards)
+	fmt.Fprintf(w, "relative error vs fault-free solve: %.3g\n", math.Sqrt(seismic.NMSE(out.Result.X, ref.LSQR.X)))
+	fmt.Fprintf(w, "NMSE vs true reflectivity: faulted %.4f | fault-free %.4f\n",
 		pipe.Problem.NMSEAgainstTruth(out.Result.X, vs), pipe.Problem.NMSEAgainstTruth(ref.LSQR.X, vs))
-	fmt.Printf("recovery counters: retries %d | failovers %d | deaths %d | injected %d\n",
+	fmt.Fprintf(w, "recovery counters: retries %d | failovers %d | deaths %d | injected %d\n",
 		snap.Counter("batch.shard.retries"), snap.Counter("batch.shard.failovers"),
 		snap.Counter("batch.shard.deaths"), snap.Counter("fault.injected"))
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 // storeDemo is the worked out-of-core example: the survey's compressed
@@ -345,7 +354,7 @@ func main() {
 	iters := flag.Int("iters", 30, "LSQR iterations")
 	outDir := flag.String("out", "", "directory for PGM figure panels (optional)")
 	shards := flag.Int("shards", 8, "simulated CS-2 shard count for -faultdemo")
-	faults := flag.String("faults", "shard2:die@3,shard5:die@5",
+	faults := flag.String("faults", defaultFaults,
 		"fault schedule (target:kind@invocation[:duration], comma-separated; kinds err|die|nan|latency)")
 	ckptInterval := flag.Int("ckpt-interval", 5, "iterations between solver checkpoints for -faultdemo")
 	flag.Parse()
@@ -368,7 +377,9 @@ func main() {
 		fig13(*iters, *outDir)
 	}
 	if *fdemo {
-		faultDemo(*iters, *shards, *faults, *ckptInterval)
+		if err := faultDemo(os.Stdout, seismic.DemoOptions(), *iters, *shards, *faults, *ckptInterval); err != nil {
+			log.Fatalf("mddrun: %v", err)
+		}
 	}
 	if *fstore {
 		if err := storeDemo(os.Stdout, seismic.DemoOptions(), *storePath, *storeBudget); err != nil {

@@ -70,3 +70,39 @@ func TestStoreDemoSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultDemoSmoke drives -faultdemo on the default survey for a few
+// iterations: the default schedule is survived, a schedule that kills
+// every shard exhausts the restarts and is reported, and a malformed
+// schedule is rejected before any dataset is built.
+func TestFaultDemoSmoke(t *testing.T) {
+	cases := []struct {
+		name     string
+		schedule string
+		shards   int
+		want     string // in the output, or in the error when wantErr
+		wantErr  bool
+	}{
+		{"default schedule", defaultFaults, 8, "shards alive after run: 6 of 8", false},
+		{"every shard killed", "shard0:die@1,shard1:die@1", 2, "gave up after 4 restarts", true},
+		{"malformed schedule", "shard2:explode@3", 8, `-faults "shard2:explode@3"`, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := faultDemo(&out, seismic.Options{Geom: seismic.DefaultGeometry()}, 4, tc.shards, tc.schedule, 1)
+			got := out.String()
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("faultDemo(%q) = nil, want an error naming %q; output:\n%s", tc.schedule, tc.want, got)
+				}
+				got = err.Error()
+			} else if err != nil {
+				t.Fatalf("faultDemo(%q): %v", tc.schedule, err)
+			}
+			if !strings.Contains(got, tc.want) {
+				t.Errorf("faultDemo(%q): %q lacks %q", tc.schedule, got, tc.want)
+			}
+		})
+	}
+}

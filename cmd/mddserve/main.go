@@ -34,8 +34,8 @@ import (
 // or worker pool is created. Zero or negative worker/shard/queue values
 // would deadlock admission (jobs accepted, nobody to run them) rather
 // than fail loudly, so they are caught here with the flag name spelled
-// out.
-func validateConfig(cfg mddserve.Config) error {
+// out. It then parses the -faults schedule into cfg.Faults.
+func validateConfig(cfg *mddserve.Config, faults string) error {
 	checks := []struct {
 		name string
 		val  int
@@ -59,6 +59,11 @@ func validateConfig(cfg mddserve.Config) error {
 	if cfg.StoreBudget > 0 && cfg.StoreDir == "" {
 		return fmt.Errorf("-store-budget requires -store-dir (the budget caps a paged tile cache)")
 	}
+	sched, err := fault.Parse(faults)
+	if err != nil {
+		return fmt.Errorf("-faults %q: %w", faults, err)
+	}
+	cfg.Faults = sched
 	return nil
 }
 
@@ -87,20 +92,13 @@ func main() {
 		StoreDir:          *storeDir,
 		StoreBudget:       *storeBudget,
 	}
-	if err := validateConfig(cfg); err != nil {
+	if err := validateConfig(&cfg, *faults); err != nil {
 		log.Fatalf("mddserve: %v", err)
 	}
 	if *storeDir != "" {
 		if err := os.MkdirAll(*storeDir, 0o755); err != nil {
 			log.Fatalf("mddserve: creating -store-dir: %v", err)
 		}
-	}
-	if *faults != "" {
-		sched, err := fault.Parse(*faults)
-		if err != nil {
-			log.Fatalf("mddserve: bad -faults: %v", err)
-		}
-		cfg.Faults = sched
 	}
 
 	srv := mddserve.New(cfg)
@@ -125,7 +123,8 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "mddserve: shutting down")
-	// Stop admitting, cancel running jobs, then drain the HTTP side.
+	// Stop admitting, let queued and running jobs finish, then drain the
+	// HTTP side.
 	srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

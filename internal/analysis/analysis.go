@@ -1,6 +1,6 @@
 // Package analysis is the repo's domain-invariant static analysis suite:
 // a small, dependency-free framework in the shape of golang.org/x/tools'
-// go/analysis, plus eight analyzers that turn this repo's correctness
+// go/analysis, plus six analyzers that turn this repo's correctness
 // conventions into compiler-checked rules. The conventions exist because
 // the committed model report (REPORT.md, `make report-check`) and the
 // §6.5–§6.7 cycle/meter invariants treat the machine-model outputs as
@@ -16,21 +16,19 @@
 // termination to internal/testkit/suite's VerifyNoLeaks, the serving
 // layer's admission caps to internal/mddserve's cap table and FuzzSubmit,
 // cancellation and wakeups in the serving and batch stacks to their
-// TestCancel* tests (EXPERIMENTS.md, "Retired analyzers", records the
-// evidence).
+// TestCancel* tests, dropped fault and solver errors and locks held
+// across a wait to the tests of the packages that own those sites
+// (EXPERIMENTS.md, "Retired analyzers", records the evidence).
 //
 // The analyzers share one engine. go/build picks the files of each
 // package (load.go). Pass.Reportf applies the one //lint: escape rule
 // (an escape covers its own line and the next, or, in a function's doc
 // comment, the whole function) and drops a second diagnostic at the
 // same position. Five analyzers are syntactic (AST pattern matches):
-// modeldeterminism, obshygiene, precwiden, oraclereg, seededrand. Two —
-// faultflow and lockorder — run on the intra-procedural dataflow engine
-// in cfg.go/dataflow.go: a CFG built from function bodies, a
-// must-reach-a-use check for error values, and a forward may-analysis
-// solver (lockorder's held locks). No analyzer looks across function
-// boundaries. lintlint polices the //lint: directives the others
-// consult.
+// modeldeterminism, obshygiene, precwiden, oraclereg, seededrand. There
+// is no control-flow graph or dataflow solver, and no analyzer looks
+// across function boundaries. lintlint polices the //lint: directives
+// the others consult.
 //
 // The analyzers (see their files for the precise rules):
 //
@@ -47,14 +45,6 @@
 //     (escape: //lint:oracle-exempt).
 //   - seededrand: test/bench/testkit/cmd and serving-layer RNGs must be
 //     explicitly and deterministically seeded.
-//   - faultflow: errors from internal/fault, SolveFallible,
-//     InvertResilient, and CheckedKernel calls must reach a check on
-//     every CFG path (escape: //lint:err-ok).
-//   - lockorder: no mutex held across channel operations or ShardRunner
-//     dispatch in internal/batch, internal/obs, the serving layer
-//     (internal/mddserve, internal/mddclient, cmd/mddserve), examples/,
-//     or the module-root integration/stress suites
-//     (escape: //lint:lock-ok).
 //   - lintlint: directive hygiene — unknown/misspelled //lint:
 //     directives and stale escapes that no longer suppress anything.
 //
@@ -165,8 +155,6 @@ func All() []*Analyzer {
 		PrecWiden,
 		OracleReg,
 		SeededRand,
-		FaultFlow,
-		LockOrder,
 		LintLint,
 	}
 }
@@ -287,8 +275,6 @@ func funcPkgPath(fn *types.Func) string {
 // must attach to. New analyzers with escapes must register here or
 // lintlint flags their directives as unknown.
 var knownDirectives = map[string]string{
-	"err-ok":        "faultflow",
-	"lock-ok":       "lockorder",
 	"widen-ok":      "precwiden",
 	"oracle-exempt": "oraclereg",
 }
@@ -428,12 +414,4 @@ func loopDepth(stack []ast.Node) int {
 		}
 	}
 	return depth
-}
-
-// typeUnder returns the underlying type, tolerating nil.
-func typeUnder(t types.Type) types.Type {
-	if t == nil {
-		return nil
-	}
-	return t.Underlying()
 }

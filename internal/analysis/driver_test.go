@@ -16,7 +16,7 @@ func TestDriverSingleLoad(t *testing.T) {
 			return analysis.LoadModule(dir, includeTests)
 		},
 	}
-	diags, mod, err := d.Run("testdata/lockorder", analysis.All())
+	diags, mod, err := d.Run("testdata/seededrand", analysis.All())
 	if err != nil {
 		t.Fatalf("driver run: %v", err)
 	}

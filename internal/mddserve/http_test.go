@@ -1,7 +1,8 @@
-// Tests of the HTTP layer's own input checks, driven through Handler()
-// without a listener, so a handler panic fails the test at once: the
-// body cap, the events endpoint's ?from=, and a fuzz target that feeds
-// arbitrary bytes through decoding, validation and admission.
+// Tests of the HTTP layer, driven through Handler() without a listener,
+// so a handler panic or a blocked handler fails the test at once: the
+// body cap, the events endpoint's ?from= and its stream of a running
+// job, and a fuzz target that feeds arbitrary bytes through decoding,
+// validation and admission.
 package mddserve
 
 import (
@@ -12,7 +13,12 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/testkit/suite"
 )
 
 // TestEventsRejectsBadFrom sends the ?from= values the typed client
@@ -42,6 +48,79 @@ func TestEventsRejectsBadFrom(t *testing.T) {
 	past := strconv.Itoa(st.Events + 5)
 	if rec := get(past); rec.Code != http.StatusOK || rec.Body.Len() != 0 {
 		t.Errorf("from=%s past %d events: status %d, body %q; want an empty 200", past, st.Events, rec.Code, rec.Body)
+	}
+}
+
+// flushRecorder is a ResponseRecorder that closes flushed on its first
+// Flush.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	once    sync.Once
+	flushed chan struct{}
+}
+
+func (r *flushRecorder) Flush() {
+	r.ResponseRecorder.Flush()
+	r.release()
+}
+
+func (r *flushRecorder) release() { r.once.Do(func() { close(r.flushed) }) }
+
+// TestStreamFollowsRunningJob: the events stream of a running mdd job
+// follows it to its terminal event, with every residual in order. The
+// job is held at its second operator product until the stream has
+// flushed the events it had, so the stream then waits for each event
+// while the job publishes it.
+func TestStreamFollowsRunningJob(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), flushed: make(chan struct{})}
+	cfg := testConfig()
+	cfg.Faults = fault.Schedule{{Target: "op", Kind: fault.Latency, At: 2, Delay: time.Millisecond}}
+	cfg.FaultSleep = func(time.Duration) { <-rec.flushed }
+	s := newServer(t, cfg)
+	// Registered after newServer, so it runs first: Close waits for the
+	// held job.
+	t.Cleanup(rec.release)
+	id, err := s.Submit(testSpec(JobMDD), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, func(st State) bool { return st == StateRunning })
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+id+"/events", nil)
+	if !within(func() { s.Handler().ServeHTTP(rec, req) }) {
+		t.Fatalf("stream of a running job did not reach its terminal event within %v", waitBound)
+	}
+
+	st, _ := s.Status(id)
+	var events []Event
+	dec := json.NewDecoder(rec.Body)
+	for dec.More() {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	if len(events) != st.Events || st.State != StateDone {
+		t.Fatalf("streamed %d events of a job with %d, ending %s", len(events), st.Events, st.State)
+	}
+	iter := 0
+	for i, ev := range events {
+		if ev.Seq != i {
+			t.Errorf("event %d has seq %d", i, ev.Seq)
+		}
+		if ev.Kind == EventResidual {
+			if ev.Iter <= iter {
+				t.Errorf("residual of iteration %d streamed after iteration %d", ev.Iter, iter)
+			}
+			iter = ev.Iter
+		}
+	}
+	if iter != st.Result.Iterations {
+		t.Errorf("last streamed residual is iteration %d of %d", iter, st.Result.Iterations)
+	}
+	if last := events[len(events)-1]; last.Kind != EventState || last.State != StateDone {
+		t.Errorf("last event %+v, want the done state event", last)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/mdc"
 	"repro/internal/obs"
 	"repro/internal/testkit/suite"
@@ -433,39 +434,59 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 }
 
 // TestFailedBuildIsRebuilt: a build that fails (here: StoreDir below a
-// regular file, so the page file cannot be created) fails its job but
-// not its cache key — once the directory exists the same spec builds
-// and completes. The resubmission finds the worker parked, so Submit has
-// to wake it.
+// regular file, so the page file cannot be created) fails its job, and
+// every job waiting on that build, but leaves no cache entry — once the
+// directory exists the same spec builds and completes. The
+// resubmission finds the workers parked, so Submit has to wake one.
 func TestFailedBuildIsRebuilt(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	obs.Enable()
 	defer obs.Disable()
-	before := obs.TakeSnapshot()
 
 	blocker := filepath.Join(t.TempDir(), "stores")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
+	cfg.Workers = 2
 	cfg.StoreDir = filepath.Join(blocker, "sub")
 	s := newServer(t, cfg)
 	spec := testSpec(JobMDD)
 	spec.Iters = 3
 
-	id, err := s.Submit(spec, "t")
-	if err != nil {
-		t.Fatal(err)
+	// A pair of jobs of the failing spec starts on the two workers. When
+	// the second finds the first's build in flight it waits on it, and
+	// the failure must wake it; when the first build has already failed,
+	// the second builds for itself and another pair is run.
+	hits := func() int64 { return obs.TakeSnapshot().Counter("serve.cache.hits") }
+	start := hits()
+	for pair := 0; hits() == start; pair++ {
+		if pair == 20 {
+			t.Fatalf("in %d pairs no job waited on another's build", pair)
+		}
+		s.Pause()
+		var ids []string
+		for i := 0; i < 2; i++ {
+			id, err := s.Submit(spec, "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		s.Resume()
+		for _, id := range ids {
+			if st := waitTerminal(t, s, id); st.State != StateFailed {
+				t.Fatalf("job %s under an unusable StoreDir ended %s, want failed", id, st.State)
+			}
+		}
+		s.cacheMu.Lock()
+		n := len(s.cache)
+		s.cacheMu.Unlock()
+		if n != 0 {
+			t.Fatalf("failed build left %d cache entries", n)
+		}
 	}
-	if st := waitTerminal(t, s, id); st.State != StateFailed {
-		t.Fatalf("job under an unusable StoreDir ended %s, want failed", st.State)
-	}
-	s.cacheMu.Lock()
-	n := len(s.cache)
-	s.cacheMu.Unlock()
-	if n != 0 {
-		t.Fatalf("failed build left %d cache entries", n)
-	}
+	failed := obs.TakeSnapshot()
 
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
@@ -473,8 +494,8 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	waitParked(t, 1)
-	id, err = s.Submit(spec, "t")
+	waitParked(t, 2)
+	id, err := s.Submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +503,32 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 		t.Fatalf("same spec after the directory exists: %s (%s)", st.State, st.Error)
 	}
 	after := obs.TakeSnapshot()
-	if misses := after.Counter("serve.cache.misses") - before.Counter("serve.cache.misses"); misses != 2 {
-		t.Errorf("%d cache misses, want 2 (the failed build and its rebuild)", misses)
+	if misses := after.Counter("serve.cache.misses") - failed.Counter("serve.cache.misses"); misses != 1 {
+		t.Errorf("%d cache misses for the resubmission, want 1 (its rebuild)", misses)
+	}
+}
+
+// TestFaultedSolveFailsJob: an mdd job whose solve the fault schedule
+// defeats (every operator product from the first on fails) gives up
+// after its restarts and reads failed with the restart count in its
+// error, and the worker goes on to run the next job.
+func TestFaultedSolveFailsJob(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	cfg := testConfig()
+	cfg.Faults = fault.Schedule{{Target: "op", Kind: fault.Die, At: 1}}
+	s := newServer(t, cfg)
+	id, err := s.Submit(testSpec(JobMDD), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, id); st.State != StateFailed || !contains(st.Error, "gave up after 4 restarts") {
+		t.Fatalf("mdd job under op:die@1 ended %s (%q), want failed after 4 restarts", st.State, st.Error)
+	}
+	id, err = s.Submit(testSpec(JobTLRMVM), "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, id); st.State != StateDone {
+		t.Fatalf("next job ended %s (%s), want done", st.State, st.Error)
 	}
 }

@@ -284,8 +284,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops admission, drains queued and running jobs, and waits for
-// the worker pool to exit.
+// Close stops admission, drains queued and running jobs, waits for the
+// worker pool to exit, and closes the cached pipelines so shutdown
+// orphans no tile store. Builds run only on the workers, so once they
+// have exited every cached build is ready.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -293,21 +295,9 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	s.wg.Wait()
-	// Snapshot the build cache under the lock, then wait for in-flight
-	// builds and close their pipelines lock-free: a build goroutine may
-	// briefly take cacheMu itself, so blocking on ready while holding it
-	// would deadlock.
 	s.cacheMu.Lock()
-	builds := make([]*built, 0, len(s.cache))
+	defer s.cacheMu.Unlock()
 	for _, b := range s.cache {
-		builds = append(builds, b)
-	}
-	s.cacheMu.Unlock()
-	for _, b := range builds {
-		// Shutdown must not orphan tile stores. Each in-flight build
-		// closes ready when Server.build returns, so the wait is bounded
-		// by the finite build set.
-		<-b.ready
 		if b.pipe != nil {
 			b.pipe.Close()
 		}
