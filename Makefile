@@ -45,11 +45,13 @@ race:
 # shared matrix, streamed products sharing one quarter-budget tile store,
 # and the mddserve load tests at the repo root; the cancellation and
 # wakeup tests (TestCancel*) of mddserve, mddclient and the shard runner,
-# and the two mddserve tests a lock held across a wait fails
+# the two mddserve tests a lock held across a wait fails
 # (TestStreamFollowsRunningJob, TestFailedBuildIsRebuilt), whose waits
-# are bounded — run repeatedly under the race detector
+# are bounded, and mddserve's concurrent cold builds on one shared
+# survey (TestColdBuildSharesSurvey) — run repeatedly under the race
+# detector
 race-stress:
-	$(GO) test -race -count=2 -run '^(TestStress|TestCancel|TestStreamFollowsRunningJob$$|TestFailedBuildIsRebuilt$$)' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/ ./internal/mddserve/ ./internal/mddclient/
+	$(GO) test -race -count=2 -run '^(TestStress|TestCancel|TestStreamFollowsRunningJob$$|TestFailedBuildIsRebuilt$$|TestColdBuildSharesSurvey$$)' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/ ./internal/mddserve/ ./internal/mddclient/
 
 # worker-count bit-identity where GOMAXPROCS is not the host's: the
 # parallel product against the sequential one at 1, 2, 4 and 8 workers,

@@ -59,7 +59,7 @@ func demoScale(iters int) {
 	opts := seismic.DemoOptions()
 	fmt.Printf("dataset: %d sources x %d receivers\n",
 		opts.Geom.NumSources(), opts.Geom.NumReceivers())
-	ds, err := seismic.Generate(opts)
+	sv, err := core.NewSurvey(opts, sfc.Hilbert)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func demoScale(iters int) {
 	var benchNMSE float64
 	for _, nb := range []int{16, 32, 48} {
 		for _, acc := range accs {
-			pipe, err := core.BuildFrom(ds, core.PipelineOptions{TileSize: nb, Accuracy: acc})
+			pipe, err := sv.Build(core.PipelineOptions{TileSize: nb, Accuracy: acc})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -104,19 +104,19 @@ func demoScale(iters int) {
 		}
 	}
 	fmt.Println()
-	if err := orderingAblation(os.Stdout, ds); err != nil {
+	if err := orderingAblation(os.Stdout, sv); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // orderingAblation compares Hilbert vs Morton vs natural ordering — the
 // ablation behind the paper's §4 claim that Hilbert sorting compresses
-// best.
-func orderingAblation(w io.Writer, ds *seismic.Dataset) error {
+// best — on one generated survey, reordered once per ordering.
+func orderingAblation(w io.Writer, sv *core.Survey) error {
 	fmt.Fprintln(w, "== Reordering ablation (nb=48, acc=1e-3): compression by ordering ==")
 	fmt.Fprintf(w, "%10s %13s\n", "ordering", "compression")
 	for _, ord := range []sfc.Order{sfc.Shuffled, sfc.Natural, sfc.Morton, sfc.Hilbert} {
-		pipe, err := core.BuildFrom(ds, core.PipelineOptions{Ordering: ord, TileSize: 48, Accuracy: 1e-3})
+		pipe, err := sv.Reorder(ord).Build(core.PipelineOptions{TileSize: 48, Accuracy: 1e-3})
 		if err != nil {
 			return err
 		}

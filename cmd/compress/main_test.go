@@ -5,19 +5,21 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/seismic"
+	"repro/internal/sfc"
 )
 
 // TestOrderingAblationSmoke: one row per ordering, each through the
 // pipeline builder on one generated survey. No ranking is asserted — at
 // the default survey's 2×2 tiles the curves do not separate.
 func TestOrderingAblationSmoke(t *testing.T) {
-	ds, err := seismic.Generate(seismic.Options{Geom: seismic.DefaultGeometry()})
+	sv, err := core.NewSurvey(seismic.Options{Geom: seismic.DefaultGeometry()}, sfc.Hilbert)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := orderingAblation(&out, ds); err != nil {
+	if err := orderingAblation(&out, sv); err != nil {
 		t.Fatal(err)
 	}
 	for _, ord := range []string{"shuffled", "natural", "morton", "hilbert"} {

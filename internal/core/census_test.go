@@ -16,8 +16,8 @@ import (
 // benchmark, no product file calls the steps of the sequence
 // (dense kernel, compression, problem binding, store write/open)
 // itself, and none imports the test kit. A new caller that needs the
-// sequence calls BuildPipeline/BuildFrom and, for out-of-core,
-// Pipeline.StoreBack/WriteStore; a step the builder cannot express is
+// sequence calls BuildPipeline, or NewSurvey once and Survey.Build per
+// configuration, and, for out-of-core, Pipeline.StoreBack/WriteStore; a step the builder cannot express is
 // argued for in DESIGN.md §2, "One pipeline builder", first.
 func TestOneBuilderCensus(t *testing.T) {
 	steps := map[string]map[string]bool{
@@ -79,7 +79,7 @@ func TestOneBuilderCensus(t *testing.T) {
 			if !ok || !steps[owners[pkg.Name]][sel.Sel.Name] {
 				return true
 			}
-			t.Errorf("%s: %s.%s is a step of the pipeline builder; call core.BuildPipeline/BuildFrom (or Pipeline.StoreBack/WriteStore) instead",
+			t.Errorf("%s: %s.%s is a step of the pipeline builder; call core.BuildPipeline or Survey.Build (or Pipeline.StoreBack/WriteStore) instead",
 				fset.Position(call.Pos()), pkg.Name, sel.Sel.Name)
 			return true
 		})

@@ -43,10 +43,11 @@ import (
 type PipelineOptions struct {
 	// Dataset controls the synthetic survey BuildPipeline generates (zero
 	// value = defaults: 12×8 sources, 10×6 receivers, 256 samples at 4 ms,
-	// 45 Hz band). BuildFrom takes the survey as an argument instead.
+	// 45 Hz band). Survey.Build takes the survey's instead.
 	Dataset seismic.Options
 	// Ordering selects the row/column reordering before compression
-	// (zero value Hilbert, the paper's choice).
+	// (zero value Hilbert, the paper's choice). Survey.Build takes the
+	// survey's instead.
 	Ordering sfc.Order
 	// Dense skips compression and runs MDD against the dense kernel (the
 	// baseline).
@@ -64,6 +65,8 @@ type PipelineOptions struct {
 // Pipeline holds a reordered dataset and its (compressed) kernel, ready
 // for MDD inversions; after StoreBack it owns the open tile store.
 type Pipeline struct {
+	// DS is the survey's reordered dataset, shared with every other
+	// pipeline built on the same Survey; read-only.
 	DS      *seismic.Dataset
 	Problem *mdd.Problem
 	// Kernel is Problem.K when it is compressed, nil for a dense pipeline.
@@ -76,8 +79,9 @@ type Pipeline struct {
 
 // Provenance records which choices produced a Pipeline's operator.
 type Provenance struct {
-	// PipelineOptions are the build options as applied (TileSize and
-	// Accuracy with their defaults filled in).
+	// PipelineOptions are the build options as applied: Dataset and
+	// Ordering are the survey's, TileSize and Accuracy have their
+	// defaults filled in.
 	PipelineOptions
 	// Policy is the storage-tier policy of the tile store and StoreBudget
 	// its resident-byte budget; nil and 0 while the kernel is in memory.
@@ -105,25 +109,75 @@ func (pv Provenance) Predict(iters int) (estimator.Prediction, error) {
 	})
 }
 
-// BuildPipeline generates the dataset and builds the pipeline from it.
-func BuildPipeline(opts PipelineOptions) (*Pipeline, error) {
-	ds, err := seismic.Generate(opts.Dataset)
+// Survey is the §6.1 pre-processing up to compression: a generated
+// survey, reordered once, with the options and ordering that made it.
+// Every pipeline built on it shares DS and does not modify it, so
+// callers that sweep configurations generate and reorder once.
+type Survey struct {
+	DS       *seismic.Dataset
+	Dataset  seismic.Options
+	Ordering sfc.Order
+
+	srcPerm, recPerm []int // acquisition index of each reordered source and receiver
+}
+
+// NewSurvey generates the survey dataset describes and reorders it by ord.
+func NewSurvey(dataset seismic.Options, ord sfc.Order) (*Survey, error) {
+	ds, err := seismic.Generate(dataset)
 	if err != nil {
 		return nil, fmt.Errorf("core: generating dataset: %w", err)
 	}
-	return BuildFrom(ds, opts)
+	rds, o := ds.Reorder(ord)
+	return &Survey{DS: rds, Dataset: dataset, Ordering: ord, srcPerm: o.SrcPerm, recPerm: o.RecPerm}, nil
 }
 
-// BuildFrom reorders an already generated survey, compresses its kernel
-// and binds the MDD problem, so callers that sweep configurations over one
-// survey generate it once. ds is not modified; opts.Dataset is not read.
-func BuildFrom(ds *seismic.Dataset, opts PipelineOptions) (*Pipeline, error) {
-	rds, _ := ds.Reorder(opts.Ordering)
-	dk, err := mdc.NewDenseKernel(rds.K)
+// Reorder returns the same generated survey under ord (sv itself when it
+// already is), permuted from sv without generating it again: bit for bit
+// what NewSurvey(sv.Dataset, ord) gives.
+func (sv *Survey) Reorder(ord sfc.Order) *Survey {
+	if ord == sv.Ordering {
+		return sv
+	}
+	g := sv.DS.Geom
+	srcPerm := sfc.Permutation(sfc.GridPoints(g.NsX, g.NsY), ord)
+	recPerm := sfc.Permutation(sfc.GridPoints(g.NrX, g.NrY), ord)
+	return &Survey{
+		DS:      sv.DS.Permute(compose(sv.srcPerm, srcPerm), compose(sv.recPerm, recPerm)),
+		Dataset: sv.Dataset, Ordering: ord, srcPerm: srcPerm, recPerm: recPerm,
+	}
+}
+
+// compose returns the positions in an ordering "from" of the acquisition
+// indices listed by an ordering "to": element i of the result is where
+// to[i] sits in from.
+func compose(from, to []int) []int {
+	inv, q := sfc.Inverse(from), make([]int, len(to))
+	for i, p := range to {
+		q[i] = inv[p]
+	}
+	return q
+}
+
+// BuildPipeline generates and reorders the survey, then builds the
+// pipeline on it.
+func BuildPipeline(opts PipelineOptions) (*Pipeline, error) {
+	sv, err := NewSurvey(opts.Dataset, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}
-	pipe := &Pipeline{DS: rds}
+	return sv.Build(opts)
+}
+
+// Build compresses the survey's kernel and binds the MDD problem over
+// sv.DS without copying it. opts.Dataset and opts.Ordering are not read:
+// the pipeline was built on the survey's, and its Provenance says so.
+func (sv *Survey) Build(opts PipelineOptions) (*Pipeline, error) {
+	opts.Dataset, opts.Ordering = sv.Dataset, sv.Ordering
+	dk, err := mdc.NewDenseKernel(sv.DS.K)
+	if err != nil {
+		return nil, err
+	}
+	pipe := &Pipeline{DS: sv.DS}
 	var kernel mdc.Kernel = dk
 	if !opts.Dense {
 		if opts.TileSize == 0 {
@@ -149,7 +203,7 @@ func BuildFrom(ds *seismic.Dataset, opts PipelineOptions) (*Pipeline, error) {
 		DenseBytes:      dk.Bytes(), CompressedBytes: kernel.Bytes(),
 		rows: dk.Rows(), cols: dk.Cols(),
 	}
-	pipe.Problem, err = mdd.NewProblem(rds, kernel)
+	pipe.Problem, err = mdd.NewProblem(sv.DS, kernel)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func TestExplicitNaturalOrderingIsHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := BuildFrom(ds, PipelineOptions{Ordering: sfc.Natural, TileSize: 4})
+	pipe, err := BuildPipeline(PipelineOptions{Dataset: smallDataset(), Ordering: sfc.Natural, TileSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +58,68 @@ func TestExplicitNaturalOrderingIsHonoured(t *testing.T) {
 	}
 	for f, k := range ds.K {
 		bitEqual(t, fmt.Sprintf("K[%d]", f), pipe.DS.K[f].Data, k.Data)
+	}
+}
+
+// TestSurveyReorderMatchesNewSurvey: reordering a generated survey to
+// another ordering gives, bit for bit, the survey generated in that
+// ordering — K, P⁻ and the true reflectivity alike — and reordering to
+// its own ordering is the survey itself.
+func TestSurveyReorderMatchesNewSurvey(t *testing.T) {
+	hil, err := NewSurvey(smallDataset(), sfc.Hilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hil.Reorder(sfc.Hilbert) != hil {
+		t.Error("reordering a survey to its own ordering copied it")
+	}
+	for _, ord := range []sfc.Order{sfc.Morton, sfc.Natural, sfc.Shuffled} {
+		want, err := NewSurvey(smallDataset(), ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := hil.Reorder(ord)
+		if got.Ordering != ord {
+			t.Fatalf("Reorder(%v) reports ordering %v", ord, got.Ordering)
+		}
+		for f := range want.DS.K {
+			bitEqual(t, fmt.Sprintf("%v K[%d]", ord, f), got.DS.K[f].Data, want.DS.K[f].Data)
+			bitEqual(t, fmt.Sprintf("%v Pminus[%d]", ord, f), got.DS.Pminus[f].Data, want.DS.Pminus[f].Data)
+			bitEqual(t, fmt.Sprintf("%v Rtrue[%d]", ord, f), got.DS.Rtrue[f].Data, want.DS.Rtrue[f].Data)
+		}
+	}
+}
+
+// TestProvenanceRecordsTheSurvey: both builder entry points record the
+// options that generated the survey and its ordering — "which choices
+// produced this residual" — and Survey.Build records the survey's even
+// when its options say otherwise, sharing the survey's dataset.
+func TestProvenanceRecordsTheSurvey(t *testing.T) {
+	opts := smallDataset()
+	pipe, err := BuildPipeline(PipelineOptions{Dataset: opts, Ordering: sfc.Morton, TileSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv := pipe.Provenance; pv.Dataset != opts || pv.Ordering != sfc.Morton {
+		t.Errorf("BuildPipeline records dataset %+v ordering %v, want %+v and morton", pv.Dataset, pv.Ordering, opts)
+	}
+
+	sv, err := NewSurvey(opts, sfc.Natural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nb := range []int{4, 8} {
+		pipe, err := sv.Build(PipelineOptions{Dataset: serveDataset(), Ordering: sfc.Hilbert, TileSize: nb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pv := pipe.Provenance; pv.Dataset != opts || pv.Ordering != sfc.Natural || pv.TileSize != nb {
+			t.Errorf("Survey.Build records dataset %+v ordering %v nb %d, want the survey's %+v, natural, nb %d",
+				pv.Dataset, pv.Ordering, pv.TileSize, opts, nb)
+		}
+		if pipe.DS != sv.DS || pipe.Problem.DS != sv.DS {
+			t.Error("a pipeline built on a survey must share its dataset, not copy it")
+		}
 	}
 }
 

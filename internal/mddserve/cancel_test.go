@@ -24,21 +24,19 @@ func cancelledJob(spec JobSpec) *job {
 		state: StateRunning, notify: make(chan struct{})}
 }
 
-// TestCancelWaiterOnUnreadyBuild: a job that finds its build in flight
-// for another job waits for it, and stops waiting when it is cancelled.
-// The entry here never becomes ready while the job runs, so only the
-// job's context can end the wait in Server.built.
-func TestCancelWaiterOnUnreadyBuild(t *testing.T) {
-	suite.VerifyNoLeaks(t)
-	s := newServer(t, testConfig())
-	spec := testSpec(JobCompress)
-	key := spec
-	applySpecDefaults(&key)
-	b := &built{ready: make(chan struct{}), err: errors.New("build abandoned by the test")}
-	s.cacheMu.Lock()
-	s.cache[specKey(key)] = b
-	s.cacheMu.Unlock()
+// plantUnready puts a computation for key into c that never finishes
+// while the test runs, so only a waiter's context can end a wait on it.
+func plantUnready[V any](c *memo[V], key string) {
+	c.mu.Lock()
+	c.m[key] = &flight[V]{done: make(chan struct{})}
+	c.mu.Unlock()
+}
 
+// cancelWaiter submits spec, waits until its job runs, cancels it and
+// requires it to end cancelled: the job is blocked in Server.built on
+// an entry the caller planted, which only its context can release.
+func cancelWaiter(t *testing.T, s *Server, spec JobSpec) {
+	t.Helper()
 	id, err := s.Submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +46,29 @@ func TestCancelWaiterOnUnreadyBuild(t *testing.T) {
 	if st := waitTerminal(t, s, id); st.State != StateCancelled {
 		t.Fatalf("cancelled waiter ended %s (%s), want cancelled", st.State, st.Error)
 	}
+}
+
+// TestCancelWaiterOnUnreadyBuild: a job that finds its build in flight
+// for another job waits for it, and stops waiting when it is cancelled.
+func TestCancelWaiterOnUnreadyBuild(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	s := newServer(t, testConfig())
+	spec := testSpec(JobCompress)
+	key := spec
+	applySpecDefaults(&key)
+	plantUnready(s.builds, specKey(key))
+	cancelWaiter(t, s, spec)
+}
+
+// TestCancelWaiterOnUnreadySurvey: the same at the survey level — a job
+// that finds its dataset's survey being generated for another job waits
+// for it, and stops waiting when it is cancelled.
+func TestCancelWaiterOnUnreadySurvey(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	s := newServer(t, testConfig())
+	spec := testSpec(JobMDD)
+	plantUnready(s.surveys, surveyKey(spec.Dataset))
+	cancelWaiter(t, s, spec)
 }
 
 // TestCancelStreamReleasesHandler: the events stream of a job that is

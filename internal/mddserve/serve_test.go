@@ -1,6 +1,6 @@
 // Unit tests for the server core, below the HTTP layer: spec
 // validation, admission accounting, the queued/running/cancel CAS, and
-// the build-once dataset cache. Internal package so the tests can
+// the build-once survey and build caches. Internal package so the tests can
 // observe the cache and job records directly.
 package mddserve
 
@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lsqr"
 	"repro/internal/mdc"
+	"repro/internal/mdd"
 	"repro/internal/obs"
 	"repro/internal/testkit/suite"
 )
@@ -22,6 +25,13 @@ func testSpec(typ JobType) JobSpec {
 
 func testConfig() Config {
 	return Config{Workers: 1, BackoffSleep: func(time.Duration) {}}
+}
+
+// cached counts the entries of c, finished or in flight.
+func cached[V any](c *memo[V]) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // waitBound bounds every wait in these tests for a wakeup or a
@@ -327,10 +337,7 @@ func TestDatasetCacheBuildsOnce(t *testing.T) {
 			t.Errorf("cached build must be shared: ratio %g != %g", st.Result.CompressionRatio, ratio)
 		}
 	}
-	s.cacheMu.Lock()
-	n := len(s.cache)
-	s.cacheMu.Unlock()
-	if n != 1 {
+	if n := cached(s.builds); n != 1 {
 		t.Errorf("cache holds %d builds for one spec key, want 1", n)
 	}
 	after := obs.TakeSnapshot()
@@ -397,17 +404,11 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 		t.Errorf("store-backed result diverged: %+v vs %+v", got.Result, want.Result)
 	}
 
-	s.cacheMu.Lock()
-	builds := make([]*built, 0, len(s.cache))
-	for _, b := range s.cache {
-		builds = append(builds, b)
-	}
-	s.cacheMu.Unlock()
+	builds := s.builds.ready()
 	if len(builds) != 1 {
 		t.Fatalf("cache holds %d builds, want 1", len(builds))
 	}
 	for _, b := range builds {
-		<-b.ready
 		pv := b.pipe.Provenance
 		if pv.StoreBudget != pv.CompressedBytes/2 {
 			t.Fatalf("StoreDir build reports budget %d, want half of %d", pv.StoreBudget, pv.CompressedBytes)
@@ -436,12 +437,15 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 // TestFailedBuildIsRebuilt: a build that fails (here: StoreDir below a
 // regular file, so the page file cannot be created) fails its job, and
 // every job waiting on that build, but leaves no cache entry — once the
-// directory exists the same spec builds and completes. The
-// resubmission finds the workers parked, so Submit has to wake one.
+// directory exists the same spec builds and completes. The survey under
+// it was generated fine and stays: every build of the test is on the one
+// survey. The resubmission finds the workers parked, so Submit has to
+// wake one.
 func TestFailedBuildIsRebuilt(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	obs.Enable()
 	defer obs.Disable()
+	begin := obs.TakeSnapshot()
 
 	blocker := filepath.Join(t.TempDir(), "stores")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
@@ -479,11 +483,11 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 				t.Fatalf("job %s under an unusable StoreDir ended %s, want failed", id, st.State)
 			}
 		}
-		s.cacheMu.Lock()
-		n := len(s.cache)
-		s.cacheMu.Unlock()
-		if n != 0 {
+		if n := cached(s.builds); n != 0 {
 			t.Fatalf("failed build left %d cache entries", n)
+		}
+		if n := cached(s.surveys); n != 1 {
+			t.Fatalf("%d cached surveys after a failed store-back, want the one good survey", n)
 		}
 	}
 	failed := obs.TakeSnapshot()
@@ -505,6 +509,91 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 	after := obs.TakeSnapshot()
 	if misses := after.Counter("serve.cache.misses") - failed.Counter("serve.cache.misses"); misses != 1 {
 		t.Errorf("%d cache misses for the resubmission, want 1 (its rebuild)", misses)
+	}
+	if misses := after.Counter("serve.survey.misses") - begin.Counter("serve.survey.misses"); misses != 1 {
+		t.Errorf("survey generated %d times, want once: a failed build must keep its survey", misses)
+	}
+}
+
+// TestColdBuildSharesSurvey: mdd jobs at three (nb, tol) on one dataset
+// generate its survey once and build all three on it, sharing one
+// dataset, and each job's residuals, final residual and NMSE are == those
+// of an in-process core.BuildPipeline of the same spec, solved the way
+// the server solves.
+func TestColdBuildSharesSurvey(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	obs.Enable()
+	defer obs.Disable()
+	before := obs.TakeSnapshot()
+	cfg := testConfig()
+	cfg.Workers = 2
+	s := newServer(t, cfg)
+
+	var specs []JobSpec
+	var ids []string
+	for _, c := range []struct {
+		nb  int
+		tol float64
+	}{{8, 1e-4}, {4, 1e-3}, {6, 3e-4}} {
+		spec := testSpec(JobMDD)
+		spec.NB, spec.Tol, spec.VS, spec.Iters = c.nb, c.tol, 4, 6
+		id, err := s.Submit(spec, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, ids = append(specs, spec), append(ids, id)
+	}
+	for i, id := range ids {
+		got := waitTerminal(t, s, id)
+		if got.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", id, got.State, got.Error)
+		}
+		spec := specs[i]
+		pipe, err := core.BuildPipeline(core.PipelineOptions{
+			Dataset: surveyOptions(spec.Dataset), TileSize: spec.NB, Accuracy: spec.Tol,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sop, err := pipe.Problem.ShardedOperator(s.cfg.Shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mdd.InvertResilient(sop, pipe.Problem.Data(spec.VS), mdd.ResilientOptions{
+			LSQR: lsqr.Options{MaxIters: spec.Iters}, CheckpointInterval: 1, MaxRestarts: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := got.Result
+		if nmse := pipe.Problem.NMSEAgainstTruth(want.Result.X, spec.VS); res.InversionNMSE != nmse ||
+			res.FinalResidual != want.Result.ResidualNorm {
+			t.Errorf("nb %d tol %g: served NMSE %g residual %g, in-process %g and %g",
+				spec.NB, spec.Tol, res.InversionNMSE, res.FinalResidual, nmse, want.Result.ResidualNorm)
+		}
+		if len(res.Residuals) != len(want.Result.ResidualHistory) {
+			t.Fatalf("nb %d tol %g: %d residuals served, %d in-process",
+				spec.NB, spec.Tol, len(res.Residuals), len(want.Result.ResidualHistory))
+		}
+		for k, r := range want.Result.ResidualHistory {
+			if res.Residuals[k] != r {
+				t.Errorf("nb %d tol %g: residual %d served %g, in-process %g", spec.NB, spec.Tol, k, res.Residuals[k], r)
+			}
+		}
+	}
+
+	after := obs.TakeSnapshot()
+	if misses := after.Counter("serve.survey.misses") - before.Counter("serve.survey.misses"); misses != 1 {
+		t.Errorf("three builds on one dataset generated its survey %d times, want once", misses)
+	}
+	builds := s.builds.ready()
+	if len(builds) != len(specs) {
+		t.Fatalf("%d cached builds, want %d", len(builds), len(specs))
+	}
+	for _, b := range builds {
+		if b.pipe.DS != builds[0].pipe.DS {
+			t.Fatal("builds on one dataset hold different datasets; they must share the survey's")
+		}
 	}
 }
 

@@ -12,6 +12,12 @@
 // Admission control rejects with 429 when the queue is full or a tenant
 // exceeds its in-flight budget, so overload surfaces as backpressure
 // the typed client retries, never as unbounded memory growth.
+//
+// Builds are cached at two levels, both run on the workers: one
+// generated, Hilbert-reordered survey per dataset (the paper's §6.1
+// pre-processing, done once), shared read-only by every (nb, tol) build
+// on it, so a job whose build the cache has not seen only compresses and
+// binds.
 package mddserve
 
 import (
@@ -33,13 +39,14 @@ import (
 	"repro/internal/mdd"
 	"repro/internal/obs"
 	"repro/internal/seismic"
+	"repro/internal/sfc"
 	"repro/internal/tlr"
 )
 
 // Serving-layer metrics: submission/terminal counters, admission
 // rejects split by cause, live queue depth, per-job latency (submit to
-// terminal), dataset-cache effectiveness, and the tenant in-flight
-// high-water mark the load tests assert against.
+// terminal), build- and survey-cache effectiveness, and the tenant
+// in-flight high-water mark the load tests assert against.
 var (
 	obsSubmitted     = obs.NewCounter("serve.jobs.submitted")
 	obsCompleted     = obs.NewCounter("serve.jobs.completed")
@@ -51,6 +58,8 @@ var (
 	obsJobLatency    = obs.NewTimer("serve.job.latency")
 	obsCacheHits     = obs.NewCounter("serve.cache.hits")
 	obsCacheMisses   = obs.NewCounter("serve.cache.misses")
+	obsSurveyHits    = obs.NewCounter("serve.survey.hits")
+	obsSurveyMisses  = obs.NewCounter("serve.survey.misses")
 	obsStreamEvents  = obs.NewCounter("serve.stream.events")
 	obsPeakInflight  = obs.NewGauge("serve.tenant.peak_inflight")
 	obsSolveRestarts = obs.NewCounter("serve.solve.restarts")
@@ -221,13 +230,11 @@ func (j *job) status() JobStatus {
 	}
 }
 
-// built is one cached dataset/kernel build, shared by every job with
-// the same spec key — the "many inversions, one compressed operator"
-// economy of the shared facility.
+// built is one cached kernel build, shared by every job with the same
+// spec key — the "many inversions, one compressed operator" economy of
+// the shared facility. Its dataset is the survey cache's, shared with
+// every other build on the same dataset key.
 type built struct {
-	ready chan struct{}
-	err   error
-
 	// pipe is the built problem; in StoreDir mode it owns the open tile
 	// store, which stays open for the server's lifetime and closes with
 	// it.
@@ -253,8 +260,10 @@ type Server struct {
 	nextID  int
 	stats   Stats
 
-	cacheMu sync.Mutex
-	cache   map[string]*built
+	// surveys holds one reordered survey per surveyKey, builds one
+	// build per specKey; only successes stay.
+	surveys *memo[*core.Survey]
+	builds  *memo[*built]
 
 	wg sync.WaitGroup
 }
@@ -266,7 +275,8 @@ func New(cfg Config) *Server {
 		jobs:    map[string]*job{},
 		tenants: map[string]int{},
 		peaks:   map[string]int{},
-		cache:   map[string]*built{},
+		surveys: newMemo[*core.Survey](obsSurveyHits, obsSurveyMisses),
+		builds:  newMemo[*built](obsCacheHits, obsCacheMisses),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for w := 0; w < s.cfg.Workers; w++ {
@@ -295,12 +305,8 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	s.wg.Wait()
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	for _, b := range s.cache {
-		if b.pipe != nil {
-			b.pipe.Close()
-		}
+	for _, b := range s.builds.ready() {
+		b.pipe.Close()
 	}
 }
 
@@ -664,69 +670,54 @@ func (o *ctxOperator) ApplyAdjoint(x, y []complex64) error {
 	return o.op.ApplyAdjoint(x, y)
 }
 
-// specKey identifies one cached build: everything that shapes the
-// dataset and its compressed kernels.
+// surveyKey identifies one cached survey: everything that shapes the
+// dataset.
+func surveyKey(d DatasetSpec) string {
+	return fmt.Sprintf("%dx%d-%dx%d-nt%d", d.NsX, d.NsY, d.NrX, d.NrY, d.Nt)
+}
+
+// specKey identifies one cached build: the survey and what shapes its
+// compressed kernels.
 func specKey(spec JobSpec) string {
-	d := spec.Dataset
-	return fmt.Sprintf("%dx%d-%dx%d-nt%d-nb%d-tol%g",
-		d.NsX, d.NsY, d.NrX, d.NrY, d.Nt, spec.NB, spec.Tol)
+	return fmt.Sprintf("%s-nb%d-tol%g", surveyKey(spec.Dataset), spec.NB, spec.Tol)
 }
 
-// built returns the cached dataset/kernel build for the spec, building
-// it exactly once per key (concurrent requesters wait on the ready
-// channel rather than duplicating the synthesis); only a successful
-// build stays cached. The wait for another requester's in-flight build
-// honors the job's context, so a cancelled job never wedges a worker
-// behind a slow synthesis it doesn't own.
-func (s *Server) built(ctx context.Context, spec JobSpec) (*built, error) {
-	key := specKey(spec)
-	s.cacheMu.Lock()
-	b, ok := s.cache[key]
-	if ok {
-		s.cacheMu.Unlock()
-		obsCacheHits.Add(1)
-		select {
-		case <-b.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return b, b.err
-	}
-	b = &built{ready: make(chan struct{})}
-	s.cache[key] = b
-	s.cacheMu.Unlock()
-	obsCacheMisses.Add(1)
-
-	b.err = s.build(spec, b)
-	if b.err != nil {
-		// waiting requesters see this error; the next submitter rebuilds
-		s.cacheMu.Lock()
-		delete(s.cache, key)
-		s.cacheMu.Unlock()
-	}
-	close(b.ready)
-	return b, b.err
-}
-
-// build runs the pipeline builder on the spec's survey and keeps the
-// mid-band slice for tlrmvm jobs. In StoreDir mode the kernel then moves
-// behind a paged tile store, so the problem's matrices fault tiles in.
-func (s *Server) build(spec JobSpec, b *built) error {
-	pipe, err := core.BuildPipeline(core.PipelineOptions{
-		Dataset: seismic.Options{
-			Geom: seismic.Geometry{
-				NsX: spec.Dataset.NsX, NsY: spec.Dataset.NsY,
-				NrX: spec.Dataset.NrX, NrY: spec.Dataset.NrY,
-				Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300,
-			},
-			Nt: spec.Dataset.Nt, Dt: 0.004,
+// surveyOptions is the synthetic survey a dataset spec describes.
+func surveyOptions(d DatasetSpec) seismic.Options {
+	return seismic.Options{
+		Geom: seismic.Geometry{
+			NsX: d.NsX, NsY: d.NsY, NrX: d.NrX, NrY: d.NrY,
+			Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300,
 		},
-		TileSize: spec.NB, Accuracy: spec.Tol,
+		Nt: d.Nt, Dt: 0.004,
+	}
+}
+
+// built returns the cached build for the spec, generating its survey
+// and building on it at most once per key. A job that finds either in
+// flight for another job waits for it, or for its own context, so a
+// cancelled job never wedges a worker behind a build it does not own.
+// The survey is fetched before the build is entered, so a build's
+// waiters never see its owner's cancellation.
+func (s *Server) built(ctx context.Context, spec JobSpec) (*built, error) {
+	sv, err := s.surveys.get(ctx, surveyKey(spec.Dataset), func() (*core.Survey, error) {
+		return core.NewSurvey(surveyOptions(spec.Dataset), sfc.Hilbert)
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	b.slice = pipe.Kernel.Mats[pipe.DS.NumFreqs()/2]
+	return s.builds.get(ctx, specKey(spec), func() (*built, error) { return s.build(spec, sv) })
+}
+
+// build compresses the survey's kernel and keeps the mid-band slice for
+// tlrmvm jobs. In StoreDir mode the kernel then moves behind a paged tile
+// store, so the problem's matrices fault tiles in.
+func (s *Server) build(spec JobSpec, sv *core.Survey) (*built, error) {
+	pipe, err := sv.Build(core.PipelineOptions{TileSize: spec.NB, Accuracy: spec.Tol})
+	if err != nil {
+		return nil, err
+	}
+	b := &built{pipe: pipe, slice: pipe.Kernel.Mats[pipe.DS.NumFreqs()/2]}
 	if s.cfg.StoreDir != "" {
 		budget := s.cfg.StoreBudget
 		if budget <= 0 {
@@ -734,9 +725,8 @@ func (s *Server) build(spec JobSpec, b *built) error {
 		}
 		path := filepath.Join(s.cfg.StoreDir, specKey(spec)+".tlrp")
 		if err := pipe.StoreBack(path, budget, nil); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	b.pipe = pipe
-	return nil
+	return b, nil
 }

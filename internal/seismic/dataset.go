@@ -266,12 +266,22 @@ type Orderings struct {
 // ordering applied to every frequency matrix, plus the permutations used.
 // Hilbert ordering gathers spatially close sources/receivers into the same
 // tiles, concentrating energy near tile diagonals for better compression.
+// ds is in acquisition order.
 func (ds *Dataset) Reorder(order sfc.Order) (*Dataset, *Orderings) {
 	g := ds.Geom
-	srcPts := sfc.GridPoints(g.NsX, g.NsY)
-	recPts := sfc.GridPoints(g.NrX, g.NrY)
-	srcPerm := sfc.Permutation(srcPts, order)
-	recPerm := sfc.Permutation(recPts, order)
+	o := &Orderings{
+		Order:   order,
+		SrcPerm: sfc.Permutation(sfc.GridPoints(g.NsX, g.NsY), order),
+		RecPerm: sfc.Permutation(sfc.GridPoints(g.NrX, g.NrY), order),
+	}
+	return ds.Permute(o.SrcPerm, o.RecPerm), o
+}
+
+// Permute returns a copy of the dataset whose source i is source
+// srcPerm[i] of ds and whose receiver j is receiver recPerm[j], in every
+// frequency matrix.
+func (ds *Dataset) Permute(srcPerm, recPerm []int) *Dataset {
+	g := ds.Geom
 	out := &Dataset{
 		Geom: g, Model: ds.Model, Wavelet: ds.Wavelet,
 		Nt: ds.Nt, Dt: ds.Dt,
@@ -293,5 +303,5 @@ func (ds *Dataset) Reorder(order sfc.Order) (*Dataset, *Orderings) {
 		rd = sfc.ApplyCols(rd, nr, nr, recPerm)
 		out.Rtrue[fi] = dense.FromSlice(nr, nr, rd)
 	}
-	return out, &Orderings{Order: order, SrcPerm: srcPerm, RecPerm: recPerm}
+	return out
 }
