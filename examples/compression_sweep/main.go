@@ -1,7 +1,8 @@
-// Compression sweep: compares the four algebraic tile compressors the
-// paper cites (truncated SVD, rank-revealing QR, randomized SVD, adaptive
-// cross approximation) on a real Hilbert-sorted frequency matrix from the
-// synthetic survey — an ablation of the pluggable compression step.
+// Compression sweep: compares the two tile compressors, truncated SVD and
+// rank-revealing QR, on a real Hilbert-sorted frequency matrix from the
+// synthetic survey — an ablation of the pluggable compression step. The
+// paper also cites randomized SVD and adaptive cross approximation;
+// EXPERIMENTS.md, "Retired compressors", has why they are not here.
 package main
 
 import (
@@ -28,12 +29,9 @@ func main() {
 
 	fmt.Printf("%8s %10s %10s %12s %14s %12s\n",
 		"method", "max rank", "avg rank", "compression", "rel error", "time")
-	for _, method := range []tlr.Method{tlr.MethodSVD, tlr.MethodRRQR, tlr.MethodRSVD, tlr.MethodACA} {
+	for _, method := range []tlr.Method{tlr.MethodSVD, tlr.MethodRRQR} {
 		t0 := time.Now()
-		tm, err := tlr.Compress(k, tlr.Options{
-			NB: 48, Tol: 1e-3, Method: method,
-			Rng: rand.New(rand.NewSource(1)),
-		})
+		tm, err := tlr.Compress(k, tlr.Options{NB: 48, Tol: 1e-3, Method: method})
 		if err != nil {
 			log.Fatal(err)
 		}

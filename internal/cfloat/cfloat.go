@@ -326,7 +326,7 @@ func axpby(alpha, s, beta, y complex64) complex64 {
 // Gemm computes C = alpha*op(A)*op(B) + beta*C with column-major storage.
 // A is used as op(A) of size m×k, B as op(B) of size k×n, C is m×n.
 //
-//lint:widen-ok set-up path (dense.Mul, the compressors): float64 accumulators and gc's float64 complex products are kept, their bits feed pinned compression facts
+//lint:widen-ok set-up path (dense.Mul, the reconstructions): float64 accumulators and gc's float64 complex products are kept, their bits feed pinned compression facts
 func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b []complex64, ldb int, beta complex64, c []complex64, ldc int) {
 	if m < 0 || n < 0 || k < 0 || ldc < max(1, m) {
 		panic("cfloat: Gemm bad dimensions")
@@ -345,7 +345,7 @@ func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b 
 		}
 	}
 	// fast paths for the two layouts the pipeline hits hardest: plain
-	// products (dense.Mul) and Vᴴ·X panels (rsvd, tlrmmm)
+	// products (dense.Mul) and Vᴴ·X panels (tlrmmm)
 	switch {
 	case ta == NoTrans && tb == NoTrans:
 		for j := 0; j < n; j++ {

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cs2"
 	"repro/internal/estimator"
@@ -58,8 +57,6 @@ type PipelineOptions struct {
 	Accuracy float64
 	// Method selects the tile compressor (default SVD).
 	Method tlr.Method
-	// Seed feeds the RSVD sketches when Method is MethodRSVD.
-	Seed int64
 }
 
 // Pipeline holds a reordered dataset and its (compressed) kernel, ready
@@ -186,12 +183,8 @@ func (sv *Survey) Build(opts PipelineOptions) (*Pipeline, error) {
 		if opts.Accuracy == 0 {
 			opts.Accuracy = 1e-4
 		}
-		var rng *rand.Rand
-		if opts.Method == tlr.MethodRSVD {
-			rng = rand.New(rand.NewSource(opts.Seed + 1))
-		}
 		pipe.Kernel, err = mdc.CompressKernel(dk, tlr.Options{
-			NB: opts.TileSize, Tol: opts.Accuracy, Method: opts.Method, Rng: rng,
+			NB: opts.TileSize, Tol: opts.Accuracy, Method: opts.Method,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: compressing kernel: %w", err)

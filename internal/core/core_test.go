@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
@@ -193,16 +195,69 @@ func TestRunMDDValidatesVS(t *testing.T) {
 	}
 }
 
-func TestBuildPipelineRSVDMethod(t *testing.T) {
+// TestBuildPipelineRRQRMethod checks that PipelineOptions.Method reaches
+// the compressor: every tile of the build is the one tlr.Compress gives
+// with MethodRRQR, and the provenance records it.
+func TestBuildPipelineRRQRMethod(t *testing.T) {
 	pipe, err := BuildPipeline(PipelineOptions{
 		Dataset: smallDataset(), TileSize: 4, Accuracy: 1e-3,
-		Method: tlr.MethodRSVD, Seed: 42,
+		Method: tlr.MethodRRQR,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := pipe.Provenance.Method.String(); got != "rrqr" {
+		t.Errorf("Provenance.Method = %s, want rrqr", got)
+	}
+	for f, k := range pipe.DS.K {
+		want, err := tlr.Compress(k, tlr.Options{NB: 4, Tol: 1e-3, Method: tlr.MethodRRQR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, tile := range pipe.Kernel.Mats[f].Tiles {
+			w := want.Tiles[idx]
+			if !slices.Equal(tile.U.Data, w.U.Data) || !slices.Equal(tile.V.Data, w.V.Data) {
+				t.Fatalf("frequency %d tile %d differs from tlr.Compress with MethodRRQR", f, idx)
+			}
+		}
+	}
 	if _, err := pipe.RunMDD(0, 10); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryTileMeetsTolerance holds each compressor to its per-tile
+// contract on a real Hilbert-sorted survey, at every frequency: the
+// relative Frobenius error of each tile is at most the tolerance. An
+// aggregate bound over a whole matrix can hide a tile far over it.
+func TestEveryTileMeetsTolerance(t *testing.T) {
+	sv, err := NewSurvey(smallDataset(), sfc.Hilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []tlr.Method{tlr.MethodSVD, tlr.MethodRRQR} {
+		for _, nb := range []int{8, 16, 24} {
+			for _, tol := range []float64{1e-4, 1e-3} {
+				var worst float64
+				for _, k := range sv.DS.K {
+					tm, err := tlr.Compress(k, tlr.Options{NB: nb, Tol: tol, Method: method})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < tm.MT; i++ {
+						for j := 0; j < tm.NT; j++ {
+							block := k.Slice(i*nb, min((i+1)*nb, tm.M), j*nb, min((j+1)*nb, tm.N))
+							tile := tm.Tile(i, j)
+							approx := dense.Mul(tile.U, tile.V.ConjTranspose())
+							worst = max(worst, dense.RelError(approx, block)/tol)
+						}
+					}
+				}
+				if worst > 1.01 {
+					t.Errorf("%v nb=%d tol=%g: worst tile error %.3g × tol", method, nb, tol, worst)
+				}
+			}
+		}
 	}
 }
 

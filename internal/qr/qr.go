@@ -1,8 +1,8 @@
-// Package qr implements Householder QR and rank-revealing (column-pivoted)
-// QR factorizations for complex single-precision matrices. RRQR is one of
-// the algebraic compression methods the paper cites for building TLR tiles
-// ([16, 18] in the paper); the TLR compressor uses it as an alternative to
-// the SVD, and the randomized SVD uses plain QR as its range finder.
+// Package qr implements the rank-revealing (column-pivoted) QR
+// factorization for complex single-precision matrices. RRQR is one of the
+// algebraic compression methods the paper cites for building TLR tiles
+// ([16, 18] in the paper); the TLR compressor uses it as the fast
+// alternative to the SVD.
 //
 // Internally factorizations accumulate in complex128 for stability and
 // return complex64 factors.
@@ -15,53 +15,13 @@ import (
 	"repro/internal/dense"
 )
 
-// Factorization holds a (pivoted) QR factorization A P = Q R with Q m×k
+// Factorization holds a pivoted QR factorization A P = Q R with Q m×k
 // having orthonormal columns, R k×n upper triangular (trapezoidal), and
 // Piv the column permutation (Piv[j] = original column index placed at j).
-// For unpivoted QR, Piv is the identity.
 type Factorization struct {
 	Q   *dense.Matrix
 	R   *dense.Matrix
 	Piv []int
-}
-
-// Decompose computes an unpivoted thin QR of A via modified Gram–Schmidt
-// with one reorthogonalization pass (MGS2), returning Q (m×k) and R (k×n)
-// with k = min(m, n).
-func Decompose(a *dense.Matrix) *Factorization {
-	m, n := a.Rows, a.Cols
-	k := min(m, n)
-	q := toC128(a)
-	r := make([]complex128, k*n) // column-major k×n
-	for j := 0; j < k; j++ {
-		// two passes of projection for numerical orthogonality
-		for pass := 0; pass < 2; pass++ {
-			for p := 0; p < j; p++ {
-				d := dotc128(q, m, p, j)
-				r[j*k+p] += d
-				axpy128(q, m, p, j, -d)
-			}
-		}
-		nrm := nrm2col(q, m, j)
-		r[j*k+j] = complex(nrm, 0)
-		if nrm > 0 {
-			scalcol(q, m, j, 1/nrm)
-		}
-	}
-	for j := k; j < n; j++ {
-		for pass := 0; pass < 2; pass++ {
-			for p := 0; p < k; p++ {
-				d := dotc128(q, m, p, j)
-				r[j*k+p] += d
-				axpy128(q, m, p, j, -d)
-			}
-		}
-	}
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	return &Factorization{Q: fromC128(q[:m*k], m, k), R: fromC128(r, k, n), Piv: piv}
 }
 
 // RRQR computes a rank-revealing QR with column pivoting, stopping when the
@@ -163,8 +123,7 @@ func RRQR(a *dense.Matrix, tol float64, maxRank int) *Factorization {
 	return &Factorization{Q: qOut, R: rOut, Piv: piv}
 }
 
-// Rank returns the number of columns of Q (the revealed numerical rank for
-// RRQR, min(m,n) for plain QR).
+// Rank returns the number of columns of Q, the revealed numerical rank.
 func (f *Factorization) Rank() int { return f.Q.Cols }
 
 // Reconstruct forms Q·R and undoes the column pivoting, returning a matrix
@@ -187,16 +146,6 @@ func toC128(a *dense.Matrix) []complex128 {
 		col := a.Col(j)
 		for i, v := range col {
 			out[j*m+i] = complex128(v)
-		}
-	}
-	return out
-}
-
-func fromC128(buf []complex128, m, n int) *dense.Matrix {
-	out := dense.New(m, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			out.Set(i, j, complex64(buf[j*m+i]))
 		}
 	}
 	return out

@@ -16,45 +16,6 @@ func orthoError(q *dense.Matrix) float64 {
 	return dense.Sub(g, i).FrobNorm()
 }
 
-func TestDecomposeReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][2]int{{5, 5}, {10, 4}, {4, 10}, {70, 70}, {1, 1}} {
-		a := dense.Random(rng, dims[0], dims[1])
-		f := Decompose(a)
-		if err := dense.RelError(f.Reconstruct(), a); err > 1e-5 {
-			t.Errorf("%v: reconstruction error %g", dims, err)
-		}
-		if oe := orthoError(f.Q); oe > 1e-5*float64(f.Q.Cols) {
-			t.Errorf("%v: Q not orthonormal (%g)", dims, oe)
-		}
-	}
-}
-
-func TestDecomposeRUpperTriangular(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := dense.Random(rng, 8, 6)
-	f := Decompose(a)
-	for j := 0; j < f.R.Cols; j++ {
-		for i := j + 1; i < f.R.Rows; i++ {
-			if f.R.At(i, j) != 0 {
-				t.Fatalf("R(%d,%d) = %v below diagonal", i, j, f.R.At(i, j))
-			}
-		}
-	}
-}
-
-func TestDecomposeDiagonalNonnegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := dense.Random(rng, 7, 7)
-	f := Decompose(a)
-	for i := 0; i < 7; i++ {
-		d := f.R.At(i, i)
-		if real(d) < 0 || imag(d) != 0 {
-			t.Fatalf("R diagonal %d = %v not real nonneg", i, d)
-		}
-	}
-}
-
 func TestRRQRExactLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, r := range []int{1, 3, 7} {
@@ -155,12 +116,18 @@ func TestRRQRPropertyReconstruction(t *testing.T) {
 func TestTallSkinnyAndShortFat(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tall := dense.Random(rng, 100, 5)
-	f := Decompose(tall)
+	f := RRQR(tall, 0, 0)
 	if f.Q.Cols != 5 || f.R.Rows != 5 {
 		t.Fatalf("thin QR shapes wrong: Q %dx%d R %dx%d", f.Q.Rows, f.Q.Cols, f.R.Rows, f.R.Cols)
 	}
+	if err := dense.RelError(f.Reconstruct(), tall); err > 1e-5 {
+		t.Errorf("tall reconstruction error %g", err)
+	}
+	if oe := orthoError(f.Q); oe > 1e-5*float64(f.Q.Cols) {
+		t.Errorf("tall Q not orthonormal (%g)", oe)
+	}
 	fat := dense.Random(rng, 5, 100)
-	g := Decompose(fat)
+	g := RRQR(fat, 0, 0)
 	if g.Q.Cols != 5 || g.R.Cols != 100 {
 		t.Fatalf("fat QR shapes wrong")
 	}

@@ -220,8 +220,3 @@ func (d *SVD) Reconstruct() *dense.Matrix {
 	uk, vk := d.Truncate(len(d.S))
 	return dense.Mul(uk, vk.ConjTranspose())
 }
-
-// TruncateTol truncates at relative Frobenius tolerance tol.
-func (d *SVD) TruncateTol(tol float64) (uk, vk *dense.Matrix) {
-	return d.Truncate(d.Rank(tol))
-}

@@ -119,7 +119,7 @@ func TestTruncateToleranceMeetsAccuracy(t *testing.T) {
 	a := dense.RandomDecay(rng, 40, 40, 0.7)
 	for _, acc := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
 		d := Decompose(a)
-		uk, vk := d.TruncateTol(acc)
+		uk, vk := d.Truncate(d.Rank(acc))
 		approx := dense.Mul(uk, vk.ConjTranspose())
 		if err := dense.RelError(approx, a); err > acc*1.5 {
 			t.Errorf("acc=%g: error %g exceeds tolerance", acc, err)

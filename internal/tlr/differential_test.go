@@ -60,13 +60,9 @@ func TestDifferentialMatrixClasses(t *testing.T) {
 // with the dense reference within the acc-derived budget.
 func TestDifferentialCompressionMethods(t *testing.T) {
 	a := testkit.DecayMat(testkit.NewRNG(110), 40, 40, 0.6)
-	for _, m := range []tlr.Method{tlr.MethodSVD, tlr.MethodRRQR, tlr.MethodRSVD, tlr.MethodACA} {
+	for _, m := range []tlr.Method{tlr.MethodSVD, tlr.MethodRRQR} {
 		t.Run(m.String(), func(t *testing.T) {
-			opts := tlr.Options{NB: 10, Tol: 1e-3, Method: m}
-			if m == tlr.MethodRSVD {
-				opts.Rng = testkit.NewRNG(111)
-			}
-			o, err := testkit.New(a, testkit.Config{TLROpts: opts})
+			o, err := testkit.New(a, testkit.Config{TLROpts: tlr.Options{NB: 10, Tol: 1e-3, Method: m}})
 			if err != nil {
 				t.Fatal(err)
 			}

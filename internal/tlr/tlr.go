@@ -19,14 +19,12 @@ package tlr
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 
-	"repro/internal/aca"
 	"repro/internal/cfloat"
 	"repro/internal/dense"
 	"repro/internal/fanout"
 	"repro/internal/qr"
-	"repro/internal/rsvd"
 	"repro/internal/svd"
 )
 
@@ -38,10 +36,6 @@ const (
 	MethodSVD Method = iota
 	// MethodRRQR uses rank-revealing QR with column pivoting.
 	MethodRRQR
-	// MethodRSVD uses the randomized SVD.
-	MethodRSVD
-	// MethodACA uses adaptive cross approximation.
-	MethodACA
 )
 
 func (m Method) String() string {
@@ -50,10 +44,6 @@ func (m Method) String() string {
 		return "svd"
 	case MethodRRQR:
 		return "rrqr"
-	case MethodRSVD:
-		return "rsvd"
-	case MethodACA:
-		return "aca"
 	}
 	return "unknown"
 }
@@ -109,8 +99,6 @@ type Options struct {
 	Method Method
 	// MaxRank caps per-tile rank (0 = no cap).
 	MaxRank int
-	// Rng is required for MethodRSVD.
-	Rng *rand.Rand
 	// Workers sets the compression parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -120,14 +108,11 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	if opts.NB <= 0 {
 		return nil, fmt.Errorf("tlr: tile size NB must be positive, got %d", opts.NB)
 	}
-	if opts.Tol < 0 {
-		return nil, fmt.Errorf("tlr: negative tolerance %g", opts.Tol)
-	}
-	if opts.Method == MethodRSVD && opts.Rng == nil {
-		return nil, fmt.Errorf("tlr: MethodRSVD requires Options.Rng")
+	if opts.Tol < 0 || math.IsNaN(opts.Tol) || math.IsInf(opts.Tol, 0) {
+		return nil, fmt.Errorf("tlr: tolerance must be finite and non-negative, got %g", opts.Tol)
 	}
 	switch opts.Method {
-	case MethodSVD, MethodRRQR, MethodRSVD, MethodACA:
+	case MethodSVD, MethodRRQR:
 	default:
 		return nil, fmt.Errorf("tlr: unknown compression method %d", opts.Method)
 	}
@@ -136,30 +121,17 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb
 	t := &Matrix{M: m, N: n, NB: nb, MT: mt, NT: nt, Tiles: make([]*Tile, mt*nt)}
-	// one RNG stream per tile, seeded in tile order before the fan-out:
-	// which worker takes a tile must not change the bases it gets
-	var seeds []int64
-	if opts.Method == MethodRSVD {
-		seeds = make([]int64, mt*nt)
-		for idx := range seeds {
-			seeds[idx] = opts.Rng.Int63()
-		}
-	}
 	fanout.Do(mt*nt, opts.Workers, func(_, idx int) {
 		i, j := idx/nt, idx%nt
-		var rng *rand.Rand
-		if seeds != nil {
-			rng = rand.New(rand.NewSource(seeds[idx]))
-		}
 		block := a.Slice(i*nb, min((i+1)*nb, m), j*nb, min((j+1)*nb, n))
-		t.Tiles[idx] = compressTile(block, opts, rng)
+		t.Tiles[idx] = compressTile(block, opts)
 	})
 	return t, nil
 }
 
 // compressTile compresses one tile with opts.Method, which Compress has
 // validated.
-func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) *Tile {
+func compressTile(block *dense.Matrix, opts Options) *Tile {
 	switch opts.Method {
 	case MethodSVD:
 		d := svd.Decompose(block)
@@ -182,16 +154,6 @@ func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) *Tile {
 			}
 		}
 		return &Tile{U: f.Q.Clone(), V: vp}
-	case MethodRSVD:
-		maxR := opts.MaxRank
-		if maxR == 0 {
-			maxR = min(block.Rows, block.Cols)
-		}
-		u, v := rsvd.Compress(block, opts.Tol, maxR, rng)
-		return &Tile{U: u, V: v}
-	case MethodACA:
-		res := aca.Compress(block, opts.Tol, opts.MaxRank)
-		return &Tile{U: res.U, V: res.V}
 	}
 	panic("tlr: unreachable: Compress validates the method")
 }
