@@ -15,6 +15,7 @@ FUZZ_TARGETS = \
 	internal/precision:FuzzBF16RoundTrip \
 	internal/tlrio:FuzzOpenPaged \
 	internal/tlr:FuzzSoARoundTrip \
+	internal/svd:FuzzDecompose \
 	internal/mddserve:FuzzSubmit
 
 FUZZTIME ?= 10s

@@ -2,7 +2,8 @@
 // factorization for complex single-precision matrices. RRQR is one of the
 // algebraic compression methods the paper cites for building TLR tiles
 // ([16, 18] in the paper); the TLR compressor uses it as the fast
-// alternative to the SVD.
+// alternative to the SVD. The SVD runs the same pivoted core at tolerance
+// 0 (Full) to precondition its Jacobi sweeps.
 //
 // Internally factorizations accumulate in complex128 for stability and
 // return complex64 factors.
@@ -30,11 +31,55 @@ type Factorization struct {
 // factorization: Q is m×r, R is r×n (pivoted order), Piv the permutation.
 func RRQR(a *dense.Matrix, tol float64, maxRank int) *Factorization {
 	m, n := a.Rows, a.Cols
-	kmax := min(m, n)
+	q := toC128(a)
+	r, kmax, piv, rank := pivoted(q, m, n, tol, maxRank)
+	if rank == 0 {
+		rank = 1 // always return at least rank 1 so factors are usable
+		// column 0 may be zero; Q col is zero then, R row zero: still valid A≈QR
+		if nrm2col(q, m, 0) == 0 {
+			r[0] = 0
+		}
+	}
+	// pack truncated factors
+	qOut := dense.New(m, rank)
+	for j := 0; j < rank; j++ {
+		for i := 0; i < m; i++ {
+			qOut.Set(i, j, complex64(q[j*m+i]))
+		}
+	}
+	rOut := dense.New(rank, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < rank; i++ {
+			rOut.Set(i, j, complex64(r[j*kmax+i]))
+		}
+	}
+	return &Factorization{Q: qOut, R: rOut, Piv: piv}
+}
+
+// Full computes the complete column-pivoted factorization A P = Q R in
+// complex128 for m >= n: RRQR's pivoted core at tolerance 0, unpacked.
+// q holds Q (m×n, column-major), r holds R (n×n upper triangular,
+// column-major) and piv the permutation, as in Factorization. The SVD
+// preconditions its Jacobi sweeps with it.
+func Full(a *dense.Matrix) (q, r []complex128, piv []int) {
+	if a.Rows < a.Cols {
+		panic("qr: Full needs a tall or square matrix")
+	}
+	q = toC128(a)
+	r, _, piv, _ = pivoted(q, a.Rows, a.Cols, 0, 0)
+	return q, r, piv
+}
+
+// pivoted runs the column-pivoted two-pass modified Gram–Schmidt on the
+// column-major m×n buffer q in place, leaving Q's columns in it. It stops
+// once the trailing column energy is at most tol²·‖A‖F² (never at tol 0)
+// or after maxRank columns (maxRank <= 0 means min(m,n)). R comes back
+// column-major with leading dimension kmax, its first rank rows filled.
+func pivoted(q []complex128, m, n int, tol float64, maxRank int) (r []complex128, kmax int, piv []int, rank int) {
+	kmax = min(m, n)
 	if maxRank > 0 && maxRank < kmax {
 		kmax = maxRank
 	}
-	q := toC128(a)
 	// working column norms (squared)
 	norms := make([]float64, n)
 	var total float64
@@ -44,12 +89,11 @@ func RRQR(a *dense.Matrix, tol float64, maxRank int) *Factorization {
 		total += s * s
 	}
 	thresh := tol * tol * total
-	piv := make([]int, n)
+	piv = make([]int, n)
 	for i := range piv {
 		piv[i] = i
 	}
-	r := make([]complex128, kmax*n)
-	rank := 0
+	r = make([]complex128, kmax*n)
 	for j := 0; j < kmax; j++ {
 		// pick the column with the largest remaining norm
 		best, bi := -1.0, j
@@ -100,27 +144,7 @@ func RRQR(a *dense.Matrix, tol float64, maxRank int) *Factorization {
 			}
 		}
 	}
-	if rank == 0 {
-		rank = 1 // always return at least rank 1 so factors are usable
-		// column 0 may be zero; Q col is zero then, R row zero: still valid A≈QR
-		if nrm2col(q, m, 0) == 0 {
-			r[0] = 0
-		}
-	}
-	// pack truncated factors
-	qOut := dense.New(m, rank)
-	for j := 0; j < rank; j++ {
-		for i := 0; i < m; i++ {
-			qOut.Set(i, j, complex64(q[j*m+i]))
-		}
-	}
-	rOut := dense.New(rank, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < rank; i++ {
-			rOut.Set(i, j, complex64(r[j*kmax+i]))
-		}
-	}
-	return &Factorization{Q: qOut, R: rOut, Piv: piv}
+	return r, kmax, piv, rank
 }
 
 // Rank returns the number of columns of Q, the revealed numerical rank.

@@ -2,10 +2,11 @@
 // TLR-MVM kernel at the heart of the paper. A matrix is split into nb×nb
 // tiles (Fig. 2), each tile is compressed independently into a product
 // U·Vᴴ of rank-k bases (Fig. 3), and the bases are stacked contiguously in
-// memory (Fig. 4). The matrix-vector product then proceeds in three
-// phases: a batched MVM over the V bases (Fig. 5), a memory shuffle that
-// projects from the V to the U ordering (Fig. 6), and a batched MVM over
-// the U bases (Fig. 7).
+// memory (Fig. 4): Compress puts a matrix's kept bases in one slab, tile
+// by tile in storage order, V before U. The matrix-vector product then
+// proceeds in three phases: a batched MVM over the V bases (Fig. 5), a
+// memory shuffle that projects from the V to the U ordering (Fig. 6), and
+// a batched MVM over the U bases (Fig. 7).
 //
 // The package provides seven products (DESIGN.md, "TLR-MVM entry
 // points"): the sequential per-tile MulVec/MulVecConjTrans (the phases
@@ -32,7 +33,8 @@ import (
 type Method int
 
 const (
-	// MethodSVD uses an exact truncated SVD (one-sided Jacobi).
+	// MethodSVD uses an exact truncated SVD (QR-preconditioned
+	// one-sided Jacobi).
 	MethodSVD Method = iota
 	// MethodRRQR uses rank-revealing QR with column pivoting.
 	MethodRRQR
@@ -103,7 +105,10 @@ type Options struct {
 	Workers int
 }
 
-// Compress builds a TLR approximation of the dense matrix a.
+// Compress builds a TLR approximation of the dense matrix a. Every
+// tile's kept bases go into one slab, in storage order and V before U
+// within a tile — the order sweep reads them (Fig. 4's stacking). A
+// tile holding a NaN or an Inf is an error naming the tile.
 func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	if opts.NB <= 0 {
 		return nil, fmt.Errorf("tlr: tile size NB must be positive, got %d", opts.NB)
@@ -124,9 +129,45 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	fanout.Do(mt*nt, opts.Workers, func(_, idx int) {
 		i, j := idx/nt, idx%nt
 		block := a.Slice(i*nb, min((i+1)*nb, m), j*nb, min((j+1)*nb, n))
-		t.Tiles[idx] = compressTile(block, opts)
+		if finite(block) {
+			t.Tiles[idx] = compressTile(block, opts)
+		}
 	})
+	var size int
+	for idx, tile := range t.Tiles {
+		if tile == nil {
+			return nil, fmt.Errorf("tlr: tile (%d, %d) has a non-finite entry", idx/nt, idx%nt)
+		}
+		size += len(tile.V.Data) + len(tile.U.Data)
+	}
+	slab := make([]complex64, 0, size)
+	for _, tile := range t.Tiles {
+		tile.V = packed(&slab, tile.V)
+		tile.U = packed(&slab, tile.U)
+	}
 	return t, nil
+}
+
+// finite reports whether every entry of b is finite; a NaN or an Inf
+// would otherwise compress silently into NaN factors.
+func finite(b *dense.Matrix) bool {
+	for j := 0; j < b.Cols; j++ {
+		for _, x := range b.Col(j) {
+			// x − x is 0 for a finite x, NaN for a NaN or an Inf
+			if r, i := real(x), imag(x); r-r != 0 || i-i != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// packed appends b's elements (b is tight) to the slab and returns b as
+// an exact-length view of them.
+func packed(slab *[]complex64, b *dense.Matrix) *dense.Matrix {
+	off := len(*slab)
+	*slab = append(*slab, b.Data...)
+	return dense.FromSlice(b.Rows, b.Cols, (*slab)[off:len(*slab):len(*slab)])
 }
 
 // compressTile compresses one tile with opts.Method, which Compress has
@@ -153,7 +194,7 @@ func compressTile(block *dense.Matrix, opts Options) *Tile {
 				vp.Set(orig, i, complex(real(x), -imag(x)))
 			}
 		}
-		return &Tile{U: f.Q.Clone(), V: vp}
+		return &Tile{U: f.Q, V: vp}
 	}
 	panic("tlr: unreachable: Compress validates the method")
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cfloat"
 	"repro/internal/dense"
@@ -264,6 +266,65 @@ func TestCompressValidation(t *testing.T) {
 	}
 	if _, err := Compress(a, Options{NB: 4, Tol: 1e-4, Method: Method(42)}); err == nil {
 		t.Error("unknown method should error")
+	}
+	// a non-finite entry is an error naming its tile, not NaN factors
+	for _, method := range []Method{MethodSVD, MethodRRQR} {
+		for _, bad := range []complex64{complex(float32(math.NaN()), 0), complex(float32(math.Inf(1)), 0)} {
+			b := decayMatrix(rand.New(rand.NewSource(3)), 48, 48)
+			b.Set(20, 37, bad)
+			_, err := Compress(b, Options{NB: 16, Tol: 1e-4, Method: method})
+			if err == nil || !strings.Contains(err.Error(), "tile (1, 2)") {
+				t.Errorf("%v with entry %v: err = %v, want one naming tile (1, 2)", method, bad, err)
+			}
+		}
+	}
+}
+
+// TestCompressPacksBasesInOneSlab holds Compress to Fig. 4's layout:
+// every tile's V then U, in storage order, each an exact-length view of
+// one allocation — and the products to the bits of the same tiles each
+// cloned into an allocation of its own.
+func TestCompressPacksBasesInOneSlab(t *testing.T) {
+	a := decayMatrix(rand.New(rand.NewSource(4)), 70, 52)
+	for _, method := range []Method{MethodSVD, MethodRRQR} {
+		tm := compressOrDie(t, a, Options{NB: 16, Tol: 1e-4, Method: method})
+		var next unsafe.Pointer
+		for idx, tile := range tm.Tiles {
+			for _, b := range []*dense.Matrix{tile.V, tile.U} {
+				if len(b.Data) != b.Rows*b.Cols || cap(b.Data) != len(b.Data) {
+					t.Fatalf("%v tile %d: len %d cap %d, want both %d", method, idx, len(b.Data), cap(b.Data), b.Rows*b.Cols)
+				}
+				p := unsafe.Pointer(unsafe.SliceData(b.Data))
+				if next != nil && p != next {
+					t.Fatalf("%v tile %d: bases not contiguous in V, U storage order", method, idx)
+				}
+				next = unsafe.Add(p, len(b.Data)*int(unsafe.Sizeof(b.Data[0])))
+			}
+		}
+		scattered := &Matrix{M: tm.M, N: tm.N, NB: tm.NB, MT: tm.MT, NT: tm.NT, Tiles: make([]*Tile, len(tm.Tiles))}
+		for idx, tile := range tm.Tiles {
+			scattered.Tiles[idx] = &Tile{U: tile.U.Clone(), V: tile.V.Clone()}
+		}
+		rng := rand.New(rand.NewSource(5))
+		x, u := make([]complex64, tm.N), make([]complex64, tm.M)
+		for _, v := range [][]complex64{x, u} {
+			for i := range v {
+				v[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
+			}
+		}
+		products := func(m *Matrix) [][]complex64 {
+			y, z, w, s := make([]complex64, m.M), make([]complex64, m.N), make([]complex64, m.M), make([]complex64, m.N)
+			m.MulVec(x, y)
+			m.MulVecConjTrans(u, z)
+			m.MulVecStep(x, 0.5, 0.25, u, w, s)
+			return [][]complex64{y, z, w, s}
+		}
+		got, want := products(tm), products(scattered)
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("%v: packed product %d differs from per-tile allocations", method, i)
+			}
+		}
 	}
 }
 
