@@ -11,6 +11,7 @@ FUZZ_TARGETS = \
 	internal/cfloat:FuzzSplitMergeRoundTrip \
 	internal/cfloat:FuzzComplexMVMViaFourReal \
 	internal/cfloat:FuzzGemvBlocked \
+	internal/cfloat:FuzzAxpy \
 	internal/precision:FuzzF16RoundTrip \
 	internal/precision:FuzzBF16RoundTrip \
 	internal/tlrio:FuzzOpenPaged \
@@ -59,13 +60,15 @@ race-stress:
 # every compressor's build at 1, 2 and 4, the batched S / Sᴴ stages
 # against the channel-at-a-time reference at 1, 2, 4 and 8, the LSQR
 # step of FreqOperator and whole solves against their composed route at
-# 1, 2, 4 and 8, and
-# store-backed products against in-memory ones at three budgets, on one
-# and on four Ps
+# 1, 2, 4 and 8,
+# store-backed products against in-memory ones at three budgets, and the
+# synthesized survey (K, Rtrue, P−) against its pair-by-pair evaluation
+# at 1, 2 and 4 workers, on one and on four Ps
 cpu-identity:
 	$(GO) test -race -cpu 1,4 -run '^(TestBatchedMatchesSequentialAcrossShapes|TestCompressAccuracyAllMethods)$$' ./internal/tlr/
 	$(GO) test -race -cpu 1,4 -run '^(TestTimeStagesMatchReference|TestFreqOperatorStepMatchesComposition|TestSolveStepRouteMatchesComposed)$$' ./internal/mdc/
 	$(GO) test -race -cpu 1,4 -run '^TestStreamedProductsBitIdentical$$' ./internal/opstore/
+	$(GO) test -race -cpu 1,4 -run '^TestGenerateMatchesReference$$' ./internal/seismic/
 
 # serving-layer integration suite: typed client against a live
 # in-process mddserve instance (submit/poll/stream/cancel, backpressure,
@@ -125,8 +128,8 @@ bench-e2e-compare:
 # whole-module run covers every analyzer, test variants included.
 # `gofmt -l .` must list no file, analyzer fixtures included. The
 # s390x cross-vet type-checks the big-endian side of tlrio.LoadTile,
-# which no host here executes; the arm64 one the pure-Go Gemv loops
-# (amd64 runs cfloat's SSE assembly instead) and the LSQR loops for a
+# which no host here executes; the arm64 one the pure-Go Gemv and Axpy
+# loops (amd64 runs cfloat's SSE assembly instead) and the LSQR loops for a
 # target that fuses multiply-adds, where they are not run either.
 
 REPOLINT_SRCS := $(wildcard cmd/repolint/*.go internal/analysis/*.go)

@@ -10,7 +10,8 @@
 // spell the four real multiplies out. The reductions to one number —
 // Dotc, Dotu, Nrm2, Asum — accumulate in float64, where it measurably
 // improves accuracy, and Gemm and Axpy, which run at set-up only, keep
-// the widened arithmetic their pinned results were computed with.
+// the widened arithmetic their pinned results were computed with (Axpy
+// in packed SSE2 on amd64, bit for bit its Go loop).
 package cfloat
 
 import (
@@ -43,8 +44,13 @@ func (t Trans) String() string {
 }
 
 // Axpy computes y += alpha*x elementwise. x and y must have equal length.
+// A zero alpha (either sign) leaves y untouched, even where x holds an
+// Inf or NaN.
 //
-//lint:widen-ok set-up and checking path (orthonormalisation under dense, CGLS, residual checks): gc's float64 complex product is kept, its bits feed pinned compression facts
+// Each element is gc's complex64 product alpha·x[i] — taken in float64,
+// rounded once to float32 per part — added to y[i] in float32. On amd64
+// the loop is packed SSE2 (axpy_amd64.s), bit for bit axpyGo, which
+// every other GOARCH runs and the tests hold the assembly to.
 func Axpy(alpha complex64, x, y []complex64) {
 	if len(x) != len(y) {
 		panic("cfloat: Axpy length mismatch")
@@ -52,6 +58,14 @@ func Axpy(alpha complex64, x, y []complex64) {
 	if alpha == 0 {
 		return
 	}
+	axpy(alpha, x, y)
+}
+
+// axpyGo is Axpy's loop in Go: axpy on every GOARCH without an assembly
+// body and the reference the amd64 one is == to.
+//
+//lint:widen-ok set-up path (survey synthesis's P− = dA·R·Kᵀ, orthonormalisation under dense, CGLS, residual checks): gc's float64 complex product is kept, its bits are the synthetic survey's and feed pinned compression facts
+func axpyGo(alpha complex64, x, y []complex64) {
 	for i, v := range x {
 		y[i] += alpha * v
 	}

@@ -552,6 +552,21 @@ func BenchmarkGemvNoTrans256(b *testing.B) {
 	}
 }
 
+// BenchmarkAxpy times Axpy at survey synthesis's column length (192,
+// the solve-survey receivers) and reports ns per element.
+func BenchmarkAxpy(b *testing.B) {
+	rng := testkit.NewRNG(1)
+	const n = 192
+	x := testkit.Vec(rng, n)
+	y := make([]complex64, n)
+	b.SetBytes(int64(16 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfloat.Axpy(0.5-0.25i, x, y)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+}
+
 func BenchmarkComplexMVMViaFourReal256(b *testing.B) {
 	rng := testkit.NewRNG(1)
 	m, n := 256, 256

@@ -16,3 +16,11 @@ func GemvGo(t Trans, m, n int, alpha complex64, a []complex64, lda int, x []comp
 	}
 	gemvNGo(n, alpha, a, lda, x, y)
 }
+
+// AxpyGo is Axpy without its length check, on the pure-Go loop: the
+// reference the amd64 assembly is held bit for bit to.
+func AxpyGo(alpha complex64, x, y []complex64) {
+	if alpha != 0 {
+		axpyGo(alpha, x, y)
+	}
+}

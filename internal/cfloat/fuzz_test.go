@@ -93,3 +93,31 @@ func FuzzGemvBlocked(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAxpy: Axpy must be bit for bit (NaN ≡ NaN) its pure-Go loop, which
+// on amd64 is not what it runs, for any alpha and any x and y values —
+// signed zeros, subnormals, Inf and NaN included — at a length of 1 to
+// 7, so the assembly's two-element pass and its one-element tail both
+// run. TestAxpyAsmMatchesGo is the same check on a fixed grid.
+func FuzzAxpy(f *testing.F) {
+	f.Add(float32(0.75), float32(-1.25), float32(1), float32(-0.0), float32(3e-39), float32(2), uint8(3))
+	f.Add(float32(math.Inf(1)), float32(0), float32(0), float32(math.NaN()), float32(-1), float32(1e38), uint8(6))
+	f.Fuzz(func(t *testing.T, ar, ai, xr, xi, yr, yi float32, nRaw uint8) {
+		n := int(nRaw%7) + 1
+		x := make([]complex64, n)
+		y := make([]complex64, n)
+		for i := range x {
+			// rotate the values through the lanes so each element differs
+			x[i] = complex(xr, xi)
+			y[i] = complex(yr, yi)
+			xr, xi, yr, yi = xi, yr, yi, xr
+		}
+		alpha := complex(ar, ai)
+		want := append([]complex64(nil), y...)
+		cfloat.Axpy(alpha, x, y)
+		cfloat.AxpyGo(alpha, x, want)
+		if i := sameBits(y, want); i >= 0 {
+			t.Fatalf("alpha=%v n=%d: y[%d] = %v, the Go loop gives %v", alpha, n, i, y[i], want[i])
+		}
+	})
+}

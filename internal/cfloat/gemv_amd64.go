@@ -15,3 +15,9 @@ func gemvN(n int, alpha complex64, a []complex64, lda int, x, y []complex64)
 //
 //go:noescape
 func gemvC(n int, alpha complex64, a []complex64, lda int, x []complex64, beta complex64, y []complex64)
+
+// axpy adds alpha·x to y in packed SSE2 (axpy_amd64.s), bit for bit
+// axpyGo. Axpy has checked len(x) == len(y) and alpha != 0.
+//
+//go:noescape
+func axpy(alpha complex64, x, y []complex64)

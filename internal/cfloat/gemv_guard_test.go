@@ -36,7 +36,9 @@ func guarded(t *testing.T, src []complex64) []complex64 {
 // 4/2/1-row blocks (m mod 4, so m mod 2) and every column remainder of the
 // adjoint's 4/2/1-column passes (n mod 4), in both directions, with beta
 // 1 so y is read too: a load or store past any slice faults the test
-// binary. Results are also held to the pure-Go loops on ordinary memory.
+// binary. Axpy's x and y go flush against the page the same way at
+// lengths 1–9, every remainder of its two-element pass. Results are also
+// held to the pure-Go loops on ordinary memory.
 func TestGemvReadsNothingPastItsSlices(t *testing.T) {
 	rng := testkit.NewRNG(7)
 	for _, tr := range []cfloat.Trans{cfloat.NoTrans, cfloat.ConjTrans} {
@@ -57,6 +59,16 @@ func TestGemvReadsNothingPastItsSlices(t *testing.T) {
 					t.Fatalf("%v m=%d n=%d: y[%d] = %v, the Go loops give %v", tr, m, n, i, y[i], want[i])
 				}
 			}
+		}
+	}
+	for n := 1; n <= 9; n++ {
+		x := testkit.Vec(rng, n)
+		want := testkit.Vec(rng, n)
+		y := guarded(t, want)
+		cfloat.Axpy(0.5-1i, guarded(t, x), y)
+		cfloat.AxpyGo(0.5-1i, x, want)
+		if i := sameBits(y, want); i >= 0 {
+			t.Fatalf("Axpy n=%d: y[%d] = %v, the Go loop gives %v", n, i, y[i], want[i])
 		}
 	}
 }

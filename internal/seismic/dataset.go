@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cfloat"
 	"repro/internal/dense"
 	"repro/internal/fanout"
 	"repro/internal/fft"
@@ -108,17 +109,29 @@ func Generate(opts Options) (*Dataset, error) {
 	if nt == 0 {
 		nt = 256
 	}
+	if nt < 0 {
+		return nil, fmt.Errorf("seismic: Nt %d is negative", nt)
+	}
 	dt := opts.Dt
 	if dt == 0 {
 		dt = 0.004
+	}
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return nil, fmt.Errorf("seismic: Dt %g s, want a positive finite sampling interval", dt)
 	}
 	fmin := opts.FMin
 	if fmin == 0 {
 		fmin = 2
 	}
+	if math.IsNaN(fmin) {
+		return nil, fmt.Errorf("seismic: FMin is NaN")
+	}
 	nmul := opts.NMultiples
 	if nmul == 0 {
 		nmul = 3
+	}
+	if nmul < 0 {
+		return nil, fmt.Errorf("seismic: NMultiples %d is negative", nmul)
 	}
 	axis := fft.FreqAxis(nt, dt)
 	var freqs []float64
@@ -141,14 +154,79 @@ func Generate(opts Options) (*Dataset, error) {
 		Rtrue:  make([]*dense.Matrix, len(freqs)),
 		DArea:  g.Dx * g.Dy,
 	}
+	off := newOffsetTable(g)
 	fanout.Do(len(freqs), opts.Workers, func(_, fi int) {
-		ds.synthesizeFrequency(fi, nmul)
+		ds.synthesizeFrequency(fi, nmul, off)
 	})
 	return ds, nil
 }
 
+// offsetTable lists the distinct source-receiver offsets of a geometry
+// along each axis, by exact float64 value, and where each (source,
+// receiver) pair finds its own. K's Green's sums depend on a pair only
+// through |sx − rx| and |sy − ry|, so each is evaluated once per distinct
+// (x, y) offset pair — solve-survey's 384×192 grid has 20 × 14 of them
+// against 73,728 pairs.
+type offsetTable struct {
+	// hx, hy are the distinct |sx − rx| and |sy − ry|, in first-seen order.
+	hx, hy []float64
+	// x[i*NrX+j] indexes hx for source column i and receiver column j;
+	// y[i*NrY+j] indexes hy for source row i and receiver row j.
+	x, y []int
+}
+
+func newOffsetTable(g Geometry) *offsetTable {
+	t := &offsetTable{}
+	t.hx, t.x = axisOffsets(g.NsX, g.NrX, func(i int) float64 {
+		sx, _, _ := g.SourcePos(i * g.NsY)
+		return sx
+	}, func(j int) float64 {
+		rx, _, _ := g.ReceiverPos(j * g.NrY)
+		return rx
+	})
+	t.hy, t.y = axisOffsets(g.NsY, g.NrY, func(i int) float64 {
+		_, sy, _ := g.SourcePos(i)
+		return sy
+	}, func(j int) float64 {
+		_, ry, _ := g.ReceiverPos(j)
+		return ry
+	})
+	return t
+}
+
+// axisOffsets returns the distinct |src(i) − rec(j)| over ns source and
+// nr receiver coordinates along one axis, and for each (i, j) at i*nr+j
+// the index of its own. Offsets are keyed by their exact value, not by
+// the lattice difference i − j: at a spacing such as 12.3 m one lattice
+// difference rounds to several distinct float64 offsets, and K must be
+// bit for bit a per-pair evaluation, which uses each pair's own. The
+// coordinates are finite (Geometry.Validate), so no key is NaN.
+func axisOffsets(ns, nr int, src, rec func(int) float64) (dist []float64, idx []int) {
+	seen := make(map[float64]int)
+	idx = make([]int, ns*nr)
+	for i := 0; i < ns; i++ {
+		for j := 0; j < nr; j++ {
+			h := math.Abs(src(i) - rec(j))
+			k, ok := seen[h]
+			if !ok {
+				k = len(dist)
+				seen[h] = k
+				dist = append(dist, h)
+			}
+			idx[i*nr+j] = k
+		}
+	}
+	return dist, idx
+}
+
 // synthesizeFrequency fills K, Rtrue, and Pminus for frequency index fi.
-func (ds *Dataset) synthesizeFrequency(fi, nmul int) {
+// K's multiple series is summed once per distinct offset pair of off and
+// gathered into every (s, v) with that pair; h2 is the expression a
+// per-pair evaluation would form (a negated offset squares to the same
+// bits, fused or not), so K is bit for bit that evaluation's. P− is one
+// cfloat.Axpy per (s, v): gc's complex64 product, float32 accumulation
+// over v in order, zero terms skipped.
+func (ds *Dataset) synthesizeFrequency(fi, nmul int, off *offsetTable) {
 	g := ds.Geom
 	f := ds.Freqs[fi]
 	omega := 2 * math.Pi * f
@@ -161,16 +239,16 @@ func (ds *Dataset) synthesizeFrequency(fi, nmul int) {
 	// direct ray with 2k·zw of extra unfolded vertical path, preserving
 	// multiple kinematics (each surface bounce contributes −1, each
 	// seafloor bounce r_wb).
-	k := dense.New(ns, nr)
 	cw := ds.Model.WaterVel
 	rwb := ds.Model.WaterBottomRefl
 	zw := ds.Model.WaterDepth
 	zs := g.SrcDepth
-	for v := 0; v < nr; v++ {
-		rx, ry, rz := g.ReceiverPos(v)
-		for s := 0; s < ns; s++ {
-			sx, sy, _ := g.SourcePos(s)
-			h2 := (sx-rx)*(sx-rx) + (sy-ry)*(sy-ry)
+	rz := g.RecDepth
+	ny := len(off.hy)
+	sums := make([]complex64, len(off.hx)*ny)
+	for a, dx := range off.hx {
+		for b, dy := range off.hy {
+			h2 := dx*dx + dy*dy
 			var acc complex128
 			bounce := 1.0
 			for m := 0; m <= nmul; m++ {
@@ -180,7 +258,16 @@ func (ds *Dataset) synthesizeFrequency(fi, nmul int) {
 				acc += complex(bounce, 0) * (greens(omega, dDir, cw) - greens(omega, dGho, cw))
 				bounce *= -rwb
 			}
-			k.Set(s, v, complex64(w*acc))
+			sums[a*ny+b] = complex64(w * acc)
+		}
+	}
+	k := dense.New(ns, nr)
+	for v := 0; v < nr; v++ {
+		jx, jy := v/g.NrY, v%g.NrY
+		col := k.Col(v)
+		for s := range col {
+			ix, iy := s/g.NsY, s%g.NsY
+			col[s] = sums[off.x[ix*g.NrX+jx]*ny+off.y[iy*g.NrY+jy]]
 		}
 	}
 	ds.K[fi] = k
@@ -215,14 +302,7 @@ func (ds *Dataset) synthesizeFrequency(fi, nmul int) {
 	for s := 0; s < ns; s++ {
 		outCol := pm.Col(s)
 		for v := 0; v < nr; v++ {
-			ksv := k.At(s, v) * scale
-			if ksv == 0 {
-				continue
-			}
-			rcol := r.Col(v)
-			for rr := range outCol {
-				outCol[rr] += rcol[rr] * ksv
-			}
+			cfloat.Axpy(k.At(s, v)*scale, r.Col(v), outCol)
 		}
 	}
 	ds.Pminus[fi] = pm

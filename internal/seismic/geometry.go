@@ -11,7 +11,10 @@
 // the ill-conditioning that distinguishes inversion from cross-correlation.
 package seismic
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Geometry describes the acquisition layout, mirroring §6.1: a grid of
 // sources just below the free surface and a grid of receivers on the
@@ -80,6 +83,14 @@ func (g Geometry) ReceiverIndex(ix, iy int) int {
 func (g Geometry) Validate() error {
 	if g.NsX < 1 || g.NsY < 1 || g.NrX < 1 || g.NrY < 1 {
 		return fmt.Errorf("seismic: empty grids (%dx%d sources, %dx%d receivers)", g.NsX, g.NsY, g.NrX, g.NrY)
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{{"Dx", g.Dx}, {"Dy", g.Dy}, {"SrcDepth", g.SrcDepth}, {"RecDepth", g.RecDepth}} {
+		if math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+			return fmt.Errorf("seismic: geometry %s is %g, want a finite number", c.name, c.v)
+		}
 	}
 	if g.Dx <= 0 || g.Dy <= 0 {
 		return fmt.Errorf("seismic: nonpositive spacing (%g, %g)", g.Dx, g.Dy)

@@ -2,6 +2,7 @@ package seismic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cfloat"
@@ -377,20 +378,201 @@ func TestZeroOffsetSection(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	o := smallOptions()
-	o.Geom.Dx = -1
-	if _, err := Generate(o); err == nil {
-		t.Error("bad geometry should error")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+		want string // a substring of the error
+	}{
+		{"negative spacing", func(o *Options) { o.Geom.Dx = -1 }, "spacing"},
+		{"depth mismatch", func(o *Options) { o.Model = DefaultModel(500) }, "water depth"},
+		{"empty band", func(o *Options) { o.FMin = 100 }, "no frequencies"},
+		{"NaN Dx", func(o *Options) { o.Geom.Dx = nan }, "Dx"},
+		{"+Inf Dx", func(o *Options) { o.Geom.Dx = inf }, "Dx"},
+		{"NaN Dy", func(o *Options) { o.Geom.Dy = nan }, "Dy"},
+		{"+Inf Dy", func(o *Options) { o.Geom.Dy = inf }, "Dy"},
+		{"NaN SrcDepth", func(o *Options) { o.Geom.SrcDepth = nan }, "SrcDepth"},
+		{"-Inf SrcDepth", func(o *Options) { o.Geom.SrcDepth = -inf }, "SrcDepth"},
+		{"NaN RecDepth", func(o *Options) { o.Geom.RecDepth = nan }, "RecDepth"},
+		{"+Inf RecDepth", func(o *Options) { o.Geom.RecDepth = inf }, "RecDepth"},
+		{"negative NMultiples", func(o *Options) { o.NMultiples = -1 }, "NMultiples"},
+		{"negative Nt", func(o *Options) { o.Nt = -8 }, "Nt"},
+		{"NaN Dt", func(o *Options) { o.Dt = nan }, "Dt"},
+		{"negative Dt", func(o *Options) { o.Dt = -0.004 }, "Dt"},
+		{"+Inf Dt", func(o *Options) { o.Dt = inf }, "Dt"},
+		{"NaN FMin", func(o *Options) { o.FMin = nan }, "FMin"},
+	} {
+		o := smallOptions()
+		tc.edit(&o)
+		ds, err := Generate(o)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Generate returned (%v, %v), want an error naming %q", tc.name, ds != nil, err, tc.want)
+		}
 	}
-	o = smallOptions()
-	o.Model = DefaultModel(500) // mismatched water depth
-	if _, err := Generate(o); err == nil {
-		t.Error("model/geometry depth mismatch should error")
+}
+
+// oracleSynthesize is survey synthesis evaluated pair by pair: K's
+// multiple series summed afresh for every (s, v), and P− accumulated by
+// the complex64 product loop written out. TestGenerateMatchesReference
+// holds Generate's offset-tabulated K and its cfloat.Axpy P− to it bit
+// for bit.
+func oracleSynthesize(ds *Dataset, fi, nmul int) (k, r, pm *dense.Matrix) {
+	g := ds.Geom
+	f := ds.Freqs[fi]
+	omega := 2 * math.Pi * f
+	w := ds.Wavelet.Spectrum(f)
+	ns, nr := g.NumSources(), g.NumReceivers()
+
+	k = dense.New(ns, nr)
+	cw := ds.Model.WaterVel
+	rwb := ds.Model.WaterBottomRefl
+	zw := ds.Model.WaterDepth
+	zs := g.SrcDepth
+	for v := 0; v < nr; v++ {
+		rx, ry, rz := g.ReceiverPos(v)
+		for s := 0; s < ns; s++ {
+			sx, sy, _ := g.SourcePos(s)
+			h2 := (sx-rx)*(sx-rx) + (sy-ry)*(sy-ry)
+			var acc complex128
+			bounce := 1.0
+			for m := 0; m <= nmul; m++ {
+				extra := 2 * float64(m) * zw
+				dDir := math.Sqrt(h2 + (rz-zs+extra)*(rz-zs+extra))
+				dGho := math.Sqrt(h2 + (rz+zs+extra)*(rz+zs+extra))
+				acc += complex(bounce, 0) * (greens(omega, dDir, cw) - greens(omega, dGho, cw))
+				bounce *= -rwb
+			}
+			k.Set(s, v, complex64(w*acc))
+		}
 	}
-	o = smallOptions()
-	o.FMin = 100 // above band
-	if _, err := Generate(o); err == nil {
-		t.Error("empty band should error")
+
+	r = dense.New(nr, nr)
+	cs := ds.Model.SubVel
+	for v := 0; v < nr; v++ {
+		vx, vy, _ := g.ReceiverPos(v)
+		for rr := v; rr < nr; rr++ {
+			px, py, _ := g.ReceiverPos(rr)
+			h2 := (px-vx)*(px-vx) + (py-vy)*(py-vy)
+			midX := (px + vx) / 2
+			var acc complex128
+			for _, ifc := range ds.Model.Interfaces {
+				dz := 2 * (ifc.DepthAt(midX) - zw)
+				dist := math.Sqrt(h2 + dz*dz)
+				acc += complex(ifc.Refl, 0) * greens(omega, dist, cs)
+			}
+			val := complex64(acc)
+			r.Set(rr, v, val)
+			r.Set(v, rr, val)
+		}
+	}
+
+	pm = dense.New(nr, ns)
+	scale := complex64(complex(float32(ds.DArea), 0))
+	for s := 0; s < ns; s++ {
+		outCol := pm.Col(s)
+		for v := 0; v < nr; v++ {
+			ksv := k.At(s, v) * scale
+			if ksv == 0 {
+				continue
+			}
+			rcol := r.Col(v)
+			for rr := range outCol {
+				outCol[rr] += rcol[rr] * ksv
+			}
+		}
+	}
+	return k, r, pm
+}
+
+// sameMatrixBits returns the first (row, col) where a and b differ in
+// their float32 bits (NaN ≡ NaN), or ok.
+func sameMatrixBits(a, b *dense.Matrix) (i, j int, ok bool) {
+	eq := func(u, v float32) bool {
+		if u != u || v != v {
+			return u != u && v != v
+		}
+		return math.Float32bits(u) == math.Float32bits(v)
+	}
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			x, y := a.At(i, j), b.At(i, j)
+			if !eq(real(x), real(y)) || !eq(imag(x), imag(y)) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// TestGenerateMatchesReference holds Generate — K from one Green's sum
+// per distinct offset pair, P− through cfloat.Axpy — to the pair-by-pair
+// evaluation bit for bit (float32 bits, signed zeros included), every
+// frequency, at 1, 2 and 4 workers: on the serve-mix hot geometry (16×12
+// sources over 12×8 receivers, 20 m), on half-cell receiver offsets
+// (NsX − NrX and NsY − NrY odd), on a 12.3 × 7.7 m grid, with 1 and 5
+// multiples, and with a Ricker wavelet. It also holds the offset table
+// to every pair's own |sx − rx| and |sy − ry| to the float64 bit: on the
+// 12.3 × 7.7 m grid 5 of the 6 lattice-offset classes along x hold more
+// than one distinct |sx − rx|, and 4 of 5 along y, so keying the table
+// by ix − jx instead of the exact offset fails here. (The matrices alone
+// would not show that mutation: a one-ulp float64 offset change almost
+// never moves a complex64 bit of K.)
+func TestGenerateMatchesReference(t *testing.T) {
+	geom := func(nsx, nsy, nrx, nry int, dx, dy float64) Geometry {
+		return Geometry{NsX: nsx, NsY: nsy, NrX: nrx, NrY: nry, Dx: dx, Dy: dy, SrcDepth: 10, RecDepth: 300}
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		nmul int // the multiple count Generate resolves opts.NMultiples to
+	}{
+		{"serve-mix hot", Options{Geom: geom(16, 12, 12, 8, 20, 20), Nt: 32, Dt: 0.004}, 3},
+		{"half-cell offsets", Options{Geom: geom(9, 6, 4, 3, 20, 20), Nt: 64, Dt: 0.004}, 3},
+		{"12.3 x 7.7 m", Options{Geom: geom(9, 7, 4, 4, 12.3, 7.7), Nt: 64, Dt: 0.004}, 3},
+		{"1 multiple", Options{Geom: geom(6, 4, 5, 3, 20, 20), Nt: 64, Dt: 0.004, NMultiples: 1}, 1},
+		{"5 multiples", Options{Geom: geom(6, 4, 5, 3, 12.3, 20), Nt: 64, Dt: 0.004, NMultiples: 5}, 5},
+		{"Ricker", Options{Geom: geom(7, 5, 4, 2, 20, 20), Nt: 64, Dt: 0.004, Wavelet: RickerWavelet{F0: 12}}, 3},
+	} {
+		g := tc.opts.Geom
+		off := newOffsetTable(g)
+		for s := 0; s < g.NumSources(); s++ {
+			sx, sy, _ := g.SourcePos(s)
+			ix, iy := s/g.NsY, s%g.NsY
+			for v := 0; v < g.NumReceivers(); v++ {
+				rx, ry, _ := g.ReceiverPos(v)
+				jx, jy := v/g.NrY, v%g.NrY
+				hx, hy := off.hx[off.x[ix*g.NrX+jx]], off.hy[off.y[iy*g.NrY+jy]]
+				if hx != math.Abs(sx-rx) || hy != math.Abs(sy-ry) {
+					t.Fatalf("%s: source %d, receiver %d: tabulated offset (%v, %v), the pair's own is (%v, %v)",
+						tc.name, s, v, hx, hy, math.Abs(sx-rx), math.Abs(sy-ry))
+				}
+			}
+		}
+		var want [3][]*dense.Matrix
+		for _, workers := range []int{1, 2, 4} {
+			o := tc.opts
+			o.Workers = workers
+			ds, err := Generate(o)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if want[0] == nil {
+				for fi := range ds.Freqs {
+					k, r, pm := oracleSynthesize(ds, fi, tc.nmul)
+					want[0] = append(want[0], k)
+					want[1] = append(want[1], r)
+					want[2] = append(want[2], pm)
+				}
+			}
+			for fi := range ds.Freqs {
+				for m, got := range [3]*dense.Matrix{ds.K[fi], ds.Rtrue[fi], ds.Pminus[fi]} {
+					if i, j, ok := sameMatrixBits(got, want[m][fi]); !ok {
+						t.Fatalf("%s, %d workers, f=%g Hz: %s[%d,%d] = %v, the pair-by-pair evaluation gives %v",
+							tc.name, workers, ds.Freqs[fi], [3]string{"K", "Rtrue", "P−"}[m], i, j, got.At(i, j), want[m][fi].At(i, j))
+					}
+				}
+			}
+		}
 	}
 }
 
