@@ -1,12 +1,10 @@
 // Package analysis is the repo's domain-invariant static analysis suite:
 // a small, dependency-free framework in the shape of golang.org/x/tools'
-// go/analysis, plus six analyzers that turn this repo's correctness
-// conventions into compiler-checked rules. The conventions exist because
-// the committed model report (REPORT.md, `make report-check`) and the
-// §6.5–§6.7 cycle/meter invariants treat the machine-model outputs as
-// exact: nondeterminism in a model package, a silently widened kernel
-// accumulator, or an execution path that never reaches the differential
-// oracle all break guarantees the test suite is built on.
+// go/analysis, plus four analyzers that turn this repo's correctness
+// conventions into compiler-checked rules: a silently widened kernel
+// accumulator, an execution path that never reaches the differential
+// oracle, or an unseeded RNG in a test or a replayable tool all break
+// guarantees the test suite is built on.
 //
 // An analyzer lives here only when it proves an all-paths or whole-tree
 // property no test states. Properties a runtime gate states more
@@ -17,27 +15,22 @@
 // layer's admission caps to internal/mddserve's cap table and FuzzSubmit,
 // cancellation and wakeups in the serving and batch stacks to their
 // TestCancel* tests, dropped fault and solver errors and locks held
-// across a wait to the tests of the packages that own those sites
+// across a wait to the tests of the packages that own those sites,
+// bit-determinism of the machine models to TestModelRepeatsBitForBit,
+// and span hygiene of the obs timers to TestTimersRecordEverySpan
 // (EXPERIMENTS.md, "Retired analyzers", records the evidence).
 //
 // The analyzers share one engine. go/build picks the files of each
 // package (load.go). Pass.Reportf applies the one //lint: escape rule
 // (an escape covers its own line and the next, or, in a function's doc
 // comment, the whole function) and drops a second diagnostic at the
-// same position. Five analyzers are syntactic (AST pattern matches):
-// modeldeterminism, obshygiene, precwiden, oraclereg, seededrand. There
-// is no control-flow graph or dataflow solver, and no analyzer looks
-// across function boundaries. lintlint polices the //lint: directives
-// the others consult.
+// same position. Three analyzers are syntactic (AST pattern matches):
+// precwiden, oraclereg, seededrand. There is no control-flow graph or
+// dataflow solver, and no analyzer looks across function boundaries.
+// lintlint polices the //lint: directives the others consult.
 //
 // The analyzers (see their files for the precise rules):
 //
-//   - modeldeterminism: no wall-clock, global rand, env reads, or
-//     map-iteration-order-dependent accumulation in the deterministic
-//     model packages (internal/cs2, internal/wse, internal/wsesim,
-//     internal/roofline).
-//   - obshygiene: obs metric registration only at package-level var
-//     scope with constant names; every Timer.Start span must End.
 //   - precwiden: no silent float32→float64 / complex64→complex128
 //     widening inside kernel hot loops (escape: //lint:widen-ok).
 //   - oraclereg: every exported MulVec-shaped kernel entry point must be
@@ -150,8 +143,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // and must never recurse into itself.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ModelDeterminism,
-		ObsHygiene,
 		PrecWiden,
 		OracleReg,
 		SeededRand,
@@ -379,25 +370,6 @@ func walkStack(file *ast.File, fn func(n ast.Node, stack []ast.Node)) {
 		stack = append(stack, n)
 		return true
 	})
-}
-
-// enclosingFuncBody returns the body of the innermost function literal
-// or declaration on the stack, or nil at package scope.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncDecl:
-			return f.Body
-		case *ast.FuncLit:
-			return f.Body
-		}
-	}
-	return nil
-}
-
-// inFunction reports whether the stack crosses any function body.
-func inFunction(stack []ast.Node) bool {
-	return enclosingFuncBody(stack) != nil
 }
 
 // loopDepth counts for/range statements on the stack that are inside

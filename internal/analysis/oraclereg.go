@@ -116,3 +116,11 @@ func entryName(fd *ast.FuncDecl) string {
 	}
 	return fd.Name.Name
 }
+
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}

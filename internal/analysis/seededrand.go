@@ -41,6 +41,26 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
+// globalRandFuncs are the math/rand (v1 and v2) top-level draws backed
+// by the shared global source.
+var globalRandFuncs = map[string]bool{
+	"Seed": true, "Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Read": true,
+	// math/rand/v2 spellings
+	"N": true, "IntN": true, "Int32": true, "Int32N": true, "Int64N": true,
+	"Uint32N": true, "Uint64N": true, "UintN": true, "Uint": true,
+}
+
+func isGlobalRand(fn *types.Func) bool {
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+		return false // methods on *rand.Rand draw from their own source
+	}
+	p := funcPkgPath(fn)
+	return (p == "math/rand" || p == "math/rand/v2") && globalRandFuncs[fn.Name()]
+}
+
 func runSeededRand(pass *Pass) error {
 	inTestkit := pathMatches(pass.Path, "internal/testkit", "internal/fault",
 		"internal/mddserve", "internal/mddclient",

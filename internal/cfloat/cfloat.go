@@ -8,7 +8,7 @@
 // float32 real/imaginary arithmetic, the tile's native precision: a
 // complex64 `*` is not that (gc computes it in float64), so those loops
 // spell the four real multiplies out. The reductions to one number —
-// Dotc, Dotu, Nrm2, Asum — accumulate in float64, where it measurably
+// Dotc and Nrm2 — accumulate in float64, where it measurably
 // improves accuracy, and Gemm and Axpy, which run at set-up only, keep
 // the widened arithmetic their pinned results were computed with (Axpy
 // in packed SSE2 on amd64, bit for bit its Go loop).
@@ -127,25 +127,6 @@ func Dotc(x, y []complex64) complex64 {
 	return complex(float32(re), float32(im))
 }
 
-// Dotu returns xᵀ y (no conjugation), accumulating in float64.
-//
-//lint:widen-ok deliberate float64 accumulation for numerical stability
-func Dotu(x, y []complex64) complex64 {
-	if len(x) != len(y) {
-		panic("cfloat: Dotu length mismatch")
-	}
-	var re, im float64
-	for i := range x {
-		xr := float64(real(x[i]))
-		xi := float64(imag(x[i]))
-		yr := float64(real(y[i]))
-		yi := float64(imag(y[i]))
-		re += xr*yr - xi*yi
-		im += xr*yi + xi*yr
-	}
-	return complex(float32(re), float32(im))
-}
-
 // Nrm2 returns the Euclidean norm of x, accumulated in float64.
 //
 //lint:widen-ok deliberate float64 accumulation for numerical stability
@@ -157,47 +138,6 @@ func Nrm2(x []complex64) float64 {
 		s += r*r + i*i
 	}
 	return math.Sqrt(s)
-}
-
-// Asum returns the sum of |Re|+|Im| over x, accumulated in float64.
-//
-//lint:widen-ok deliberate float64 accumulation for numerical stability
-func Asum(x []complex64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(float64(real(v))) + math.Abs(float64(imag(v)))
-	}
-	return s
-}
-
-// IAmax returns the index of the element with the largest |Re|+|Im|
-// magnitude, or -1 for an empty slice.
-//
-//lint:widen-ok magnitude comparison in float64 is exact for float32 inputs
-func IAmax(x []complex64) int {
-	best, bi := -1.0, -1
-	for i, v := range x {
-		m := math.Abs(float64(real(v))) + math.Abs(float64(imag(v)))
-		if m > best {
-			best, bi = m, i
-		}
-	}
-	return bi
-}
-
-// Conj conjugates x in place.
-func Conj(x []complex64) {
-	for i, v := range x {
-		x[i] = complex(real(v), -imag(v))
-	}
-}
-
-// Copy copies src into dst; the slices must have equal length.
-func Copy(dst, src []complex64) {
-	if len(dst) != len(src) {
-		panic("cfloat: Copy length mismatch")
-	}
-	copy(dst, src)
 }
 
 // Gemv computes y = alpha*op(A)*x + beta*y where A is m×n stored

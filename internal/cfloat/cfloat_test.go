@@ -59,9 +59,6 @@ func TestDotcConjugatesFirstArgument(t *testing.T) {
 	if got := cfloat.Dotc(x, y); got != 1 {
 		t.Errorf("cfloat.Dotc = %v, want 1", got)
 	}
-	if got := cfloat.Dotu(x, y); got != -1 {
-		t.Errorf("cfloat.Dotu = %v, want -1", got)
-	}
 }
 
 func TestDotcHermitianSymmetry(t *testing.T) {
@@ -92,29 +89,6 @@ func TestNrm2MatchesDotc(t *testing.T) {
 func TestNrm2Empty(t *testing.T) {
 	if cfloat.Nrm2(nil) != 0 {
 		t.Error("cfloat.Nrm2(nil) != 0")
-	}
-}
-
-func TestIAmax(t *testing.T) {
-	if cfloat.IAmax(nil) != -1 {
-		t.Error("cfloat.IAmax(nil) != -1")
-	}
-	x := []complex64{1, 3 + 4i, 2}
-	if got := cfloat.IAmax(x); got != 1 {
-		t.Errorf("cfloat.IAmax = %d, want 1", got)
-	}
-}
-
-func TestConjInvolution(t *testing.T) {
-	rng := testkit.NewRNG(3)
-	x := testkit.Vec(rng, 33)
-	orig := append([]complex64(nil), x...)
-	cfloat.Conj(x)
-	cfloat.Conj(x)
-	for i := range x {
-		if x[i] != orig[i] {
-			t.Fatalf("cfloat.Conj∘cfloat.Conj not identity at %d", i)
-		}
 	}
 }
 
@@ -675,8 +649,6 @@ func TestGemvPanics(t *testing.T) {
 		"realGemv": func() { cfloat.RealGemv(2, 2, make([]float32, 4), 1, make([]float32, 2), make([]float32, 2)) },
 		"split":    func() { cfloat.SplitReIm(make([]complex64, 2), make([]float32, 1), make([]float32, 2)) },
 		"merge":    func() { cfloat.MergeReIm(make([]float32, 1), make([]float32, 2), make([]complex64, 2)) },
-		"copy":     func() { cfloat.Copy(make([]complex64, 1), make([]complex64, 2)) },
-		"dotu":     func() { cfloat.Dotu(make([]complex64, 1), make([]complex64, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -689,11 +661,5 @@ func TestGemvPanics(t *testing.T) {
 	}
 	if yN[0] != 1 || yN[1] != 2 || yN[2] != 3 || yC[0] != 4 || yC[1] != 5 || yC[2] != 6 {
 		t.Errorf("a Gemv that panicked on a short matrix wrote y: %v, %v", yN, yC)
-	}
-}
-
-func TestAsum(t *testing.T) {
-	if cfloat.Asum([]complex64{3 + 4i, -1 - 1i}) != 9 {
-		t.Error("cfloat.Asum wrong")
 	}
 }

@@ -73,9 +73,12 @@ type Prediction struct {
 	// DemotedFrac is the fraction of tiles the policy stores below
 	// fp32.
 	DemotedFrac float64
-	// RelErrBound bounds the relative error of one store-backed TLR-MVM
-	// against the exact dense product; NMSEBound is its square — the
-	// quantity the soundness tier checks against measured oracle error.
+	// RelErrBound bounds the normwise relative error of one
+	// store-backed TLR-MVM against the exact dense product,
+	// ‖Ãx − Ax‖ / (‖A‖₂‖x‖); it does not bound ‖Ãx − Ax‖ / ‖Ax‖,
+	// which grows without limit as Ax cancels. NMSEBound is its
+	// square — the quantity the soundness tier checks against measured
+	// oracle error.
 	RelErrBound float64
 	NMSEBound   float64
 	// SolveRelErrBound and SolveNMSEBound carry the bound through the

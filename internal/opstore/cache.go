@@ -34,7 +34,7 @@ import (
 	"repro/internal/tlr"
 )
 
-// Cache metrics, registered once at package scope (obshygiene). All
+// Cache metrics, registered once at package scope. All
 // recording is atomic and gated on obs.Enable, so the hot path stays
 // allocation-free whether or not metrics are on.
 var (

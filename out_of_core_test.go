@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cfloat"
+	"repro/internal/dense"
 	"repro/internal/estimator"
 	"repro/internal/opstore"
 	"repro/internal/precision"
@@ -157,6 +159,12 @@ func TestOutOfCoreQuantizedStore(t *testing.T) {
 // compressed product against the dense reference, while staying within
 // 10× of the tolerance the differential suite already enforces (sound
 // but not uselessly loose).
+//
+// The measured error is normwise, ‖Ãx − Ax‖ / (‖A‖₂‖x‖), the quantity
+// the bound is stated for (estimator.Prediction.RelErrBound): a tile
+// truncation bounds ‖Ã − A‖ against ‖A‖, not against ‖Ax‖, which
+// cancels for some x. Every case runs over random vectors from seeds 1
+// to 200.
 func TestEstimatorSoundness(t *testing.T) {
 	mats, err := testkit.SeismicBand(2)
 	if err != nil {
@@ -170,8 +178,18 @@ func TestEstimatorSoundness(t *testing.T) {
 		precision.DiagonalBand{Band: 0.3, Demoted: precision.FP16},
 		precision.DiagonalBand{Band: 0.25, Demoted: precision.BF16},
 	}
-	rng := testkit.NewRNG(320)
+	type soundnessCase struct {
+		fi    int
+		tol   float64
+		pol   precision.Policy
+		a     *dense.Matrix
+		norm  float64 // ‖A‖₂
+		op    *tlr.Matrix
+		bound float64 // predicted NMSE
+	}
+	var cases []soundnessCase
 	for fi, a := range mats {
+		norm := spectralNorm(a)
 		for _, tol := range tols {
 			tm, err := tlr.Compress(a, tlr.Options{NB: 8, Tol: tol})
 			if err != nil {
@@ -192,25 +210,7 @@ func TestEstimatorSoundness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Measured NMSE: worst relative error of the stored
-				// operator's product against the dense reference over a
-				// few random vectors, squared.
-				var worst float64
-				for trial := 0; trial < 3; trial++ {
-					x := testkit.Vec(rng, a.Cols)
-					want := make([]complex64, a.Rows)
-					got := make([]complex64, a.Rows)
-					a.MulVec(x, want)
-					op.MulVec(x, got)
-					if e := testkit.RelErr(got, want); e > worst {
-						worst = e
-					}
-				}
-				measured := worst * worst
-				if measured > pred.NMSEBound {
-					t.Errorf("freq %d tol %g policy %+v: measured NMSE %g exceeds predicted bound %g",
-						fi, tol, pol, measured, pred.NMSEBound)
-				}
+				cases = append(cases, soundnessCase{fi, tol, pol, a, norm, op, pred.NMSEBound})
 				// Tightness: the bound must not drift above 10× the
 				// suite's own tolerance for the same configuration.
 				fmtWorst := worstFormat(pol)
@@ -221,6 +221,49 @@ func TestEstimatorSoundness(t *testing.T) {
 			}
 		}
 	}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := testkit.NewRNG(seed)
+		for _, c := range cases {
+			// Measured NMSE: worst normwise error of the stored
+			// operator's product against the dense reference over a
+			// few random vectors, squared.
+			var worst float64
+			want := make([]complex64, c.a.Rows)
+			got := make([]complex64, c.a.Rows)
+			d := make([]complex64, c.a.Rows)
+			for trial := 0; trial < 3; trial++ {
+				x := testkit.Vec(rng, c.a.Cols)
+				c.a.MulVec(x, want)
+				c.op.MulVec(x, got)
+				for i := range d {
+					d[i] = got[i] - want[i]
+				}
+				if e := cfloat.Nrm2(d) / (c.norm * cfloat.Nrm2(x)); e > worst {
+					worst = e
+				}
+			}
+			if measured := worst * worst; measured > c.bound {
+				t.Errorf("seed %d freq %d tol %g policy %+v: measured NMSE %g exceeds predicted bound %g",
+					seed, c.fi, c.tol, c.pol, measured, c.bound)
+			}
+		}
+	}
+}
+
+// spectralNorm estimates ‖A‖₂ by power iteration on AᴴA. Each iterate
+// is ‖A v‖ for a unit v, so the estimate approaches ‖A‖₂ from below and
+// a normwise error divided by it errs on the large side.
+func spectralNorm(a *dense.Matrix) float64 {
+	v := testkit.Vec(testkit.NewRNG(1), a.Cols)
+	av := make([]complex64, a.Rows)
+	var sigma float64
+	for it := 0; it < 100; it++ {
+		cfloat.Scal(complex(float32(1/cfloat.Nrm2(v)), 0), v)
+		a.MulVec(v, av)
+		sigma = cfloat.Nrm2(av)
+		a.MulVecConjTrans(av, v)
+	}
+	return sigma
 }
 
 // worstFormat returns the coarsest storage format a policy can assign,
