@@ -60,13 +60,15 @@ race-stress:
 # every compressor's build at 1, 2 and 4, the batched S / Sᴴ stages
 # against the channel-at-a-time reference at 1, 2, 4 and 8, the LSQR
 # step of FreqOperator and whole solves against their composed route at
-# 1, 2, 4 and 8,
+# 1, 2, 4 and 8, the time-domain solve against the frequency-domain
+# solve plus one synthesis (dense and TLR kernels),
 # store-backed products against in-memory ones at three budgets, and the
 # synthesized survey (K, Rtrue, P−) against its pair-by-pair evaluation
 # at 1, 2 and 4 workers, on one and on four Ps
 cpu-identity:
 	$(GO) test -race -cpu 1,4 -run '^(TestBatchedMatchesSequentialAcrossShapes|TestCompressAccuracyAllMethods)$$' ./internal/tlr/
 	$(GO) test -race -cpu 1,4 -run '^(TestTimeStagesMatchReference|TestFreqOperatorStepMatchesComposition|TestSolveStepRouteMatchesComposed)$$' ./internal/mdc/
+	$(GO) test -race -cpu 1,4 -run '^TestInvertTimeDomainIsFrequencySolvePlusSynthesis$$' ./internal/mdd/
 	$(GO) test -race -cpu 1,4 -run '^TestStreamedProductsBitIdentical$$' ./internal/opstore/
 	$(GO) test -race -cpu 1,4 -run '^TestGenerateMatchesReference$$' ./internal/seismic/
 
