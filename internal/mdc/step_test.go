@@ -21,7 +21,7 @@ type composedKernel struct{ Kernel }
 
 // stepKernels returns one TLR kernel of nf random frequencies in memory
 // and its store-backed twin over a quarter budget, where most tiles are
-// streamed and so read once for each half of a step.
+// streamed: a step reads each of them once, for both of its halves.
 func stepKernels(t *testing.T, nf, rows, cols int) map[string]*TLRKernel {
 	t.Helper()
 	rng := rand.New(rand.NewSource(29))

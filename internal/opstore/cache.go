@@ -12,7 +12,7 @@
 // when it passed one — the sequential product does, so that read takes
 // no lock and allocates nothing — and into storage the caller owns
 // otherwise. Nothing is ever evicted. The products this store serves
-// sweep the whole operator in one fixed order, twice per LSQR iteration,
+// sweep the whole operator in one fixed order, once per LSQR iteration,
 // and on a cyclic scan larger than the cache LRU keeps exactly the tiles
 // the next sweep reaches last, so every tile is evicted before its
 // reuse; a fixed resident set hits on every one of its tiles, every

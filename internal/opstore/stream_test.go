@@ -92,10 +92,11 @@ func sameBits(a, b []complex64) bool {
 
 // TestStreamedProductsBitIdentical holds store-backed products to the
 // in-memory ones bit for bit at budgets that admit no tile with factors,
-// half the operator and all of it, under each storage tier — forward
-// and adjoint, each matrix directly (twice, so the second product runs
-// on the resident set the first one admitted) and both through a
-// FreqOperator on GOMAXPROCS workers, always into a dirty output. The
+// half the operator and all of it, under each storage tier — forward,
+// adjoint, the LSQR step and the normal product, each matrix directly
+// (twice, so the second product runs on the resident set the first one
+// admitted) and all but the normal product through a FreqOperator on
+// GOMAXPROCS workers, always into dirty outputs. The
 // reference for a reduced tier is precision.Quantize's operator, which
 // the page decode reproduces exactly.
 func TestStreamedProductsBitIdentical(t *testing.T) {
@@ -130,6 +131,7 @@ func TestStreamedProductsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			oocs := make([]*tlr.Matrix, len(refs))
+			u := randVec(rng, refs[0].M)
 			for f, ref := range refs {
 				if oocs[f], err = st.Matrix(f); err != nil {
 					t.Fatal(err)
@@ -142,6 +144,11 @@ func TestStreamedProductsBitIdentical(t *testing.T) {
 				}{
 					{"MulVec", (*tlr.Matrix).MulVec, ref.N, ref.M},
 					{"MulVecConjTrans", (*tlr.Matrix).MulVecConjTrans, ref.M, ref.N},
+					// w then z in one output
+					{"MulVecStep", func(tm *tlr.Matrix, x, y []complex64) {
+						tm.MulVecStep(x, 0.37, 0.61, u, y[:tm.M], y[tm.M:])
+					}, ref.N, ref.M + ref.N},
+					{"MulVecNormal", (*tlr.Matrix).MulVecNormal, ref.N, ref.N},
 				} {
 					x := randVec(rng, dir.in)
 					want := make([]complex64, dir.out)
@@ -157,15 +164,22 @@ func TestStreamedProductsBitIdentical(t *testing.T) {
 			}
 			mem := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: refs}}
 			ooc := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: oocs}}
-			x, xa := randVec(rng, mem.Cols()), randVec(rng, mem.Rows())
+			x, xa, uu := randVec(rng, mem.Cols()), randVec(rng, mem.Rows()), randVec(rng, mem.Rows())
 			want, wantAdj := make([]complex64, mem.Rows()), make([]complex64, mem.Cols())
+			wantW, wantZ := make([]complex64, mem.Rows()), make([]complex64, mem.Cols())
 			mem.Apply(x, want)
 			mem.ApplyAdjoint(xa, wantAdj)
+			mem.ApplyStep(x, 0.61, uu, wantW, wantZ)
 			got, gotAdj := randVec(rng, mem.Rows()), randVec(rng, mem.Cols())
+			gotW, gotZ := randVec(rng, mem.Rows()), randVec(rng, mem.Cols())
 			ooc.Apply(x, got)
 			ooc.ApplyAdjoint(xa, gotAdj)
+			ooc.ApplyStep(x, 0.61, uu, gotW, gotZ)
 			if !sameBits(got, want) || !sameBits(gotAdj, wantAdj) {
 				t.Errorf("%s: store-backed FreqOperator differs from in memory", name)
+			}
+			if !sameBits(gotW, wantW) || !sameBits(gotZ, wantZ) {
+				t.Errorf("%s: store-backed FreqOperator.ApplyStep differs from in memory", name)
 			}
 
 			stats := st.Stats()
@@ -190,23 +204,28 @@ func TestStreamedProductsBitIdentical(t *testing.T) {
 	}
 }
 
-// panicText runs f and returns what it panicked with, "" if it did not.
-func panicText(f func()) (msg string) {
-	defer func() {
-		if v := recover(); v != nil {
-			msg = fmt.Sprint(v)
-		}
-	}()
+// panicValue runs f and returns what it panicked with, nil if it did
+// not.
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
 	f()
-	return ""
+	return nil
+}
+
+// checksumPanic reports whether v, a recovered panic, is the typed load
+// failure: an error wrapping tlrio.ErrChecksum under tlr's message.
+func checksumPanic(v any) bool {
+	err, ok := v.(error)
+	return ok && errors.Is(err, tlrio.ErrChecksum) &&
+		strings.HasPrefix(err.Error(), "tlr: out-of-core tile load failed: ")
 }
 
 // TestStreamedReadKeepsChecks flips one payload byte of a tile that is
 // never admitted: a streamed read must fail its CRC-32C like any other —
-// the sequential product panics with ErrChecksum's text, the panic
-// reaches the caller of a two-worker FreqOperator (fanout.Do re-panics
-// it there), and a direct Cache.Tile returns the typed error. The intact
-// matrix still serves.
+// every sequential product panics with an error that errors.Is
+// ErrChecksum, the same value reaches the caller of a two-worker
+// FreqOperator (fanout.Do re-panics it there), and a direct Cache.Tile
+// returns the typed error. The intact matrix still serves.
 func TestStreamedReadKeepsChecks(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	rng := rand.New(rand.NewSource(43))
@@ -233,21 +252,22 @@ func TestStreamedReadKeepsChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := tlrio.ErrChecksum.Error()
-
-	x, y := randVec(rng, pm.N), make([]complex64, pm.M)
-	for name, product := range map[string]func(){
-		"MulVec":          func() { mats[1].MulVec(x, y) },
-		"MulVecConjTrans": func() { mats[1].MulVecConjTrans(y, x) },
-	} {
-		if msg := panicText(product); !strings.Contains(msg, want) {
-			t.Errorf("%s on one worker panicked with %q, want %q", name, msg, want)
-		}
-	}
+	x, u := randVec(rng, pm.N), randVec(rng, pm.M)
+	y, z := make([]complex64, pm.M), make([]complex64, pm.N)
 	op := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: mats}, Workers: 2}
-	xx, yy := randVec(rng, op.Cols()), make([]complex64, op.Rows())
-	if msg := panicText(func() { op.Apply(xx, yy) }); !strings.Contains(msg, want) {
-		t.Errorf("FreqOperator on two workers panicked with %q, want %q", msg, want)
+	xx, yy, zz := randVec(rng, op.Cols()), make([]complex64, op.Rows()), make([]complex64, op.Cols())
+	for name, product := range map[string]func(){
+		"MulVec":                    func() { mats[1].MulVec(x, y) },
+		"MulVecConjTrans":           func() { mats[1].MulVecConjTrans(y, x) },
+		"MulVecStep":                func() { mats[1].MulVecStep(x, 1, 0.5, u, y, z) },
+		"MulVecNormal":              func() { mats[1].MulVecNormal(x, z) },
+		"FreqOperator.Apply":        func() { op.Apply(xx, yy) },
+		"FreqOperator.ApplyStep":    func() { op.ApplyStep(xx, 0, nil, yy, zz) },
+		"FreqOperator.ApplyAdjoint": func() { op.ApplyAdjoint(yy, zz) },
+	} {
+		if v := panicValue(product); !checksumPanic(v) {
+			t.Errorf("%s panicked with %#v, want an error wrapping ErrChecksum", name, v)
+		}
 	}
 	g := st.matBase[1] + idx
 	if _, err := st.Cache().Tile(g); !errors.Is(err, tlrio.ErrChecksum) {
@@ -264,10 +284,73 @@ func TestStreamedReadKeepsChecks(t *testing.T) {
 	}
 }
 
+// TestStepReadsEachStreamedTileOnce counts the store reads of one LSQR
+// step on a quarter-budget store: once a warm-up step has settled the
+// resident set, MulVecStep and MulVecNormal each add exactly one miss
+// per tile the store does not keep — the adjoint half runs on the tile
+// row the forward half read — and so does a one-worker
+// FreqOperator.ApplyStep over both matrices.
+func TestStepReadsEachStreamedTileOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const nb = 8
+	k := literalKernel(rng, 2, 53, 47, nb, mixedRanks(nb))
+	st, err := OpenBytes(pagedImage(t, k, nil), kernelBytes(k)/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats := make([]*tlr.Matrix, len(k.Mats))
+	for f := range mats {
+		if mats[f], err = st.Matrix(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, n := mats[0].M, mats[0].N
+	x, u := randVec(rng, n), randVec(rng, m)
+	w, z := make([]complex64, m), make([]complex64, n)
+	for _, tm := range mats {
+		tm.MulVecStep(x, 1, 0.5, u, w, z)
+	}
+	streamed := make([]int64, len(mats))
+	for f, tm := range mats {
+		ranks := tm.Ranks()
+		for idx := range tm.Tiles {
+			if !st.Cache().Resident(st.matBase[f] + idx) {
+				if ranks[idx] == 0 {
+					t.Fatalf("f=%d tile %d has no factors and is not resident", f, idx)
+				}
+				streamed[f]++
+			}
+		}
+		if streamed[f] == 0 || streamed[f] == int64(len(tm.Tiles)) {
+			t.Fatalf("f=%d: %d of %d tiles streamed; the budget keeps all or none", f, streamed[f], len(tm.Tiles))
+		}
+	}
+	misses := func(product func()) int64 {
+		before := st.Stats().Misses
+		product()
+		return st.Stats().Misses - before
+	}
+	for f, tm := range mats {
+		if got := misses(func() { tm.MulVecStep(x, 1, 0.5, u, w, z) }); got != streamed[f] {
+			t.Errorf("f=%d MulVecStep: %d misses, want one per streamed tile (%d)", f, got, streamed[f])
+		}
+		if got := misses(func() { tm.MulVecNormal(x, z) }); got != streamed[f] {
+			t.Errorf("f=%d MulVecNormal: %d misses, want one per streamed tile (%d)", f, got, streamed[f])
+		}
+	}
+	op := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: mats}, Workers: 1}
+	xx, ww, zz := randVec(rng, op.Cols()), make([]complex64, op.Rows()), make([]complex64, op.Cols())
+	if got, want := misses(func() { op.ApplyStep(xx, 0, nil, ww, zz) }), streamed[0]+streamed[1]; got != want {
+		t.Errorf("FreqOperator.ApplyStep: %d misses, want one per streamed tile (%d)", got, want)
+	}
+}
+
 // TestStressStreamedProductsShareOneStore runs forward and adjoint
-// products from several goroutines over one quarter-budget store — a
-// FreqOperator on four workers and direct sequential products on single
-// matrices — while a sampler watches the resident bytes. Every result
+// products and LSQR steps from several goroutines over one
+// quarter-budget store — a FreqOperator on four workers (Apply and
+// ApplyAdjoint, or ApplyStep, each step on a tile-row checkout of its
+// own) and direct sequential products on single matrices — while a
+// sampler watches the resident bytes. Every result
 // must equal the in-memory product bit for bit, and resident bytes must
 // stay within the budget at every sample. Run under -race by
 // `make race-stress`.
@@ -293,8 +376,10 @@ func TestStressStreamedProductsShareOneStore(t *testing.T) {
 	ooc := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: oocs}, Workers: 4}
 	x, xa := randVec(rng, mem.Cols()), randVec(rng, mem.Rows())
 	want, wantAdj := make([]complex64, mem.Rows()), make([]complex64, mem.Cols())
+	wantW, wantZ := make([]complex64, mem.Rows()), make([]complex64, mem.Cols())
 	mem.Apply(x, want)
 	mem.ApplyAdjoint(xa, wantAdj)
+	mem.ApplyStep(x, 0.61, xa, wantW, wantZ)
 	m, n := k.Mats[0].M, k.Mats[0].N
 
 	done := make(chan struct{})
@@ -315,12 +400,13 @@ func TestStressStreamedProductsShareOneStore(t *testing.T) {
 		}
 	}()
 	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
+	for w := 0; w < 9; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for rep := 0; rep < 8; rep++ {
-				if w%2 == 0 {
+				switch w % 3 {
+				case 0:
 					y, ya := make([]complex64, mem.Rows()), make([]complex64, mem.Cols())
 					ooc.Apply(x, y)
 					ooc.ApplyAdjoint(xa, ya)
@@ -328,15 +414,22 @@ func TestStressStreamedProductsShareOneStore(t *testing.T) {
 						t.Errorf("goroutine %d rep %d: FreqOperator differs from in memory", w, rep)
 						return
 					}
-					continue
-				}
-				f := (w + rep) % len(oocs)
-				y, ya := make([]complex64, m), make([]complex64, n)
-				oocs[f].MulVec(x[f*n:(f+1)*n], y)
-				oocs[f].MulVecConjTrans(xa[f*m:(f+1)*m], ya)
-				if !sameBits(y, want[f*m:(f+1)*m]) || !sameBits(ya, wantAdj[f*n:(f+1)*n]) {
-					t.Errorf("goroutine %d rep %d: matrix %d differs from in memory", w, rep, f)
-					return
+				case 1:
+					sw, sz := make([]complex64, mem.Rows()), make([]complex64, mem.Cols())
+					ooc.ApplyStep(x, 0.61, xa, sw, sz)
+					if !sameBits(sw, wantW) || !sameBits(sz, wantZ) {
+						t.Errorf("goroutine %d rep %d: FreqOperator.ApplyStep differs from in memory", w, rep)
+						return
+					}
+				default:
+					f := (w + rep) % len(oocs)
+					y, ya := make([]complex64, m), make([]complex64, n)
+					oocs[f].MulVec(x[f*n:(f+1)*n], y)
+					oocs[f].MulVecConjTrans(xa[f*m:(f+1)*m], ya)
+					if !sameBits(y, want[f*m:(f+1)*m]) || !sameBits(ya, wantAdj[f*n:(f+1)*n]) {
+						t.Errorf("goroutine %d rep %d: matrix %d differs from in memory", w, rep, f)
+						return
+					}
 				}
 			}
 		}(w)

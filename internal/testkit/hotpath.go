@@ -201,7 +201,7 @@ func hotPaths() []hotPath {
 			x[0], x[hotN-1] = 1, 2i
 			// A quarter budget: the warm-up pair admits the tiles that
 			// fit, and every later product reads the rest into the tile
-			// scratch it checks out with its rank segment.
+			// row it checks out with its rank segment.
 			return func() {
 				t.MulVec(x, y)
 				t.MulVecConjTrans(y, x)
@@ -220,9 +220,9 @@ func hotPaths() []hotPath {
 			if err != nil {
 				return nil, err
 			}
-			// A quarter budget, as tlr.mulvec_ooc_stream: each half of the
-			// step reads the tiles the store does not keep into the one
-			// tile scratch.
+			// A quarter budget, as tlr.mulvec_ooc_stream: the forward
+			// half reads each tile the store does not keep into its slot
+			// of the checkout's tile row, and the adjoint half reuses it.
 			return hotPathStep(t), nil
 		}},
 		{Name: "wsesim.mulvec", Setup: func() (func(), error) {

@@ -1,6 +1,10 @@
 package tlr
 
-import "repro/internal/dense"
+import (
+	"fmt"
+
+	"repro/internal/dense"
+)
 
 // Out-of-core tile sourcing. The paper's survey-scale operator is 110 GB
 // compressed — no Matrix can hold all its tiles resident. A Matrix built
@@ -31,13 +35,14 @@ type TileSource interface {
 
 // TileScratch is caller-owned storage a TileSource reads a tile into
 // instead of allocating one. The sequential sweep of a store-backed
-// matrix checks one out per product together with its rank segment, so
-// a tile the source does not keep costs its read and nothing else.
+// matrix checks out one per tile column together with its rank segment,
+// so a tile the source does not keep costs its read and nothing else,
+// and stays valid for the rest of its tile row.
 type TileScratch struct {
-	// Data backs the factors. The sweep sizes it once, from the rank
-	// snapshot, to one element more than the largest tile's U and V
-	// together: a source that reads a whole record in place may land an
-	// 8-byte record header in Data[0].
+	// Data backs the factors. The sweep points it, from the rank
+	// snapshot, at a piece of its tile-row arena one element longer than
+	// the tile's U and V together: a source that reads a whole record in
+	// place may land an 8-byte record header in Data[0].
 	Data []complex64
 	// Page holds encoded bytes a source decodes the factors from; the
 	// source grows it.
@@ -60,10 +65,11 @@ func (s *TileScratch) View(rows, cols, k int, f []complex64) *Tile {
 // NewOutOfCore builds an M×N matrix with tile size nb whose tiles are
 // faulted in from src instead of held resident. The returned matrix
 // supports every product path of an in-memory one; the AoS paths
-// (MulVec, MulVecConjTrans) stream every tile through the source once
-// per product, in row-major order, while the SoA paths materialize the
-// stacked planes once on first use (pulling each tile once per panel
-// family) and are resident thereafter.
+// (MulVec, MulVecConjTrans, MulVecStep, MulVecNormal) stream every tile
+// through the source once per product, in row-major order — a step's
+// adjoint half runs on the tile row its forward half read — while the
+// SoA paths materialize the stacked planes once on first use (pulling
+// each tile once per panel family) and are resident thereafter.
 func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb
@@ -83,12 +89,12 @@ func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 }
 
 // tileAt returns tile idx, faulting it in from the tile source when not
-// resident; s is the sweep's tile scratch, or nil for a caller that
-// keeps the tile. The resident check is the entirety of the in-memory
-// fast path — one slice index and a nil test — so the MVM kernels stay
-// allocation-free. Registered hot paths: tlr.mulvec_ooc drives the
-// store-backed product through here with every tile resident,
-// tlr.mulvec_ooc_stream with most of them read into s.
+// resident; s is the sweep's slot for the tile, or nil for a caller
+// that keeps the tile. The resident check is the entirety of the
+// in-memory fast path — one slice index and a nil test — so the MVM
+// kernels stay allocation-free. Registered hot paths: tlr.mulvec_ooc
+// drives the store-backed product through here with every tile
+// resident, tlr.mulvec_ooc_stream with most of them read into s.
 func (t *Matrix) tileAt(idx int, s *TileScratch) *Tile {
 	if tile := t.Tiles[idx]; tile != nil {
 		return tile
@@ -100,14 +106,16 @@ func (t *Matrix) tileAt(idx int, s *TileScratch) *Tile {
 // a panic, not an error return: the MVM kernels sit under interfaces
 // with no error path (testkit.Operator, mdc kernels), and a CRC mismatch
 // or I/O error mid-product leaves no usable partial result anyway.
-// Callers needing an error should probe the store directly first.
+// The panic value is an error wrapping the source's, so a recovered
+// panic still answers errors.Is (tlrio.ErrChecksum, say). Callers
+// needing an error return should probe the store directly first.
 func (t *Matrix) tileSlow(idx int, s *TileScratch) *Tile {
 	if t.src == nil {
 		return nil
 	}
 	tile, err := t.src.Tile(idx, s)
 	if err != nil {
-		panic("tlr: out-of-core tile load failed: " + err.Error())
+		panic(fmt.Errorf("tlr: out-of-core tile load failed: %w", err))
 	}
 	return tile
 }

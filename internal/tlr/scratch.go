@@ -7,9 +7,9 @@ import (
 
 // Every product needs intermediates per call: the sequential sweep one
 // tile's projection segment, one tile row's block of A x for the normal
-// product (and, store-backed, a tile to read into),
-// the stacked paths the whole Yv/Yu projection vector and the vector
-// endpoints as split planes.
+// product, the current tile row's tiles (and, store-backed, one tile
+// row of storage to read them into), the stacked paths the whole Yv/Yu
+// projection vector and the vector endpoints as split planes.
 // Allocating them per product put makes on the hot path; they are
 // hoisted here into per-matrix free lists so steady-state products
 // allocate nothing (testkit's AllocsPerRun gate proves it). A channel
@@ -19,14 +19,15 @@ import (
 // goroutines concurrently.
 //
 // Two lists, because the two families differ by orders of magnitude: a
-// sweep set is MaxRank elements (512 B at rank 64) plus, store-backed,
-// one tile (64 kB at nb = rank = 64), a stacked set eight float32
-// planes, four of them TotalRank long (1.1 MB per frequency of
-// solve-dram). The sweep list is what every matrix holds; the stacked
-// list belongs to the SoA layout and is created with it (buildSoA), so a
-// matrix that only ever runs the AoS sweep — every store-backed one,
-// whose memory is otherwise the opstore budget's plus one sweep set per
-// concurrent product — never pays for it.
+// sweep set is MaxRank elements (512 B at rank 64) plus NT tile
+// pointers and, store-backed, one tile row (0.8 MiB for a 64 MiB
+// solve-ooc frequency), a stacked set eight float32 planes, four of
+// them TotalRank long (1.1 MB per frequency of solve-dram). The sweep
+// list is what every matrix holds; the stacked list belongs to the SoA
+// layout and is created with it (buildSoA), so a matrix that only ever
+// runs the AoS sweep — every store-backed one, whose memory is
+// otherwise the opstore budget's plus one sweep set per concurrent
+// product — never pays for it.
 const scratchPoolCap = 16
 
 // scratchState is embedded in Matrix; a separate struct keeps the
@@ -36,14 +37,22 @@ type scratchState struct {
 	sweepMu    sync.Mutex
 	sweepFree  chan *sweepScratch
 	segLen     int // the largest tile rank
-	tileLen    int // store-backed: TileScratch.Data's length; 0 in memory
+	arenaLen   int // store-backed: the largest tile row's slotLen sum; 0 in memory
 }
 
 // sweepScratch is one checkout of the sequential sweep's intermediates.
 type sweepScratch struct {
-	seg  []complex64
-	row  []complex64  // one tile row's block of A x, for MulVecNormal
-	tile *TileScratch // nil for an in-memory matrix
+	seg   []complex64
+	row   []complex64 // one tile row's block of A x, for MulVecNormal
+	tiles []*Tile     // the current tile row's tiles, one per tile column
+	// slots[j] is what tile (i, j) of the current row is read into when
+	// the source does not keep it: a piece of arena, which is as long
+	// as the largest tile row, so the whole row stays valid until the
+	// sweep moves on. The arena is sized once, up front: slots grown per
+	// read churn garbage and raise the peak RSS far past one tile row.
+	// Both nil for an in-memory matrix.
+	slots []TileScratch
+	arena []complex64
 }
 
 // getSweep checks a sweep set out of the free list, allocating a fresh
@@ -59,11 +68,13 @@ func (t *Matrix) getSweep() *sweepScratch {
 		if t.sweepReady.Load() == 0 {
 			t.segLen = t.MaxRank()
 			if t.src != nil {
-				var most int
-				for idx := range t.Tiles {
-					most = max(most, (t.tileRows(idx/t.NT)+t.tileCols(idx%t.NT))*t.rankAt(idx))
+				for i := 0; i < t.MT; i++ {
+					var n int
+					for j := 0; j < t.NT; j++ {
+						n += t.slotLen(i, j)
+					}
+					t.arenaLen = max(t.arenaLen, n)
 				}
-				t.tileLen = 1 + most
 			}
 			t.sweepFree = make(chan *sweepScratch, scratchPoolCap)
 			t.sweepReady.Store(1)
@@ -75,11 +86,48 @@ func (t *Matrix) getSweep() *sweepScratch {
 		return s
 	default:
 	}
-	s := &sweepScratch{seg: make([]complex64, t.segLen), row: make([]complex64, min(t.NB, t.M))}
-	if t.tileLen > 0 {
-		s.tile = &TileScratch{Data: make([]complex64, t.tileLen)}
+	s := &sweepScratch{
+		seg:   make([]complex64, t.segLen),
+		row:   make([]complex64, min(t.NB, t.M)),
+		tiles: make([]*Tile, t.NT),
+	}
+	if t.arenaLen > 0 {
+		s.slots = make([]TileScratch, t.NT)
+		s.arena = make([]complex64, t.arenaLen)
 	}
 	return s
+}
+
+// slotLen is the TileScratch.Data length tile (i, j) is read into: its
+// U and V together and one element more, since a source that reads a
+// whole record in place may land an 8-byte record header in Data[0].
+func (t *Matrix) slotLen(i, j int) int {
+	return 1 + (t.tileRows(i)+t.tileCols(j))*t.rankAt(i*t.NT+j)
+}
+
+// layRow carves tile row i's slots out of the arena, each exactly as
+// long as its tile needs, so a read never grows a slot and no two tiles
+// of the row share storage. A no-op in memory.
+func (s *sweepScratch) layRow(t *Matrix, i int) {
+	var off int
+	for j := range s.slots {
+		n := t.slotLen(i, j)
+		s.slots[j].Data = s.arena[off : off+n : off+n]
+		off += n
+	}
+}
+
+// fetch returns tile (i, j) of the row layRow last carved, reading it
+// into slot j when the source does not keep it, and keeps it in
+// tiles[j] for the row's adjoint half.
+func (t *Matrix) fetch(s *sweepScratch, i, j int) *Tile {
+	var slot *TileScratch
+	if s.slots != nil {
+		slot = &s.slots[j]
+	}
+	tile := t.tileAt(i*t.NT+j, slot)
+	s.tiles[j] = tile
+	return tile
 }
 
 // putSweep returns a sweep set to the free list, dropping it when the

@@ -136,8 +136,8 @@ func TestAoSProductsHoldOnlyARankSegment(t *testing.T) {
 	if len(s.seg) != m.MaxRank() || cap(s.seg) != m.MaxRank() {
 		t.Errorf("segment len %d cap %d, want MaxRank %d", len(s.seg), cap(s.seg), m.MaxRank())
 	}
-	if s.tile != nil {
-		t.Error("an in-memory matrix checked out a tile scratch")
+	if s.slots != nil || s.arena != nil {
+		t.Error("an in-memory matrix checked out tile slots")
 	}
 	m.MulVecSoA(x, y)
 	if l := m.getSoA(); len(l.free) != 1 {

@@ -317,11 +317,13 @@ func (t *Matrix) MulVecConjTrans(x, y []complex64) {
 
 // MulVecStep runs one Golub–Kahan step of LSQR in one sweep over the
 // tiles: w = scale·(A x) − alpha·u, then z = Aᴴ w. Each tile row's
-// adjoint half runs on the tiles its forward half has just read, so an
-// in-memory operator is streamed once where MulVec followed by
-// MulVecConjTrans streams it twice; the result is theirs bit for bit,
-// with the scale and the subtract of cfloat.ScaleSub between them. u
-// may be nil when alpha is 0. x and z have length N, u and w length M.
+// adjoint half runs on the tiles its forward half has just read, so the
+// operator is streamed once where MulVec followed by MulVecConjTrans
+// streams it twice, in memory and store-backed alike (a tile the store
+// does not keep is read from the file once per step); the result is
+// theirs bit for bit, with the scale and the subtract of
+// cfloat.ScaleSub between them. u may be nil when alpha is 0. x and z
+// have length N, u and w length M.
 func (t *Matrix) MulVecStep(x []complex64, scale, alpha float32, u, w, z []complex64) {
 	if len(x) < t.N || len(w) < t.M || len(z) < t.N || (u != nil && len(u) < t.M) {
 		panic("tlr: MulVecStep vector too short")
@@ -368,11 +370,13 @@ func (t *Matrix) MulVecNormal(x, y []complex64) {
 // fused order buys is Fig. 9's point applied on the host: with U and V
 // of a tile used together there is no shuffle, a row's adjoint half
 // finds its tiles still in cache, and a store-backed matrix faults each
-// tile once per half, in the order the file holds them, each done with
-// before the next is requested — so a tile the store does not keep can
-// be read into the product's one tile scratch. s is the product's
-// checkout (scratch.go). Registered hot path — the loop must stay
-// allocation-free.
+// tile once per product, in the order the file holds them. The forward
+// half keeps row i's tiles in the checkout, reading a tile the store
+// does not keep into that tile's slot of the checkout's tile-row arena,
+// and the adjoint half runs on them without asking the source again;
+// MulVecConjTrans, with no forward half, fetches them itself. s is the
+// product's checkout (scratch.go). Registered hot path — the loop must
+// stay allocation-free.
 func (t *Matrix) sweep(x, w, z []complex64, scale, alpha float32, u []complex64, s *sweepScratch) {
 	clear(z)
 	for i := 0; i < t.MT; i++ {
@@ -381,10 +385,11 @@ func (t *Matrix) sweep(x, w, z []complex64, scale, alpha float32, u []complex64,
 		if w != nil {
 			wi = w[r0:r1]
 		}
+		s.layRow(t, i)
 		if x != nil {
 			clear(wi)
 			for j := 0; j < t.NT; j++ {
-				tile := t.tileAt(i*t.NT+j, s.tile)
+				tile := t.fetch(s, i, j)
 				applyTile(tile.V, tile.U, x[j*t.NB:j*t.NB+t.tileCols(j)], wi, s.seg)
 			}
 		}
@@ -396,7 +401,10 @@ func (t *Matrix) sweep(x, w, z []complex64, scale, alpha float32, u []complex64,
 		}
 		if z != nil {
 			for j := 0; j < t.NT; j++ {
-				tile := t.tileAt(i*t.NT+j, s.tile)
+				tile := s.tiles[j]
+				if x == nil {
+					tile = t.fetch(s, i, j)
+				}
 				applyTile(tile.U, tile.V, wi, z[j*t.NB:j*t.NB+t.tileCols(j)], s.seg)
 			}
 		}

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -42,11 +43,12 @@ func outOfCoreKernel(t *testing.T) *tlrio.Kernel {
 
 // TestOutOfCoreStoreMatchesInMemory is the store-backed differential
 // pass: the seismic kernel written to a temp-dir page file, reopened,
-// and driven through every product path with a budget small enough that
-// half the tiles are streamed — each path must agree with its fully
-// in-memory twin within the 1e-6 acceptance threshold (the fp32 store
-// decodes bit-identically, so the matched-kernel paths must in fact
-// agree exactly).
+// and driven through every product path — MulVec, MulVecConjTrans,
+// MulVecStep, MulVecNormal, MulVecSoA and MulVecBatched — with a budget
+// small enough that half the tiles are streamed. Each path must agree
+// with its fully in-memory twin within the 1e-6 acceptance threshold;
+// the fp32 store decodes bit-identically, so the four sequential
+// products must in fact agree exactly and are compared with ==.
 func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 	k := outOfCoreKernel(t)
 	path := filepath.Join(t.TempDir(), "band.tlrp")
@@ -89,6 +91,7 @@ func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 		if e := testkit.RelErr(gotAdj, wantAdj); e > 1e-6 {
 			t.Errorf("freq %d MulVecConjTrans: store-backed rel err %g > 1e-6", f, e)
 		}
+		sameStep(t, fmt.Sprintf("freq %d", f), tm, ooc, x, xa)
 		tm.MulVecSoA(x, want)
 		ooc.MulVecSoA(x, got)
 		if e := testkit.RelErr(got, want); e > 1e-6 {
@@ -111,10 +114,29 @@ func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 	}
 }
 
+// sameStep holds ooc's MulVecStep and MulVecNormal to mem's with ==
+// (x on the model grid, u on the data grid).
+func sameStep(t *testing.T, name string, mem, ooc *tlr.Matrix, x, u []complex64) {
+	t.Helper()
+	wantW, wantZ := make([]complex64, mem.M), make([]complex64, mem.N)
+	gotW, gotZ := make([]complex64, mem.M), make([]complex64, mem.N)
+	mem.MulVecStep(x, 0.37, 0.61, u, wantW, wantZ)
+	ooc.MulVecStep(x, 0.37, 0.61, u, gotW, gotZ)
+	if d := max(testkit.MaxULPDist(gotW, wantW), testkit.MaxULPDist(gotZ, wantZ)); d != 0 {
+		t.Errorf("%s MulVecStep: store-backed product drifts %d ULPs", name, d)
+	}
+	mem.MulVecNormal(x, wantZ)
+	ooc.MulVecNormal(x, gotZ)
+	if d := testkit.MaxULPDist(gotZ, wantZ); d != 0 {
+		t.Errorf("%s MulVecNormal: store-backed product drifts %d ULPs", name, d)
+	}
+}
+
 // TestOutOfCoreQuantizedStore holds a reduced-tier temp-dir store to
 // precision.Quantize's in-memory operator: the decoded tiles are defined
-// to be bit-identical, so the products must match exactly even while
-// streaming the tiles a small budget does not admit.
+// to be bit-identical, so the products — MulVec, MulVecStep and
+// MulVecNormal — must match exactly even while streaming the tiles a
+// small budget does not admit.
 func TestOutOfCoreQuantizedStore(t *testing.T) {
 	k := outOfCoreKernel(t)
 	for _, pol := range []precision.Policy{
@@ -147,6 +169,7 @@ func TestOutOfCoreQuantizedStore(t *testing.T) {
 			if d := testkit.MaxULPDist(got, want); d != 0 {
 				t.Errorf("%+v freq %d: store-backed quantized product drifts %d ULPs", pol, f, d)
 			}
+			sameStep(t, fmt.Sprintf("%+v freq %d", pol, f), q.T, ooc, x, testkit.Vec(rng, tm.M))
 		}
 		st.Close()
 	}
