@@ -57,7 +57,7 @@ race-stress:
 
 # worker-count bit-identity where GOMAXPROCS is not the host's: the
 # parallel product against the sequential one at 1, 2, 4 and 8 workers,
-# every compressor's build at 1, 2 and 4, the batched S / Sᴴ stages
+# every compressor's build at 1, 2 and 4, the S / Sᴴ stages
 # against the channel-at-a-time reference at 1, 2, 4 and 8, the LSQR
 # step of FreqOperator and whole solves against their composed route at
 # 1, 2, 4 and 8, the time-domain solve against the frequency-domain

@@ -181,7 +181,7 @@ func TestForward64Consistency(t *testing.T) {
 
 func TestRFFTIRFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, nt := range []int{8, 64, 100, 1126, 9} {
+	for _, nt := range []int{1, 2, 3, 8, 64, 100, 1126, 9} {
 		x := make([]float64, nt)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -240,12 +240,6 @@ func TestNewPlanPanicsOnBadLength(t *testing.T) {
 		}
 	}()
 	NewPlan(0)
-}
-
-func TestPlanLen(t *testing.T) {
-	if NewPlan(12).Len() != 12 {
-		t.Error("Len mismatch")
-	}
 }
 
 func BenchmarkForward1024(b *testing.B) {

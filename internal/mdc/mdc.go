@@ -354,7 +354,7 @@ type TimeOperator struct {
 	Scale   float32
 	Workers int
 
-	pencils // the batched S / Sᴴ stage and its scratch (pencil.go)
+	stages // the S / Sᴴ stages' plan (pencil.go)
 }
 
 // Rows implements lsqr.Operator.
@@ -365,12 +365,14 @@ func (op *TimeOperator) Cols() int { return op.K.Cols() * op.Nt }
 
 // Apply implements lsqr.Operator. Its vector space (channels × Nt) does
 // not match the oracle matrix; it is covered by this package's reference,
-// round-trip and adjoint tests. Registered hot path (mdc.time_apply): at
-// one worker a steady-state product allocates nothing.
+// round-trip and adjoint tests.
+//
+//lint:oracle-exempt time-domain wrapper over the registered FreqOperator
 func (op *TimeOperator) Apply(x, y []complex64) { op.run(x, y, forward) }
 
-// ApplyAdjoint implements lsqr.Operator; as Apply, over Kᴴ. Registered
-// hot path (mdc.time_adjoint).
+// ApplyAdjoint implements lsqr.Operator; as Apply, over Kᴴ.
+//
+//lint:oracle-exempt time-domain wrapper over the registered FreqOperator
 func (op *TimeOperator) ApplyAdjoint(x, y []complex64) { op.run(x, y, adjoint) }
 
 // AnalyzeTime applies the S stage standalone: channel-major time traces
@@ -384,9 +386,7 @@ func (op *TimeOperator) AnalyzeTime(x, out []complex64, nchan int) {
 	if len(x) < nchan*op.Nt || len(out) < len(op.FreqIdx)*nchan {
 		panic("mdc: AnalyzeTime buffer too short")
 	}
-	s := op.getScratch()
-	s.transform((*timeScratch).analyzeBlock, x, out, nchan)
-	op.putScratch(s)
+	op.analyze(x, out, nchan)
 }
 
 // SynthesizeTime applies the Sᴴ stage standalone: frequency-major in-band
@@ -400,9 +400,7 @@ func (op *TimeOperator) SynthesizeTime(x, out []complex64, nchan int) {
 	if len(x) < len(op.FreqIdx)*nchan || len(out) < nchan*op.Nt {
 		panic("mdc: SynthesizeTime buffer too short")
 	}
-	s := op.getScratch()
-	s.transform((*timeScratch).synthesizeBlock, out, x, nchan)
-	op.putScratch(s)
+	op.synthesize(x, out, nchan)
 }
 
 func (op *TimeOperator) run(x, y []complex64, dir product) {
@@ -414,13 +412,14 @@ func (op *TimeOperator) run(x, y []complex64, dir product) {
 	if len(x) < b.nin*op.Nt || len(y) < b.nout*op.Nt {
 		panic("mdc: TimeOperator vector too short")
 	}
-	s := op.getScratch()
-	xf, yf := s.panels(b)
 	// S: per input channel, unitary forward FFT, keep in-band bins
-	s.transform((*timeScratch).analyzeBlock, x, xf, b.nin)
+	xf := make([]complex64, b.nf*b.nin) // frequency-major panels
+	op.analyze(x, xf, b.nin)
 	// K (or Kᴴ) per frequency
-	s.each(b.nf, (*timeScratch).kernel)
+	yf := make([]complex64, b.nf*b.nout)
+	fanout.Do(b.nf, op.Workers, func(_, f int) {
+		b.apply(f, b.in(xf, f), b.out(yf, f))
+	})
 	// Sᴴ: zero-pad the band back onto the DFT grid, unitary inverse FFT
-	s.transform((*timeScratch).synthesizeBlock, y, yf, b.nout)
-	op.putScratch(s)
+	op.synthesize(yf, y, b.nout)
 }

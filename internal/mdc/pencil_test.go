@@ -11,10 +11,10 @@ import (
 	"repro/internal/testkit/suite"
 )
 
-// refAnalyze and refSynthesize are the S and Sᴴ stages as they were
-// before they were batched: one channel at a time through the full
-// Plan.Forward / Plan.Inverse, strided straight into the panels. Test
-// only — the reference the batched stage must equal bit for bit.
+// refAnalyze and refSynthesize are the S and Sᴴ stages on one
+// goroutine: one channel at a time through the full Plan.Forward /
+// Plan.Inverse, strided straight into the panels. Test only — the
+// reference the fanned-out stages must equal bit for bit.
 func refAnalyze(nt int, freqIdx []int, x, out []complex64, nchan int) {
 	plan := fft.NewPlan(nt)
 	root := 1 / math.Sqrt(float64(nt))
@@ -80,12 +80,13 @@ func expectSame(t *testing.T, what string, got, want []complex64) {
 	}
 }
 
-// TestTimeStagesMatchReference holds the batched pencil transform to the
-// channel-at-a-time reference with ==, not a tolerance: every Nt shape
-// (even and odd log₂, a Bluestein length), every band shape a plan prunes
-// differently, channel counts around the block width, every worker count,
-// into outputs that start dirty, twice per operator so that the second
-// pass runs on recycled scratch.
+// TestTimeStagesMatchReference holds the stages, fanned out over
+// channels, to the one-goroutine reference with ==, not a tolerance:
+// every Nt shape (even and odd log₂, a Bluestein length), low, scattered,
+// single, upper and full bands, channel counts from 1 to more than the
+// workers can split evenly, every worker count, into outputs that start
+// dirty, twice per operator so that the second pass runs on a plan that
+// is already built.
 func TestTimeStagesMatchReference(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	rng := rand.New(rand.NewSource(24))
@@ -125,7 +126,7 @@ func TestTimeStagesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		// the whole product, both directions, on a kernel wider than a block
+		// the whole product, both directions, on a kernel of 21 × 18 channels
 		freqIdx := bands["scattered"]
 		k := randKernel(rng, len(freqIdx), 21, 18)
 		for _, workers := range []int{1, 2, 4, 8} {

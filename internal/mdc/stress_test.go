@@ -1,7 +1,7 @@
 // Concurrency stress tests for the MDC frequency fan-out, meant to run
 // under -race (`make race-stress`). They hammer FreqOperator with
 // concurrent forward and adjoint products across worker counts, one
-// TimeOperator (and its scratch free list) under two solvers at once, and
+// TimeOperator (and its lazily built plan) under two solvers at once, and
 // the sharded operator with mid-flight shard revocation. Guarded by
 // testing.Short so quick suites skip them.
 package mdc
@@ -75,8 +75,8 @@ func TestStressFreqOperatorConcurrentApplyAdjoint(t *testing.T) {
 
 // TestStressTimeOperatorSharedByTwoSolvers: one TimeOperator under two
 // goroutines at once — each running forward and adjoint products and the
-// standalone stages — draws scratch from the one free list and must give
-// each the bits a lone caller gets, at every worker count.
+// standalone stages — shares the one plan and must give each the bits a
+// lone caller gets, at every worker count.
 func TestStressTimeOperatorSharedByTwoSolvers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test; run via make race-stress")

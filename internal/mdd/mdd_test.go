@@ -235,9 +235,9 @@ func BenchmarkInvertSingleVS30Iters(b *testing.B) {
 func TestTimeDomainMDDMatchesFrequencyDomain(t *testing.T) {
 	// the paper's headline: time-domain MDD (§6.2). Without extra
 	// constraints the time- and frequency-domain solves are equivalent,
-	// so LSQR over the literal Sᴴ K S operator (batched pencil FFTs
-	// around every product) cross-validates it against the per-frequency
-	// route InvertTimeDomain takes.
+	// so LSQR over the literal Sᴴ K S operator (one FFT per channel on
+	// each side of every product) cross-validates it against the
+	// per-frequency route InvertTimeDomain takes.
 	ds := testDataset(t)
 	p := denseProblem(t, ds)
 	vs := 7

@@ -20,8 +20,8 @@ type TimeSolution struct {
 }
 
 // TimeOperator builds the literal Eqn. (2) operator A = Sᴴ K S over
-// time-domain traces for this problem: two batched transforms around
-// every kernel product. InvertTimeDomain does not iterate over it; it
+// time-domain traces for this problem: a transform per channel on each
+// side of every kernel product. InvertTimeDomain does not iterate over it; it
 // is the reference for that solve (LSQR over it reaches the same
 // solution by a different Krylov route) and supplies the S and Sᴴ
 // stages for TimeData and TimeSolutionPanels.

@@ -139,10 +139,6 @@ func hotPaths() []hotPath {
 			x[0] = 1
 			return func() { k.ApplyNormal(0, x, y) }, nil
 		}},
-		{Name: "mdc.time_apply", Setup: func() (func(), error) { return hotPathTimeProduct(16, false) }},
-		{Name: "mdc.time_adjoint", Setup: func() (func(), error) { return hotPathTimeProduct(16, true) }},
-		// Nt = 12 is a Bluestein length: its convolution pencil is held too
-		{Name: "mdc.time_apply_bluestein", Setup: func() (func(), error) { return hotPathTimeProduct(12, false) }},
 		{Name: "opstore.tile_hit", Setup: func() (func(), error) {
 			st, nTiles, err := hotPathStore()
 			if err != nil {
@@ -248,24 +244,6 @@ func hotPathStep(t *tlr.Matrix) func() {
 	w, z := make([]complex64, hotM), make([]complex64, hotN)
 	x[0], x[hotN-1], u[1] = 1, 2i, 3
 	return func() { t.MulVecStep(x, 0.5, 0.75, u, w, z) }
-}
-
-// hotPathTimeProduct is one Eqn. (2) product Sᴴ K S (or its adjoint) on
-// one worker: two frequencies of the shared matrix under a TimeOperator
-// of nt samples, 40 and 48 channels — full blocks and a ragged one.
-func hotPathTimeProduct(nt int, adjoint bool) (func(), error) {
-	t, err := hotPathMatrix()
-	if err != nil {
-		return nil, err
-	}
-	op := &mdc.TimeOperator{K: &mdc.TLRKernel{Mats: []*tlr.Matrix{t, t}},
-		Nt: nt, FreqIdx: []int{1, 3}, Scale: 0.5, Workers: 1}
-	x, y := make([]complex64, op.Cols()), make([]complex64, op.Rows())
-	x[0], y[0] = 1, 2i
-	if adjoint {
-		return func() { op.ApplyAdjoint(y, x) }, nil
-	}
-	return func() { op.Apply(x, y) }, nil
 }
 
 // hotPathStore pages the shared deterministic matrix into an in-memory
