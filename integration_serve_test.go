@@ -8,6 +8,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -37,195 +38,272 @@ type serveStack struct {
 	client *mddclient.Client
 }
 
-// ServeSuite is the integration suite; each test builds the stacks it
-// needs via newStack and the suite tears them down.
-type ServeSuite struct {
-	suite.Suite
-	stacks []*serveStack
-}
-
+// TestServeSuite runs each case as a subtest. Every case first arms the
+// goroutine-baseline check: cleanups run last-in-first-out, so it looks
+// after every stack the case started has closed, and the workers, shard
+// runners, stream handlers and connection loops must all be gone.
 func TestServeSuite(t *testing.T) {
-	suite.Run(t, new(ServeSuite))
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"TestBadPayloadRejects", testBadPayloadRejects},
+		{"TestCancelQueuedJob", testCancelQueuedJob},
+		{"TestCancelRunningJob", testCancelRunningJob},
+		{"TestChaosOverHTTP", testChaosOverHTTP},
+		{"TestCompressSubmitAndPoll", testCompressSubmitAndPoll},
+		{"TestHealthStatsAndMetrics", testHealthStatsAndMetrics},
+		{"TestMDDStreamsResiduals", testMDDStreamsResiduals},
+		{"TestOversizedJobRejects", testOversizedJobRejects},
+		{"TestPerTenantLimit", testPerTenantLimit},
+		{"TestQueueFullBackpressureAndClientRetry", testQueueFullBackpressureAndClientRetry},
+		{"TestStreamRejectsBadFrom", testStreamRejectsBadFrom},
+		{"TestStreamResumesFromSequence", testStreamResumesFromSequence},
+		{"TestTLRMVMIsDeterministic", testTLRMVMIsDeterministic},
+		{"TestUnknownJobIs404", testUnknownJobIs404},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			suite.VerifyNoLeaks(t)
+			tc.run(t)
+		})
+	}
 }
 
 // newStack starts a server with the config (backoff sleeps stubbed out
 // so shard retries never stall the suite) behind a 127.0.0.1:0
-// listener, plus a default client.
-func (s *ServeSuite) newStack(cfg mddserve.Config) *serveStack {
+// listener, plus a default client. When the test ends the server drains
+// first, so queued jobs finish, then the listener closes.
+func newStack(t *testing.T, cfg mddserve.Config) *serveStack {
+	t.Helper()
 	if cfg.BackoffSleep == nil {
 		cfg.BackoffSleep = func(time.Duration) {}
 	}
 	srv := mddserve.New(cfg)
 	web := httptest.NewServer(srv.Handler())
-	st := &serveStack{
+	t.Cleanup(func() {
+		srv.Resume()
+		srv.Close()
+		web.Close()
+	})
+	return &serveStack{
 		server: srv,
 		web:    web,
 		client: mddclient.New(web.URL, mddclient.Options{Tenant: "suite"}),
 	}
-	s.stacks = append(s.stacks, st)
-	return st
 }
 
-// SetupTest arms the goroutine-baseline check: after TearDownTest has
-// closed every stack, the workers, shard runners, stream handlers and
-// connection loops the test started must all be gone.
-func (s *ServeSuite) SetupTest() { suite.VerifyNoLeaks(s.T()) }
-
-// TearDownTest drains every stack the test started. Server first so
-// queued jobs drain, then the listener.
-func (s *ServeSuite) TearDownTest() {
-	for _, st := range s.stacks {
-		st.server.Resume()
-		st.server.Close()
-		st.web.Close()
-	}
-	s.stacks = nil
-}
-
-func (s *ServeSuite) ctx() context.Context {
+func ctx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	s.T().Cleanup(cancel)
+	t.Cleanup(cancel)
 	return ctx
 }
 
-func (s *ServeSuite) TestCompressSubmitAndPoll() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
-
-	id, err := st.client.Submit(s.ctx(), mddserve.JobSpec{
-		Type: mddserve.JobCompress, Dataset: serveDataset(),
-	})
-	req.NoError(err)
-	req.NotEmpty(id)
-
-	status, err := st.client.Wait(s.ctx(), id)
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, status.State)
-	req.NotNil(status.Result)
-	req.Greater(status.Result.CompressionRatio, 0.0)
-	req.Greater(status.Result.DenseBytes, int64(0))
-	req.Greater(status.Result.CompressedBytes, int64(0))
-	req.Empty(status.Error)
+// wantState fails the test unless the call that returned status
+// succeeded and left the job in state want.
+func wantState(t *testing.T, status *mddserve.JobStatus, err error, want mddserve.State) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.State != want {
+		t.Fatalf("job %s is %s, want %s", status.ID, status.State, want)
+	}
 }
 
-func (s *ServeSuite) TestTLRMVMIsDeterministic() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
+// wantAPIError fails the test unless err is an *mddclient.APIError with
+// the given HTTP status and error code, and returns it.
+func wantAPIError(t *testing.T, err error, status int, code string) *mddclient.APIError {
+	t.Helper()
+	var apiErr *mddclient.APIError
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("error %v is not an *mddclient.APIError", err)
+	}
+	if apiErr.StatusCode != status || apiErr.Code != code {
+		t.Fatalf("got %d %s, want %d %s", apiErr.StatusCode, apiErr.Code, status, code)
+	}
+	return apiErr
+}
+
+func testCompressSubmitAndPoll(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
+
+	id, err := st.client.Submit(ctx(t), mddserve.JobSpec{
+		Type: mddserve.JobCompress, Dataset: serveDataset(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id == "" {
+		t.Fatal("submit returned an empty job id")
+	}
+
+	status, err := st.client.Wait(ctx(t), id)
+	wantState(t, status, err, mddserve.StateDone)
+	r := status.Result
+	if r == nil {
+		t.Fatal("done job carries no result")
+	}
+	if !(r.CompressionRatio > 0) || r.DenseBytes <= 0 || r.CompressedBytes <= 0 {
+		t.Fatalf("compression ratio %v, dense %d B, compressed %d B: all must be positive",
+			r.CompressionRatio, r.DenseBytes, r.CompressedBytes)
+	}
+	if status.Error != "" {
+		t.Fatalf("done job carries error %q", status.Error)
+	}
+}
+
+func testTLRMVMIsDeterministic(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
 
 	run := func(seed int64) float64 {
-		status, err := st.client.Run(s.ctx(), mddserve.JobSpec{
+		status, err := st.client.Run(ctx(t), mddserve.JobSpec{
 			Type: mddserve.JobTLRMVM, Dataset: serveDataset(), Reps: 3, Seed: seed,
 		})
-		req.NoError(err)
-		req.Equal(mddserve.StateDone, status.State)
-		req.NotNil(status.Result)
+		wantState(t, status, err, mddserve.StateDone)
+		if status.Result == nil {
+			t.Fatal("done job carries no result")
+		}
 		return status.Result.YNorm
 	}
 	first := run(7)
-	req.Greater(first, 0.0)
-	req.Equal(first, run(7), "same seed must reproduce the same checksum")
-	req.NotEqual(first, run(8), "different seeds must differ")
+	if !(first > 0) {
+		t.Fatalf("checksum %v, want > 0", first)
+	}
+	if again := run(7); again != first {
+		t.Fatalf("same seed must reproduce the same checksum: %v, then %v", first, again)
+	}
+	if other := run(8); other == first {
+		t.Fatalf("different seeds must differ: both %v", first)
+	}
 }
 
-func (s *ServeSuite) TestMDDStreamsResiduals() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
+func testMDDStreamsResiduals(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
 
-	id, err := st.client.Submit(s.ctx(), mddserve.JobSpec{
+	id, err := st.client.Submit(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 6, VS: 2,
 	})
-	req.NoError(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var events []mddserve.Event
-	err = st.client.Stream(s.ctx(), id, 0, func(ev mddserve.Event) error {
+	err = st.client.Stream(ctx(t), id, 0, func(ev mddserve.Event) error {
 		events = append(events, ev)
 		return nil
 	})
-	req.NoError(err)
-	req.NotEmpty(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("stream carried no events")
+	}
 
 	// Sequence numbers are dense and ordered; the stream begins with the
 	// queued state and ends with the terminal state.
 	for i, ev := range events {
-		req.Equal(i, ev.Seq)
+		if ev.Seq != i {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
 	}
-	req.Equal(mddserve.EventState, events[0].Kind)
-	req.Equal(mddserve.StateQueued, events[0].State)
-	last := events[len(events)-1]
-	req.Equal(mddserve.EventState, last.Kind)
-	req.Equal(mddserve.StateDone, last.State)
+	first, last := events[0], events[len(events)-1]
+	if first.Kind != mddserve.EventState || first.State != mddserve.StateQueued {
+		t.Fatalf("first event is %s %s, want %s %s", first.Kind, first.State, mddserve.EventState, mddserve.StateQueued)
+	}
+	if last.Kind != mddserve.EventState || last.State != mddserve.StateDone {
+		t.Fatalf("last event is %s %s, want %s %s", last.Kind, last.State, mddserve.EventState, mddserve.StateDone)
+	}
 
 	var residuals int
 	for _, ev := range events {
 		if ev.Kind == mddserve.EventResidual {
 			residuals++
-			req.Greater(ev.Residual, 0.0)
+			if !(ev.Residual > 0) {
+				t.Fatalf("event %d: residual %v, want > 0", ev.Seq, ev.Residual)
+			}
 		}
 	}
-	status, err := st.client.Status(s.ctx(), id)
-	req.NoError(err)
+	status, err := st.client.Status(ctx(t), id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// One residual event per iteration, except that a converged final
 	// iteration breaks out of the solver before its checkpoint fires.
 	want := status.Result.Iterations
 	if status.Result.Converged {
 		want--
 	}
-	req.Equal(want, residuals, "one residual event per checkpointed iteration")
-	req.Equal(len(events), status.Events)
+	if residuals != want {
+		t.Fatalf("one residual event per checkpointed iteration: %d events, want %d", residuals, want)
+	}
+	if status.Events != len(events) {
+		t.Fatalf("status counts %d events, the stream carried %d", status.Events, len(events))
+	}
 }
 
-func (s *ServeSuite) TestStreamResumesFromSequence() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
+func testStreamResumesFromSequence(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
 
-	status, err := st.client.Run(s.ctx(), mddserve.JobSpec{
+	status, err := st.client.Run(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 4, VS: 0,
 	})
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, status.State)
-	req.GreaterOrEqual(status.Events, 4)
+	wantState(t, status, err, mddserve.StateDone)
+	if status.Events < 4 {
+		t.Fatalf("%d events, want at least 4", status.Events)
+	}
 
 	from := 2
 	var events []mddserve.Event
-	req.NoError(st.client.Stream(s.ctx(), status.ID, from, func(ev mddserve.Event) error {
+	err = st.client.Stream(ctx(t), status.ID, from, func(ev mddserve.Event) error {
 		events = append(events, ev)
 		return nil
-	}))
-	req.Len(events, status.Events-from)
-	req.Equal(from, events[0].Seq)
-	req.Equal(mddserve.StateDone, events[len(events)-1].State)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != status.Events-from {
+		t.Fatalf("stream from %d carried %d events, want %d", from, len(events), status.Events-from)
+	}
+	if events[0].Seq != from {
+		t.Fatalf("stream from %d starts at seq %d", from, events[0].Seq)
+	}
+	if last := events[len(events)-1]; last.State != mddserve.StateDone {
+		t.Fatalf("last event state %s, want %s", last.State, mddserve.StateDone)
+	}
 }
 
-func (s *ServeSuite) TestCancelQueuedJob() {
-	st := s.newStack(mddserve.Config{Workers: 1})
-	req := s.Require()
+func testCancelQueuedJob(t *testing.T) {
+	st := newStack(t, mddserve.Config{Workers: 1})
 
 	st.server.Pause()
-	id, err := st.client.Submit(s.ctx(), mddserve.JobSpec{
+	id, err := st.client.Submit(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobCompress, Dataset: serveDataset(),
 	})
-	req.NoError(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	status, err := st.client.Cancel(s.ctx(), id)
-	req.NoError(err)
-	req.Equal(mddserve.StateCancelled, status.State)
+	status, err := st.client.Cancel(ctx(t), id)
+	wantState(t, status, err, mddserve.StateCancelled)
 	st.server.Resume()
 
 	// The worker must skip the cancelled job and stay healthy for the
 	// next one.
-	after, err := st.client.Run(s.ctx(), mddserve.JobSpec{
+	after, err := st.client.Run(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobCompress, Dataset: serveDataset(),
 	})
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, after.State)
+	wantState(t, after, err, mddserve.StateDone)
 
-	stats, err := st.client.ServerStats(s.ctx())
-	req.NoError(err)
-	req.Equal(int64(1), stats.Cancelled)
-	req.Equal(int64(1), stats.Completed)
+	stats, err := st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cancelled != 1 || stats.Completed != 1 {
+		t.Fatalf("%d cancelled, %d completed; want 1 and 1", stats.Cancelled, stats.Completed)
+	}
 }
 
-func (s *ServeSuite) TestCancelRunningJob() {
+func testCancelRunningJob(t *testing.T) {
 	// An op-latency fault whose sleep hook blocks turns "cancel while
 	// running" into a deterministic interleaving: the solve parks inside
 	// its first operator product, the test cancels, then releases it.
@@ -233,8 +311,10 @@ func (s *ServeSuite) TestCancelRunningJob() {
 	release := make(chan struct{})
 	var once sync.Once
 	sched, err := fault.Parse("op:latency@1")
-	s.Require().NoError(err)
-	st := s.newStack(mddserve.Config{
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newStack(t, mddserve.Config{
 		Workers: 1,
 		Faults:  sched,
 		FaultSleep: func(time.Duration) {
@@ -243,189 +323,204 @@ func (s *ServeSuite) TestCancelRunningJob() {
 		},
 	})
 	defer close(release)
-	req := s.Require()
 
-	id, err := st.client.Submit(s.ctx(), mddserve.JobSpec{
+	id, err := st.client.Submit(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 20, VS: 1,
 	})
-	req.NoError(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	<-running
 
-	status, err := st.client.Cancel(s.ctx(), id)
-	req.NoError(err)
-	req.Equal(mddserve.StateRunning, status.State,
-		"cancel of a running job is asynchronous: the solve aborts at its next product")
+	status, err := st.client.Cancel(ctx(t), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.State != mddserve.StateRunning {
+		t.Fatalf("cancel of a running job is asynchronous: the solve aborts at its next product; state %s, want %s",
+			status.State, mddserve.StateRunning)
+	}
 	once.Do(func() {}) // already fired
 	release <- struct{}{}
 
-	final, err := st.client.Wait(s.ctx(), id)
-	req.NoError(err)
-	req.Equal(mddserve.StateCancelled, final.State)
-	req.Nil(final.Result)
+	final, err := st.client.Wait(ctx(t), id)
+	wantState(t, final, err, mddserve.StateCancelled)
+	if final.Result != nil {
+		t.Fatalf("cancelled job carries result %+v", final.Result)
+	}
 }
 
-func (s *ServeSuite) TestBadPayloadRejects() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
+func testBadPayloadRejects(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
 
 	post := func(body string) (int, string) {
 		resp, err := http.Post(st.web.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
-		req.NoError(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer resp.Body.Close()
 		b, err := io.ReadAll(resp.Body)
-		req.NoError(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return resp.StatusCode, string(b)
 	}
 
 	code, body := post("{not json")
-	req.Equal(http.StatusBadRequest, code)
-	req.Contains(body, mddserve.CodeBadRequest)
+	if code != http.StatusBadRequest || !strings.Contains(body, mddserve.CodeBadRequest) {
+		t.Fatalf("malformed JSON: %d %s, want %d %s", code, body, http.StatusBadRequest, mddserve.CodeBadRequest)
+	}
 
 	code, body = post(`{"type":"compress","dataset":{"nsx":4,"nsy":3,"nrx":3,"nry":3,"nt":32},"bogus":1}`)
-	req.Equal(http.StatusBadRequest, code, "unknown fields must reject, not silently drop")
-	req.Contains(body, "bogus")
+	if code != http.StatusBadRequest || !strings.Contains(body, "bogus") {
+		t.Fatalf("unknown fields must reject, not silently drop: %d %s", code, body)
+	}
 
 	// Structural validation through the typed client: bad type and
 	// non-power-of-two nt are terminal, not retryable.
-	_, err := st.client.Submit(s.ctx(), mddserve.JobSpec{Type: "explode", Dataset: serveDataset()})
-	var apiErr *mddclient.APIError
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusBadRequest, apiErr.StatusCode)
-	req.Equal(mddserve.CodeBadRequest, apiErr.Code)
-	req.False(apiErr.Retryable())
+	_, err := st.client.Submit(ctx(t), mddserve.JobSpec{Type: "explode", Dataset: serveDataset()})
+	if wantAPIError(t, err, http.StatusBadRequest, mddserve.CodeBadRequest).Retryable() {
+		t.Fatal("a bad job type must not be retryable")
+	}
 
 	d := serveDataset()
 	d.Nt = 48
-	_, err = st.client.Submit(s.ctx(), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: d})
-	req.ErrorAs(err, &apiErr)
-	req.Equal(mddserve.CodeBadRequest, apiErr.Code)
-	req.ErrorContains(err, "power of two")
+	_, err = st.client.Submit(ctx(t), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: d})
+	wantAPIError(t, err, http.StatusBadRequest, mddserve.CodeBadRequest)
+	if !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("error %q does not say \"power of two\"", err)
+	}
 }
 
-func (s *ServeSuite) TestOversizedJobRejects() {
-	st := s.newStack(mddserve.Config{MaxNt: 64, MaxIters: 10})
-	req := s.Require()
+func testOversizedJobRejects(t *testing.T) {
+	st := newStack(t, mddserve.Config{MaxNt: 64, MaxIters: 10})
 
 	d := serveDataset()
 	d.Nt = 128 // structurally valid, over this server's cap
-	_, err := st.client.Submit(s.ctx(), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: d})
-	var apiErr *mddclient.APIError
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusRequestEntityTooLarge, apiErr.StatusCode)
-	req.Equal(mddserve.CodeTooLarge, apiErr.Code)
-	req.False(apiErr.Retryable())
+	_, err := st.client.Submit(ctx(t), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: d})
+	if wantAPIError(t, err, http.StatusRequestEntityTooLarge, mddserve.CodeTooLarge).Retryable() {
+		t.Fatal("an oversized job must not be retryable")
+	}
 
-	_, err = st.client.Submit(s.ctx(), mddserve.JobSpec{
+	_, err = st.client.Submit(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 50,
 	})
-	req.ErrorAs(err, &apiErr)
-	req.Equal(mddserve.CodeTooLarge, apiErr.Code)
+	wantAPIError(t, err, http.StatusRequestEntityTooLarge, mddserve.CodeTooLarge)
 
 	// 2³²+1 × 2³²−1 sources wraps int to −1: the spec is too large, is
 	// never queued, and the server goes on serving. Admitted, it would
 	// reach the worker and panic the process.
 	st.server.Pause()
-	before, err := st.client.ServerStats(s.ctx())
-	req.NoError(err)
+	before, err := st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err := http.Post(st.web.URL+"/api/v1/jobs", "application/json", strings.NewReader(
 		`{"type":"compress","dataset":{"nsx":4294967297,"nsy":4294967295,"nrx":4,"nry":4,"nt":16}}`))
-	req.NoError(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	req.NoError(err)
-	req.Equal(http.StatusRequestEntityTooLarge, resp.StatusCode)
-	req.Contains(string(body), mddserve.CodeTooLarge)
-	after, err := st.client.ServerStats(s.ctx())
-	req.NoError(err)
-	req.Equal(before.QueueDepth, after.QueueDepth)
-	req.Equal(before.Submitted, after.Submitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), mddserve.CodeTooLarge) {
+		t.Fatalf("wrapping source grid: %d %s, want %d %s",
+			resp.StatusCode, body, http.StatusRequestEntityTooLarge, mddserve.CodeTooLarge)
+	}
+	after, err := st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.QueueDepth != before.QueueDepth || after.Submitted != before.Submitted {
+		t.Fatalf("rejected spec moved the queue: depth %d → %d, submitted %d → %d",
+			before.QueueDepth, after.QueueDepth, before.Submitted, after.Submitted)
+	}
 	st.server.Resume()
 
-	status, err := st.client.Run(s.ctx(), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: serveDataset()})
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, status.State)
+	status, err := st.client.Run(ctx(t), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: serveDataset()})
+	wantState(t, status, err, mddserve.StateDone)
 }
 
-// TestStreamRejectsBadFrom sends the ?from= values the typed client
+// testStreamRejectsBadFrom sends the ?from= values the typed client
 // never does. Negative, non-numeric and out-of-range values are 400
 // bad_request; a from past the last event of a finished job is an
 // empty 200 stream.
-func (s *ServeSuite) TestStreamRejectsBadFrom() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
+func testStreamRejectsBadFrom(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
 
-	status, err := st.client.Run(s.ctx(), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: serveDataset()})
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, status.State)
+	status, err := st.client.Run(ctx(t), mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: serveDataset()})
+	wantState(t, status, err, mddserve.StateDone)
 
 	get := func(from string) (int, string) {
 		resp, err := http.Get(st.web.URL + "/api/v1/jobs/" + status.ID + "/events?from=" + from)
-		req.NoError(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer resp.Body.Close()
 		b, err := io.ReadAll(resp.Body)
-		req.NoError(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return resp.StatusCode, string(b)
 	}
 	for _, from := range []string{"-1", "abc", "99999999999999999999"} {
-		code, body := get(from)
-		req.Equal(http.StatusBadRequest, code, "from=%s", from)
-		req.Contains(body, mddserve.CodeBadRequest, "from=%s", from)
+		if code, body := get(from); code != http.StatusBadRequest || !strings.Contains(body, mddserve.CodeBadRequest) {
+			t.Fatalf("from=%s: %d %s, want %d %s", from, code, body, http.StatusBadRequest, mddserve.CodeBadRequest)
+		}
 	}
-	code, body := get(strconv.Itoa(status.Events + 5))
-	req.Equal(http.StatusOK, code)
-	req.Empty(body)
+	if code, body := get(strconv.Itoa(status.Events + 5)); code != http.StatusOK || body != "" {
+		t.Fatalf("from past the last event: %d %q, want an empty %d", code, body, http.StatusOK)
+	}
 }
 
-func (s *ServeSuite) TestUnknownJobIs404() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
+func testUnknownJobIs404(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
 
-	var apiErr *mddclient.APIError
-	_, err := st.client.Status(s.ctx(), "job-999")
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusNotFound, apiErr.StatusCode)
-	req.Equal(mddserve.CodeNotFound, apiErr.Code)
+	_, err := st.client.Status(ctx(t), "job-999")
+	wantAPIError(t, err, http.StatusNotFound, mddserve.CodeNotFound)
 
-	_, err = st.client.Cancel(s.ctx(), "job-999")
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusNotFound, apiErr.StatusCode)
+	_, err = st.client.Cancel(ctx(t), "job-999")
+	wantAPIError(t, err, http.StatusNotFound, mddserve.CodeNotFound)
 
-	err = st.client.Stream(s.ctx(), "job-999", 0, func(mddserve.Event) error { return nil })
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusNotFound, apiErr.StatusCode)
+	err = st.client.Stream(ctx(t), "job-999", 0, func(mddserve.Event) error { return nil })
+	wantAPIError(t, err, http.StatusNotFound, mddserve.CodeNotFound)
 }
 
-func (s *ServeSuite) TestQueueFullBackpressureAndClientRetry() {
-	st := s.newStack(mddserve.Config{Workers: 1, QueueSize: 3, PerTenantInflight: 100})
-	req := s.Require()
+func testQueueFullBackpressureAndClientRetry(t *testing.T) {
+	st := newStack(t, mddserve.Config{Workers: 1, QueueSize: 3, PerTenantInflight: 100})
 
 	// Park the worker so admission is exactly deterministic, then fill
 	// the queue.
 	st.server.Pause()
 	ids := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
-		id, err := st.client.Submit(s.ctx(), mddserve.JobSpec{
+		id, err := st.client.Submit(ctx(t), mddserve.JobSpec{
 			Type: mddserve.JobCompress, Dataset: serveDataset(),
 		})
-		req.NoError(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ids = append(ids, id)
 	}
 
 	// A non-retrying client sees the raw 429.
 	noRetry := mddclient.New(st.web.URL, mddclient.Options{Tenant: "suite", MaxAttempts: 1})
-	_, err := noRetry.Submit(s.ctx(), mddserve.JobSpec{
+	_, err := noRetry.Submit(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobCompress, Dataset: serveDataset(),
 	})
-	var apiErr *mddclient.APIError
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusTooManyRequests, apiErr.StatusCode)
-	req.Equal(mddserve.CodeQueueFull, apiErr.Code)
-	req.True(apiErr.Retryable())
+	if !wantAPIError(t, err, http.StatusTooManyRequests, mddserve.CodeQueueFull).Retryable() {
+		t.Fatal("a full queue must be retryable")
+	}
 
-	stats, err := st.client.ServerStats(s.ctx())
-	req.NoError(err)
-	req.Equal(int64(1), stats.RejectsQueue)
-	req.Equal(3, stats.QueueDepth)
+	stats, err := st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RejectsQueue != 1 || stats.QueueDepth != 3 {
+		t.Fatalf("%d queue rejects at depth %d, want 1 at 3", stats.RejectsQueue, stats.QueueDepth)
+	}
 
 	// A retrying client's first backoff resumes the server; the worker
 	// drains a slot and the retry lands.
@@ -438,26 +533,29 @@ func (s *ServeSuite) TestQueueFullBackpressureAndClientRetry() {
 			time.Sleep(10 * time.Millisecond)
 		},
 	})
-	id, err := retrying.Submit(s.ctx(), mddserve.JobSpec{
+	id, err := retrying.Submit(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobCompress, Dataset: serveDataset(),
 	})
-	req.NoError(err, "retry-after-429 must eventually admit once the queue drains")
+	if err != nil {
+		t.Fatalf("retry-after-429 must eventually admit once the queue drains: %v", err)
+	}
 	ids = append(ids, id)
 
 	for _, id := range ids {
-		status, err := st.client.Wait(s.ctx(), id)
-		req.NoError(err)
-		req.Equal(mddserve.StateDone, status.State)
+		status, err := st.client.Wait(ctx(t), id)
+		wantState(t, status, err, mddserve.StateDone)
 	}
-	stats, err = st.client.ServerStats(s.ctx())
-	req.NoError(err)
-	req.Equal(int64(4), stats.Completed)
-	req.GreaterOrEqual(stats.RejectsQueue, int64(1))
+	stats, err = st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed != 4 || stats.RejectsQueue < 1 {
+		t.Fatalf("%d completed with %d queue rejects, want 4 with at least 1", stats.Completed, stats.RejectsQueue)
+	}
 }
 
-func (s *ServeSuite) TestPerTenantLimit() {
-	st := s.newStack(mddserve.Config{Workers: 1, QueueSize: 16, PerTenantInflight: 2})
-	req := s.Require()
+func testPerTenantLimit(t *testing.T) {
+	st := newStack(t, mddserve.Config{Workers: 1, QueueSize: 16, PerTenantInflight: 2})
 	alice := mddclient.New(st.web.URL, mddclient.Options{Tenant: "alice", MaxAttempts: 1})
 	bob := mddclient.New(st.web.URL, mddclient.Options{Tenant: "bob", MaxAttempts: 1})
 	spec := mddserve.JobSpec{Type: mddserve.JobCompress, Dataset: serveDataset()}
@@ -465,46 +563,50 @@ func (s *ServeSuite) TestPerTenantLimit() {
 	st.server.Pause()
 	var ids []string
 	for i := 0; i < 2; i++ {
-		id, err := alice.Submit(s.ctx(), spec)
-		req.NoError(err)
+		id, err := alice.Submit(ctx(t), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ids = append(ids, id)
 	}
-	_, err := alice.Submit(s.ctx(), spec)
-	var apiErr *mddclient.APIError
-	req.ErrorAs(err, &apiErr)
-	req.Equal(http.StatusTooManyRequests, apiErr.StatusCode)
-	req.Equal(mddserve.CodeTenantLimit, apiErr.Code)
+	_, err := alice.Submit(ctx(t), spec)
+	wantAPIError(t, err, http.StatusTooManyRequests, mddserve.CodeTenantLimit)
 
 	// Another tenant is unaffected by alice's limit.
-	id, err := bob.Submit(s.ctx(), spec)
-	req.NoError(err)
+	id, err := bob.Submit(ctx(t), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids = append(ids, id)
 
 	st.server.Resume()
 	for _, id := range ids {
-		status, err := st.client.Wait(s.ctx(), id)
-		req.NoError(err)
-		req.Equal(mddserve.StateDone, status.State)
+		status, err := st.client.Wait(ctx(t), id)
+		wantState(t, status, err, mddserve.StateDone)
 	}
-	stats, err := st.client.ServerStats(s.ctx())
-	req.NoError(err)
-	req.Equal(int64(1), stats.RejectsTenant)
-	req.Equal(2, stats.PeakInflight["alice"])
-	req.Equal(1, stats.PeakInflight["bob"])
+	stats, err := st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RejectsTenant != 1 || stats.PeakInflight["alice"] != 2 || stats.PeakInflight["bob"] != 1 {
+		t.Fatalf("%d tenant rejects, peak in flight %v; want 1, alice 2, bob 1",
+			stats.RejectsTenant, stats.PeakInflight)
+	}
 }
 
-// TestChaosOverHTTP runs the same inversion against a fault-free server
+// testChaosOverHTTP runs the same inversion against a fault-free server
 // and one whose serving path injects shard deaths, a transient shard
 // error, and a whole-product failure. Re-sharding and checkpoint resume
 // are bitwise neutral, so the client-visible solutions must agree to
 // 1e-5 (the repo-wide chaos tolerance).
-func (s *ServeSuite) TestChaosOverHTTP() {
-	req := s.Require()
+func testChaosOverHTTP(t *testing.T) {
 	sched, err := fault.Parse("shard2:die@3,shard5:die@5,shard1:err@2,op:err@8")
-	req.NoError(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	clean := s.newStack(mddserve.Config{Workers: 1, Shards: 8})
-	chaotic := s.newStack(mddserve.Config{
+	clean := newStack(t, mddserve.Config{Workers: 1, Shards: 8})
+	chaotic := newStack(t, mddserve.Config{
 		Workers: 1, Shards: 8,
 		Faults:     sched,
 		FaultSleep: func(time.Duration) {},
@@ -514,20 +616,28 @@ func (s *ServeSuite) TestChaosOverHTTP() {
 		Type: mddserve.JobMDD, Dataset: serveDataset(),
 		Iters: 8, VS: 3, ReturnSolution: true,
 	}
-	ref, err := clean.client.Run(s.ctx(), spec)
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, ref.State)
+	ref, err := clean.client.Run(ctx(t), spec)
+	wantState(t, ref, err, mddserve.StateDone)
 
-	got, err := chaotic.client.Run(s.ctx(), spec)
-	req.NoError(err, "the resilient stack must absorb the whole schedule")
-	req.Equal(mddserve.StateDone, got.State)
-	req.Greater(got.Result.Restarts, 0, "op:err@8 must force a solver restart")
-	req.Greater(got.Result.SalvagedIters, 0, "the restart must resume from a checkpoint")
-	req.Equal(ref.Result.Iterations, got.Result.Iterations)
+	got, err := chaotic.client.Run(ctx(t), spec)
+	if err != nil {
+		t.Fatalf("the resilient stack must absorb the whole schedule: %v", err)
+	}
+	wantState(t, got, err, mddserve.StateDone)
+	if got.Result.Restarts <= 0 {
+		t.Fatal("op:err@8 must force a solver restart")
+	}
+	if got.Result.SalvagedIters <= 0 {
+		t.Fatal("the restart must resume from a checkpoint")
+	}
+	if got.Result.Iterations != ref.Result.Iterations {
+		t.Fatalf("%d iterations, fault-free %d", got.Result.Iterations, ref.Result.Iterations)
+	}
 
-	rel := testkit.RelErr(solutionVec(s.T(), got.Result), solutionVec(s.T(), ref.Result))
-	req.LessOrEqual(rel, 1e-5,
-		"faulted serving path deviates from fault-free: relErr %.3g", rel)
+	rel := testkit.RelErr(solutionVec(t, got.Result), solutionVec(t, ref.Result))
+	if !(rel <= 1e-5) {
+		t.Fatalf("faulted serving path deviates from fault-free: relErr %.3g", rel)
+	}
 }
 
 // solutionVec rebuilds the complex solution from its interleaved wire
@@ -544,26 +654,33 @@ func solutionVec(t *testing.T, r *mddserve.JobResult) []complex64 {
 	return out
 }
 
-func (s *ServeSuite) TestHealthStatsAndMetrics() {
-	st := s.newStack(mddserve.Config{})
-	req := s.Require()
-	req.NoError(st.client.Health(s.ctx()))
+func testHealthStatsAndMetrics(t *testing.T) {
+	st := newStack(t, mddserve.Config{})
+	if err := st.client.Health(ctx(t)); err != nil {
+		t.Fatal(err)
+	}
 
 	// The metrics endpoint mirrors the obs registry; collection is
 	// global, so only assert deltas caused by this stack's job.
-	status, err := st.client.Run(s.ctx(), mddserve.JobSpec{
+	status, err := st.client.Run(ctx(t), mddserve.JobSpec{
 		Type: mddserve.JobCompress, Dataset: serveDataset(),
 	})
-	req.NoError(err)
-	req.Equal(mddserve.StateDone, status.State)
+	wantState(t, status, err, mddserve.StateDone)
 
-	stats, err := st.client.ServerStats(s.ctx())
-	req.NoError(err)
-	req.Equal(int64(1), stats.Submitted)
-	req.Equal(int64(1), stats.Completed)
-	req.Equal(0, stats.QueueDepth)
+	stats, err := st.client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Submitted != 1 || stats.Completed != 1 || stats.QueueDepth != 0 {
+		t.Fatalf("%d submitted, %d completed, depth %d; want 1, 1, 0",
+			stats.Submitted, stats.Completed, stats.QueueDepth)
+	}
 
-	snap, err := st.client.Metrics(s.ctx())
-	req.NoError(err)
-	req.NotNil(snap)
+	snap, err := st.client.Metrics(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("metrics endpoint returned no snapshot")
+	}
 }

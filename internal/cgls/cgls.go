@@ -30,8 +30,6 @@ type Options struct {
 	MaxIters int
 	// Tol stops when ‖Aᴴr‖ / ‖Aᴴb‖ falls below it (default 1e-8).
 	Tol float64
-	// Damp adds Tikhonov damping (solves (AᴴA + damp²I) x = Aᴴ b).
-	Damp float64
 }
 
 // Result reports the solve outcome.
@@ -60,7 +58,6 @@ func Solve(a lsqr.Operator, b []complex64, opts Options) (*Result, error) {
 	if opts.Tol == 0 {
 		opts.Tol = 1e-8
 	}
-	damp2 := complex(float32(opts.Damp*opts.Damp), 0)
 
 	x := make([]complex64, n)
 	r := make([]complex64, m) // r = b − A x (x starts at 0)
@@ -80,9 +77,6 @@ func Solve(a lsqr.Operator, b []complex64, opts Options) (*Result, error) {
 		iterSpan := obsIter.Start()
 		a.Apply(p, q)
 		den := real2(cfloat.Dotc(q, q))
-		if opts.Damp > 0 {
-			den += float64(real(damp2)) * real2(cfloat.Dotc(p, p))
-		}
 		if den == 0 {
 			iterSpan.End()
 			break
@@ -91,11 +85,6 @@ func Solve(a lsqr.Operator, b []complex64, opts Options) (*Result, error) {
 		cfloat.Axpy(alpha, p, x)
 		cfloat.Axpy(-alpha, q, r)
 		a.ApplyAdjoint(r, s)
-		if opts.Damp > 0 {
-			for i := range s {
-				s[i] -= damp2 * x[i]
-			}
-		}
 		gammaNew := real2(cfloat.Dotc(s, s))
 		res.Iters = it + 1
 		res.ResidualNorm = cfloat.Nrm2(r)

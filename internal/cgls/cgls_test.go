@@ -77,23 +77,6 @@ func TestResidualMonotone(t *testing.T) {
 	}
 }
 
-func TestDampingShrinksSolution(t *testing.T) {
-	rng := testkit.NewRNG(4)
-	a := dense.Random(rng, 25, 25)
-	b := dense.Random(rng, 25, 1).Data
-	r0, err := Solve(denseOp(a), b, Options{MaxIters: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := Solve(denseOp(a), b, Options{MaxIters: 50, Damp: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfloat.Nrm2(rd.X) >= cfloat.Nrm2(r0.X) {
-		t.Error("damping did not shrink the solution")
-	}
-}
-
 func TestZeroRHS(t *testing.T) {
 	a := dense.Eye(5)
 	res, err := Solve(denseOp(a), make([]complex64, 5), Options{})

@@ -52,7 +52,7 @@ type Config struct {
 	Iters int
 	// CondEst is an estimate of the operator's condition number, the
 	// solve-stage amplification factor (0 defaults to 10, the right
-	// order for the damped normal equations the pipeline solves).
+	// order for the normal equations the pipeline solves).
 	CondEst float64
 }
 

@@ -142,7 +142,6 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		bnorm = beta
 	}
 	res.X = x
-	damp := opts.Damp
 	tmpM := make([]complex64, m)
 	tmpN := make([]complex64, n)
 	// the one-call step is taken only from an infallible operator behind
@@ -166,7 +165,7 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		if beta > 0 {
 			rescale(u, 1/beta)
 		}
-		anorm = math.Sqrt(anorm*anorm + alpha*alpha + beta*beta + damp*damp)
+		anorm = math.Sqrt(anorm*anorm + alpha*alpha + beta*beta)
 
 		alpha = updateV(tmpN, beta, v)
 		v, tmpN = tmpN, v
@@ -174,17 +173,9 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 			rescale(v, 1/alpha)
 		}
 
-		// eliminate damping: rotate (rhoBar, damp) onto rhoBar1 and carry
-		// the cosine into phiBar (the sine only feeds the unused ‖x‖ bound)
-		rhoBar1 := rhoBar
-		if damp > 0 {
-			rhoBar1 = math.Hypot(rhoBar, damp)
-			phiBar = (rhoBar / rhoBar1) * phiBar
-		}
-
 		// Givens rotation to eliminate the subdiagonal beta
-		rho := math.Hypot(rhoBar1, beta)
-		cs := rhoBar1 / rho
+		rho := math.Hypot(rhoBar, beta)
+		cs := rhoBar / rho
 		sn := beta / rho
 		theta := sn * alpha
 		rhoBar = -cs * alpha
@@ -197,9 +188,9 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		xx, ww := updateXW(x, w, v, float32(t1), float32(t2))
 		ddnorm += (1 / rho) * (1 / rho) * float64(float32(ww))
 
-		// phiBar stays signed for the recurrence (damping flips it once
-		// rhoBar < 0); the residual norm is |phiBar|, as in Paige–Saunders
-		rnorm := math.Abs(phiBar)
+		// phiBar = ‖r‖: it starts at ‖b‖ and each rotation scales it by
+		// sn ≥ 0
+		rnorm := phiBar
 		res.Iters = it + 1
 		res.ResidualNorm = rnorm
 		res.ResidualHistory = append(res.ResidualHistory, rnorm)

@@ -55,8 +55,6 @@ type Options struct {
 	// MaxIters bounds the iteration count (default 30, matching the
 	// paper's MDD runs).
 	MaxIters int
-	// Damp adds Tikhonov damping: solves min ‖Ax−b‖² + damp²‖x‖².
-	Damp float64
 	// ATol stops when the estimated relative residual ‖Aᴴr‖/(‖A‖‖r‖)
 	// falls below it (default 1e-8).
 	ATol float64

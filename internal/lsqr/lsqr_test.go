@@ -129,39 +129,6 @@ func TestRHSLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestDampingShrinksSolution(t *testing.T) {
-	// Tikhonov damping must reduce ‖x‖ — the regularization MDD leans on
-	// for its ill-posed inversion.
-	rng := testkit.NewRNG(6)
-	m, n := 30, 30
-	a := dense.Random(rng, m, n)
-	b := dense.Random(rng, m, 1).Data
-	res0, err := Solve(denseOp(a), b, Options{MaxIters: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resD, err := Solve(denseOp(a), b, Options{MaxIters: 60, Damp: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfloat.Nrm2(resD.X) >= cfloat.Nrm2(res0.X) {
-		t.Errorf("damped ‖x‖=%g not smaller than undamped %g",
-			cfloat.Nrm2(resD.X), cfloat.Nrm2(res0.X))
-	}
-	// the damping rotation flips the sign of φ̄ from the second iteration
-	// on; the reported residual is |φ̄|, so the solve neither "converges"
-	// on a negative residual nor records one
-	if resD.Iters <= 2 {
-		t.Errorf("damped solve stopped after %d iterations (converged %v)", resD.Iters, resD.Converged)
-	}
-	for i, r := range resD.ResidualHistory {
-		if r < 0 || (i > 0 && r > resD.ResidualHistory[i-1]) {
-			t.Fatalf("damped residual history is not non-negative and non-increasing at %d: %v",
-				i, resD.ResidualHistory[:i+1])
-		}
-	}
-}
-
 func TestMaxItersRespected(t *testing.T) {
 	rng := testkit.NewRNG(7)
 	a := dense.Random(rng, 40, 40)

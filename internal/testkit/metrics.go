@@ -5,13 +5,13 @@ import (
 	"math/rand"
 
 	"repro/internal/cfloat"
-	"repro/internal/dense"
 	"repro/internal/precision"
 )
 
 // RelErr returns ‖got − want‖₂ / ‖want‖₂ over complex vectors (the metric
 // formerly duplicated as relErr in the lsqr and cgls tests). A zero want
-// falls back to the absolute norm of the difference.
+// falls back to the absolute norm of the difference. A NaN anywhere gives
+// +Inf, so an `e > tol` check fails on it rather than passing.
 func RelErr(got, want []complex64) float64 {
 	if len(got) != len(want) {
 		panic("testkit: RelErr length mismatch")
@@ -20,32 +20,14 @@ func RelErr(got, want []complex64) float64 {
 	for i := range d {
 		d[i] = got[i] - want[i]
 	}
-	nw := cfloat.Nrm2(want)
-	if nw == 0 {
-		return cfloat.Nrm2(d)
+	e := cfloat.Nrm2(d)
+	if nw := cfloat.Nrm2(want); nw != 0 {
+		e /= nw
 	}
-	return cfloat.Nrm2(d) / nw
-}
-
-// RelErrMat returns ‖A−B‖F / ‖B‖F, the tile-accuracy measure acc of the
-// paper, over dense matrices.
-func RelErrMat(got, want *dense.Matrix) float64 {
-	return dense.RelError(got, want)
-}
-
-// MaxAbsDiff returns the largest elementwise modulus of got − want.
-func MaxAbsDiff(got, want []complex64) float64 {
-	if len(got) != len(want) {
-		panic("testkit: MaxAbsDiff length mismatch")
+	if math.IsNaN(e) {
+		return math.Inf(1)
 	}
-	var m float64
-	for i := range got {
-		d := got[i] - want[i]
-		if x := math.Hypot(float64(real(d)), float64(imag(d))); x > m {
-			m = x
-		}
-	}
-	return m
+	return e
 }
 
 // ulpDist32 returns the distance in representable float32 values between
@@ -149,7 +131,7 @@ type Operator interface {
 // AdjointGap measures the worst normalized violation of the adjoint
 // identity ⟨Ax, y⟩ = ⟨x, Aᴴy⟩ over trials random vector pairs — the
 // invariant LSQR and CGLS silently depend on; a forward/adjoint mismatch
-// makes them diverge without crashing.
+// makes them diverge without crashing. A NaN gap is +Inf.
 func AdjointGap(op Operator, rng *rand.Rand, trials int) float64 {
 	m, n := op.Rows(), op.Cols()
 	var worst float64
@@ -164,7 +146,11 @@ func AdjointGap(op Operator, rng *rand.Rand, trials int) float64 {
 		rhs := cfloat.Dotc(aty, x) // ⟨Aᴴy, x⟩
 		num := math.Hypot(float64(real(lhs-rhs)), float64(imag(lhs-rhs)))
 		den := math.Hypot(float64(real(lhs)), float64(imag(lhs))) + 1
-		if g := num / den; g > worst {
+		g := num / den
+		if math.IsNaN(g) {
+			return math.Inf(1)
+		}
+		if g > worst {
 			worst = g
 		}
 	}

@@ -1,3 +1,7 @@
+// Package suite holds the goroutine checks of tests that start servers,
+// shard runners or fan-outs: VerifyNoLeaks fails a test that leaves a
+// goroutine running, and WaitParked lets a wakeup test wait for its
+// workers to park.
 package suite
 
 import (

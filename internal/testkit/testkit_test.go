@@ -15,7 +15,7 @@ import (
 func TestGeneratorsDeterministic(t *testing.T) {
 	a := Mat(NewRNG(42), 13, 9)
 	b := Mat(NewRNG(42), 13, 9)
-	if RelErrMat(a, b) != 0 {
+	if dense.RelError(a, b) != 0 {
 		t.Fatal("Mat not deterministic for equal seeds")
 	}
 	va := Vec(NewRNG(7), 33)
@@ -77,6 +77,34 @@ func TestRelErrMetric(t *testing.T) {
 	// zero want falls back to absolute norm
 	if e := RelErr([]complex64{3, 4}, []complex64{0, 0}); math.Abs(e-5) > 1e-6 {
 		t.Errorf("absolute fallback wrong: %g", e)
+	}
+}
+
+// TestMetricsFailOnNaN holds the metrics tolerance checks read to +Inf
+// on NaN input, so an `e > tol` check fails rather than passes.
+func TestMetricsFailOnNaN(t *testing.T) {
+	nan := complex(float32(math.NaN()), 0)
+	fill := func(y []complex64) {
+		for i := range y {
+			y[i] = nan
+		}
+	}
+	nanOp := &implOperator{m: 3, n: 2, impl: Impl{
+		Apply:   func(_, y []complex64) error { fill(y); return nil },
+		Adjoint: func(_, y []complex64) { fill(y) },
+	}}
+	for _, tc := range []struct {
+		name string
+		got  float64
+	}{
+		{"RelErr, NaN got", RelErr([]complex64{1, nan}, []complex64{1, 2})},
+		{"RelErr, NaN want", RelErr([]complex64{1, 2}, []complex64{1, nan})},
+		{"RelErr, NaN got, zero want", RelErr([]complex64{nan, 0}, []complex64{0, 0})},
+		{"AdjointGap, NaN operator", AdjointGap(nanOp, NewRNG(1), 2)},
+	} {
+		if !math.IsInf(tc.got, 1) {
+			t.Errorf("%s = %g, want +Inf", tc.name, tc.got)
+		}
 	}
 }
 
