@@ -15,7 +15,6 @@ FUZZ_TARGETS = \
 	internal/precision:FuzzF16RoundTrip \
 	internal/precision:FuzzBF16RoundTrip \
 	internal/tlrio:FuzzOpenPaged \
-	internal/tlr:FuzzSoARoundTrip \
 	internal/svd:FuzzDecompose \
 	internal/mddserve:FuzzSubmit
 
@@ -43,7 +42,7 @@ race:
 
 # concurrency stress tests (TestStress*, skipped under -short): sharded
 # scheduler with mid-flight revocation, concurrent MDC fan-out, one
-# TimeOperator under two solvers, the seven TLR-MVM entry points on one
+# TimeOperator under two solvers, the four TLR-MVM products on one
 # shared matrix, streamed products sharing one quarter-budget tile store,
 # and the mddserve load tests at the repo root; the cancellation and
 # wakeup tests (TestCancel*) of mddserve, mddclient and the shard runner,
@@ -55,9 +54,8 @@ race:
 race-stress:
 	$(GO) test -race -count=2 -run '^(TestStress|TestCancel|TestStreamFollowsRunningJob$$|TestFailedBuildIsRebuilt$$|TestColdBuildSharesSurvey$$)' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/ ./internal/mddserve/ ./internal/mddclient/
 
-# worker-count bit-identity where GOMAXPROCS is not the host's: the
-# parallel product against the sequential one at 1, 2, 4 and 8 workers,
-# every compressor's build at 1, 2 and 4, the S / Sᴴ stages
+# worker-count bit-identity where GOMAXPROCS is not the host's: every
+# compressor's build at 1, 2 and 4 workers, the S / Sᴴ stages
 # against the channel-at-a-time reference at 1, 2, 4 and 8, the LSQR
 # step of FreqOperator and whole solves against their composed route at
 # 1, 2, 4 and 8, the time-domain solve against the frequency-domain
@@ -66,7 +64,7 @@ race-stress:
 # synthesized survey (K, Rtrue, P−) against its pair-by-pair evaluation
 # at 1, 2 and 4 workers, on one and on four Ps
 cpu-identity:
-	$(GO) test -race -cpu 1,4 -run '^(TestBatchedMatchesSequentialAcrossShapes|TestCompressAccuracyAllMethods)$$' ./internal/tlr/
+	$(GO) test -race -cpu 1,4 -run '^TestCompressAccuracyAllMethods$$' ./internal/tlr/
 	$(GO) test -race -cpu 1,4 -run '^(TestTimeStagesMatchReference|TestFreqOperatorStepMatchesComposition|TestSolveStepRouteMatchesComposed)$$' ./internal/mdc/
 	$(GO) test -race -cpu 1,4 -run '^TestInvertTimeDomainIsFrequencySolvePlusSynthesis$$' ./internal/mdd/
 	$(GO) test -race -cpu 1,4 -run '^TestStreamedProductsBitIdentical$$' ./internal/opstore/

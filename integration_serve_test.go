@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -18,9 +19,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cfloat"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mddclient"
 	"repro/internal/mddserve"
+	"repro/internal/seismic"
+	"repro/internal/sfc"
 	"repro/internal/testkit"
 	"repro/internal/testkit/suite"
 )
@@ -174,6 +179,34 @@ func testTLRMVMIsDeterministic(t *testing.T) {
 	}
 	if other := run(8); other == first {
 		t.Fatalf("different seeds must differ: both %v", first)
+	}
+
+	// The job is MulVec on the build's mid-band slice over the API's
+	// seeded input, so its checksum is the in-process product's norm to
+	// the last bit.
+	d := serveDataset()
+	sv, err := core.NewSurvey(seismic.Options{
+		Geom: seismic.Geometry{NsX: d.NsX, NsY: d.NsY, NrX: d.NrX, NrY: d.NrY,
+			Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300},
+		Nt: d.Nt, Dt: 0.004,
+	}, sfc.Hilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := sv.Build(core.PipelineOptions{TileSize: 8, Accuracy: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice := pipe.Kernel.Mats[pipe.DS.NumFreqs()/2]
+	rng := rand.New(rand.NewSource(7 + 1))
+	x := make([]complex64, slice.N)
+	for i := range x {
+		x[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
+	}
+	y := make([]complex64, slice.M)
+	slice.MulVec(x, y)
+	if want := cfloat.Nrm2(y); first != want {
+		t.Fatalf("served checksum %v, want ‖MulVec(x)‖ = %v", first, want)
 	}
 }
 

@@ -414,21 +414,43 @@ func TestGemmTransposeComposition(t *testing.T) {
 	}
 }
 
+// TestSplitMergeRoundTrip checks SplitReIm against real and imag
+// directly.
 func TestSplitMergeRoundTrip(t *testing.T) {
 	rng := testkit.NewRNG(10)
 	x := testkit.Vec(rng, 41)
 	re := make([]float32, len(x))
 	im := make([]float32, len(x))
 	cfloat.SplitReIm(x, re, im)
-	back := make([]complex64, len(x))
-	cfloat.MergeReIm(re, im, back)
-	for i := range x {
-		if back[i] != x[i] {
+	for i, v := range x {
+		if re[i] != real(v) || im[i] != imag(v) {
 			t.Fatalf("round trip failed at %d", i)
 		}
 	}
 }
 
+// fourReal is the §6.6 decomposition of a complex MVM that wsesim's PEs
+// run, spelled out on RealGemv over split planes:
+//
+//	Re(y) = Ar·xr − Ai·xi
+//	Im(y) = Ar·xi + Ai·xr
+func fourReal(m, n int, ar, ai []float32, x []complex64) []complex64 {
+	xr, xi := make([]float32, n), make([]float32, n)
+	cfloat.SplitReIm(x, xr, xi)
+	yr, yi, t := make([]float32, m), make([]float32, m), make([]float32, m)
+	cfloat.RealGemv(m, n, ar, m, xr, yr)
+	cfloat.RealGemv(m, n, ai, m, xi, t)
+	cfloat.RealGemv(m, n, ar, m, xi, yi)
+	cfloat.RealGemv(m, n, ai, m, xr, yi)
+	y := make([]complex64, m)
+	for i := range y {
+		y[i] = complex(yr[i]-t[i], yi[i])
+	}
+	return y
+}
+
+// TestComplexMVMViaFourRealMatchesGemv holds the four-real decomposition
+// on RealGemv to the complex Gemv.
 func TestComplexMVMViaFourRealMatchesGemv(t *testing.T) {
 	rng := testkit.NewRNG(11)
 	for _, dims := range [][2]int{{1, 1}, {7, 3}, {70, 25}, {32, 64}} {
@@ -440,8 +462,7 @@ func TestComplexMVMViaFourRealMatchesGemv(t *testing.T) {
 		x := testkit.Vec(rng, n)
 		y1 := make([]complex64, m)
 		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, y1)
-		y2 := make([]complex64, m)
-		cfloat.ComplexMVMViaFourReal(m, n, ar, ai, m, x, y2)
+		y2 := fourReal(m, n, ar, ai, x)
 		for i := range y1 {
 			if cAbs(y1[i]-y2[i]) > 1e-3*(1+cAbs(y1[i])) {
 				t.Fatalf("%dx%d four-real mismatch at %d: %v vs %v", m, n, i, y1[i], y2[i])
@@ -541,22 +562,6 @@ func BenchmarkAxpy(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 }
 
-func BenchmarkComplexMVMViaFourReal256(b *testing.B) {
-	rng := testkit.NewRNG(1)
-	m, n := 256, 256
-	a := testkit.Vec(rng, m*n)
-	ar := make([]float32, m*n)
-	ai := make([]float32, m*n)
-	cfloat.SplitReIm(a, ar, ai)
-	x := testkit.Vec(rng, n)
-	y := make([]complex64, m)
-	b.SetBytes(int64(8 * m * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfloat.ComplexMVMViaFourReal(m, n, ar, ai, m, x, y)
-	}
-}
-
 func TestGemmGenericFallbackPaths(t *testing.T) {
 	// cfloat.Transpose operands exercise the closure-based generic path
 	rng := testkit.NewRNG(13)
@@ -648,7 +653,6 @@ func TestGemvPanics(t *testing.T) {
 		"gemmDims": func() { cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, -1, 1, 1, 1, nil, 1, nil, 1, 0, nil, 1) },
 		"realGemv": func() { cfloat.RealGemv(2, 2, make([]float32, 4), 1, make([]float32, 2), make([]float32, 2)) },
 		"split":    func() { cfloat.SplitReIm(make([]complex64, 2), make([]float32, 1), make([]float32, 2)) },
-		"merge":    func() { cfloat.MergeReIm(make([]float32, 1), make([]float32, 2), make([]complex64, 2)) },
 	} {
 		func() {
 			defer func() {

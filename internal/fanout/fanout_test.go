@@ -93,8 +93,8 @@ func TestDoPanicReachesCaller(t *testing.T) {
 // TestOneFanOutCensus keeps "run n independent items on a bounded set
 // of goroutines" in this package: outside it, the long-lived pools that
 // own failure handling (batch.ShardRunner, the mddserve workers and the
-// server main), fdtd's strip split, tests and the frozen benchmark, no
-// product file contains a go statement. A new parallel loop calls
+// server main), tests and the frozen benchmark, no product file
+// contains a go statement. A new parallel loop calls
 // fanout.Do; a new long-lived goroutine is argued for in DESIGN.md
 // first and added to the list here.
 func TestOneFanOutCensus(t *testing.T) {
@@ -102,8 +102,7 @@ func TestOneFanOutCensus(t *testing.T) {
 		return rel == "internal/batch/shard.go" ||
 			strings.HasPrefix(rel, "internal/fanout/") ||
 			strings.HasPrefix(rel, "internal/mddserve/") ||
-			strings.HasPrefix(rel, "cmd/mddserve/") ||
-			strings.HasPrefix(rel, "internal/fdtd/")
+			strings.HasPrefix(rel, "cmd/mddserve/")
 	}
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()

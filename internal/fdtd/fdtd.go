@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+
+	"repro/internal/fanout"
 )
 
 // Grid describes the discretization.
@@ -85,8 +86,8 @@ func RickerWavelet(f0, t0, dt float64, nt int) []float64 {
 	return w
 }
 
-// MaxVel returns the maximum medium velocity.
-func (m Model) MaxVel() float64 {
+// maxVel returns the maximum medium velocity.
+func (m Model) maxVel() float64 {
 	var v float64
 	for _, x := range m.Vel {
 		if x > v {
@@ -98,7 +99,7 @@ func (m Model) MaxVel() float64 {
 
 // CFL returns the Courant number dt·vmax·√2/dx; stability requires < 1.
 func (c Config) CFL() float64 {
-	return c.Grid.DT * c.Model.MaxVel() * math.Sqrt2 / c.Grid.DX
+	return c.Grid.DT * c.Model.maxVel() * math.Sqrt2 / c.Grid.DX
 }
 
 // Validate checks the configuration.
@@ -195,27 +196,17 @@ func Run(c Config) (*Result, error) {
 		res.VZ[r] = make([]float64, g.NT)
 	}
 
-	// strip-parallel field updates with a barrier between v and p phases
+	// strip-parallel field updates with a barrier between v and p phases:
+	// one strip of rows per worker, each row updated independently
 	parallelRows := func(n int, f func(iz0, iz1 int)) {
 		if workers == 1 || n < 64 {
 			f(0, n)
 			return
 		}
-		var wg sync.WaitGroup
 		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			iz0 := w * chunk
-			iz1 := min(iz0+chunk, n)
-			if iz0 >= iz1 {
-				break
-			}
-			wg.Add(1)
-			go func(iz0, iz1 int) {
-				defer wg.Done()
-				f(iz0, iz1)
-			}(iz0, iz1)
-		}
-		wg.Wait()
+		fanout.Do((n+chunk-1)/chunk, workers, func(_, s int) {
+			f(s*chunk, min((s+1)*chunk, n))
+		})
 	}
 
 	for t := 0; t < g.NT; t++ {

@@ -54,8 +54,7 @@ type DatasetSpec struct {
 	Nt int `json:"nt"`
 }
 
-// Sources and Receivers return the grid point counts.
-func (d DatasetSpec) Sources() int   { return d.NsX * d.NsY }
+// Receivers returns the receiver grid point count.
 func (d DatasetSpec) Receivers() int { return d.NrX * d.NrY }
 
 // JobSpec is the submit payload.

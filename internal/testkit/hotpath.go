@@ -62,37 +62,6 @@ func hotPaths() []hotPath {
 			x[0], x[hotM-1] = 1, 2i
 			return func() { t.MulVecConjTrans(x, y) }, nil
 		}},
-		{Name: "tlr.mulvec_batched", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotM)
-			x[0], x[hotN-1] = 1, 2i
-			return func() {
-				if err := t.MulVecBatched(x, y, 1); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "tlr.mulvec_soa", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotM)
-			x[0], x[hotN-1] = 1, 2i
-			return func() { t.MulVecSoA(x, y) }, nil
-		}},
-		{Name: "tlr.mulvec_soa_adjoint", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotM), make([]complex64, hotN)
-			x[0], x[hotM-1] = 1, 2i
-			return func() { t.MulVecConjTransSoA(x, y) }, nil
-		}},
 		{Name: "tlr.mulvec_normal", Setup: func() (func(), error) {
 			t, err := hotPathMatrix()
 			if err != nil {

@@ -45,7 +45,7 @@ type Config struct {
 // Oracle runs one (matrix, tolerance, precision) case through every
 // implementation of the TLR-MVM stack and asserts agreement plus
 // hardware-model invariants. Implementations covered: dense MVM (the
-// reference), sequential AoS/SoA/batched TLR-MVM, the MDC frequency
+// reference), the sequential TLR-MVM, the MDC frequency
 // operator over both dense and TLR kernels, the wsesim functional PE
 // simulation, and (optionally) the reduced-precision quantized operator.
 type Oracle struct {
@@ -95,27 +95,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		},
 		Adjoint: t.MulVecConjTrans,
 		Tol:     compTol,
-	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-batched",
-		Apply: func(x, y []complex64) error {
-			return t.MulVecBatched(x, y, workers)
-		},
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	// The stacked split-plane (SoA) paths: same math as the AoS tile
-	// paths, float32 accumulation instead of the complex Gemv's float64 —
-	// ExecTolerance absorbs the difference for the paper-scale ranks.
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-soa",
-		Apply: func(x, y []complex64) error {
-			t.MulVecSoA(x, y)
-			return nil
-		},
-		Adjoint: t.MulVecConjTransSoA,
-		Tol:     compTol,
-		PairTol: pairTol,
 	})
 
 	// MDC operator with a single-frequency dense kernel: must reproduce
@@ -248,16 +227,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 			return nil
 		},
 		Adjoint: oocT.MulVecConjTrans,
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "opstore-soa",
-		Apply: func(x, y []complex64) error {
-			oocT.MulVecSoA(x, y)
-			return nil
-		},
-		Adjoint: oocT.MulVecConjTransSoA,
 		Tol:     compTol,
 		PairTol: pairTol,
 	})
@@ -432,9 +401,9 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 		}
 	}
 	// 3. out-of-core identity: the store-backed twin runs the identical
-	//    kernels on bit-identically decoded tiles, so both the AoS and
-	//    SoA products — and, under a reduced format, the quantized pair —
-	//    must reproduce their in-memory counterparts to the bit. This is
+	//    kernels on bit-identically decoded tiles, so its product — and,
+	//    under a reduced format, the quantized pair's — must reproduce
+	//    the in-memory counterpart to the bit. This is
 	//    the differential proof that paging, CRC verification, tile
 	//    decode, and streaming through scratch are invisible to the
 	//    numerics.
@@ -446,11 +415,6 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 		o.oocT.MulVec(x, ooc)
 		if d := MaxULPDist(ooc, mem); d != 0 {
 			return fmt.Errorf("oracle: store-backed MulVec %d ULPs from in-memory", d)
-		}
-		o.T.MulVecSoA(x, mem)
-		o.oocT.MulVecSoA(x, ooc)
-		if d := MaxULPDist(ooc, mem); d != 0 {
-			return fmt.Errorf("oracle: store-backed MulVecSoA %d ULPs from in-memory", d)
 		}
 		if o.oocQ != nil {
 			o.qT.MulVec(x, mem)

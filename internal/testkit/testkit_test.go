@@ -267,12 +267,15 @@ func TestSeismicBand(t *testing.T) {
 	}
 }
 
-// TestMulVecEntryPointCensus keeps the TLR-MVM surface at the seven entry
-// points of DESIGN.md's "TLR-MVM entry points and who calls them" table.
-// An eighth exported (*tlr.Matrix).MulVec* method fails here: every
-// later kernel change has to keep each variant in step, so a new one is
-// argued for in that table (production caller, oracle Impl, hot-path
-// kernel) — or lands as a parameter of an existing row — first.
+// TestMulVecEntryPointCensus keeps the TLR-MVM surface at the seven
+// names of DESIGN.md's "TLR-MVM entry points and who calls them" table:
+// the four products (MulVec, MulVecConjTrans, MulVecStep, MulVecNormal)
+// and three bench-only forwards to them (MulVecSoA, MulVecConjTransSoA,
+// MulVecBatched; TestFrozenForwardsAreTheirProducts). An eighth exported
+// (*tlr.Matrix).MulVec* method fails here: every later kernel change has
+// to keep each variant in step, so a new one is argued for in that table
+// (production caller, oracle Impl, hot-path kernel) — or lands as a
+// parameter of an existing row — first.
 func TestMulVecEntryPointCensus(t *testing.T) {
 	want := map[string]bool{
 		"MulVec": true, "MulVecConjTrans": true,
@@ -292,6 +295,48 @@ func TestMulVecEntryPointCensus(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("(*tlr.Matrix).%s is gone; update DESIGN.md's entry-point table and this census together", name)
+	}
+}
+
+// TestFrozenForwardsAreTheirProducts pins the four names kept only for
+// the frozen benchmark to the products they forward to, bit for bit, in
+// memory and store-backed: EnsureSoA builds nothing, MulVecSoA and
+// MulVecBatched (at any worker count) are MulVec, MulVecConjTransSoA is
+// MulVecConjTrans.
+func TestFrozenForwardsAreTheirProducts(t *testing.T) {
+	rng := NewRNG(46)
+	mem, err := tlr.Compress(DecayMat(rng, 53, 41, 0.5), tlr.Options{NB: 8, Tol: 1e-4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ooc, err := storeBacked(mem, nil, mem.CompressedBytes()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range []*tlr.Matrix{mem, ooc} {
+		tm.EnsureSoA()
+		x, xa := Vec(rng, tm.N), Vec(rng, tm.M)
+		want, wantA := make([]complex64, tm.M), make([]complex64, tm.N)
+		tm.MulVec(x, want)
+		tm.MulVecConjTrans(xa, wantA)
+		got, gotA := Vec(rng, tm.M), Vec(rng, tm.N)
+		tm.MulVecSoA(x, got)
+		if d := MaxULPDist(got, want); d != 0 {
+			t.Errorf("store-backed %v: MulVecSoA %d ULPs from MulVec", tm.OutOfCore(), d)
+		}
+		tm.MulVecConjTransSoA(xa, gotA)
+		if d := MaxULPDist(gotA, wantA); d != 0 {
+			t.Errorf("store-backed %v: MulVecConjTransSoA %d ULPs from MulVecConjTrans", tm.OutOfCore(), d)
+		}
+		for _, workers := range []int{0, 1, 2, 8} {
+			got := Vec(rng, tm.M)
+			if err := tm.MulVecBatched(x, got, workers); err != nil {
+				t.Fatal(err)
+			}
+			if d := MaxULPDist(got, want); d != 0 {
+				t.Errorf("store-backed %v: MulVecBatched at %d workers %d ULPs from MulVec", tm.OutOfCore(), workers, d)
+			}
+		}
 	}
 }
 

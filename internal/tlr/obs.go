@@ -7,33 +7,25 @@ import "repro/internal/obs"
 // recording site is guarded inside obs, so the paths cost one atomic
 // load each when collection is disabled.
 var (
-	obsCompress = obs.NewTimer("tlr.compress")
-	obsMVM      = obs.NewTimer("tlr.mvm")
-	obsMVMMeter = obs.NewMeter("tlr.mvm")
-	obsAdjoint  = obs.NewTimer("tlr.mvm_adjoint")
-	obsAdjMeter = obs.NewMeter("tlr.mvm_adjoint")
-	obsBatched  = obs.NewTimer("tlr.mvm_batched")
-	obsBatMeter = obs.NewMeter("tlr.mvm_batched")
-
-	obsSoABuild    = obs.NewTimer("tlr.soa.build")
-	obsSoA         = obs.NewTimer("tlr.mvm_soa")
-	obsSoAMeter    = obs.NewMeter("tlr.mvm_soa")
-	obsSoAAdj      = obs.NewTimer("tlr.mvm_soa_adjoint")
-	obsSoAAdjMeter = obs.NewMeter("tlr.mvm_soa_adjoint")
+	obsCompress    = obs.NewTimer("tlr.compress")
+	obsMVM         = obs.NewTimer("tlr.mvm")
+	obsMVMMeter    = obs.NewMeter("tlr.mvm")
+	obsAdjoint     = obs.NewTimer("tlr.mvm_adjoint")
+	obsAdjMeter    = obs.NewMeter("tlr.mvm_adjoint")
 	obsNormal      = obs.NewTimer("tlr.mvm_normal")
 	obsNormalMeter = obs.NewMeter("tlr.mvm_normal")
 	obsStep        = obs.NewTimer("tlr.mvm_step")
 	obsStepMeter   = obs.NewMeter("tlr.mvm_step")
 )
 
-// FlopCount returns the floating-point operations of one forward (or
+// flopCount returns the floating-point operations of one forward (or
 // adjoint) TLR-MVM: each tile contributes k·(rows+cols) complex MACs and
 // a complex MAC is 8 real flops — the flop convention behind the paper's
 // PFlop/s figures (§6.6). Like CompressedBytes it reads the rank map
 // only: meterMVM calls it on every product while collection is on, and
 // walking Tile(i,j) there would fault a store-backed operator's whole
 // tile set through the cache once per product.
-func (t *Matrix) FlopCount() int64 {
+func (t *Matrix) flopCount() int64 {
 	var macs int64
 	for i := 0; i < t.MT; i++ {
 		for j := 0; j < t.NT; j++ {
@@ -54,7 +46,7 @@ func (t *Matrix) ByteCount() int64 {
 // the rank map only run while collection is on.
 func meterMVM(m *obs.Meter, t *Matrix) {
 	if obs.Enabled() {
-		m.Add(t.FlopCount(), t.ByteCount())
+		m.Add(t.flopCount(), t.ByteCount())
 	}
 }
 
@@ -64,6 +56,6 @@ func meterMVM(m *obs.Meter, t *Matrix) {
 // given count of complex64 vector elements.
 func meterFused(m *obs.Meter, t *Matrix, vecElems int) {
 	if obs.Enabled() {
-		m.Add(2*t.FlopCount(), t.CompressedBytes()+8*int64(vecElems))
+		m.Add(2*t.flopCount(), t.CompressedBytes()+8*int64(vecElems))
 	}
 }

@@ -11,8 +11,7 @@ import (
 // by NewOutOfCore starts with every Tiles entry nil and faults tiles in
 // through a TileSource (internal/opstore keeps the tiles its byte budget
 // has room for and streams the rest behind this interface). Every MVM
-// path — sequential AoS, SoA, batched — reaches tiles only through
-// tileAt/rankAt below, so in-memory and store-backed matrices run the
+// path reaches tiles only through tileAt/rankAt below, so in-memory and store-backed matrices run the
 // identical kernels; the differential oracle registers both and holds
 // them to ≤1e-6 relative error of each other.
 
@@ -64,12 +63,10 @@ func (s *TileScratch) View(rows, cols, k int, f []complex64) *Tile {
 
 // NewOutOfCore builds an M×N matrix with tile size nb whose tiles are
 // faulted in from src instead of held resident. The returned matrix
-// supports every product path of an in-memory one; the AoS paths
-// (MulVec, MulVecConjTrans, MulVecStep, MulVecNormal) stream every tile
+// supports every product path of an in-memory one: MulVec,
+// MulVecConjTrans, MulVecStep and MulVecNormal stream every tile
 // through the source once per product, in row-major order — a step's
-// adjoint half runs on the tile row its forward half read — while the
-// SoA paths materialize the stacked planes once on first use (pulling
-// each tile once per panel family) and are resident thereafter.
+// adjoint half runs on the tile row its forward half read.
 func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb

@@ -5,29 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Every product needs intermediates per call: the sequential sweep one
-// tile's projection segment, one tile row's block of A x for the normal
-// product, the current tile row's tiles (and, store-backed, one tile
-// row of storage to read them into), the stacked paths the whole Yv/Yu
-// projection vector and the vector endpoints as split planes.
-// Allocating them per product put makes on the hot path; they are
-// hoisted here into per-matrix free lists so steady-state products
-// allocate nothing (testkit's AllocsPerRun gate proves it). A channel
-// free list rather than sync.Pool: the pool may drop entries at any GC,
-// which makes AllocsPerRun nondeterministic, and rather than a single
-// cached buffer because stress tests drive one Matrix from many
-// goroutines concurrently.
-//
-// Two lists, because the two families differ by orders of magnitude: a
-// sweep set is MaxRank elements (512 B at rank 64) plus NT tile
-// pointers and, store-backed, one tile row (0.8 MiB for a 64 MiB
-// solve-ooc frequency), a stacked set eight float32 planes, four of
-// them TotalRank long (1.1 MB per frequency of solve-dram). The sweep
-// list is what every matrix holds; the stacked list belongs to the SoA
-// layout and is created with it (buildSoA), so a matrix that only ever
-// runs the AoS sweep — every store-backed one, whose memory is
-// otherwise the opstore budget's plus one sweep set per concurrent
-// product — never pays for it.
+// Every product needs intermediates per call: one tile's projection
+// segment, one tile row's block of A x for the normal product, the
+// current tile row's tiles and, store-backed, one tile row of storage
+// to read them into. Allocating them per product put makes on the hot
+// path; they are hoisted here into a per-matrix free list so
+// steady-state products allocate nothing (testkit's AllocsPerRun gate
+// proves it). A channel free list rather than sync.Pool: the pool may
+// drop entries at any GC, which makes AllocsPerRun nondeterministic,
+// and rather than a single cached buffer because stress tests drive one
+// Matrix from many goroutines concurrently. A set is MaxRank elements
+// (512 B at rank 64) plus NT tile pointers and, store-backed, one tile
+// row (0.8 MiB for a 64 MiB solve-ooc frequency), so a store-backed
+// matrix holds the opstore budget plus one set per concurrent product.
 const scratchPoolCap = 16
 
 // scratchState is embedded in Matrix; a separate struct keeps the
@@ -135,50 +125,6 @@ func (t *Matrix) fetch(s *sweepScratch, i, j int) *Tile {
 func (t *Matrix) putSweep(s *sweepScratch) {
 	select {
 	case t.sweepFree <- s:
-	default:
-	}
-}
-
-// soaScratch is one checkout of the stacked paths' intermediates.
-type soaScratch struct {
-	// Split-plane scratch for the SoA kernels (soa.go): the input and
-	// output vectors split once per product (length max(M,N) each) and
-	// the column- and row-stacked intermediate planes (length TotalRank;
-	// tile offsets in soaLayout.colSeg and rowSeg).
-	fxr, fxi []float32
-	foutR    []float32
-	foutI    []float32
-	ycR, ycI []float32
-	yuR, yuI []float32
-}
-
-// getScratch checks a stacked scratch set out of the layout's free
-// list, allocating a fresh one when the list is empty.
-func (l *soaLayout) getScratch(t *Matrix) *soaScratch {
-	select {
-	case s := <-l.free:
-		return s
-	default:
-	}
-	tr := l.rowSeg[len(l.rowSeg)-1]
-	mn := max(t.M, t.N)
-	return &soaScratch{
-		fxr:   make([]float32, mn),
-		fxi:   make([]float32, mn),
-		foutR: make([]float32, mn),
-		foutI: make([]float32, mn),
-		ycR:   make([]float32, tr),
-		ycI:   make([]float32, tr),
-		yuR:   make([]float32, tr),
-		yuI:   make([]float32, tr),
-	}
-}
-
-// putScratch returns a scratch set to the free list, dropping it when
-// the list is full.
-func (l *soaLayout) putScratch(s *soaScratch) {
-	select {
-	case l.free <- s:
 	default:
 	}
 }

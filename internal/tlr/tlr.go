@@ -8,14 +8,12 @@
 // memory shuffle that projects from the V to the U ordering (Fig. 6), and
 // a batched MVM over the U bases (Fig. 7).
 //
-// The package provides seven products (DESIGN.md, "TLR-MVM entry
-// points"): the sequential per-tile MulVec/MulVecConjTrans (the phases
-// fused per tile), MulVecStep, one LSQR step w = A x − α u, z = Aᴴ w in
-// one sweep over the tile rows, and its α = 0 case MulVecNormal — all
-// four one body, sweep — plus the stacked split-plane
-// MulVecSoA/MulVecConjTransSoA (soa.go) and MulVecBatched, the one
-// in-matrix parallel path: the stacked forward product with its panels
-// dealt to a worker pool.
+// The package provides four products (DESIGN.md, "TLR-MVM entry
+// points"), all one body, sweep, over the per-tile bases: the sequential
+// MulVec/MulVecConjTrans (the phases fused per tile), MulVecStep, one
+// LSQR step w = A x − α u, z = Aᴴ w in one sweep over the tile rows, and
+// its α = 0 case MulVecNormal. frozen.go keeps three more names, each a
+// forward to one of these, for the frozen benchmark.
 package tlr
 
 import (
@@ -86,9 +84,6 @@ type Matrix struct {
 	// scratchState holds the sweep's scratch free list (see
 	// scratch.go).
 	scratchState
-	// soaState holds the stacked split-plane factor layout, built on
-	// first SoA product; see soa.go.
-	soaState
 }
 
 // Options configures TLR compression.

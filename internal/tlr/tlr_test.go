@@ -422,6 +422,9 @@ func BenchmarkCompressNB16(b *testing.B) {
 	}
 }
 
+// TestMulVecBatchedMatchesReference holds the frozen forward
+// MulVecBatched to MulVec bit for bit at several worker counts: the
+// count is ignored.
 func TestMulVecBatchedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, dims := range [][2]int{{64, 64}, {53, 47}, {100, 70}} {
@@ -430,31 +433,62 @@ func TestMulVecBatchedMatchesReference(t *testing.T) {
 		x := dense.Random(rng, dims[1], 1).Data
 		yRef := make([]complex64, dims[0])
 		tm.MulVec(x, yRef)
-		yBat := make([]complex64, dims[0])
-		if err := tm.MulVecBatched(x, yBat, 4); err != nil {
-			t.Fatal(err)
-		}
-		diff := make([]complex64, dims[0])
-		for i := range diff {
-			diff[i] = yBat[i] - yRef[i]
-		}
-		if rel := cfloat.Nrm2(diff) / (1 + cfloat.Nrm2(yRef)); rel > 1e-5 {
-			t.Errorf("%v: batched path error %g", dims, rel)
+		for _, workers := range []int{0, 1, 4} {
+			yBat := make([]complex64, dims[0])
+			if err := tm.MulVecBatched(x, yBat, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(yBat, yRef) {
+				t.Errorf("%v: MulVecBatched at %d workers is not MulVec bit for bit", dims, workers)
+			}
 		}
 	}
 }
 
-func BenchmarkTLRMVMBatched256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := decayMatrix(rng, 256, 256)
-	tm, _ := Compress(a, Options{NB: 32, Tol: 1e-4})
-	x := dense.Random(rng, 256, 1).Data
-	y := make([]complex64, 256)
-	b.SetBytes(tm.CompressedBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tm.MulVecBatched(x, y, 0); err != nil {
-			b.Fatal(err)
-		}
+// TestBatchedSerialBelowThreshold pins that MulVecBatched never leaves
+// the caller's goroutine: at eight workers it is the sequential sweep,
+// with no goroutine and no closure, so no allocation once warm.
+func TestBatchedSerialBelowThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tm := compressOrDie(t, decayMatrix(rng, 40, 32), Options{NB: 8, Tol: 1e-4})
+	x, y := dense.Random(rng, tm.N, 1).Data, make([]complex64, tm.M)
+	if allocs := testing.AllocsPerRun(20, func() { _ = tm.MulVecBatched(x, y, 8) }); allocs != 0 {
+		t.Errorf("MulVecBatched at 8 workers allocates %v per product: it left the caller's goroutine", allocs)
 	}
+}
+
+// TestAoSProductsHoldOnlyARankSegment pins what a matrix keeps between
+// products: one segment of MaxRank elements and, in memory, no tile
+// scratch.
+func TestAoSProductsHoldOnlyARankSegment(t *testing.T) {
+	rng := rand.New(rand.NewSource(210))
+	m := compressOrDie(t, dense.Random(rng, 40, 33), Options{NB: 8, Tol: 1e-4})
+	x, y := make([]complex64, m.N), make([]complex64, m.M)
+	m.MulVec(x, y)
+	m.MulVecConjTrans(y, x)
+	if len(m.sweepFree) != 1 {
+		t.Fatalf("%d sweep sets in the free list after two sequential products, want the one they shared", len(m.sweepFree))
+	}
+	s := <-m.sweepFree
+	if len(s.seg) != m.MaxRank() || cap(s.seg) != m.MaxRank() {
+		t.Errorf("segment len %d cap %d, want MaxRank %d", len(s.seg), cap(s.seg), m.MaxRank())
+	}
+	if s.slots != nil || s.arena != nil {
+		t.Error("an in-memory matrix checked out tile slots")
+	}
+}
+
+func relErrC(got, want []complex64) float64 {
+	var num, den float64
+	for i := range want {
+		dr := float64(real(got[i]) - real(want[i]))
+		di := float64(imag(got[i]) - imag(want[i]))
+		num += dr*dr + di*di
+		wr, wi := float64(real(want[i])), float64(imag(want[i]))
+		den += wr*wr + wi*wi
+	}
+	if den == 0 {
+		return math.Sqrt(num)
+	}
+	return math.Sqrt(num / den)
 }

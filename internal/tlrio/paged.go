@@ -100,16 +100,16 @@ type PagedMatrix struct {
 	Tiles            []PagedTile
 }
 
-// TileRows and TileCols return the row/column extent of tile (i,j).
-func (pm *PagedMatrix) TileRows(i int) int { return min((i+1)*pm.NB, pm.M) - i*pm.NB }
-func (pm *PagedMatrix) TileCols(j int) int { return min((j+1)*pm.NB, pm.N) - j*pm.NB }
+// tileRows and tileCols return the row/column extent of tile (i,j).
+func (pm *PagedMatrix) tileRows(i int) int { return min((i+1)*pm.NB, pm.M) - i*pm.NB }
+func (pm *PagedMatrix) tileCols(j int) int { return min((j+1)*pm.NB, pm.N) - j*pm.NB }
 
 // TileBytes returns the decoded in-memory footprint of tile idx: U plus
 // V at 8 bytes per complex64 element — what a cache holding the decoded
 // tile pays, regardless of the on-disk tier.
 func (pm *PagedMatrix) TileBytes(idx int) int64 {
 	i, j := idx/pm.NT, idx%pm.NT
-	return int64(pm.TileRows(i)+pm.TileCols(j)) * int64(pm.Tiles[idx].Rank) * 8
+	return int64(pm.tileRows(i)+pm.tileCols(j)) * int64(pm.Tiles[idx].Rank) * 8
 }
 
 // payloadLen returns the encoded byte length of tile idx under its
@@ -118,9 +118,9 @@ func (pm *PagedMatrix) payloadLen(idx int) int {
 	i, j := idx/pm.NT, idx%pm.NT
 	k := pm.Tiles[idx].Rank
 	if pm.Tiles[idx].Format == precision.FP32 {
-		return (pm.TileRows(i) + pm.TileCols(j)) * k * 8
+		return (pm.tileRows(i) + pm.tileCols(j)) * k * 8
 	}
-	return 2*2 + (pm.TileRows(i)+pm.TileCols(j))*k*4
+	return 2*2 + (pm.tileRows(i)+pm.tileCols(j))*k*4
 }
 
 // WritePaged streams the kernel into the paged format. The index is
@@ -469,7 +469,7 @@ func (pf *PagedFile) readTile(mat, idx int, s *tlr.TileScratch, inPlace bool) (*
 		return nil, fmt.Errorf("tlrio: tile %d out of range", idx)
 	}
 	pt := pm.Tiles[idx]
-	rows, cols, k := pm.TileRows(idx/pm.NT), pm.TileCols(idx%pm.NT), pt.Rank
+	rows, cols, k := pm.tileRows(idx/pm.NT), pm.tileCols(idx%pm.NT), pt.Rank
 	n := 1 + (rows+cols)*k
 	if cap(s.Data) < n {
 		s.Data = make([]complex64, n)

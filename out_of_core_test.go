@@ -44,11 +44,10 @@ func outOfCoreKernel(t *testing.T) *tlrio.Kernel {
 // TestOutOfCoreStoreMatchesInMemory is the store-backed differential
 // pass: the seismic kernel written to a temp-dir page file, reopened,
 // and driven through every product path — MulVec, MulVecConjTrans,
-// MulVecStep, MulVecNormal, MulVecSoA and MulVecBatched — with a budget
-// small enough that half the tiles are streamed. Each path must agree
-// with its fully in-memory twin within the 1e-6 acceptance threshold;
-// the fp32 store decodes bit-identically, so the four sequential
-// products must in fact agree exactly and are compared with ==.
+// MulVecStep and MulVecNormal — with a budget small enough that half
+// the tiles are streamed. Each path must agree with its fully in-memory
+// twin within the 1e-6 acceptance threshold; the fp32 store decodes
+// bit-identically, so the step and the normal pass are compared with ==.
 func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 	k := outOfCoreKernel(t)
 	path := filepath.Join(t.TempDir(), "band.tlrp")
@@ -92,17 +91,6 @@ func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 			t.Errorf("freq %d MulVecConjTrans: store-backed rel err %g > 1e-6", f, e)
 		}
 		sameStep(t, fmt.Sprintf("freq %d", f), tm, ooc, x, xa)
-		tm.MulVecSoA(x, want)
-		ooc.MulVecSoA(x, got)
-		if e := testkit.RelErr(got, want); e > 1e-6 {
-			t.Errorf("freq %d MulVecSoA: store-backed rel err %g > 1e-6", f, e)
-		}
-		if err := ooc.MulVecBatched(x, got, 2); err != nil {
-			t.Fatal(err)
-		}
-		if e := testkit.RelErr(got, want); e > testkit.ExecTolerance(tm.N) {
-			t.Errorf("freq %d MulVecBatched: store-backed rel err %g", f, e)
-		}
 	}
 	stats := st.Stats()
 	// Evictions counts the reads that were not admitted
