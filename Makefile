@@ -20,7 +20,7 @@ FUZZ_TARGETS = \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build quickstart vet test race race-stress cpu-identity integration fuzz bench report report-check bench-e2e bench-e2e-compare lint repolint vuln cover
+.PHONY: all build quickstart vet test race race-stress cpu-identity integration fuzz bench report report-check bench-e2e bench-e2e-compare lint vuln cover
 
 all: vet build quickstart test
 
@@ -123,27 +123,18 @@ bench-e2e-compare:
 
 # ---- static analysis / vulnerability scan (mirrors CI lint/vuln jobs) ----
 # staticcheck and govulncheck are fetched by CI; locally they are used
-# only if already on PATH. repolint is this repo's own analyzer suite
-# (TESTING.md, "Static analysis suite") and needs no network: one
-# whole-module run covers every analyzer, test variants included.
-# `gofmt -l .` must list no file, analyzer fixtures included. The
-# s390x cross-vet type-checks the big-endian side of tlrio.LoadTile,
-# which no host here executes; the arm64 one the pure-Go Gemv and Axpy
-# loops (amd64 runs cfloat's SSE assembly instead) and the LSQR loops for a
-# target that fuses multiply-adds, where they are not run either.
+# only if already on PATH. The repo's whole-tree rules are census tests
+# that `go test ./...` runs (TESTING.md, "Census tests"), not a lint
+# step. `gofmt -l .` must list no file. The s390x cross-vet
+# type-checks the big-endian side of tlrio.LoadTile, which no host here
+# executes; the arm64 one the pure-Go Gemv and Axpy loops (amd64 runs
+# cfloat's SSE assembly instead) and the LSQR loops for a target that
+# fuses multiply-adds, where they are not run either.
 
-REPOLINT_SRCS := $(wildcard cmd/repolint/*.go internal/analysis/*.go)
-
-bin/repolint: $(REPOLINT_SRCS)
-	$(GO) build -o bin/repolint ./cmd/repolint
-
-repolint: bin/repolint
-
-lint: vet bin/repolint
+lint: vet
 	test -z "$$(gofmt -l .)"
 	GOARCH=s390x $(GO) vet ./internal/tlrio/ ./internal/opstore/ ./internal/tlr/
 	GOARCH=arm64 $(GO) vet ./internal/cfloat/ ./internal/lsqr/
-	./bin/repolint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -64,8 +64,6 @@ func Axpy(alpha complex64, x, y []complex64) {
 
 // axpyGo is Axpy's loop in Go: axpy on every GOARCH without an assembly
 // body and the reference the amd64 one is == to.
-//
-//lint:widen-ok set-up path (survey synthesis's P− = dA·R·Kᵀ, orthonormalisation under dense, CGLS, residual checks): gc's float64 complex product is kept, its bits are the synthetic survey's and feed pinned compression facts
 func axpyGo(alpha complex64, x, y []complex64) {
 	for i, v := range x {
 		y[i] += alpha * v
@@ -94,8 +92,6 @@ func Scal(alpha complex64, x []complex64) {
 // from merging a product into the subtract beside it. The norm is
 // accumulated in float64 in index order, exactly as Nrm2 would on a
 // second pass over t.
-//
-//lint:widen-ok deliberate float64 accumulation of the norm, as in Nrm2
 func ScaleSub(c float32, t []complex64, s float32, z []complex64) float64 {
 	z = z[:len(t)]
 	var ss float64
@@ -109,8 +105,6 @@ func ScaleSub(c float32, t []complex64, s float32, z []complex64) float64 {
 }
 
 // Dotc returns xᴴ y (x conjugated), accumulating in float64.
-//
-//lint:widen-ok deliberate float64 accumulation for numerical stability
 func Dotc(x, y []complex64) complex64 {
 	if len(x) != len(y) {
 		panic("cfloat: Dotc length mismatch")
@@ -129,8 +123,6 @@ func Dotc(x, y []complex64) complex64 {
 }
 
 // Nrm2 returns the Euclidean norm of x, accumulated in float64.
-//
-//lint:widen-ok deliberate float64 accumulation for numerical stability
 func Nrm2(x []complex64) float64 {
 	var s float64
 	for _, v := range x {
@@ -280,8 +272,6 @@ func axpby(alpha, s, beta, y complex64) complex64 {
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C with column-major storage.
 // A is used as op(A) of size m×k, B as op(B) of size k×n, C is m×n.
-//
-//lint:widen-ok set-up path (dense.Mul, the reconstructions): float64 accumulators and gc's float64 complex products are kept, their bits feed pinned compression facts
 func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b []complex64, ldb int, beta complex64, c []complex64, ldc int) {
 	if m < 0 || n < 0 || k < 0 || ldc < max(1, m) {
 		panic("cfloat: Gemm bad dimensions")
@@ -298,6 +288,9 @@ func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b 
 				c[j*ldc+i] *= beta
 			}
 		}
+	}
+	if k == 0 {
+		return // op(A)·op(B) is zero: a rank-0 tile's factors have no storage to read
 	}
 	// fast paths for the two layouts the pipeline hits hardest: plain
 	// products (dense.Mul) and Vᴴ·X panels (tlrmmm)

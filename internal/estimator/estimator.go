@@ -50,11 +50,12 @@ type Config struct {
 	// Iters is the LSQR iteration budget for the solve-stage
 	// prediction (0 skips solve amplification).
 	Iters int
-	// CondEst is an estimate of the operator's condition number, the
-	// solve-stage amplification factor (0 defaults to 10, the right
-	// order for the normal equations the pipeline solves).
-	CondEst float64
 }
+
+// condEst is the estimate of the operator's condition number that
+// amplifies the solve stage: 10 is the right order for the normal
+// equations the pipeline solves.
+const condEst = 10.0
 
 // Prediction carries the per-stage bounds and their composition. All
 // error quantities are relative 2-norm bounds; NMSE values are their
@@ -154,12 +155,8 @@ func Predict(cfg Config) (Prediction, error) {
 	p.RelErrBound = safety*(p.CompressErr+(p.QuantErr/2+eps32)*sqrtN) + p.ExecErr
 	p.NMSEBound = p.RelErrBound * p.RelErrBound
 
-	cond := cfg.CondEst
-	if cond <= 0 {
-		cond = 10
-	}
 	iters := float64(cfg.Iters)
-	p.SolveRelErrBound = math.Min(1, cond*(p.RelErrBound+eps32*math.Sqrt(n*iters)))
+	p.SolveRelErrBound = math.Min(1, condEst*(p.RelErrBound+eps32*math.Sqrt(n*iters)))
 	p.SolveNMSEBound = p.SolveRelErrBound * p.SolveRelErrBound
 	return p, nil
 }

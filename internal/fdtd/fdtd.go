@@ -19,6 +19,13 @@ import (
 	"repro/internal/fanout"
 )
 
+// The absorbing sponge: its thickness in cells (at most half the grid's
+// width) and its Cerjan damping strength.
+const (
+	spongeWidth = 30
+	spongeAlpha = 0.0015
+)
+
 // Grid describes the discretization.
 type Grid struct {
 	// NX, NZ are grid extents (x across, z down; z=0 is the free surface).
@@ -58,10 +65,6 @@ type Config struct {
 	Model Model
 	Src   Source
 	Recs  []Receiver
-	// SpongeWidth is the absorbing-layer thickness in cells (default 30).
-	SpongeWidth int
-	// SpongeAlpha is the Cerjan damping strength (default 0.0015).
-	SpongeAlpha float64
 	// Workers bounds the stencil parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -143,17 +146,7 @@ func Run(c Config) (*Result, error) {
 	}
 	g := c.Grid
 	nx, nz := g.NX, g.NZ
-	sw := c.SpongeWidth
-	if sw == 0 {
-		sw = 30
-	}
-	if sw > nx/2 {
-		sw = nx / 2
-	}
-	alpha := c.SpongeAlpha
-	if alpha == 0 {
-		alpha = 0.0015
-	}
+	sw := min(spongeWidth, nx/2)
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -182,7 +175,7 @@ func Run(c Config) (*Result, error) {
 			if iz >= nz-sw {
 				d = math.Max(d, float64(iz-(nz-sw-1)))
 			}
-			damp[iz*nx+ix] = math.Exp(-alpha * d * d)
+			damp[iz*nx+ix] = math.Exp(-spongeAlpha * d * d)
 		}
 	}
 

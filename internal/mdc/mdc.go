@@ -366,13 +366,9 @@ func (op *TimeOperator) Cols() int { return op.K.Cols() * op.Nt }
 // Apply implements lsqr.Operator. Its vector space (channels × Nt) does
 // not match the oracle matrix; it is covered by this package's reference,
 // round-trip and adjoint tests.
-//
-//lint:oracle-exempt time-domain wrapper over the registered FreqOperator
 func (op *TimeOperator) Apply(x, y []complex64) { op.run(x, y, forward) }
 
 // ApplyAdjoint implements lsqr.Operator; as Apply, over Kᴴ.
-//
-//lint:oracle-exempt time-domain wrapper over the registered FreqOperator
 func (op *TimeOperator) ApplyAdjoint(x, y []complex64) { op.run(x, y, adjoint) }
 
 // AnalyzeTime applies the S stage standalone: channel-major time traces
@@ -380,8 +376,6 @@ func (op *TimeOperator) ApplyAdjoint(x, y []complex64) { op.run(x, y, adjoint) }
 // out (nf × nchan) with the unitary forward scaling.
 //
 // Its unitarity is checked by this package's round-trip tests.
-//
-//lint:oracle-exempt DFT sampling stage, not an MVM path
 func (op *TimeOperator) AnalyzeTime(x, out []complex64, nchan int) {
 	if len(x) < nchan*op.Nt || len(out) < len(op.FreqIdx)*nchan {
 		panic("mdc: AnalyzeTime buffer too short")
@@ -394,8 +388,6 @@ func (op *TimeOperator) AnalyzeTime(x, out []complex64, nchan int) {
 // (nchan × Nt) with the unitary inverse scaling.
 //
 // Its unitarity is checked by this package's round-trip tests.
-//
-//lint:oracle-exempt DFT sampling stage, not an MVM path
 func (op *TimeOperator) SynthesizeTime(x, out []complex64, nchan int) {
 	if len(x) < len(op.FreqIdx)*nchan || len(out) < nchan*op.Nt {
 		panic("mdc: SynthesizeTime buffer too short")

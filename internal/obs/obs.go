@@ -311,17 +311,6 @@ func (s Snapshot) Counter(name string) int64 {
 	return 0
 }
 
-// Gauge returns the snapshotted value of the named gauge and whether it
-// was set.
-func (s Snapshot) Gauge(name string) (int64, bool) {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value, true
-		}
-	}
-	return 0, false
-}
-
 // TakeSnapshot copies the current state of every registered metric.
 // Metrics that never recorded anything are skipped so snapshots only
 // carry the stages a run actually exercised.

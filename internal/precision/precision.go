@@ -228,8 +228,6 @@ func Quantize(t *tlr.Matrix, p Policy) (*Quantized, error) {
 // subnormal range where relative precision collapses — so the values are
 // scaled into the normal range before rounding and scaled back after
 // (both steps exact in FP32 for power-of-two factors).
-//
-//lint:widen-ok power-of-two scaling is carried out exactly in float64
 func quantizeMatrix(a *dense.Matrix, f Format) *dense.Matrix {
 	out := dense.New(a.Rows, a.Cols)
 	if f == FP32 {

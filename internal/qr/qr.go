@@ -26,13 +26,13 @@ type Factorization struct {
 }
 
 // RRQR computes a rank-revealing QR with column pivoting, stopping when the
-// trailing column norms fall below tol·‖A‖F (relative) or after maxRank
-// columns (maxRank <= 0 means min(m,n)). It returns a truncated
-// factorization: Q is m×r, R is r×n (pivoted order), Piv the permutation.
-func RRQR(a *dense.Matrix, tol float64, maxRank int) *Factorization {
+// trailing column norms fall below tol·‖A‖F (relative). It returns a
+// truncated factorization: Q is m×r, R is r×n (pivoted order), Piv the
+// permutation.
+func RRQR(a *dense.Matrix, tol float64) *Factorization {
 	m, n := a.Rows, a.Cols
 	q := toC128(a)
-	r, kmax, piv, rank := pivoted(q, m, n, tol, maxRank)
+	r, kmax, piv, rank := pivoted(q, m, n, tol)
 	if rank == 0 {
 		rank = 1 // always return at least rank 1 so factors are usable
 		// column 0 may be zero; Q col is zero then, R row zero: still valid A≈QR
@@ -66,20 +66,17 @@ func Full(a *dense.Matrix) (q, r []complex128, piv []int) {
 		panic("qr: Full needs a tall or square matrix")
 	}
 	q = toC128(a)
-	r, _, piv, _ = pivoted(q, a.Rows, a.Cols, 0, 0)
+	r, _, piv, _ = pivoted(q, a.Rows, a.Cols, 0)
 	return q, r, piv
 }
 
 // pivoted runs the column-pivoted two-pass modified Gram–Schmidt on the
 // column-major m×n buffer q in place, leaving Q's columns in it. It stops
-// once the trailing column energy is at most tol²·‖A‖F² (never at tol 0)
-// or after maxRank columns (maxRank <= 0 means min(m,n)). R comes back
-// column-major with leading dimension kmax, its first rank rows filled.
-func pivoted(q []complex128, m, n int, tol float64, maxRank int) (r []complex128, kmax int, piv []int, rank int) {
+// once the trailing column energy is at most tol²·‖A‖F² (never at tol 0).
+// R comes back column-major with leading dimension kmax = min(m, n), its
+// first rank rows filled.
+func pivoted(q []complex128, m, n int, tol float64) (r []complex128, kmax int, piv []int, rank int) {
 	kmax = min(m, n)
-	if maxRank > 0 && maxRank < kmax {
-		kmax = maxRank
-	}
 	// working column norms (squared)
 	norms := make([]float64, n)
 	var total float64

@@ -20,7 +20,7 @@ func TestRRQRExactLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, r := range []int{1, 3, 7} {
 		a := dense.RandomLowRank(rng, 30, 25, r)
-		f := RRQR(a, 1e-6, 0)
+		f := RRQR(a, 1e-6)
 		if f.Rank() > r+1 {
 			t.Errorf("rank %d matrix revealed as rank %d", r, f.Rank())
 		}
@@ -35,7 +35,7 @@ func TestRRQRToleranceControlsError(t *testing.T) {
 	a := dense.RandomDecay(rng, 40, 40, 0.6)
 	prevRank := 0
 	for _, tol := range []float64{1e-1, 1e-2, 1e-4} {
-		f := RRQR(a, tol, 0)
+		f := RRQR(a, tol)
 		err := dense.RelError(f.Reconstruct(), a)
 		// error should be on the order of tol (allow 30x headroom: the
 		// column-pivot bound is not tight)
@@ -50,19 +50,10 @@ func TestRRQRToleranceControlsError(t *testing.T) {
 	}
 }
 
-func TestRRQRMaxRankCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := dense.Random(rng, 20, 20)
-	f := RRQR(a, 0, 5)
-	if f.Rank() != 5 {
-		t.Fatalf("maxRank=5 gave rank %d", f.Rank())
-	}
-}
-
 func TestRRQRPivotIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := dense.RandomDecay(rng, 15, 15, 0.5)
-	f := RRQR(a, 1e-3, 0)
+	f := RRQR(a, 1e-3)
 	seen := make(map[int]bool)
 	for _, p := range f.Piv {
 		if p < 0 || p >= 15 || seen[p] {
@@ -74,7 +65,7 @@ func TestRRQRPivotIsPermutation(t *testing.T) {
 
 func TestRRQRZeroMatrix(t *testing.T) {
 	a := dense.New(6, 6)
-	f := RRQR(a, 1e-4, 0)
+	f := RRQR(a, 1e-4)
 	if f.Rank() < 1 {
 		t.Fatal("rank must be at least 1")
 	}
@@ -87,7 +78,7 @@ func TestRRQRDiagonalDecreasing(t *testing.T) {
 	// |R(0,0)| >= |R(1,1)| >= ... is the rank-revealing property
 	rng := rand.New(rand.NewSource(8))
 	a := dense.RandomDecay(rng, 30, 30, 0.7)
-	f := RRQR(a, 1e-6, 0)
+	f := RRQR(a, 1e-6)
 	prev := math.Inf(1)
 	for i := 0; i < f.Rank(); i++ {
 		d := math.Hypot(float64(real(f.R.At(i, i))), float64(imag(f.R.At(i, i))))
@@ -105,7 +96,7 @@ func TestRRQRPropertyReconstruction(t *testing.T) {
 		n := 5 + rng.Intn(30)
 		r := 1 + rng.Intn(min(m, n)/2+1)
 		a := dense.RandomLowRank(rng, m, n, r)
-		fac := RRQR(a, 1e-5, 0)
+		fac := RRQR(a, 1e-5)
 		return dense.RelError(fac.Reconstruct(), a) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -116,7 +107,7 @@ func TestRRQRPropertyReconstruction(t *testing.T) {
 func TestTallSkinnyAndShortFat(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tall := dense.Random(rng, 100, 5)
-	f := RRQR(tall, 0, 0)
+	f := RRQR(tall, 0)
 	if f.Q.Cols != 5 || f.R.Rows != 5 {
 		t.Fatalf("thin QR shapes wrong: Q %dx%d R %dx%d", f.Q.Rows, f.Q.Cols, f.R.Rows, f.R.Cols)
 	}
@@ -127,7 +118,7 @@ func TestTallSkinnyAndShortFat(t *testing.T) {
 		t.Errorf("tall Q not orthonormal (%g)", oe)
 	}
 	fat := dense.Random(rng, 5, 100)
-	g := RRQR(fat, 0, 0)
+	g := RRQR(fat, 0)
 	if g.Q.Cols != 5 || g.R.Cols != 100 {
 		t.Fatalf("fat QR shapes wrong")
 	}
@@ -142,6 +133,6 @@ func BenchmarkRRQRTile70(b *testing.B) {
 	a := dense.RandomDecay(rng, 70, 70, 0.8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = RRQR(a, 1e-4, 0)
+		_ = RRQR(a, 1e-4)
 	}
 }

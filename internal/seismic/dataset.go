@@ -322,16 +322,6 @@ func greens(omega, dist, vel float64) complex128 {
 // NumFreqs returns the number of in-band frequency matrices.
 func (ds *Dataset) NumFreqs() int { return len(ds.Freqs) }
 
-// KernelBytes returns the total dense footprint of the K matrices —
-// the paper's 763 GB number at laptop scale.
-func (ds *Dataset) KernelBytes() int64 {
-	var b int64
-	for _, k := range ds.K {
-		b += k.Bytes()
-	}
-	return b
-}
-
 // Orderings holds the row and column permutations applied to the frequency
 // matrices before TLR compression (§4: distance-aware reordering).
 type Orderings struct {

@@ -117,13 +117,3 @@ func (m *VelocityModel) FDSection(nx, nz int, dx float64) []float64 {
 	}
 	return vel
 }
-
-// TwoWayTime converts depth to vertical two-way traveltime at inline x,
-// through water then substrate — used to convert the velocity model to the
-// time domain for Fig. 13.
-func (m *VelocityModel) TwoWayTime(x, z float64) float64 {
-	if z <= m.WaterDepth {
-		return 2 * z / m.WaterVel
-	}
-	return 2*m.WaterDepth/m.WaterVel + 2*(z-m.WaterDepth)/m.SubVel
-}

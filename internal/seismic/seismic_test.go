@@ -124,17 +124,6 @@ func TestVelocityAtStructure(t *testing.T) {
 	}
 }
 
-func TestTwoWayTime(t *testing.T) {
-	m := DefaultModel(300)
-	tw := m.TwoWayTime(0, 300)
-	if math.Abs(tw-2*300/1500.0) > 1e-12 {
-		t.Errorf("water TWT %g", tw)
-	}
-	if m.TwoWayTime(0, 800) <= tw {
-		t.Error("TWT must increase with depth")
-	}
-}
-
 func TestGenerateShapesAndBand(t *testing.T) {
 	ds := generateSmall(t)
 	ns, nr := 24, 15
@@ -573,14 +562,6 @@ func TestGenerateMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestKernelBytes(t *testing.T) {
-	ds := generateSmall(t)
-	want := int64(ds.NumFreqs()) * 24 * 15 * 8
-	if ds.KernelBytes() != want {
-		t.Errorf("KernelBytes %d want %d", ds.KernelBytes(), want)
 	}
 }
 

@@ -224,16 +224,21 @@ func TestOracleSeismicSlice(t *testing.T) {
 	}
 }
 
-// TestOracleDetectsOverTruncation breaks the compression by capping every
-// tile at rank 1 while claiming a 1e-6 accuracy: the tolerance derived
-// from the claimed acc cannot absorb the real error, so Check must fail.
-// This is the guarantee that later performance PRs cannot silently trade
+// TestOracleDetectsOverTruncation breaks the compression by truncating
+// one tile's factors to rank 1 while the oracle claims a 1e-6 accuracy:
+// the tolerance derived from the claimed acc cannot absorb the real
+// error, so Check must fail against the dense reference. This is the
+// guarantee that later performance changes cannot silently trade
 // accuracy away.
 func TestOracleDetectsOverTruncation(t *testing.T) {
 	a := Mat(NewRNG(21), 40, 40)
-	o := oracleCase(t, a, Config{TLROpts: tlr.Options{NB: 10, Tol: 1e-6, MaxRank: 1}})
-	if err := o.Check(NewRNG(22), 2); err == nil {
-		t.Fatal("oracle accepted a rank-1 truncation of a full-rank matrix")
+	o := oracleCase(t, a, Config{TLROpts: tlr.Options{NB: 10, Tol: 1e-6}})
+	tile := o.T.Tile(1, 1)
+	tile.U = dense.FromSlice(tile.U.Rows, 1, tile.U.Col(0))
+	tile.V = dense.FromSlice(tile.V.Rows, 1, tile.V.Col(0))
+	err := o.Check(NewRNG(22), 2)
+	if err == nil || !strings.Contains(err.Error(), "deviates from dense reference") {
+		t.Fatalf("oracle accepted a rank-1 truncation of a full-rank tile: %v", err)
 	}
 }
 

@@ -133,6 +133,36 @@ func storeBackedTwin(t *testing.T, tm *tlr.Matrix) *tlr.Matrix {
 	return ooc
 }
 
+// TestReconstructZeroRankTiles rebuilds a literal matrix whose second
+// tile row and third tile column have rank 0, so their factors hold no
+// storage: the rank-0 blocks must come back zero and the rest must be the
+// factors' product, so the dense matrix applies as the three-phase
+// schedule does.
+func TestReconstructZeroRankTiles(t *testing.T) {
+	rng := testkit.NewRNG(150)
+	tm := literalMatrix(rng, 30, 27, 8, func(i, j int) int {
+		if i == 1 || j == 2 {
+			return 0
+		}
+		return 1 + (i+2*j)%5
+	})
+	a := tm.Reconstruct()
+	for i := 0; i < tm.M; i++ {
+		for j := 0; j < tm.N; j++ {
+			if (i/8 == 1 || j/8 == 2) && a.At(i, j) != 0 {
+				t.Fatalf("entry (%d, %d) of a rank-0 tile is %v", i, j, a.At(i, j))
+			}
+		}
+	}
+	x := testkit.Vec(rng, tm.N)
+	got, want := make([]complex64, tm.M), make([]complex64, tm.M)
+	a.MulVec(x, got)
+	threePhase(tm, false, x, want)
+	if e := testkit.RelErr(got, want); e > 1e-5 {
+		t.Errorf("reconstruction applies %g from the three-phase product", e)
+	}
+}
+
 // TestBatchedMatchesSequentialAcrossShapes drives the four MulVec*
 // products (it began as the MulVecBatched-only shape sweep and keeps the
 // name) over the degenerate tile-grid shapes: MulVec and MulVecConjTrans

@@ -15,19 +15,13 @@ func (t *Matrix) EnsureSoA() {}
 
 // MulVecSoA is MulVec. Kept only because frozen bench/ names it; goes
 // with ROADMAP 2a(iv)/2(b).
-//
-//lint:oracle-exempt forward to MulVec, which the oracle registers; kept only for frozen bench/
 func (t *Matrix) MulVecSoA(x, y []complex64) { t.MulVec(x, y) }
 
 // MulVecConjTransSoA is MulVecConjTrans. Kept only because frozen bench/
 // names it; goes with ROADMAP 2a(iv)/2(b).
-//
-//lint:oracle-exempt forward to MulVecConjTrans, which the oracle registers; kept only for frozen bench/
 func (t *Matrix) MulVecConjTransSoA(x, y []complex64) { t.MulVecConjTrans(x, y) }
 
 // MulVecBatched is MulVec; workers is ignored and the error is always
 // nil. Kept only because frozen bench/ names it; goes with ROADMAP
 // 2a(iv)/2(b).
-//
-//lint:oracle-exempt forward to MulVec, which the oracle registers; kept only for frozen bench/
 func (t *Matrix) MulVecBatched(x, y []complex64, _ int) error { t.MulVec(x, y); return nil }

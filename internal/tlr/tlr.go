@@ -94,8 +94,6 @@ type Options struct {
 	Tol float64
 	// Method selects the compressor (default SVD).
 	Method Method
-	// MaxRank caps per-tile rank (0 = no cap).
-	MaxRank int
 	// Workers sets the compression parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -171,14 +169,10 @@ func compressTile(block *dense.Matrix, opts Options) *Tile {
 	switch opts.Method {
 	case MethodSVD:
 		d := svd.Decompose(block)
-		k := d.Rank(opts.Tol)
-		if opts.MaxRank > 0 && k > opts.MaxRank {
-			k = opts.MaxRank
-		}
-		u, v := d.Truncate(k)
+		u, v := d.Truncate(d.Rank(opts.Tol))
 		return &Tile{U: u, V: v}
 	case MethodRRQR:
-		f := qr.RRQR(block, opts.Tol, opts.MaxRank)
+		f := qr.RRQR(block, opts.Tol)
 		// A P = Q R ⇒ A ≈ Q (R Pᵀ); store U = Q, V = (R Pᵀ)ᴴ
 		r := f.R
 		vp := dense.New(block.Cols, f.Rank())

@@ -241,15 +241,6 @@ func TestRanksMap(t *testing.T) {
 	}
 }
 
-func TestMaxRankCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := dense.Random(rng, 64, 64) // full-rank noise
-	tm := compressOrDie(t, a, Options{NB: 16, Tol: 1e-8, MaxRank: 5})
-	if tm.MaxRank() > 5 {
-		t.Errorf("MaxRank option violated: %d", tm.MaxRank())
-	}
-}
-
 func TestCompressValidation(t *testing.T) {
 	a := dense.New(8, 8)
 	if _, err := Compress(a, Options{NB: 0, Tol: 1e-4}); err == nil {
