@@ -55,14 +55,14 @@ race-stress:
 	$(GO) test -race -count=2 -run '^(TestStress|TestCancel|TestStreamFollowsRunningJob$$|TestFailedBuildIsRebuilt$$|TestColdBuildSharesSurvey$$)' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/ ./internal/mddserve/ ./internal/mddclient/
 
 # worker-count bit-identity where GOMAXPROCS is not the host's: every
-# compressor's build at 1, 2 and 4 workers, the S / Sᴴ stages
-# against the channel-at-a-time reference at 1, 2, 4 and 8, the LSQR
-# step of FreqOperator and whole solves against their composed route at
-# 1, 2, 4 and 8, the time-domain solve against the frequency-domain
-# solve plus one synthesis (dense and TLR kernels),
+# compressor's build at GOMAXPROCS 1, 2 and 4, the S / Sᴴ stages
+# against the channel-at-a-time reference at 1, 2, 4 and 8 workers, the
+# LSQR step of FreqOperator and whole solves against their composed route
+# at 1, 2, 4 and 8 workers, the time-domain solve against the
+# frequency-domain solve plus one synthesis (dense and TLR kernels),
 # store-backed products against in-memory ones at three budgets, and the
 # synthesized survey (K, Rtrue, P−) against its pair-by-pair evaluation
-# at 1, 2 and 4 workers, on one and on four Ps
+# at GOMAXPROCS 1, 2 and 4; each test runs on one and on four Ps
 cpu-identity:
 	$(GO) test -race -cpu 1,4 -run '^TestCompressAccuracyAllMethods$$' ./internal/tlr/
 	$(GO) test -race -cpu 1,4 -run '^(TestTimeStagesMatchReference|TestFreqOperatorStepMatchesComposition|TestSolveStepRouteMatchesComposed)$$' ./internal/mdc/

@@ -128,7 +128,7 @@ func fig13(iters int, outDir string) {
 		vss[ix] = g.ReceiverIndex(ix, iy)
 	}
 	fmt.Printf("inverting %d virtual sources in parallel (the paper uses 177 across 708 GPUs)...\n", len(vss))
-	sols, err := pipe.Problem.InvertLine(vss, lsqr.Options{MaxIters: iters}, 0)
+	sols, err := pipe.Problem.InvertLine(vss, lsqr.Options{MaxIters: iters})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func faultDemo(w io.Writer, opts seismic.Options, iters, shards int, schedule st
 	}
 	inj := fault.NewInjector(sched)
 	op.Intercept = fault.Shard(inj)
-	wrapped := fault.WrapOperator(op, inj, "op")
+	wrapped := fault.WrapOperator(op, inj)
 
 	obs.Enable()
 	obs.Reset()
@@ -288,8 +288,8 @@ func storeDemo(w io.Writer, opts seismic.Options, storePath string, budget int64
 		return err
 	}
 	pv := pipe.Provenance
-	fmt.Fprintf(w, "operator: %v ordering, nb=%d, acc=%g, %v compressor, storage tiers %+v\n",
-		pv.Ordering, pv.TileSize, pv.Accuracy, pv.Method, pv.Policy)
+	fmt.Fprintf(w, "operator: %v ordering, nb=%d, acc=%g, storage tiers %+v\n",
+		pv.Ordering, pv.TileSize, pv.Accuracy, pv.Policy)
 	fmt.Fprintf(w, "store: %s | page file %d B | compressed operator %d B | cache budget %d B (%.0f%% of operator)\n",
 		storePath, info.Size(), pv.CompressedBytes, pv.StoreBudget, 100*float64(pv.StoreBudget)/float64(pv.CompressedBytes))
 

@@ -1,5 +1,5 @@
 // Command mddserve runs the MDD pipeline as an HTTP service: compression
-// footprint jobs, batched TLR-MVM jobs, and fault-tolerant MDD inversion
+// footprint jobs, TLR-MVM jobs, and fault-tolerant MDD inversion
 // jobs are multiplexed onto a pool of simulated CS-2 shard runners with
 // bounded-queue admission control, per-tenant concurrency limits, and
 // NDJSON residual streaming.

@@ -38,7 +38,7 @@ func main() {
 		vss = append(vss, g.ReceiverIndex(ix, iy))
 	}
 	t0 = time.Now()
-	sols, err := pipe.Problem.InvertLine(vss, lsqr.Options{MaxIters: 30}, 0)
+	sols, err := pipe.Problem.InvertLine(vss, lsqr.Options{MaxIters: 30})
 	if err != nil {
 		log.Fatal(err)
 	}

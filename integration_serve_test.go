@@ -426,7 +426,7 @@ func testBadPayloadRejects(t *testing.T) {
 }
 
 func testOversizedJobRejects(t *testing.T) {
-	st := newStack(t, mddserve.Config{MaxNt: 64, MaxIters: 10})
+	st := newStack(t, mddserve.Config{MaxNt: 64})
 
 	d := serveDataset()
 	d.Nt = 128 // structurally valid, over this server's cap
@@ -436,7 +436,7 @@ func testOversizedJobRejects(t *testing.T) {
 	}
 
 	_, err = st.client.Submit(ctx(t), mddserve.JobSpec{
-		Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 50,
+		Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 501, // one past the 500-iteration cap
 	})
 	wantAPIError(t, err, http.StatusRequestEntityTooLarge, mddserve.CodeTooLarge)
 

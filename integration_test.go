@@ -62,7 +62,7 @@ func TestEndToEndPipelineStages(t *testing.T) {
 	// serialize to the paged format and reload through a store whose
 	// budget holds the whole operator
 	var buf bytes.Buffer
-	if err := tlrio.WritePaged(&buf, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}, tlrio.PagedOptions{}); err != nil {
+	if err := tlrio.WritePaged(&buf, &tlrio.Kernel{Freqs: hds.Freqs, Mats: tk.Mats}, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := opstore.OpenBytes(buf.Bytes(), tk.Bytes())

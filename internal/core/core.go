@@ -44,10 +44,6 @@ type PipelineOptions struct {
 	// value = defaults: 12×8 sources, 10×6 receivers, 256 samples at 4 ms,
 	// 45 Hz band). Survey.Build takes the survey's instead.
 	Dataset seismic.Options
-	// Ordering selects the row/column reordering before compression
-	// (zero value Hilbert, the paper's choice). Survey.Build takes the
-	// survey's instead.
-	Ordering sfc.Order
 	// Dense skips compression and runs MDD against the dense kernel (the
 	// baseline).
 	Dense bool
@@ -55,8 +51,6 @@ type PipelineOptions struct {
 	TileSize int
 	// Accuracy is the tile tolerance acc (default 1e-4).
 	Accuracy float64
-	// Method selects the tile compressor (default SVD).
-	Method tlr.Method
 }
 
 // Pipeline holds a reordered dataset and its (compressed) kernel, ready
@@ -76,10 +70,11 @@ type Pipeline struct {
 
 // Provenance records which choices produced a Pipeline's operator.
 type Provenance struct {
-	// PipelineOptions are the build options as applied: Dataset and
-	// Ordering are the survey's, TileSize and Accuracy have their
-	// defaults filled in.
+	// PipelineOptions are the build options as applied: Dataset is the
+	// survey's, TileSize and Accuracy have their defaults filled in.
 	PipelineOptions
+	// Ordering is the survey's row/column reordering.
+	Ordering sfc.Order
 	// Policy is the storage-tier policy of the tile store and StoreBudget
 	// its resident-byte budget; nil and 0 while the kernel is in memory.
 	Policy      precision.Policy
@@ -155,10 +150,11 @@ func compose(from, to []int) []int {
 	return q
 }
 
-// BuildPipeline generates and reorders the survey, then builds the
-// pipeline on it.
+// BuildPipeline generates the survey, reorders it along the Hilbert
+// curve (the paper's choice), then builds the pipeline on it; NewSurvey
+// chooses another ordering.
 func BuildPipeline(opts PipelineOptions) (*Pipeline, error) {
-	sv, err := NewSurvey(opts.Dataset, opts.Ordering)
+	sv, err := NewSurvey(opts.Dataset, sfc.Hilbert)
 	if err != nil {
 		return nil, err
 	}
@@ -166,10 +162,10 @@ func BuildPipeline(opts PipelineOptions) (*Pipeline, error) {
 }
 
 // Build compresses the survey's kernel and binds the MDD problem over
-// sv.DS without copying it. opts.Dataset and opts.Ordering are not read:
-// the pipeline was built on the survey's, and its Provenance says so.
+// sv.DS without copying it. opts.Dataset is not read: the pipeline was
+// built on the survey's, and its Provenance says so.
 func (sv *Survey) Build(opts PipelineOptions) (*Pipeline, error) {
-	opts.Dataset, opts.Ordering = sv.Dataset, sv.Ordering
+	opts.Dataset = sv.Dataset
 	dk, err := mdc.NewDenseKernel(sv.DS.K)
 	if err != nil {
 		return nil, err
@@ -183,17 +179,15 @@ func (sv *Survey) Build(opts PipelineOptions) (*Pipeline, error) {
 		if opts.Accuracy == 0 {
 			opts.Accuracy = 1e-4
 		}
-		pipe.Kernel, err = mdc.CompressKernel(dk, tlr.Options{
-			NB: opts.TileSize, Tol: opts.Accuracy, Method: opts.Method,
-		})
+		pipe.Kernel, err = mdc.CompressKernel(dk, tlr.Options{NB: opts.TileSize, Tol: opts.Accuracy})
 		if err != nil {
 			return nil, fmt.Errorf("core: compressing kernel: %w", err)
 		}
 		kernel = pipe.Kernel
 	}
 	pipe.Provenance = Provenance{
-		PipelineOptions: opts,
-		DenseBytes:      dk.Bytes(), CompressedBytes: kernel.Bytes(),
+		PipelineOptions: opts, Ordering: sv.Ordering,
+		DenseBytes: dk.Bytes(), CompressedBytes: kernel.Bytes(),
 		rows: dk.Rows(), cols: dk.Cols(),
 	}
 	pipe.Problem, err = mdd.NewProblem(sv.DS, kernel)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/dense"
@@ -48,7 +47,11 @@ func TestExplicitNaturalOrderingIsHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := BuildPipeline(PipelineOptions{Dataset: smallDataset(), Ordering: sfc.Natural, TileSize: 4})
+	sv, err := NewSurvey(smallDataset(), sfc.Natural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := sv.Build(PipelineOptions{TileSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +101,12 @@ func TestSurveyReorderMatchesNewSurvey(t *testing.T) {
 // when its options say otherwise, sharing the survey's dataset.
 func TestProvenanceRecordsTheSurvey(t *testing.T) {
 	opts := smallDataset()
-	pipe, err := BuildPipeline(PipelineOptions{Dataset: opts, Ordering: sfc.Morton, TileSize: 4})
+	pipe, err := BuildPipeline(PipelineOptions{Dataset: opts, TileSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pv := pipe.Provenance; pv.Dataset != opts || pv.Ordering != sfc.Morton {
-		t.Errorf("BuildPipeline records dataset %+v ordering %v, want %+v and morton", pv.Dataset, pv.Ordering, opts)
+	if pv := pipe.Provenance; pv.Dataset != opts || pv.Ordering != sfc.Hilbert {
+		t.Errorf("BuildPipeline records dataset %+v ordering %v, want %+v and hilbert", pv.Dataset, pv.Ordering, opts)
 	}
 
 	sv, err := NewSurvey(opts, sfc.Natural)
@@ -111,7 +114,7 @@ func TestProvenanceRecordsTheSurvey(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nb := range []int{4, 8} {
-		pipe, err := sv.Build(PipelineOptions{Dataset: serveDataset(), Ordering: sfc.Hilbert, TileSize: nb})
+		pipe, err := sv.Build(PipelineOptions{Dataset: serveDataset(), TileSize: nb})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,37 +195,6 @@ func TestRunMDDValidatesVS(t *testing.T) {
 	}
 	if _, err := pipe.RunMDD(1000, 10); err == nil {
 		t.Error("out-of-range vs should fail")
-	}
-}
-
-// TestBuildPipelineRRQRMethod checks that PipelineOptions.Method reaches
-// the compressor: every tile of the build is the one tlr.Compress gives
-// with MethodRRQR, and the provenance records it.
-func TestBuildPipelineRRQRMethod(t *testing.T) {
-	pipe, err := BuildPipeline(PipelineOptions{
-		Dataset: smallDataset(), TileSize: 4, Accuracy: 1e-3,
-		Method: tlr.MethodRRQR,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pipe.Provenance.Method.String(); got != "rrqr" {
-		t.Errorf("Provenance.Method = %s, want rrqr", got)
-	}
-	for f, k := range pipe.DS.K {
-		want, err := tlr.Compress(k, tlr.Options{NB: 4, Tol: 1e-3, Method: tlr.MethodRRQR})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx, tile := range pipe.Kernel.Mats[f].Tiles {
-			w := want.Tiles[idx]
-			if !slices.Equal(tile.U.Data, w.U.Data) || !slices.Equal(tile.V.Data, w.V.Data) {
-				t.Fatalf("frequency %d tile %d differs from tlr.Compress with MethodRRQR", f, idx)
-			}
-		}
-	}
-	if _, err := pipe.RunMDD(0, 10); err != nil {
-		t.Fatal(err)
 	}
 }
 

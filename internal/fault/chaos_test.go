@@ -76,7 +76,7 @@ func TestChaosShardDeathsConverge(t *testing.T) {
 	inj.Sleep = func(time.Duration) {}
 	op := shardedOp(t, k, shards)
 	op.Intercept = fault.Shard(inj)
-	wrapped := fault.WrapOperator(op, inj, "op")
+	wrapped := fault.WrapOperator(op, inj)
 
 	obs.Enable()
 	obs.Reset()
@@ -145,7 +145,7 @@ func TestZeroFaultScheduleBitIdentical(t *testing.T) {
 	inj := fault.NewInjector(nil) // empty schedule
 	op := shardedOp(t, k, shards)
 	op.Intercept = fault.Shard(inj)
-	out, err := mdd.InvertResilient(fault.WrapOperator(op, inj, "op"), b, mdd.ResilientOptions{
+	out, err := mdd.InvertResilient(fault.WrapOperator(op, inj), b, mdd.ResilientOptions{
 		LSQR:               lsqr.Options{MaxIters: iters},
 		CheckpointInterval: 3,
 	})

@@ -24,21 +24,19 @@ func corrupt(y []complex64) {
 }
 
 // Operator wraps a FallibleOperator with fault injection on whole
-// forward/adjoint products (one injector invocation per product) —
-// the layer that exercises solver checkpoint/resume.
+// forward/adjoint products (one invocation of injector target "op" per
+// product) — the layer that exercises solver checkpoint/resume.
 type Operator struct {
 	Op  lsqr.FallibleOperator
 	Inj *Injector
-	// Target is the injector stream name, default "op".
-	Target string
 }
 
-// WrapOperator attaches inj to op under the given target name.
-func WrapOperator(op lsqr.FallibleOperator, inj *Injector, target string) *Operator {
-	if target == "" {
-		target = "op"
-	}
-	return &Operator{Op: op, Inj: inj, Target: target}
+// opTarget is the injector stream name of whole products.
+const opTarget = "op"
+
+// WrapOperator attaches inj to op under target "op".
+func WrapOperator(op lsqr.FallibleOperator, inj *Injector) *Operator {
+	return &Operator{Op: op, Inj: inj}
 }
 
 // Rows implements lsqr.FallibleOperator.
@@ -49,7 +47,7 @@ func (o *Operator) Cols() int { return o.Op.Cols() }
 
 // Apply implements lsqr.FallibleOperator with injection.
 func (o *Operator) Apply(x, y []complex64) error {
-	dec := o.Inj.Advance(o.Target)
+	dec := o.Inj.Advance(opTarget)
 	if dec.Err != nil {
 		return dec.Err
 	}
@@ -64,7 +62,7 @@ func (o *Operator) Apply(x, y []complex64) error {
 
 // ApplyAdjoint implements lsqr.FallibleOperator with injection.
 func (o *Operator) ApplyAdjoint(x, y []complex64) error {
-	dec := o.Inj.Advance(o.Target)
+	dec := o.Inj.Advance(opTarget)
 	if dec.Err != nil {
 		return dec.Err
 	}

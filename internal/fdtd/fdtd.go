@@ -65,8 +65,6 @@ type Config struct {
 	Model Model
 	Src   Source
 	Recs  []Receiver
-	// Workers bounds the stencil parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Result holds recorded traces.
@@ -147,10 +145,7 @@ func Run(c Config) (*Result, error) {
 	g := c.Grid
 	nx, nz := g.NX, g.NZ
 	sw := min(spongeWidth, nx/2)
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 
 	p := make([]float64, nx*nz)
 	vx := make([]float64, nx*nz)

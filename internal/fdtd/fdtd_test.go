@@ -2,6 +2,7 @@ package fdtd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/seismic"
@@ -199,17 +200,18 @@ func TestSeparationUpgoingReflection(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: the strip-parallel run at GOMAXPROCS 8 is
+// bit for bit the serial one at GOMAXPROCS 1.
 func TestParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	nt := 150
-	c1 := homogeneousConfig(nt)
-	c1.Workers = 1
-	r1, err := Run(c1)
+	runtime.GOMAXPROCS(1)
+	r1, err := Run(homogeneousConfig(nt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c8 := homogeneousConfig(nt)
-	c8.Workers = 8
-	r8, err := Run(c8)
+	runtime.GOMAXPROCS(8)
+	r8, err := Run(homogeneousConfig(nt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,9 @@ type Checkpoint struct {
 	// X, U, V, W are the solution estimate and the bidiagonalization /
 	// search-direction vectors.
 	X, U, V, W []complex64
-	// Alpha, PhiBar, RhoBar, Anorm, Ddnorm, Bnorm are the scalar
-	// recurrence state.
-	Alpha, PhiBar, RhoBar, Anorm, Ddnorm, Bnorm float64
+	// Alpha, PhiBar, RhoBar, Anorm, Bnorm are the scalar recurrence
+	// state.
+	Alpha, PhiBar, RhoBar, Anorm, Bnorm float64
 	// History is the residual norm after each completed iteration.
 	History []float64
 }
@@ -92,10 +92,10 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 	}
 
 	var (
-		x, u, v, w                                  []complex64
-		alpha, phiBar, rhoBar, anorm, ddnorm, bnorm float64
-		start                                       int
-		last                                        *Checkpoint
+		x, u, v, w                          []complex64
+		alpha, phiBar, rhoBar, anorm, bnorm float64
+		start                               int
+		last                                *Checkpoint
 	)
 	res := &Result{}
 	if resume != nil {
@@ -108,7 +108,7 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		v = append([]complex64(nil), resume.V...)
 		w = append([]complex64(nil), resume.W...)
 		alpha, phiBar, rhoBar = resume.Alpha, resume.PhiBar, resume.RhoBar
-		anorm, ddnorm, bnorm = resume.Anorm, resume.Ddnorm, resume.Bnorm
+		anorm, bnorm = resume.Anorm, resume.Bnorm
 		start = resume.Iter
 		last = resume
 		res.Iters = resume.Iter
@@ -185,8 +185,7 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		// update x and w
 		t1 := phi / rho
 		t2 := -theta / rho
-		xx, ww := updateXW(x, w, v, float32(t1), float32(t2))
-		ddnorm += (1 / rho) * (1 / rho) * float64(float32(ww))
+		xx := updateXW(x, w, v, float32(t1), float32(t2))
 
 		// phiBar = ‖r‖: it starts at ‖b‖ and each rotation scales it by
 		// sn ≥ 0
@@ -218,7 +217,7 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 				V:     append([]complex64(nil), v...),
 				W:     append([]complex64(nil), w...),
 				Alpha: alpha, PhiBar: phiBar, RhoBar: rhoBar,
-				Anorm: anorm, Ddnorm: ddnorm, Bnorm: bnorm,
+				Anorm: anorm, Bnorm: bnorm,
 				History: append([]float64(nil), res.ResidualHistory...),
 			}
 			if cfg.OnCheckpoint != nil {
@@ -261,16 +260,15 @@ func updateV(z []complex64, beta float64, v []complex64) float64 {
 
 // The solver's vector work runs in the operator's own precision: a real
 // scalar times a complex64 is two float32 multiplies (cfloat.ScaleSub,
-// updateXW), and each update returns the float64 sum of squares of what
-// it just wrote, accumulated in index order exactly as cfloat.Nrm2 and
-// Dotc would on a second pass over the vector. The float32 conversions
+// updateXW), and each update returns the float64 sum of squares of the
+// vector it steps (ScaleSub's result, updateXW's x), accumulated in index
+// order exactly as cfloat.Nrm2 and Dotc would on a second pass over it. The float32 conversions
 // mark the roundings, so an FMA-fusing target cannot merge a product
 // into the add beside it.
 
 // updateXW steps the solution and the search direction, x += t1·w then
-// w = v + t2·w, and returns ‖x‖² and ‖w‖² for the stopping test and the
-// ‖D‖ recurrence.
-func updateXW(x, w, v []complex64, t1, t2 float32) (xx, ww float64) {
+// w = v + t2·w, and returns ‖x‖² for the stopping test.
+func updateXW(x, w, v []complex64, t1, t2 float32) (xx float64) {
 	x, v = x[:len(w)], v[:len(w)]
 	for i, wi := range w {
 		xr := real(x[i]) + float32(t1*real(wi))
@@ -280,7 +278,6 @@ func updateXW(x, w, v []complex64, t1, t2 float32) (xx, ww float64) {
 		wim := imag(v[i]) + float32(t2*imag(wi))
 		w[i] = complex(wr, wim)
 		xx += float64(xr)*float64(xr) + float64(xi)*float64(xi)
-		ww += float64(wr)*float64(wr) + float64(wim)*float64(wim)
 	}
-	return xx, ww
+	return xx
 }

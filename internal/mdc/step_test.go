@@ -29,14 +29,14 @@ func stepKernels(t *testing.T, nf, rows, cols int) map[string]*TLRKernel {
 	freqs := make([]float64, nf)
 	for f := range mats {
 		var err error
-		if mats[f], err = tlr.Compress(dense.Random(rng, rows, cols), tlr.Options{NB: 8, Tol: 1e-3, Workers: 1}); err != nil {
+		if mats[f], err = tlr.Compress(dense.Random(rng, rows, cols), tlr.Options{NB: 8, Tol: 1e-3}); err != nil {
 			t.Fatal(err)
 		}
 		freqs[f] = float64(f + 1)
 	}
 	mem := &TLRKernel{Mats: mats}
 	var buf bytes.Buffer
-	if err := tlrio.WritePaged(&buf, &tlrio.Kernel{Freqs: freqs, Mats: mats}, tlrio.PagedOptions{PageSize: 256}); err != nil {
+	if err := tlrio.WritePaged(&buf, &tlrio.Kernel{Freqs: freqs, Mats: mats}, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := opstore.OpenBytes(buf.Bytes(), mem.Bytes()/4)

@@ -101,13 +101,13 @@ func (p *Problem) Invert(vs int, opts lsqr.Options) (*Solution, error) {
 	return &Solution{VS: vs, X: res.X, LSQR: res}, nil
 }
 
-// InvertLine solves many virtual sources in parallel — the embarrassingly
-// parallel structure the paper exploits across 708 GPUs (§6.4). workers
-// <= 0 uses GOMAXPROCS.
-func (p *Problem) InvertLine(vss []int, opts lsqr.Options, workers int) ([]*Solution, error) {
+// InvertLine solves many virtual sources in parallel on GOMAXPROCS
+// workers — the embarrassingly parallel structure the paper exploits
+// across 708 GPUs (§6.4).
+func (p *Problem) InvertLine(vss []int, opts lsqr.Options) ([]*Solution, error) {
 	sols := make([]*Solution, len(vss))
 	errs := make([]error, len(vss))
-	fanout.Do(len(vss), workers, func(_, i int) {
+	fanout.Do(len(vss), 0, func(_, i int) {
 		sols[i], errs[i] = p.Invert(vss[i], opts)
 	})
 	for _, err := range errs {

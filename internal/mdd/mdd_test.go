@@ -1,6 +1,7 @@
 package mdd
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -155,11 +156,12 @@ func TestLooserToleranceDegradesSolution(t *testing.T) {
 
 func TestInvertLineParallelMatchesSequential(t *testing.T) {
 	suite.VerifyNoLeaks(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ds := testDataset(t)
 	p := denseProblem(t, ds)
 	vss := []int{0, 3, 7, 11}
 	opts := lsqr.Options{MaxIters: 15}
-	sols, err := p.InvertLine(vss, opts, 4)
+	sols, err := p.InvertLine(vss, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

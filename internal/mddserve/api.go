@@ -10,11 +10,11 @@ import "fmt"
 // JobType selects which stage of the paper's pipeline a job runs.
 type JobType string
 
-// The three job types: Compress runs TLR compression of one frequency
-// slice and reports the footprint; TLRMVM runs repeated batched TLR
-// matrix-vector products over the compressed slice; MDD runs a full
-// fault-tolerant multi-dimensional-deconvolution inversion for one
-// virtual source.
+// The three job types: Compress reports the footprint of the whole
+// compressed kernel (every frequency); TLRMVM runs repeated TLR
+// matrix-vector products (MulVec) over the compressed middle frequency
+// slice; MDD runs a full fault-tolerant multi-dimensional-deconvolution
+// inversion for one virtual source.
 const (
 	JobCompress JobType = "compress"
 	JobTLRMVM   JobType = "tlrmvm"
@@ -80,7 +80,7 @@ type JobSpec struct {
 // JobResult is the terminal payload of a successful job. Fields are
 // populated per job type.
 type JobResult struct {
-	// Compress: kernel footprint of the compressed middle slice.
+	// Compress: footprint of the whole kernel, dense and compressed.
 	CompressionRatio float64 `json:"compression_ratio,omitempty"`
 	DenseBytes       int64   `json:"dense_bytes,omitempty"`
 	CompressedBytes  int64   `json:"compressed_bytes,omitempty"`

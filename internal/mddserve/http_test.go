@@ -198,7 +198,7 @@ func FuzzSubmit(f *testing.F) {
 			return a >= 2 && b >= 2 && p.Cmp(big.NewInt(int64(limit))) <= 0
 		}
 		if !within(d.NsX, d.NsY, caps.MaxSources) || !within(d.NrX, d.NrY, caps.MaxReceivers) ||
-			d.Nt > caps.MaxNt || spec.Iters > caps.MaxIters || spec.Reps > caps.MaxReps {
+			d.Nt > caps.MaxNt || spec.Iters > maxIters || spec.Reps > maxReps {
 			t.Fatalf("accepted %+v past the caps", *spec)
 		}
 	})

@@ -157,7 +157,7 @@ func contains(s, sub string) bool {
 // and wraps into range (to 0, to -1, to MinInt); the cap must still
 // hold.
 func TestSizeCaps(t *testing.T) {
-	cfg := Config{MaxSources: 8, MaxReceivers: 9, MaxNt: 32, MaxIters: 5, MaxReps: 5}.withDefaults()
+	cfg := Config{MaxSources: 8, MaxReceivers: 9, MaxNt: 32}.withDefaults()
 	grid := func(nsx, nsy, nrx, nry int) func(*JobSpec) {
 		return func(s *JobSpec) { s.Dataset.NsX, s.Dataset.NsY, s.Dataset.NrX, s.Dataset.NrY = nsx, nsy, nrx, nry }
 	}
@@ -173,8 +173,8 @@ func TestSizeCaps(t *testing.T) {
 		{"nrx with overflowing nry", grid(2, 2, 3, 3), grid(2, 2, 1<<32, 1<<32), "receiver"},
 		{"nry with overflowing nrx", grid(2, 2, 3, 3), grid(2, 2, 2, 1<<62), "receiver"},
 		{"nt", func(s *JobSpec) { s.Dataset.Nt = 32 }, func(s *JobSpec) { s.Dataset.Nt = 33 }, "nt"},
-		{"iters", func(s *JobSpec) { s.Iters = 5 }, func(s *JobSpec) { s.Iters = 6 }, "iteration"},
-		{"reps", func(s *JobSpec) { s.Reps = 5 }, func(s *JobSpec) { s.Reps = 6 }, "rep"},
+		{"iters", func(s *JobSpec) { s.Iters = maxIters }, func(s *JobSpec) { s.Iters = maxIters + 1 }, "iteration"},
+		{"reps", func(s *JobSpec) { s.Reps = maxReps }, func(s *JobSpec) { s.Reps = maxReps + 1 }, "rep"},
 	}
 	for _, tc := range cases {
 		at := JobSpec{Type: JobMDD, Dataset: DatasetSpec{NsX: 2, NsY: 2, NrX: 3, NrY: 3, Nt: 16}}

@@ -79,14 +79,12 @@ type Config struct {
 	// PerTenantInflight bounds one tenant's queued+running jobs
 	// (default 8); exceeding it rejects with 429/tenant_limit.
 	PerTenantInflight int
-	// MaxSources, MaxReceivers, MaxNt, MaxIters, MaxReps cap job sizes;
-	// oversize specs reject with 413/too_large. Defaults 512, 256, 512,
-	// 500, 1000.
+	// MaxSources, MaxReceivers, MaxNt cap job sizes, as maxIters and
+	// maxReps do; oversize specs reject with 413/too_large. Defaults 512,
+	// 256, 512.
 	MaxSources   int
 	MaxReceivers int
 	MaxNt        int
-	MaxIters     int
-	MaxReps      int
 	// Faults, when non-empty, attaches a fresh deterministic injector
 	// with this schedule to every mdd job's sharded execution — the
 	// chaos-over-HTTP hook. Shard targets ("shard0"…) fire on the
@@ -131,14 +129,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxNt <= 0 {
 		c.MaxNt = 512
 	}
-	if c.MaxIters <= 0 {
-		c.MaxIters = 500
-	}
-	if c.MaxReps <= 0 {
-		c.MaxReps = 1000
-	}
 	return c
 }
+
+// maxIters and maxReps cap a job's LSQR iterations and tlrmvm
+// repetitions.
+const (
+	maxIters = 500
+	maxReps  = 1000
+)
 
 // validateSize applies the admission size caps to a structurally valid
 // spec; a non-nil error means 413. Each grid factor is compared with
@@ -155,11 +154,11 @@ func (c Config) validateSize(s *JobSpec) error {
 	if d.Nt > c.MaxNt {
 		return fmt.Errorf("nt %d exceeds the %d-sample cap", d.Nt, c.MaxNt)
 	}
-	if s.Iters > c.MaxIters {
-		return fmt.Errorf("%d iterations exceeds the %d-iteration cap", s.Iters, c.MaxIters)
+	if s.Iters > maxIters {
+		return fmt.Errorf("%d iterations exceeds the %d-iteration cap", s.Iters, maxIters)
 	}
-	if s.Reps > c.MaxReps {
-		return fmt.Errorf("%d reps exceeds the %d-rep cap", s.Reps, c.MaxReps)
+	if s.Reps > maxReps {
+		return fmt.Errorf("%d reps exceeds the %d-rep cap", s.Reps, maxReps)
 	}
 	return nil
 }
@@ -605,7 +604,7 @@ func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built) (*JobResult
 			inj.Sleep = s.cfg.FaultSleep
 		}
 		sop.Intercept = fault.Shard(inj)
-		op = fault.WrapOperator(sop, inj, "op")
+		op = fault.WrapOperator(sop, inj)
 	}
 	op = &ctxOperator{ctx: j.ctx, op: op}
 

@@ -89,7 +89,7 @@ func WriteFile(path string, k *tlrio.Kernel, pol precision.Policy) error {
 	if err != nil {
 		return err
 	}
-	if err := tlrio.WritePaged(f, k, tlrio.PagedOptions{Policy: pol}); err != nil {
+	if err := tlrio.WritePaged(f, k, pol); err != nil {
 		f.Close()
 		os.Remove(path)
 		return err

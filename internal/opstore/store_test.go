@@ -53,7 +53,7 @@ func testStore(t *testing.T, budget int64, pol precision.Policy) (*Store, *tlrio
 		k.Mats = append(k.Mats, tm)
 	}
 	var buf bytes.Buffer
-	if err := tlrio.WritePaged(&buf, k, tlrio.PagedOptions{PageSize: 256, Policy: pol}); err != nil {
+	if err := tlrio.WritePaged(&buf, k, pol); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenBytes(buf.Bytes(), budget)

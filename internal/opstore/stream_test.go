@@ -62,7 +62,7 @@ func mixedRanks(nb int) func(i, j int) int {
 func pagedImage(t testing.TB, k *tlrio.Kernel, pol precision.Policy) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tlrio.WritePaged(&buf, k, tlrio.PagedOptions{PageSize: 256, Policy: pol}); err != nil {
+	if err := tlrio.WritePaged(&buf, k, pol); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

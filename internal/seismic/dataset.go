@@ -41,25 +41,26 @@ type Dataset struct {
 	DArea float64
 }
 
-// Options configures dataset synthesis.
+// Options configures dataset synthesis. The velocity model is always
+// DefaultModel(Geom.RecDepth); the band starts at fMin and the
+// water-layer multiple series stops after nMultiples terms.
 type Options struct {
 	// Geom is the acquisition geometry (DefaultGeometry if zero).
 	Geom Geometry
-	// Model is the velocity model (DefaultModel(Geom.RecDepth) if nil).
-	Model *VelocityModel
 	// Wavelet is the source spectrum (FlatWavelet{Fmax: 45} if nil).
 	Wavelet Wavelet
 	// Nt, Dt define the time axis (1126 samples at 4 ms scaled down to
 	// 256 at 4 ms by default).
 	Nt int
 	Dt float64
-	// FMin drops near-DC bins below it (default 2 Hz).
-	FMin float64
-	// NMultiples truncates the water-layer multiple series (default 3).
-	NMultiples int
-	// Workers parallelizes frequency synthesis (0 = GOMAXPROCS).
-	Workers int
 }
+
+const (
+	// fMin drops the near-DC bins below it (Hz).
+	fMin = 2.0
+	// nMultiples truncates the water-layer multiple series.
+	nMultiples = 3
+)
 
 // DemoOptions returns the calibrated laptop-scale configuration used by
 // the examples and figure benchmarks: 24×14 sources over 20×12 seafloor
@@ -91,15 +92,9 @@ func Generate(opts Options) (*Dataset, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	model := opts.Model
-	if model == nil {
-		model = DefaultModel(g.RecDepth)
-	}
+	model := DefaultModel(g.RecDepth)
 	if err := model.Validate(); err != nil {
 		return nil, err
-	}
-	if model.WaterDepth != g.RecDepth {
-		return nil, fmt.Errorf("seismic: model water depth %g != receiver depth %g", model.WaterDepth, g.RecDepth)
 	}
 	wav := opts.Wavelet
 	if wav == nil {
@@ -119,31 +114,17 @@ func Generate(opts Options) (*Dataset, error) {
 	if !(dt > 0) || math.IsInf(dt, 1) {
 		return nil, fmt.Errorf("seismic: Dt %g s, want a positive finite sampling interval", dt)
 	}
-	fmin := opts.FMin
-	if fmin == 0 {
-		fmin = 2
-	}
-	if math.IsNaN(fmin) {
-		return nil, fmt.Errorf("seismic: FMin is NaN")
-	}
-	nmul := opts.NMultiples
-	if nmul == 0 {
-		nmul = 3
-	}
-	if nmul < 0 {
-		return nil, fmt.Errorf("seismic: NMultiples %d is negative", nmul)
-	}
 	axis := fft.FreqAxis(nt, dt)
 	var freqs []float64
 	var idx []int
 	for k, f := range axis {
-		if f >= fmin && f <= wav.MaxFreq() {
+		if f >= fMin && f <= wav.MaxFreq() {
 			freqs = append(freqs, f)
 			idx = append(idx, k)
 		}
 	}
 	if len(freqs) == 0 {
-		return nil, fmt.Errorf("seismic: no frequencies in band [%g, %g] Hz", fmin, wav.MaxFreq())
+		return nil, fmt.Errorf("seismic: no frequencies in band [%g, %g] Hz", fMin, wav.MaxFreq())
 	}
 	ds := &Dataset{
 		Geom: g, Model: model, Wavelet: wav,
@@ -155,8 +136,8 @@ func Generate(opts Options) (*Dataset, error) {
 		DArea:  g.Dx * g.Dy,
 	}
 	off := newOffsetTable(g)
-	fanout.Do(len(freqs), opts.Workers, func(_, fi int) {
-		ds.synthesizeFrequency(fi, nmul, off)
+	fanout.Do(len(freqs), 0, func(_, fi int) {
+		ds.synthesizeFrequency(fi, off)
 	})
 	return ds, nil
 }
@@ -226,7 +207,7 @@ func axisOffsets(ns, nr int, src, rec func(int) float64) (dist []float64, idx []
 // bits, fused or not), so K is bit for bit that evaluation's. P− is one
 // cfloat.Axpy per (s, v): gc's complex64 product, float32 accumulation
 // over v in order, zero terms skipped.
-func (ds *Dataset) synthesizeFrequency(fi, nmul int, off *offsetTable) {
+func (ds *Dataset) synthesizeFrequency(fi int, off *offsetTable) {
 	g := ds.Geom
 	f := ds.Freqs[fi]
 	omega := 2 * math.Pi * f
@@ -251,7 +232,7 @@ func (ds *Dataset) synthesizeFrequency(fi, nmul int, off *offsetTable) {
 			h2 := dx*dx + dy*dy
 			var acc complex128
 			bounce := 1.0
-			for m := 0; m <= nmul; m++ {
+			for m := 0; m <= nMultiples; m++ {
 				extra := 2 * float64(m) * zw
 				dDir := math.Sqrt(h2 + (rz-zs+extra)*(rz-zs+extra))
 				dGho := math.Sqrt(h2 + (rz+zs+extra)*(rz+zs+extra))

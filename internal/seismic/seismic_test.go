@@ -2,6 +2,7 @@ package seismic
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -183,20 +184,12 @@ func TestMDCRelationHoldsExactly(t *testing.T) {
 }
 
 func TestDowngoingContainsMultiples(t *testing.T) {
-	// with more multiple terms the kernel changes: the series is active
-	o := smallOptions()
-	o.NMultiples = 1
-	ds1, err := Generate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.NMultiples = 4
-	ds4, err := Generate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi := ds1.NumFreqs() / 2
-	if dense.RelError(ds1.K[fi], ds4.K[fi]) < 1e-6 {
+	// K differs from its direct + ghost terms alone: the water-layer
+	// multiple series is active
+	ds := generateSmall(t)
+	fi := ds.NumFreqs() / 2
+	direct, _, _ := oracleSynthesize(ds, fi, 0)
+	if dense.RelError(ds.K[fi], direct) < 1e-6 {
 		t.Error("multiple series has no effect on K")
 	}
 }
@@ -248,14 +241,10 @@ func TestTimeSeriesSpectrumRoundTrip(t *testing.T) {
 }
 
 func TestDirectArrivalTime(t *testing.T) {
-	// The direct water-path arrival for a co-located source/receiver pair
-	// must appear near t = (zw − zs)/c.
-	o := smallOptions()
-	o.NMultiples = 0 // direct + ghost only
-	ds, err := Generate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// In the kernel Generate builds (direct wave, ghost and three
+	// water-layer multiples), the strongest arrival for a co-located
+	// source/receiver pair is the direct water path, near t = (zw − zs)/c.
+	ds := generateSmall(t)
 	r := ds.Geom.ReceiverIndex(2, 1)
 	s := ds.nearestSource(r)
 	spec := make([]complex64, len(ds.FreqIdx))
@@ -374,8 +363,8 @@ func TestGenerateValidation(t *testing.T) {
 		want string // a substring of the error
 	}{
 		{"negative spacing", func(o *Options) { o.Geom.Dx = -1 }, "spacing"},
-		{"depth mismatch", func(o *Options) { o.Model = DefaultModel(500) }, "water depth"},
-		{"empty band", func(o *Options) { o.FMin = 100 }, "no frequencies"},
+		{"nonpositive water depth", func(o *Options) { o.Geom.SrcDepth, o.Geom.RecDepth = -20, -10 }, "water depth"},
+		{"empty band", func(o *Options) { o.Wavelet = FlatWavelet{Fmax: 1} }, "no frequencies"},
 		{"NaN Dx", func(o *Options) { o.Geom.Dx = nan }, "Dx"},
 		{"+Inf Dx", func(o *Options) { o.Geom.Dx = inf }, "Dx"},
 		{"NaN Dy", func(o *Options) { o.Geom.Dy = nan }, "Dy"},
@@ -384,12 +373,10 @@ func TestGenerateValidation(t *testing.T) {
 		{"-Inf SrcDepth", func(o *Options) { o.Geom.SrcDepth = -inf }, "SrcDepth"},
 		{"NaN RecDepth", func(o *Options) { o.Geom.RecDepth = nan }, "RecDepth"},
 		{"+Inf RecDepth", func(o *Options) { o.Geom.RecDepth = inf }, "RecDepth"},
-		{"negative NMultiples", func(o *Options) { o.NMultiples = -1 }, "NMultiples"},
 		{"negative Nt", func(o *Options) { o.Nt = -8 }, "Nt"},
 		{"NaN Dt", func(o *Options) { o.Dt = nan }, "Dt"},
 		{"negative Dt", func(o *Options) { o.Dt = -0.004 }, "Dt"},
 		{"+Inf Dt", func(o *Options) { o.Dt = inf }, "Dt"},
-		{"NaN FMin", func(o *Options) { o.FMin = nan }, "FMin"},
 	} {
 		o := smallOptions()
 		tc.edit(&o)
@@ -496,10 +483,10 @@ func sameMatrixBits(a, b *dense.Matrix) (i, j int, ok bool) {
 // TestGenerateMatchesReference holds Generate — K from one Green's sum
 // per distinct offset pair, P− through cfloat.Axpy — to the pair-by-pair
 // evaluation bit for bit (float32 bits, signed zeros included), every
-// frequency, at 1, 2 and 4 workers: on the serve-mix hot geometry (16×12
-// sources over 12×8 receivers, 20 m), on half-cell receiver offsets
-// (NsX − NrX and NsY − NrY odd), on a 12.3 × 7.7 m grid, with 1 and 5
-// multiples, and with a Ricker wavelet. It also holds the offset table
+// frequency, at GOMAXPROCS 1, 2 and 4: on the serve-mix hot geometry
+// (16×12 sources over 12×8 receivers, 20 m), on half-cell receiver
+// offsets (NsX − NrX and NsY − NrY odd), on a 12.3 × 7.7 m grid, and
+// with a Ricker wavelet. It also holds the offset table
 // to every pair's own |sx − rx| and |sy − ry| to the float64 bit: on the
 // 12.3 × 7.7 m grid 5 of the 6 lattice-offset classes along x hold more
 // than one distinct |sx − rx|, and 4 of 5 along y, so keying the table
@@ -510,17 +497,15 @@ func TestGenerateMatchesReference(t *testing.T) {
 	geom := func(nsx, nsy, nrx, nry int, dx, dy float64) Geometry {
 		return Geometry{NsX: nsx, NsY: nsy, NrX: nrx, NrY: nry, Dx: dx, Dy: dy, SrcDepth: 10, RecDepth: 300}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {
 		name string
 		opts Options
-		nmul int // the multiple count Generate resolves opts.NMultiples to
 	}{
-		{"serve-mix hot", Options{Geom: geom(16, 12, 12, 8, 20, 20), Nt: 32, Dt: 0.004}, 3},
-		{"half-cell offsets", Options{Geom: geom(9, 6, 4, 3, 20, 20), Nt: 64, Dt: 0.004}, 3},
-		{"12.3 x 7.7 m", Options{Geom: geom(9, 7, 4, 4, 12.3, 7.7), Nt: 64, Dt: 0.004}, 3},
-		{"1 multiple", Options{Geom: geom(6, 4, 5, 3, 20, 20), Nt: 64, Dt: 0.004, NMultiples: 1}, 1},
-		{"5 multiples", Options{Geom: geom(6, 4, 5, 3, 12.3, 20), Nt: 64, Dt: 0.004, NMultiples: 5}, 5},
-		{"Ricker", Options{Geom: geom(7, 5, 4, 2, 20, 20), Nt: 64, Dt: 0.004, Wavelet: RickerWavelet{F0: 12}}, 3},
+		{"serve-mix hot", Options{Geom: geom(16, 12, 12, 8, 20, 20), Nt: 32, Dt: 0.004}},
+		{"half-cell offsets", Options{Geom: geom(9, 6, 4, 3, 20, 20), Nt: 64, Dt: 0.004}},
+		{"12.3 x 7.7 m", Options{Geom: geom(9, 7, 4, 4, 12.3, 7.7), Nt: 64, Dt: 0.004}},
+		{"Ricker", Options{Geom: geom(7, 5, 4, 2, 20, 20), Nt: 64, Dt: 0.004, Wavelet: RickerWavelet{F0: 12}}},
 	} {
 		g := tc.opts.Geom
 		off := newOffsetTable(g)
@@ -538,16 +523,15 @@ func TestGenerateMatchesReference(t *testing.T) {
 			}
 		}
 		var want [3][]*dense.Matrix
-		for _, workers := range []int{1, 2, 4} {
-			o := tc.opts
-			o.Workers = workers
-			ds, err := Generate(o)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			ds, err := Generate(tc.opts)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			if want[0] == nil {
 				for fi := range ds.Freqs {
-					k, r, pm := oracleSynthesize(ds, fi, tc.nmul)
+					k, r, pm := oracleSynthesize(ds, fi, nMultiples)
 					want[0] = append(want[0], k)
 					want[1] = append(want[1], r)
 					want[2] = append(want[2], pm)
@@ -556,8 +540,8 @@ func TestGenerateMatchesReference(t *testing.T) {
 			for fi := range ds.Freqs {
 				for m, got := range [3]*dense.Matrix{ds.K[fi], ds.Rtrue[fi], ds.Pminus[fi]} {
 					if i, j, ok := sameMatrixBits(got, want[m][fi]); !ok {
-						t.Fatalf("%s, %d workers, f=%g Hz: %s[%d,%d] = %v, the pair-by-pair evaluation gives %v",
-							tc.name, workers, ds.Freqs[fi], [3]string{"K", "Rtrue", "P−"}[m], i, j, got.At(i, j), want[m][fi].At(i, j))
+						t.Fatalf("%s, GOMAXPROCS %d, f=%g Hz: %s[%d,%d] = %v, the pair-by-pair evaluation gives %v",
+							tc.name, procs, ds.Freqs[fi], [3]string{"K", "Rtrue", "P−"}[m], i, j, got.At(i, j), want[m][fi].At(i, j))
 					}
 				}
 			}

@@ -36,7 +36,7 @@ const (
 func hotPathMatrix() (*tlr.Matrix, error) {
 	rng := NewRNG(7)
 	a := DecayMat(rng, hotM, hotN, 0.5)
-	return tlr.Compress(a, tlr.Options{NB: hotNB, Tol: 1e-4, Workers: 1})
+	return tlr.Compress(a, tlr.Options{NB: hotNB, Tol: 1e-4})
 }
 
 // hotPaths returns the runtime allocation-budget registry. Every entry

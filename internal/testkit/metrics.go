@@ -111,7 +111,7 @@ func MVMTolerance(n int, acc float64, f precision.Format) float64 {
 
 // ExecTolerance bounds the disagreement between two implementations of
 // the SAME compressed operator that differ only in float summation order
-// (sequential vs parallel vs batched vs the wsesim four-real-MVM path):
+// (TLR-MVM vs the MDC operator vs the wsesim four-real-MVM path):
 // a multiple of fp32 roundoff growing with the reduction length.
 func ExecTolerance(n int) float64 {
 	eps32 := math.Ldexp(1, -24)

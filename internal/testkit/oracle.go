@@ -279,7 +279,7 @@ func storeBacked(t *tlr.Matrix, pol precision.Policy, budget int64) (*tlr.Matrix
 func pagedStore(t *tlr.Matrix, pol precision.Policy, budget int64) (*opstore.Store, error) {
 	var img bytes.Buffer
 	k := &tlrio.Kernel{Freqs: []float64{0}, Mats: []*tlr.Matrix{t}}
-	if err := tlrio.WritePaged(&img, k, tlrio.PagedOptions{Policy: pol}); err != nil {
+	if err := tlrio.WritePaged(&img, k, pol); err != nil {
 		return nil, err
 	}
 	return opstore.OpenBytes(img.Bytes(), budget)

@@ -8,9 +8,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,12 +22,13 @@ import (
 	"testing"
 )
 
-// Three whole-tree rules that guard the paper's arithmetic and the
-// replayability of the tests. The first two type-check the tree from
-// source with the standard library alone; the third is syntactic. Each
-// rule that has exceptions keeps them in a table keyed by function,
-// with the reason, and a row that no longer excuses anything fails its
-// test: delete the row, or move it to what it now excuses.
+// Four whole-tree rules that guard the paper's arithmetic, the
+// replayability of the tests, and the option surface. All but
+// TestRandIsSeeded, which is syntactic, type-check the tree with the
+// standard library alone. Each rule that has exceptions keeps them in a
+// table keyed by function or field, with the reason, and a row that no
+// longer excuses anything fails its test: delete the row, or move it to
+// what it now excuses.
 
 // moduleRoot is the repository root seen from this package's directory.
 var moduleRoot = filepath.Join("..", "..")
@@ -50,14 +55,41 @@ func checkPackage(t *testing.T, rel string) (*types.Package, []*ast.File, *types
 	for _, name := range bp.GoFiles {
 		srcs = append(srcs, filepath.Join(dir, name))
 	}
-	return check(t, "repro/"+rel, srcs, nil)
+	_, imp := srcImporter()
+	return check(t, imp, "repro/"+rel, srcs, nil)
 }
 
-// check parses and type-checks one package: the named files, or, when
-// src is set, src as the package's only file.
-func check(t *testing.T, pkgPath string, names []string, src any) (*types.Package, []*ast.File, *types.Info) {
+// exportImporter imports packages from the compiler's export data, which
+// the go command lists for the module and its dependencies (building
+// what its cache lacks): a whole-tree check then type-checks only the
+// files it reads, not every dependency from source again.
+var exportImporter = sync.OnceValues(func() (types.Importer, error) {
+	cmd := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...")
+	cmd.Dir = moduleRoot
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		exports[path] = file
+	}
+	fset, _ := srcImporter()
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	}), nil
+})
+
+// check parses and type-checks one package, resolving its imports
+// through imp (nil for a package that imports nothing): the named files,
+// or, when src is set, src as the package's only file.
+func check(t *testing.T, imp types.Importer, pkgPath string, names []string, src any) (*types.Package, []*ast.File, *types.Info) {
 	t.Helper()
-	fset, imp := srcImporter()
+	fset, _ := srcImporter()
 	var files []*ast.File
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
@@ -67,9 +99,10 @@ func check(t *testing.T, pkgPath string, names []string, src any) (*types.Packag
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	pkg, err := (&types.Config{Importer: imp}).Check(pkgPath, fset, files, info)
 	if err != nil {
@@ -170,7 +203,7 @@ func f(x []float32, z []complex64, a complex64) (s float64) {
 	return s + float64(x[0])
 }
 `
-	_, files, info := check(t, "planted", []string{"planted.go"}, planted)
+	_, files, info := check(t, nil, "planted", []string{"planted.go"}, planted)
 	got := map[string][]string{}
 	if loops := loopWidenings(files, info, got); loops != 1 || len(got["p.f"]) != 3 {
 		t.Fatalf("planted package: %d loops, findings %q; want 1 loop and 3 findings in p.f", loops, got)
@@ -314,7 +347,7 @@ type inner struct{}
 
 func (inner) MulVec(x, y []complex64) {}
 `
-	pkg, _, _ := check(t, "planted", []string{"planted.go"}, planted)
+	pkg, _, _ := check(t, nil, "planted", []string{"planted.go"}, planted)
 	if eps := entryPoints(pkg); len(eps) != 1 || funcKey(eps[0]) != "p.Matrix.MulVecFast" {
 		t.Fatalf("planted package: entry points %v, want exactly p.Matrix.MulVecFast", eps)
 	}
@@ -562,4 +595,208 @@ func nondetSeed(arg ast.Expr, callee func(*ast.CallExpr) (string, string)) (pos 
 		return what == ""
 	})
 	return pos, what
+}
+
+// optionExempt lists the option fields no non-test file sets that stay
+// settable, with the reason.
+var optionExempt = map[string]string{
+	"batch.ShardOptions.MaxAttempts": "the TestCancel* wakeup tests and TestChaosStickyDeathFailoverCounts build their schedules from it",
+	"batch.ShardOptions.DeathAfter":  "the TestCancel* wakeup tests and TestChaosStickyDeathFailoverCounts build their schedules from it",
+	"mddclient.Options.MaxAttempts":  "the load tests retry 100–200 times and the probe once",
+	"mddclient.Options.Backoff":      "the TestCancel* tests set an hour to prove that the context arm ends the wait",
+	"mddclient.Options.MaxBackoff":   "the TestCancel* tests set an hour to prove that the context arm ends the wait",
+	"mddclient.Options.PollInterval": "the TestCancel* tests set an hour to prove that the context arm ends the wait",
+	"mddclient.Options.Sleep":        "test clock",
+	"mddserve.Config.FaultSleep":     "test clock",
+	"mddserve.Config.BackoffSleep":   "test clock",
+	"tlr.Options.Method":             "RRQR, the compressor ablation ROADMAP keeps (EXPERIMENTS.md, \"Retired compressors\")",
+}
+
+// TestEveryOptionHasACaller keeps each option earning its place: every
+// exported field of an exported struct type named *Options or *Config,
+// outside internal/testkit, is set — by a keyed composite-literal
+// element or an assignment — in some non-test file of the module outside
+// examples/ and internal/testkit (cmd/ and bench/ count), unless
+// optionExempt excuses it. An assignment inside the declaring package is
+// that package filling in its default, not a caller choosing a value. A
+// field no caller sets is a constant every caller already gets.
+func TestEveryOptionHasACaller(t *testing.T) {
+	const planted = `package p
+
+import "net/http"
+
+type RunOptions struct {
+	Literal, Defaulted, Unset int
+	hidden                    int
+}
+
+type Config struct{ A, B int }
+
+type runConfig struct{ Unset int }
+
+type client struct{ http.Client }
+
+func (o *RunOptions) withDefaults() {
+	if o.Defaulted == 0 {
+		o.Defaulted = 1
+	}
+}
+
+func f(c *client) {
+	_ = RunOptions{Literal: 1}
+	_ = []*Config{{1, 2}}
+	c.Timeout++
+}
+`
+	imp, err := exportImporter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, files, info := check(t, imp, "planted", []string{"planted.go"}, planted)
+	fields, set := map[string]token.Pos{}, map[string]bool{}
+	ntypes := optionFields(pkg, fields)
+	optionSets(files, info, pkg.Path(), set)
+	unset := unsetOptions(fields, set)
+	if ntypes != 2 || len(fields) != 5 || !slices.Equal(unset, []string{"p.RunOptions.Defaulted", "p.RunOptions.Unset"}) || !set["http.Client.Timeout"] {
+		t.Fatalf("planted package: %d types, %d fields, unset %q, http.Client.Timeout set %v; want 2 types, 5 fields, p.RunOptions.Defaulted and Unset unset, Timeout set",
+			ntypes, len(fields), unset, set["http.Client.Timeout"])
+	}
+
+	fields, set, ntypes = map[string]token.Pos{}, map[string]bool{}, 0
+	err = filepath.WalkDir(moduleRoot, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(p, moduleRoot+string(filepath.Separator)))
+		if p != moduleRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) ||
+			rel == "examples" || rel == "internal/testkit" {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(p, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		var srcs []string
+		for _, name := range bp.GoFiles {
+			srcs = append(srcs, filepath.Join(p, name))
+		}
+		pkg, files, info := check(t, imp, "repro/"+rel, srcs, nil)
+		ntypes += optionFields(pkg, fields)
+		optionSets(files, info, pkg.Path(), set)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ntypes < 14 || len(fields) < 60 {
+		t.Fatalf("found %d option fields in %d types; the tree has more — is the root right?", len(fields), ntypes)
+	}
+	t.Logf("%d option fields in %d types", len(fields), ntypes)
+	found := map[string][]string{}
+	for _, key := range unsetOptions(fields, set) {
+		found[key] = []string{fmt.Sprintf("%s: option %s is set by no non-test file outside examples/ and internal/testkit; make it the constant every caller gets, or add it to optionExempt with the reason", where(fields[key]), key)}
+	}
+	checkExemptions(t, "optionExempt", found, optionExempt)
+}
+
+// optionFields adds every exported field of pkg's exported struct types
+// named *Options or *Config to fields, keyed "pkg.Type.Field", and
+// returns how many such types pkg has.
+func optionFields(pkg *types.Package, fields map[string]token.Pos) (ntypes int) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || obj.IsAlias() || !obj.Exported() || !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") {
+			continue
+		}
+		st, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		ntypes++
+		for i := range st.NumFields() {
+			if f := st.Field(i); f.Exported() {
+				fields[optionKey(obj, f.Name())] = f.Pos()
+			}
+		}
+	}
+	return ntypes
+}
+
+func optionKey(typ *types.TypeName, field string) string {
+	return typ.Pkg().Name() + "." + typ.Name() + "." + field
+}
+
+// optionSets marks in set the key of every struct field that a
+// composite-literal element, an assignment or an increment in files sets
+// (a promoted field under the struct that declares it). The files are
+// package self's, and its assignments to its own types' fields are its
+// defaults, so they are skipped.
+func optionSets(files []*ast.File, info *types.Info, self string, set map[string]bool) {
+	assigned := func(lhs ast.Expr) {
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		s := info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return
+		}
+		typ := s.Recv()
+		for depth, i := range s.Index() {
+			named := namedOf(typ)
+			if named == nil {
+				return
+			}
+			f := named.Underlying().(*types.Struct).Field(i)
+			if depth == len(s.Index())-1 && named.Obj().Pkg().Path() != self {
+				set[optionKey(named.Obj(), f.Name())] = true
+			}
+			typ = f.Type()
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				named := namedOf(info.TypeOf(n))
+				if named == nil {
+					return true
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i, elt := range n.Elts {
+					name := st.Field(i).Name()
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						name = kv.Key.(*ast.Ident).Name
+					}
+					set[optionKey(named.Obj(), name)] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					assigned(lhs)
+				}
+			case *ast.IncDecStmt:
+				assigned(n.X)
+			}
+			return true
+		})
+	}
+}
+
+// unsetOptions returns the keys of fields that set lacks, sorted.
+func unsetOptions(fields map[string]token.Pos, set map[string]bool) []string {
+	var out []string
+	for key := range fields {
+		if !set[key] {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -13,8 +13,8 @@
 //     accuracy and a storage format into an MVM error budget;
 //  3. a differential oracle driver (oracle.go) that runs the same
 //     (matrix, vector, tolerance, precision) case through dense MVM,
-//     TLR-MVM (sequential, parallel, batched), the MDC operator, and
-//     the wsesim functional path, asserting pairwise agreement and
+//     TLR-MVM (in memory and store-backed), the MDC operator, and the
+//     wsesim functional path, asserting pairwise agreement and
 //     hardware-model invariants.
 //
 // The package is imported only from tests. Packages that testkit itself

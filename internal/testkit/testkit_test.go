@@ -310,7 +310,7 @@ func TestMulVecEntryPointCensus(t *testing.T) {
 // MulVecConjTrans.
 func TestFrozenForwardsAreTheirProducts(t *testing.T) {
 	rng := NewRNG(46)
-	mem, err := tlr.Compress(DecayMat(rng, 53, 41, 0.5), tlr.Options{NB: 8, Tol: 1e-4, Workers: 1})
+	mem, err := tlr.Compress(DecayMat(rng, 53, 41, 0.5), tlr.Options{NB: 8, Tol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

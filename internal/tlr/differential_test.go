@@ -119,7 +119,7 @@ func storeBackedTwin(t *testing.T, tm *tlr.Matrix) *tlr.Matrix {
 	t.Helper()
 	var buf bytes.Buffer
 	k := &tlrio.Kernel{Freqs: []float64{1}, Mats: []*tlr.Matrix{tm}}
-	if err := tlrio.WritePaged(&buf, k, tlrio.PagedOptions{PageSize: 256}); err != nil {
+	if err := tlrio.WritePaged(&buf, k, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, err := opstore.OpenBytes(buf.Bytes(), 16<<10)

@@ -94,14 +94,14 @@ type Options struct {
 	Tol float64
 	// Method selects the compressor (default SVD).
 	Method Method
-	// Workers sets the compression parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Compress builds a TLR approximation of the dense matrix a. Every
 // tile's kept bases go into one slab, in storage order and V before U
 // within a tile — the order sweep reads them (Fig. 4's stacking). A
-// tile holding a NaN or an Inf is an error naming the tile.
+// tile holding a NaN or an Inf is an error naming the tile. Tiles are
+// compressed on GOMAXPROCS workers; the result does not depend on how
+// many.
 func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	if opts.NB <= 0 {
 		return nil, fmt.Errorf("tlr: tile size NB must be positive, got %d", opts.NB)
@@ -119,7 +119,7 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb
 	t := &Matrix{M: m, N: n, NB: nb, MT: mt, NT: nt, Tiles: make([]*Tile, mt*nt)}
-	fanout.Do(mt*nt, opts.Workers, func(_, idx int) {
+	fanout.Do(mt*nt, 0, func(_, idx int) {
 		i, j := idx/nt, idx%nt
 		block := a.Slice(i*nb, min((i+1)*nb, m), j*nb, min((j+1)*nb, n))
 		if finite(block) {

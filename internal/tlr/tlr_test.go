@@ -3,6 +3,7 @@ package tlr
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -50,14 +51,16 @@ func compressOrDie(t *testing.T, a *dense.Matrix, opts Options) *Matrix {
 
 // TestCompressAccuracyAllMethods holds every compressor to its accuracy
 // target, and every build to its inputs: the same matrix and options give
-// the same ranks and factor bits whatever the worker count.
+// the same ranks and factor bits whatever GOMAXPROCS is.
 func TestCompressAccuracyAllMethods(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	a := decayMatrix(rand.New(rand.NewSource(1)), 96, 80)
 	for _, method := range []Method{MethodSVD, MethodRRQR} {
 		tol := 1e-3
 		var first *Matrix
-		for _, workers := range []int{1, 2, 4} {
-			tm := compressOrDie(t, a, Options{NB: 16, Tol: tol, Method: method, Workers: workers})
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			tm := compressOrDie(t, a, Options{NB: 16, Tol: tol, Method: method})
 			if first == nil {
 				first = tm
 				err := dense.RelError(tm.Reconstruct(), a)
@@ -70,8 +73,8 @@ func TestCompressAccuracyAllMethods(t *testing.T) {
 			for idx, tile := range tm.Tiles {
 				want := first.Tiles[idx]
 				if !slices.Equal(tile.U.Data, want.U.Data) || !slices.Equal(tile.V.Data, want.V.Data) {
-					t.Fatalf("%v: tile %d built at %d workers (rank %d) differs from the 1-worker build (rank %d)",
-						method, idx, workers, tile.Rank(), want.Rank())
+					t.Fatalf("%v: tile %d built at GOMAXPROCS %d (rank %d) differs from the GOMAXPROCS 1 build (rank %d)",
+						method, idx, procs, tile.Rank(), want.Rank())
 				}
 			}
 		}

@@ -48,7 +48,7 @@ func FuzzOpenPaged(f *testing.F) {
 	k := &Kernel{Freqs: []float64{7}, Mats: []*tlr.Matrix{tm}}
 	for _, format := range []precision.Format{precision.FP32, precision.FP16} {
 		var buf bytes.Buffer
-		if err := WritePaged(&buf, k, PagedOptions{PageSize: 64, Policy: precision.Uniform{F: format}}); err != nil {
+		if err := writePaged(&buf, k, precision.Uniform{F: format}, 64); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes(), uint16(0))

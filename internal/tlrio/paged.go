@@ -44,9 +44,10 @@ var pagedMagic = [4]byte{'T', 'L', 'R', 'P'}
 // PagedVersion is the current paged-format version.
 const PagedVersion uint32 = 1
 
-// DefaultPageSize is the page granularity used when PagedOptions leaves
-// PageSize zero — the common 4 KiB filesystem block.
-const DefaultPageSize = 4096
+// pageSize is the page granularity WritePaged aligns to, the common
+// 4 KiB filesystem block. OpenPaged accepts any page size a header
+// declares (a multiple of 8, at least 64).
+const pageSize = 4096
 
 // pagedHeaderLen is the byte length of the fixed header (before its
 // zero padding out to one page).
@@ -58,29 +59,6 @@ const pagedTileEntryLen = 4 + 4 + 8 + 4
 
 // castagnoli is the CRC-32C table shared by writer and reader.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// PagedOptions configures WritePaged.
-type PagedOptions struct {
-	// PageSize is the alignment granularity (default DefaultPageSize,
-	// minimum 64, must be a multiple of 8).
-	PageSize int
-	// Policy chooses each tile's storage tier at build time (default
-	// uniform FP32).
-	Policy precision.Policy
-}
-
-func (o PagedOptions) withDefaults() (PagedOptions, error) {
-	if o.PageSize == 0 {
-		o.PageSize = DefaultPageSize
-	}
-	if o.PageSize < 64 || o.PageSize%8 != 0 {
-		return o, fmt.Errorf("tlrio: page size %d (want a multiple of 8, at least 64)", o.PageSize)
-	}
-	if o.Policy == nil {
-		o.Policy = precision.Uniform{F: precision.FP32}
-	}
-	return o, nil
-}
 
 // PagedTile is one tile's index entry.
 type PagedTile struct {
@@ -123,19 +101,25 @@ func (pm *PagedMatrix) payloadLen(idx int) int {
 	return 2*2 + (pm.tileRows(i)+pm.tileCols(j))*k*4
 }
 
-// WritePaged streams the kernel into the paged format. The index is
-// assembled up front from the tile geometry (page offsets are a pure
-// function of ranks, formats, and the page size), so the file is written
-// strictly sequentially: header page, tile pages, index trailer.
-func WritePaged(w io.Writer, k *Kernel, opts PagedOptions) error {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return err
+// WritePaged streams the kernel into the paged format in 4 KiB pages,
+// each tile stored in the tier pol chooses for it (nil = uniform FP32).
+// The index is assembled up front from the tile geometry (page offsets
+// are a pure function of ranks, formats, and the page size), so the file
+// is written strictly sequentially: header page, tile pages, index
+// trailer.
+func WritePaged(w io.Writer, k *Kernel, pol precision.Policy) error {
+	return writePaged(w, k, pol, pageSize)
+}
+
+// writePaged is WritePaged at page size ps, a multiple of 8 of at least
+// 64.
+func writePaged(w io.Writer, k *Kernel, pol precision.Policy, ps int) error {
+	if pol == nil {
+		pol = precision.Uniform{F: precision.FP32}
 	}
 	if len(k.Freqs) != len(k.Mats) {
 		return fmt.Errorf("tlrio: %d freqs but %d matrices", len(k.Freqs), len(k.Mats))
 	}
-	ps := opts.PageSize
 	// Pass 1: geometry → index. pageOff assignment needs every payload
 	// length, which needs every rank and format but no panel data.
 	mats := make([]*PagedMatrix, len(k.Mats))
@@ -159,7 +143,7 @@ func WritePaged(w io.Writer, k *Kernel, opts PagedOptions) error {
 				}
 				pm.Tiles[idx] = PagedTile{
 					Rank:   tile.Rank(),
-					Format: opts.Policy.FormatFor(i, j, t.MT, t.NT),
+					Format: pol.FormatFor(i, j, t.MT, t.NT),
 				}
 				pm.Tiles[idx].PageOff = cur
 				pl := pm.payloadLen(idx)
@@ -213,7 +197,7 @@ func WritePaged(w io.Writer, k *Kernel, opts PagedOptions) error {
 			}
 		}
 	}
-	_, err = w.Write(index)
+	_, err := w.Write(index)
 	return err
 }
 

@@ -57,11 +57,12 @@ func testKernel(t *testing.T) *Kernel { return kernelOf(t, 3, 3, 53, 47, 16, 5) 
 // (13x11 with nb=6) so the corruption tables stay cheap to sweep.
 func smallKernel(t *testing.T) *Kernel { return kernelOf(t, 11, 2, 13, 11, 6, 3) }
 
-// pagedImage serializes a kernel to an in-memory paged file.
-func pagedImage(t *testing.T, k *Kernel, opts PagedOptions) []byte {
+// pagedImage serializes a kernel to an in-memory paged file of page
+// size ps.
+func pagedImage(t *testing.T, k *Kernel, pol precision.Policy, ps int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WritePaged(&buf, k, opts); err != nil {
+	if err := writePaged(&buf, k, pol, ps); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -110,8 +111,8 @@ func tilesEqual(a, b *tlr.Tile) bool {
 // multi-page tiles.
 func TestPagedRoundTripFP32(t *testing.T) {
 	k := testKernel(t)
-	for _, ps := range []int{64, 256, DefaultPageSize} {
-		img := pagedImage(t, k, PagedOptions{PageSize: ps})
+	for _, ps := range []int{64, 256, pageSize} {
+		img := pagedImage(t, k, nil, ps)
 		pf, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
 		if err != nil {
 			t.Fatalf("ps=%d: %v", ps, err)
@@ -152,7 +153,7 @@ func TestPagedTiersMatchQuantize(t *testing.T) {
 		precision.DiagonalBand{Band: 0.25, Demoted: precision.BF16},
 	}
 	for _, pol := range policies {
-		img := pagedImage(t, k, PagedOptions{PageSize: 128, Policy: pol})
+		img := pagedImage(t, k, pol, 128)
 		pf, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
 		if err != nil {
 			t.Fatalf("%T: %v", pol, err)
@@ -183,7 +184,7 @@ func TestPagedTiersMatchQuantize(t *testing.T) {
 // tile still decodes bit-identically to the original.
 func TestPagedCorruptionTable(t *testing.T) {
 	k := smallKernel(t)
-	img := pagedImage(t, k, PagedOptions{PageSize: 64, Policy: precision.DiagonalBand{Band: 0.3, Demoted: precision.FP16}})
+	img := pagedImage(t, k, precision.DiagonalBand{Band: 0.3, Demoted: precision.FP16}, 64)
 	// both FP32 routes, whatever this host's LoadTile picks: the in-place
 	// read verifies the CRC over the tile's own backing store and must
 	// refuse a flipped payload exactly as the decoder does
@@ -237,8 +238,8 @@ func TestPagedFP32InPlaceMatchesDecode(t *testing.T) {
 			tm.Tiles[i*nt+j] = &tlr.Tile{U: dense.Random(rng, rows, k), V: dense.Random(rng, cols, k)}
 		}
 	}
-	for _, ps := range []int{64, DefaultPageSize} {
-		img := pagedImage(t, &Kernel{Freqs: []float64{9}, Mats: []*tlr.Matrix{tm}}, PagedOptions{PageSize: ps})
+	for _, ps := range []int{64, pageSize} {
+		img := pagedImage(t, &Kernel{Freqs: []float64{9}, Mats: []*tlr.Matrix{tm}}, nil, ps)
 		pf, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +269,7 @@ func TestPagedFP32InPlaceMatchesDecode(t *testing.T) {
 // matrix lists disagree must not be written at all.
 func TestPagedOpenRejectsTruncation(t *testing.T) {
 	k := smallKernel(t)
-	img := pagedImage(t, k, PagedOptions{PageSize: 64})
+	img := pagedImage(t, k, nil, 64)
 	open := func(img []byte) error {
 		_, err := OpenPaged(bytes.NewReader(img), int64(len(img)))
 		return err
@@ -290,7 +291,7 @@ func TestPagedOpenRejectsTruncation(t *testing.T) {
 		{"cut one byte short", open(img[:len(img)-1]), "outside file"},
 		{"bad magic", open(badMagic), "magic"},
 		{"bad version", open(badVersion), "version"},
-		{"freqs and mats disagree", WritePaged(io.Discard, &Kernel{Freqs: k.Freqs[:1], Mats: k.Mats}, PagedOptions{}), "1 freqs but 2 matrices"},
+		{"freqs and mats disagree", WritePaged(io.Discard, &Kernel{Freqs: k.Freqs[:1], Mats: k.Mats}, nil), "1 freqs but 2 matrices"},
 	}
 	for _, c := range cases {
 		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
