@@ -68,15 +68,14 @@ func strategiesAblation() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	arch := cs2.DefaultArch()
 	// strategy 1 must shrink the stack width to expose 48 systems' worth
 	// of concurrency; strategy 2 keeps sw=64 and scatters MVMs
-	s1sw := d.StackWidthFor(int64(48) * int64(arch.UsablePEs()))
-	m1, err := wse.Plan{Dist: d, Arch: arch, StackWidth: s1sw, Systems: 48, Strategy: wse.Strategy1}.Evaluate()
+	s1sw := d.StackWidthFor(48 * cs2.UsablePEs)
+	m1, err := wse.Plan{Dist: d, StackWidth: s1sw, Systems: 48, Strategy: wse.Strategy1}.Evaluate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	m2, err := wse.Plan{Dist: d, Arch: arch, StackWidth: 64, Systems: 48, Strategy: wse.Strategy2}.Evaluate()
+	m2, err := wse.Plan{Dist: d, StackWidth: 64, Systems: 48, Strategy: wse.Strategy2}.Evaluate()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func demoScale(iters int) {
 	opts := seismic.DemoOptions()
 	fmt.Printf("dataset: %d sources x %d receivers\n",
 		opts.Geom.NumSources(), opts.Geom.NumReceivers())
-	sv, err := core.NewSurvey(opts, sfc.Hilbert)
+	sv, err := core.NewSurvey(opts)
 	if err != nil {
 		log.Fatal(err)
 	}

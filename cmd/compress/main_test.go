@@ -7,14 +7,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
 )
 
 // TestOrderingAblationSmoke: one row per ordering, each through the
 // pipeline builder on one generated survey. No ranking is asserted — at
 // the default survey's 2×2 tiles the curves do not separate.
 func TestOrderingAblationSmoke(t *testing.T) {
-	sv, err := core.NewSurvey(seismic.Options{Geom: seismic.DefaultGeometry()}, sfc.Hilbert)
+	sv, err := core.NewSurvey(seismic.Options{Geom: seismic.DefaultGeometry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -45,6 +46,14 @@ func TestBandRowMarksOutsideTheInterval(t *testing.T) {
 	}
 	if out := bandRow("energy efficiency", "%.2f", "%.2f", "GFlop/s/W", b, 52.5); !strings.Contains(out, "+43.8%"+outOfTolerance) {
 		t.Errorf("bandRow outside = %q, want the mark after the Δ", out)
+	}
+	// a claim with only a lower bound (§7.5's "more than 3×")
+	open := ranks.Band{Value: 3, Lo: 3, Hi: math.Inf(1)}
+	if got, want := bandRow("over peak", "> %g", "%.2f", "×", open, 2.99), "| over peak | > 3 × | 2.99 × | -0.3%"+outOfTolerance+" | ≥ 3 × |"; got != want {
+		t.Errorf("bandRow below an open band = %q, want %q", got, want)
+	}
+	if got := bandRow("over peak", "> %g", "%.2f", "×", open, 3.32); strings.Contains(got, outOfTolerance) {
+		t.Errorf("bandRow inside an open band = %q, want no mark", got)
 	}
 }
 

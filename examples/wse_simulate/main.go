@@ -41,12 +41,12 @@ func main() {
 	fmt.Printf("frequency matrix %dx%d → %s\n", k.Rows, k.Cols, tm)
 
 	const sw = 12
-	mach, err := wsesim.Build(tm, sw, cs2.DefaultArch())
+	mach, err := wsesim.Build(tm, sw)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("layout: stack width %d → %d PEs, worst SRAM image %d B of %d B\n",
-		sw, mach.NumPEs(), mach.WorstSRAM(), cs2.DefaultArch().SRAMBytes)
+		sw, mach.NumPEs(), mach.WorstSRAM(), cs2.SRAMBytes)
 
 	rng := rand.New(rand.NewSource(1))
 	x := dense.Random(rng, k.Cols, 1).Data
@@ -65,12 +65,11 @@ func main() {
 	fmt.Printf("executed traffic: %.3f MB (%.3f MB reads, %.3f MB writes), %d FMACs\n",
 		float64(meter.Bytes())/1e6, float64(meter.Reads)/1e6,
 		float64(meter.Writes)/1e6, meter.FMACs)
-	fmt.Printf("modelled worst-chunk cycles: %d (%.2f us at 850 MHz)\n",
-		mach.ModelCycles(), float64(mach.ModelCycles())/850e6*1e6)
+	fmt.Printf("modelled worst-chunk cycles: %d (%.2f us at %.0f MHz)\n",
+		mach.ModelCycles(), cs2.Seconds(mach.ModelCycles())*1e6, cs2.ClockHz/1e6)
 
 	// bandwidth this single matrix would sustain on the wafer
-	arch := cs2.DefaultArch()
-	bw := arch.Bandwidth(meter.Bytes(), mach.ModelCycles())
+	bw := cs2.Bandwidth(meter.Bytes(), mach.ModelCycles())
 	fmt.Printf("absolute bandwidth at this layout's worst cycle: %.2f TB/s (one matrix, %d PEs)\n",
 		bw/1e12, mach.NumPEs())
 
@@ -78,7 +77,7 @@ func main() {
 	// safe assignment to the eight 6 kB banks
 	conflicts := 0
 	for _, pe := range mach.PEs {
-		plan, err := pe.PlanBanks(arch)
+		plan, err := pe.PlanBanks()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/mddclient"
 	"repro/internal/mddserve"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
 	"repro/internal/testkit"
 	"repro/internal/testkit/suite"
 )
@@ -189,7 +188,7 @@ func testTLRMVMIsDeterministic(t *testing.T) {
 		Geom: seismic.Geometry{NsX: d.NsX, NsY: d.NsY, NrX: d.NrX, NrY: d.NrY,
 			Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300},
 		Nt: d.Nt, Dt: 0.004,
-	}, sfc.Hilbert)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/fdtd"
 	"repro/internal/lsqr"
@@ -17,13 +15,11 @@ import (
 	"repro/internal/mdd"
 	"repro/internal/opstore"
 	"repro/internal/precision"
-	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
 	"repro/internal/tlr"
 	"repro/internal/tlrio"
 	"repro/internal/tlrmmm"
-	"repro/internal/wse"
 	"repro/internal/wsesim"
 )
 
@@ -103,7 +99,7 @@ func TestWaferSimulatorAgreesWithAnalyticModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sw = 6
-	mach, err := wsesim.Build(tm, sw, cs2.DefaultArch())
+	mach, err := wsesim.Build(tm, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,33 +224,6 @@ func TestFDModelKinematicsMatchGreensFunctions(t *testing.T) {
 	got := float64(fdtd.PeakIndex(res.P[0])) * dt
 	if got < want-0.01 || got > want+0.05 {
 		t.Errorf("FD direct arrival %.3f s, Green's function predicts %.3f s", got, want)
-	}
-}
-
-// TestPaperScalePipelineConsistency checks the two top-level entry points
-// against each other: RunCS2Experiment must agree with a hand-built plan.
-func TestPaperScalePipelineConsistency(t *testing.T) {
-	dist, err := ranks.New(ranks.Config{NB: 70, Acc: 3e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaCore, err := core.RunCS2WithDistribution(dist, core.CS2Options{
-		NB: 70, Acc: 3e-4, StackWidth: 14, Systems: 6, Strategy: wse.Strategy1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := wse.Plan{
-		Dist: dist, Arch: cs2.DefaultArch(),
-		StackWidth: 14, Systems: 6, Strategy: wse.Strategy1,
-	}.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaCore.WorstCycles != direct.WorstCycles ||
-		viaCore.RelativeBytes != direct.RelativeBytes ||
-		viaCore.PEsUsed != direct.PEsUsed {
-		t.Error("core façade and direct plan disagree")
 	}
 }
 

@@ -9,7 +9,6 @@ package cgls
 import (
 	"errors"
 	"math"
-	"time"
 
 	"repro/internal/cfloat"
 	"repro/internal/lsqr"
@@ -39,10 +38,7 @@ type Result struct {
 	ResidualNorm    float64
 	NormalResidual  float64
 	ResidualHistory []float64
-	// IterTimes holds the wall time of each iteration, aligned with
-	// ResidualHistory; collected only while obs.Enabled().
-	IterTimes []time.Duration
-	Converged bool
+	Converged       bool
 }
 
 // Solve runs CGLS on the operator (reusing the lsqr.Operator interface).
@@ -91,9 +87,7 @@ func Solve(a lsqr.Operator, b []complex64, opts Options) (*Result, error) {
 		res.NormalResidual = sqrt(gammaNew)
 		res.ResidualHistory = append(res.ResidualHistory, res.ResidualNorm)
 		obsIters.Add(1)
-		if d := iterSpan.End(); d > 0 {
-			res.IterTimes = append(res.IterTimes, d)
-		}
+		iterSpan.End()
 		if gammaNew <= opts.Tol*opts.Tol*gamma0 {
 			res.Converged = true
 			break

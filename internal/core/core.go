@@ -2,8 +2,9 @@
 // paper's §6.1 pre-processing (synthetic survey, space-filling-curve
 // reordering, TLR compression, optional paged tile store, MDD problem)
 // is written here once, and the serving layer, the command-line tools
-// and the examples call it. It also exposes the CS-2 machine-model
-// experiments that regenerate the paper's performance tables.
+// and the examples call it. The CS-2 machine model is not built here:
+// published deployments are evaluated through wse.PaperModel, any other
+// through wse.Plan.
 //
 // Typical end-to-end use:
 //
@@ -11,31 +12,21 @@
 //	    TileSize: 8, Accuracy: 1e-4,
 //	})
 //	rep, err := pipe.RunMDD(vs, 30)
-//
-// Paper-scale use:
-//
-//	m, err := core.RunCS2Experiment(core.CS2Options{
-//	    NB: 70, Acc: 1e-4, StackWidth: 23, Systems: 48,
-//	    Strategy: wse.Strategy2,
-//	})
 package core
 
 import (
 	"fmt"
 
-	"repro/internal/cs2"
 	"repro/internal/estimator"
 	"repro/internal/lsqr"
 	"repro/internal/mdc"
 	"repro/internal/mdd"
 	"repro/internal/opstore"
 	"repro/internal/precision"
-	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
 	"repro/internal/tlr"
 	"repro/internal/tlrio"
-	"repro/internal/wse"
 )
 
 // PipelineOptions configures the laptop-scale MDD pipeline.
@@ -113,19 +104,20 @@ type Survey struct {
 	srcPerm, recPerm []int // acquisition index of each reordered source and receiver
 }
 
-// NewSurvey generates the survey dataset describes and reorders it by ord.
-func NewSurvey(dataset seismic.Options, ord sfc.Order) (*Survey, error) {
+// NewSurvey generates the survey dataset describes and reorders it along
+// the Hilbert curve, the paper's choice; Reorder gives any other ordering.
+func NewSurvey(dataset seismic.Options) (*Survey, error) {
 	ds, err := seismic.Generate(dataset)
 	if err != nil {
 		return nil, fmt.Errorf("core: generating dataset: %w", err)
 	}
-	rds, o := ds.Reorder(ord)
-	return &Survey{DS: rds, Dataset: dataset, Ordering: ord, srcPerm: o.SrcPerm, recPerm: o.RecPerm}, nil
+	rds, o := ds.Reorder(sfc.Hilbert)
+	return &Survey{DS: rds, Dataset: dataset, Ordering: sfc.Hilbert, srcPerm: o.SrcPerm, recPerm: o.RecPerm}, nil
 }
 
 // Reorder returns the same generated survey under ord (sv itself when it
 // already is), permuted from sv without generating it again: bit for bit
-// what NewSurvey(sv.Dataset, ord) gives.
+// what generating sv.Dataset and reordering it by ord gives.
 func (sv *Survey) Reorder(ord sfc.Order) *Survey {
 	if ord == sv.Ordering {
 		return sv
@@ -151,10 +143,10 @@ func compose(from, to []int) []int {
 }
 
 // BuildPipeline generates the survey, reorders it along the Hilbert
-// curve (the paper's choice), then builds the pipeline on it; NewSurvey
-// chooses another ordering.
+// curve (the paper's choice), then builds the pipeline on it;
+// NewSurvey(...).Reorder chooses another ordering.
 func BuildPipeline(opts PipelineOptions) (*Pipeline, error) {
-	sv, err := NewSurvey(opts.Dataset, sfc.Hilbert)
+	sv, err := NewSurvey(opts.Dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -317,50 +309,4 @@ func scaleToReference(x, ref []complex64) []complex64 {
 		out[i] = a * x[i]
 	}
 	return out
-}
-
-// CS2Options configures a paper-scale machine-model experiment.
-type CS2Options struct {
-	// NB and Acc select the Fig. 12 configuration.
-	NB  int
-	Acc float64
-	// StackWidth is the chunk height (0 = auto-fit to the system budget).
-	StackWidth int
-	// Systems is the shard count.
-	Systems int
-	// Strategy selects the strong-scaling strategy (default Strategy1).
-	Strategy wse.Strategy
-}
-
-// RunCS2Experiment evaluates one configuration of Tables 1–5 on the CS-2
-// machine model.
-func RunCS2Experiment(opts CS2Options) (*wse.Metrics, error) {
-	dist, err := ranks.New(ranks.Config{NB: opts.NB, Acc: opts.Acc})
-	if err != nil {
-		return nil, err
-	}
-	return RunCS2WithDistribution(dist, opts)
-}
-
-// RunCS2WithDistribution is RunCS2Experiment with a pre-calibrated rank
-// distribution (calibration takes ~1 s at paper scale; reuse it across
-// experiments).
-func RunCS2WithDistribution(dist *ranks.Distribution, opts CS2Options) (*wse.Metrics, error) {
-	arch := cs2.DefaultArch()
-	strategy := opts.Strategy
-	if strategy == 0 {
-		strategy = wse.Strategy1
-	}
-	sw := opts.StackWidth
-	if sw == 0 {
-		budget := int64(opts.Systems) * int64(arch.UsablePEs())
-		if strategy == wse.Strategy2 {
-			budget /= 8
-		}
-		sw = dist.StackWidthFor(budget)
-	}
-	return wse.Plan{
-		Dist: dist, Arch: arch,
-		StackWidth: sw, Systems: opts.Systems, Strategy: strategy,
-	}.Evaluate()
 }

@@ -5,12 +5,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
 	"repro/internal/tlr"
-	"repro/internal/wse"
 )
 
 func smallDataset() seismic.Options {
@@ -47,11 +47,11 @@ func TestExplicitNaturalOrderingIsHonoured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := NewSurvey(smallDataset(), sfc.Natural)
+	sv, err := NewSurvey(smallDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := sv.Build(PipelineOptions{TileSize: 4})
+	pipe, err := sv.Reorder(sfc.Natural).Build(PipelineOptions{TileSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,31 +66,35 @@ func TestExplicitNaturalOrderingIsHonoured(t *testing.T) {
 	}
 }
 
-// TestSurveyReorderMatchesNewSurvey: reordering a generated survey to
-// another ordering gives, bit for bit, the survey generated in that
-// ordering — K, P⁻ and the true reflectivity alike — and reordering to
-// its own ordering is the survey itself.
+// TestSurveyReorderMatchesNewSurvey: NewSurvey is the generated survey
+// Hilbert-sorted, and reordering it to another ordering gives, bit for
+// bit, the generated survey permuted by that ordering — K, P⁻ and the
+// true reflectivity alike; reordering to its own ordering is the survey
+// itself.
 func TestSurveyReorderMatchesNewSurvey(t *testing.T) {
-	hil, err := NewSurvey(smallDataset(), sfc.Hilbert)
+	ds, err := seismic.Generate(smallDataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hil, err := NewSurvey(smallDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hil.Reorder(sfc.Hilbert) != hil {
 		t.Error("reordering a survey to its own ordering copied it")
 	}
-	for _, ord := range []sfc.Order{sfc.Morton, sfc.Natural, sfc.Shuffled} {
-		want, err := NewSurvey(smallDataset(), ord)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ord := range []sfc.Order{sfc.Hilbert, sfc.Morton, sfc.Natural, sfc.Shuffled} {
+		g := ds.Geom
+		want := ds.Permute(sfc.Permutation(sfc.GridPoints(g.NsX, g.NsY), ord),
+			sfc.Permutation(sfc.GridPoints(g.NrX, g.NrY), ord))
 		got := hil.Reorder(ord)
 		if got.Ordering != ord {
 			t.Fatalf("Reorder(%v) reports ordering %v", ord, got.Ordering)
 		}
-		for f := range want.DS.K {
-			bitEqual(t, fmt.Sprintf("%v K[%d]", ord, f), got.DS.K[f].Data, want.DS.K[f].Data)
-			bitEqual(t, fmt.Sprintf("%v Pminus[%d]", ord, f), got.DS.Pminus[f].Data, want.DS.Pminus[f].Data)
-			bitEqual(t, fmt.Sprintf("%v Rtrue[%d]", ord, f), got.DS.Rtrue[f].Data, want.DS.Rtrue[f].Data)
+		for f := range want.K {
+			bitEqual(t, fmt.Sprintf("%v K[%d]", ord, f), got.DS.K[f].Data, want.K[f].Data)
+			bitEqual(t, fmt.Sprintf("%v Pminus[%d]", ord, f), got.DS.Pminus[f].Data, want.Pminus[f].Data)
+			bitEqual(t, fmt.Sprintf("%v Rtrue[%d]", ord, f), got.DS.Rtrue[f].Data, want.Rtrue[f].Data)
 		}
 	}
 }
@@ -109,10 +113,11 @@ func TestProvenanceRecordsTheSurvey(t *testing.T) {
 		t.Errorf("BuildPipeline records dataset %+v ordering %v, want %+v and hilbert", pv.Dataset, pv.Ordering, opts)
 	}
 
-	sv, err := NewSurvey(opts, sfc.Natural)
+	hil, err := NewSurvey(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sv := hil.Reorder(sfc.Natural)
 	for _, nb := range []int{4, 8} {
 		pipe, err := sv.Build(PipelineOptions{Dataset: serveDataset(), TileSize: nb})
 		if err != nil {
@@ -203,7 +208,7 @@ func TestRunMDDValidatesVS(t *testing.T) {
 // relative Frobenius error of each tile is at most the tolerance. An
 // aggregate bound over a whole matrix can hide a tile far over it.
 func TestEveryTileMeetsTolerance(t *testing.T) {
-	sv, err := NewSurvey(smallDataset(), sfc.Hilbert)
+	sv, err := NewSurvey(smallDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,40 +238,22 @@ func TestEveryTileMeetsTolerance(t *testing.T) {
 	}
 }
 
-func TestRunCS2ExperimentHeadline(t *testing.T) {
-	// the 92.58 PB/s headline configuration
-	m, err := RunCS2Experiment(CS2Options{
-		NB: 70, Acc: 1e-4, StackWidth: 23, Systems: 48, Strategy: wse.Strategy2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.RelativeBW < 80e15 || m.RelativeBW > 105e15 {
-		t.Errorf("headline relative BW %.2f PB/s, paper 92.58", m.RelativeBW/1e15)
-	}
-}
-
+// TestRunCS2AutoStackWidth: a paper-scale deployment given no stack width
+// takes the smallest one whose chunks fit the systems' PE budget
+// (ranks.StackWidthFor, the rule cmd/ablate -strategies uses). On six
+// systems at nb=70, acc=1e-4 it must land near the paper's 23 and within
+// budget.
 func TestRunCS2AutoStackWidth(t *testing.T) {
 	dist, err := ranks.New(ranks.Config{NB: 70, Acc: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunCS2WithDistribution(dist, CS2Options{NB: 70, Acc: 1e-4, Systems: 6})
-	if err != nil {
-		t.Fatal(err)
+	budget := int64(6 * cs2.UsablePEs)
+	sw := dist.StackWidthFor(budget)
+	if sw < 18 || sw > 30 {
+		t.Errorf("auto stack width %d, paper uses 23", sw)
 	}
-	// the auto stack width should land near the paper's 23 and within
-	// budget
-	if m.StackWidth < 18 || m.StackWidth > 30 {
-		t.Errorf("auto stack width %d, paper uses 23", m.StackWidth)
-	}
-	if m.Occupancy > 1 {
-		t.Error("over-occupied")
-	}
-}
-
-func TestRunCS2UnknownConfig(t *testing.T) {
-	if _, err := RunCS2Experiment(CS2Options{NB: 99, Acc: 1e-4, Systems: 6}); err == nil {
-		t.Error("unknown config should fail")
+	if chunks, _ := dist.Chunks(sw); chunks > budget {
+		t.Errorf("over-occupied: %d chunks on %d PEs", chunks, budget)
 	}
 }

@@ -12,57 +12,25 @@
 // same style of model for the machines we do not have.
 package cs2
 
-import "fmt"
-
-// Arch holds the machine parameters of one CS-2 system.
-type Arch struct {
+// The one machine the paper models (§6.5).
+const (
 	// GridX, GridY is the full PE fabric (757×996).
-	GridX, GridY int
+	GridX, GridY = 757, 996
 	// UsableX, UsableY is the programmable region; the remaining PEs route
 	// data on and off the wafer (750×994, §6.5).
-	UsableX, UsableY int
+	UsableX, UsableY = 750, 994
+	// UsablePEs is the per-system programmable PE count (745,500).
+	UsablePEs = UsableX * UsableY
 	// ClockHz is the PE clock (850 MHz).
-	ClockHz float64
+	ClockHz = 850e6
 	// SRAMBytes is the per-PE memory (48 kB).
-	SRAMBytes int
+	SRAMBytes = 48 * 1024
 	// NumBanks and BankBytes describe the SRAM banking (8 × 6 kB); two
 	// same-cycle reads must target distinct banks, which forces the
-	// alignment/padding accounted for by PaddedBytes.
-	NumBanks  int
-	BankBytes int
-}
-
-// DefaultArch returns the CS-2 parameters from §6.5.
-func DefaultArch() Arch {
-	return Arch{
-		GridX: 757, GridY: 996,
-		UsableX: 750, UsableY: 994,
-		ClockHz:   850e6,
-		SRAMBytes: 48 * 1024,
-		NumBanks:  8,
-		BankBytes: 6 * 1024,
-	}
-}
-
-// UsablePEs returns the per-system programmable PE count (745,500).
-func (a Arch) UsablePEs() int { return a.UsableX * a.UsableY }
-
-// TotalPEs returns the full fabric size including routing PEs.
-func (a Arch) TotalPEs() int { return a.GridX * a.GridY }
-
-// Validate reports whether the parameters are coherent.
-func (a Arch) Validate() error {
-	if a.UsableX > a.GridX || a.UsableY > a.GridY {
-		return fmt.Errorf("cs2: usable region %dx%d exceeds fabric %dx%d", a.UsableX, a.UsableY, a.GridX, a.GridY)
-	}
-	if a.NumBanks*a.BankBytes != a.SRAMBytes {
-		return fmt.Errorf("cs2: banks %d×%d B != SRAM %d B", a.NumBanks, a.BankBytes, a.SRAMBytes)
-	}
-	if a.ClockHz <= 0 {
-		return fmt.Errorf("cs2: nonpositive clock")
-	}
-	return nil
-}
+	// alignment/padding wsesim's bank planner accounts for.
+	NumBanks  = 8
+	BankBytes = 6 * 1024
+)
 
 // Cycle-model coefficients for a single real FP32 MVM y += A·x with A m×n
 // resident in PE SRAM. Each fmac performs two reads (a_ij and y_i, distinct
@@ -133,121 +101,44 @@ func ChunkCycles(nb, sw, tiles int) int64 {
 	return 4*VStackCycles(sw, nb) + 4*UStackCycles(nb, sw, tiles)
 }
 
-// MVM describes one real MVM in a PE program.
-type MVM struct {
-	M, N int
-}
-
-// PEProgram is the sequence of real MVMs one PE executes per TLR-MVM
-// invocation, plus the SRAM it must hold.
-type PEProgram struct {
-	MVMs []MVM
-	// ExtraSRAMBytes accounts for vectors (x, yv, per-tile y partials) and
-	// bank-alignment padding beyond the matrix storage.
-	ExtraSRAMBytes int
-}
-
-// Cycles returns the modelled total cycle count of the program.
-func (p PEProgram) Cycles() int64 {
-	var c int64
-	for _, m := range p.MVMs {
-		c += MVMCycles(m.M, m.N)
-	}
-	return c
-}
-
-// RelativeBytes sums the relative metric over the program.
-func (p PEProgram) RelativeBytes() int64 {
-	var b int64
-	for _, m := range p.MVMs {
-		b += RelativeBytes(m.M, m.N)
-	}
-	return b
-}
-
-// AbsoluteBytes sums the absolute metric over the program.
-func (p PEProgram) AbsoluteBytes() int64 {
-	var b int64
-	for _, m := range p.MVMs {
-		b += AbsoluteBytes(m.M, m.N)
-	}
-	return b
-}
-
-// FMACs sums the multiply-add count over the program.
-func (p PEProgram) FMACs() int64 {
-	var f int64
-	for _, m := range p.MVMs {
-		f += FMACs(m.M, m.N)
-	}
-	return f
-}
-
-// MatrixSRAMBytes returns the FP32 matrix storage of the program.
-func (p PEProgram) MatrixSRAMBytes() int {
-	var b int
-	for _, m := range p.MVMs {
-		b += 4 * m.M * m.N
-	}
-	return b
-}
-
-// SRAMBytes returns the total per-PE footprint including vectors/padding.
-func (p PEProgram) SRAMBytes() int { return p.MatrixSRAMBytes() + p.ExtraSRAMBytes }
-
-// Seconds converts a cycle count to wall time on the architecture.
-func (a Arch) Seconds(cycles int64) float64 {
-	return float64(cycles) / a.ClockHz
+// Seconds converts a cycle count to wall time.
+func Seconds(cycles int64) float64 {
+	return float64(cycles) / ClockHz
 }
 
 // Bandwidth returns bytes/second given total bytes moved and the worst
 // cycle count across all PEs — the paper's aggregation rule (§6.5: "we
 // report the sustained bandwidth based on the worst cycle count across all
 // PEs on all systems").
-func (a Arch) Bandwidth(totalBytes int64, worstCycles int64) float64 {
+func Bandwidth(totalBytes int64, worstCycles int64) float64 {
 	if worstCycles <= 0 {
 		return 0
 	}
-	return float64(totalBytes) * a.ClockHz / float64(worstCycles)
+	return float64(totalBytes) * ClockHz / float64(worstCycles)
 }
 
 // FlopRate returns flop/s given total FMAC count (2 flops each) and the
 // worst cycle count.
-func (a Arch) FlopRate(totalFMACs int64, worstCycles int64) float64 {
+func FlopRate(totalFMACs int64, worstCycles int64) float64 {
 	if worstCycles <= 0 {
 		return 0
 	}
-	return 2 * float64(totalFMACs) * a.ClockHz / float64(worstCycles)
+	return 2 * float64(totalFMACs) * ClockHz / float64(worstCycles)
 }
 
-// PowerModel estimates sustained power of one CS-2 running the TLR-MVM
-// workload, calibrated to the paper's §7.6 observation of 16 kW (compared
-// with 23 kW for communication-heavy stencil workloads — our workload has
-// no inter-PE fabric traffic).
-type PowerModel struct {
+// The power model of one CS-2 running the TLR-MVM workload, calibrated to
+// the paper's §7.6 observation of 16 kW on a fully-occupied wafer
+// (compared with 23 kW for communication-heavy stencil workloads — our
+// workload has no inter-PE fabric traffic).
+const (
 	// IdleWatts is the base system draw (host, fans, fabric idle).
-	IdleWatts float64
+	IdleWatts = 6500
 	// ActiveWattsPerPE is the incremental draw of a PE streaming FMACs.
-	ActiveWattsPerPE float64
-}
-
-// DefaultPowerModel returns coefficients calibrated so a fully-occupied
-// wafer draws ≈16 kW on the TLR-MVM workload.
-func DefaultPowerModel() PowerModel {
-	return PowerModel{IdleWatts: 6500, ActiveWattsPerPE: 0.01275}
-}
+	ActiveWattsPerPE = 0.01275
+)
 
 // SystemWatts returns the draw of one system with the given number of
 // active PEs.
-func (p PowerModel) SystemWatts(activePEs int) float64 {
-	return p.IdleWatts + p.ActiveWattsPerPE*float64(activePEs)
-}
-
-// Efficiency returns flop/s per watt.
-func (p PowerModel) Efficiency(flops float64, activePEs int) float64 {
-	w := p.SystemWatts(activePEs)
-	if w <= 0 {
-		return 0
-	}
-	return flops / w
+func SystemWatts(activePEs int) float64 {
+	return IdleWatts + ActiveWattsPerPE*float64(activePEs)
 }

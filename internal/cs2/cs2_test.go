@@ -1,6 +1,7 @@
 package cs2
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,44 +10,26 @@ import (
 )
 
 func TestDefaultArchParameters(t *testing.T) {
-	a := DefaultArch()
-	if err := a.Validate(); err != nil {
-		t.Fatalf("default arch invalid: %v", err)
+	// the constants must describe one coherent machine
+	if NumBanks*BankBytes != SRAMBytes {
+		t.Errorf("banks %d×%d B != SRAM %d B", NumBanks, BankBytes, SRAMBytes)
+	}
+	if UsableX > GridX || UsableY > GridY {
+		t.Errorf("usable region %dx%d exceeds fabric %dx%d", UsableX, UsableY, GridX, GridY)
 	}
 	// §6.5 constants
-	if a.UsablePEs() != 745500 {
-		t.Errorf("usable PEs %d, want 745500", a.UsablePEs())
+	if UsablePEs != 745500 {
+		t.Errorf("usable PEs %d, want 745500", UsablePEs)
 	}
-	if a.TotalPEs() != 757*996 {
-		t.Errorf("total PEs %d", a.TotalPEs())
+	if ClockHz != 850e6 {
+		t.Errorf("clock %g", ClockHz)
 	}
-	if a.ClockHz != 850e6 {
-		t.Errorf("clock %g", a.ClockHz)
-	}
-	if a.SRAMBytes != 49152 || a.NumBanks != 8 || a.BankBytes != 6144 {
+	if SRAMBytes != 49152 || NumBanks != 8 || BankBytes != 6144 {
 		t.Error("SRAM banking wrong")
 	}
 	// 48 systems = the paper's 35,784,000 PEs
-	if 48*a.UsablePEs() != 35784000 {
-		t.Errorf("48 systems give %d PEs", 48*a.UsablePEs())
-	}
-}
-
-func TestValidateCatchesBadConfigs(t *testing.T) {
-	a := DefaultArch()
-	a.UsableX = a.GridX + 1
-	if a.Validate() == nil {
-		t.Error("oversized usable region should fail")
-	}
-	b := DefaultArch()
-	b.NumBanks = 7
-	if b.Validate() == nil {
-		t.Error("bank mismatch should fail")
-	}
-	c := DefaultArch()
-	c.ClockHz = 0
-	if c.Validate() == nil {
-		t.Error("zero clock should fail")
+	if 48*UsablePEs != 35784000 {
+		t.Errorf("48 systems give %d PEs", 48*UsablePEs)
 	}
 }
 
@@ -95,50 +78,20 @@ func TestMVMCyclesZeroWork(t *testing.T) {
 	}
 }
 
-func TestPEProgramAggregation(t *testing.T) {
-	p := PEProgram{MVMs: []MVM{{M: 64, N: 25}, {M: 25, N: 64}}, ExtraSRAMBytes: 1000}
-	wantCycles := MVMCycles(64, 25) + MVMCycles(25, 64)
-	if p.Cycles() != wantCycles {
-		t.Error("Cycles aggregation")
-	}
-	if p.RelativeBytes() != RelativeBytes(64, 25)+RelativeBytes(25, 64) {
-		t.Error("RelativeBytes aggregation")
-	}
-	if p.AbsoluteBytes() != AbsoluteBytes(64, 25)+AbsoluteBytes(25, 64) {
-		t.Error("AbsoluteBytes aggregation")
-	}
-	if p.FMACs() != 2*64*25 {
-		t.Error("FMACs aggregation")
-	}
-	if p.MatrixSRAMBytes() != 4*2*64*25 {
-		t.Error("MatrixSRAMBytes")
-	}
-	if p.SRAMBytes() != 4*2*64*25+1000 {
-		t.Error("SRAMBytes")
-	}
-}
-
 func TestStrategyOneProgramFitsSRAM(t *testing.T) {
 	// The paper's strategy 1 (§6.7): 8 real MVMs on one PE — 4 of sw×nb
 	// (V bases) and 4 of nb×sw (U bases) — must fit 48 kB for each Table 1
-	// configuration.
-	a := DefaultArch()
+	// configuration. Re/Im parts of V and U are each stored once and
+	// reused by two MVMs, so the resident bases are four sw×nb FP32
+	// planes, half the naive per-MVM sum.
 	for _, r := range ranks.PaperSixShard {
 		nb, sw := r.NB, r.StackWidth
-		var mvms []MVM
-		for i := 0; i < 4; i++ {
-			mvms = append(mvms, MVM{M: sw, N: nb})
-			mvms = append(mvms, MVM{M: nb, N: sw})
-		}
-		p := PEProgram{MVMs: mvms}
-		// Re/Im parts of V and U are each stored once and reused by two
-		// MVMs: physical storage is half the naive per-MVM sum.
-		physical := p.MatrixSRAMBytes() / 2
-		if physical > a.SRAMBytes {
+		physical := 4 * sw * nb * 4
+		if physical > SRAMBytes {
 			t.Errorf("nb=%d sw=%d: %d B exceeds SRAM", nb, sw, physical)
 		}
 		// and it should use a substantial fraction ("max out the SRAM")
-		if sw*nb >= 1600 && physical < a.SRAMBytes/4 {
+		if sw*nb >= 1600 && physical < SRAMBytes/4 {
 			t.Errorf("nb=%d sw=%d: only %d B of SRAM used", nb, sw, physical)
 		}
 	}
@@ -161,49 +114,44 @@ func TestCycleModelNearPaperWorstCounts(t *testing.T) {
 }
 
 func TestBandwidthAggregation(t *testing.T) {
-	a := DefaultArch()
 	// 1 GB moved in 850 cycles = 1 GB / microsecond = 1e15 B/s
-	bw := a.Bandwidth(1<<30, 850)
+	bw := Bandwidth(1<<30, 850)
 	if math.Abs(bw-float64(1<<30)*1e6) > 1e9 {
 		t.Errorf("Bandwidth = %g", bw)
 	}
-	if a.Bandwidth(100, 0) != 0 {
+	if Bandwidth(100, 0) != 0 {
 		t.Error("zero cycles should give zero bandwidth")
 	}
 }
 
 func TestFlopRate(t *testing.T) {
-	a := DefaultArch()
 	// 1000 FMACs = 2000 flops in 850e6 cycles (1 s) = 2000 flop/s
-	if got := a.FlopRate(1000, int64(a.ClockHz)); math.Abs(got-2000) > 1e-9 {
+	if got := FlopRate(1000, int64(ClockHz)); math.Abs(got-2000) > 1e-9 {
 		t.Errorf("FlopRate = %g", got)
 	}
 }
 
 func TestSeconds(t *testing.T) {
-	a := DefaultArch()
-	if got := a.Seconds(850e6); math.Abs(got-1) > 1e-12 {
+	if got := Seconds(850e6); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Seconds = %g", got)
 	}
 }
 
 func TestPowerModelCalibration(t *testing.T) {
 	// §7.6: a fully-active wafer draws ≈16 kW on TLR-MVM
-	pm := DefaultPowerModel()
-	w := pm.SystemWatts(DefaultArch().UsablePEs())
+	w := SystemWatts(UsablePEs)
 	if w < 15000 || w > 17000 {
 		t.Errorf("full wafer draws %g W, want ≈16 kW", w)
 	}
 	// efficiency: 16 kW at ~630 TFlop/s/system → ≈36–40 GFlop/s/W
-	eff := pm.Efficiency(630e12, DefaultArch().UsablePEs())
+	eff := 630e12 / w
 	if eff < 30e9 || eff > 45e9 {
 		t.Errorf("efficiency %g flop/s/W outside the paper's regime", eff)
 	}
 }
 
 func TestPowerMonotoneInActivePEs(t *testing.T) {
-	pm := DefaultPowerModel()
-	if pm.SystemWatts(100) >= pm.SystemWatts(1000) {
+	if SystemWatts(100) >= SystemWatts(1000) {
 		t.Error("power must grow with active PEs")
 	}
 }
@@ -211,26 +159,44 @@ func TestPowerMonotoneInActivePEs(t *testing.T) {
 func TestRelativeBandwidthSaturatesNearTwoPBs(t *testing.T) {
 	// Fig. 14: with constant-size N×N MVMs on all 745,500 PEs, the
 	// relative bandwidth saturates around 2 PB/s for large N.
-	a := DefaultArch()
 	n := 128
 	cycles := MVMCycles(n, n)
-	perPE := a.Bandwidth(RelativeBytes(n, n), cycles)
-	agg := perPE * float64(a.UsablePEs())
+	perPE := Bandwidth(RelativeBytes(n, n), cycles)
+	agg := perPE * UsablePEs
 	fig := ranks.PaperFig14
 	if !fig.SaturatedRelPBps.Admits(agg / 1e15) {
 		t.Errorf("saturated relative bandwidth %g PB/s, want ≈%g", agg/1e15, fig.SaturatedRelPBps.Value)
 	}
 	// and the absolute metric must be ≈3X
-	aggAbs := a.Bandwidth(AbsoluteBytes(n, n), cycles) * float64(a.UsablePEs())
+	aggAbs := Bandwidth(AbsoluteBytes(n, n), cycles) * UsablePEs
 	if r := aggAbs / agg; !fig.AbsOverRel.Admits(r) {
 		t.Errorf("absolute/relative ratio %g, want ≈%g", r, fig.AbsOverRel.Value)
 	}
 }
 
-func BenchmarkProgramCycles(b *testing.B) {
-	p := PEProgram{MVMs: []MVM{{64, 25}, {64, 25}, {64, 25}, {64, 25}, {25, 64}, {25, 64}, {25, 64}, {25, 64}}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Cycles()
+// TestPaperDisagreesWithItself: the paper's Table 2 relative bytes ×
+// 850 MHz ÷ its Table 2 worst cycles should be Table 3's relative
+// bandwidth, by the aggregation rule Bandwidth implements. On the five
+// six-shard rows it differs by −7.6 … +4.1 %, more than the tables'
+// rounding allows. No model can land closer to both tables than that, so
+// it is the floor under every relative-bandwidth tolerance.
+func TestPaperDisagreesWithItself(t *testing.T) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, r := range ranks.PaperSixShard {
+		derived := Bandwidth(int64(r.RelBytes.Value), int64(r.Cycles.Value)) / 1e15
+		d := r.RelPBps.Delta(derived)
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	if got := fmt.Sprintf("%+.1f … %+.1f %%", 100*lo, 100*hi); got != "-7.6 … +4.1 %" {
+		t.Errorf("Table 2 bytes over cycles differ from Table 3 by %s, want -7.6 … +4.1 %%", got)
+	}
+	floor := max(-lo, hi)
+	for _, rows := range [][]ranks.PaperRow{ranks.PaperSixShard, ranks.PaperStrongScaling, ranks.PaperFortyEight} {
+		for _, r := range rows {
+			if r.RelPBps.Tol < floor {
+				t.Errorf("%+v: relative bandwidth tolerance %.0f%% is below the paper's own %.1f%% disagreement",
+					r.PaperPlan, 100*r.RelPBps.Tol, 100*floor)
+			}
+		}
 	}
 }

@@ -194,9 +194,7 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		res.ResidualNorm = rnorm
 		res.ResidualHistory = append(res.ResidualHistory, rnorm)
 		obsIters.Add(1)
-		if d := iterSpan.End(); d > 0 {
-			res.IterTimes = append(res.IterTimes, d)
-		}
+		iterSpan.End()
 
 		// stopping tests (Paige–Saunders criteria 1 and 2)
 		if rnorm <= opts.BTol*bnorm+opts.ATol*anorm*math.Sqrt(xx) {

@@ -7,7 +7,6 @@ package lsqr
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/cfloat"
 	"repro/internal/obs"
@@ -72,10 +71,6 @@ type Result struct {
 	ResidualNorm float64
 	// ResidualHistory holds ‖r‖ after each iteration.
 	ResidualHistory []float64
-	// IterTimes holds the wall time of each iteration, aligned with
-	// ResidualHistory. Only collected while obs.Enabled() — nil otherwise
-	// so the steady-state solve stays free of clock reads.
-	IterTimes []time.Duration
 	// Converged reports whether a stopping tolerance was met before
 	// MaxIters.
 	Converged bool

@@ -39,7 +39,6 @@ import (
 	"repro/internal/mdd"
 	"repro/internal/obs"
 	"repro/internal/seismic"
-	"repro/internal/sfc"
 	"repro/internal/tlr"
 )
 
@@ -698,7 +697,7 @@ func surveyOptions(d DatasetSpec) seismic.Options {
 // waiters never see its owner's cancellation.
 func (s *Server) built(ctx context.Context, spec JobSpec) (*built, error) {
 	sv, err := s.surveys.get(ctx, surveyKey(spec.Dataset), func() (*core.Survey, error) {
-		return core.NewSurvey(surveyOptions(spec.Dataset), sfc.Hilbert)
+		return core.NewSurvey(surveyOptions(spec.Dataset))
 	})
 	if err != nil {
 		return nil, err

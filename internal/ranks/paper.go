@@ -3,7 +3,7 @@ package ranks
 import "math"
 
 // This file is the one declaration of the paper's CS-2 results (§7:
-// Fig. 14, Tables 1–5, §7.6): every published row in print order, with
+// Fig. 14, Tables 1–5, §7.5, §7.6): every published row in print order, with
 // the deviation the machine model is allowed on each quantity. The
 // ranks, cs2 and wse tests assert it and cmd/paperrun prints REPORT.md
 // from it. TestPaperTableCensus pins the row counts and refuses a
@@ -60,7 +60,11 @@ type PaperRow struct {
 
 // PaperSixShard is Tables 1–3: the five configurations validated for MDD
 // accuracy, on six systems under strategy 1. The nb=25 flop rate runs
-// ~20 % above the paper's (EXPERIMENTS.md, Table 3), hence its 0.25.
+// ~20 % above the paper's (EXPERIMENTS.md, Table 3), hence its 0.25. The
+// ±15 % on relative bandwidth has a floor: the paper's own Table 2 bytes
+// × 850 MHz ÷ its Table 2 worst cycles differ from these Table 3 values
+// by −7.6 … +4.1 % (cs2's TestPaperDisagreesWithItself), so no relative
+// bandwidth tolerance, here or in Tables 4–5, may be tighter than 7.6 %.
 var PaperSixShard = []PaperRow{
 	{
 		PaperPlan: PaperPlan{Config{25, 1e-4}, 64, 6, 1},
@@ -125,6 +129,21 @@ func PaperTable4() []PaperRow {
 	rows := []PaperRow{PaperSixShard[0]}
 	rows = append(rows, PaperStrongScaling...)
 	return append(rows, PaperFortyEight[0])
+}
+
+// PaperOverPeak is §7.5: the relative bandwidth the 48-shard nb=70 run
+// sustains (Table 5's last row) is more than three times the theoretical
+// peak memory bandwidth of Leonardo and of Summit (Fig. 16). The paper
+// gives only the lower bound, so each ratio is held to [3, +∞).
+var PaperOverPeak = []struct {
+	PaperPlan
+	// System is the Fig. 16 platform, the first word of its name in
+	// internal/roofline.
+	System string
+	Ratio  Band
+}{
+	{PaperFortyEight[2].PaperPlan, "Leonardo", Band{3, 3, math.Inf(1)}},
+	{PaperFortyEight[2].PaperPlan, "Summit", Band{3, 3, math.Inf(1)}},
 }
 
 // PaperFig14 is Fig. 14's reading: with a constant-size N×N MVM on every

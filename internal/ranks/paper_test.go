@@ -1,6 +1,9 @@
 package ranks
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestPaperTableCensus pins the shape of the published-results table —
 // the row counts of each paper table, one declaration per plan — and is
@@ -83,6 +86,20 @@ func TestPaperTableCensus(t *testing.T) {
 	}
 	if PaperPower.PaperPlan != PaperSixShard[0].PaperPlan {
 		t.Errorf("§7.6 plan %+v is not Table 1's first row", PaperPower.PaperPlan)
+	}
+
+	// §7.5 claims "more than three times" two peaks: the bound may not
+	// drop below 3, and nothing caps it from above.
+	if len(PaperOverPeak) != 2 {
+		t.Errorf("§7.5: %d peak comparisons, want Leonardo and Summit", len(PaperOverPeak))
+	}
+	for _, c := range PaperOverPeak {
+		if c.PaperPlan != PaperFortyEight[2].PaperPlan {
+			t.Errorf("§7.5 %s: plan %+v is not Table 5's nb=70 row", c.System, c.PaperPlan)
+		}
+		if c.Ratio.Value != 3 || c.Ratio.Lo < 3 || !math.IsInf(c.Ratio.Hi, 1) {
+			t.Errorf("§7.5 %s: %+v, want the paper's > 3× held to [3, +Inf)", c.System, c.Ratio)
+		}
 	}
 }
 

@@ -143,7 +143,10 @@ func TestStackedHeightsConsistent(t *testing.T) {
 func TestPaperStackWidthsReproduceTable1PEs(t *testing.T) {
 	// Table 1: with the published stack widths on 6 systems, the chunk
 	// count (= PEs used under strategy 1) must land close to the
-	// published PE counts and inside the 6-system budget.
+	// published PE counts and inside the 6-system budget, and the
+	// auto-fit rule (the smallest stack width that fits the budget, which
+	// cmd/ablate -strategies uses) must land on the published stack
+	// width or one below it.
 	budget := int64(6 * 745500)
 	for _, r := range PaperSixShard {
 		d := paperDist(t, r.Config)
@@ -157,6 +160,9 @@ func TestPaperStackWidthsReproduceTable1PEs(t *testing.T) {
 		}
 		if worst != r.StackWidth {
 			t.Errorf("%v: worst chunk %d, want full %d", r.Config, worst, r.StackWidth)
+		}
+		if sw := d.StackWidthFor(budget); sw > r.StackWidth || sw < r.StackWidth-1 {
+			t.Errorf("%v: auto-fit stack width %d, paper uses %d", r.Config, sw, r.StackWidth)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package testkit
 import (
 	"fmt"
 
-	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/mdc"
 	"repro/internal/opstore"
@@ -195,7 +194,7 @@ func hotPaths() []hotPath {
 			if err != nil {
 				return nil, err
 			}
-			m, err := wsesim.Build(t, hotNB, cs2.DefaultArch())
+			m, err := wsesim.Build(t, hotNB)
 			if err != nil {
 				return nil, fmt.Errorf("testkit: building wsesim machine: %w", err)
 			}

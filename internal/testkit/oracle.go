@@ -173,7 +173,7 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 	if sw <= 0 {
 		sw = cfg.TLROpts.NB
 	}
-	machine, err := wsesim.Build(t, sw, cs2.DefaultArch())
+	machine, err := wsesim.Build(t, sw)
 	if err != nil {
 		return nil, fmt.Errorf("testkit: building wsesim machine: %w", err)
 	}

@@ -1,12 +1,9 @@
 package wse
 
-import (
-	"repro/internal/cs2"
-	"repro/internal/ranks"
-)
+import "repro/internal/ranks"
 
 // PaperModel evaluates the paper's published deployments (the rows of
-// internal/ranks/paper.go) on the default CS-2 architecture. Calibrating
+// internal/ranks/paper.go) on the CS-2. Calibrating
 // a paper-scale rank distribution takes up to a second, so a PaperModel
 // calibrates each Fig. 12 configuration once; the zero value is ready to
 // use, and it is not safe for concurrent use.
@@ -38,8 +35,7 @@ func (pm *PaperModel) Plan(pp ranks.PaperPlan) (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{
-		Dist: d, Arch: cs2.DefaultArch(),
-		StackWidth: pp.StackWidth, Systems: pp.Systems, Strategy: Strategy(pp.Strategy),
+		Dist: d, StackWidth: pp.StackWidth, Systems: pp.Systems, Strategy: Strategy(pp.Strategy),
 	}, nil
 }
 

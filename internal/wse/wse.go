@@ -61,7 +61,6 @@ func (s Strategy) String() string {
 // a number of CS-2 systems at a given stack width.
 type Plan struct {
 	Dist       *ranks.Distribution
-	Arch       cs2.Arch
 	StackWidth int
 	Systems    int
 	Strategy   Strategy
@@ -114,9 +113,6 @@ func (p Plan) Evaluate() (*Metrics, error) {
 	if p.Strategy != Strategy1 && p.Strategy != Strategy2 {
 		return nil, fmt.Errorf("wse: unknown strategy %d", p.Strategy)
 	}
-	if err := p.Arch.Validate(); err != nil {
-		return nil, err
-	}
 	d := p.Dist
 	nb := d.NB
 	sw := p.StackWidth
@@ -165,16 +161,16 @@ func (p Plan) Evaluate() (*Metrics, error) {
 		m.BaseReplication = 2            // each base held by two PEs
 	}
 
-	budget := int64(p.Systems) * int64(p.Arch.UsablePEs())
+	budget := int64(p.Systems) * cs2.UsablePEs
 	if m.PEsUsed > budget {
 		return nil, fmt.Errorf("wse: %d PEs needed exceed %d available on %d systems",
 			m.PEsUsed, budget, p.Systems)
 	}
 	m.Occupancy = float64(m.PEsUsed) / float64(budget)
-	m.RelativeBW = p.Arch.Bandwidth(m.RelativeBytes, m.WorstCycles)
-	m.AbsoluteBW = p.Arch.Bandwidth(m.AbsoluteBytes, m.WorstCycles)
-	m.FlopRate = p.Arch.FlopRate(fmacs, m.WorstCycles)
-	m.TimeSeconds = p.Arch.Seconds(m.WorstCycles)
+	m.RelativeBW = cs2.Bandwidth(m.RelativeBytes, m.WorstCycles)
+	m.AbsoluteBW = cs2.Bandwidth(m.AbsoluteBytes, m.WorstCycles)
+	m.FlopRate = cs2.FlopRate(fmacs, m.WorstCycles)
+	m.TimeSeconds = cs2.Seconds(m.WorstCycles)
 	if obs.Enabled() {
 		obsWorstCycles.Set(m.WorstCycles)
 		obsRelBytes.Set(m.RelativeBytes)
@@ -207,19 +203,18 @@ type SyntheticPoint struct {
 	AbsoluteBW float64
 }
 
-// SyntheticTileSweep models Fig. 14: every usable PE runs a constant-size
-// single-precision N×N MVM; aggregate relative and absolute bandwidths are
-// reported for each N.
-func SyntheticTileSweep(arch cs2.Arch, sizes []int) []SyntheticPoint {
+// SyntheticTileSweep models Fig. 14: every usable PE of one CS-2 runs a
+// constant-size single-precision N×N MVM; aggregate relative and absolute
+// bandwidths are reported for each N.
+func SyntheticTileSweep(sizes []int) []SyntheticPoint {
 	out := make([]SyntheticPoint, 0, len(sizes))
-	pes := float64(arch.UsablePEs())
 	for _, n := range sizes {
 		cyc := cs2.MVMCycles(n, n)
 		out = append(out, SyntheticPoint{
 			N:          n,
 			Cycles:     cyc,
-			RelativeBW: arch.Bandwidth(cs2.RelativeBytes(n, n), cyc) * pes,
-			AbsoluteBW: arch.Bandwidth(cs2.AbsoluteBytes(n, n), cyc) * pes,
+			RelativeBW: cs2.Bandwidth(cs2.RelativeBytes(n, n), cyc) * cs2.UsablePEs,
+			AbsoluteBW: cs2.Bandwidth(cs2.AbsoluteBytes(n, n), cyc) * cs2.UsablePEs,
 		})
 	}
 	return out
@@ -235,12 +230,8 @@ type PowerReport struct {
 
 // Power evaluates the power model for one system of the plan.
 func (p Plan) Power(m *Metrics) PowerReport {
-	pm := cs2.DefaultPowerModel()
-	activePerSystem := int(m.PEsUsed / int64(p.Systems))
-	if activePerSystem > p.Arch.UsablePEs() {
-		activePerSystem = p.Arch.UsablePEs()
-	}
-	watts := pm.SystemWatts(activePerSystem)
+	activePerSystem := min(int(m.PEsUsed/int64(p.Systems)), cs2.UsablePEs)
+	watts := cs2.SystemWatts(activePerSystem)
 	flopsPerSystem := m.FlopRate / float64(p.Systems)
 	return PowerReport{
 		Watts:          watts,

@@ -87,7 +87,7 @@ func TestTable5FortyEightShards(t *testing.T) {
 	for _, r := range ranks.PaperFortyEight {
 		m := evalPaper(t, r)
 		bandwidths(t, r, m)
-		if m.PEsUsed > int64(r.Systems)*745500 {
+		if m.PEsUsed > int64(r.Systems)*cs2.UsablePEs {
 			t.Errorf("%v: PEs %d exceed budget", r.Config, m.PEsUsed)
 		}
 	}
@@ -114,9 +114,8 @@ func TestTable4StrongScalingStrategy1(t *testing.T) {
 func TestStrategy2UsesEightfoldPEs(t *testing.T) {
 	cfg := ranks.Config{NB: 70, Acc: 1e-4}
 	d := dist(t, cfg)
-	arch := cs2.DefaultArch()
-	m1 := evalOrDie(t, Plan{Dist: d, Arch: arch, StackWidth: 23, Systems: 6, Strategy: Strategy1})
-	m2 := evalOrDie(t, Plan{Dist: d, Arch: arch, StackWidth: 23, Systems: 48, Strategy: Strategy2})
+	m1 := evalOrDie(t, Plan{Dist: d, StackWidth: 23, Systems: 6, Strategy: Strategy1})
+	m2 := evalOrDie(t, Plan{Dist: d, StackWidth: 23, Systems: 48, Strategy: Strategy2})
 	if m2.PEsUsed != 8*m1.PEsUsed {
 		t.Errorf("strategy 2 PEs %d != 8×%d", m2.PEsUsed, m1.PEsUsed)
 	}
@@ -138,45 +137,45 @@ func TestStrategy2UsesEightfoldPEs(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	d := dist(t, ranks.Config{NB: 70, Acc: 1e-4})
-	arch := cs2.DefaultArch()
-	if _, err := (Plan{Dist: nil, Arch: arch, StackWidth: 23, Systems: 6, Strategy: Strategy1}).Evaluate(); err == nil {
+	if _, err := (Plan{Dist: nil, StackWidth: 23, Systems: 6, Strategy: Strategy1}).Evaluate(); err == nil {
 		t.Error("nil dist should fail")
 	}
-	if _, err := (Plan{Dist: d, Arch: arch, StackWidth: 0, Systems: 6, Strategy: Strategy1}).Evaluate(); err == nil {
+	if _, err := (Plan{Dist: d, StackWidth: 0, Systems: 6, Strategy: Strategy1}).Evaluate(); err == nil {
 		t.Error("zero stack width should fail")
 	}
-	if _, err := (Plan{Dist: d, Arch: arch, StackWidth: 23, Systems: 0, Strategy: Strategy1}).Evaluate(); err == nil {
+	if _, err := (Plan{Dist: d, StackWidth: 23, Systems: 0, Strategy: Strategy1}).Evaluate(); err == nil {
 		t.Error("zero systems should fail")
 	}
-	if _, err := (Plan{Dist: d, Arch: arch, StackWidth: 23, Systems: 6, Strategy: Strategy(0)}).Evaluate(); err == nil {
+	if _, err := (Plan{Dist: d, StackWidth: 23, Systems: 6, Strategy: Strategy(0)}).Evaluate(); err == nil {
 		t.Error("unknown strategy should fail")
 	}
 	// one system cannot hold a 6-system dataset
-	if _, err := (Plan{Dist: d, Arch: arch, StackWidth: 23, Systems: 1, Strategy: Strategy1}).Evaluate(); err == nil {
+	if _, err := (Plan{Dist: d, StackWidth: 23, Systems: 1, Strategy: Strategy1}).Evaluate(); err == nil {
 		t.Error("over-budget plan should fail")
 	}
 }
 
+// TestSRAMFitsOnPE: the paper's strategy 1 (§6.7) holds a chunk's four
+// real base planes — Vr, Vi, Ur, Ui, each sw×nb — on one PE, so every
+// Table 1 configuration must fit 48 kB.
 func TestSRAMFitsOnPE(t *testing.T) {
-	arch := cs2.DefaultArch()
 	for _, r := range ranks.PaperSixShard {
+		m := evalPaper(t, r)
+		if m.PerPEMatrixBytes > cs2.SRAMBytes {
+			t.Errorf("%v: %d B of bases exceed 48 kB SRAM", r.Config, m.PerPEMatrixBytes)
+		}
 		if r.Acc != 1e-4 {
 			continue // the looser accuracy's shorter stacks leave SRAM to spare
 		}
-		m := evalPaper(t, r)
-		if m.PerPEMatrixBytes > arch.SRAMBytes {
-			t.Errorf("%v: %d B of bases exceed 48 kB SRAM", r.Config, m.PerPEMatrixBytes)
-		}
 		// "max out the SRAM": bases alone should use over a third
-		if m.PerPEMatrixBytes < arch.SRAMBytes/3 {
+		if m.PerPEMatrixBytes < cs2.SRAMBytes/3 {
 			t.Errorf("%v: only %d B of SRAM used by bases", r.Config, m.PerPEMatrixBytes)
 		}
 	}
 }
 
 func TestSyntheticTileSweepFig14(t *testing.T) {
-	arch := cs2.DefaultArch()
-	pts := SyntheticTileSweep(arch, []int{8, 16, 32, 64, 128})
+	pts := SyntheticTileSweep([]int{8, 16, 32, 64, 128})
 	// bandwidth rises with tile size and saturates
 	for i := 1; i < len(pts); i++ {
 		if pts[i].RelativeBW <= pts[i-1].RelativeBW {
@@ -222,7 +221,7 @@ func TestStrategyString(t *testing.T) {
 
 func BenchmarkEvaluateSixShards(b *testing.B) {
 	d := dist(b, ranks.Config{NB: 70, Acc: 1e-4})
-	p := Plan{Dist: d, Arch: cs2.DefaultArch(), StackWidth: 23, Systems: 6, Strategy: Strategy1}
+	p := Plan{Dist: d, StackWidth: 23, Systems: 6, Strategy: Strategy1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Evaluate(); err != nil {

@@ -54,11 +54,11 @@ type BankPlan struct {
 // each; matrix planes then fill the remaining banks, skipping any bank
 // holding their paired accumulator. It returns an error when no
 // conflict-free placement exists.
-func (pe *PE) PlanBanks(arch cs2.Arch) (*BankPlan, error) {
-	nb := arch.NumBanks
+func (pe *PE) PlanBanks() (*BankPlan, error) {
+	const nb = cs2.NumBanks
 	free := make([]int, nb)
 	for i := range free {
-		free[i] = arch.BankBytes
+		free[i] = cs2.BankBytes
 	}
 	align := func(bytes int) int { return (bytes + 7) &^ 7 }
 

@@ -11,9 +11,8 @@ import (
 
 func TestBankPlanConflictFree(t *testing.T) {
 	mach, _ := buildMachine(t, 96, 80, 16, 8, 1e-3)
-	arch := cs2.DefaultArch()
 	for i, pe := range mach.PEs {
-		plan, err := pe.PlanBanks(arch)
+		plan, err := pe.PlanBanks()
 		if err != nil {
 			t.Fatalf("PE %d: %v", i, err)
 		}
@@ -42,11 +41,10 @@ func TestBankPlanPaperScaleChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := Build(tm, 64, cs2.DefaultArch())
+	mach, err := Build(tm, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch := cs2.DefaultArch()
 	worst := mach.PEs[0]
 	for _, pe := range mach.PEs {
 		if pe.SRAMBytes() > worst.SRAMBytes() {
@@ -56,7 +54,7 @@ func TestBankPlanPaperScaleChunk(t *testing.T) {
 	if worst.SRAMBytes() < 20*1024 {
 		t.Fatalf("test chunk only %d B — not the near-full case intended", worst.SRAMBytes())
 	}
-	plan, err := worst.PlanBanks(arch)
+	plan, err := worst.PlanBanks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,20 +67,26 @@ func TestBankPlanPaperScaleChunk(t *testing.T) {
 		if f < 0 {
 			t.Fatal("negative free capacity")
 		}
-		used += arch.BankBytes - f
+		used += cs2.BankBytes - f
 	}
-	if used > arch.SRAMBytes {
+	if used > cs2.SRAMBytes {
 		t.Fatalf("placed %d B into 48 kB", used)
 	}
 }
 
+// TestBankPlanFailsWhenOverfull: two 28 kB matrix planes — more than the
+// eight 6 kB banks hold together — cannot be placed. Build refuses such
+// an image, so the PE is assembled by hand.
 func TestBankPlanFailsWhenOverfull(t *testing.T) {
-	mach, _ := buildMachine(t, 64, 64, 16, 8, 1e-3)
-	small := cs2.Arch{
-		GridX: 10, GridY: 10, UsableX: 8, UsableY: 8,
-		ClockHz: 1e6, SRAMBytes: 256, NumBanks: 8, BankBytes: 32,
+	const rows, cols = 100, 70
+	pe := &PE{
+		Chunk: Chunk{Rows: rows}, ColExtent: cols,
+		vr: make([]float32, rows*cols), vi: make([]float32, rows*cols),
 	}
-	if _, err := mach.PEs[0].PlanBanks(small); err == nil {
+	if pe.SRAMBytes() <= cs2.SRAMBytes {
+		t.Fatalf("test image is %d B, not more than the %d B of SRAM", pe.SRAMBytes(), cs2.SRAMBytes)
+	}
+	if _, err := pe.PlanBanks(); err == nil {
 		t.Error("overfull placement should fail")
 	}
 }

@@ -24,7 +24,7 @@ func TestDifferentialStackWidths(t *testing.T) {
 	}
 	rng := testkit.NewRNG(62)
 	for _, sw := range []int{1, 3, 8, 16, 64} {
-		m, err := wsesim.Build(tm, sw, cs2.DefaultArch())
+		m, err := wsesim.Build(tm, sw)
 		if err != nil {
 			t.Fatalf("sw=%d: %v", sw, err)
 		}
@@ -48,7 +48,7 @@ func TestMeterMatchesAbsoluteBytesFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := wsesim.Build(tm, 6, cs2.DefaultArch())
+	m, err := wsesim.Build(tm, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,23 +95,19 @@ func (m Meter) Bytes() int64 { return m.Reads + m.Writes }
 // Machine is the simulated deployment: the chunk plan for one TLR matrix
 // at one stack width, mapped one chunk per PE (strategy 1).
 type Machine struct {
-	Arch cs2.Arch
-	T    *tlr.Matrix
-	SW   int
-	PEs  []*PE
+	T   *tlr.Matrix
+	SW  int
+	PEs []*PE
 }
 
 // Build partitions the TLR matrix into stack-width chunks and loads one PE
 // per chunk with its SRAM image. It fails if any PE image exceeds the
-// architecture's SRAM capacity.
-func Build(t *tlr.Matrix, sw int, arch cs2.Arch) (*Machine, error) {
+// CS-2's 48 kB of SRAM.
+func Build(t *tlr.Matrix, sw int) (*Machine, error) {
 	if sw <= 0 {
 		return nil, fmt.Errorf("wsesim: nonpositive stack width %d", sw)
 	}
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Machine{Arch: arch, T: t, SW: sw}
+	m := &Machine{T: t, SW: sw}
 	for j := 0; j < t.NT; j++ {
 		colExt := min((j+1)*t.NB, t.N) - j*t.NB
 		// enumerate the column's rank rows tile by tile
@@ -211,16 +207,16 @@ func (m *Machine) loadPE(ch Chunk, colExt int) (*PE, error) {
 	}
 	pe.sYr = make([]float32, maxExt)
 	pe.sYi = make([]float32, maxExt)
-	if sram := pe.SRAMBytes(); sram > m.Arch.SRAMBytes {
+	if sram := pe.SRAMBytes(); sram > cs2.SRAMBytes {
 		return nil, fmt.Errorf("wsesim: chunk (col %d, row %d) needs %d B of SRAM (PE has %d)",
-			ch.Col, ch.Row0, sram, m.Arch.SRAMBytes)
+			ch.Col, ch.Row0, sram, cs2.SRAMBytes)
 	}
 	return pe, nil
 }
 
 // SRAMBytes returns the PE's resident image size: the four real base
 // arrays plus the x, yv, and per-tile y vectors, each padded to the
-// architecture's 64-bit access granularity (§6.5's alignment rule).
+// CS-2's 64-bit access granularity (§6.5's alignment rule).
 func (pe *PE) SRAMBytes() int {
 	pad := func(n int) int { return 4 * ((n + 1) &^ 1) } // float32s, 8-byte aligned
 	b := pad(len(pe.vr)) + pad(len(pe.vi))

@@ -41,7 +41,7 @@ func buildMachine(t *testing.T, m, n, nb, sw int, tol float64) (*Machine, *tlr.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := Build(tm, sw, cs2.DefaultArch())
+	mach, err := Build(tm, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,7 @@ func TestChunkPartitionCoversAllRankRows(t *testing.T) {
 
 func TestPEImagesFitSRAM(t *testing.T) {
 	mach, _ := buildMachine(t, 96, 80, 16, 8, 1e-4)
-	arch := cs2.DefaultArch()
-	if w := mach.WorstSRAM(); w > arch.SRAMBytes {
+	if w := mach.WorstSRAM(); w > cs2.SRAMBytes {
 		t.Errorf("worst PE image %d B exceeds SRAM", w)
 	}
 	if mach.NumPEs() == 0 {
@@ -118,7 +117,7 @@ func TestBuildRejectsOversizedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(tm, 512, cs2.DefaultArch()); err == nil {
+	if _, err := Build(tm, 512); err == nil {
 		t.Error("expected SRAM overflow error")
 	}
 }
@@ -127,13 +126,8 @@ func TestBuildValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := smoothMatrix(rng, 32, 32)
 	tm, _ := tlr.Compress(a, tlr.Options{NB: 16, Tol: 1e-3})
-	if _, err := Build(tm, 0, cs2.DefaultArch()); err == nil {
+	if _, err := Build(tm, 0); err == nil {
 		t.Error("zero stack width should fail")
-	}
-	bad := cs2.DefaultArch()
-	bad.NumBanks = 3
-	if _, err := Build(tm, 8, bad); err == nil {
-		t.Error("invalid arch should fail")
 	}
 }
 
@@ -202,7 +196,7 @@ func TestSimulatorPropertyRandomShapes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mach, err := Build(tm, sw, cs2.DefaultArch())
+		mach, err := Build(tm, sw)
 		if err != nil {
 			return false
 		}
@@ -226,7 +220,7 @@ func BenchmarkSimulatedTLRMVM(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	a := smoothMatrix(rng, 128, 128)
 	tm, _ := tlr.Compress(a, tlr.Options{NB: 16, Tol: 1e-3})
-	mach, err := Build(tm, 8, cs2.DefaultArch())
+	mach, err := Build(tm, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cs2"
 	"repro/internal/ranks"
 	"repro/internal/roofline"
 	"repro/internal/sfc"
@@ -154,7 +153,7 @@ func TestModelRepeatsBitForBit(t *testing.T) {
 		Strategy2      wsesim.Strategy2Stats
 	}
 	simulate := func() simulation {
-		mach, err := wsesim.Build(tm, 6, cs2.DefaultArch())
+		mach, err := wsesim.Build(tm, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
