@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/opstore"
 	"repro/internal/seismic"
+	"repro/internal/tlrio"
 )
 
 // TestCompressInfoOpenStore checks the tool's file is the served
@@ -32,7 +34,16 @@ func TestCompressInfoOpenStore(t *testing.T) {
 		t.Fatalf("opstore cannot open tlrtool's output: %v", err)
 	}
 	defer st.Close()
-	m, err := st.Matrix(st.NumMats() - 1)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := tlrio.OpenPaged(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(pf.Mats) - 1
+	m, err := st.Matrix(last)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +53,11 @@ func TestCompressInfoOpenStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// the last matrix always gets a row; its stats must be the store's
-	last := fmt.Sprintf("%10.2f %6dx%-4d %7d %10d %10.1f %11.2fx\n",
-		st.Freqs()[st.NumMats()-1], m.M, m.N, m.NB, m.MaxRank(), m.AvgRank(), m.CompressionRatio())
-	head := fmt.Sprintf("%d frequency matrices", st.NumMats())
-	if got := out.String(); !strings.Contains(got, head) || !strings.Contains(got, last) {
-		t.Fatalf("info output lacks %q or %q:\n%s", head, last, got)
+	row := fmt.Sprintf("%10.2f %6dx%-4d %7d %10d %10.1f %11.2fx\n",
+		pf.Mats[last].Freq, m.M, m.N, m.NB, m.MaxRank(), m.AvgRank(), m.CompressionRatio())
+	head := fmt.Sprintf("%d frequency matrices", len(pf.Mats))
+	if got := out.String(); !strings.Contains(got, head) || !strings.Contains(got, row) {
+		t.Fatalf("info output lacks %q or %q:\n%s", head, row, got)
 	}
 	if err := info(&out, filepath.Join(t.TempDir(), "missing.tlrp")); err == nil {
 		t.Error("info on a missing file: no error")

@@ -65,7 +65,7 @@ func TestEndToEndPipelineStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded := &mdc.TLRKernel{Mats: make([]*tlr.Matrix, st.NumMats())}
+	reloaded := &mdc.TLRKernel{Mats: make([]*tlr.Matrix, len(tk.Mats))}
 	for f := range reloaded.Mats {
 		if reloaded.Mats[f], err = st.Matrix(f); err != nil {
 			t.Fatal(err)
@@ -105,7 +105,11 @@ func TestWaferSimulatorAgreesWithAnalyticModel(t *testing.T) {
 	}
 	// PE count must equal the chunk count derived from stacked heights
 	var chunks int
-	for _, s := range tm.ColumnStackedSizes() {
+	for j := 0; j < tm.NT; j++ {
+		var s int // the stacked V height of tile column j
+		for i := 0; i < tm.MT; i++ {
+			s += tm.Tile(i, j).Rank()
+		}
 		chunks += (s + sw - 1) / sw
 	}
 	if mach.NumPEs() != chunks {
@@ -177,7 +181,7 @@ func TestMultiShotMDCConsistency(t *testing.T) {
 	shots := 5
 	x := dense.Random(randSrc(), k.Cols, shots)
 	yBlock := dense.New(k.Rows, shots)
-	if err := tlrmmm.MulMatFused(tm, x, yBlock); err != nil {
+	if err := tlrmmm.MulMatFusedParallel(tm, x, yBlock, 1); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < shots; s++ {

@@ -12,11 +12,11 @@ import (
 	"math"
 )
 
-// MatchFilter returns the length-flen filter f minimizing
+// matchFilter returns the length-flen filter f minimizing
 // ‖d − f ∗ m‖₂² (zero-lag aligned: (f∗m)[t] = Σ_k f[k]·m[t−k]).
 // A small stabilization eps (relative to the zero-lag autocorrelation)
 // keeps the recursion well posed for band-limited predictions.
-func MatchFilter(d, m []float64, flen int, eps float64) ([]float64, error) {
+func matchFilter(d, m []float64, flen int, eps float64) ([]float64, error) {
 	if len(d) != len(m) {
 		return nil, fmt.Errorf("adaptive: data length %d != prediction length %d", len(d), len(m))
 	}
@@ -91,8 +91,8 @@ func levinson(r, g []float64) ([]float64, error) {
 	return f, nil
 }
 
-// Convolve returns (f ∗ m) truncated to len(m).
-func Convolve(f, m []float64) []float64 {
+// convolve returns (f ∗ m) truncated to len(m).
+func convolve(f, m []float64) []float64 {
 	out := make([]float64, len(m))
 	for t := range out {
 		var acc float64
@@ -107,11 +107,11 @@ func Convolve(f, m []float64) []float64 {
 // Subtract estimates a matching filter and returns d − f∗m along with the
 // filter — the adaptive subtraction step.
 func Subtract(d, m []float64, flen int, eps float64) ([]float64, []float64, error) {
-	f, err := MatchFilter(d, m, flen, eps)
+	f, err := matchFilter(d, m, flen, eps)
 	if err != nil {
 		return nil, nil, err
 	}
-	fit := Convolve(f, m)
+	fit := convolve(f, m)
 	out := make([]float64, len(d))
 	for i := range d {
 		out[i] = d[i] - fit[i]

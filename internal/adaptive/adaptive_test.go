@@ -90,8 +90,8 @@ func TestMatchFilterRecoversKnownFilter(t *testing.T) {
 		m[i] = rng.NormFloat64()
 	}
 	fTrue := []float64{0.8, -0.3, 0.1}
-	d := Convolve(fTrue, m)
-	f, err := MatchFilter(d, m, 3, 0)
+	d := convolve(fTrue, m)
+	f, err := matchFilter(d, m, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,30 +139,30 @@ func TestSubtractRemovesScaledPrediction(t *testing.T) {
 }
 
 func TestMatchFilterValidation(t *testing.T) {
-	if _, err := MatchFilter([]float64{1}, []float64{1, 2}, 1, 0); err == nil {
+	if _, err := matchFilter([]float64{1}, []float64{1, 2}, 1, 0); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := MatchFilter([]float64{1, 2}, []float64{1, 2}, 0, 0); err == nil {
+	if _, err := matchFilter([]float64{1, 2}, []float64{1, 2}, 0, 0); err == nil {
 		t.Error("zero filter length should fail")
 	}
-	if _, err := MatchFilter([]float64{1, 2}, []float64{0, 0}, 1, 0); err == nil {
+	if _, err := matchFilter([]float64{1, 2}, []float64{0, 0}, 1, 0); err == nil {
 		t.Error("zero prediction should fail")
 	}
-	if _, err := MatchFilter([]float64{1, 2}, []float64{1, 2}, 1, -1); err == nil {
+	if _, err := matchFilter([]float64{1, 2}, []float64{1, 2}, 1, -1); err == nil {
 		t.Error("negative eps should fail")
 	}
 }
 
 func TestConvolveIdentity(t *testing.T) {
 	m := []float64{1, 2, 3}
-	out := Convolve([]float64{1}, m)
+	out := convolve([]float64{1}, m)
 	for i := range m {
 		if out[i] != m[i] {
 			t.Fatal("identity filter broken")
 		}
 	}
 	// delayed spike
-	out = Convolve([]float64{0, 1}, m)
+	out = convolve([]float64{0, 1}, m)
 	if out[0] != 0 || out[1] != 1 || out[2] != 2 {
 		t.Fatalf("delay filter: %v", out)
 	}
@@ -231,10 +231,10 @@ func BenchmarkMatchFilter32(b *testing.B) {
 	for i := range m {
 		m[i] = rng.NormFloat64()
 	}
-	d := Convolve([]float64{0.9, -0.2}, m)
+	d := convolve([]float64{0.9, -0.2}, m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatchFilter(d, m, 32, 1e-9); err != nil {
+		if _, err := matchFilter(d, m, 32, 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -116,9 +116,6 @@ func NewShardRunner(opts ShardOptions) (*ShardRunner, error) {
 	return r, nil
 }
 
-// Shards returns the configured shard count.
-func (r *ShardRunner) Shards() int { return r.opts.Shards }
-
 // Alive returns the number of live shards.
 func (r *ShardRunner) Alive() int {
 	r.mu.Lock()

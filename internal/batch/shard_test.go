@@ -100,8 +100,8 @@ func TestShardRunnerValidation(t *testing.T) {
 		t.Error("zero shards should error")
 	}
 	r, _ := NewShardRunner(ShardOptions{Shards: 2, Sleep: noSleep})
-	if r.Shards() != 2 {
-		t.Errorf("Shards() = %d", r.Shards())
+	if r.Alive() != 2 {
+		t.Errorf("Alive() = %d, want both shards live", r.Alive())
 	}
 }
 

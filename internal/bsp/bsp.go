@@ -47,10 +47,10 @@ type Phases struct {
 // Total returns the end-to-end cycle count.
 func (p Phases) Total() int64 { return p.VBatch + p.Shuffle + p.UBatch + p.Barriers }
 
-// ShuffleFraction returns the share of time spent in the shuffle phase
+// shuffleFraction returns the share of time spent in the shuffle phase
 // and its barriers — the overhead the communication-avoiding layout
 // removes.
-func (p Phases) ShuffleFraction() float64 {
+func (p Phases) shuffleFraction() float64 {
 	t := p.Total()
 	if t == 0 {
 		return 0
@@ -58,12 +58,12 @@ func (p Phases) ShuffleFraction() float64 {
 	return float64(p.Shuffle+p.Barriers) / float64(t)
 }
 
-// ThreePhase models the generic TLR-MVM on a BSP machine at the given
+// threePhase models the generic TLR-MVM on a BSP machine at the given
 // stack width: each PE executes the four real V MVMs of its chunk, waits
 // on a barrier, exchanges its yv slice across the fabric (every complex
 // element leaves its producer and enters its consumer), waits again, and
 // executes the four real U MVMs.
-func ThreePhase(d *ranks.Distribution, sw int, f Fabric) (Phases, error) {
+func threePhase(d *ranks.Distribution, sw int, f Fabric) (Phases, error) {
 	if sw <= 0 {
 		return Phases{}, fmt.Errorf("bsp: nonpositive stack width %d", sw)
 	}
@@ -86,11 +86,11 @@ func ThreePhase(d *ranks.Distribution, sw int, f Fabric) (Phases, error) {
 	return p, nil
 }
 
-// CommAvoiding returns the communication-avoiding worst-chunk cycles for
+// commAvoiding returns the communication-avoiding worst-chunk cycles for
 // the same layout (the §5.3 design), for side-by-side comparison: the
 // shuffle and barriers disappear, and the U phase pays the per-tile local
 // y traffic instead.
-func CommAvoiding(d *ranks.Distribution, sw int) (int64, error) {
+func commAvoiding(d *ranks.Distribution, sw int) (int64, error) {
 	if sw <= 0 {
 		return 0, fmt.Errorf("bsp: nonpositive stack width %d", sw)
 	}
@@ -113,11 +113,11 @@ type Comparison struct {
 
 // Compare evaluates both schedules.
 func Compare(d *ranks.Distribution, sw int, f Fabric) (*Comparison, error) {
-	tp, err := ThreePhase(d, sw, f)
+	tp, err := threePhase(d, sw, f)
 	if err != nil {
 		return nil, err
 	}
-	ca, err := CommAvoiding(d, sw)
+	ca, err := commAvoiding(d, sw)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func Compare(d *ranks.Distribution, sw int, f Fabric) (*Comparison, error) {
 		StackWidth:   sw,
 		ThreePhase:   tp,
 		CommAvoiding: ca,
-		ShuffleShare: tp.ShuffleFraction(),
+		ShuffleShare: tp.shuffleFraction(),
 	}
 	if ca > 0 {
 		c.Speedup = float64(tp.Total()) / float64(ca)

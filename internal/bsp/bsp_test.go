@@ -28,7 +28,7 @@ func testDist(t testing.TB) *ranks.Distribution {
 
 func TestThreePhaseBreakdown(t *testing.T) {
 	d := testDist(t)
-	p, err := ThreePhase(d, 8, DefaultFabric())
+	p, err := threePhase(d, 8, DefaultFabric())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestThreePhaseBreakdown(t *testing.T) {
 	if p.Total() != p.VBatch+p.Shuffle+p.UBatch+p.Barriers {
 		t.Error("Total inconsistent")
 	}
-	if f := p.ShuffleFraction(); f <= 0 || f >= 1 {
+	if f := p.shuffleFraction(); f <= 0 || f >= 1 {
 		t.Errorf("shuffle fraction %g out of (0,1)", f)
 	}
 }
@@ -80,29 +80,29 @@ func TestBarrierCostDominatesSmallChunks(t *testing.T) {
 	// small stack widths make compute tiny while barriers stay constant:
 	// the shuffle share must grow as sw shrinks
 	d := testDist(t)
-	big, err := ThreePhase(d, 16, DefaultFabric())
+	big, err := threePhase(d, 16, DefaultFabric())
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := ThreePhase(d, 2, DefaultFabric())
+	small, err := threePhase(d, 2, DefaultFabric())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.ShuffleFraction() <= big.ShuffleFraction() {
+	if small.shuffleFraction() <= big.shuffleFraction() {
 		t.Errorf("shuffle share should grow for small chunks: %g vs %g",
-			small.ShuffleFraction(), big.ShuffleFraction())
+			small.shuffleFraction(), big.shuffleFraction())
 	}
 }
 
 func TestValidation(t *testing.T) {
 	d := testDist(t)
-	if _, err := ThreePhase(d, 0, DefaultFabric()); err == nil {
+	if _, err := threePhase(d, 0, DefaultFabric()); err == nil {
 		t.Error("zero stack width should fail")
 	}
-	if _, err := ThreePhase(d, 4, Fabric{BytesPerCycle: 0}); err == nil {
+	if _, err := threePhase(d, 4, Fabric{BytesPerCycle: 0}); err == nil {
 		t.Error("zero fabric bandwidth should fail")
 	}
-	if _, err := CommAvoiding(d, -1); err == nil {
+	if _, err := commAvoiding(d, -1); err == nil {
 		t.Error("negative stack width should fail")
 	}
 	if _, err := Compare(d, 0, DefaultFabric()); err == nil {

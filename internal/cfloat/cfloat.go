@@ -26,8 +26,6 @@ type Trans int
 const (
 	// NoTrans applies the matrix as stored: y = A x.
 	NoTrans Trans = iota
-	// Transpose applies the unconjugated transpose: y = Aᵀ x.
-	Transpose
 	// ConjTrans applies the conjugate (Hermitian) transpose: y = Aᴴ x.
 	ConjTrans
 )
@@ -36,8 +34,6 @@ func (t Trans) String() string {
 	switch t {
 	case NoTrans:
 		return "N"
-	case Transpose:
-		return "T"
 	case ConjTrans:
 		return "C"
 	}
@@ -135,8 +131,7 @@ func Nrm2(x []complex64) float64 {
 
 // Gemv computes y = alpha*op(A)*x + beta*y where A is m×n stored
 // column-major in a with leading dimension lda, and op is NoTrans (x has
-// length n, y length m) or ConjTrans (roles swapped). The unconjugated
-// Transpose has no caller and panics.
+// length n, y length m) or ConjTrans (roles swapped).
 //
 // Both directions run in float32 real/imaginary arithmetic on the
 // interleaved data — the four real FMAC streams of §6.6, not gc's
@@ -270,11 +265,16 @@ func axpby(alpha, s, beta, y complex64) complex64 {
 	return s
 }
 
-// Gemm computes C = alpha*op(A)*op(B) + beta*C with column-major storage.
-// A is used as op(A) of size m×k, B as op(B) of size k×n, C is m×n.
-func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b []complex64, ldb int, beta complex64, c []complex64, ldc int) {
+// Gemm computes C = op(A)·B + beta·C with column-major storage, where
+// op is NoTrans or ConjTrans: op(A) is m×k, B is k×n and C is m×n. The
+// two are the layouts the pipeline multiplies: plain products (dense.Mul)
+// and Vᴴ·X panels (tlrmmm).
+func Gemm(ta Trans, m, n, k int, a []complex64, lda int, b []complex64, ldb int, beta complex64, c []complex64, ldc int) {
 	if m < 0 || n < 0 || k < 0 || ldc < max(1, m) {
 		panic("cfloat: Gemm bad dimensions")
+	}
+	if ta != NoTrans && ta != ConjTrans {
+		panic("cfloat: Gemm supports NoTrans and ConjTrans only")
 	}
 	if beta == 0 {
 		for j := 0; j < n; j++ {
@@ -290,17 +290,14 @@ func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b 
 		}
 	}
 	if k == 0 {
-		return // op(A)·op(B) is zero: a rank-0 tile's factors have no storage to read
+		return // op(A)·B is zero: a rank-0 tile's factors have no storage to read
 	}
-	// fast paths for the two layouts the pipeline hits hardest: plain
-	// products (dense.Mul) and Vᴴ·X panels (tlrmmm)
-	switch {
-	case ta == NoTrans && tb == NoTrans:
+	if ta == NoTrans {
 		for j := 0; j < n; j++ {
 			cj := c[j*ldc : j*ldc+m]
 			bj := b[j*ldb:]
 			for l := 0; l < k; l++ {
-				blj := alpha * bj[l]
+				blj := bj[l]
 				if blj == 0 {
 					continue
 				}
@@ -311,53 +308,23 @@ func Gemm(ta, tb Trans, m, n, k int, alpha complex64, a []complex64, lda int, b 
 			}
 		}
 		return
-	case ta == ConjTrans && tb == NoTrans:
-		for j := 0; j < n; j++ {
-			cj := c[j*ldc : j*ldc+m]
-			bj := b[j*ldb : j*ldb+k]
-			for i := 0; i < m; i++ {
-				ai := a[i*lda : i*lda+k]
-				var re, im float64
-				for l, v := range ai {
-					vr, vi := float64(real(v)), float64(imag(v))
-					br, bi := float64(real(bj[l])), float64(imag(bj[l]))
-					// conj(a)*b
-					re += vr*br + vi*bi
-					im += vr*bi - vi*br
-				}
-				cj[i] += alpha * complex(float32(re), float32(im))
-			}
-		}
-		return
 	}
-	getA := elemGetter(ta, a, lda)
-	getB := elemGetter(tb, b, ldb)
 	for j := 0; j < n; j++ {
-		for l := 0; l < k; l++ {
-			blj := alpha * getB(l, j)
-			if blj == 0 {
-				continue
+		cj := c[j*ldc : j*ldc+m]
+		bj := b[j*ldb : j*ldb+k]
+		for i := 0; i < m; i++ {
+			ai := a[i*lda : i*lda+k]
+			var re, im float64
+			for l, v := range ai {
+				vr, vi := float64(real(v)), float64(imag(v))
+				br, bi := float64(real(bj[l])), float64(imag(bj[l]))
+				// conj(a)*b
+				re += vr*br + vi*bi
+				im += vr*bi - vi*br
 			}
-			for i := 0; i < m; i++ {
-				c[j*ldc+i] += getA(i, l) * blj
-			}
+			cj[i] += complex(float32(re), float32(im))
 		}
 	}
-}
-
-func elemGetter(t Trans, a []complex64, lda int) func(i, j int) complex64 {
-	switch t {
-	case NoTrans:
-		return func(i, j int) complex64 { return a[j*lda+i] }
-	case Transpose:
-		return func(i, j int) complex64 { return a[i*lda+j] }
-	case ConjTrans:
-		return func(i, j int) complex64 {
-			v := a[i*lda+j]
-			return complex(real(v), -imag(v))
-		}
-	}
-	panic("cfloat: unknown Trans")
 }
 
 // SplitReIm splits a complex vector into separate real and imaginary

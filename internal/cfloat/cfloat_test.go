@@ -109,8 +109,6 @@ func refGemv(t cfloat.Trans, m, n int, a []complex64, lda int, x []complex64) []
 			switch t {
 			case cfloat.NoTrans:
 				aij = a[j*lda+i]
-			case cfloat.Transpose:
-				aij = a[i*lda+j]
 			case cfloat.ConjTrans:
 				v := a[i*lda+j]
 				aij = complex(real(v), -imag(v))
@@ -362,7 +360,7 @@ func TestGemmAgainstGemv(t *testing.T) {
 	a := testkit.Vec(rng, m*k)
 	b := testkit.Vec(rng, k*n)
 	c := make([]complex64, m*n)
-	cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, m, n, k, 1, a, m, b, k, 0, c, m)
+	cfloat.Gemm(cfloat.NoTrans, m, n, k, a, m, b, k, 0, c, m)
 	for j := 0; j < n; j++ {
 		y := make([]complex64, m)
 		cfloat.Gemv(cfloat.NoTrans, m, k, 1, a, m, b[j*k:(j+1)*k], 0, y)
@@ -380,7 +378,7 @@ func TestGemmConjTransIsHermitianAdjoint(t *testing.T) {
 	m, n := 12, 5
 	a := testkit.Vec(rng, m*n)
 	c := make([]complex64, n*n)
-	cfloat.Gemm(cfloat.ConjTrans, cfloat.NoTrans, n, n, m, 1, a, m, a, m, 0, c, n)
+	cfloat.Gemm(cfloat.ConjTrans, n, n, m, a, m, a, m, 0, c, n)
 	for i := 0; i < n; i++ {
 		if real(c[i*n+i]) < 0 || math.Abs(float64(imag(c[i*n+i]))) > 1e-3 {
 			t.Errorf("diagonal %d = %v not real nonneg", i, c[i*n+i])
@@ -396,20 +394,25 @@ func TestGemmConjTransIsHermitianAdjoint(t *testing.T) {
 }
 
 func TestGemmTransposeComposition(t *testing.T) {
-	// (A B)ᵀ = Bᵀ Aᵀ
+	// ConjTrans on A (k×m stored) is NoTrans on Aᴴ written out
 	rng := testkit.NewRNG(9)
 	m, k, n := 5, 7, 6
-	a := testkit.Vec(rng, m*k)
+	a := testkit.Vec(rng, k*m)
 	b := testkit.Vec(rng, k*n)
-	ab := make([]complex64, m*n)
-	cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, m, n, k, 1, a, m, b, k, 0, ab, m)
-	btat := make([]complex64, n*m)
-	cfloat.Gemm(cfloat.Transpose, cfloat.Transpose, n, m, k, 1, b, k, a, m, 0, btat, n)
+	ahb := make([]complex64, m*n)
+	cfloat.Gemm(cfloat.ConjTrans, m, n, k, a, k, b, k, 0, ahb, m)
+	ah := make([]complex64, m*k)
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if cAbs(ab[j*m+i]-btat[i*n+j]) > 1e-3*(1+cAbs(ab[j*m+i])) {
-				t.Fatalf("(AB)ᵀ != BᵀAᵀ at (%d,%d)", i, j)
-			}
+		for l := 0; l < k; l++ {
+			v := a[i*k+l]
+			ah[l*m+i] = complex(real(v), -imag(v))
+		}
+	}
+	want := make([]complex64, m*n)
+	cfloat.Gemm(cfloat.NoTrans, m, n, k, ah, m, b, k, 0, want, m)
+	for i := range want {
+		if cAbs(ahb[i]-want[i]) > 1e-3*(1+cAbs(want[i])) {
+			t.Fatalf("AᴴB at %d: ConjTrans %v, written-out Aᴴ %v", i, ahb[i], want[i])
 		}
 	}
 }
@@ -472,7 +475,7 @@ func TestComplexMVMViaFourRealMatchesGemv(t *testing.T) {
 }
 
 func TestTransString(t *testing.T) {
-	if cfloat.NoTrans.String() != "N" || cfloat.Transpose.String() != "T" || cfloat.ConjTrans.String() != "C" {
+	if cfloat.NoTrans.String() != "N" || cfloat.ConjTrans.String() != "C" {
 		t.Error("cfloat.Trans.String broken")
 	}
 	if cfloat.Trans(99).String() != "?" {
@@ -562,43 +565,6 @@ func BenchmarkAxpy(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
 }
 
-func TestGemmGenericFallbackPaths(t *testing.T) {
-	// cfloat.Transpose operands exercise the closure-based generic path
-	rng := testkit.NewRNG(13)
-	m, k, n := 5, 6, 4
-	a := testkit.Vec(rng, k*m) // used as Aᵀ (m×k)
-	b := testkit.Vec(rng, n*k) // used as Bᵀ (k×n)
-	c := make([]complex64, m*n)
-	cfloat.Gemm(cfloat.Transpose, cfloat.Transpose, m, n, k, 1, a, k, b, n, 0, c, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var want complex128
-			for l := 0; l < k; l++ {
-				want += complex128(a[i*k+l]) * complex128(b[l*n+j])
-			}
-			if cAbs(c[j*m+i]-complex64(want)) > 1e-3*(1+cAbs(complex64(want))) {
-				t.Fatalf("TT path at (%d,%d)", i, j)
-			}
-		}
-	}
-	// cfloat.ConjTrans on B exercises the getter with conjugation
-	c2 := make([]complex64, m*n)
-	bh := testkit.Vec(rng, n*k) // used as Bᴴ (k×n)
-	cfloat.Gemm(cfloat.Transpose, cfloat.ConjTrans, m, n, k, 1, a, k, bh, n, 0, c2, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var want complex128
-			for l := 0; l < k; l++ {
-				v := bh[l*n+j]
-				want += complex128(a[i*k+l]) * complex128(complex(real(v), -imag(v)))
-			}
-			if cAbs(c2[j*m+i]-complex64(want)) > 1e-3*(1+cAbs(complex64(want))) {
-				t.Fatalf("TC path at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestGemmBetaPaths(t *testing.T) {
 	rng := testkit.NewRNG(14)
 	m, k, n := 4, 3, 4
@@ -607,17 +573,17 @@ func TestGemmBetaPaths(t *testing.T) {
 	c0 := testkit.Vec(rng, m*n)
 	// beta = 1 accumulates
 	c := append([]complex64(nil), c0...)
-	cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, m, n, k, 1, a, m, b, k, 1, c, m)
+	cfloat.Gemm(cfloat.NoTrans, m, n, k, a, m, b, k, 1, c, m)
 	ab := make([]complex64, m*n)
-	cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, m, n, k, 1, a, m, b, k, 0, ab, m)
+	cfloat.Gemm(cfloat.NoTrans, m, n, k, a, m, b, k, 0, ab, m)
 	for i := range c {
 		if cAbs(c[i]-(c0[i]+ab[i])) > 1e-3*(1+cAbs(c[i])) {
 			t.Fatalf("beta=1 at %d", i)
 		}
 	}
-	// beta = 2i scales
+	// beta = 2i scales, and an empty inner dimension adds nothing
 	c2 := append([]complex64(nil), c0...)
-	cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, m, n, k, 0, a, m, b, k, 2i, c2, m)
+	cfloat.Gemm(cfloat.NoTrans, m, n, 0, a, m, b, k, 2i, c2, m)
 	for i := range c2 {
 		if cAbs(c2[i]-2i*c0[i]) > 1e-4*(1+cAbs(c2[i])) {
 			t.Fatalf("beta=2i at %d", i)
@@ -647,10 +613,10 @@ func TestGemvPanics(t *testing.T) {
 		"badTrans": func() {
 			cfloat.Gemv(cfloat.Trans(9), 2, 2, 1, make([]complex64, 4), 2, make([]complex64, 2), 0, make([]complex64, 2))
 		},
-		"plainTrans": func() {
-			cfloat.Gemv(cfloat.Transpose, 2, 2, 1, make([]complex64, 4), 2, make([]complex64, 2), 0, make([]complex64, 2))
+		"gemmDims": func() { cfloat.Gemm(cfloat.NoTrans, -1, 1, 1, nil, 1, nil, 1, 0, nil, 1) },
+		"gemmTrans": func() {
+			cfloat.Gemm(cfloat.Trans(9), 1, 1, 1, make([]complex64, 1), 1, make([]complex64, 1), 1, 0, make([]complex64, 1), 1)
 		},
-		"gemmDims": func() { cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, -1, 1, 1, 1, nil, 1, nil, 1, 0, nil, 1) },
 		"realGemv": func() { cfloat.RealGemv(2, 2, make([]float32, 4), 1, make([]float32, 2), make([]float32, 2)) },
 		"split":    func() { cfloat.SplitReIm(make([]complex64, 2), make([]float32, 1), make([]float32, 2)) },
 	} {

@@ -78,7 +78,7 @@ func TestResidualMonotone(t *testing.T) {
 }
 
 func TestZeroRHS(t *testing.T) {
-	a := dense.Eye(5)
+	a := testkit.Eye(5)
 	res, err := Solve(denseOp(a), make([]complex64, 5), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestZeroRHS(t *testing.T) {
 }
 
 func TestRHSMismatch(t *testing.T) {
-	a := dense.Eye(5)
+	a := testkit.Eye(5)
 	if _, err := Solve(denseOp(a), make([]complex64, 3), Options{}); err == nil {
 		t.Error("length mismatch should fail")
 	}

@@ -49,7 +49,7 @@ func TestSolveEdgeCases(t *testing.T) {
 		{
 			name: "zero-rhs-converges-to-zero",
 			setup: func() (lsqr.Operator, []complex64) {
-				return denseOp(dense.Eye(4)), make([]complex64, 4)
+				return denseOp(testkit.Eye(4)), make([]complex64, 4)
 			},
 			check: func(t *testing.T, res *Result) {
 				if !res.Converged || cfloat.Nrm2(res.X) != 0 {
@@ -73,7 +73,7 @@ func TestSolveEdgeCases(t *testing.T) {
 		{
 			name: "already-converged-identity",
 			setup: func() (lsqr.Operator, []complex64) {
-				return denseOp(dense.Eye(6)), testkit.Vec(testkit.NewRNG(93), 6)
+				return denseOp(testkit.Eye(6)), testkit.Vec(testkit.NewRNG(93), 6)
 			},
 			opts: Options{MaxIters: 50},
 			check: func(t *testing.T, res *Result) {

@@ -118,8 +118,8 @@ func (a *Matrix) ConjTranspose() *Matrix {
 	return b
 }
 
-// FrobNorm returns the Frobenius norm, accumulated in float64.
-func (a *Matrix) FrobNorm() float64 {
+// frobNorm returns the Frobenius norm, accumulated in float64.
+func (a *Matrix) frobNorm() float64 {
 	var s float64
 	for j := 0; j < a.Cols; j++ {
 		for _, v := range a.Col(j) {
@@ -159,13 +159,13 @@ func Mul(a, b *Matrix) *Matrix {
 		panic("dense: Mul shape mismatch")
 	}
 	c := New(a.Rows, b.Cols)
-	cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, a.Rows, b.Cols, a.Cols,
-		1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
+	cfloat.Gemm(cfloat.NoTrans, a.Rows, b.Cols, a.Cols,
+		a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
 	return c
 }
 
-// Sub returns A − B.
-func Sub(a, b *Matrix) *Matrix {
+// sub returns A − B.
+func sub(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("dense: Sub shape mismatch")
 	}
@@ -179,30 +179,15 @@ func Sub(a, b *Matrix) *Matrix {
 	return c
 }
 
-// Add returns A + B.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("dense: Add shape mismatch")
-	}
-	c := New(a.Rows, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		ca, cb, cc := a.Col(j), b.Col(j), c.Col(j)
-		for i := range cc {
-			cc[i] = ca[i] + cb[i]
-		}
-	}
-	return c
-}
-
 // RelError returns ‖A−B‖F / ‖B‖F, the tile-accuracy measure used by the
 // compression tolerance acc throughout the paper.
 func RelError(a, b *Matrix) float64 {
-	d := Sub(a, b)
-	nb := b.FrobNorm()
+	d := sub(a, b)
+	nb := b.frobNorm()
 	if nb == 0 {
-		return d.FrobNorm()
+		return d.frobNorm()
 	}
-	return d.FrobNorm() / nb
+	return d.frobNorm() / nb
 }
 
 // Random returns an m×n matrix with iid standard complex Gaussian entries.
@@ -212,17 +197,6 @@ func Random(rng *rand.Rand, m, n int) *Matrix {
 		a.Data[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
 	return a
-}
-
-// RandomLowRank returns an m×n matrix of exact rank r (r <= min(m,n))
-// built as a product of two Gaussian factors.
-func RandomLowRank(rng *rand.Rand, m, n, r int) *Matrix {
-	if r > m || r > n {
-		panic("dense: rank exceeds dimensions")
-	}
-	u := Random(rng, m, r)
-	v := Random(rng, r, n)
-	return Mul(u, v)
 }
 
 // RandomDecay returns an m×n matrix whose singular values decay as
@@ -265,15 +239,6 @@ func orthonormalizeRows(a *Matrix) {
 	orthonormalizeCols(at)
 	b := at.ConjTranspose()
 	a.CopyFrom(b)
-}
-
-// Eye returns the n×n identity.
-func Eye(n int) *Matrix {
-	a := New(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	return a
 }
 
 // Bytes returns the storage footprint of the matrix elements in bytes

@@ -89,10 +89,10 @@ type Prediction struct {
 	SolveNMSEBound   float64
 }
 
-// UnitRoundoff returns the storage format's unit roundoff: the relative
+// unitRoundoff returns the storage format's unit roundoff: the relative
 // quantization step of one stored panel element. Matches the test
 // suite's tolerance model (testkit.FormatEps).
-func UnitRoundoff(f precision.Format) float64 {
+func unitRoundoff(f precision.Format) float64 {
 	switch f {
 	case precision.FP16:
 		return 1.0 / (1 << 11)
@@ -177,7 +177,7 @@ func demotedShare(pol precision.Policy, mt, nt int) (frac, u float64) {
 				continue
 			}
 			demoted++
-			if r := UnitRoundoff(f); r > u {
+			if r := unitRoundoff(f); r > u {
 				u = r
 			}
 		}

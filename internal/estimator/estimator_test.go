@@ -129,9 +129,9 @@ func TestPredictValidation(t *testing.T) {
 // TestUnitRoundoff pins the roundoff ladder against the format epsilons
 // the differential suite tolerances are built from.
 func TestUnitRoundoff(t *testing.T) {
-	f16 := UnitRoundoff(precision.FP16)
-	bf := UnitRoundoff(precision.BF16)
-	f32 := UnitRoundoff(precision.FP32)
+	f16 := unitRoundoff(precision.FP16)
+	bf := unitRoundoff(precision.BF16)
+	f32 := unitRoundoff(precision.FP32)
 	if !(f32 < f16 && f16 < bf) {
 		t.Fatalf("roundoff ladder broken: fp32=%g fp16=%g bf16=%g", f32, f16, bf)
 	}

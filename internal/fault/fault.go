@@ -11,7 +11,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -128,20 +127,6 @@ func (s Schedule) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Targets returns the distinct targets the schedule touches, sorted.
-func (s Schedule) Targets() []string {
-	seen := map[string]bool{}
-	for _, ev := range s {
-		seen[ev.Target] = true
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // InjectedError is the error an injector returns for Err and Die
 // events, carrying enough context for tests to assert exactly which
 // scheduled fault fired.
@@ -184,17 +169,10 @@ func NewInjector(sched Schedule) *Injector {
 	return &Injector{sched: sched, Sleep: time.Sleep, counts: map[string]int{}}
 }
 
-// Invocations returns how many times target has been advanced.
-func (in *Injector) Invocations(target string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.counts[target]
-}
-
-// Advance records one invocation of target and returns what, if
+// advance records one invocation of target and returns what, if
 // anything, the schedule injects into it. Latency events sleep here,
 // before the wrapped work runs.
-func (in *Injector) Advance(target string) Decision {
+func (in *Injector) advance(target string) Decision {
 	in.mu.Lock()
 	in.counts[target]++
 	n := in.counts[target]

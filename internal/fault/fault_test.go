@@ -61,9 +61,6 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if got := sched.String(); got != s {
 		t.Errorf("String() = %q, want %q", got, s)
 	}
-	if got := sched.Targets(); len(got) != 3 || got[0] != "op" || got[1] != "shard1" || got[2] != "shard2" {
-		t.Errorf("Targets() = %v", got)
-	}
 }
 
 func TestInjectorOneShotAndSticky(t *testing.T) {
@@ -76,30 +73,30 @@ func TestInjectorOneShotAndSticky(t *testing.T) {
 
 	// a: fails exactly on invocation 2, recovers after
 	for i, wantErr := range []bool{false, true, false, false} {
-		dec := in.Advance("a")
+		dec := in.advance("a")
 		if (dec.Err != nil) != wantErr {
 			t.Errorf("a invocation %d: err = %v, want failing=%v", i+1, dec.Err, wantErr)
 		}
 	}
 	// b: fails on invocation 2 and every one after (dead system)
 	for i, wantErr := range []bool{false, true, true, true} {
-		dec := in.Advance("b")
+		dec := in.advance("b")
 		if (dec.Err != nil) != wantErr {
 			t.Errorf("b invocation %d: err = %v, want failing=%v", i+1, dec.Err, wantErr)
 		}
 	}
 	// untouched targets never fail
-	if dec := in.Advance("c"); dec.Err != nil || dec.NaN {
+	if dec := in.advance("c"); dec.Err != nil || dec.NaN {
 		t.Errorf("unscheduled target fired: %+v", dec)
 	}
-	if n := in.Invocations("a"); n != 4 {
+	if n := in.counts["a"]; n != 4 {
 		t.Errorf("a invocations = %d, want 4", n)
 	}
 }
 
 func TestInjectorErrorDetails(t *testing.T) {
 	in := NewInjector(Schedule{{Target: "s", Kind: Die, At: 1}})
-	dec := in.Advance("s")
+	dec := in.advance("s")
 	var inj *InjectedError
 	if !errors.As(dec.Err, &inj) {
 		t.Fatalf("error %T is not *InjectedError", dec.Err)
@@ -119,10 +116,10 @@ func TestInjectorNaNAndLatency(t *testing.T) {
 		{Target: "s", Kind: Latency, At: 2, Delay: 7 * time.Millisecond},
 	})
 	in.Sleep = func(d time.Duration) { slept += d }
-	if dec := in.Advance("s"); !dec.NaN || dec.Err != nil {
+	if dec := in.advance("s"); !dec.NaN || dec.Err != nil {
 		t.Errorf("invocation 1: %+v, want NaN", dec)
 	}
-	if dec := in.Advance("s"); dec.NaN || dec.Err != nil {
+	if dec := in.advance("s"); dec.NaN || dec.Err != nil {
 		t.Errorf("invocation 2: %+v, want clean latency", dec)
 	}
 	if slept != 7*time.Millisecond {
@@ -142,7 +139,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		in.Sleep = func(time.Duration) {}
 		out := make([]Decision, 8)
 		for i := range out {
-			out[i] = in.Advance("s")
+			out[i] = in.advance("s")
 		}
 		return out
 	}

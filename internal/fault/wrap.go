@@ -47,7 +47,7 @@ func (o *Operator) Cols() int { return o.Op.Cols() }
 
 // Apply implements lsqr.FallibleOperator with injection.
 func (o *Operator) Apply(x, y []complex64) error {
-	dec := o.Inj.Advance(opTarget)
+	dec := o.Inj.advance(opTarget)
 	if dec.Err != nil {
 		return dec.Err
 	}
@@ -62,7 +62,7 @@ func (o *Operator) Apply(x, y []complex64) error {
 
 // ApplyAdjoint implements lsqr.FallibleOperator with injection.
 func (o *Operator) ApplyAdjoint(x, y []complex64) error {
-	dec := o.Inj.Advance(opTarget)
+	dec := o.Inj.advance(opTarget)
 	if dec.Err != nil {
 		return dec.Err
 	}
@@ -83,7 +83,7 @@ func (o *Operator) ApplyAdjoint(x, y []complex64) error {
 func Shard(inj *Injector) func(batch.ShardExec) batch.ShardExec {
 	return func(next batch.ShardExec) batch.ShardExec {
 		return func(shard int, task batch.ShardTask) error {
-			dec := inj.Advance(shardTarget(shard))
+			dec := inj.advance(shardTarget(shard))
 			if dec.Err != nil {
 				return dec.Err
 			}

@@ -103,8 +103,8 @@ func (c Config) CFL() float64 {
 	return c.Grid.DT * c.Model.maxVel() * math.Sqrt2 / c.Grid.DX
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	g := c.Grid
 	if g.NX < 3 || g.NZ < 3 || g.NT < 1 {
 		return fmt.Errorf("fdtd: grid too small (%dx%d, %d steps)", g.NX, g.NZ, g.NT)
@@ -139,7 +139,7 @@ func (c Config) Validate() error {
 
 // Run executes the simulation.
 func Run(c Config) (*Result, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	g := c.Grid

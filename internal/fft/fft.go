@@ -138,9 +138,6 @@ func (p *Plan) Inverse(x []complex128) {
 // complex128.
 func (p *Plan) Forward64(x []complex64) { widened(x, p.Forward) }
 
-// Inverse64 is the complex64 counterpart of Inverse.
-func (p *Plan) Inverse64(x []complex64) { widened(x, p.Inverse) }
-
 // widened runs transform on a complex128 copy of x and narrows the result
 // back into x.
 func widened(x []complex64, transform func([]complex128)) {
@@ -170,22 +167,8 @@ func stage(x, w []complex128) {
 	}
 }
 
-// RFFT computes the one-sided spectrum of a real time series of length nt:
-// it returns nt/2+1 complex coefficients (frequencies 0..Nyquist). This is
-// the transform applied to each seismic trace before frequency-domain MDC.
-func RFFT(x []float64) []complex128 {
-	nt := len(x)
-	p := NewPlan(nt)
-	buf := make([]complex128, nt)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	p.Forward(buf)
-	return buf[:nt/2+1]
-}
-
 // IRFFT reconstructs a real time series of length nt from its one-sided
-// spectrum (length nt/2+1), inverting RFFT.
+// spectrum: the nt/2+1 bins 0..Nyquist of its forward transform.
 func IRFFT(spec []complex128, nt int) []float64 {
 	if len(spec) != nt/2+1 {
 		panic("fft: IRFFT spectrum length mismatch")

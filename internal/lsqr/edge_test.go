@@ -50,7 +50,7 @@ func TestSolveEdgeCases(t *testing.T) {
 		{
 			name: "zero-rhs",
 			setup: func() (Operator, []complex64) {
-				return denseOp(dense.Eye(4)), make([]complex64, 4)
+				return denseOp(testkit.Eye(4)), make([]complex64, 4)
 			},
 			wantErr: ErrZeroRHS,
 			check: func(t *testing.T, res *Result) {
@@ -75,7 +75,7 @@ func TestSolveEdgeCases(t *testing.T) {
 		{
 			name: "already-converged-identity",
 			setup: func() (Operator, []complex64) {
-				return denseOp(dense.Eye(6)), testkit.Vec(testkit.NewRNG(83), 6)
+				return denseOp(testkit.Eye(6)), testkit.Vec(testkit.NewRNG(83), 6)
 			},
 			opts: Options{MaxIters: 50},
 			check: func(t *testing.T, res *Result) {

@@ -19,7 +19,7 @@ func denseOp(a *dense.Matrix) *MatOperator {
 
 func TestSolveIdentity(t *testing.T) {
 	n := 10
-	a := dense.Eye(n)
+	a := testkit.Eye(n)
 	rng := testkit.NewRNG(1)
 	b := dense.Random(rng, n, 1).Data
 	res, err := Solve(denseOp(a), b, Options{MaxIters: 5})
@@ -111,7 +111,7 @@ func TestResidualHistoryMonotone(t *testing.T) {
 }
 
 func TestZeroRHS(t *testing.T) {
-	a := dense.Eye(5)
+	a := testkit.Eye(5)
 	b := make([]complex64, 5)
 	res, err := Solve(denseOp(a), b, Options{})
 	if err != ErrZeroRHS {
@@ -123,7 +123,7 @@ func TestZeroRHS(t *testing.T) {
 }
 
 func TestRHSLengthMismatch(t *testing.T) {
-	a := dense.Eye(5)
+	a := testkit.Eye(5)
 	if _, err := Solve(denseOp(a), make([]complex64, 3), Options{}); err == nil {
 		t.Error("expected length mismatch error")
 	}

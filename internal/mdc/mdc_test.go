@@ -80,7 +80,7 @@ func TestTLRKernelMatchesDense(t *testing.T) {
 	// low-rank frequency matrices so compression is accurate
 	mats := make([]*dense.Matrix, nf)
 	for i := range mats {
-		mats[i] = dense.RandomLowRank(rng, rows, cols, 4)
+		mats[i] = dense.Mul(dense.Random(rng, rows, 4), dense.Random(rng, 4, cols))
 	}
 	dk, err := NewDenseKernel(mats)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestCompressKernelReducesBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mats := make([]*dense.Matrix, 4)
 	for i := range mats {
-		mats[i] = dense.RandomLowRank(rng, 64, 64, 3)
+		mats[i] = dense.Mul(dense.Random(rng, 64, 3), dense.Random(rng, 3, 64))
 	}
 	dk, _ := NewDenseKernel(mats)
 	tk, err := CompressKernel(dk, tlr.Options{NB: 16, Tol: 1e-4})

@@ -169,9 +169,9 @@ type Stats struct {
 	PeakInflight map[string]int `json:"peak_inflight"`
 }
 
-// Validate applies structural checks that do not depend on server
+// validate applies structural checks that do not depend on server
 // limits; size limits live in Config.validateSize.
-func (s *JobSpec) Validate() error {
+func (s *JobSpec) validate() error {
 	switch s.Type {
 	case JobCompress, JobTLRMVM, JobMDD:
 	default:

@@ -37,12 +37,12 @@ func plantUnready[V any](c *memo[V], key string) {
 // an entry the caller planted, which only its context can release.
 func cancelWaiter(t *testing.T, s *Server, spec JobSpec) {
 	t.Helper()
-	id, err := s.Submit(spec, "t")
+	id, err := s.submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, id, func(st State) bool { return st == StateRunning })
-	s.Cancel(id)
+	s.cancel(id)
 	if st := waitTerminal(t, s, id); st.State != StateCancelled {
 		t.Fatalf("cancelled waiter ended %s (%s), want cancelled", st.State, st.Error)
 	}
@@ -78,7 +78,7 @@ func TestCancelStreamReleasesHandler(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	s := newServer(t, testConfig())
 	s.Pause()
-	id, err := s.Submit(testSpec(JobCompress), "t")
+	id, err := s.submit(testSpec(JobCompress), "t")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeBadRequest, "malformed job spec: "+err.Error())
 		return
 	}
-	id, err := s.Submit(spec, r.Header.Get(TenantHeader))
+	id, err := s.submit(spec, r.Header.Get(TenantHeader))
 	if err != nil {
 		var se *submitErr
 		if errors.As(err, &se) {
@@ -98,7 +98,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Status(r.PathValue("id"))
+	st, ok := s.status(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "no such job "+r.PathValue("id"))
 		return
@@ -107,7 +107,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Cancel(r.PathValue("id"))
+	st, ok := s.cancel(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "no such job "+r.PathValue("id"))
 		return

@@ -29,7 +29,7 @@ import (
 // the test without wedging Close.
 func TestEventsRejectsBadFrom(t *testing.T) {
 	s := newServer(t, testConfig())
-	id, err := s.Submit(testSpec(JobCompress), "t")
+	id, err := s.submit(testSpec(JobCompress), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStreamFollowsRunningJob(t *testing.T) {
 	// Registered after newServer, so it runs first: Close waits for the
 	// held job.
 	t.Cleanup(rec.release)
-	id, err := s.Submit(testSpec(JobMDD), "t")
+	id, err := s.submit(testSpec(JobMDD), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestStreamFollowsRunningJob(t *testing.T) {
 		t.Fatalf("stream of a running job did not reach its terminal event within %v", waitBound)
 	}
 
-	st, _ := s.Status(id)
+	st, _ := s.status(id)
 	var events []Event
 	dec := json.NewDecoder(rec.Body)
 	for dec.More() {
@@ -145,7 +145,7 @@ func postSpec(t *testing.T, body []byte) (*httptest.ResponseRecorder, *JobSpec) 
 	if !ok {
 		t.Fatalf("202 for unknown job %q", resp.ID)
 	}
-	s.Cancel(resp.ID)
+	s.cancel(resp.ID)
 	return rec, &j.spec
 }
 

@@ -89,7 +89,7 @@ func waitState(t *testing.T, s *Server, id string, done func(State) bool) JobSta
 	t.Helper()
 	deadline := time.Now().Add(waitBound)
 	for {
-		st, ok := s.Status(id)
+		st, ok := s.status(id)
 		if !ok {
 			t.Fatalf("job %s vanished", id)
 		}
@@ -125,7 +125,7 @@ func TestSpecValidation(t *testing.T) {
 	for _, tc := range cases {
 		spec := testSpec(JobCompress)
 		tc.mutate(&spec)
-		err := spec.Validate()
+		err := spec.validate()
 		if err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, spec)
 			continue
@@ -136,7 +136,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	good := testSpec(JobMDD)
 	good.VS = 8
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestSubmitAppliesDefaults(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	s := newServer(t, testConfig())
 	s.Pause()
-	id, err := s.Submit(testSpec(JobMDD), "")
+	id, err := s.submit(testSpec(JobMDD), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,22 +225,22 @@ func TestSubmitAppliesDefaults(t *testing.T) {
 func TestCancelQueuedVsWorkerCAS(t *testing.T) {
 	s := newServer(t, testConfig())
 	s.Pause()
-	id, err := s.Submit(testSpec(JobCompress), "t")
+	id, err := s.submit(testSpec(JobCompress), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s.Cancel(id)
+	st, ok := s.cancel(id)
 	if !ok || st.State != StateCancelled {
 		t.Fatalf("cancel of queued job: %+v ok=%v", st, ok)
 	}
 	// Second cancel is a no-op, not a double-finish.
-	st, ok = s.Cancel(id)
+	st, ok = s.cancel(id)
 	if !ok || st.State != StateCancelled {
 		t.Fatalf("re-cancel: %+v ok=%v", st, ok)
 	}
 	s.Resume()
 	// The worker must skip the tombstone; a fresh job still runs.
-	id2, err := s.Submit(testSpec(JobCompress), "t")
+	id2, err := s.submit(testSpec(JobCompress), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,18 +265,18 @@ func TestAdmissionRejectsAreDeterministic(t *testing.T) {
 	s.Pause()
 
 	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(testSpec(JobCompress), "a"); err != nil {
+		if _, err := s.submit(testSpec(JobCompress), "a"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Tenant limit fires before queue capacity for the saturated tenant…
-	_, err := s.Submit(testSpec(JobCompress), "a")
+	_, err := s.submit(testSpec(JobCompress), "a")
 	se, ok := err.(*submitErr)
 	if !ok || se.code != CodeTenantLimit {
 		t.Fatalf("3rd submit for tenant a: %v, want tenant_limit", err)
 	}
 	// …and the full queue rejects everyone else.
-	_, err = s.Submit(testSpec(JobCompress), "b")
+	_, err = s.submit(testSpec(JobCompress), "b")
 	se, ok = err.(*submitErr)
 	if !ok || se.code != CodeQueueFull {
 		t.Fatalf("submit for tenant b: %v, want queue_full", err)
@@ -297,7 +297,7 @@ func TestClosedServerRejectsSubmit(t *testing.T) {
 	if !closeWithin(t, s) {
 		t.FailNow()
 	}
-	_, err := s.Submit(testSpec(JobCompress), "t")
+	_, err := s.submit(testSpec(JobCompress), "t")
 	se, ok := err.(*submitErr)
 	if !ok || se.code != CodeShutdown {
 		t.Fatalf("submit after Close: %v, want shutting_down", err)
@@ -316,7 +316,7 @@ func TestDatasetCacheBuildsOnce(t *testing.T) {
 	types := []JobType{JobCompress, JobCompress, JobTLRMVM, JobMDD, JobCompress}
 	ids := make([]string, 0, len(types))
 	for _, typ := range types {
-		id, err := s.Submit(testSpec(typ), "t")
+		id, err := s.submit(testSpec(typ), "t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 	spec.Iters = 5
 
 	mem := newServer(t, testConfig())
-	id, err := mem.Submit(spec, "t")
+	id, err := mem.submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestStoreDirServesFromDisk(t *testing.T) {
 	cfg := testConfig()
 	cfg.StoreDir = t.TempDir()
 	s := newServer(t, cfg)
-	id, err = s.Submit(spec, "t")
+	id, err = s.submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 		s.Pause()
 		var ids []string
 		for i := 0; i < 2; i++ {
-			id, err := s.Submit(spec, "t")
+			id, err := s.submit(spec, "t")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -499,7 +499,7 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitParked(t, 2)
-	id, err := s.Submit(spec, "t")
+	id, err := s.submit(spec, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestColdBuildSharesSurvey(t *testing.T) {
 	}{{8, 1e-4}, {4, 1e-3}, {6, 3e-4}} {
 		spec := testSpec(JobMDD)
 		spec.NB, spec.Tol, spec.VS, spec.Iters = c.nb, c.tol, 4, 6
-		id, err := s.Submit(spec, "t")
+		id, err := s.submit(spec, "t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,14 +606,14 @@ func TestFaultedSolveFailsJob(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults = fault.Schedule{{Target: "op", Kind: fault.Die, At: 1}}
 	s := newServer(t, cfg)
-	id, err := s.Submit(testSpec(JobMDD), "t")
+	id, err := s.submit(testSpec(JobMDD), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, s, id); st.State != StateFailed || !contains(st.Error, "gave up after 4 restarts") {
 		t.Fatalf("mdd job under op:die@1 ended %s (%q), want failed after 4 restarts", st.State, st.Error)
 	}
-	id, err = s.Submit(testSpec(JobTLRMVM), "t")
+	id, err = s.submit(testSpec(JobTLRMVM), "t")
 	if err != nil {
 		t.Fatal(err)
 	}

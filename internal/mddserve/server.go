@@ -347,14 +347,14 @@ type submitErr struct {
 
 func (e *submitErr) Error() string { return e.msg }
 
-// Submit validates and enqueues a job, returning its ID. The error,
+// submit validates and enqueues a job, returning its ID. The error,
 // when non-nil, is a *submitErr whose code maps onto an HTTP status in
 // http.go.
-func (s *Server) Submit(spec JobSpec, tenant string) (string, error) {
+func (s *Server) submit(spec JobSpec, tenant string) (string, error) {
 	if tenant == "" {
 		tenant = "anonymous"
 	}
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return "", &submitErr{code: CodeBadRequest, msg: err.Error()}
 	}
 	if err := s.cfg.validateSize(&spec); err != nil {
@@ -439,8 +439,8 @@ func (s *Server) jobByID(id string) (*job, bool) {
 	return j, ok
 }
 
-// Status returns the poll snapshot for id.
-func (s *Server) Status(id string) (JobStatus, bool) {
+// status returns the poll snapshot for id.
+func (s *Server) status(id string) (JobStatus, bool) {
 	j, ok := s.jobByID(id)
 	if !ok {
 		return JobStatus{}, false
@@ -448,11 +448,11 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 	return j.status(), true
 }
 
-// Cancel requests cancellation: a queued job is cancelled immediately
+// cancel requests cancellation: a queued job is cancelled immediately
 // (the worker skips it); a running job's context is cancelled and the
 // solver aborts at its next operator product. Cancelling a terminal
 // job is a no-op. The returned bool is false when id is unknown.
-func (s *Server) Cancel(id string) (JobStatus, bool) {
+func (s *Server) cancel(id string) (JobStatus, bool) {
 	j, ok := s.jobByID(id)
 	if !ok {
 		return JobStatus{}, false

@@ -56,12 +56,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current tally.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Name returns the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Timer accumulates the duration and invocation count of one stage, plus
 // the worst single span (useful for per-iteration solver timing).
 type Timer struct {
@@ -106,18 +100,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// Count returns the number of completed spans.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
-// Max returns the worst single span.
-func (t *Timer) Max() time.Duration { return time.Duration(t.maxNs.Load()) }
-
-// Name returns the registered name.
-func (t *Timer) Name() string { return t.name }
-
 // Meter tallies work volume — flops and bytes — for one stage. Paired
 // with the stage's Timer it yields GFlop/s and GB/s in snapshots.
 type Meter struct {
@@ -135,15 +117,6 @@ func (m *Meter) Add(flops, bytes int64) {
 		m.bytes.Add(bytes)
 	}
 }
-
-// Flops returns the accumulated floating-point operation count.
-func (m *Meter) Flops() int64 { return m.flops.Load() }
-
-// Bytes returns the accumulated memory traffic.
-func (m *Meter) Bytes() int64 { return m.bytes.Load() }
-
-// Name returns the registered name.
-func (m *Meter) Name() string { return m.name }
 
 // Gauge holds the last written value of a modelled quantity (cycle
 // counts, SRAM footprints, PE counts) — the CS-2 model outputs that used
@@ -165,9 +138,6 @@ func (g *Gauge) Set(v int64) {
 
 // Value returns the last written value and whether one was ever written.
 func (g *Gauge) Value() (int64, bool) { return g.v.Load(), g.set.Load() }
-
-// Name returns the registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // registry is the process-wide metric store. Construction is locked;
 // recording touches only the per-metric atomics.
@@ -319,12 +289,12 @@ func TakeSnapshot() Snapshot {
 	defer reg.mu.Unlock()
 	var s Snapshot
 	for _, c := range reg.counters {
-		if v := c.Value(); v != 0 {
+		if v := c.v.Load(); v != 0 {
 			s.Counters = append(s.Counters, CounterStat{Name: c.name, Value: v})
 		}
 	}
 	for _, t := range reg.timers {
-		n := t.Count()
+		n := t.count.Load()
 		if n == 0 {
 			continue
 		}
@@ -335,13 +305,13 @@ func TakeSnapshot() Snapshot {
 		})
 	}
 	for _, m := range reg.meters {
-		f, b := m.Flops(), m.Bytes()
+		f, b := m.flops.Load(), m.bytes.Load()
 		if f == 0 && b == 0 {
 			continue
 		}
 		st := MeterStat{Name: m.name, Flops: f, Bytes: b}
 		if t, ok := reg.timers[m.name]; ok {
-			if sec := t.Total().Seconds(); sec > 0 {
+			if sec := time.Duration(t.ns.Load()).Seconds(); sec > 0 {
 				st.GFlops = float64(f) / sec / 1e9
 				st.GBps = float64(b) / sec / 1e9
 			}

@@ -35,9 +35,9 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	if d := sp.End(); d != 0 {
 		t.Errorf("disabled span returned nonzero duration %v", d)
 	}
-	if c.Value() != 0 || m.Flops() != 0 || m.Bytes() != 0 || tm.Count() != 0 {
+	if c.v.Load() != 0 || m.flops.Load() != 0 || m.bytes.Load() != 0 || tm.count.Load() != 0 {
 		t.Errorf("disabled metrics recorded: counter=%d flops=%d bytes=%d spans=%d",
-			c.Value(), m.Flops(), m.Bytes(), tm.Count())
+			c.v.Load(), m.flops.Load(), m.bytes.Load(), tm.count.Load())
 	}
 	if _, ok := g.Value(); ok {
 		t.Error("disabled gauge got set")
@@ -50,13 +50,13 @@ func TestEnabledRecording(t *testing.T) {
 		c := NewCounter("test.enabled.counter")
 		c.Add(3)
 		c.Add(4)
-		if c.Value() != 7 {
-			t.Errorf("counter = %d, want 7", c.Value())
+		if c.v.Load() != 7 {
+			t.Errorf("counter = %d, want 7", c.v.Load())
 		}
 		m := NewMeter("test.enabled.meter")
 		m.Add(10, 20)
-		if m.Flops() != 10 || m.Bytes() != 20 {
-			t.Errorf("meter = (%d, %d), want (10, 20)", m.Flops(), m.Bytes())
+		if m.flops.Load() != 10 || m.bytes.Load() != 20 {
+			t.Errorf("meter = (%d, %d), want (10, 20)", m.flops.Load(), m.bytes.Load())
 		}
 		g := NewGauge("test.enabled.gauge")
 		g.Set(-5)
@@ -69,8 +69,8 @@ func TestEnabledRecording(t *testing.T) {
 		if d := sp.End(); d <= 0 {
 			t.Errorf("span duration %v, want > 0", d)
 		}
-		if tm.Count() != 1 || tm.Total() <= 0 || tm.Max() <= 0 {
-			t.Errorf("timer count=%d total=%v max=%v", tm.Count(), tm.Total(), tm.Max())
+		if tm.count.Load() != 1 || tm.ns.Load() <= 0 || tm.maxNs.Load() <= 0 {
+			t.Errorf("timer count=%d total=%v max=%v", tm.count.Load(), tm.ns.Load(), tm.maxNs.Load())
 		}
 	})
 }
@@ -95,11 +95,11 @@ func TestResetPreservesRegistration(t *testing.T) {
 		c := NewCounter("test.reset.counter")
 		c.Add(5)
 		Reset()
-		if c.Value() != 0 {
-			t.Errorf("counter after Reset = %d", c.Value())
+		if c.v.Load() != 0 {
+			t.Errorf("counter after Reset = %d", c.v.Load())
 		}
 		c.Add(2) // old pointer still live and registered
-		if c.Value() != 2 || NewCounter("test.reset.counter") != c {
+		if c.v.Load() != 2 || NewCounter("test.reset.counter") != c {
 			t.Error("registration lost across Reset")
 		}
 	})
@@ -195,11 +195,11 @@ func TestConcurrentUse(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if c.Value() != workers*per {
-			t.Errorf("counter = %d, want %d", c.Value(), workers*per)
+		if c.v.Load() != workers*per {
+			t.Errorf("counter = %d, want %d", c.v.Load(), workers*per)
 		}
-		if tm.Count() != workers*per {
-			t.Errorf("timer count = %d, want %d", tm.Count(), workers*per)
+		if tm.count.Load() != workers*per {
+			t.Errorf("timer count = %d, want %d", tm.count.Load(), workers*per)
 		}
 	})
 }

@@ -80,9 +80,9 @@ type Cache struct {
 	loading map[int]chan struct{}
 }
 
-// NewCache builds a cache. Sizes are precomputed so the serving paths
+// newCache builds a cache. Sizes are precomputed so the serving paths
 // never call back into the config.
-func NewCache(cfg CacheConfig) (*Cache, error) {
+func newCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("opstore: cache over %d tiles", cfg.N)
 	}
@@ -212,8 +212,8 @@ type CacheStats struct {
 	Budget        int64
 }
 
-// Stats snapshots the counters.
-func (c *Cache) Stats() CacheStats {
+// stats snapshots the counters.
+func (c *Cache) stats() CacheStats {
 	return CacheStats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),

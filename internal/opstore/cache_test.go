@@ -88,7 +88,7 @@ func TestCacheProperty(t *testing.T) {
 	sizes[n-1] = budget + 1 // served every time, never resident
 	var loadCalls atomic.Int64
 	var fail atomic.Bool
-	c, err := NewCache(CacheConfig{
+	c, err := newCache(CacheConfig{
 		N:      n,
 		Budget: budget,
 		Load:   taggedLoad(&loadCalls, &fail),
@@ -130,7 +130,7 @@ func TestCacheProperty(t *testing.T) {
 					op, g, inScratch, want, hit, admitted)
 			}
 		}
-		st := c.Stats()
+		st := c.stats()
 		if st.ResidentBytes > budget {
 			t.Fatalf("op %d: resident %d exceeds budget %d", op, st.ResidentBytes, budget)
 		}
@@ -151,7 +151,7 @@ func TestCacheProperty(t *testing.T) {
 		t.Fatalf("backing store read %d times for %d misses (singleflight broken)", got, model.misses)
 	}
 	if model.streamed == 0 || model.hits == 0 || len(model.resident) == 0 {
-		t.Fatalf("stream never exercised every path: %+v", c.Stats())
+		t.Fatalf("stream never exercised every path: %+v", c.stats())
 	}
 }
 
@@ -164,7 +164,7 @@ func TestCacheProperty(t *testing.T) {
 func TestStressCacheConcurrentReaders(t *testing.T) {
 	const n = 32
 	var loadCalls atomic.Int64
-	c, err := NewCache(CacheConfig{
+	c, err := newCache(CacheConfig{
 		N:      n,
 		Budget: 6 * 128,
 		Load:   taggedLoad(&loadCalls, nil),
@@ -199,7 +199,7 @@ func TestStressCacheConcurrentReaders(t *testing.T) {
 					t.Errorf("tile %d was neither resident nor read into the scratch", g)
 					return
 				}
-				if st := c.Stats(); st.ResidentBytes > st.Budget {
+				if st := c.stats(); st.ResidentBytes > st.Budget {
 					t.Errorf("resident %d exceeds budget %d", st.ResidentBytes, st.Budget)
 					return
 				}
@@ -207,7 +207,7 @@ func TestStressCacheConcurrentReaders(t *testing.T) {
 		}(int64(131 + w))
 	}
 	wg.Wait()
-	st := c.Stats()
+	st := c.stats()
 	if st.Misses != loadCalls.Load() {
 		t.Fatalf("%d misses but %d backing loads", st.Misses, loadCalls.Load())
 	}
@@ -232,7 +232,7 @@ func TestCacheConfigValidation(t *testing.T) {
 		{N: 1, Budget: 1, Load: load},
 	}
 	for i, cfg := range bad {
-		if _, err := NewCache(cfg); err == nil {
+		if _, err := newCache(cfg); err == nil {
 			t.Fatalf("config %d accepted", i)
 		}
 	}

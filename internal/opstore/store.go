@@ -22,13 +22,12 @@ type Store struct {
 	// matBase[f] is matrix f's base in the flat global tile index; the
 	// final entry is the total tile count.
 	matBase []int
-	freqs   []float64
 	closer  io.Closer
 }
 
-// Open layers a store over an already-open paged kernel image of the
+// open layers a store over an already-open paged kernel image of the
 // given size, with a decoded-bytes cache budget.
-func Open(r io.ReaderAt, size int64, budget int64) (*Store, error) {
+func open(r io.ReaderAt, size int64, budget int64) (*Store, error) {
 	pf, err := tlrio.OpenPaged(r, size)
 	if err != nil {
 		return nil, err
@@ -36,13 +35,12 @@ func Open(r io.ReaderAt, size int64, budget int64) (*Store, error) {
 	s := &Store{pf: pf, matBase: make([]int, len(pf.Mats)+1)}
 	for i, pm := range pf.Mats {
 		s.matBase[i+1] = s.matBase[i] + len(pm.Tiles)
-		s.freqs = append(s.freqs, pm.Freq)
 	}
 	total := s.matBase[len(pf.Mats)]
 	if total == 0 {
 		return nil, fmt.Errorf("opstore: empty paged kernel")
 	}
-	s.cache, err = NewCache(CacheConfig{
+	s.cache, err = newCache(CacheConfig{
 		N:      total,
 		Budget: budget,
 		Load:   s.loadGlobal,
@@ -65,7 +63,7 @@ func OpenFile(path string, budget int64) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	s, err := Open(f, fi.Size(), budget)
+	s, err := open(f, fi.Size(), budget)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -78,7 +76,7 @@ func OpenFile(path string, budget int64) (*Store, error) {
 // the differential oracle, which round-trips operators through the full
 // page/CRC/decode path without touching disk.
 func OpenBytes(img []byte, budget int64) (*Store, error) {
-	return Open(bytes.NewReader(img), int64(len(img)), budget)
+	return open(bytes.NewReader(img), int64(len(img)), budget)
 }
 
 // WriteFile builds a paged store file from an in-memory kernel under
@@ -126,12 +124,6 @@ func (s *Store) sizeGlobal(g int) int64 {
 	return s.pf.Mats[f].TileBytes(idx)
 }
 
-// NumMats returns the number of frequency matrices in the store.
-func (s *Store) NumMats() int { return len(s.pf.Mats) }
-
-// Freqs returns the stored frequencies.
-func (s *Store) Freqs() []float64 { return s.freqs }
-
 // Matrix returns frequency matrix f as an out-of-core tlr.Matrix that
 // faults tiles through the store's shared cache. Matrices from repeated
 // calls share cached tiles.
@@ -144,7 +136,7 @@ func (s *Store) Matrix(f int) (*tlr.Matrix, error) {
 }
 
 // Stats snapshots the shared cache counters.
-func (s *Store) Stats() CacheStats { return s.cache.Stats() }
+func (s *Store) Stats() CacheStats { return s.cache.stats() }
 
 // Cache exposes the shared tile cache (direct tile access).
 func (s *Store) Cache() *Cache { return s.cache }

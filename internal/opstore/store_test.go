@@ -216,8 +216,8 @@ func TestStoreFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.NumMats() != len(k.Mats) || len(st.Freqs()) != len(k.Mats) {
-		t.Fatalf("store shape %d/%d, want %d", st.NumMats(), len(st.Freqs()), len(k.Mats))
+	if len(st.pf.Mats) != len(k.Mats) {
+		t.Fatalf("store holds %d matrices, want %d", len(st.pf.Mats), len(k.Mats))
 	}
 	rng := rand.New(rand.NewSource(29))
 	tm := k.Mats[1]

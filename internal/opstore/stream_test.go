@@ -312,10 +312,9 @@ func TestStepReadsEachStreamedTileOnce(t *testing.T) {
 	}
 	streamed := make([]int64, len(mats))
 	for f, tm := range mats {
-		ranks := tm.Ranks()
-		for idx := range tm.Tiles {
+		for idx, pt := range st.pf.Mats[f].Tiles {
 			if !st.Cache().Resident(st.matBase[f] + idx) {
-				if ranks[idx] == 0 {
+				if pt.Rank == 0 {
 					t.Fatalf("f=%d tile %d has no factors and is not resident", f, idx)
 				}
 				streamed[f]++

@@ -42,8 +42,8 @@ func (f Format) String() string {
 	return "unknown"
 }
 
-// BytesPerReal returns the storage cost of one real scalar.
-func (f Format) BytesPerReal() int {
+// bytesPerReal returns the storage cost of one real scalar.
+func (f Format) bytesPerReal() int {
 	if f == FP32 {
 		return 4
 	}
@@ -213,7 +213,7 @@ func Quantize(t *tlr.Matrix, p Policy) (*Quantized, error) {
 			v := quantizeMatrix(src.V, f)
 			out.Tiles[i*t.NT+j] = &tlr.Tile{U: u, V: v}
 			elems := int64(src.U.Rows*src.U.Cols + src.V.Rows*src.V.Cols)
-			q.StoredBytes += 2 * elems * int64(f.BytesPerReal()) // Re+Im
+			q.StoredBytes += 2 * elems * int64(f.bytesPerReal()) // Re+Im
 			if f != FP32 {
 				q.StoredBytes += 8 // per-tile U and V scale factors
 			}

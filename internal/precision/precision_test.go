@@ -251,8 +251,8 @@ func TestFormatString(t *testing.T) {
 			t.Errorf("Format(%d).String() = %q", f, f.String())
 		}
 	}
-	if FP32.BytesPerReal() != 4 || FP16.BytesPerReal() != 2 {
-		t.Error("BytesPerReal wrong")
+	if FP32.bytesPerReal() != 4 || FP16.bytesPerReal() != 2 {
+		t.Error("bytesPerReal wrong")
 	}
 }
 

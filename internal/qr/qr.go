@@ -147,17 +147,6 @@ func pivoted(q []complex128, m, n int, tol float64) (r []complex128, kmax int, p
 // Rank returns the number of columns of Q, the revealed numerical rank.
 func (f *Factorization) Rank() int { return f.Q.Cols }
 
-// Reconstruct forms Q·R and undoes the column pivoting, returning a matrix
-// approximating the original A.
-func (f *Factorization) Reconstruct() *dense.Matrix {
-	qr := dense.Mul(f.Q, f.R)
-	out := dense.New(qr.Rows, qr.Cols)
-	for j := 0; j < qr.Cols; j++ {
-		copy(out.Col(f.Piv[j]), qr.Col(j))
-	}
-	return out
-}
-
 // helpers over column-major complex128 buffers
 
 func toC128(a *dense.Matrix) []complex128 {

@@ -212,11 +212,11 @@ func (d *Distribution) calibrate() error {
 	return nil
 }
 
-// StackedColumnHeights returns Sv[f][j] = Σ_i rank(f, i, j): the height of
+// stackedColumnHeights returns Sv[f][j] = Σ_i rank(f, i, j): the height of
 // the stacked V base (and width of the side-by-side U base) of tile column
 // j at frequency f — the quantity the CS-2 mapping splits into stack-width
 // chunks. The result is computed once and cached.
-func (d *Distribution) StackedColumnHeights() [][]int {
+func (d *Distribution) stackedColumnHeights() [][]int {
 	if d.stacked != nil {
 		return d.stacked
 	}
@@ -265,21 +265,21 @@ func (d *Distribution) StackedColumnHeights() [][]int {
 
 // TotalRankRows returns Σ ranks over all tiles and frequencies.
 func (d *Distribution) TotalRankRows() int64 {
-	d.StackedColumnHeights()
+	d.stackedColumnHeights()
 	return d.totalRankRows
 }
 
 // TotalNonzeroTiles returns the number of tiles with positive rank — the
 // number of per-tile U MVM segments the TLR-MVM executes.
 func (d *Distribution) TotalNonzeroTiles() int64 {
-	d.StackedColumnHeights()
+	d.stackedColumnHeights()
 	return d.totalNonzeroTiles
 }
 
 // NonzeroColumns returns the number of (frequency, tile-column) pairs with
 // positive stacked height.
 func (d *Distribution) NonzeroColumns() int64 {
-	d.StackedColumnHeights()
+	d.stackedColumnHeights()
 	return d.nonzeroColumns
 }
 
@@ -300,7 +300,7 @@ func (d *Distribution) TotalBytes() int64 {
 // BytesPerFrequency returns the compressed size of each frequency matrix,
 // reproducing the rising curves of Fig. 12's bottom panel.
 func (d *Distribution) BytesPerFrequency() []int64 {
-	sv := d.StackedColumnHeights()
+	sv := d.stackedColumnHeights()
 	out := make([]int64, d.NumFreqs)
 	for f := range sv {
 		var rows int64
@@ -325,7 +325,7 @@ func (d *Distribution) Chunks(sw int) (numChunks int64, worstRows int) {
 	if sw <= 0 {
 		panic("ranks: nonpositive stack width")
 	}
-	sv := d.StackedColumnHeights()
+	sv := d.stackedColumnHeights()
 	for f := range sv {
 		for _, s := range sv[f] {
 			if s == 0 {

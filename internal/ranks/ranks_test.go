@@ -117,7 +117,7 @@ func TestStackedHeightsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := d.StackedColumnHeights()
+	sv := d.stackedColumnHeights()
 	var total int64
 	for f := range sv {
 		if len(sv[f]) != d.NT {

@@ -88,11 +88,8 @@ type Image struct {
 	Pix  []uint8
 }
 
-// At returns the pixel at (x, y).
-func (im *Image) At(x, y int) uint8 { return im.Pix[y*im.W+x] }
-
-// WritePGM emits the binary (P5) PGM encoding.
-func (im *Image) WritePGM(w io.Writer) error {
+// writePGM emits the binary (P5) PGM encoding.
+func (im *Image) writePGM(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", im.W, im.H); err != nil {
 		return err
@@ -110,29 +107,5 @@ func (im *Image) SavePGM(path string) error {
 		return err
 	}
 	defer f.Close()
-	return im.WritePGM(f)
-}
-
-// ReadPGM parses a binary P5 PGM (for round-trip tests).
-func ReadPGM(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	var m string
-	var w, h, maxv int
-	if _, err := fmt.Fscan(br, &m, &w, &h, &maxv); err != nil {
-		return nil, fmt.Errorf("render: PGM header: %w", err)
-	}
-	if m != "P5" || maxv != 255 {
-		return nil, fmt.Errorf("render: unsupported PGM %q max %d", m, maxv)
-	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
-		return nil, fmt.Errorf("render: bad dimensions %dx%d", w, h)
-	}
-	if _, err := br.ReadByte(); err != nil { // single whitespace after header
-		return nil, err
-	}
-	pix := make([]uint8, w*h)
-	if _, err := io.ReadFull(br, pix); err != nil {
-		return nil, err
-	}
-	return &Image{W: w, H: h, Pix: pix}, nil
+	return im.writePGM(f)
 }

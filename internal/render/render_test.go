@@ -1,12 +1,42 @@
 package render
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"testing"
 
 	"repro/internal/seismic"
 )
+
+// at returns the pixel at (x, y).
+func (im *Image) at(x, y int) uint8 { return im.Pix[y*im.W+x] }
+
+// readPGM parses a binary P5 PGM.
+func readPGM(r io.Reader) (*Image, error) {
+	br := bufio.NewReader(r)
+	var m string
+	var w, h, maxv int
+	if _, err := fmt.Fscan(br, &m, &w, &h, &maxv); err != nil {
+		return nil, fmt.Errorf("render: PGM header: %w", err)
+	}
+	if m != "P5" || maxv != 255 {
+		return nil, fmt.Errorf("render: unsupported PGM %q max %d", m, maxv)
+	}
+	if w <= 0 || h <= 0 || w*h > 1<<28 {
+		return nil, fmt.Errorf("render: bad dimensions %dx%d", w, h)
+	}
+	if _, err := br.ReadByte(); err != nil { // single whitespace after header
+		return nil, err
+	}
+	pix := make([]uint8, w*h)
+	if _, err := io.ReadFull(br, pix); err != nil {
+		return nil, err
+	}
+	return &Image{W: w, H: h, Pix: pix}, nil
+}
 
 func testGather() *seismic.Gather {
 	return &seismic.Gather{
@@ -24,17 +54,17 @@ func TestGatherImageMapping(t *testing.T) {
 		t.Fatalf("image %dx%d", img.W, img.H)
 	}
 	// amplitude +1 → 255, −1 → 0, 0 → ~128
-	if img.At(0, 1) != 255 {
-		t.Errorf("peak pixel %d", img.At(0, 1))
+	if img.at(0, 1) != 255 {
+		t.Errorf("peak pixel %d", img.at(0, 1))
 	}
-	if img.At(0, 3) != 0 {
-		t.Errorf("trough pixel %d", img.At(0, 3))
+	if img.at(0, 3) != 0 {
+		t.Errorf("trough pixel %d", img.at(0, 3))
 	}
-	if v := img.At(0, 0); v < 126 || v > 130 {
+	if v := img.at(0, 0); v < 126 || v > 130 {
 		t.Errorf("zero pixel %d", v)
 	}
 	// half amplitude lands mid-way
-	if v := img.At(1, 0); v < 180 || v > 200 {
+	if v := img.at(1, 0); v < 180 || v > 200 {
 		t.Errorf("half-amplitude pixel %d", v)
 	}
 }
@@ -45,12 +75,12 @@ func TestGatherImageTraceWidthAndClip(t *testing.T) {
 		t.Fatalf("width %d", img.W)
 	}
 	// widened pixels identical
-	if img.At(0, 1) != img.At(1, 1) || img.At(1, 1) != img.At(2, 1) {
+	if img.at(0, 1) != img.at(1, 1) || img.at(1, 1) != img.at(2, 1) {
 		t.Error("trace widening broken")
 	}
 	// clip 0.5: amplitude 1 saturates, 0.5 maps to full white too
-	if img.At(3, 0) != 255 {
-		t.Errorf("clipped half-amplitude pixel %d", img.At(3, 0))
+	if img.at(3, 0) != 255 {
+		t.Errorf("clipped half-amplitude pixel %d", img.at(3, 0))
 	}
 }
 
@@ -78,8 +108,8 @@ func TestVelocityImageStructure(t *testing.T) {
 		t.Fatal("bad dimensions")
 	}
 	// water (slowest) must be darker than the deepest rock (fastest)
-	if img.At(5, 5) >= img.At(5, 119) {
-		t.Errorf("water %d not darker than basement %d", img.At(5, 5), img.At(5, 119))
+	if img.at(5, 5) >= img.at(5, 119) {
+		t.Errorf("water %d not darker than basement %d", img.at(5, 5), img.at(5, 119))
 	}
 	// min maps to 0 and max to 255 somewhere
 	var lo, hi uint8 = 255, 0
@@ -99,10 +129,10 @@ func TestVelocityImageStructure(t *testing.T) {
 func TestPGMRoundTrip(t *testing.T) {
 	img := GatherImage(testGather(), 2, 1)
 	var buf bytes.Buffer
-	if err := img.WritePGM(&buf); err != nil {
+	if err := img.writePGM(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPGM(&buf)
+	back, err := readPGM(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +147,13 @@ func TestPGMRoundTrip(t *testing.T) {
 }
 
 func TestReadPGMRejectsGarbage(t *testing.T) {
-	if _, err := ReadPGM(bytes.NewReader([]byte("P6\n2 2\n255\nxxxx"))); err == nil {
+	if _, err := readPGM(bytes.NewReader([]byte("P6\n2 2\n255\nxxxx"))); err == nil {
 		t.Error("P6 accepted")
 	}
-	if _, err := ReadPGM(bytes.NewReader([]byte("P5\n-1 2\n255\n"))); err == nil {
+	if _, err := readPGM(bytes.NewReader([]byte("P5\n-1 2\n255\n"))); err == nil {
 		t.Error("negative width accepted")
 	}
-	if _, err := ReadPGM(bytes.NewReader([]byte("P5\n4 4\n255\nab"))); err == nil {
+	if _, err := readPGM(bytes.NewReader([]byte("P5\n4 4\n255\nab"))); err == nil {
 		t.Error("truncated pixels accepted")
 	}
 }
@@ -138,7 +168,7 @@ func TestSavePGM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPGM(bytes.NewReader(f))
+	back, err := readPGM(bytes.NewReader(f))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,16 +26,6 @@ func (m Machine) PeakBW() float64 { return float64(m.Units) * m.BWPerUnit }
 // PeakFlops returns the aggregate peak compute in flop/s.
 func (m Machine) PeakFlops() float64 { return float64(m.Units) * m.FlopsPerUnit }
 
-// Attainable returns the roofline ceiling at arithmetic intensity ai
-// (flop/byte): min(peak compute, ai × peak bandwidth).
-func (m Machine) Attainable(ai float64) float64 {
-	bw := ai * m.PeakBW()
-	if pf := m.PeakFlops(); bw > pf {
-		return pf
-	}
-	return bw
-}
-
 // RidgeAI returns the arithmetic intensity at which the machine moves from
 // memory-bound to compute-bound.
 func (m Machine) RidgeAI() float64 {
@@ -50,22 +40,32 @@ func (m Machine) String() string {
 		m.Name, m.Units, m.PeakBW()/1e15, m.PeakFlops()/1e15)
 }
 
-// CS2System returns one Cerebras CS-2 as the paper models it: 20 PB/s of
-// aggregate SRAM bandwidth and 1.7 PFlop/s FP32 (Fig. 15's six-system
-// ceiling is 120 PB/s and 10.2 PFlop/s; Fig. 16's 48-system Condor Galaxy
-// ceiling is 960 PB/s and 81.6 PFlop/s).
-func CS2System() Machine {
-	return Machine{Name: "Cerebras CS-2", Units: 1, BWPerUnit: 20e15, FlopsPerUnit: 1.7e15}
+// The chips that both figures aggregate, each declared once with its
+// per-unit peaks. One CS-2 is 20 PB/s of aggregate SRAM bandwidth and
+// 1.7 PFlop/s FP32 (Fig. 15's six-system ceiling is 120 PB/s and 10.2
+// PFlop/s; Fig. 16's 48-system Condor Galaxy ceiling is 960 PB/s and
+// 81.6 PFlop/s). One A64FX is Fugaku's 1.024 TB/s of HBM2.
+var (
+	cerebras = Machine{Name: "Cerebras CS-2", Units: 1, BWPerUnit: 20e15, FlopsPerUnit: 1.7e15}
+	mi250x   = Machine{Name: "AMD MI250X", Units: 1, BWPerUnit: 3.2e12, FlopsPerUnit: 95.7e12}
+	a100     = Machine{Name: "NVIDIA A100", Units: 1, BWPerUnit: 2.0e12, FlopsPerUnit: 19.5e12}
+	a64fx    = Machine{Name: "Fujitsu A64FX", Units: 1, BWPerUnit: 1.024e12, FlopsPerUnit: 6.8e12}
+)
+
+// times returns units of chip c under the figure's label name.
+func (c Machine) times(units int, name string) Machine {
+	c.Units, c.Name = units, name
+	return c
 }
 
 // Fig15Machines returns the minimum vendor configurations of Fig. 15 that
 // can host the compressed seismic workload in memory.
 func Fig15Machines() []Machine {
 	return []Machine{
-		{Name: "Six Cerebras CS-2", Units: 6, BWPerUnit: 20e15, FlopsPerUnit: 1.7e15},
-		{Name: "One AMD MI250X", Units: 1, BWPerUnit: 3.2e12, FlopsPerUnit: 95.7e12},
-		{Name: "Two NVIDIA A100", Units: 2, BWPerUnit: 2.0e12, FlopsPerUnit: 19.5e12},
-		{Name: "Four Fujitsu A64FX", Units: 4, BWPerUnit: 1.0e12, FlopsPerUnit: 6.8e12},
+		cerebras.times(6, "Six Cerebras CS-2"),
+		mi250x.times(1, "One AMD MI250X"),
+		a100.times(2, "Two NVIDIA A100"),
+		a64fx.times(4, "Four Fujitsu A64FX"),
 		{Name: "Three NEC SX-Aurora TSUBASA", Units: 3, BWPerUnit: 1.53e12, FlopsPerUnit: 4.91e12},
 		{Name: "One AMD EPYC Rome", Units: 1, BWPerUnit: 204.8e9, FlopsPerUnit: 4.1e12},
 		{Name: "One Intel Ice Lake", Units: 1, BWPerUnit: 204.8e9, FlopsPerUnit: 4.3e12},
@@ -76,11 +76,11 @@ func Fig15Machines() []Machine {
 // 48-system Condor Galaxy deployment.
 func Fig16Machines() []Machine {
 	return []Machine{
-		{Name: "Condor Galaxy (48 Cerebras CS-2)", Units: 48, BWPerUnit: 20e15, FlopsPerUnit: 1.7e15},
-		{Name: "Fugaku (158976 Fujitsu A64FX)", Units: 158976, BWPerUnit: 1.024e12, FlopsPerUnit: 6.8e12},
-		{Name: "Frontier (37888 AMD MI250X)", Units: 37888, BWPerUnit: 3.2e12, FlopsPerUnit: 95.7e12},
-		{Name: "LUMI (10240 AMD MI250X)", Units: 10240, BWPerUnit: 3.2e12, FlopsPerUnit: 95.7e12},
-		{Name: "Leonardo (13824 NVIDIA A100)", Units: 13824, BWPerUnit: 2.0e12, FlopsPerUnit: 19.5e12},
+		cerebras.times(48, "Condor Galaxy (48 Cerebras CS-2)"),
+		a64fx.times(158976, "Fugaku (158976 Fujitsu A64FX)"),
+		mi250x.times(37888, "Frontier (37888 AMD MI250X)"),
+		mi250x.times(10240, "LUMI (10240 AMD MI250X)"),
+		a100.times(13824, "Leonardo (13824 NVIDIA A100)"),
 		{Name: "Summit (27648 NVIDIA V100)", Units: 27648, BWPerUnit: 0.9e12, FlopsPerUnit: 15.7e12},
 	}
 }

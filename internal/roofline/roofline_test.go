@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// attainable is the roofline ceiling at arithmetic intensity ai
+// (flop/byte): min(peak compute, ai × peak bandwidth).
+func attainable(m Machine, ai float64) float64 { return min(m.PeakFlops(), ai*m.PeakBW()) }
+
 func findMachine(t *testing.T, ms []Machine, substr string) Machine {
 	t.Helper()
 	for _, m := range ms {
@@ -75,18 +79,18 @@ func TestPaperBandwidthComparisons(t *testing.T) {
 func TestAttainableRoofline(t *testing.T) {
 	m := Machine{Name: "test", Units: 1, BWPerUnit: 100, FlopsPerUnit: 1000}
 	// memory-bound region: attainable = ai × bw
-	if got := m.Attainable(1); got != 100 {
+	if got := attainable(m, 1); got != 100 {
 		t.Errorf("Attainable(1) = %g", got)
 	}
 	// compute-bound region: attainable = peak flops
-	if got := m.Attainable(100); got != 1000 {
+	if got := attainable(m, 100); got != 1000 {
 		t.Errorf("Attainable(100) = %g", got)
 	}
 	// ridge at ai = 10
 	if m.RidgeAI() != 10 {
 		t.Errorf("ridge %g", m.RidgeAI())
 	}
-	if got := m.Attainable(m.RidgeAI()); got != 1000 {
+	if got := attainable(m, m.RidgeAI()); got != 1000 {
 		t.Errorf("ceiling at ridge %g", got)
 	}
 }
@@ -115,9 +119,32 @@ func TestNewPointDerivesAI(t *testing.T) {
 }
 
 func TestMachineString(t *testing.T) {
-	s := CS2System().String()
+	s := cerebras.String()
 	if !strings.Contains(s, "CS-2") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestFiguresAgreeOnEachChip holds Figs. 15 and 16 to one pair of
+// per-unit peaks for every chip they both aggregate.
+func TestFiguresAgreeOnEachChip(t *testing.T) {
+	for _, chip := range []Machine{cerebras, mi250x, a100, a64fx} {
+		var n [2]int
+		for fig, figure := range [][]Machine{Fig15Machines(), Fig16Machines()} {
+			for _, m := range figure {
+				if !strings.Contains(m.Name, chip.Name) {
+					continue
+				}
+				n[fig]++
+				if m.BWPerUnit != chip.BWPerUnit || m.FlopsPerUnit != chip.FlopsPerUnit {
+					t.Errorf("%s: %g B/s and %g flop/s per unit, want %s's %g and %g",
+						m.Name, m.BWPerUnit, m.FlopsPerUnit, chip.Name, chip.BWPerUnit, chip.FlopsPerUnit)
+				}
+			}
+		}
+		if n[0] == 0 || n[1] == 0 {
+			t.Errorf("%s: %d rows in Fig. 15 and %d in Fig. 16; want both figures to aggregate it", chip.Name, n[0], n[1])
+		}
 	}
 }
 
@@ -125,14 +152,14 @@ func TestOperatingPointsBelowCeilings(t *testing.T) {
 	// the measured relative TLR-MVM point must sit under the CS-2 roof
 	six := findMachine(t, Fig15Machines(), "Cerebras")
 	pt := NewPoint("TLR-MVM 6 CS-2", 4.16e15, 12.26e15)
-	if pt.Flops > six.Attainable(pt.AI) {
-		t.Errorf("operating point %g above ceiling %g", pt.Flops, six.Attainable(pt.AI))
+	if pt.Flops > attainable(six, pt.AI) {
+		t.Errorf("operating point %g above ceiling %g", pt.Flops, attainable(six, pt.AI))
 	}
 	cg := findMachine(t, Fig16Machines(), "Condor Galaxy")
 	rel := NewPoint("TLR-MVM 48 CS-2 relative", 37.95e15, 92.58e15)
 	abs := NewPoint("TLR-MVM 48 CS-2 absolute", 37.95e15, 245.59e15)
 	for _, p := range []Point{rel, abs} {
-		if p.Flops > cg.Attainable(p.AI)*1.0001 {
+		if p.Flops > attainable(cg, p.AI)*1.0001 {
 			t.Errorf("%s above the 48-system roof", p.Name)
 		}
 	}

@@ -89,11 +89,11 @@ func Generate(opts Options) (*Dataset, error) {
 	if g.NumSources() == 0 {
 		g = DefaultGeometry()
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	model := DefaultModel(g.RecDepth)
-	if err := model.Validate(); err != nil {
+	if err := model.validate(); err != nil {
 		return nil, err
 	}
 	wav := opts.Wavelet
@@ -159,17 +159,17 @@ type offsetTable struct {
 func newOffsetTable(g Geometry) *offsetTable {
 	t := &offsetTable{}
 	t.hx, t.x = axisOffsets(g.NsX, g.NrX, func(i int) float64 {
-		sx, _, _ := g.SourcePos(i * g.NsY)
+		sx, _, _ := g.sourcePos(i * g.NsY)
 		return sx
 	}, func(j int) float64 {
-		rx, _, _ := g.ReceiverPos(j * g.NrY)
+		rx, _, _ := g.receiverPos(j * g.NrY)
 		return rx
 	})
 	t.hy, t.y = axisOffsets(g.NsY, g.NrY, func(i int) float64 {
-		_, sy, _ := g.SourcePos(i)
+		_, sy, _ := g.sourcePos(i)
 		return sy
 	}, func(j int) float64 {
-		_, ry, _ := g.ReceiverPos(j)
+		_, ry, _ := g.receiverPos(j)
 		return ry
 	})
 	return t
@@ -259,14 +259,14 @@ func (ds *Dataset) synthesizeFrequency(fi int, off *offsetTable) {
 	r := dense.New(nr, nr)
 	cs := ds.Model.SubVel
 	for v := 0; v < nr; v++ {
-		vx, vy, _ := g.ReceiverPos(v)
+		vx, vy, _ := g.receiverPos(v)
 		for rr := v; rr < nr; rr++ {
-			px, py, _ := g.ReceiverPos(rr)
+			px, py, _ := g.receiverPos(rr)
 			h2 := (px-vx)*(px-vx) + (py-vy)*(py-vy)
 			midX := (px + vx) / 2
 			var acc complex128
 			for _, ifc := range ds.Model.Interfaces {
-				dz := 2 * (ifc.DepthAt(midX) - zw)
+				dz := 2 * (ifc.depthAt(midX) - zw)
 				dist := math.Sqrt(h2 + dz*dz)
 				acc += complex(ifc.Refl, 0) * greens(omega, dist, cs)
 			}

@@ -52,18 +52,18 @@ func (g Geometry) NumSources() int { return g.NsX * g.NsY }
 // NumReceivers returns the receiver count NrX·NrY.
 func (g Geometry) NumReceivers() int { return g.NrX * g.NrY }
 
-// SourcePos returns the (x, y, z) coordinates of source index s in the
+// sourcePos returns the (x, y, z) coordinates of source index s in the
 // natural (y-fastest) ordering.
-func (g Geometry) SourcePos(s int) (x, y, z float64) {
+func (g Geometry) sourcePos(s int) (x, y, z float64) {
 	ix := s / g.NsY
 	iy := s % g.NsY
 	return float64(ix) * g.Dx, float64(iy) * g.Dy, g.SrcDepth
 }
 
-// ReceiverPos returns the (x, y, z) coordinates of receiver index r.
+// receiverPos returns the (x, y, z) coordinates of receiver index r.
 // The receiver grid is centred within the source grid footprint, as in
 // typical ocean-bottom acquisitions.
-func (g Geometry) ReceiverPos(r int) (x, y, z float64) {
+func (g Geometry) receiverPos(r int) (x, y, z float64) {
 	ix := r / g.NrY
 	iy := r % g.NrY
 	offX := float64(g.NsX-g.NrX) / 2 * g.Dx
@@ -79,8 +79,8 @@ func (g Geometry) ReceiverIndex(ix, iy int) int {
 	return ix*g.NrY + iy
 }
 
-// Validate reports whether the geometry is usable.
-func (g Geometry) Validate() error {
+// validate reports whether the geometry is usable.
+func (g Geometry) validate() error {
 	if g.NsX < 1 || g.NsY < 1 || g.NrX < 1 || g.NrY < 1 {
 		return fmt.Errorf("seismic: empty grids (%dx%d sources, %dx%d receivers)", g.NsX, g.NsY, g.NrX, g.NrY)
 	}

@@ -39,9 +39,9 @@ type Interface struct {
 	Refl float64
 }
 
-// DepthAt returns the interface depth below the free surface at inline
+// depthAt returns the interface depth below the free surface at inline
 // position x (m).
-func (ifc Interface) DepthAt(x float64) float64 {
+func (ifc Interface) depthAt(x float64) float64 {
 	d := ifc.Depth + ifc.DipPerMeter*x
 	if x > ifc.FaultX {
 		d -= ifc.FaultThrow
@@ -66,8 +66,8 @@ func DefaultModel(waterDepth float64) *VelocityModel {
 	}
 }
 
-// Validate reports whether the model is physically sensible.
-func (m *VelocityModel) Validate() error {
+// validate reports whether the model is physically sensible.
+func (m *VelocityModel) validate() error {
 	if m.WaterVel <= 0 || m.SubVel <= 0 {
 		return fmt.Errorf("seismic: nonpositive velocity")
 	}
@@ -97,7 +97,7 @@ func (m *VelocityModel) VelocityAt(x, z float64) float64 {
 	}
 	v := m.SubVel
 	for _, ifc := range m.Interfaces {
-		if z > ifc.DepthAt(x) {
+		if z > ifc.depthAt(x) {
 			v *= 1.10
 		}
 	}

@@ -20,20 +20,6 @@ func (ds *Dataset) TimeSeries(spectrum []complex64) []float64 {
 	return fft.IRFFT(full, ds.Nt)
 }
 
-// Spectrum projects a real time series onto the dataset's in-band bins —
-// the F of Eqn. 2.
-func (ds *Dataset) Spectrum(trace []float64) []complex64 {
-	if len(trace) != ds.Nt {
-		panic("seismic: Spectrum trace length mismatch")
-	}
-	full := fft.RFFT(trace)
-	out := make([]complex64, len(ds.FreqIdx))
-	for i, bin := range ds.FreqIdx {
-		out[i] = complex64(full[bin])
-	}
-	return out
-}
-
 // Gather is a time-domain panel: Traces[i] is the time series of channel i
 // (a receiver or source position), each of length Nt.
 type Gather struct {
@@ -122,10 +108,10 @@ func (ds *Dataset) ZeroOffsetSection(iy int, pick func(f, r, s int) complex64) *
 // receiver r.
 func (ds *Dataset) nearestSource(r int) int {
 	g := ds.Geom
-	rx, ry, _ := g.ReceiverPos(r)
+	rx, ry, _ := g.receiverPos(r)
 	best, bi := math.Inf(1), 0
 	for s := 0; s < g.NumSources(); s++ {
-		sx, sy, _ := g.SourcePos(s)
+		sx, sy, _ := g.sourcePos(s)
 		d := (sx-rx)*(sx-rx) + (sy-ry)*(sy-ry)
 		if d < best {
 			best, bi = d, s

@@ -8,8 +8,27 @@ import (
 
 	"repro/internal/cfloat"
 	"repro/internal/dense"
+	"repro/internal/fft"
 	"repro/internal/sfc"
 )
+
+// spectrum projects a real time series onto the dataset's in-band bins —
+// the F of Eqn. 2.
+func (ds *Dataset) spectrum(trace []float64) []complex64 {
+	if len(trace) != ds.Nt {
+		panic("seismic: spectrum trace length mismatch")
+	}
+	full := make([]complex128, ds.Nt)
+	for i, v := range trace {
+		full[i] = complex(v, 0)
+	}
+	fft.NewPlan(ds.Nt).Forward(full)
+	out := make([]complex64, len(ds.FreqIdx))
+	for i, bin := range ds.FreqIdx {
+		out[i] = complex64(full[bin])
+	}
+	return out
+}
 
 func smallOptions() Options {
 	return Options{
@@ -40,7 +59,7 @@ func TestGeometryIndices(t *testing.T) {
 	for ix := 0; ix < g.NrX; ix++ {
 		for iy := 0; iy < g.NrY; iy++ {
 			r := g.ReceiverIndex(ix, iy)
-			x, y, z := g.ReceiverPos(r)
+			x, y, z := g.receiverPos(r)
 			if z != g.RecDepth {
 				t.Fatal("receiver depth wrong")
 			}
@@ -51,22 +70,22 @@ func TestGeometryIndices(t *testing.T) {
 			}
 		}
 	}
-	if _, _, z := g.SourcePos(0); z != g.SrcDepth {
+	if _, _, z := g.sourcePos(0); z != g.SrcDepth {
 		t.Fatal("source depth wrong")
 	}
 }
 
 func TestGeometryValidate(t *testing.T) {
 	bad := Geometry{NsX: 0}
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("empty geometry should fail")
 	}
 	bad = DefaultGeometry()
 	bad.RecDepth = 5 // above sources
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("receivers above sources should fail")
 	}
-	if DefaultGeometry().Validate() != nil {
+	if DefaultGeometry().validate() != nil {
 		t.Error("default geometry should validate")
 	}
 }
@@ -94,16 +113,16 @@ func TestWaveletSpectra(t *testing.T) {
 
 func TestModelValidate(t *testing.T) {
 	m := DefaultModel(300)
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatalf("default model invalid: %v", err)
 	}
 	m.WaterBottomRefl = 1.5
-	if m.Validate() == nil {
+	if m.validate() == nil {
 		t.Error("r_wb >= 1 should fail")
 	}
 	m2 := DefaultModel(300)
 	m2.Interfaces[0].Depth = 100 // above seafloor
-	if m2.Validate() == nil {
+	if m2.validate() == nil {
 		t.Error("interface above seafloor should fail")
 	}
 }
@@ -120,7 +139,7 @@ func TestVelocityAtStructure(t *testing.T) {
 	}
 	// fault throw changes interface depth
 	ifc := m.Interfaces[0]
-	if ifc.DepthAt(ifc.FaultX+50) >= ifc.DepthAt(ifc.FaultX-50) {
+	if ifc.depthAt(ifc.FaultX+50) >= ifc.depthAt(ifc.FaultX-50) {
 		t.Error("thrust should raise the interface beyond the fault")
 	}
 }
@@ -203,10 +222,10 @@ func TestKernelDecaysWithOffset(t *testing.T) {
 	// receiver 0; nearest vs farthest source
 	r := 0
 	near := ds.nearestSource(r)
-	rx, ry, _ := g.ReceiverPos(r)
+	rx, ry, _ := g.receiverPos(r)
 	far, fard := 0, -1.0
 	for s := 0; s < g.NumSources(); s++ {
-		sx, sy, _ := g.SourcePos(s)
+		sx, sy, _ := g.sourcePos(s)
 		d := (sx-rx)*(sx-rx) + (sy-ry)*(sy-ry)
 		if d > fard {
 			fard, far = d, s
@@ -231,7 +250,7 @@ func TestTimeSeriesSpectrumRoundTrip(t *testing.T) {
 	if len(tr) != ds.Nt {
 		t.Fatalf("trace length %d", len(tr))
 	}
-	back := ds.Spectrum(tr)
+	back := ds.spectrum(tr)
 	for i := range spec {
 		d := back[i] - spec[i]
 		if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-3*float64(nfreq) {
@@ -405,9 +424,9 @@ func oracleSynthesize(ds *Dataset, fi, nmul int) (k, r, pm *dense.Matrix) {
 	zw := ds.Model.WaterDepth
 	zs := g.SrcDepth
 	for v := 0; v < nr; v++ {
-		rx, ry, rz := g.ReceiverPos(v)
+		rx, ry, rz := g.receiverPos(v)
 		for s := 0; s < ns; s++ {
-			sx, sy, _ := g.SourcePos(s)
+			sx, sy, _ := g.sourcePos(s)
 			h2 := (sx-rx)*(sx-rx) + (sy-ry)*(sy-ry)
 			var acc complex128
 			bounce := 1.0
@@ -425,14 +444,14 @@ func oracleSynthesize(ds *Dataset, fi, nmul int) (k, r, pm *dense.Matrix) {
 	r = dense.New(nr, nr)
 	cs := ds.Model.SubVel
 	for v := 0; v < nr; v++ {
-		vx, vy, _ := g.ReceiverPos(v)
+		vx, vy, _ := g.receiverPos(v)
 		for rr := v; rr < nr; rr++ {
-			px, py, _ := g.ReceiverPos(rr)
+			px, py, _ := g.receiverPos(rr)
 			h2 := (px-vx)*(px-vx) + (py-vy)*(py-vy)
 			midX := (px + vx) / 2
 			var acc complex128
 			for _, ifc := range ds.Model.Interfaces {
-				dz := 2 * (ifc.DepthAt(midX) - zw)
+				dz := 2 * (ifc.depthAt(midX) - zw)
 				dist := math.Sqrt(h2 + dz*dz)
 				acc += complex(ifc.Refl, 0) * greens(omega, dist, cs)
 			}
@@ -510,10 +529,10 @@ func TestGenerateMatchesReference(t *testing.T) {
 		g := tc.opts.Geom
 		off := newOffsetTable(g)
 		for s := 0; s < g.NumSources(); s++ {
-			sx, sy, _ := g.SourcePos(s)
+			sx, sy, _ := g.sourcePos(s)
 			ix, iy := s/g.NsY, s%g.NsY
 			for v := 0; v < g.NumReceivers(); v++ {
-				rx, ry, _ := g.ReceiverPos(v)
+				rx, ry, _ := g.receiverPos(v)
 				jx, jy := v/g.NrY, v%g.NrY
 				hx, hy := off.hx[off.x[ix*g.NrX+jx]], off.hy[off.y[iy*g.NrY+jy]]
 				if hx != math.Abs(sx-rx) || hy != math.Abs(sy-ry) {

@@ -14,15 +14,15 @@ func FuzzHilbertRoundTrip(f *testing.F) {
 		side := uint64(1) << k
 		x %= side
 		y %= side
-		d := HilbertXY2D(k, x, y)
+		d := hilbertXY2D(k, x, y)
 		if d >= side*side {
 			t.Fatalf("k=%d (%d,%d): index %d outside curve of length %d", k, x, y, d, side*side)
 		}
-		x2, y2 := HilbertD2XY(k, d)
+		x2, y2 := hilbertD2XY(k, d)
 		if x2 != x || y2 != y {
 			t.Fatalf("k=%d: decode(encode(%d,%d)) = (%d,%d)", k, x, y, x2, y2)
 		}
-		if d2 := HilbertXY2D(k, x2, y2); d2 != d {
+		if d2 := hilbertXY2D(k, x2, y2); d2 != d {
 			t.Fatalf("k=%d: encode(decode(%d)) = %d", k, d, d2)
 		}
 	})
@@ -86,7 +86,7 @@ func FuzzVectorPermutationRoundTrip(f *testing.F) {
 			s = s*6364136223846793005 + 1442695040888963407
 			x[i] = complex(float32(int32(s>>33))/65536, float32(int32(s))/65536)
 		}
-		back := UnpermuteVector(PermuteVector(x, perm), perm)
+		back := ApplyRows(ApplyRows(x, n, 1, perm), n, 1, Inverse(perm))
 		for i := range x {
 			if back[i] != x[i] {
 				t.Fatalf("round trip changed element %d", i)

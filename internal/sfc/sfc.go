@@ -40,24 +40,9 @@ func (o Order) String() string {
 	return "unknown"
 }
 
-// HilbertD2XY converts a distance d along the Hilbert curve of order k
-// (covering a 2^k × 2^k grid) to (x, y) coordinates.
-func HilbertD2XY(k uint, d uint64) (x, y uint64) {
-	t := d
-	for s := uint64(1); s < 1<<k; s <<= 1 {
-		rx := 1 & (t / 2)
-		ry := 1 & (t ^ rx)
-		x, y = hilbertRot(s, x, y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}
-
-// HilbertXY2D converts (x, y) on a 2^k × 2^k grid to the distance along
+// hilbertXY2D converts (x, y) on a 2^k × 2^k grid to the distance along
 // the Hilbert curve of order k.
-func HilbertXY2D(k uint, x, y uint64) uint64 {
+func hilbertXY2D(k uint, x, y uint64) uint64 {
 	var d uint64
 	for s := uint64(1) << (k - 1); s > 0; s >>= 1 {
 		var rx, ry uint64
@@ -84,8 +69,8 @@ func hilbertRot(s, x, y, rx, ry uint64) (uint64, uint64) {
 	return x, y
 }
 
-// MortonXY2D interleaves the bits of x and y into a Z-order index.
-func MortonXY2D(x, y uint64) uint64 {
+// mortonXY2D interleaves the bits of x and y into a Z-order index.
+func mortonXY2D(x, y uint64) uint64 {
 	return interleave(x) | interleave(y)<<1
 }
 
@@ -152,9 +137,9 @@ func Permutation(points []Point, o Order) []int {
 	for i, p := range points {
 		switch o {
 		case Hilbert:
-			keys[i] = HilbertXY2D(k, uint64(p.X), uint64(p.Y))
+			keys[i] = hilbertXY2D(k, uint64(p.X), uint64(p.Y))
 		case Morton:
-			keys[i] = MortonXY2D(uint64(p.X), uint64(p.Y))
+			keys[i] = mortonXY2D(uint64(p.X), uint64(p.Y))
 		}
 	}
 	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
@@ -211,37 +196,4 @@ func ApplyCols(data []complex64, m, n int, perm []int) []complex64 {
 		copy(out[j*m:j*m+m], data[p*m:p*m+m])
 	}
 	return out
-}
-
-// PermuteVector reorders x so out[j] = x[perm[j]].
-func PermuteVector(x []complex64, perm []int) []complex64 {
-	out := make([]complex64, len(x))
-	for j, p := range perm {
-		out[j] = x[p]
-	}
-	return out
-}
-
-// UnpermuteVector undoes PermuteVector: out[perm[j]] = x[j].
-func UnpermuteVector(x []complex64, perm []int) []complex64 {
-	out := make([]complex64, len(x))
-	for j, p := range perm {
-		out[p] = x[j]
-	}
-	return out
-}
-
-// TotalNeighborDistance sums the Euclidean-squared distance between
-// consecutive points in the given order — the locality metric the
-// reordering minimizes (lower is better compression).
-func TotalNeighborDistance(points []Point, perm []int) float64 {
-	var total float64
-	for j := 1; j < len(perm); j++ {
-		a := points[perm[j-1]]
-		b := points[perm[j]]
-		dx := float64(a.X - b.X)
-		dy := float64(a.Y - b.Y)
-		total += dx*dx + dy*dy
-	}
-	return total
 }

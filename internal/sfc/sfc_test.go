@@ -6,15 +6,45 @@ import (
 	"testing/quick"
 )
 
+// hilbertD2XY converts a distance d along the Hilbert curve of order k
+// (covering a 2^k × 2^k grid) to (x, y) coordinates.
+func hilbertD2XY(k uint, d uint64) (x, y uint64) {
+	t := d
+	for s := uint64(1); s < 1<<k; s <<= 1 {
+		rx := 1 & (t / 2)
+		ry := 1 & (t ^ rx)
+		x, y = hilbertRot(s, x, y, rx, ry)
+		x += s * rx
+		y += s * ry
+		t /= 4
+	}
+	return x, y
+}
+
+// totalNeighborDistance sums the Euclidean-squared distance between
+// consecutive points in the given order — the locality metric the
+// reordering minimizes (lower is better compression).
+func totalNeighborDistance(points []Point, perm []int) float64 {
+	var total float64
+	for j := 1; j < len(perm); j++ {
+		a := points[perm[j-1]]
+		b := points[perm[j]]
+		dx := float64(a.X - b.X)
+		dy := float64(a.Y - b.Y)
+		total += dx*dx + dy*dy
+	}
+	return total
+}
+
 func TestHilbertRoundTrip(t *testing.T) {
 	for _, k := range []uint{1, 2, 3, 5, 8} {
 		n := uint64(1) << k
 		for d := uint64(0); d < n*n; d += 1 + d/17 {
-			x, y := HilbertD2XY(k, d)
+			x, y := hilbertD2XY(k, d)
 			if x >= n || y >= n {
 				t.Fatalf("k=%d d=%d: point (%d,%d) outside grid", k, d, x, y)
 			}
-			if back := HilbertXY2D(k, x, y); back != d {
+			if back := hilbertXY2D(k, x, y); back != d {
 				t.Fatalf("k=%d: d=%d → (%d,%d) → %d", k, d, x, y, back)
 			}
 		}
@@ -26,9 +56,9 @@ func TestHilbertCurveIsContinuous(t *testing.T) {
 	// distance 1) — the defining property of the Hilbert curve
 	k := uint(4)
 	n := uint64(1) << k
-	px, py := HilbertD2XY(k, 0)
+	px, py := hilbertD2XY(k, 0)
 	for d := uint64(1); d < n*n; d++ {
-		x, y := HilbertD2XY(k, d)
+		x, y := hilbertD2XY(k, d)
 		dist := absDiff(x, px) + absDiff(y, py)
 		if dist != 1 {
 			t.Fatalf("curve jump at d=%d: (%d,%d) → (%d,%d)", d, px, py, x, y)
@@ -49,7 +79,7 @@ func TestHilbertVisitsEveryCell(t *testing.T) {
 	n := uint64(1) << k
 	seen := make(map[[2]uint64]bool)
 	for d := uint64(0); d < n*n; d++ {
-		x, y := HilbertD2XY(k, d)
+		x, y := hilbertD2XY(k, d)
 		key := [2]uint64{x, y}
 		if seen[key] {
 			t.Fatalf("cell (%d,%d) visited twice", x, y)
@@ -71,7 +101,7 @@ func TestMortonKnownValues(t *testing.T) {
 		{3, 3, 15},
 	}
 	for _, c := range cases {
-		if got := MortonXY2D(c.x, c.y); got != c.want {
+		if got := mortonXY2D(c.x, c.y); got != c.want {
 			t.Errorf("Morton(%d,%d) = %d, want %d", c.x, c.y, got, c.want)
 		}
 	}
@@ -81,7 +111,7 @@ func TestMortonInjective(t *testing.T) {
 	seen := make(map[uint64][2]uint64)
 	for x := uint64(0); x < 32; x++ {
 		for y := uint64(0); y < 32; y++ {
-			m := MortonXY2D(x, y)
+			m := mortonXY2D(x, y)
 			if prev, ok := seen[m]; ok {
 				t.Fatalf("Morton collision: (%d,%d) and (%v)", x, y, prev)
 			}
@@ -122,9 +152,9 @@ func TestHilbertImprovesLocalityOverNatural(t *testing.T) {
 	// distance between neighbours versus the natural row-major order, and
 	// beats Morton on the same metric (paper §4).
 	pts := GridPoints(32, 24)
-	natural := TotalNeighborDistance(pts, Permutation(pts, Natural))
-	morton := TotalNeighborDistance(pts, Permutation(pts, Morton))
-	hilbert := TotalNeighborDistance(pts, Permutation(pts, Hilbert))
+	natural := totalNeighborDistance(pts, Permutation(pts, Natural))
+	morton := totalNeighborDistance(pts, Permutation(pts, Morton))
+	hilbert := totalNeighborDistance(pts, Permutation(pts, Hilbert))
 	if hilbert >= natural {
 		t.Errorf("Hilbert (%g) not better than natural (%g)", hilbert, natural)
 	}
@@ -175,8 +205,8 @@ func TestPermuteUnpermuteRoundTrip(t *testing.T) {
 			pts[i] = Point{X: rng.Intn(64), Y: rng.Intn(64)}
 		}
 		perm := Permutation(pts, Hilbert)
-		y := PermuteVector(x, perm)
-		back := UnpermuteVector(y, perm)
+		y := ApplyRows(x, n, 1, perm)
+		back := ApplyRows(y, n, 1, Inverse(perm))
 		for i := range x {
 			if back[i] != x[i] {
 				return false

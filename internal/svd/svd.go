@@ -237,9 +237,3 @@ func (d *SVD) Truncate(k int) (uk, vk *dense.Matrix) {
 	}
 	return uk, vk
 }
-
-// Reconstruct forms U·diag(S)·Vᴴ.
-func (d *SVD) Reconstruct() *dense.Matrix {
-	uk, vk := d.Truncate(len(d.S))
-	return dense.Mul(uk, vk.ConjTranspose())
-}

@@ -22,8 +22,8 @@ import (
 	"testing"
 )
 
-// Four whole-tree rules that guard the paper's arithmetic, the
-// replayability of the tests, and the option surface. All but
+// Five whole-tree rules that guard the paper's arithmetic, the
+// replayability of the tests, and the option and export surfaces. All but
 // TestRandIsSeeded, which is syntactic, type-check the tree with the
 // standard library alone. Each rule that has exceptions keeps them in a
 // table keyed by function or field, with the reason, and a row that no
@@ -57,6 +57,49 @@ func checkPackage(t *testing.T, rel string) (*types.Package, []*ast.File, *types
 	}
 	_, imp := srcImporter()
 	return check(t, imp, "repro/"+rel, srcs, nil)
+}
+
+// modPkg is one module package's non-test files, type-checked.
+type modPkg struct {
+	rel   string // directory, slash-separated, relative to the module root
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// walkModule type-checks, resolving imports through imp, the non-test
+// files go/build selects in every package directory of the module and
+// hands each package to visit. It prunes testdata, dot and underscore
+// directories, and every directory (with what is under it) that skip
+// names.
+func walkModule(t *testing.T, imp types.Importer, skip func(rel string) bool, visit func(modPkg)) {
+	t.Helper()
+	err := filepath.WalkDir(moduleRoot, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(p, moduleRoot+string(filepath.Separator)))
+		if p != moduleRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || skip(rel)) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(p, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		var srcs []string
+		for _, name := range bp.GoFiles {
+			srcs = append(srcs, filepath.Join(p, name))
+		}
+		pkg, files, info := check(t, imp, "repro/"+rel, srcs, nil)
+		visit(modPkg{rel, pkg, files, info})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // exportImporter imports packages from the compiler's export data, which
@@ -128,6 +171,15 @@ func where(pos token.Pos) string {
 // excuse, and every row of table that excuses no finding.
 func checkExemptions(t *testing.T, tableName string, found map[string][]string, table map[string]string) {
 	t.Helper()
+	for _, msg := range exemptionErrors(tableName, found, table) {
+		t.Error(msg)
+	}
+}
+
+// exemptionErrors returns checkExemptions' failures: the findings table
+// does not excuse, in key order, then a line per row that excuses none.
+func exemptionErrors(tableName string, found map[string][]string, table map[string]string) []string {
+	var errs []string
 	keys := make([]string, 0, len(found))
 	for key := range found {
 		keys = append(keys, key)
@@ -135,16 +187,20 @@ func checkExemptions(t *testing.T, tableName string, found map[string][]string, 
 	sort.Strings(keys)
 	for _, key := range keys {
 		if _, ok := table[key]; !ok {
-			for _, msg := range found[key] {
-				t.Error(msg)
-			}
+			errs = append(errs, found[key]...)
 		}
 	}
-	for key, why := range table {
+	rows := make([]string, 0, len(table))
+	for key := range table {
+		rows = append(rows, key)
+	}
+	sort.Strings(rows)
+	for _, key := range rows {
 		if len(found[key]) == 0 {
-			t.Errorf("%s[%q] (%s) excuses nothing: delete the row, or move it to what it excuses", tableName, key, why)
+			errs = append(errs, fmt.Sprintf("%s[%q] (%s) excuses nothing: delete the row, or move it to what it excuses", tableName, key, table[key]))
 		}
 	}
+	return errs
 }
 
 // funcKey names a function "pkg.Func" or a method "pkg.Recv.Method".
@@ -663,34 +719,10 @@ func f(c *client) {
 	}
 
 	fields, set, ntypes = map[string]token.Pos{}, map[string]bool{}, 0
-	err = filepath.WalkDir(moduleRoot, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		rel := filepath.ToSlash(strings.TrimPrefix(p, moduleRoot+string(filepath.Separator)))
-		if p != moduleRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) ||
-			rel == "examples" || rel == "internal/testkit" {
-			return filepath.SkipDir
-		}
-		bp, err := build.ImportDir(p, 0)
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		var srcs []string
-		for _, name := range bp.GoFiles {
-			srcs = append(srcs, filepath.Join(p, name))
-		}
-		pkg, files, info := check(t, imp, "repro/"+rel, srcs, nil)
-		ntypes += optionFields(pkg, fields)
-		optionSets(files, info, pkg.Path(), set)
-		return nil
+	walkModule(t, imp, func(rel string) bool { return rel == "examples" || rel == "internal/testkit" }, func(p modPkg) {
+		ntypes += optionFields(p.pkg, fields)
+		optionSets(p.files, p.info, p.pkg.Path(), set)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ntypes < 14 || len(fields) < 60 {
 		t.Fatalf("found %d option fields in %d types; the tree has more — is the root right?", len(fields), ntypes)
 	}
@@ -799,4 +831,262 @@ func unsetOptions(fields map[string]token.Pos, set map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// exportExempt lists the exported functions and methods that no
+// non-test file outside their package calls and that stay exported,
+// with the test or command that needs each.
+var exportExempt = map[string]string{
+	"batch.ShardRunner.Dead":       "fault's TestChaosStickyDeathFailoverCounts asserts which shard the schedule killed",
+	"batch.ShardRunner.Revoke":     "mdc's TestStressShardedOperatorMidFlightRevocation (make race-stress) revokes a shard while a product runs",
+	"batch.ShardRunner.Revive":     "mdc's TestStressShardedOperatorMidFlightRevocation (make race-stress) returns the shard after each round",
+	"mddclient.APIError.Retryable": "the serve suite (TestServeSuite) holds the client's retry classes to the server's status codes",
+	"mddclient.Client.Cancel":      "the serve suite's cancellation cases and TestStressServeCancelStorm cancel over HTTP",
+	"mddclient.Client.Health":      "the serve suite's testHealthStatsAndMetrics",
+	"mddclient.Client.Metrics":     "the serve suite's testHealthStatsAndMetrics",
+	"mddclient.Client.Run":         "the serve suite, the serve stress tests and TestTimersRecordEverySpan run jobs over HTTP",
+	"mddclient.Client.ServerStats": "the serve suite reads queue depth and per-tenant counts over HTTP",
+	"mddclient.Client.Wait":        "the serve suite and the serve stress tests poll jobs to their end",
+	"mddserve.Server.Pause":        "the serve suite parks the workers to hold jobs queued",
+	"mddserve.Server.Resume":       "the serve suite releases the workers it parked",
+	"tlr.Matrix.AvgRank":           "examples/compression_sweep prints it (ROADMAP item 24 decides the examples); cmd/tlrtool's test checks -info against it",
+	"tlr.Matrix.CompressionRatio":  "examples/compression_sweep prints it (ROADMAP item 24 decides the examples)",
+	"tlr.Matrix.MaxRank":           "examples/compression_sweep prints it (ROADMAP item 24 decides the examples)",
+	"wsesim.BankPlan.Verify":       "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
+	"wsesim.Machine.NumPEs":        "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
+	"wsesim.Machine.Strategy2":     "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
+	"wsesim.Machine.WorstSRAM":     "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
+	"wsesim.PE.PlanBanks":          "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
+}
+
+// TestEveryExportHasACaller keeps each export earning its place: every
+// exported function, and every exported method of an exported type, in
+// internal/ outside internal/testkit is named by some non-test file
+// outside its package (cmd/, frozen bench/ and internal/testkit count,
+// examples/ does not), unless exportExempt excuses it. A method is also
+// reached when its receiver type, or a pointer to it, implements an
+// interface that holds the method and that a non-test file of the module
+// names, or error, or fmt.Stringer: the call then goes through the
+// interface. A function only its own package calls is unexported, one
+// only tests call moves into them, and one nothing calls is deleted.
+func TestEveryExportHasACaller(t *testing.T) {
+	planted := []struct{ rel, file, src string }{
+		{"internal/p", "p.go", `package p
+
+type T struct{}
+
+func New() T           { return T{} }
+func Own() int         { return New().Size() }
+func TestOnly() int    { return 0 }
+func ExampleOnly() int { return 0 }
+
+func (T) Size() int      { return 0 }
+func (T) Shape() int     { return 1 }
+func (T) String() string { return "t" }
+`},
+		{"cmd/q", "q.go", `package main
+
+import (
+	"fmt"
+	"planted/internal/p"
+)
+
+type shaper interface{ Shape() int }
+
+func main() {
+	var s shaper = p.New()
+	fmt.Println(s)
+}
+`},
+		{"cmd/r", "r_test.go", `package main
+
+import "planted/internal/p"
+
+var _ = p.TestOnly()
+`},
+		{"examples/x", "x.go", `package main
+
+import "planted/internal/p"
+
+func main() { _ = p.ExampleOnly() }
+`},
+	}
+	exp, err := exportImporter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg := pkgs[path]; pkg != nil {
+			return pkg, nil
+		}
+		return exp.Import(path)
+	})
+	census := newExportCensus(imp)
+	for _, pl := range planted {
+		pkg, files, info := check(t, imp, "planted/"+pl.rel, []string{pl.file}, pl.src)
+		pkgs[pkg.Path()] = pkg
+		census.add(modPkg{pl.rel, pkg, files, info})
+	}
+	uncalled := census.uncalled()
+	if len(census.exports) != 7 || census.pkgs != 1 || !slices.Equal(uncalled, []string{"p.ExampleOnly", "p.Own", "p.T.Size", "p.TestOnly"}) {
+		t.Fatalf("planted packages: %d exports in %d packages, uncalled %q; want 7 in 1, p.ExampleOnly, p.Own, p.T.Size and p.TestOnly uncalled",
+			len(census.exports), census.pkgs, uncalled)
+	}
+	found := map[string][]string{}
+	for _, key := range uncalled {
+		found[key] = []string{key}
+	}
+	errs := exemptionErrors("exportExempt", found, map[string]string{"p.Own": "a caller in this test", "p.Gone": "a stale row"})
+	if len(errs) != 4 || !strings.HasPrefix(errs[3], `exportExempt["p.Gone"]`) || !strings.Contains(errs[3], "excuses nothing") {
+		t.Fatalf("planted exemptions: %q; want the three unexcused findings and p.Gone's row excusing nothing", errs)
+	}
+
+	census = newExportCensus(exp)
+	walkModule(t, exp, func(rel string) bool { return !exportCaller(rel) }, census.add)
+	if len(census.exports) < 250 || census.pkgs < 30 {
+		t.Fatalf("found %d exported functions and methods in %d packages; the tree has more — is the root right?", len(census.exports), census.pkgs)
+	}
+	t.Logf("%d exported functions and methods in %d packages of internal/ outside internal/testkit", len(census.exports), census.pkgs)
+	found = map[string][]string{}
+	for _, key := range census.uncalled() {
+		found[key] = []string{fmt.Sprintf("%s: %s has no caller in a non-test file outside its package and examples/; unexport it, move it into the tests that call it, delete it, or add it to exportExempt with the reason",
+			where(census.exports[key].Pos()), key)}
+	}
+	checkExemptions(t, "exportExempt", found, exportExempt)
+}
+
+// exportDeclarer reports whether the census holds the exports of the
+// package in rel to a caller; exportCaller, whether the package's
+// non-test files are callers.
+func exportDeclarer(rel string) bool {
+	return strings.HasPrefix(rel, "internal/") && !under(rel, "internal/testkit")
+}
+
+func exportCaller(rel string) bool { return !under(rel, "examples") }
+
+func under(rel, dir string) bool { return rel == dir || strings.HasPrefix(rel, dir+"/") }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportCensus gathers the exports of the declaring packages, keyed by
+// funcKey, the keys that callers name, and the interfaces callers name.
+// Packages arrive type-checked separately, so a type is looked up again
+// through imp, where every importer of the package sees one object.
+type exportCensus struct {
+	imp     types.Importer
+	exports map[string]*types.Func
+	pkgs    int
+	called  map[string]bool
+	ifaces  map[types.Type]bool
+}
+
+func newExportCensus(imp types.Importer) *exportCensus {
+	c := &exportCensus{imp: imp, exports: map[string]*types.Func{}, called: map[string]bool{}, ifaces: map[types.Type]bool{}}
+	c.ifaces[types.Universe.Lookup("error").Type()] = true
+	if fmtPkg, err := imp.Import("fmt"); err == nil {
+		c.addInterface(fmtPkg.Scope().Lookup("Stringer").(*types.TypeName))
+	}
+	return c
+}
+
+func (c *exportCensus) add(p modPkg) {
+	if exportDeclarer(p.rel) {
+		c.pkgs++
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					c.exports[funcKey(obj)] = obj
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || !obj.Exported() || types.IsInterface(named) {
+					continue
+				}
+				for i := range named.NumMethods() {
+					if m := named.Method(i); m.Exported() {
+						c.exports[funcKey(m)] = m
+					}
+				}
+			}
+		}
+	}
+	if !exportCaller(p.rel) {
+		return
+	}
+	fset, _ := srcImporter()
+	for _, f := range p.files {
+		if strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				switch obj := p.info.ObjectOf(n).(type) {
+				case *types.Func:
+					if obj.Pkg() != nil && obj.Pkg().Path() != p.pkg.Path() {
+						c.called[funcKey(obj.Origin())] = true
+					}
+				case *types.TypeName:
+					if types.IsInterface(obj.Type()) {
+						c.addInterface(obj)
+					}
+				}
+			case *ast.InterfaceType:
+				c.ifaces[p.info.TypeOf(n)] = true
+			}
+			return true
+		})
+	}
+}
+
+// canonical returns the type obj names as imp sees its package: the
+// object itself when obj is local to a function or imp cannot import
+// its package (a main package).
+func (c *exportCensus) canonical(obj *types.TypeName) types.Type {
+	if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+		if pkg, err := c.imp.Import(obj.Pkg().Path()); err == nil {
+			if o, ok := pkg.Scope().Lookup(obj.Name()).(*types.TypeName); ok {
+				return types.Unalias(o.Type())
+			}
+		}
+	}
+	return types.Unalias(obj.Type())
+}
+
+func (c *exportCensus) addInterface(obj *types.TypeName) { c.ifaces[c.canonical(obj)] = true }
+
+// uncalled returns the keys of the exports no caller reaches, sorted.
+func (c *exportCensus) uncalled() []string {
+	var out []string
+	for key, fn := range c.exports {
+		if !c.called[key] && !c.viaInterface(fn) {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// viaInterface reports whether fn is a method that a named interface
+// holds and its receiver type, or a pointer to it, implements.
+func (c *exportCensus) viaInterface(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	typ := c.canonical(namedOf(recv.Type()).Obj())
+	for t := range c.ifaces {
+		iface := t.Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			if iface.Method(i).Name() == fn.Name() && (types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)) {
+				return true
+			}
+		}
+	}
+	return false
 }

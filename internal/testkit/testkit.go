@@ -61,6 +61,16 @@ func DecayMat(rng *rand.Rand, m, n int, decay float64) *dense.Matrix {
 	return dense.RandomDecay(rng, m, n, decay)
 }
 
+// Eye returns the n×n identity: the best-conditioned operator a solver
+// test can start from.
+func Eye(n int) *dense.Matrix {
+	a := dense.New(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 1)
+	}
+	return a
+}
+
 // HilbertMat returns the m×n complex Hilbert-like matrix
 // A[i,j] = (1 + i·0.5) / (1 + i + j): deterministic (no rng), severely
 // rank-deficient, and numerically classic — the canonical quickly-

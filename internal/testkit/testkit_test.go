@@ -38,6 +38,21 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
+func TestEye(t *testing.T) {
+	e := Eye(3)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			want := complex64(0)
+			if i == j {
+				want = 1
+			}
+			if e.At(i, j) != want {
+				t.Fatal("Eye wrong")
+			}
+		}
+	}
+}
+
 func TestHilbertMatIsDataSparse(t *testing.T) {
 	a := HilbertMat(48, 48)
 	tm, err := tlr.Compress(a, tlr.Options{NB: 12, Tol: 1e-4})
@@ -266,7 +281,7 @@ func TestSeismicBand(t *testing.T) {
 		t.Fatalf("want 3 matrices, got %d", len(mats))
 	}
 	for _, m := range mats {
-		if m.Rows == 0 || m.Cols == 0 || m.FrobNorm() == 0 {
+		if m.Rows == 0 || m.Cols == 0 || m.MaxAbs() == 0 {
 			t.Fatal("degenerate seismic slice")
 		}
 	}

@@ -59,10 +59,6 @@ type Tile struct {
 // Rank returns the tile's approximation rank.
 func (t *Tile) Rank() int { return t.U.Cols }
 
-// Bytes returns the compressed footprint of the tile (U and V elements,
-// 8 bytes per complex64).
-func (t *Tile) Bytes() int64 { return t.U.Bytes() + t.V.Bytes() }
-
 // Matrix is an M×N tile low-rank matrix with uniform tile size NB.
 // Tiles are stored row-major in the tile grid: Tiles[i*NT+j] is tile (i,j)
 // covering rows [i·NB, min((i+1)·NB, M)) and the analogous columns.
@@ -247,9 +243,6 @@ func (t *Matrix) factorBytes() (u, v int64) {
 	return u, v
 }
 
-// DenseBytes returns the footprint of the dense equivalent.
-func (t *Matrix) DenseBytes() int64 { return int64(t.M) * int64(t.N) * 8 }
-
 // CompressionRatio returns dense/compressed size (the paper reports 7X for
 // acc=1e-4 with Hilbert ordering).
 func (t *Matrix) CompressionRatio() float64 {
@@ -257,7 +250,7 @@ func (t *Matrix) CompressionRatio() float64 {
 	if cb == 0 {
 		return 0
 	}
-	return float64(t.DenseBytes()) / float64(cb)
+	return float64(int64(t.M)*int64(t.N)*8) / float64(cb)
 }
 
 // Reconstruct forms the dense matrix approximated by the TLR format.
@@ -406,41 +399,6 @@ func applyTile(proj, exp *dense.Matrix, in, out, seg []complex64) {
 	seg = seg[:proj.Cols]
 	proj.MulVecConjTrans(in, seg)
 	cfloat.Gemv(cfloat.NoTrans, exp.Rows, exp.Cols, 1, exp.Data, exp.Stride, seg, 1, out)
-}
-
-// ColumnStackedSizes returns, for each tile column j, the total stacked V
-// rank Σ_i k_{ij} — the height of the stacked V base of Fig. 4/9 that the
-// CS-2 mapping distributes over PEs.
-func (t *Matrix) ColumnStackedSizes() []int {
-	out := make([]int, t.NT)
-	for j := 0; j < t.NT; j++ {
-		for i := 0; i < t.MT; i++ {
-			out[j] += t.rankAt(i*t.NT + j)
-		}
-	}
-	return out
-}
-
-// RowStackedSizes returns, for each tile row i, the total stacked U rank
-// Σ_j k_{ij}.
-func (t *Matrix) RowStackedSizes() []int {
-	out := make([]int, t.MT)
-	for i := 0; i < t.MT; i++ {
-		for j := 0; j < t.NT; j++ {
-			out[i] += t.rankAt(i*t.NT + j)
-		}
-	}
-	return out
-}
-
-// Ranks returns the mt×nt rank map (row-major), used by the CS-2 shard
-// planner and by rank-distribution diagnostics.
-func (t *Matrix) Ranks() []int {
-	out := make([]int, len(t.Tiles))
-	for idx := range t.Tiles {
-		out[idx] = t.rankAt(idx)
-	}
-	return out
 }
 
 func (t *Matrix) String() string {

@@ -30,15 +30,10 @@ func MulMatNaive(a *tlr.Matrix, x, y *dense.Matrix) error {
 	return nil
 }
 
-// MulMatFused computes Y = A·X with the fused schedule: per tile, one
-// complex GEMM Yv = VᴴX over all shots followed by Y += U·Yv, so each
-// base is loaded once per shot block rather than once per shot.
-func MulMatFused(a *tlr.Matrix, x, y *dense.Matrix) error {
-	return MulMatFusedParallel(a, x, y, 1)
-}
-
-// MulMatFusedParallel is MulMatFused with tile-row parallelism.
-// workers <= 0 uses GOMAXPROCS.
+// MulMatFusedParallel computes Y = A·X with the fused schedule: per
+// tile, one complex GEMM Yv = VᴴX over all shots followed by Y += U·Yv,
+// so each base is loaded once per shot block rather than once per shot.
+// Tile rows run on workers goroutines; workers <= 0 uses GOMAXPROCS.
 func MulMatFusedParallel(a *tlr.Matrix, x, y *dense.Matrix, workers int) error {
 	if err := checkShapes(a, x, y); err != nil {
 		return err
@@ -57,12 +52,12 @@ func MulMatFusedParallel(a *tlr.Matrix, x, y *dense.Matrix, workers int) error {
 			xsub := x.Slice(j0, j0+colExt, 0, s)
 			// Yv = Vᴴ · X_j : k×s
 			yv := dense.New(k, s)
-			cfloat.Gemm(cfloat.ConjTrans, cfloat.NoTrans, k, s, colExt,
-				1, tile.V.Data, tile.V.Stride, xsub.Data, xsub.Stride,
+			cfloat.Gemm(cfloat.ConjTrans, k, s, colExt,
+				tile.V.Data, tile.V.Stride, xsub.Data, xsub.Stride,
 				0, yv.Data, yv.Stride)
 			// Y_i += U · Yv
-			cfloat.Gemm(cfloat.NoTrans, cfloat.NoTrans, rowExt, s, k,
-				1, tile.U.Data, tile.U.Stride, yv.Data, yv.Stride,
+			cfloat.Gemm(cfloat.NoTrans, rowExt, s, k,
+				tile.U.Data, tile.U.Stride, yv.Data, yv.Stride,
 				1, ysub.Data, ysub.Stride)
 		}
 	})

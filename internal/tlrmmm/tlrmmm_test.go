@@ -50,7 +50,7 @@ func TestFusedMatchesNaiveAndDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	yf := dense.New(80, shots)
-	if err := MulMatFused(tm, x, yf); err != nil {
+	if err := MulMatFusedParallel(tm, x, yf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if e := dense.RelError(yf, yn); e > 1e-4 {
@@ -68,7 +68,7 @@ func TestFusedParallelMatchesSequential(t *testing.T) {
 	rng := testkit.NewRNG(13)
 	x := dense.Random(rng, 80, 5)
 	y1 := dense.New(96, 5)
-	if err := MulMatFused(tm, x, y1); err != nil {
+	if err := MulMatFusedParallel(tm, x, y1, 1); err != nil {
 		t.Fatal(err)
 	}
 	y2 := dense.New(96, 5)
@@ -89,7 +89,7 @@ func TestShapeValidation(t *testing.T) {
 	}
 	x2 := dense.New(32, 2)
 	y2 := dense.New(32, 3) // wrong cols
-	if err := MulMatFused(tm, x2, y2); err == nil {
+	if err := MulMatFusedParallel(tm, x2, y2, 1); err == nil {
 		t.Error("wrong Y cols should fail")
 	}
 }
@@ -99,7 +99,7 @@ func TestSingleShotEqualsMulVec(t *testing.T) {
 	rng := testkit.NewRNG(14)
 	x := dense.Random(rng, 48, 1)
 	y := dense.New(48, 1)
-	if err := MulMatFused(tm, x, y); err != nil {
+	if err := MulMatFusedParallel(tm, x, y, 1); err != nil {
 		t.Fatal(err)
 	}
 	yv := make([]complex64, 48)

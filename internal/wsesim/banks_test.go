@@ -25,8 +25,8 @@ func TestBankPlanConflictFree(t *testing.T) {
 		for _, a := range plan.Arrays {
 			placed += a.Bytes
 		}
-		if placed != pe.SRAMBytes() {
-			t.Fatalf("PE %d: planner places %d B, SRAMBytes reports %d", i, placed, pe.SRAMBytes())
+		if placed != pe.sramBytes() {
+			t.Fatalf("PE %d: planner places %d B, sramBytes reports %d", i, placed, pe.sramBytes())
 		}
 	}
 }
@@ -47,12 +47,12 @@ func TestBankPlanPaperScaleChunk(t *testing.T) {
 	}
 	worst := mach.PEs[0]
 	for _, pe := range mach.PEs {
-		if pe.SRAMBytes() > worst.SRAMBytes() {
+		if pe.sramBytes() > worst.sramBytes() {
 			worst = pe
 		}
 	}
-	if worst.SRAMBytes() < 20*1024 {
-		t.Fatalf("test chunk only %d B — not the near-full case intended", worst.SRAMBytes())
+	if worst.sramBytes() < 20*1024 {
+		t.Fatalf("test chunk only %d B — not the near-full case intended", worst.sramBytes())
 	}
 	plan, err := worst.PlanBanks()
 	if err != nil {
@@ -83,8 +83,8 @@ func TestBankPlanFailsWhenOverfull(t *testing.T) {
 		Chunk: Chunk{Rows: rows}, ColExtent: cols,
 		vr: make([]float32, rows*cols), vi: make([]float32, rows*cols),
 	}
-	if pe.SRAMBytes() <= cs2.SRAMBytes {
-		t.Fatalf("test image is %d B, not more than the %d B of SRAM", pe.SRAMBytes(), cs2.SRAMBytes)
+	if pe.sramBytes() <= cs2.SRAMBytes {
+		t.Fatalf("test image is %d B, not more than the %d B of SRAM", pe.sramBytes(), cs2.SRAMBytes)
 	}
 	if _, err := pe.PlanBanks(); err == nil {
 		t.Error("overfull placement should fail")

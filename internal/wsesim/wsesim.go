@@ -74,7 +74,7 @@ type PE struct {
 	// Split-plane scratch of the chunk program, sized once at load time
 	// (x planes: ColExtent; yv planes: Rows; y planes: the largest
 	// segment row extent) so run performs no allocations. These model
-	// the PE's resident working buffers — SRAMBytes already accounts
+	// the PE's resident working buffers — sramBytes already accounts
 	// for them.
 	sXr, sXi         []float32
 	sYvr, sYvi, sTmp []float32
@@ -207,17 +207,17 @@ func (m *Machine) loadPE(ch Chunk, colExt int) (*PE, error) {
 	}
 	pe.sYr = make([]float32, maxExt)
 	pe.sYi = make([]float32, maxExt)
-	if sram := pe.SRAMBytes(); sram > cs2.SRAMBytes {
+	if sram := pe.sramBytes(); sram > cs2.SRAMBytes {
 		return nil, fmt.Errorf("wsesim: chunk (col %d, row %d) needs %d B of SRAM (PE has %d)",
 			ch.Col, ch.Row0, sram, cs2.SRAMBytes)
 	}
 	return pe, nil
 }
 
-// SRAMBytes returns the PE's resident image size: the four real base
+// sramBytes returns the PE's resident image size: the four real base
 // arrays plus the x, yv, and per-tile y vectors, each padded to the
 // CS-2's 64-bit access granularity (§6.5's alignment rule).
-func (pe *PE) SRAMBytes() int {
+func (pe *PE) sramBytes() int {
 	pad := func(n int) int { return 4 * ((n + 1) &^ 1) } // float32s, 8-byte aligned
 	b := pad(len(pe.vr)) + pad(len(pe.vi))
 	for i := range pe.ur {
@@ -352,7 +352,7 @@ func (m *Machine) NumPEs() int { return len(m.PEs) }
 func (m *Machine) WorstSRAM() int {
 	var w int
 	for _, pe := range m.PEs {
-		if s := pe.SRAMBytes(); s > w {
+		if s := pe.sramBytes(); s > w {
 			w = s
 		}
 	}
@@ -400,7 +400,7 @@ func (m *Machine) Strategy2() Strategy2Stats {
 			s.WorstCycles = u
 		}
 		// one real plane of either V or U: a quarter of the four-plane set
-		if q := pe.SRAMBytes() / 4; q > s.WorstPESRAMBytes {
+		if q := pe.sramBytes() / 4; q > s.WorstPESRAMBytes {
 			s.WorstPESRAMBytes = q
 		}
 	}

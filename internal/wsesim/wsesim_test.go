@@ -90,8 +90,11 @@ func TestChunkPartitionCoversAllRankRows(t *testing.T) {
 			t.Fatalf("chunk of %d rows exceeds stack width %d", pe.Chunk.Rows, mach.SW)
 		}
 	}
-	stacked := tm.ColumnStackedSizes()
-	for j, want := range stacked {
+	for j := 0; j < tm.NT; j++ {
+		var want int // the stacked V height of tile column j
+		for i := 0; i < tm.MT; i++ {
+			want += tm.Tile(i, j).Rank()
+		}
 		if perCol[j] != want {
 			t.Errorf("column %d covers %d rank rows, want %d", j, perCol[j], want)
 		}

@@ -75,7 +75,7 @@ func rooflinePoints(t *testing.T, pm *wse.PaperModel) ([]float64, []roofline.Poi
 	t.Helper()
 	var ceilings []float64
 	for _, m := range append(roofline.Fig15Machines(), roofline.Fig16Machines()...) {
-		ceilings = append(ceilings, m.PeakBW(), m.PeakFlops(), m.RidgeAI(), m.Attainable(0.32))
+		ceilings = append(ceilings, m.PeakBW(), m.PeakFlops(), m.RidgeAI())
 	}
 	points := roofline.ConstantRankEstimates()
 	for _, pp := range []ranks.PaperPlan{

@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/cgls"
 	"repro/internal/core"
 	"repro/internal/lsqr"
+	"repro/internal/mddclient"
 	"repro/internal/mddserve"
 	"repro/internal/obs"
 	"repro/internal/seismic"
@@ -90,20 +93,14 @@ func TestTimersRecordEverySpan(t *testing.T) {
 
 	srv := mddserve.New(mddserve.Config{Workers: 1, Shards: 2, BackoffSleep: func(time.Duration) {}})
 	defer srv.Close()
+	web := httptest.NewServer(srv.Handler())
+	defer web.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	obs.Reset()
-	id, err := srv.Submit(mddserve.JobSpec{Type: mddserve.JobMDD, Dataset: ds, Iters: iters}, "spans")
+	st, err := mddclient.New(web.URL, mddclient.Options{Tenant: "spans"}).Run(ctx, mddserve.JobSpec{Type: mddserve.JobMDD, Dataset: ds, Iters: iters})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var st mddserve.JobStatus
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		st, _ = srv.Status(id)
-		if st.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("served job still %s after 10 s", st.State)
-		}
 	}
 	if st.State != mddserve.StateDone {
 		t.Fatalf("served job %s: %s", st.State, st.Error)
