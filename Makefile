@@ -128,7 +128,8 @@ bench-e2e-compare:
 # step. `gofmt -l .` must list no file. The s390x cross-vet
 # type-checks the big-endian side of tlrio.LoadTile, which no host here
 # executes; the arm64 one the pure-Go Gemv and Axpy loops (amd64 runs
-# cfloat's SSE assembly instead) and the LSQR loops for a target that
+# cfloat's assembly instead: AVX for Gemv where the CPU has it, SSE2 for
+# Axpy) and the LSQR loops for a target that
 # fuses multiply-adds, where they are not run either.
 
 lint: vet

@@ -139,11 +139,12 @@ func Nrm2(x []complex64) float64 {
 // Sums therefore carry float32 rounding in column order (NoTrans) or row
 // order (ConjTrans); internal/estimator's εe models exactly that.
 //
-// On amd64 the two loops are packed SSE (gemv_amd64.s): the forward one
-// two rows per register, the adjoint one two columns per register, each
+// On amd64, where the CPU and OS support AVX (checked once at start-up),
+// the two loops are 256-bit assembly (gemv_amd64.s): the forward one four
+// rows per register, the adjoint one four columns per register, each
 // computing the pure-Go loops' float32 operations in their order, so
 // the results are bit for bit those of gemvNGo and gemvCGo, which every
-// other GOARCH runs and the tests hold the assembly to. Those Go loops
+// other host runs and the tests hold the assembly to. Those Go loops
 // take two columns per pass, decided on the 1 GiB solve-dram operator
 // rather than on a cached slice (EXPERIMENTS.md, "fp32 inner loops");
 // the width moves no bit, because every y[i] and every accumulator takes

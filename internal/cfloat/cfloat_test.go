@@ -68,7 +68,7 @@ func TestDotcHermitianSymmetry(t *testing.T) {
 	a := cfloat.Dotc(x, y)
 	b := cfloat.Dotc(y, x)
 	// cfloat.Dotc(x,y) == conj(cfloat.Dotc(y,x))
-	if cAbs(a-complex(real(b), -imag(b))) > 1e-4*cAbs(a) {
+	if !(cAbs(a-complex(real(b), -imag(b))) <= 1e-4*cAbs(a)) {
 		t.Errorf("Hermitian symmetry violated: %v vs %v", a, b)
 	}
 }
@@ -78,10 +78,10 @@ func TestNrm2MatchesDotc(t *testing.T) {
 	x := testkit.Vec(rng, 101)
 	n := cfloat.Nrm2(x)
 	d := cfloat.Dotc(x, x)
-	if math.Abs(n*n-float64(real(d))) > 1e-3*n*n {
+	if !(math.Abs(n*n-float64(real(d))) <= 1e-3*n*n) {
 		t.Errorf("Nrm2²=%v vs cfloat.Dotc=%v", n*n, real(d))
 	}
-	if math.Abs(float64(imag(d))) > 1e-3*n*n {
+	if !(math.Abs(float64(imag(d))) <= 1e-3*n*n) {
 		t.Errorf("cfloat.Dotc(x,x) has imaginary part %v", imag(d))
 	}
 }
@@ -139,7 +139,7 @@ func TestGemvAgainstReference(t *testing.T) {
 			cfloat.Gemv(tr, m, n, 1, a, m, x, 0, y)
 			want := refGemv(tr, m, n, a, m, x)
 			for i := range y {
-				if cAbs(y[i]-want[i]) > 1e-3*(1+cAbs(want[i])) {
+				if !(cAbs(y[i]-want[i]) <= 1e-3*(1+cAbs(want[i]))) {
 					t.Fatalf("%v %dx%d: y[%d]=%v want %v", tr, m, n, i, y[i], want[i])
 				}
 			}
@@ -159,7 +159,7 @@ func TestGemvAlphaBeta(t *testing.T) {
 	ref := refGemv(cfloat.NoTrans, m, n, a, m, x)
 	for i := range y {
 		want := alpha*ref[i] + beta*y0[i]
-		if cAbs(y[i]-want) > 1e-3*(1+cAbs(want)) {
+		if !(cAbs(y[i]-want) <= 1e-3*(1+cAbs(want))) {
 			t.Fatalf("alpha/beta: y[%d]=%v want %v", i, y[i], want)
 		}
 	}
@@ -177,7 +177,7 @@ func TestGemvLeadingDimension(t *testing.T) {
 		for j := 0; j < n; j++ {
 			acc += complex128(a[j*lda+i]) * complex128(x[j])
 		}
-		if cAbs(y[i]-complex64(acc)) > 1e-3*(1+cAbs(complex64(acc))) {
+		if !(cAbs(y[i]-complex64(acc)) <= 1e-3*(1+cAbs(complex64(acc)))) {
 			t.Fatalf("lda: y[%d]=%v want %v", i, y[i], acc)
 		}
 	}
@@ -309,7 +309,7 @@ func TestGemvBlockedTable(t *testing.T) {
 							for _, zeroEvery := range []int{0, 3} {
 								seed++
 								c := gemvCase{tr, m, n, max(1, m) + pad, alpha, beta, zeroEvery, seed}
-								if e, reduce := c.err(); e > testkit.ExecTolerance(reduce) {
+								if e, reduce := c.err(); !(e <= testkit.ExecTolerance(reduce)) {
 									t.Errorf("%+v: error %g of ‖A‖‖x‖ > %g", c, e, testkit.ExecTolerance(reduce))
 								}
 							}
@@ -365,7 +365,7 @@ func TestGemmAgainstGemv(t *testing.T) {
 		y := make([]complex64, m)
 		cfloat.Gemv(cfloat.NoTrans, m, k, 1, a, m, b[j*k:(j+1)*k], 0, y)
 		for i := 0; i < m; i++ {
-			if cAbs(c[j*m+i]-y[i]) > 1e-3*(1+cAbs(y[i])) {
+			if !(cAbs(c[j*m+i]-y[i]) <= 1e-3*(1+cAbs(y[i]))) {
 				t.Fatalf("cfloat.Gemm vs cfloat.Gemv at (%d,%d)", i, j)
 			}
 		}
@@ -380,13 +380,13 @@ func TestGemmConjTransIsHermitianAdjoint(t *testing.T) {
 	c := make([]complex64, n*n)
 	cfloat.Gemm(cfloat.ConjTrans, n, n, m, a, m, a, m, 0, c, n)
 	for i := 0; i < n; i++ {
-		if real(c[i*n+i]) < 0 || math.Abs(float64(imag(c[i*n+i]))) > 1e-3 {
+		if !(real(c[i*n+i]) >= 0) || !(math.Abs(float64(imag(c[i*n+i]))) <= 1e-3) {
 			t.Errorf("diagonal %d = %v not real nonneg", i, c[i*n+i])
 		}
 		for j := 0; j < n; j++ {
 			cij := c[j*n+i]
 			cji := c[i*n+j]
-			if cAbs(cij-complex(real(cji), -imag(cji))) > 1e-3*(1+cAbs(cij)) {
+			if !(cAbs(cij-complex(real(cji), -imag(cji))) <= 1e-3*(1+cAbs(cij))) {
 				t.Fatalf("not Hermitian at (%d,%d)", i, j)
 			}
 		}
@@ -411,7 +411,7 @@ func TestGemmTransposeComposition(t *testing.T) {
 	want := make([]complex64, m*n)
 	cfloat.Gemm(cfloat.NoTrans, m, n, k, ah, m, b, k, 0, want, m)
 	for i := range want {
-		if cAbs(ahb[i]-want[i]) > 1e-3*(1+cAbs(want[i])) {
+		if !(cAbs(ahb[i]-want[i]) <= 1e-3*(1+cAbs(want[i]))) {
 			t.Fatalf("AᴴB at %d: ConjTrans %v, written-out Aᴴ %v", i, ahb[i], want[i])
 		}
 	}
@@ -467,7 +467,7 @@ func TestComplexMVMViaFourRealMatchesGemv(t *testing.T) {
 		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, y1)
 		y2 := fourReal(m, n, ar, ai, x)
 		for i := range y1 {
-			if cAbs(y1[i]-y2[i]) > 1e-3*(1+cAbs(y1[i])) {
+			if !(cAbs(y1[i]-y2[i]) <= 1e-3*(1+cAbs(y1[i]))) {
 				t.Fatalf("%dx%d four-real mismatch at %d: %v vs %v", m, n, i, y1[i], y2[i])
 			}
 		}
@@ -503,7 +503,7 @@ func TestGemvLinearityProperty(t *testing.T) {
 		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x2, 0, y2)
 		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, sum, 0, ys)
 		for i := 0; i < m; i++ {
-			if cAbs(ys[i]-(y1[i]+y2[i])) > 1e-2*(1+cAbs(ys[i])) {
+			if !(cAbs(ys[i]-(y1[i]+y2[i])) <= 1e-2*(1+cAbs(ys[i]))) {
 				return false
 			}
 		}
@@ -577,7 +577,7 @@ func TestGemmBetaPaths(t *testing.T) {
 	ab := make([]complex64, m*n)
 	cfloat.Gemm(cfloat.NoTrans, m, n, k, a, m, b, k, 0, ab, m)
 	for i := range c {
-		if cAbs(c[i]-(c0[i]+ab[i])) > 1e-3*(1+cAbs(c[i])) {
+		if !(cAbs(c[i]-(c0[i]+ab[i])) <= 1e-3*(1+cAbs(c[i]))) {
 			t.Fatalf("beta=1 at %d", i)
 		}
 	}
@@ -585,7 +585,7 @@ func TestGemmBetaPaths(t *testing.T) {
 	c2 := append([]complex64(nil), c0...)
 	cfloat.Gemm(cfloat.NoTrans, m, n, 0, a, m, b, k, 2i, c2, m)
 	for i := range c2 {
-		if cAbs(c2[i]-2i*c0[i]) > 1e-4*(1+cAbs(c2[i])) {
+		if !(cAbs(c2[i]-2i*c0[i]) <= 1e-4*(1+cAbs(c2[i]))) {
 			t.Fatalf("beta=2i at %d", i)
 		}
 	}

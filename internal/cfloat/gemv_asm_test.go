@@ -20,15 +20,16 @@ func offAligned(rng *rand.Rand, n int) []complex64 {
 	return s[:n]
 }
 
-// TestGemvAsmMatchesGo holds Gemv — on amd64 the SSE kernels of
-// gemv_amd64.s — to the pure-Go loops bit for bit (math.Float32bits,
+// TestGemvAsmMatchesGo holds Gemv — on an amd64 host with AVX the kernels
+// of gemv_amd64.s — to the pure-Go loops bit for bit (math.Float32bits,
 // NaN ≡ NaN) on every shape up to 70×40 in both directions: leading
 // dimensions padded by 0–3, every slice 8 bytes off 16-byte alignment,
 // alpha 1 and general, beta 0, −0, 1 and general (y all NaN going in
 // when beta is zero), signed zeros in x, and Inf and NaN in A on a share
-// of the shapes. It was checked against the mutation that adds a
-// column's two products to each other before adding them to y (gemvN's
-// y + (vr·pr − vi·pi) for (y + vr·pr) − vi·pi): that fails here.
+// of the shapes. The mutation that adds a column's two products to each
+// other before adding them to y (gemvN's y + (vr·pr − vi·pi) for
+// (y + vr·pr) − vi·pi) fails here, and so does the one that adds the
+// adjoint's two products to the accumulator one at a time.
 func TestGemvAsmMatchesGo(t *testing.T) {
 	rng := testkit.NewRNG(26)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))

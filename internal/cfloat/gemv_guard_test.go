@@ -33,17 +33,19 @@ func guarded(t *testing.T, src []complex64) []complex64 {
 
 // TestGemvReadsNothingPastItsSlices places a, x and y each flush against
 // a PROT_NONE page and runs every row remainder of the forward kernel's
-// 4/2/1-row blocks (m mod 4, so m mod 2) and every column remainder of the
-// adjoint's 4/2/1-column passes (n mod 4), in both directions, with beta
-// 1 so y is read too: a load or store past any slice faults the test
-// binary. Axpy's x and y go flush against the page the same way at
-// lengths 1–9, every remainder of its two-element pass. Results are also
-// held to the pure-Go loops on ordinary memory.
+// 8/4/2/1-row blocks and every column remainder of the adjoint's
+// 8/4/2/1-column passes (the 8- and 4-column ones two rows at a time,
+// then the odd row): m and n run over 1…16, every m mod 8 and n mod 8
+// with and without a full block, and both parities of m. Both
+// directions, with beta 1 so y is read too: a load or store past any
+// slice faults the test binary. Axpy's x and y go flush against the page
+// the same way at lengths 1–9, every remainder of its two-element pass.
+// Results are also held to the pure-Go loops on ordinary memory.
 func TestGemvReadsNothingPastItsSlices(t *testing.T) {
 	rng := testkit.NewRNG(7)
 	for _, tr := range []cfloat.Trans{cfloat.NoTrans, cfloat.ConjTrans} {
-		for m := 1; m <= 8; m++ {
-			for n := 1; n <= 8; n++ {
+		for m := 1; m <= 16; m++ {
+			for n := 1; n <= 16; n++ {
 				lda := m + n%2
 				xlen, ylen := n, m
 				if tr == cfloat.ConjTrans {

@@ -63,7 +63,7 @@ func TestStressMulVecBatchedConcurrent(t *testing.T) {
 				y := make([]complex64, len(row.want))
 				for rep := 0; rep < 3; rep++ {
 					row.run(tm, y)
-					if rel := relErrC(y, row.want); rel > 1e-5 {
+					if rel := relErrC(y, row.want); !(rel <= 1e-5) {
 						errs[i] = fmt.Errorf("%s drifted from the sequential AoS reference (rel %g)", row.name, rel)
 						return
 					}

@@ -237,7 +237,7 @@ func TestSweepDotAndLinearity(t *testing.T) {
 		tm.MulVec(x, ax)
 		tm.MulVecConjTrans(y, ahy)
 		// ⟨y, A x⟩ = ⟨Aᴴ y, x⟩
-		if gap := cmplx.Abs(dot128(y, ax)-dot128(ahy, x)) / (anorm * nx * ny); gap > tol {
+		if gap := cmplx.Abs(dot128(y, ax)-dot128(ahy, x)) / (anorm * nx * ny); !(gap <= tol) {
 			t.Errorf("freq %d: dot-test gap %g of ‖A‖‖x‖‖y‖ > %g", f, gap, tol)
 		}
 
@@ -265,7 +265,7 @@ func TestSweepDotAndLinearity(t *testing.T) {
 				num += real(d)*real(d) + imag(d)*imag(d)
 			}
 			scale := anorm * (cmplx.Abs(complex128(a))*cfloat.Nrm2(dir.x1) + cfloat.Nrm2(x2))
-			if e := math.Sqrt(num) / scale; e > tol {
+			if e := math.Sqrt(num) / scale; !(e <= tol) {
 				t.Errorf("freq %d: %s linearity error %g of ‖A‖(|a|‖x‖+‖x₂‖) > %g", f, dir.name, e, tol)
 			}
 		}

@@ -65,7 +65,7 @@ func TestCompressAccuracyAllMethods(t *testing.T) {
 				first = tm
 				err := dense.RelError(tm.Reconstruct(), a)
 				// per-tile tolerance gives an aggregate bound of roughly tol
-				if err > 5*tol {
+				if !(err <= 5*tol) {
 					t.Errorf("%v: reconstruction error %g at tol %g", method, err, tol)
 				}
 				continue
@@ -96,7 +96,7 @@ func TestMulVecMatchesDense(t *testing.T) {
 		for i := range diff {
 			diff[i] = yt[i] - yd[i]
 		}
-		if cfloat.Nrm2(diff) > 1e-3*nrm {
+		if !(cfloat.Nrm2(diff) <= 1e-3*nrm) {
 			t.Errorf("%v: TLR-MVM error %g rel", dims, cfloat.Nrm2(diff)/nrm)
 		}
 	}
@@ -115,7 +115,7 @@ func TestMulVecConjTransMatchesDense(t *testing.T) {
 	for i := range diff {
 		diff[i] = yt[i] - yd[i]
 	}
-	if rel := cfloat.Nrm2(diff) / cfloat.Nrm2(yd); rel > 1e-3 {
+	if rel := cfloat.Nrm2(diff) / cfloat.Nrm2(yd); !(rel <= 1e-3) {
 		t.Errorf("adjoint TLR-MVM error %g rel", rel)
 	}
 }
@@ -174,7 +174,7 @@ func TestEdgeTilesNonUniform(t *testing.T) {
 	if tm.MT != 4 || tm.NT != 3 {
 		t.Fatalf("tile grid %dx%d, want 4x3", tm.MT, tm.NT)
 	}
-	if err := dense.RelError(tm.Reconstruct(), a); err > 1e-3 {
+	if err := dense.RelError(tm.Reconstruct(), a); !(err <= 1e-3) {
 		t.Errorf("ragged reconstruction error %g", err)
 	}
 	x := dense.Random(rng, 47, 1).Data
@@ -186,7 +186,7 @@ func TestEdgeTilesNonUniform(t *testing.T) {
 	for i := range diff {
 		diff[i] = yt[i] - yd[i]
 	}
-	if rel := cfloat.Nrm2(diff) / cfloat.Nrm2(yd); rel > 1e-3 {
+	if rel := cfloat.Nrm2(diff) / cfloat.Nrm2(yd); !(rel <= 1e-3) {
 		t.Errorf("ragged MVM error %g", rel)
 	}
 }
@@ -345,7 +345,7 @@ func TestZeroMatrixCompresses(t *testing.T) {
 	x[0] = 1
 	y := make([]complex64, 32)
 	tm.MulVec(x, y)
-	if cfloat.Nrm2(y) > 1e-7 {
+	if !(cfloat.Nrm2(y) <= 1e-7) {
 		t.Error("zero matrix MVM nonzero")
 	}
 }
@@ -357,7 +357,7 @@ func TestSingleTileMatrix(t *testing.T) {
 	if tm.MT != 1 || tm.NT != 1 {
 		t.Fatal("should be a single tile")
 	}
-	if err := dense.RelError(tm.Reconstruct(), a); err > 1e-3 {
+	if err := dense.RelError(tm.Reconstruct(), a); !(err <= 1e-3) {
 		t.Errorf("single-tile error %g", err)
 	}
 }
