@@ -20,16 +20,12 @@ FUZZ_TARGETS = \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build quickstart vet test race race-stress cpu-identity integration fuzz bench report report-check bench-e2e bench-e2e-compare lint vuln cover
+.PHONY: all build vet test race race-stress cpu-identity integration fuzz bench report report-check bench-e2e bench-e2e-compare lint vuln cover
 
-all: vet build quickstart test
+all: vet build test
 
 build:
 	$(GO) build ./...
-
-# README's first command, executed (CI test job runs it after the build)
-quickstart:
-	$(GO) run ./examples/quickstart
 
 vet:
 	$(GO) vet ./...

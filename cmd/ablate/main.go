@@ -5,6 +5,7 @@
 //	-strategies  strong-scaling strategy 1 vs 2 at matched scale (§6.7)
 //	-precision   FP32 vs FP16 vs bfloat16 base storage ([23, 24])
 //	-mmm         TLR-MVM per shot vs fused TLR-MMM (§8 future work)
+//	-compressors truncated SVD vs rank-revealing QR tile compression
 package main
 
 import (
@@ -175,6 +176,49 @@ func demoMatrix() (*tlr.Matrix, *dense.Matrix) {
 	return tm, k
 }
 
+// compressorsAblation compares the two tile compressors, truncated SVD
+// (production) and rank-revealing QR, on the highest in-band frequency
+// matrix of the Hilbert-sorted survey opts describes, the hardest to
+// compress. The paper also cites randomized SVD and adaptive cross
+// approximation; EXPERIMENTS.md, "Retired compressors", has why they are
+// not here.
+func compressorsAblation(w io.Writer, opts seismic.Options) error {
+	const nb, tol = 48, 1e-3
+	ds, err := seismic.Generate(opts)
+	if err != nil {
+		return err
+	}
+	hds, _ := ds.Reorder(sfc.Hilbert)
+	f := hds.NumFreqs() - 1
+	k := hds.K[f]
+	fmt.Fprintf(w, "== Ablation: tile compressors, nb=%d acc=%.0e ==\n", nb, tol)
+	fmt.Fprintf(w, "frequency matrix %dx%d at %.1f Hz\n", k.Rows, k.Cols, hds.Freqs[f])
+	fmt.Fprintf(w, "%8s %10s %10s %12s %16s %10s\n",
+		"method", "max rank", "avg rank", "compression", "tiles within acc", "time")
+	for _, method := range []tlr.Method{tlr.MethodSVD, tlr.MethodRRQR} {
+		t0 := time.Now()
+		tm, err := tlr.Compress(k, tlr.Options{NB: nb, Tol: tol, Method: method})
+		if err != nil {
+			return err
+		}
+		elapsed := time.Since(t0)
+		// each tile against the accuracy it was compressed to
+		rec, within := tm.Reconstruct(), 0
+		for i := 0; i < tm.MT; i++ {
+			for j := 0; j < tm.NT; j++ {
+				i0, i1, j0, j1 := i*nb, min((i+1)*nb, k.Rows), j*nb, min((j+1)*nb, k.Cols)
+				if dense.RelError(rec.Slice(i0, i1, j0, j1), k.Slice(i0, i1, j0, j1)) <= tol {
+					within++
+				}
+			}
+		}
+		fmt.Fprintf(w, "%8v %10d %10.2f %11.2fx %16s %10s\n", method, tm.MaxRank(), tm.AvgRank(),
+			tm.CompressionRatio(), fmt.Sprintf("%d/%d", within, len(tm.Tiles)), elapsed.Round(time.Millisecond))
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
 func solversAblation(w io.Writer, opts seismic.Options) error {
 	fmt.Fprintln(w, "== Ablation: LSQR vs CGLS on the MDD inversion ==")
 	pipe, err := core.BuildPipeline(core.PipelineOptions{Dataset: opts, Dense: true})
@@ -244,10 +288,11 @@ func main() {
 	st := flag.Bool("strategies", false, "strategy 1 vs strategy 2")
 	pr := flag.Bool("precision", false, "base storage precision")
 	mm := flag.Bool("mmm", false, "TLR-MVM loop vs fused TLR-MMM")
+	co := flag.Bool("compressors", false, "SVD vs RRQR tile compression")
 	so := flag.Bool("solvers", false, "LSQR vs CGLS")
 	dm := flag.Bool("demultiple", false, "MDD vs predict-and-subtract")
 	flag.Parse()
-	if !(*all || *sh || *st || *pr || *mm || *so || *dm) {
+	if !(*all || *sh || *st || *pr || *mm || *co || *so || *dm) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -262,6 +307,11 @@ func main() {
 	}
 	if *all || *mm {
 		mmmAblation()
+	}
+	if *all || *co {
+		if err := compressorsAblation(os.Stdout, seismic.DemoOptions()); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if *all || *so {
 		// 12×8 sources over 10×6 receivers, 256 samples at 4 ms

@@ -1,14 +1,9 @@
-// Command compress regenerates Fig. 12: the compression/accuracy tradeoff
-// of the TLR pre-processing step.
-//
-// Two modes:
-//
-//	-paper   rank-model view at full paper scale: aggregate size and
-//	         size-per-frequency curves for every (nb, acc) configuration,
-//	         calibrated to the published totals.
-//	-demo    real end-to-end compression of the laptop-scale synthetic
-//	         dataset, including the NMSE-vs-accuracy sweep of the top
-//	         panel (black curves) and a reordering ablation.
+// Command compress regenerates Fig. 12's laptop-scale half: the
+// compression/accuracy tradeoff of the TLR pre-processing step, by real
+// end-to-end compression and inversion of the synthetic demo survey —
+// the NMSE-vs-accuracy sweep of the top panel (black curves) — and a
+// reordering ablation. The paper-scale half, the rank model's aggregate
+// sizes and size per frequency matrix, is cmd/paperrun's (REPORT.md).
 package main
 
 import (
@@ -19,40 +14,9 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/ranks"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
 )
-
-func paperScale() {
-	fmt.Println("== Fig. 12 (paper scale, rank model): aggregate compressed sizes ==")
-	fmt.Printf("%4s %8s %12s %14s %14s\n", "nb", "acc", "total (GB)", "paper (GB)", "compression")
-	for _, nb := range []int{25, 50, 70} {
-		for _, acc := range []float64{1e-4, 3e-4, 5e-4, 7e-4} {
-			cfg := ranks.Config{NB: nb, Acc: acc}
-			d, err := ranks.New(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%4d %8.0e %12.1f %14.1f %13.1fx\n",
-				nb, acc, float64(d.TotalBytes())/1e9,
-				float64(ranks.Fig12TotalBytes[cfg])/1e9, d.CompressionRatio())
-		}
-	}
-	fmt.Println()
-	fmt.Println("== Fig. 12 bottom (paper scale): size per frequency matrix, nb=70 acc=1e-4 ==")
-	d, err := ranks.New(ranks.Config{NB: 70, Acc: 1e-4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	bpf := d.BytesPerFrequency()
-	fmt.Printf("%10s %18s\n", "freq (Hz)", "size (GB)")
-	for i := 0; i < len(bpf); i += 23 {
-		f := 50.0 * float64(i+1) / float64(len(bpf))
-		fmt.Printf("%10.1f %18.3f\n", f, float64(bpf[i])/1e9)
-	}
-	fmt.Println()
-}
 
 func demoScale(iters int) {
 	fmt.Println("== Fig. 12 (demo scale, real compression + MDD): NMSE and compression vs acc ==")
@@ -128,18 +92,7 @@ func orderingAblation(w io.Writer, sv *core.Survey) error {
 
 func main() {
 	log.SetFlags(0)
-	paper := flag.Bool("paper", false, "paper-scale rank-model view")
-	demo := flag.Bool("demo", false, "laptop-scale end-to-end sweep")
-	iters := flag.Int("iters", 30, "LSQR iterations for the demo sweep")
+	iters := flag.Int("iters", 30, "LSQR iterations of each inversion")
 	flag.Parse()
-	if !*paper && !*demo {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *paper {
-		paperScale()
-	}
-	if *demo {
-		demoScale(*iters)
-	}
+	demoScale(*iters)
 }

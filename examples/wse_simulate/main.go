@@ -2,7 +2,8 @@
 // layout for one real frequency matrix on a simulated PE grid, executes
 // every PE's eight real MVMs, validates the reduced result against the
 // reference TLR-MVM, and reports the executed memory traffic next to the
-// analytic §6.6 formulas — the deepest of the examples.
+// analytic §6.6 formulas — the deepest of the examples. main_test.go
+// holds what it prints.
 package main
 
 import (
@@ -58,8 +59,9 @@ func main() {
 	for i := range diff {
 		diff[i] = ySim[i] - yRef[i]
 	}
-	fmt.Printf("simulated vs reference TLR-MVM relative error: %.3g\n",
-		cfloat.Nrm2(diff)/cfloat.Nrm2(yRef))
+	// the two sum in different orders, so they agree to float32 rounding
+	fmt.Printf("simulated vs reference TLR-MVM within 1e-5 relative: %v\n",
+		cfloat.Nrm2(diff) <= 1e-5*cfloat.Nrm2(yRef))
 
 	meter := mach.TotalMeter()
 	fmt.Printf("executed traffic: %.3f MB (%.3f MB reads, %.3f MB writes), %d FMACs\n",

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/dense"
-	"repro/internal/fdtd"
 	"repro/internal/lsqr"
 	"repro/internal/mdc"
 	"repro/internal/mdd"
@@ -197,27 +196,27 @@ func TestMultiShotMDCConsistency(t *testing.T) {
 }
 
 // TestFDModelKinematicsMatchGreensFunctions ties the finite-difference
-// substrate to the frequency-domain generator: the direct-arrival time of
-// an FD shot must match the Green's-function kinematics the MDC kernel is
-// built from.
+// oracle (fdmodel_test.go) to the frequency-domain generator: the
+// direct-arrival time of an FD shot must match the Green's-function
+// kinematics the MDC kernel is built from.
 func TestFDModelKinematicsMatchGreensFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("FD modelling takes a few seconds")
 	}
-	model := seismic.DefaultModel(300)
+	model := integrationDataset(t).Model
 	nx, nz, dx := 240, 180, 5.0
-	vel := model.FDSection(nx, nz, dx)
+	vel := fdSection(model, nx, nz, dx)
 	dt := 0.9 * dx / (model.SubVel * 1.1 * 1.1 * 1.1 * math.Sqrt2)
 	nt := int(0.8 / dt)
 	srcIZ := 2
 	recIZ := int(300 / dx)
-	cfg := fdtd.Config{
-		Grid:  fdtd.Grid{NX: nx, NZ: nz, DX: dx, DT: dt, NT: nt},
-		Model: fdtd.Model{Vel: vel, Rho: 1000},
-		Src:   fdtd.Source{IX: nx / 2, IZ: srcIZ, Wavelet: fdtd.RickerWavelet(20, 0.06, dt, nt)},
-		Recs:  []fdtd.Receiver{{IX: nx / 2, IZ: recIZ}},
+	cfg := fdConfig{
+		Grid:  fdGrid{NX: nx, NZ: nz, DX: dx, DT: dt, NT: nt},
+		Model: fdModel{Vel: vel, Rho: 1000},
+		Src:   fdSource{IX: nx / 2, IZ: srcIZ, Wavelet: rickerWavelet(20, 0.06, dt, nt)},
+		Recs:  []fdReceiver{{IX: nx / 2, IZ: recIZ}},
 	}
-	res, err := fdtd.Run(cfg)
+	p, err := cfg.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestFDModelKinematicsMatchGreensFunctions(t *testing.T) {
 	// uses: distance/c + wavelet delay (+ source-shape lag tolerance)
 	dist := float64(recIZ-srcIZ) * dx
 	want := 0.06 + dist/model.WaterVel
-	got := float64(fdtd.PeakIndex(res.P[0])) * dt
+	got := float64(peakIndex(p[0])) * dt
 	if got < want-0.01 || got > want+0.05 {
 		t.Errorf("FD direct arrival %.3f s, Green's function predicts %.3f s", got, want)
 	}

@@ -2,8 +2,8 @@
 // index of [0, n) on a bounded set of goroutines and return when all of
 // them have. Stdlib-only and a leaf, so every layer that has n
 // independent items — frequencies (mdc), tiles (tlr), tile rows
-// (tlrmmm), virtual sources (mdd), survey frequencies (seismic), grid
-// strips (fdtd) — dispatches them the same way. Long-lived pools with
+// (tlrmmm), virtual sources (mdd), survey frequencies (seismic) —
+// dispatches them the same way. Long-lived pools with
 // failure handling (batch.ShardRunner, the mddserve workers) are a
 // different thing and live with their owners.
 package fanout

@@ -312,12 +312,6 @@ func (d *Distribution) BytesPerFrequency() []int64 {
 	return out
 }
 
-// CompressionRatio returns dense/compressed for the modelled layout.
-func (d *Distribution) CompressionRatio() float64 {
-	dense := int64(d.Rows) * int64(d.Cols) * 8 * int64(d.NumFreqs)
-	return float64(dense) / float64(d.TotalBytes())
-}
-
 // Chunks returns the number of stack-width chunks (= PEs used under strong
 // scaling strategy 1, where one PE runs all eight real MVMs of a chunk)
 // and the worst (largest) chunk height.

@@ -53,7 +53,7 @@ func TestCalibrationHitsFig12Totals(t *testing.T) {
 func TestCompressionRatioNearSevenX(t *testing.T) {
 	// §6.1: 7X compression at acc=1e-4
 	d := paperDist(t, Config{NB: 70, Acc: 1e-4})
-	r := d.CompressionRatio()
+	r := float64(PaperDenseBytes) / float64(d.TotalBytes())
 	if r < 6 || r > 8 {
 		t.Errorf("compression ratio %g, want ≈7", r)
 	}

@@ -102,7 +102,14 @@ func TestZeroGatherMidGray(t *testing.T) {
 }
 
 func TestVelocityImageStructure(t *testing.T) {
-	m := seismic.DefaultModel(300)
+	ds, err := seismic.Generate(seismic.Options{
+		Geom: seismic.Geometry{NsX: 2, NsY: 2, NrX: 2, NrY: 2, Dx: 20, Dy: 20, SrcDepth: 10, RecDepth: 300},
+		Nt:   32, Dt: 0.004,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ds.Model
 	img := VelocityImage(m, 60, 120, 20)
 	if img.W != 60 || img.H != 120 {
 		t.Fatal("bad dimensions")

@@ -42,7 +42,7 @@ type Dataset struct {
 }
 
 // Options configures dataset synthesis. The velocity model is always
-// DefaultModel(Geom.RecDepth); the band starts at fMin and the
+// defaultModel(Geom.RecDepth); the band starts at fMin and the
 // water-layer multiple series stops after nMultiples terms.
 type Options struct {
 	// Geom is the acquisition geometry (DefaultGeometry if zero).
@@ -92,7 +92,7 @@ func Generate(opts Options) (*Dataset, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	model := DefaultModel(g.RecDepth)
+	model := defaultModel(g.RecDepth)
 	if err := model.validate(); err != nil {
 		return nil, err
 	}

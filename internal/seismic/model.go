@@ -49,10 +49,10 @@ func (ifc Interface) depthAt(x float64) float64 {
 	return d
 }
 
-// DefaultModel returns the overthrust-style model used throughout the
-// examples: 1500 m/s water over a 300 m column, three dipping faulted
-// reflectors in a 2500 m/s substrate.
-func DefaultModel(waterDepth float64) *VelocityModel {
+// defaultModel returns the overthrust-style model every survey is
+// synthesized over: 1500 m/s water over a waterDepth column, three
+// dipping faulted reflectors in a 2500 m/s substrate.
+func defaultModel(waterDepth float64) *VelocityModel {
 	return &VelocityModel{
 		WaterVel:        1500,
 		WaterDepth:      waterDepth,
@@ -102,18 +102,4 @@ func (m *VelocityModel) VelocityAt(x, z float64) float64 {
 		}
 	}
 	return v
-}
-
-// FDSection samples the model onto a regular nx×nz grid with spacing dx
-// (row-major, z down) for finite-difference modelling — the bridge to the
-// fdtd substrate that generates the paper's kind of "modeled" data.
-func (m *VelocityModel) FDSection(nx, nz int, dx float64) []float64 {
-	vel := make([]float64, nx*nz)
-	for iz := 0; iz < nz; iz++ {
-		z := float64(iz) * dx
-		for ix := 0; ix < nx; ix++ {
-			vel[iz*nx+ix] = m.VelocityAt(float64(ix)*dx, z)
-		}
-	}
-	return vel
 }

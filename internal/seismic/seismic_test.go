@@ -112,7 +112,7 @@ func TestWaveletSpectra(t *testing.T) {
 }
 
 func TestModelValidate(t *testing.T) {
-	m := DefaultModel(300)
+	m := defaultModel(300)
 	if err := m.validate(); err != nil {
 		t.Fatalf("default model invalid: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestModelValidate(t *testing.T) {
 	if m.validate() == nil {
 		t.Error("r_wb >= 1 should fail")
 	}
-	m2 := DefaultModel(300)
+	m2 := defaultModel(300)
 	m2.Interfaces[0].Depth = 100 // above seafloor
 	if m2.validate() == nil {
 		t.Error("interface above seafloor should fail")
@@ -128,7 +128,7 @@ func TestModelValidate(t *testing.T) {
 }
 
 func TestVelocityAtStructure(t *testing.T) {
-	m := DefaultModel(300)
+	m := defaultModel(300)
 	if m.VelocityAt(0, 100) != m.WaterVel {
 		t.Error("water column velocity wrong")
 	}

@@ -665,14 +665,13 @@ var optionExempt = map[string]string{
 	"mddclient.Options.Sleep":        "test clock",
 	"mddserve.Config.FaultSleep":     "test clock",
 	"mddserve.Config.BackoffSleep":   "test clock",
-	"tlr.Options.Method":             "RRQR, the compressor ablation ROADMAP keeps (EXPERIMENTS.md, \"Retired compressors\")",
 }
 
 // TestEveryOptionHasACaller keeps each option earning its place: every
 // exported field of an exported struct type named *Options or *Config,
 // outside internal/testkit, is set — by a keyed composite-literal
 // element or an assignment — in some non-test file of the module outside
-// examples/ and internal/testkit (cmd/ and bench/ count), unless
+// internal/testkit (cmd/, examples/ and bench/ count), unless
 // optionExempt excuses it. An assignment inside the declaring package is
 // that package filling in its default, not a caller choosing a value. A
 // field no caller sets is a constant every caller already gets.
@@ -682,8 +681,8 @@ func TestEveryOptionHasACaller(t *testing.T) {
 import "net/http"
 
 type RunOptions struct {
-	Literal, Defaulted, Unset int
-	hidden                    int
+	Literal, Defaulted, Example, Unset int
+	hidden                             int
 }
 
 type Config struct{ A, B int }
@@ -708,28 +707,51 @@ func f(c *client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, files, info := check(t, imp, "planted", []string{"planted.go"}, planted)
-	fields, set := map[string]token.Pos{}, map[string]bool{}
-	ntypes := optionFields(pkg, fields)
-	optionSets(files, info, pkg.Path(), set)
+	// the test kit is neither a declarer nor a caller
+	skip := func(rel string) bool { return under(rel, "internal/testkit") }
+	var fields map[string]token.Pos
+	var set map[string]bool
+	var ntypes int
+	visit := func(p modPkg) {
+		ntypes += optionFields(p.pkg, fields)
+		optionSets(p.files, p.info, p.pkg.Path(), set)
+	}
+
+	fields, set = map[string]token.Pos{}, map[string]bool{}
+	pkgs := map[string]*types.Package{}
+	pimp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg := pkgs[path]; pkg != nil {
+			return pkg, nil
+		}
+		return imp.Import(path)
+	})
+	for _, pl := range []struct{ rel, src string }{
+		{"internal/p", planted},
+		{"examples/x", "package main\n\nimport \"planted/internal/p\"\n\nfunc main() { _ = p.RunOptions{Example: 1} }\n"},
+		{"internal/testkit", "package testkit\n\nimport \"planted/internal/p\"\n\nvar _ = p.RunOptions{Unset: 1}\n"},
+	} {
+		if skip(pl.rel) {
+			continue
+		}
+		pkg, files, info := check(t, pimp, "planted/"+pl.rel, []string{path.Base(pl.rel) + ".go"}, pl.src)
+		pkgs[pkg.Path()] = pkg
+		visit(modPkg{pl.rel, pkg, files, info})
+	}
 	unset := unsetOptions(fields, set)
-	if ntypes != 2 || len(fields) != 5 || !slices.Equal(unset, []string{"p.RunOptions.Defaulted", "p.RunOptions.Unset"}) || !set["http.Client.Timeout"] {
-		t.Fatalf("planted package: %d types, %d fields, unset %q, http.Client.Timeout set %v; want 2 types, 5 fields, p.RunOptions.Defaulted and Unset unset, Timeout set",
+	if ntypes != 2 || len(fields) != 6 || !slices.Equal(unset, []string{"p.RunOptions.Defaulted", "p.RunOptions.Unset"}) || !set["http.Client.Timeout"] {
+		t.Fatalf("planted packages: %d types, %d fields, unset %q, http.Client.Timeout set %v; want 2 types, 6 fields, p.RunOptions.Defaulted and Unset unset (an example program is a caller, the test kit is not), Timeout set",
 			ntypes, len(fields), unset, set["http.Client.Timeout"])
 	}
 
 	fields, set, ntypes = map[string]token.Pos{}, map[string]bool{}, 0
-	walkModule(t, imp, func(rel string) bool { return rel == "examples" || rel == "internal/testkit" }, func(p modPkg) {
-		ntypes += optionFields(p.pkg, fields)
-		optionSets(p.files, p.info, p.pkg.Path(), set)
-	})
-	if ntypes < 14 || len(fields) < 60 {
+	walkModule(t, imp, skip, visit)
+	if ntypes < 13 || len(fields) < 55 {
 		t.Fatalf("found %d option fields in %d types; the tree has more — is the root right?", len(fields), ntypes)
 	}
 	t.Logf("%d option fields in %d types", len(fields), ntypes)
 	found := map[string][]string{}
 	for _, key := range unsetOptions(fields, set) {
-		found[key] = []string{fmt.Sprintf("%s: option %s is set by no non-test file outside examples/ and internal/testkit; make it the constant every caller gets, or add it to optionExempt with the reason", where(fields[key]), key)}
+		found[key] = []string{fmt.Sprintf("%s: option %s is set by no non-test file outside internal/testkit; make it the constant every caller gets, or add it to optionExempt with the reason", where(fields[key]), key)}
 	}
 	checkExemptions(t, "optionExempt", found, optionExempt)
 }
@@ -849,21 +871,13 @@ var exportExempt = map[string]string{
 	"mddclient.Client.Wait":        "the serve suite and the serve stress tests poll jobs to their end",
 	"mddserve.Server.Pause":        "the serve suite parks the workers to hold jobs queued",
 	"mddserve.Server.Resume":       "the serve suite releases the workers it parked",
-	"tlr.Matrix.AvgRank":           "examples/compression_sweep prints it (ROADMAP item 24 decides the examples); cmd/tlrtool's test checks -info against it",
-	"tlr.Matrix.CompressionRatio":  "examples/compression_sweep prints it (ROADMAP item 24 decides the examples)",
-	"tlr.Matrix.MaxRank":           "examples/compression_sweep prints it (ROADMAP item 24 decides the examples)",
-	"wsesim.BankPlan.Verify":       "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
-	"wsesim.Machine.NumPEs":        "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
-	"wsesim.Machine.Strategy2":     "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
-	"wsesim.Machine.WorstSRAM":     "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
-	"wsesim.PE.PlanBanks":          "examples/wse_simulate prints it (ROADMAP item 24 decides the examples)",
 }
 
 // TestEveryExportHasACaller keeps each export earning its place: every
 // exported function, and every exported method of an exported type, in
 // internal/ outside internal/testkit is named by some non-test file
-// outside its package (cmd/, frozen bench/ and internal/testkit count,
-// examples/ does not), unless exportExempt excuses it. A method is also
+// outside its package (cmd/, examples/, frozen bench/ and
+// internal/testkit count), unless exportExempt excuses it. A method is also
 // reached when its receiver type, or a pointer to it, implements an
 // interface that holds the method and that a non-test file of the module
 // names, or error, or fmt.Stringer: the call then goes through the
@@ -929,8 +943,8 @@ func main() { _ = p.ExampleOnly() }
 		census.add(modPkg{pl.rel, pkg, files, info})
 	}
 	uncalled := census.uncalled()
-	if len(census.exports) != 7 || census.pkgs != 1 || !slices.Equal(uncalled, []string{"p.ExampleOnly", "p.Own", "p.T.Size", "p.TestOnly"}) {
-		t.Fatalf("planted packages: %d exports in %d packages, uncalled %q; want 7 in 1, p.ExampleOnly, p.Own, p.T.Size and p.TestOnly uncalled",
+	if len(census.exports) != 7 || census.pkgs != 1 || !slices.Equal(uncalled, []string{"p.Own", "p.T.Size", "p.TestOnly"}) {
+		t.Fatalf("planted packages: %d exports in %d packages, uncalled %q; want 7 in 1, p.Own, p.T.Size and p.TestOnly uncalled (an example program is a caller)",
 			len(census.exports), census.pkgs, uncalled)
 	}
 	found := map[string][]string{}
@@ -938,32 +952,29 @@ func main() { _ = p.ExampleOnly() }
 		found[key] = []string{key}
 	}
 	errs := exemptionErrors("exportExempt", found, map[string]string{"p.Own": "a caller in this test", "p.Gone": "a stale row"})
-	if len(errs) != 4 || !strings.HasPrefix(errs[3], `exportExempt["p.Gone"]`) || !strings.Contains(errs[3], "excuses nothing") {
-		t.Fatalf("planted exemptions: %q; want the three unexcused findings and p.Gone's row excusing nothing", errs)
+	if len(errs) != 3 || !strings.HasPrefix(errs[2], `exportExempt["p.Gone"]`) || !strings.Contains(errs[2], "excuses nothing") {
+		t.Fatalf("planted exemptions: %q; want the two unexcused findings and p.Gone's row excusing nothing", errs)
 	}
 
 	census = newExportCensus(exp)
-	walkModule(t, exp, func(rel string) bool { return !exportCaller(rel) }, census.add)
+	walkModule(t, exp, func(string) bool { return false }, census.add)
 	if len(census.exports) < 250 || census.pkgs < 30 {
 		t.Fatalf("found %d exported functions and methods in %d packages; the tree has more — is the root right?", len(census.exports), census.pkgs)
 	}
 	t.Logf("%d exported functions and methods in %d packages of internal/ outside internal/testkit", len(census.exports), census.pkgs)
 	found = map[string][]string{}
 	for _, key := range census.uncalled() {
-		found[key] = []string{fmt.Sprintf("%s: %s has no caller in a non-test file outside its package and examples/; unexport it, move it into the tests that call it, delete it, or add it to exportExempt with the reason",
+		found[key] = []string{fmt.Sprintf("%s: %s has no caller in a non-test file outside its package; unexport it, move it into the tests that call it, delete it, or add it to exportExempt with the reason",
 			where(census.exports[key].Pos()), key)}
 	}
 	checkExemptions(t, "exportExempt", found, exportExempt)
 }
 
 // exportDeclarer reports whether the census holds the exports of the
-// package in rel to a caller; exportCaller, whether the package's
-// non-test files are callers.
+// package in rel to a caller.
 func exportDeclarer(rel string) bool {
 	return strings.HasPrefix(rel, "internal/") && !under(rel, "internal/testkit")
 }
-
-func exportCaller(rel string) bool { return !under(rel, "examples") }
 
 func under(rel, dir string) bool { return rel == dir || strings.HasPrefix(rel, dir+"/") }
 
@@ -1014,9 +1025,6 @@ func (c *exportCensus) add(p modPkg) {
 				}
 			}
 		}
-	}
-	if !exportCaller(p.rel) {
-		return
 	}
 	fset, _ := srcImporter()
 	for _, f := range p.files {
