@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,6 +29,7 @@ import (
 	"repro/internal/seismic"
 	"repro/internal/testkit"
 	"repro/internal/testkit/suite"
+	"repro/internal/tlrio"
 )
 
 // serveDataset is the smallest structurally valid survey: builds in
@@ -56,6 +59,7 @@ func TestServeSuite(t *testing.T) {
 		{"TestCancelRunningJob", testCancelRunningJob},
 		{"TestChaosOverHTTP", testChaosOverHTTP},
 		{"TestCompressSubmitAndPoll", testCompressSubmitAndPoll},
+		{"TestCorruptStoreTileFailsOnlyItsJob", testCorruptStoreTileFailsOnlyItsJob},
 		{"TestHealthStatsAndMetrics", testHealthStatsAndMetrics},
 		{"TestMDDStreamsResiduals", testMDDStreamsResiduals},
 		{"TestOversizedJobRejects", testOversizedJobRejects},
@@ -259,14 +263,9 @@ func testMDDStreamsResiduals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One residual event per iteration, except that a converged final
-	// iteration breaks out of the solver before its checkpoint fires.
-	want := status.Result.Iterations
-	if status.Result.Converged {
-		want--
-	}
-	if residuals != want {
-		t.Fatalf("one residual event per checkpointed iteration: %d events, want %d", residuals, want)
+	// One residual event per iteration, a converged last one included.
+	if want := status.Result.Iterations; residuals != want {
+		t.Fatalf("one residual event per iteration: %d events, want %d", residuals, want)
 	}
 	if status.Events != len(events) {
 		t.Fatalf("status counts %d events, the stream carried %d", status.Events, len(events))
@@ -670,6 +669,83 @@ func testChaosOverHTTP(t *testing.T) {
 	if !(rel <= 1e-5) {
 		t.Fatalf("faulted serving path deviates from fault-free: relErr %.3g", rel)
 	}
+}
+
+// testCorruptStoreTileFailsOnlyItsJob flips one byte of a tile page in
+// a running server's store file. The panic the tile read raises in a
+// shard task becomes that job's error, which names the checksum; the
+// server lives, its shards stay alive, the job's queue and tenant slot
+// are released (limits of one would reject the next job), and a job on
+// another spec completes on the same worker.
+func testCorruptStoreTileFailsOnlyItsJob(t *testing.T) {
+	dir := t.TempDir()
+	// a one-byte budget keeps no tile resident, so every product reads
+	// every tile from the file
+	st := newStack(t, mddserve.Config{Workers: 1, QueueSize: 1, PerTenantInflight: 1, StoreDir: dir, StoreBudget: 1})
+	client := mddclient.New(st.web.URL, mddclient.Options{Tenant: "suite", MaxAttempts: 1})
+	spec := mddserve.JobSpec{Type: mddserve.JobMDD, Dataset: serveDataset(), Iters: 4, VS: 1}
+	status, err := client.Run(ctx(t), spec)
+	wantState(t, status, err, mddserve.StateDone)
+
+	paths, err := filepath.Glob(filepath.Join(dir, "*.tlrp"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("store files %v (%v), want the one build's", paths, err)
+	}
+	flipTileByte(t, paths[0])
+
+	status, err = client.Run(ctx(t), spec)
+	wantState(t, status, err, mddserve.StateFailed)
+	if !strings.Contains(status.Error, "checksum") {
+		t.Fatalf("job on the corrupt store failed with %q, want an error naming the checksum", status.Error)
+	}
+
+	other := spec
+	other.Tol = 3e-3 // another build, another store file
+	status, err = client.Run(ctx(t), other)
+	wantState(t, status, err, mddserve.StateDone)
+
+	stats, err := client.ServerStats(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed != 2 || stats.Failed != 1 || stats.RejectsQueue != 0 || stats.RejectsTenant != 0 || stats.QueueDepth != 0 {
+		t.Fatalf("stats %+v: want 2 completed, 1 failed, no rejects, an empty queue", stats)
+	}
+}
+
+// flipTileByte inverts the first payload byte of the first non-empty
+// tile page of a TLRP store file, in place.
+func flipTileByte(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := tlrio.OpenPaged(f, fi.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pf.Mats[0].Tiles {
+		if pt.PayloadLen == 0 {
+			continue
+		}
+		b := make([]byte, 1)
+		off := pt.PageOff + 8 // past the length word and the CRC
+		if _, err := f.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0xff
+		if _, err := f.WriteAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("store file holds no non-empty tile page")
 }
 
 // solutionVec rebuilds the complex solution from its interleaved wire

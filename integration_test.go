@@ -200,9 +200,6 @@ func TestMultiShotMDCConsistency(t *testing.T) {
 // direct-arrival time of an FD shot must match the Green's-function
 // kinematics the MDC kernel is built from.
 func TestFDModelKinematicsMatchGreensFunctions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("FD modelling takes a few seconds")
-	}
 	model := integrationDataset(t).Model
 	nx, nz, dx := 240, 180, 5.0
 	vel := fdSection(model, nx, nz, dx)

@@ -5,7 +5,9 @@
 package batch
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,4 +111,38 @@ func TestCancelledShardOrphansRunDuringBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAllDone(t, tasks)
+}
+
+// TestCancelContextErrorEndsRun: a task that returns a context error
+// ends the run with it at once — no retry, no backoff, no shard death —
+// and the runner serves the next run on every shard.
+func TestCancelContextErrorEndsRun(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		r, err := NewShardRunner(ShardOptions{Shards: 2, DeathAfter: 1, Sleep: func(time.Duration) {
+			t.Errorf("%v: a context error backed off", cause)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls atomic.Int64
+		err = runWithin(t, r, makeTasks(1, 1), func(int, ShardTask) error {
+			calls.Add(1)
+			return cause
+		})
+		if !errors.Is(err, cause) {
+			t.Fatalf("run error %v, want %v", err, cause)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%v: the task ran %d times, want once", cause, n)
+		}
+		if r.Alive() != 2 {
+			t.Errorf("%v: %d of 2 shards alive", cause, r.Alive())
+		}
+		tasks := makeTasks(4, 2)
+		if err := runWithin(t, r, tasks, func(_ int, task ShardTask) error { fill(task); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		checkAllDone(t, tasks)
+	}
 }

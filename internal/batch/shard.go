@@ -10,6 +10,8 @@
 package batch
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -32,15 +34,19 @@ var (
 )
 
 // ShardTask is one unit of sharded work: an input view and the disjoint
-// output view its executor must fully overwrite. ID is caller-defined
-// (the MDC fan-out uses the frequency index).
+// output views its executor must fully overwrite. ID is caller-defined
+// (the MDC fan-out uses the frequency index). Z is a second output, nil
+// for a one-output task; the LSQR step writes its forward half to Y and
+// its adjoint half to Z.
 type ShardTask struct {
-	ID   int
-	X, Y []complex64
+	ID      int
+	X, Y, Z []complex64
 }
 
 // ShardExec executes one task on one shard. It must fully overwrite
-// task.Y on success so a retried task leaves no stale partial output.
+// task.Y and task.Z on success so a retried task leaves no stale partial
+// output. A context error (context.Canceled, DeadlineExceeded) ends the
+// run: it is returned as is, with no retry and no charge to the shard.
 type ShardExec func(shard int, task ShardTask) error
 
 // Retry backoff: the delay before a failed task re-executes starts at
@@ -52,7 +58,10 @@ const (
 
 // ShardOptions configures a ShardRunner. A successful execution whose
 // output contains NaN is always treated as a shard failure
-// (corrupted-result detection).
+// (corrupted-result detection). A task that panics fails that attempt
+// with the panic value as its error; it is retried, but the panic is
+// the task's data at fault (a corrupt store tile every shard would
+// read), so it never counts toward DeathAfter.
 type ShardOptions struct {
 	// Shards is the number of simulated systems (≥ 1).
 	Shards int
@@ -209,7 +218,8 @@ func (r *ShardRunner) enqueueLocked(p pendingTask) bool {
 // backs off exponentially and retries; a shard that fails DeathAfter
 // consecutive tasks (or is revoked) dies and its queue fails over to the
 // survivors; a task that cannot complete within MaxAttempts anywhere, or
-// the death of the last shard, fails the run. Task outputs are bitwise
+// the death of the last shard, fails the run, and so does the first
+// task that returns a context error. Task outputs are bitwise
 // independent of which shard computed them, so a degraded run returns
 // exactly the healthy run's answer. Run must not be called concurrently
 // with itself on one runner.
@@ -282,12 +292,13 @@ func (r *ShardRunner) worker(shard int, exec ShardExec) {
 		r.mu.Unlock()
 
 		obsShardExecs.Add(1)
-		err := exec(shard, task)
+		shardAtFault, err := attempt(exec, shard, task)
 		if err == nil {
 			err = validateOutput(task)
 		}
 
-		if err == nil {
+		switch {
+		case err == nil:
 			r.mu.Lock()
 			r.consec[shard] = 0
 			r.remaining--
@@ -295,10 +306,34 @@ func (r *ShardRunner) worker(shard int, exec ShardExec) {
 				r.cond.Broadcast()
 			}
 			r.mu.Unlock()
-			continue
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			r.mu.Lock()
+			if r.fatal == nil {
+				r.fatal = fmt.Errorf("batch: run stopped at task %d: %w", task.ID, err)
+			}
+			r.cond.Broadcast()
+			r.mu.Unlock()
+		default:
+			r.onFailure(shard, p, err, shardAtFault)
 		}
-		r.onFailure(shard, p, err)
 	}
+}
+
+// attempt executes one task once. A panic becomes the attempt's error,
+// wrapped with %w when the value is an error so errors.Is still finds
+// its cause (tlrio.ErrChecksum from a store-backed tile, say), and
+// leaves shardAtFault false.
+func attempt(exec ShardExec, shard int, task ShardTask) (shardAtFault bool, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			if e, ok := v.(error); ok {
+				err = fmt.Errorf("batch: task %d panicked: %w", task.ID, e)
+			} else {
+				err = fmt.Errorf("batch: task %d panicked: %v", task.ID, v)
+			}
+		}
+	}()
+	return true, exec(shard, task)
 }
 
 // dequeueLocked takes the next task for a shard: the newest entry of its
@@ -344,11 +379,14 @@ func (r *ShardRunner) dequeueLocked(shard int) (pendingTask, bool) {
 }
 
 // onFailure applies the retry / death / failover policy to one failed
-// execution attempt.
-func (r *ShardRunner) onFailure(shard int, p pendingTask, err error) {
+// execution attempt; only a failure the shard is at fault for counts
+// toward its death.
+func (r *ShardRunner) onFailure(shard int, p pendingTask, err error, shardAtFault bool) {
 	p.attempts++
 	r.mu.Lock()
-	r.consec[shard]++
+	if shardAtFault {
+		r.consec[shard]++
+	}
 	if !r.dead[shard] && r.consec[shard] >= r.opts.DeathAfter {
 		r.killLocked(shard)
 	}
@@ -389,14 +427,17 @@ func (r *ShardRunner) onFailure(shard int, p pendingTask, err error) {
 	r.mu.Unlock()
 }
 
-// validateOutput treats NaN in a task's output as a shard fault: a
-// corrupted result must trigger recomputation, not propagate into the
-// solver. Self-comparison detects NaN without widening the components.
+// validateOutput treats NaN in either of a task's outputs as a shard
+// fault: a corrupted result must trigger recomputation, not propagate
+// into the solver. Self-comparison detects NaN without widening the
+// components.
 func validateOutput(t ShardTask) error {
-	for i, v := range t.Y {
-		re, im := real(v), imag(v)
-		if re != re || im != im {
-			return fmt.Errorf("batch: task %d produced NaN at output %d", t.ID, i)
+	for k, y := range [...][]complex64{t.Y, t.Z} {
+		for i, v := range y {
+			re, im := real(v), imag(v)
+			if re != re || im != im {
+				return fmt.Errorf("batch: task %d produced NaN at %c[%d]", t.ID, "YZ"[k], i)
+			}
 		}
 	}
 	return nil

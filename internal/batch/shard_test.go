@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,5 +272,84 @@ func TestShardRunnerEmptyTasks(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardRunnerNaNInSecondOutput: a NaN in a two-output task's Z alone
+// is caught like one in Y, and the task is recomputed.
+func TestShardRunnerNaNInSecondOutput(t *testing.T) {
+	r, err := NewShardRunner(ShardOptions{Shards: 2, Sleep: noSleep, DeathAfter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := makeTasks(4, 2)
+	for i := range tasks {
+		tasks[i].Z = make([]complex64, 3)
+	}
+	var corrupted atomic.Bool
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
+		fill(task)
+		for i := range task.Z {
+			task.Z[i] = 1
+		}
+		if task.ID == 2 && !corrupted.Swap(true) {
+			task.Z[2] = complex(0, float32(math.NaN()))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkAllDone(t, tasks)
+	for _, task := range tasks {
+		for i, v := range task.Z {
+			if v != 1 {
+				t.Fatalf("task %d Z[%d] = %v, not recomputed", task.ID, i, v)
+			}
+		}
+	}
+}
+
+// errCorruptTile stands for a storage error a task's panic wraps.
+var errCorruptTile = errors.New("corrupt tile")
+
+// TestShardRunnerRecoversPanics: a task that panics fails that attempt
+// with an error wrapping the panic value, so errors.Is finds its cause;
+// it is retried, and a panic that persists fails the run, but no shard
+// is blamed: with DeathAfter 1 every shard stays alive.
+func TestShardRunnerRecoversPanics(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	r, err := NewShardRunner(ShardOptions{Shards: 2, Sleep: noSleep, DeathAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once atomic.Bool
+	tasks := makeTasks(4, 2)
+	if err := runWithin(t, r, tasks, func(shard int, task ShardTask) error {
+		if task.ID == 1 && !once.Swap(true) {
+			panic(fmt.Errorf("reading: %w", errCorruptTile))
+		}
+		fill(task)
+		return nil
+	}); err != nil {
+		t.Fatalf("a task that panicked once must be retried: %v", err)
+	}
+	checkAllDone(t, tasks)
+
+	for _, v := range []any{fmt.Errorf("reading: %w", errCorruptTile), "not an error"} {
+		err = runWithin(t, r, makeTasks(4, 2), func(shard int, task ShardTask) error {
+			if task.ID == 2 {
+				panic(v)
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "task 2 panicked") {
+			t.Fatalf("panic value %v on every attempt: run error %v, want the task's panic", v, err)
+		}
+		if _, isErr := v.(error); isErr && !errors.Is(err, errCorruptTile) {
+			t.Errorf("run error %v does not wrap the panic's error", err)
+		}
+	}
+	if r.Alive() != 2 {
+		t.Errorf("%d of 2 shards alive; a panicking task must not kill its shard", r.Alive())
 	}
 }

@@ -27,7 +27,21 @@ type FallibleOperator interface {
 	ApplyAdjoint(x, y []complex64) error
 }
 
-// Fallible adapts an infallible Operator to FallibleOperator.
+// FallibleStepOperator is a FallibleOperator that runs LSQR's
+// bidiagonalization step in one call: w = A x − alpha·u, then z = Aᴴ w,
+// with the float32 operations of Apply, cfloat.ScaleSub(1, w, alpha, u)
+// and ApplyAdjoint (u may be nil when alpha is 0). It is the one
+// capability SolveFallible detects, on the operator it is given:
+// mdc.ShardedFreqOperator runs it as one shard task per frequency, and
+// Fallible forwards it to its Op's StepOperator or composes it. Any
+// other FallibleOperator takes the composed route, which gives the same
+// bits.
+type FallibleStepOperator interface {
+	FallibleOperator
+	ApplyStep(x []complex64, alpha float32, u, w, z []complex64) error
+}
+
+// Fallible adapts an infallible Operator to FallibleStepOperator.
 type Fallible struct{ Op Operator }
 
 // Rows implements FallibleOperator.
@@ -41,6 +55,17 @@ func (f Fallible) Apply(x, y []complex64) error { f.Op.Apply(x, y); return nil }
 
 // ApplyAdjoint implements FallibleOperator.
 func (f Fallible) ApplyAdjoint(x, y []complex64) error { f.Op.ApplyAdjoint(x, y); return nil }
+
+// ApplyStep implements FallibleStepOperator: the Op's one-call step when
+// it is a StepOperator, Apply, subtract and ApplyAdjoint otherwise.
+func (f Fallible) ApplyStep(x []complex64, alpha float32, u, w, z []complex64) error {
+	if s, ok := f.Op.(StepOperator); ok {
+		s.ApplyStep(x, alpha, u, w, z)
+		return nil
+	}
+	_, err := composeStep(f, x, alpha, u, w, z)
+	return err
+}
 
 // Checkpoint is the complete between-iterations state of an LSQR solve:
 // restoring it and continuing reproduces the uninterrupted trajectory
@@ -64,9 +89,11 @@ type CheckpointConfig struct {
 	// Interval snapshots the solver state every Interval completed
 	// iterations; 0 disables checkpointing.
 	Interval int
-	// OnCheckpoint, when non-nil, observes each snapshot as it is taken
-	// (mddserve streams the per-iteration residual from it).
-	OnCheckpoint func(*Checkpoint)
+	// OnResidual, when non-nil, observes ‖r‖ after every completed
+	// iteration (iter counts from 1), the converged last one included. A
+	// resumed solve reports again the iterations it re-runs after its
+	// checkpoint, with the same values.
+	OnResidual func(iter int, residual float64)
 }
 
 // SolveFallible runs LSQR on A x ≈ b through a fallible operator,
@@ -144,12 +171,7 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 	res.X = x
 	tmpM := make([]complex64, m)
 	tmpN := make([]complex64, n)
-	// the one-call step is taken only from an infallible operator behind
-	// Fallible, so every fault keeps its seam
-	var stepper StepOperator
-	if f, ok := a.(Fallible); ok {
-		stepper, _ = f.Op.(StepOperator)
-	}
+	stepper, _ := a.(FallibleStepOperator)
 
 	for it := start; it < opts.MaxIters; it++ {
 		iterSpan := obsIter.Start()
@@ -195,6 +217,9 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 		res.ResidualHistory = append(res.ResidualHistory, rnorm)
 		obsIters.Add(1)
 		iterSpan.End()
+		if cfg.OnResidual != nil {
+			cfg.OnResidual(res.Iters, rnorm)
+		}
 
 		// stopping tests (Paige–Saunders criteria 1 and 2)
 		if rnorm <= opts.BTol*bnorm+opts.ATol*anorm*math.Sqrt(xx) {
@@ -218,26 +243,36 @@ func SolveFallible(a FallibleOperator, b []complex64, opts Options, cfg Checkpoi
 				Anorm: anorm, Bnorm: bnorm,
 				History: append([]float64(nil), res.ResidualHistory...),
 			}
-			if cfg.OnCheckpoint != nil {
-				cfg.OnCheckpoint(last)
-			}
 		}
 	}
 	return res, last, nil
 }
 
 // step computes w = A v − alpha·u and z = Aᴴ w, in one call when s is
-// non-nil and as Apply, cfloat.ScaleSub and ApplyAdjoint otherwise —
-// the same float32 operations in the same order — and returns ‖w‖₂.
-func step(a FallibleOperator, s StepOperator, v []complex64, alpha float32, u, w, z []complex64) (float64, error) {
-	if s != nil {
-		s.ApplyStep(v, alpha, u, w, z)
-		return cfloat.Nrm2(w), nil
+// non-nil and composed otherwise, and returns ‖w‖₂.
+func step(a FallibleOperator, s FallibleStepOperator, v []complex64, alpha float32, u, w, z []complex64) (float64, error) {
+	if s == nil {
+		return composeStep(a, v, alpha, u, w, z)
 	}
+	if err := s.ApplyStep(v, alpha, u, w, z); err != nil {
+		return 0, fmt.Errorf("step: %w", err)
+	}
+	return cfloat.Nrm2(w), nil
+}
+
+// composeStep runs the step as Apply, cfloat.ScaleSub and ApplyAdjoint —
+// the float32 operations every one-call step reproduces — and returns
+// ‖w‖₂, which ScaleSub accumulates exactly as cfloat.Nrm2 would.
+func composeStep(a FallibleOperator, v []complex64, alpha float32, u, w, z []complex64) (float64, error) {
 	if err := a.Apply(v, w); err != nil {
 		return 0, fmt.Errorf("forward product: %w", err)
 	}
-	beta := cfloat.ScaleSub(1, w, alpha, u)
+	var beta float64
+	if u != nil {
+		beta = cfloat.ScaleSub(1, w, alpha, u)
+	} else {
+		beta = cfloat.Nrm2(w)
+	}
 	if err := a.ApplyAdjoint(w, z); err != nil {
 		return 0, fmt.Errorf("adjoint product: %w", err)
 	}

@@ -66,20 +66,13 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var resume *Checkpoint
-	_, _, err = SolveFallible(Fallible{Op: op}, b, opts, CheckpointConfig{
-		Interval: 5,
-		OnCheckpoint: func(c *Checkpoint) {
-			if c.Iter == 5 {
-				resume = c
-			}
-		},
-	}, nil)
+	// the same solve stopped at iteration 5 leaves its snapshot there
+	_, resume, err := SolveFallible(Fallible{Op: op}, b, Options{MaxIters: 5}, CheckpointConfig{Interval: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resume == nil {
-		t.Fatal("no checkpoint taken at iteration 5")
+	if resume == nil || resume.Iter != 5 {
+		t.Fatalf("checkpoint %+v, want one at iteration 5", resume)
 	}
 	res, _, err := SolveFallible(Fallible{Op: op}, b, opts, CheckpointConfig{}, resume)
 	if err != nil {
@@ -145,5 +138,110 @@ func TestResumeShapeMismatch(t *testing.T) {
 		V: make([]complex64, 6), W: make([]complex64, 6)}
 	if _, _, err := SolveFallible(Fallible{Op: op}, b, Options{MaxIters: 5}, CheckpointConfig{}, bad); err == nil {
 		t.Error("shape-mismatched checkpoint should be rejected")
+	}
+}
+
+// stepOp is a FallibleStepOperator over an infallible operator that
+// counts its steps and fails the failAt-th (1-based; 0 never).
+type stepOp struct {
+	Fallible
+	failAt, steps int
+}
+
+func (s *stepOp) ApplyStep(x []complex64, alpha float32, u, w, z []complex64) error {
+	s.steps++
+	if s.steps == s.failAt {
+		return errors.New("injected step fault")
+	}
+	return s.Fallible.ApplyStep(x, alpha, u, w, z)
+}
+
+// TestFallibleStepIsDetectedOnTheOperator: SolveFallible takes the
+// one-call step from any FallibleStepOperator it is given, not only from
+// Fallible, and the step route is == the composed route (the capability
+// hidden); a failing step surfaces as the solve's error with the last
+// checkpoint, and resuming from it lands on the uninterrupted solve.
+func TestFallibleStepIsDetectedOnTheOperator(t *testing.T) {
+	op, b := randProblem(55, 20, 12)
+	opts := Options{MaxIters: 9, ATol: 1e-30, BTol: 1e-30}
+	composed, _, err := SolveFallible(struct{ FallibleOperator }{Fallible{Op: op}}, b, opts, CheckpointConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &stepOp{Fallible: Fallible{Op: op}}
+	got, _, err := SolveFallible(s, b, opts, CheckpointConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.steps != got.Iters {
+		t.Errorf("%d steps for %d iterations, want one each", s.steps, got.Iters)
+	}
+	bitIdentical(t, "step-route X", got.X, composed.X)
+	for i, r := range composed.ResidualHistory {
+		if got.ResidualHistory[i] != r {
+			t.Fatalf("residual %d is %g on the step route, %g composed", i, got.ResidualHistory[i], r)
+		}
+	}
+
+	flaky := &stepOp{Fallible: Fallible{Op: op}, failAt: 5}
+	res, last, err := SolveFallible(flaky, b, opts, CheckpointConfig{Interval: 2}, nil)
+	if err == nil || res != nil || last == nil || last.Iter != 4 {
+		t.Fatalf("step fault in iteration 5: res=%v checkpoint=%+v err=%v; want no result, the iteration-4 checkpoint and an error", res, last, err)
+	}
+	resumed, _, err := SolveFallible(flaky, b, opts, CheckpointConfig{}, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, "resumed X", resumed.X, composed.X)
+}
+
+// TestOnResidualReportsEveryIteration: the hook sees ‖r‖ after every
+// iteration, the converged last one included, equal to the history; a
+// solve resumed from a checkpoint before its fault reports the
+// iterations it re-runs again, with the same values.
+func TestOnResidualReportsEveryIteration(t *testing.T) {
+	op, b := randProblem(56, 40, 10)
+	op.Apply(append([]complex64(nil), b[:10]...), b) // consistent: converges early
+	opts := Options{MaxIters: 30, ATol: 1e-3, BTol: 1e-30}
+	record := func(seen *[]float64) CheckpointConfig {
+		return CheckpointConfig{Interval: 3, OnResidual: func(iter int, r float64) {
+			if iter != len(*seen)+1 {
+				// re-run after a resume: the value must repeat
+				if (*seen)[iter-1] != r {
+					t.Errorf("iteration %d re-reported %g, first %g", iter, r, (*seen)[iter-1])
+				}
+				return
+			}
+			*seen = append(*seen, r)
+		}}
+	}
+	var seen []float64
+	full, _, err := SolveFallible(Fallible{Op: op}, b, opts, record(&seen), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Converged || full.Iters == opts.MaxIters {
+		t.Fatalf("the consistent solve ran %d iterations (converged %v); want an early stop", full.Iters, full.Converged)
+	}
+	if len(seen) != len(full.ResidualHistory) {
+		t.Fatalf("hook saw %d iterations, the solve ran %d", len(seen), len(full.ResidualHistory))
+	}
+	for i, r := range full.ResidualHistory {
+		if seen[i] != r {
+			t.Fatalf("hook saw %g at iteration %d, history %g", seen[i], i+1, r)
+		}
+	}
+
+	seen = nil
+	flaky := &flakyOp{op: op, failAt: 12} // iteration 6's forward product
+	_, last, err := SolveFallible(flaky, b, opts, record(&seen), nil)
+	if err == nil || last == nil || last.Iter != 3 || len(seen) != 5 {
+		t.Fatalf("fault in iteration 6: checkpoint %+v, %d reports, err %v; want the iteration-3 checkpoint after 5 reports", last, len(seen), err)
+	}
+	if _, _, err := SolveFallible(flaky, b, opts, record(&seen), last); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(full.ResidualHistory) {
+		t.Fatalf("faulted and resumed: hook saw %d iterations, want %d", len(seen), len(full.ResidualHistory))
 	}
 }

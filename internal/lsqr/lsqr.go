@@ -37,9 +37,8 @@ type Operator interface {
 // the two products of an iteration are exactly these; for the TLR-backed
 // MDC operator the call is one sweep over the tiles instead of two.
 // The α = 0 case is the normal product AᴴA x. The solver sees the
-// capability through Fallible{Op}, so an operator that can fail runs
-// the composed Apply → subtract → ApplyAdjoint, which gives the same
-// bits.
+// capability through Fallible{Op}, which forwards it as
+// FallibleStepOperator.ApplyStep.
 type StepOperator interface {
 	Operator
 	// ApplyStep computes w = A x − alpha·u and z = Aᴴ w (len(x) =

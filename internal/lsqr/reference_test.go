@@ -123,15 +123,14 @@ func TestFusedLoopMatchesUnfusedReference(t *testing.T) {
 		}
 		ckptAt := tc.ckptAt
 		want, wantCk := solveUnfused(op, b, tc.opts, ckptAt)
-		var gotCk *Checkpoint
-		got, _, err := SolveFallible(Fallible{Op: op}, b, tc.opts, CheckpointConfig{
-			Interval: ckptAt,
-			OnCheckpoint: func(c *Checkpoint) {
-				if c.Iter == ckptAt {
-					gotCk = c
-				}
-			},
-		}, nil)
+		got, _, err := SolveFallible(Fallible{Op: op}, b, tc.opts, CheckpointConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// the same solve stopped at ckptAt leaves its snapshot there
+		ckOpts := tc.opts
+		ckOpts.MaxIters = ckptAt
+		_, gotCk, err := SolveFallible(Fallible{Op: op}, b, ckOpts, CheckpointConfig{Interval: ckptAt}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +144,7 @@ func TestFusedLoopMatchesUnfusedReference(t *testing.T) {
 				t.Fatalf("case %d: residual %d is %g, reference %g", ci, i, got.ResidualHistory[i], r)
 			}
 		}
-		if gotCk == nil || wantCk == nil {
+		if gotCk == nil || wantCk == nil || gotCk.Iter != ckptAt {
 			t.Fatalf("case %d: no checkpoint at iteration %d of %d", ci, ckptAt, got.Iters)
 		}
 		bitIdentical(t, "checkpoint X", gotCk.X, wantCk.X)

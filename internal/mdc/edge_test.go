@@ -41,6 +41,9 @@ func TestShardedOperatorZeroFrequencies(t *testing.T) {
 	if err := op.ApplyAdjoint(nil, nil); err != nil {
 		t.Errorf("adjoint no-op: %v", err)
 	}
+	if err := op.ApplyStep(nil, 1, nil, nil, nil); err != nil {
+		t.Errorf("step no-op: %v", err)
+	}
 }
 
 func TestFreqOperatorSingleFrequency(t *testing.T) {
@@ -105,6 +108,16 @@ func TestShardedOperatorShortVectors(t *testing.T) {
 	}
 	if err := op.ApplyAdjoint(y, x[:len(x)-1]); err == nil {
 		t.Error("short adjoint output: no error")
+	}
+	for name, step := range map[string]func() error{
+		"x": func() error { return op.ApplyStep(x[:len(x)-1], 1, y, y, x) },
+		"u": func() error { return op.ApplyStep(x, 1, y[:len(y)-1], y, x) },
+		"w": func() error { return op.ApplyStep(x, 1, y, y[:len(y)-1], x) },
+		"z": func() error { return op.ApplyStep(x, 1, y, y, x[:len(x)-1]) },
+	} {
+		if err := step(); err == nil {
+			t.Errorf("short step %s: no error", name)
+		}
 	}
 }
 

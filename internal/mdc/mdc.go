@@ -50,9 +50,10 @@ type Kernel interface {
 // NormalKernel is the kernel's one optional fused capability: a kernel
 // that can run a forward product and an adjoint one of a vector built
 // from it in one sweep over its factors. The TLR kernel implements it
-// with tlr.Matrix.MulVecStep and MulVecNormal; FreqOperator.ApplyStep,
-// the one place it is detected, composes Apply and ApplyAdjoint for
-// every other kernel with the same float32 operations.
+// with tlr.Matrix.MulVecStep and MulVecNormal; stepFor, the one place
+// it is detected, composes Apply and ApplyAdjoint for every other kernel
+// with the same float32 operations, under FreqOperator's and
+// ShardedFreqOperator's ApplyStep alike.
 type NormalKernel interface {
 	Kernel
 	// ApplyNormal computes y = K_fᴴ K_f x (len(x) = len(y) = Cols).
@@ -212,47 +213,21 @@ func (op *FreqOperator) ApplyAdjoint(x, y []complex64) {
 // ApplyStep implements lsqr.StepOperator: w = A x − alpha·u, then
 // z = Aᴴ w (x and z on the model grid, u and w on the data grid; u may
 // be nil when alpha is 0). The operator is frequency-block-diagonal, so
-// the step factors per frequency: the kernel's one-sweep step when it
-// implements NormalKernel (the TLR kernel does), otherwise Apply, the
-// subtract (cfloat.ScaleSub) and ApplyAdjoint. Either way the result is
+// the step factors per frequency (stepBlocks.apply), and the result is
 // Apply, cfloat.ScaleSub over the whole vector and ApplyAdjoint bit for
 // bit. It panics on invalid vectors.
 func (op *FreqOperator) ApplyStep(x []complex64, alpha float32, u, w, z []complex64) {
 	defer obsFreqStep.Start().End()
-	fwd, adj := shapeFor(op.K, forward, op.Scale), shapeFor(op.K, adjoint, op.Scale)
-	if fwd.nf == 0 {
+	s := stepFor(op.K, op.Scale)
+	if s.fwd.nf == 0 {
 		return // zero-dimensional operator: nothing to apply
 	}
-	obsFreqCount.Add(int64(2 * fwd.nf))
-	err := fwd.check("FreqOperator", x, w)
-	if err == nil {
-		err = adj.check("FreqOperator", w, z)
-	}
-	if err == nil && u != nil {
-		err = fwd.check("FreqOperator", x, u)
-	}
-	if err != nil {
+	obsFreqCount.Add(int64(2 * s.fwd.nf))
+	if err := s.check("FreqOperator", x, u, w, z); err != nil {
 		panic(err)
 	}
-	nk, fused := op.K.(NormalKernel)
-	fanout.Do(fwd.nf, fanout.PoolSize(fwd.nf, op.Workers), func(_, f int) {
-		xf, wf, zf := fwd.in(x, f), fwd.out(w, f), adj.out(z, f)
-		var uf []complex64
-		if u != nil {
-			uf = fwd.out(u, f)
-		}
-		if fused {
-			nk.ApplyStep(f, xf, real(fwd.scale), alpha, uf, wf, zf)
-		} else {
-			fwd.apply(f, xf, wf)
-			if uf != nil {
-				cfloat.ScaleSub(1, wf, alpha, uf)
-			}
-			op.K.ApplyAdjoint(f, wf, zf)
-		}
-		if adj.scale != 1 {
-			cfloat.Scal(adj.scale, zf)
-		}
+	fanout.Do(s.fwd.nf, fanout.PoolSize(s.fwd.nf, op.Workers), func(_, f int) {
+		s.apply(f, s.fwd.in(x, f), alpha, s.sub(u, f), s.fwd.out(w, f), s.adj.out(z, f))
 	})
 }
 
@@ -333,6 +308,62 @@ func (b freqBlocks) check(who string, x, y []complex64) error {
 
 func (b freqBlocks) in(x []complex64, f int) []complex64  { return x[f*b.nin : (f+1)*b.nin] }
 func (b freqBlocks) out(y []complex64, f int) []complex64 { return y[f*b.nout : (f+1)*b.nout] }
+
+// stepBlocks is LSQR's step over a kernel stack, w = A x − alpha·u and
+// then z = Aᴴ w, one frequency block at a time: the one body
+// FreqOperator.ApplyStep and ShardedFreqOperator.ApplyStep run.
+type stepBlocks struct {
+	fwd, adj freqBlocks
+	// nk is the kernel's one-sweep step, nil when it has none.
+	nk NormalKernel
+}
+
+// stepFor resolves the step over k; a zero scale means unscaled.
+func stepFor(k Kernel, scale float32) stepBlocks {
+	s := stepBlocks{fwd: shapeFor(k, forward, scale), adj: shapeFor(k, adjoint, scale)}
+	s.nk, _ = k.(NormalKernel)
+	return s
+}
+
+// check validates the step's frequency-major vectors; u may be nil.
+func (s stepBlocks) check(who string, x, u, w, z []complex64) error {
+	err := s.fwd.check(who, x, w)
+	if err == nil {
+		err = s.adj.check(who, w, z)
+	}
+	if err == nil && u != nil {
+		err = s.fwd.check(who, x, u)
+	}
+	return err
+}
+
+// sub is frequency f's block of the subtrahend u, nil when u is.
+func (s stepBlocks) sub(u []complex64, f int) []complex64 {
+	if u == nil {
+		return nil
+	}
+	return s.fwd.out(u, f)
+}
+
+// apply computes frequency f's blocks wf = scale·K_f xf − alpha·uf and
+// zf = scale·K_fᴴ wf, overwriting both in full: the kernel's one-sweep
+// step when it implements NormalKernel (the TLR kernel does), otherwise
+// the forward product, the subtract (cfloat.ScaleSub) and the adjoint
+// product, with the same float32 operations either way.
+func (s stepBlocks) apply(f int, xf []complex64, alpha float32, uf, wf, zf []complex64) {
+	if s.nk != nil {
+		s.nk.ApplyStep(f, xf, real(s.fwd.scale), alpha, uf, wf, zf)
+	} else {
+		s.fwd.apply(f, xf, wf)
+		if uf != nil {
+			cfloat.ScaleSub(1, wf, alpha, uf)
+		}
+		s.fwd.k.ApplyAdjoint(f, wf, zf)
+	}
+	if s.adj.scale != 1 {
+		cfloat.Scal(s.adj.scale, zf)
+	}
+}
 
 // TimeOperator is the literal Eqn. (2) composition A = Sᴴ K S over complex
 // time-domain traces, where S is the unitary band-sampling DFT (forward

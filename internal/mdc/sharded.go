@@ -14,16 +14,19 @@ import (
 
 // Sharded-operator timers, distinct from the in-process FreqOperator
 // timers so degraded-capacity throughput is visible per execution path.
-var obsSharded = [...]*obs.Timer{
-	forward: obs.NewTimer("mdc.sharded.apply"),
-	adjoint: obs.NewTimer("mdc.sharded.adjoint"),
-}
+var (
+	obsSharded = [...]*obs.Timer{
+		forward: obs.NewTimer("mdc.sharded.apply"),
+		adjoint: obs.NewTimer("mdc.sharded.adjoint"),
+	}
+	obsShardedStep = obs.NewTimer("mdc.sharded.step")
+)
 
 // ShardedFreqOperator is the fault-tolerant sibling of FreqOperator:
 // identical math (one scaled kernel MVM per in-band frequency,
 // frequency-major layout), but each frequency is a batch.ShardTask
 // scheduled onto simulated CS-2 shards, and all faults surface as
-// errors. It satisfies lsqr.FallibleOperator.
+// errors. It satisfies lsqr.FallibleStepOperator.
 type ShardedFreqOperator struct {
 	K     Kernel
 	Scale float32
@@ -31,8 +34,9 @@ type ShardedFreqOperator struct {
 	// Apply stays dead for the following ApplyAdjoint, like a failed
 	// physical system.
 	Runner *batch.ShardRunner
-	// Intercept, when non-nil, wraps the per-task executor — the hook
-	// fault-injection schedules (internal/fault) attach to.
+	// Intercept, when non-nil, wraps the per-task executor of every
+	// product and step — the hook fault-injection schedules
+	// (internal/fault) and mddserve's job-context check attach to.
 	Intercept func(batch.ShardExec) batch.ShardExec
 }
 
@@ -63,6 +67,32 @@ func (op *ShardedFreqOperator) ApplyAdjoint(x, y []complex64) error {
 	return op.run(x, y, adjoint)
 }
 
+// ApplyStep computes the LSQR step w = A x − alpha·u, then z = Aᴴ w
+// (u may be nil when alpha is 0), with one batch.ShardTask per
+// frequency running FreqOperator.ApplyStep's per-frequency body, so the
+// result is Apply, cfloat.ScaleSub and ApplyAdjoint bit for bit. A task
+// overwrites both its w and z blocks and the runner checks both for
+// NaN, so a retried or failed-over task leaves nothing stale.
+func (op *ShardedFreqOperator) ApplyStep(x []complex64, alpha float32, u, w, z []complex64) error {
+	defer obsShardedStep.Start().End()
+	s := stepFor(op.K, op.Scale)
+	if s.fwd.nf == 0 {
+		return nil // zero-dimensional operator: nothing to apply
+	}
+	obsFreqCount.Add(int64(2 * s.fwd.nf))
+	if err := s.check("sharded", x, u, w, z); err != nil {
+		return err
+	}
+	tasks := make([]batch.ShardTask, s.fwd.nf)
+	for f := range tasks {
+		tasks[f] = batch.ShardTask{ID: f, X: s.fwd.in(x, f), Y: s.fwd.out(w, f), Z: s.adj.out(z, f)}
+	}
+	return op.dispatch(tasks, func(_ int, t batch.ShardTask) error {
+		s.apply(t.ID, t.X, alpha, s.sub(u, t.ID), t.Y, t.Z)
+		return nil
+	})
+}
+
 func (op *ShardedFreqOperator) run(x, y []complex64, dir product) error {
 	defer obsSharded[dir].Start().End()
 	b := shapeFor(op.K, dir, op.Scale)
@@ -77,12 +107,16 @@ func (op *ShardedFreqOperator) run(x, y []complex64, dir product) error {
 	for f := range tasks {
 		tasks[f] = batch.ShardTask{ID: f, X: b.in(x, f), Y: b.out(y, f)}
 	}
-	// the product itself cannot fail; errors come from Intercept and the
-	// runner's output scan
-	exec := func(shard int, t batch.ShardTask) error {
+	return op.dispatch(tasks, func(_ int, t batch.ShardTask) error {
 		b.apply(t.ID, t.X, t.Y)
 		return nil
-	}
+	})
+}
+
+// dispatch runs the tasks on the runner through Intercept. The products
+// themselves cannot fail; errors come from Intercept and the runner
+// (retries exhausted, every shard dead, NaN output, a panicking task).
+func (op *ShardedFreqOperator) dispatch(tasks []batch.ShardTask, exec batch.ShardExec) error {
 	if op.Intercept != nil {
 		exec = op.Intercept(exec)
 	}

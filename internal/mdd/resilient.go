@@ -17,9 +17,8 @@ import (
 // Resilient-inversion metrics: restarts taken and iterations salvaged
 // by resuming from checkpoints rather than re-running them.
 var (
-	obsRestarts  = obs.NewCounter("mdd.resilient.restarts")
-	obsSalvaged  = obs.NewCounter("mdd.resilient.salvaged_iters")
-	obsCkptTaken = obs.NewCounter("mdd.resilient.checkpoints")
+	obsRestarts = obs.NewCounter("mdd.resilient.restarts")
+	obsSalvaged = obs.NewCounter("mdd.resilient.salvaged_iters")
 )
 
 // ResilientOptions configures InvertResilient.
@@ -32,9 +31,11 @@ type ResilientOptions struct {
 	// MaxRestarts bounds how many faults the solve will absorb before
 	// giving up and returning the last fault (default 3).
 	MaxRestarts int
-	// OnCheckpoint, when non-nil, observes each snapshot (mddserve
-	// streams the per-iteration residual from it).
-	OnCheckpoint func(*lsqr.Checkpoint)
+	// OnResidual, when non-nil, observes ‖r‖ after every completed
+	// iteration (lsqr.CheckpointConfig.OnResidual): after a restart, the
+	// iterations re-run from the checkpoint are reported again, with the
+	// same values (mddserve streams the first report of each).
+	OnResidual func(iter int, residual float64)
 	// Fatal, when non-nil, classifies operator faults that must not be
 	// retried: when it reports true the fault is returned immediately
 	// without consuming a restart. The serving layer uses it to abort a
@@ -64,15 +65,7 @@ func InvertResilient(a lsqr.FallibleOperator, b []complex64, opts ResilientOptio
 	if opts.MaxRestarts <= 0 {
 		opts.MaxRestarts = 3
 	}
-	cfg := lsqr.CheckpointConfig{
-		Interval: opts.CheckpointInterval,
-		OnCheckpoint: func(c *lsqr.Checkpoint) {
-			obsCkptTaken.Add(1)
-			if opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(c)
-			}
-		},
-	}
+	cfg := lsqr.CheckpointConfig{Interval: opts.CheckpointInterval, OnResidual: opts.OnResidual}
 	out := &ResilientOutcome{}
 	var resume *lsqr.Checkpoint
 	for {

@@ -122,8 +122,9 @@ const (
 	EventState    EventKind = "state"
 )
 
-// Event is one NDJSON stream record: per-iteration residuals from the
-// checkpointed solver, interleaved with lifecycle transitions.
+// Event is one NDJSON stream record: one residual per solver iteration,
+// each reported once even when a restart re-runs it, interleaved with
+// lifecycle transitions.
 type Event struct {
 	Seq      int       `json:"seq"`
 	Kind     EventKind `json:"kind"`

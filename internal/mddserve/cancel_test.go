@@ -10,18 +10,29 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/batch"
+	"repro/internal/mdc"
+	"repro/internal/obs"
 	"repro/internal/testkit/suite"
 )
 
-// cancelledJob is a job record whose context is already cancelled.
-func cancelledJob(spec JobSpec) *job {
+// runningJob is a job record in the running state, as a worker holds it.
+func runningJob(spec JobSpec) *job {
 	applySpecDefaults(&spec)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	return &job{id: "job-x", tenant: "t", spec: spec, ctx: ctx, cancel: cancel,
 		state: StateRunning, notify: make(chan struct{})}
+}
+
+// cancelledJob is a job record whose context is already cancelled.
+func cancelledJob(spec JobSpec) *job {
+	j := runningJob(spec)
+	j.cancel()
+	return j
 }
 
 // plantUnready puts a computation for key into c that never finishes
@@ -124,32 +135,59 @@ func TestCancelStopsTLRMVMReps(t *testing.T) {
 	}
 }
 
-// countingOp is a FallibleOperator that counts the products it is asked
-// for.
-type countingOp struct{ calls int }
+// countingKernel counts the per-frequency products run through it.
+type countingKernel struct {
+	mdc.Kernel
+	calls atomic.Int64
+}
 
-func (o *countingOp) Rows() int                           { return 1 }
-func (o *countingOp) Cols() int                           { return 1 }
-func (o *countingOp) Apply(_, _ []complex64) error        { o.calls++; return nil }
-func (o *countingOp) ApplyAdjoint(_, _ []complex64) error { o.calls++; return nil }
+func (k *countingKernel) Apply(f int, x, y []complex64) {
+	k.calls.Add(1)
+	k.Kernel.Apply(f, x, y)
+}
 
-// TestCancelAbortsOperatorProducts: once an mdd job is cancelled, both
-// directions of its operator refuse the next product, so the solve
-// stops within one operator call whichever comes next.
-func TestCancelAbortsOperatorProducts(t *testing.T) {
+func (k *countingKernel) ApplyAdjoint(f int, x, y []complex64) {
+	k.calls.Add(1)
+	k.Kernel.ApplyAdjoint(f, x, y)
+}
+
+// TestCancelAbortsShardTasks: once an mdd job is cancelled, every shard
+// task of its operator refuses to run, and the runner takes the context
+// error as final for the run — no retry, no backoff, no shard death —
+// so the solve stops without a kernel product or a restart.
+func TestCancelAbortsShardTasks(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	s := newServer(t, testConfig())
 	j := cancelledJob(testSpec(JobMDD))
-	for _, dir := range []string{"Apply", "ApplyAdjoint"} {
-		inner := &countingOp{}
-		op := &ctxOperator{ctx: j.ctx, op: inner}
-		product := op.Apply
-		if dir == "ApplyAdjoint" {
-			product = op.ApplyAdjoint
+	b, err := s.built(context.Background(), j.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &countingKernel{Kernel: b.pipe.Problem.K}
+	b.pipe.Problem.K = k
+	runner, err := batch.NewShardRunner(batch.ShardOptions{Shards: 2, Sleep: func(time.Duration) {
+		t.Error("a cancelled task backed off")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Enable()
+	defer obs.Disable()
+	begin := obs.TakeSnapshot()
+	res, err := s.runMDD(runner, j, b, checkpointInterval)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("runMDD of a cancelled job = %+v, %v; want context.Canceled and no result", res, err)
+	}
+	if n := k.calls.Load(); n != 0 {
+		t.Errorf("a cancelled solve ran %d kernel products", n)
+	}
+	end := obs.TakeSnapshot()
+	for _, name := range []string{"batch.shard.retries", "batch.shard.failovers", "batch.shard.deaths", "mdd.resilient.restarts"} {
+		if d := end.Counter(name) - begin.Counter(name); d != 0 {
+			t.Errorf("%s rose by %d for a cancelled solve, want 0", name, d)
 		}
-		if err := product(nil, nil); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s after cancel: %v, want context.Canceled", dir, err)
-		}
-		if inner.calls != 0 {
-			t.Errorf("%s after cancel ran %d product(s) on the wrapped operator", dir, inner.calls)
-		}
+	}
+	if runner.Alive() != 2 {
+		t.Errorf("%d of 2 shards alive after a cancelled solve", runner.Alive())
 	}
 }

@@ -5,11 +5,14 @@
 package mddserve
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/lsqr"
@@ -519,7 +522,7 @@ func TestFailedBuildIsRebuilt(t *testing.T) {
 // generate its survey once and build all three on it, sharing one
 // dataset, and each job's residuals, final residual and NMSE are == those
 // of an in-process core.BuildPipeline of the same spec, solved the way
-// the server solves.
+// the server solves but with the sharded step hidden.
 func TestColdBuildSharesSurvey(t *testing.T) {
 	suite.VerifyNoLeaks(t)
 	obs.Enable()
@@ -559,8 +562,11 @@ func TestColdBuildSharesSurvey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mdd.InvertResilient(sop, pipe.Problem.Data(spec.VS), mdd.ResilientOptions{
-			LSQR: lsqr.Options{MaxIters: spec.Iters}, CheckpointInterval: 1, MaxRestarts: 4,
+		// the served solve takes the sharded step; the reference hides it
+		// and composes Apply, the subtract and ApplyAdjoint
+		hidden := struct{ lsqr.FallibleOperator }{sop}
+		want, err := mdd.InvertResilient(hidden, pipe.Problem.Data(spec.VS), mdd.ResilientOptions{
+			LSQR: lsqr.Options{MaxIters: spec.Iters}, MaxRestarts: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -593,6 +599,63 @@ func TestColdBuildSharesSurvey(t *testing.T) {
 	for _, b := range builds {
 		if b.pipe.DS != builds[0].pipe.DS {
 			t.Fatal("builds on one dataset hold different datasets; they must share the survey's")
+		}
+	}
+}
+
+// TestResultsDoNotDependOnCheckpointInterval: an mdd job whose solve
+// restarts (op:err@10 fails iteration 5's forward product) gives ==
+// results — solution, residuals, NMSE, restarts — and the same residual
+// stream, one event per iteration in order, at checkpoint intervals 1,
+// 3 and the job's iteration count, where the restart finds no checkpoint
+// and starts over. Only SalvagedIters, what the restart saved, differs.
+func TestResultsDoNotDependOnCheckpointInterval(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	cfg := testConfig()
+	cfg.Faults = fault.Schedule{{Target: "op", Kind: fault.Err, At: 10}}
+	s := newServer(t, cfg)
+	spec := testSpec(JobMDD)
+	spec.Iters, spec.VS, spec.ReturnSolution = 8, 2, true
+	applySpecDefaults(&spec)
+	b, err := s.built(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *JobResult
+	var wantEvents []Event
+	for _, every := range []int{1, 3, spec.Iters} {
+		j := runningJob(spec)
+		t.Cleanup(j.cancel)
+		runner, err := batch.NewShardRunner(batch.ShardOptions{Shards: 2, Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.runMDD(runner, j, b, every)
+		if err != nil {
+			t.Fatalf("interval %d: %v", every, err)
+		}
+		if res.Restarts != 1 || res.Iterations != spec.Iters {
+			t.Fatalf("interval %d: %d restarts, %d iterations; want 1 and %d", every, res.Restarts, res.Iterations, spec.Iters)
+		}
+		if salvaged := (4 / every) * every; res.SalvagedIters != salvaged {
+			t.Errorf("interval %d: %d iterations salvaged, want %d", every, res.SalvagedIters, salvaged)
+		}
+		for i, ev := range j.events {
+			if ev.Kind != EventResidual || ev.Iter != i+1 || ev.Residual != res.Residuals[i] {
+				t.Fatalf("interval %d: event %d is %+v, want iteration %d's residual %g", every, i, ev, i+1, res.Residuals[i])
+			}
+		}
+		if len(j.events) != spec.Iters {
+			t.Fatalf("interval %d: %d residual events for %d iterations", every, len(j.events), spec.Iters)
+		}
+		if want == nil {
+			want, wantEvents = res, j.events
+			continue
+		}
+		got := *res
+		got.SalvagedIters = want.SalvagedIters
+		if !reflect.DeepEqual(&got, want) || !reflect.DeepEqual(j.events, wantEvents) {
+			t.Errorf("interval %d: result %+v\nevents %+v\ninterval 1: %+v\nevents %+v", every, &got, j.events, want, wantEvents)
 		}
 	}
 }

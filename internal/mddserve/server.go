@@ -567,7 +567,7 @@ func (s *Server) execute(runner *batch.ShardRunner, j *job) (*JobResult, error) 
 	case JobTLRMVM:
 		return runTLRMVM(j, b)
 	case JobMDD:
-		return s.runMDD(runner, j, b)
+		return s.runMDD(runner, j, b, checkpointInterval)
 	}
 	return nil, fmt.Errorf("unknown job type %q", j.spec.Type)
 }
@@ -591,29 +591,48 @@ func runTLRMVM(j *job, b *built) (*JobResult, error) {
 	return &JobResult{YNorm: cfloat.Nrm2(y)}, nil
 }
 
+// checkpointInterval is the iteration stride of a served solve's
+// snapshots: a restart re-runs at most this many iterations minus one.
+// Neither the result nor the residual stream depends on it.
+const checkpointInterval = 3
+
 // runMDD runs the fault-tolerant inversion on the worker's runner,
-// streaming per-iteration residuals from the solver checkpoints.
-func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built) (*JobResult, error) {
+// snapshotting every `every` iterations and streaming each iteration's
+// residual once. The job context is checked before every shard task:
+// the runner ends the product on a cancelled job's first task, and the
+// Fatal hook ends the solve without a restart.
+func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built, every int) (*JobResult, error) {
 	prob := b.pipe.Problem
 	sop := &mdc.ShardedFreqOperator{K: prob.K, Scale: float32(prob.DS.DArea), Runner: runner}
 	var op lsqr.FallibleOperator = sop
+	intercept := func(exec batch.ShardExec) batch.ShardExec { return exec }
 	if len(s.cfg.Faults) > 0 {
 		inj := fault.NewInjector(s.cfg.Faults)
 		if s.cfg.FaultSleep != nil {
 			inj.Sleep = s.cfg.FaultSleep
 		}
-		sop.Intercept = fault.Shard(inj)
+		intercept = fault.Shard(inj)
 		op = fault.WrapOperator(sop, inj)
 	}
-	op = &ctxOperator{ctx: j.ctx, op: op}
+	sop.Intercept = func(exec batch.ShardExec) batch.ShardExec {
+		exec = intercept(exec)
+		return func(shard int, t batch.ShardTask) error {
+			if err := j.ctx.Err(); err != nil {
+				return err
+			}
+			return exec(shard, t)
+		}
+	}
 
+	streamed := 0
 	out, err := mdd.InvertResilient(op, prob.Data(j.spec.VS), mdd.ResilientOptions{
 		LSQR:               lsqr.Options{MaxIters: j.spec.Iters},
-		CheckpointInterval: 1,
+		CheckpointInterval: every,
 		MaxRestarts:        4,
-		OnCheckpoint: func(c *lsqr.Checkpoint) {
-			if len(c.History) > 0 {
-				j.publishResidual(c.Iter, c.History[len(c.History)-1])
+		OnResidual: func(iter int, residual float64) {
+			if iter > streamed { // a restart re-reports the iterations it re-runs
+				streamed = iter
+				j.publishResidual(iter, residual)
 			}
 		},
 		Fatal: func(err error) bool { return errors.Is(err, context.Canceled) },
@@ -639,31 +658,6 @@ func (s *Server) runMDD(runner *batch.ShardRunner, j *job, b *built) (*JobResult
 		}
 	}
 	return res, nil
-}
-
-// ctxOperator aborts operator products once the job context is
-// cancelled; InvertResilient's Fatal hook turns the abort into an
-// immediate return instead of a restart.
-type ctxOperator struct {
-	ctx context.Context
-	op  lsqr.FallibleOperator
-}
-
-func (o *ctxOperator) Rows() int { return o.op.Rows() }
-func (o *ctxOperator) Cols() int { return o.op.Cols() }
-
-func (o *ctxOperator) Apply(x, y []complex64) error {
-	if err := o.ctx.Err(); err != nil {
-		return err
-	}
-	return o.op.Apply(x, y)
-}
-
-func (o *ctxOperator) ApplyAdjoint(x, y []complex64) error {
-	if err := o.ctx.Err(); err != nil {
-		return err
-	}
-	return o.op.ApplyAdjoint(x, y)
 }
 
 // surveyKey identifies one cached survey: everything that shapes the

@@ -3,8 +3,12 @@ package testkit
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
+	"time"
 
+	"repro/internal/batch"
 	"repro/internal/cfloat"
 	"repro/internal/cs2"
 	"repro/internal/dense"
@@ -382,22 +386,39 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 	}
 	// The MDC layers above the fused kernel add no arithmetic of their own
 	// at a single frequency and unit scale, so they must reproduce the
-	// tlr.Matrix step exactly.
+	// tlr.Matrix step exactly — the sharded step also when its one task
+	// is retried, fails over from a dead shard and comes back with a NaN
+	// in its forward half before it is retried again (faultedSharded).
 	{
 		x, u := Vec(rng, n), Vec(rng, m)
 		w, z := make([]complex64, m), make([]complex64, n)
 		o.T.MulVecStep(x, 1, 0.75, u, w, z)
 		k := &mdc.TLRKernel{Mats: []*tlr.Matrix{o.T}}
 		op := &mdc.FreqOperator{K: k, Workers: 1}
-		for name, step := range map[string]func(w, z []complex64){
-			"TLRKernel.ApplyStep":    func(w, z []complex64) { k.ApplyStep(0, x, 1, 0.75, u, w, z) },
-			"FreqOperator.ApplyStep": func(w, z []complex64) { op.ApplyStep(x, 0.75, u, w, z) },
+		healthy, err := mdc.NewShardedFreqOperator(k, 0, 3)
+		if err != nil {
+			return err
+		}
+		faulted, err := faultedSharded(k)
+		if err != nil {
+			return err
+		}
+		for name, step := range map[string]func(w, z []complex64) error{
+			"TLRKernel.ApplyStep":                     func(w, z []complex64) error { k.ApplyStep(0, x, 1, 0.75, u, w, z); return nil },
+			"FreqOperator.ApplyStep":                  func(w, z []complex64) error { op.ApplyStep(x, 0.75, u, w, z); return nil },
+			"ShardedFreqOperator.ApplyStep":           func(w, z []complex64) error { return healthy.ApplyStep(x, 0.75, u, w, z) },
+			"ShardedFreqOperator.ApplyStep (faulted)": func(w, z []complex64) error { return faulted.ApplyStep(x, 0.75, u, w, z) },
 		} {
 			gotW, gotZ := make([]complex64, m), make([]complex64, n)
-			step(gotW, gotZ)
+			if err := step(gotW, gotZ); err != nil {
+				return fmt.Errorf("oracle: %s: %w", name, err)
+			}
 			if d := max(MaxULPDist(gotW, w), MaxULPDist(gotZ, z)); d != 0 {
 				return fmt.Errorf("oracle: %s %d ULPs from the fused TLR step", name, d)
 			}
+		}
+		if faulted.Runner.Alive() != 2 {
+			return fmt.Errorf("oracle: the faulted sharded step left %d of 3 shards alive, want 2: its schedule did not fire", faulted.Runner.Alive())
 		}
 	}
 	// 3. out-of-core identity: the store-backed twin runs the identical
@@ -479,6 +500,35 @@ func checkFusedSweeps(tm *tlr.Matrix, x, u []complex64) error {
 		return fmt.Errorf("oracle: MulVecStep %d ULPs from MulVec → scale → subtract → MulVecConjTrans (store-backed %v)", d, tm.OutOfCore())
 	}
 	return nil
+}
+
+// faultedSharded is a 3-shard operator over the one-frequency kernel k
+// whose one task of each product fails twice on shard 0 — a retry in
+// place, then the shard's death and a failover — and then comes back
+// from the survivor with a NaN in its first output before it is retried.
+// Backoffs do not sleep.
+func faultedSharded(k mdc.Kernel) (*mdc.ShardedFreqOperator, error) {
+	runner, err := batch.NewShardRunner(batch.ShardOptions{Shards: 3, Sleep: func(time.Duration) {}})
+	if err != nil {
+		return nil, err
+	}
+	var attempts atomic.Int64
+	intercept := func(next batch.ShardExec) batch.ShardExec {
+		return func(shard int, t batch.ShardTask) error {
+			n := attempts.Add(1)
+			if n <= 2 {
+				return fmt.Errorf("oracle: injected fault %d on shard %d", n, shard)
+			}
+			if err := next(shard, t); err != nil {
+				return err
+			}
+			if n == 3 {
+				t.Y[0] = complex(float32(math.NaN()), 0)
+			}
+			return nil
+		}
+	}
+	return &mdc.ShardedFreqOperator{K: k, Runner: runner, Intercept: intercept}, nil
 }
 
 // CompressionHolds asserts the TLR approximation actually meets the

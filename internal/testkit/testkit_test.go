@@ -363,8 +363,8 @@ func TestFrozenForwardsAreTheirProducts(t *testing.T) {
 // TestKernelSurfaceCensus keeps the per-frequency kernel contract
 // single: the built-in kernels export mdc.Kernel (plus the one optional
 // fused capability on the TLR kernel, mdc.NormalKernel's ApplyNormal and
-// ApplyStep) and FreqOperator its forward, adjoint and step products,
-// nothing else. A fallible twin of any of them fails here —
+// ApplyStep) and FreqOperator and ShardedFreqOperator their forward,
+// adjoint and step products, nothing else. A fallible twin of any of them fails here —
 // errors enter the stack at batch.ShardExec and lsqr.FallibleOperator
 // (DESIGN.md, "Where a product can fail"), not at a kernel.
 func TestKernelSurfaceCensus(t *testing.T) {
@@ -375,6 +375,7 @@ func TestKernelSurfaceCensus(t *testing.T) {
 		{reflect.TypeOf((*mdc.DenseKernel)(nil)), []string{"Apply", "ApplyAdjoint", "Bytes", "Cols", "NumFreqs", "Rows"}},
 		{reflect.TypeOf((*mdc.TLRKernel)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyNormal", "ApplyStep", "Bytes", "Cols", "NumFreqs", "Rows"}},
 		{reflect.TypeOf((*mdc.FreqOperator)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyStep", "Cols", "Rows"}},
+		{reflect.TypeOf((*mdc.ShardedFreqOperator)(nil)), []string{"Apply", "ApplyAdjoint", "ApplyStep", "Cols", "Rows"}},
 	} {
 		var got []string
 		for i := 0; i < c.typ.NumMethod(); i++ {

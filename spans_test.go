@@ -37,7 +37,7 @@ func checkSpans(t *testing.T, route string, want map[string]int64) {
 // TestTimersRecordEverySpan runs the three routes a product takes — an
 // in-process LSQR solve on the one-sweep step route (mdc.FreqOperator
 // over the TLR kernel), a CGLS solve on the composed route, and one
-// served MDD job on the sharded route — with obs enabled, and holds
+// served MDD job on the sharded step route — with obs enabled, and holds
 // every timer on them to exactly one span per product, iteration, solve
 // or job. A span that is started and never ended, or never started,
 // records nothing and fails here by timer name.
@@ -106,15 +106,15 @@ func TestTimersRecordEverySpan(t *testing.T) {
 		t.Fatalf("served job %s: %s", st.State, st.Error)
 	}
 	n = int64(st.Result.Iterations)
-	// a cold build compresses every frequency once; the sharded operator
-	// has no step, so each iteration is a forward and an adjoint product,
-	// each one shard-runner pass over the frequencies
+	// a cold build compresses every frequency once; then, as in process,
+	// one adjoint product and one step per iteration, each one
+	// shard-runner pass over the frequencies
 	checkSpans(t, "served job", map[string]int64{
 		"serve.job.latency":   1,
 		"mdc.compress_kernel": 1, "tlr.compress": nf,
 		"lsqr.solve": 1, "lsqr.iter": n,
-		"mdc.sharded.apply": n, "tlr.mvm": n * nf,
-		"mdc.sharded.adjoint": n + 1, "tlr.mvm_adjoint": (n + 1) * nf,
-		"batch.shard.run": 2*n + 1,
+		"mdc.sharded.adjoint": 1, "tlr.mvm_adjoint": nf,
+		"mdc.sharded.step": n, "tlr.mvm_step": n * nf,
+		"batch.shard.run": n + 1,
 	})
 }
