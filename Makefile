@@ -90,7 +90,7 @@ bench:
 # (TESTING.md, "Where each deterministic fact is asserted"). report
 # regenerates REPORT.md — every published row of the paper beside the
 # model's, with Δ and tolerance — and report-check diffs the committed
-# file against a fresh run (~35 s: -full inverts the laptop-scale
+# file against a fresh run (~6 s: -full inverts the laptop-scale
 # survey), so a model change that moves a published comparison cannot
 # land without the report showing it.
 

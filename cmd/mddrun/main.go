@@ -214,7 +214,8 @@ func faultDemo(w io.Writer, opts seismic.Options, iters, shards int, schedule st
 		return err
 	}
 
-	// sharded execution with the schedule injected at shard and operator level
+	// sharded execution with the schedule injected at shard level, and at
+	// operator level where it names the "op" target
 	op, err := pipe.Problem.ShardedOperator(shards)
 	if err != nil {
 		return err

@@ -66,7 +66,7 @@ func TestBandRowMarksOutsideTheInterval(t *testing.T) {
 // with `make report-check`.
 func TestModelReportIsCommittedPrefix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("calibrates every paper-scale rank distribution (~10 s)")
+		t.Skip("calibrates every paper-scale rank distribution (~3 s)")
 	}
 	committed, err := os.ReadFile("../../REPORT.md")
 	if err != nil {

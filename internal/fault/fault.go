@@ -11,6 +11,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -167,6 +168,11 @@ type Injector struct {
 // NewInjector builds an injector over the schedule.
 func NewInjector(sched Schedule) *Injector {
 	return &Injector{sched: sched, Sleep: time.Sleep, counts: map[string]int{}}
+}
+
+// names reports whether the schedule has an event for target.
+func (in *Injector) names(target string) bool {
+	return slices.ContainsFunc(in.sched, func(ev Event) bool { return ev.Target == target })
 }
 
 // advance records one invocation of target and returns what, if

@@ -23,35 +23,35 @@ func corrupt(y []complex64) {
 	}
 }
 
-// Operator wraps a FallibleOperator with fault injection on whole
+// operator wraps a FallibleOperator with fault injection on whole
 // forward/adjoint products (one invocation of injector target "op" per
-// product) — the layer that exercises solver checkpoint/resume.
-type Operator struct {
-	Op  lsqr.FallibleOperator
-	Inj *Injector
+// product) — the layer that exercises solver checkpoint/resume. It has
+// no ApplyStep, so a wrapped solve takes the two-sweep composed route.
+type operator struct {
+	lsqr.FallibleOperator
+	inj *Injector
 }
 
 // opTarget is the injector stream name of whole products.
 const opTarget = "op"
 
-// WrapOperator attaches inj to op under target "op".
-func WrapOperator(op lsqr.FallibleOperator, inj *Injector) *Operator {
-	return &Operator{Op: op, Inj: inj}
+// WrapOperator attaches inj to op under target "op". A schedule that
+// names no "op" event cannot fault a whole product, so op comes back
+// unwrapped and a solve over it keeps any one-sweep ApplyStep it has.
+func WrapOperator(op lsqr.FallibleOperator, inj *Injector) lsqr.FallibleOperator {
+	if !inj.names(opTarget) {
+		return op
+	}
+	return &operator{FallibleOperator: op, inj: inj}
 }
 
-// Rows implements lsqr.FallibleOperator.
-func (o *Operator) Rows() int { return o.Op.Rows() }
-
-// Cols implements lsqr.FallibleOperator.
-func (o *Operator) Cols() int { return o.Op.Cols() }
-
 // Apply implements lsqr.FallibleOperator with injection.
-func (o *Operator) Apply(x, y []complex64) error {
-	dec := o.Inj.advance(opTarget)
+func (o *operator) Apply(x, y []complex64) error {
+	dec := o.inj.advance(opTarget)
 	if dec.Err != nil {
 		return dec.Err
 	}
-	if err := o.Op.Apply(x, y); err != nil {
+	if err := o.FallibleOperator.Apply(x, y); err != nil {
 		return err
 	}
 	if dec.NaN {
@@ -61,12 +61,12 @@ func (o *Operator) Apply(x, y []complex64) error {
 }
 
 // ApplyAdjoint implements lsqr.FallibleOperator with injection.
-func (o *Operator) ApplyAdjoint(x, y []complex64) error {
-	dec := o.Inj.advance(opTarget)
+func (o *operator) ApplyAdjoint(x, y []complex64) error {
+	dec := o.inj.advance(opTarget)
 	if dec.Err != nil {
 		return dec.Err
 	}
-	if err := o.Op.ApplyAdjoint(x, y); err != nil {
+	if err := o.FallibleOperator.ApplyAdjoint(x, y); err != nil {
 		return err
 	}
 	if dec.NaN {

@@ -12,6 +12,7 @@ package ranks
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Paper-scale dataset constants (§6.1).
@@ -63,20 +64,25 @@ type Params struct {
 	FreqFloor float64
 }
 
-// Distribution is a calibrated rank layout.
+// Distribution is a calibrated rank layout. NewCustom builds it whole;
+// it does not change afterwards.
 type Distribution struct {
 	Params
 	// MT, NT are the tile-grid extents.
 	MT, NT int
 	// Lambda is the calibrated scale factor.
 	Lambda float64
-	// stacked[f][j] caches Σ_i rank(f,i,j) per tile column, built lazily.
+	// stacked[f][j] is Σ_i rank(f, i, j): the height of the stacked V base
+	// (and width of the side-by-side U base) of tile column j at frequency
+	// f — the quantity the CS-2 mapping splits into stack-width chunks.
 	stacked [][]int
-	// totalRankRows caches Σ ranks over every tile and frequency.
+	// bytesPerFreq[f] is the compressed size of frequency matrix f.
+	bytesPerFreq []int64
+	// totalRankRows is Σ ranks over every tile and frequency.
 	totalRankRows int64
-	// totalNonzeroTiles caches the number of tiles with rank > 0.
+	// totalNonzeroTiles is the number of tiles with rank > 0.
 	totalNonzeroTiles int64
-	// nonzeroColumns caches the number of (f, j) columns with Sv > 0.
+	// nonzeroColumns is the number of (f, j) columns with Sv > 0.
 	nonzeroColumns int64
 }
 
@@ -101,6 +107,9 @@ func NewCustom(p Params) (*Distribution, error) {
 	if p.TargetBytes <= 0 {
 		return nil, fmt.Errorf("ranks: nonpositive target size")
 	}
+	if p.FreqFloor < 0 {
+		return nil, fmt.Errorf("ranks: negative frequency floor %g", p.FreqFloor)
+	}
 	if p.DecayLength == 0 {
 		p.DecayLength = 0.10
 	}
@@ -115,6 +124,7 @@ func NewCustom(p Params) (*Distribution, error) {
 	if err := d.calibrate(); err != nil {
 		return nil, err
 	}
+	d.stackColumns()
 	return d, nil
 }
 
@@ -132,71 +142,68 @@ func (d *Distribution) diagDistance(i, j int) float64 {
 	return math.Abs(float64(i)/float64(d.MT) - float64(j)/float64(d.NT))
 }
 
+// decay returns the post-Hilbert rank decay exp(−dd/DecayLength) at
+// normalized diagonal offset dd.
+func (d *Distribution) decay(dd float64) float64 {
+	return math.Exp(-dd / d.DecayLength)
+}
+
+// rankOf is the model's one rank rule: a tile whose frequency scale is s
+// (λ·shape(f)) and whose decay is g has rank s·g rounded half up and
+// clamped to [0, NB]. Neither s nor g is ever negative (NewCustom refuses
+// a negative FreqFloor), so adding one half and truncating is the half-up
+// rounding and never gives less than 0. Rank, calibrate and stackColumns
+// all call it.
+func (d *Distribution) rankOf(s, g float64) int {
+	return min(int(s*g+0.5), d.NB)
+}
+
 // Rank returns the modelled rank of tile (i, j) at frequency f.
 func (d *Distribution) Rank(f, i, j int) int {
-	g := math.Exp(-d.diagDistance(i, j) / d.DecayLength)
-	r := int(math.Round(d.Lambda * d.freqShape(f) * g))
-	if r < 0 {
-		r = 0
-	}
-	if r > d.NB {
-		r = d.NB
-	}
-	return r
+	return d.rankOf(d.Lambda*d.freqShape(f), d.decay(d.diagDistance(i, j)))
 }
 
 // calibrate bisects Lambda so the aggregate compressed size matches
 // TargetBytes. Each rank-row stores NB complex64 elements in both its U
 // and V base: bytes = 16·NB·Σranks. For speed, the diagonal-offset values
-// are histogrammed once (they depend only on (i, j)).
+// are histogrammed once (they depend only on (i, j)) and the decay of
+// each bin is tabulated before the bisection.
 func (d *Distribution) calibrate() error {
 	const bins = 2048
-	hist := make([]int64, bins)
 	maxD := 0.0
 	for i := 0; i < d.MT; i++ {
 		for j := 0; j < d.NT; j++ {
-			if dd := d.diagDistance(i, j); dd > maxD {
-				maxD = dd
-			}
+			maxD = max(maxD, d.diagDistance(i, j))
 		}
 	}
 	if maxD == 0 {
 		maxD = 1
 	}
+	hist := make([]int64, bins)
 	for i := 0; i < d.MT; i++ {
 		for j := 0; j < d.NT; j++ {
-			b := int(d.diagDistance(i, j) / maxD * float64(bins-1))
-			hist[b]++
+			hist[int(d.diagDistance(i, j)/maxD*float64(bins-1))]++
 		}
 	}
-	gOf := func(b int) float64 {
-		dd := float64(b) / float64(bins-1) * maxD
-		return math.Exp(-dd / d.DecayLength)
+	g := make([]float64, bins)
+	for b := range g {
+		g[b] = d.decay(float64(b) / float64(bins-1) * maxD)
 	}
 	totalFor := func(lambda float64) int64 {
 		var rows int64
 		for f := 0; f < d.NumFreqs; f++ {
 			s := lambda * d.freqShape(f)
-			for b := 0; b < bins; b++ {
-				if hist[b] == 0 {
-					continue
+			for b, n := range hist {
+				if n > 0 {
+					rows += int64(d.rankOf(s, g[b])) * n
 				}
-				r := int64(math.Round(s * gOf(b)))
-				if r < 0 {
-					r = 0
-				}
-				if r > int64(d.NB) {
-					r = int64(d.NB)
-				}
-				rows += r * hist[b]
 			}
 		}
 		return rows * 16 * int64(d.NB)
 	}
 	// hi must drive even the farthest, lowest-frequency tile to full rank
 	// so the bisection can reach the full-rank ceiling.
-	gMin := math.Exp(-maxD / d.DecayLength)
-	lo, hi := 1e-9, 2*float64(d.NB)/(d.FreqFloor*gMin)
+	lo, hi := 1e-9, 2*float64(d.NB)/(d.FreqFloor*d.decay(maxD))
 	if totalFor(hi) < d.TargetBytes {
 		return fmt.Errorf("ranks: target %d B unreachable (max %d B)", d.TargetBytes, totalFor(hi))
 	}
@@ -212,76 +219,55 @@ func (d *Distribution) calibrate() error {
 	return nil
 }
 
-// stackedColumnHeights returns Sv[f][j] = Σ_i rank(f, i, j): the height of
-// the stacked V base (and width of the side-by-side U base) of tile column
-// j at frequency f — the quantity the CS-2 mapping splits into stack-width
-// chunks. The result is computed once and cached.
-func (d *Distribution) stackedColumnHeights() [][]int {
-	if d.stacked != nil {
-		return d.stacked
-	}
-	// Precompute the per-tile decay factors once; the frequency loop then
-	// only scales and rounds (the mt×nt×nf product reaches 1.5e8 at paper
-	// scale, so the exp() must stay out of the inner loop).
+// stackColumns fills the stacked column heights and the totals every
+// reader returns. The per-tile decay is tabulated once; the frequency
+// loop then only scales and rounds (the mt×nt×nf product reaches 1.5e8
+// at paper scale).
+func (d *Distribution) stackColumns() {
 	g := make([]float64, d.MT*d.NT)
 	for j := 0; j < d.NT; j++ {
 		for i := 0; i < d.MT; i++ {
-			g[j*d.MT+i] = math.Exp(-d.diagDistance(i, j) / d.DecayLength)
+			g[j*d.MT+i] = d.decay(d.diagDistance(i, j))
 		}
 	}
-	out := make([][]int, d.NumFreqs)
-	var total, nzTiles, nzCols int64
-	for f := 0; f < d.NumFreqs; f++ {
+	d.stacked = make([][]int, d.NumFreqs)
+	d.bytesPerFreq = make([]int64, d.NumFreqs)
+	for f := range d.stacked {
 		row := make([]int, d.NT)
 		s := d.Lambda * d.freqShape(f)
-		for j := 0; j < d.NT; j++ {
+		var rows int64
+		for j := range row {
 			var sum, nz int
-			col := g[j*d.MT : (j+1)*d.MT]
-			for _, gij := range col {
-				r := int(s*gij + 0.5)
-				if r > d.NB {
-					r = d.NB
-				}
+			for _, gij := range g[j*d.MT : (j+1)*d.MT] {
+				r := d.rankOf(s, gij)
 				sum += r
 				if r > 0 {
 					nz++
 				}
 			}
 			row[j] = sum
-			total += int64(sum)
-			nzTiles += int64(nz)
+			rows += int64(sum)
+			d.totalNonzeroTiles += int64(nz)
 			if sum > 0 {
-				nzCols++
+				d.nonzeroColumns++
 			}
 		}
-		out[f] = row
+		d.stacked[f] = row
+		d.bytesPerFreq[f] = rows * 16 * int64(d.NB)
+		d.totalRankRows += rows
 	}
-	d.stacked = out
-	d.totalRankRows = total
-	d.totalNonzeroTiles = nzTiles
-	d.nonzeroColumns = nzCols
-	return out
 }
 
 // TotalRankRows returns Σ ranks over all tiles and frequencies.
-func (d *Distribution) TotalRankRows() int64 {
-	d.stackedColumnHeights()
-	return d.totalRankRows
-}
+func (d *Distribution) TotalRankRows() int64 { return d.totalRankRows }
 
 // TotalNonzeroTiles returns the number of tiles with positive rank — the
 // number of per-tile U MVM segments the TLR-MVM executes.
-func (d *Distribution) TotalNonzeroTiles() int64 {
-	d.stackedColumnHeights()
-	return d.totalNonzeroTiles
-}
+func (d *Distribution) TotalNonzeroTiles() int64 { return d.totalNonzeroTiles }
 
 // NonzeroColumns returns the number of (frequency, tile-column) pairs with
 // positive stacked height.
-func (d *Distribution) NonzeroColumns() int64 {
-	d.stackedColumnHeights()
-	return d.nonzeroColumns
-}
+func (d *Distribution) NonzeroColumns() int64 { return d.nonzeroColumns }
 
 // MeanTileRank returns the average rank over nonzero tiles.
 func (d *Distribution) MeanTileRank() float64 {
@@ -299,18 +285,7 @@ func (d *Distribution) TotalBytes() int64 {
 
 // BytesPerFrequency returns the compressed size of each frequency matrix,
 // reproducing the rising curves of Fig. 12's bottom panel.
-func (d *Distribution) BytesPerFrequency() []int64 {
-	sv := d.stackedColumnHeights()
-	out := make([]int64, d.NumFreqs)
-	for f := range sv {
-		var rows int64
-		for _, s := range sv[f] {
-			rows += int64(s)
-		}
-		out[f] = rows * 16 * int64(d.NB)
-	}
-	return out
-}
+func (d *Distribution) BytesPerFrequency() []int64 { return slices.Clone(d.bytesPerFreq) }
 
 // Chunks returns the number of stack-width chunks (= PEs used under strong
 // scaling strategy 1, where one PE runs all eight real MVMs of a chunk)
@@ -319,9 +294,8 @@ func (d *Distribution) Chunks(sw int) (numChunks int64, worstRows int) {
 	if sw <= 0 {
 		panic("ranks: nonpositive stack width")
 	}
-	sv := d.stackedColumnHeights()
-	for f := range sv {
-		for _, s := range sv[f] {
+	for _, col := range d.stacked {
+		for _, s := range col {
 			if s == 0 {
 				continue
 			}

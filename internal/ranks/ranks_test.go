@@ -7,7 +7,7 @@ import (
 )
 
 // paperDist caches calibrated paper-scale distributions across tests —
-// the nb=25 layouts take ~1 s each to build.
+// an nb=25 layout takes ~0.3 s to build.
 var (
 	paperMu    sync.Mutex
 	paperCache = map[Config]*Distribution{}
@@ -100,6 +100,27 @@ func TestRankClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// the one rule at its edges: s·g rounded half up, clamped to [0, NB]
+	for _, c := range []struct {
+		s, g float64
+		want int
+	}{
+		{0, 1, 0},
+		{3, 0, 0},
+		{2.5, 1, 3}, // k + 0.5 rounds up
+		{0.5, 1, 1},
+		{1.4999999999999998, 1, 1},
+		{3.5, 1, 4},
+		{4.5, 1, 4}, // NB + 0.5 clamps to NB
+		{1e12, 1, 4},
+		// the largest float64 below 0.5: adding one half rounds to 1, so
+		// the rule gives 1 where math.Round gives 0
+		{0.49999999999999994, 1, 1},
+	} {
+		if got := d.rankOf(c.s, c.g); got != c.want {
+			t.Errorf("rankOf(%v, %v) = %d, want %d", c.s, c.g, got, c.want)
+		}
+	}
 	for f := 0; f < 3; f++ {
 		for i := 0; i < d.MT; i++ {
 			for j := 0; j < d.NT; j++ {
@@ -117,7 +138,7 @@ func TestStackedHeightsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := d.stackedColumnHeights()
+	sv := d.stacked
 	var total int64
 	for f := range sv {
 		if len(sv[f]) != d.NT {
@@ -137,6 +158,42 @@ func TestStackedHeightsConsistent(t *testing.T) {
 	}
 	if total != d.TotalRankRows() {
 		t.Error("TotalRankRows inconsistent")
+	}
+}
+
+// TestBenchLayoutsArePinned holds the two rank layouts the benchmark
+// draws its synthetic operators from — bench/synthsolve.go:45 (dramSpec,
+// solve-dram and solve-ooc) and :51 (their smoke spec), built there with
+// NewCustom and Rank — to their rank sums and zero-rank tile counts, so a
+// change to the rank model that moves the benchmark's operators fails in
+// tier-1.
+func TestBenchLayoutsArePinned(t *testing.T) {
+	for _, c := range []struct {
+		p          Params
+		sum, zeros int64
+	}{
+		{Params{Rows: 6144, Cols: 3072, NB: 64, NumFreqs: 16, TargetBytes: 1 << 30}, 1046913, 17943},
+		{Params{Rows: 384, Cols: 192, NB: 32, NumFreqs: 4, TargetBytes: 1 << 20}, 2045, 91},
+	} {
+		d, err := NewCustom(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum, zeros int64
+		for f := 0; f < d.NumFreqs; f++ {
+			for i := 0; i < d.MT; i++ {
+				for j := 0; j < d.NT; j++ {
+					r := d.Rank(f, i, j)
+					sum += int64(r)
+					if r == 0 {
+						zeros++
+					}
+				}
+			}
+		}
+		if sum != c.sum || zeros != c.zeros {
+			t.Errorf("%+v: Σ ranks %d with %d zero-rank tiles, want %d and %d", c.p, sum, zeros, c.sum, c.zeros)
+		}
 	}
 }
 
@@ -192,6 +249,9 @@ func TestNewCustomValidation(t *testing.T) {
 	}
 	if _, err := NewCustom(Params{NB: 4, Rows: 8, Cols: 8, NumFreqs: 1, TargetBytes: 0}); err == nil {
 		t.Error("zero target should fail")
+	}
+	if _, err := NewCustom(Params{NB: 4, Rows: 8, Cols: 8, NumFreqs: 2, TargetBytes: 1, FreqFloor: -0.5}); err == nil {
+		t.Error("negative FreqFloor should fail")
 	}
 	// unreachable target: more bytes than full rank allows
 	if _, err := NewCustom(Params{NB: 4, Rows: 8, Cols: 8, NumFreqs: 1, TargetBytes: 1 << 40}); err == nil {

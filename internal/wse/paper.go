@@ -3,10 +3,10 @@ package wse
 import "repro/internal/ranks"
 
 // PaperModel evaluates the paper's published deployments (the rows of
-// internal/ranks/paper.go) on the CS-2. Calibrating
-// a paper-scale rank distribution takes up to a second, so a PaperModel
-// calibrates each Fig. 12 configuration once; the zero value is ready to
-// use, and it is not safe for concurrent use.
+// internal/ranks/paper.go) on the CS-2. Calibrating a paper-scale rank
+// distribution takes 0.1–0.3 s (nb 70 to nb 25, one core), so a
+// PaperModel calibrates each Fig. 12 configuration once; the zero value
+// is ready to use, and it is not safe for concurrent use.
 type PaperModel struct {
 	distCache map[ranks.Config]*ranks.Distribution
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // paper calibrates each Fig. 12 configuration once for the whole package
-// (the nb=25 layouts take ~1 s each).
+// (an nb=25 layout takes ~0.3 s).
 var paper PaperModel
 
 func dist(t testing.TB, cfg ranks.Config) *ranks.Distribution {

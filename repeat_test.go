@@ -101,9 +101,6 @@ func rooflinePoints(t *testing.T, pm *wse.PaperModel) ([]float64, []roofline.Poi
 // the Figs. 15/16 roofline points are computed twice; every field must
 // agree bit for bit.
 func TestModelRepeatsBitForBit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibrates every paper-scale rank distribution (~5 s)")
-	}
 	var pm wse.PaperModel
 	for _, table := range []struct {
 		name string

@@ -3,11 +3,13 @@ package repro
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cgls"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lsqr"
 	"repro/internal/mddclient"
 	"repro/internal/mddserve"
@@ -117,4 +119,56 @@ func TestTimersRecordEverySpan(t *testing.T) {
 		"mdc.sharded.step": n, "tlr.mvm_step": n * nf,
 		"batch.shard.run": n + 1,
 	})
+}
+
+// TestShardOnlyFaultsKeepTheStep: a served MDD job on a schedule that
+// targets shards only (one of two shards dies, the other fails once and
+// is retried) takes the one-sweep step route, as an unfaulted job does —
+// with no "op" event to fire, no whole-product fault wrapper hides
+// ApplyStep — and returns the unfaulted job's result bit for bit.
+func TestShardOnlyFaultsKeepTheStep(t *testing.T) {
+	suite.VerifyNoLeaks(t)
+	spec := mddserve.JobSpec{Type: mddserve.JobMDD, Iters: 6, ReturnSolution: true,
+		Dataset: mddserve.DatasetSpec{NsX: 4, NsY: 3, NrX: 3, NrY: 3, Nt: 32}}
+	obs.Enable()
+	defer obs.Disable()
+	serve := func(faults string) (*mddserve.JobResult, obs.Snapshot) {
+		t.Helper()
+		sched, err := fault.Parse(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := mddserve.New(mddserve.Config{Workers: 1, Shards: 2, Faults: sched,
+			FaultSleep: func(time.Duration) {}, BackoffSleep: func(time.Duration) {}})
+		defer srv.Close()
+		web := httptest.NewServer(srv.Handler())
+		defer web.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		obs.Reset()
+		st, err := mddclient.New(web.URL, mddclient.Options{Tenant: "faults"}).Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != mddserve.StateDone {
+			t.Fatalf("faults %q: job %s: %s", faults, st.State, st.Error)
+		}
+		return st.Result, obs.TakeSnapshot()
+	}
+	want, _ := serve("")
+	got, snap := serve("shard1:die@3,shard0:err@2")
+	if n := snap.Counter("fault.injected"); n != 2 {
+		t.Errorf("%d faults injected, want the schedule's 2", n)
+	}
+	spans := map[string]int64{}
+	for _, tm := range snap.Timers {
+		spans[tm.Name] = tm.Count
+	}
+	if n := int64(got.Iterations); spans["mdc.sharded.step"] != n || spans["mdc.sharded.apply"] != 0 || spans["mdc.sharded.adjoint"] != 1 {
+		t.Errorf("%d iterations took %d steps, %d forward and %d adjoint products; want %d, 0 and 1",
+			n, spans["mdc.sharded.step"], spans["mdc.sharded.apply"], spans["mdc.sharded.adjoint"], n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shard-only faulted job %+v\nunfaulted job %+v", got, want)
+	}
 }
